@@ -18,7 +18,6 @@ Typical use::
 """
 
 from . import dual, lagrange, linops, problems, regularizers
-from ._kernels import NUMBA_ENABLED
 from .dual import (
     DualEvaluation,
     RegimeDiagnosis,
@@ -58,7 +57,6 @@ __all__ = [
     "Lagrangian",
     "LinearOperator",
     "MorozovError",
-    "NUMBA_ENABLED",
     "RegimeDiagnosis",
     "RegimeError",
     "Regularizer",

@@ -1,95 +1,25 @@
-"""Conjugate-gradient kernels for the regularized normal system.
+"""Conjugate-gradient kernel for symmetric positive definite systems.
 
-Both kernels solve ``(L^T L + lam * A^T A) x = b`` for symmetric positive
-definite system matrices, with optional Jacobi (diagonal) preconditioning.
-``cg_dense`` is the numba-compiled hot path for operators held as dense
-matrices; ``cg_matvec`` is the pure-numpy path that also serves matrix-free
-operators, where the system action is only available as a callback.
+``cg_matvec`` is the one CG in the package. It serves every iterative
+solve: the regularized normal system ``(L^T L + lam * A^T A) x = b`` in
+``solve_lagrange``, dense or matrix-free, and the normal equations
+``A^T A x = A^T g`` in ``distance_to_range``. The system action is a
+callback, so dense and matrix-free operators run the same iteration.
 
-numba is optional (the ``jit`` extra). ``NUMBA_ENABLED`` is true exactly
-when numba imports and the environment variable ``MOROZOV_NUMBA`` is not
-off; otherwise ``cg_dense`` is the same iteration run as plain numpy. Set
-``MOROZOV_NUMBA`` to ``0`` (or ``false``/``off``) before import to force
-the numpy fallback everywhere. Matrix-free operators always use the
-fallback, since jitted code cannot call back into Python.
-
-Status codes returned by both kernels:
+Status codes:
     0  converged to the requested relative residual
     1  iteration cap reached
     2  breakdown: the search direction has nonpositive curvature, i.e.
        the system matrix is not positive definite
 """
 
-import os
-
 import numpy as np
 
-__all__ = ["NUMBA_ENABLED", "cg_dense", "cg_matvec"]
+__all__ = ["cg_matvec"]
 
 
-def _env_wants_numba():
-    return os.environ.get("MOROZOV_NUMBA", "1").strip().lower() not in (
-        "0",
-        "false",
-        "off",
-    )
-
-
-NUMBA_ENABLED = False
-if _env_wants_numba():
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # numba is optional; fall back to plain numpy
-        NUMBA_ENABLED = False
-
-
-def _cg_dense_impl(A, L, lam, b, diag, tol, max_iter):
-    n = b.shape[0]
-    x = np.zeros(n)
-    b_norm = np.sqrt(np.dot(b, b))
-    if b_norm == 0.0:
-        return x, 0, 0.0, 0
-    r = b.copy()
-    z = r / diag
-    p = z.copy()
-    rz = np.dot(r, z)
-    rel = 1.0
-    k = 0
-    status = 1
-    while k < max_iter:
-        Ap = np.dot(A, p)
-        Lp = np.dot(L, p)
-        Mp = np.dot(L.T, Lp) + lam * np.dot(A.T, Ap)
-        pMp = np.dot(p, Mp)
-        if not np.isfinite(pMp) or pMp <= 0.0:
-            status = 2
-            break
-        alpha = rz / pMp
-        x = x + alpha * p
-        r = r - alpha * Mp
-        k += 1
-        rel = np.sqrt(np.dot(r, r)) / b_norm
-        if rel <= tol:
-            status = 0
-            break
-        z = r / diag
-        rz_next = np.dot(r, z)
-        beta = rz_next / rz
-        rz = rz_next
-        p = z + beta * p
-    return x, k, rel, status
-
-
-if NUMBA_ENABLED:
-    cg_dense = njit(cache=True)(_cg_dense_impl)
-else:
-    cg_dense = _cg_dense_impl
-
-
-def cg_matvec(system_apply, b, diag=None, tol=1e-10, max_iter=1000):
-    """Preconditioned CG where the system action is a callback.
+def cg_matvec(system_apply, b, tol=1e-10, max_iter=1000):
+    """CG where the system action is a callback.
 
     Parameters
     ----------
@@ -97,8 +27,6 @@ def cg_matvec(system_apply, b, diag=None, tol=1e-10, max_iter=1000):
         Maps a vector to the SPD system matrix times that vector.
     b : ndarray
         Right-hand side.
-    diag : ndarray or None
-        Jacobi preconditioner diagonal; None for unpreconditioned CG.
     tol : float
         Relative residual target ||r|| / ||b||.
     max_iter : int
@@ -109,17 +37,13 @@ def cg_matvec(system_apply, b, diag=None, tol=1e-10, max_iter=1000):
     (x, iterations, relative_residual, status)
     """
     b = np.asarray(b, dtype=np.float64)
-    n = b.shape[0]
-    x = np.zeros(n)
+    x = np.zeros(b.shape[0])
     b_norm = np.linalg.norm(b)
     if b_norm == 0.0:
         return x, 0, 0.0, 0
-    if diag is None:
-        diag = np.ones(n)
     r = b.copy()
-    z = r / diag
-    p = z.copy()
-    rz = float(r @ z)
+    p = r.copy()
+    rr = float(r @ r)
     rel = 1.0
     k = 0
     status = 1
@@ -129,17 +53,16 @@ def cg_matvec(system_apply, b, diag=None, tol=1e-10, max_iter=1000):
         if not np.isfinite(pMp) or pMp <= 0.0:
             status = 2
             break
-        alpha = rz / pMp
+        alpha = rr / pMp
         x = x + alpha * p
         r = r - alpha * Mp
         k += 1
-        rel = float(np.linalg.norm(r)) / b_norm
+        rr_next = float(r @ r)
+        rel = float(np.sqrt(rr_next)) / b_norm
         if rel <= tol:
             status = 0
             break
-        z = r / diag
-        rz_next = float(r @ z)
-        beta = rz_next / rz
-        rz = rz_next
-        p = z + beta * p
+        beta = rr_next / rr
+        rr = rr_next
+        p = r + beta * p
     return x, k, rel, status

@@ -155,14 +155,6 @@ def _cmd_diagnose(args):
 def _cmd_solve(args):
     problem = problems.load_problem(args.problem)
     tau, tau_eff = _effective_tau(args, problem)
-    diagnosis = dual.diagnose_regime(problem.op, problem.g, tau_eff)
-    if diagnosis.regime != "interior" and not args.override_regime:
-        print(
-            f"error: regime is {diagnosis.regime}: "
-            f"{dual.failed_inequality(diagnosis)}",
-            file=sys.stderr,
-        )
-        return EXIT_REGIME
     lag = _lagrangian(problem, tau_eff)
     method = args.method.replace("-", "_")
     result = dual.maximize_dual(
@@ -181,7 +173,7 @@ def _cmd_solve(args):
         "tau": tau,
         "tau_eff": tau_eff,
         "safety_factor": args.safety_factor,
-        "regime": diagnosis.regime,
+        "regime": result.diagnosis.regime,
         "method": args.method,
         "iterations": [[lam, d, dp] for lam, d, dp in result.iterations],
         "converged": result.converged,

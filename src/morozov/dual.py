@@ -90,7 +90,8 @@ class SelectionResult:
 
     ``iterations`` records every multiplier visited as (lam, D, D')
     triples, bracketing steps included. ``alpha`` is defined as
-    ``1.0 / lambda_star``.
+    ``1.0 / lambda_star``. ``diagnosis`` is the regime diagnosis the
+    selection ran under; None when the result was rebuilt from storage.
     """
 
     lambda_star: float
@@ -100,6 +101,7 @@ class SelectionResult:
     iterations: list
     method: str
     converged: bool
+    diagnosis: RegimeDiagnosis = None
 
 
 @dataclass(frozen=True)
@@ -274,6 +276,7 @@ def maximize_dual(
             iterations=trace,
             method=method,
             converged=True,
+            diagnosis=diag,
         )
 
     if method == "gradient_ascent":

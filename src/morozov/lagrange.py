@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from ._kernels import NUMBA_ENABLED, cg_dense, cg_matvec
+from ._kernels import cg_matvec
 from .errors import AssumptionViolation, ConvergenceFailure, DimensionMismatch
 from .linops import LinearOperator, residual_norm_sq
 from .regularizers import Regularizer
@@ -100,16 +100,7 @@ def lagrangian_value(lag: Lagrangian, f, lam):
     return j + lam * (residual_norm_sq(lag.op, f, lag.data) - lag.epsilon)
 
 
-def _jacobi_diagonal(lag, lam):
-    A, L = lag.op, lag.regularizer.seminorm_operator
-    if not (A.is_dense and L.is_dense):
-        raise ValueError("Jacobi preconditioning needs dense operators")
-    diag = np.sum(L.matrix**2, axis=0) + lam * np.sum(A.matrix**2, axis=0)
-    # guard zero diagonal entries (possible for rank-deficient columns)
-    return np.where(diag > 0, diag, 1.0)
-
-
-def solve_lagrange(lag: Lagrangian, lam, solver="direct", tol=1e-10, precondition=None):
+def solve_lagrange(lag: Lagrangian, lam, solver="direct", tol=1e-10):
     """Minimize the inner problem at multiplier ``lam > 0``.
 
     Parameters
@@ -124,8 +115,6 @@ def solve_lagrange(lag: Lagrangian, lam, solver="direct", tol=1e-10, preconditio
         ``10 * dim_f``, and works for matrix-free operators too.
     tol : float
         Relative residual target for the iterative path.
-    precondition : {None, "jacobi"}
-        Optional diagonal preconditioner for the iterative path.
 
     Returns
     -------
@@ -177,26 +166,12 @@ def solve_lagrange(lag: Lagrangian, lam, solver="direct", tol=1e-10, preconditio
         f = scipy.linalg.cho_solve(cho, rhs, check_finite=False)
         stats = {"method": "direct", "factorization": "cholesky"}
     elif solver == "iterative":
-        max_iter = 10 * A.dims.dim_f
-        if precondition == "jacobi":
-            diag = _jacobi_diagonal(lag, lam)
-        elif precondition is None:
-            diag = np.ones(A.dims.dim_f)
-        else:
-            raise ValueError(f"unknown preconditioner {precondition!r}")
-        if A.is_dense and L.is_dense and NUMBA_ENABLED:
-            f, iters, rel, status = cg_dense(
-                A.matrix, L.matrix, lam, rhs, diag, tol, max_iter
-            )
-            kernel = "numba"
-        else:
-            def system_apply(p):
-                return L.apply_adjoint(L.apply(p)) + lam * A.gram_apply(p)
+        def system_apply(p):
+            return L.apply_adjoint(L.apply(p)) + lam * A.gram_apply(p)
 
-            f, iters, rel, status = cg_matvec(
-                system_apply, rhs, diag=diag, tol=tol, max_iter=max_iter
-            )
-            kernel = "numpy"
+        f, iters, rel, status = cg_matvec(
+            system_apply, rhs, tol=tol, max_iter=10 * A.dims.dim_f
+        )
         if status == 2:
             raise AssumptionViolation(
                 f"CG breakdown at lam={lam:g}: inner system is not positive "
@@ -212,8 +187,6 @@ def solve_lagrange(lag: Lagrangian, lam, solver="direct", tol=1e-10, preconditio
             "method": "iterative",
             "iterations": iters,
             "relative_residual": rel,
-            "kernel": kernel,
-            "preconditioner": precondition,
         }
     else:
         raise ValueError(f"unknown solver {solver!r}")

@@ -104,18 +104,14 @@ def _null_space(mat, tol):
     return vt[rank:].T
 
 
-def _rank(mat, tol, scale=None):
-    """Rank with cutoff tol * scale; scale defaults to the largest
-    singular value of mat itself. Pass the unrestricted operator's scale
-    when ranking a restriction, so a numerically-zero restriction ranks 0.
+def _rank(mat, tol, scale):
+    """Rank with cutoff tol * scale. Pass the unrestricted operator's
+    scale when ranking a restriction, so a numerically-zero restriction
+    ranks 0.
     """
-    s = np.linalg.svd(mat, compute_uv=False)
-    if s.size == 0:
-        return 0
-    if scale is None:
-        scale = s[0]
     if scale == 0.0:
         return 0
+    s = np.linalg.svd(mat, compute_uv=False)
     return int(np.count_nonzero(s > tol * scale))
 
 
@@ -127,8 +123,9 @@ def check_assumptions(J: Regularizer, A: LinearOperator, tol=1e-10):
     ``tol`` times the largest are treated as zero. Quadratic penalties
     always attain their minimum (zero) on the intersection, so
     ``attains_min_on_kernel`` is always true. ``coercive_on_problem``
-    reports coercivity in the problem-restricted sense: it holds when the
-    kernels intersect trivially, or when L itself is injective.
+    reports coercivity in the problem-restricted sense, which holds
+    exactly when the kernels intersect trivially (an injective L is a
+    special case).
 
     Raises
     ------
@@ -148,17 +145,18 @@ def check_assumptions(J: Regularizer, A: LinearOperator, tol=1e-10):
         raise DimensionMismatch(
             f"penalty input dim {L.dims.dim_f} != forward input dim {A.dims.dim_f}"
         )
-    L_scale = float(np.linalg.norm(L.matrix, 2))
     ker_A = _null_space(A.matrix, tol)
     if ker_A.shape[1] == 0:
         intersection_dim = 0
     else:
+        L_scale = float(np.linalg.norm(L.matrix, 2))
         restricted = L.matrix @ ker_A
-        intersection_dim = ker_A.shape[1] - _rank(restricted, tol, scale=L_scale)
+        intersection_dim = ker_A.shape[1] - _rank(restricted, tol, L_scale)
     strictly_convex = intersection_dim == 0
-    ker_L_trivial = _rank(L.matrix, tol) == L.dims.dim_f
+    # an injective L cannot vanish on ker A, so coercivity in the
+    # problem-restricted sense is exactly strict convexity along ker A
     return AssumptionReport(
-        coercive_on_problem=strictly_convex or ker_L_trivial,
+        coercive_on_problem=strictly_convex,
         strictly_convex_along_kernel=strictly_convex,
         kernel_intersection_dim=intersection_dim,
         attains_min_on_kernel=True,

@@ -142,6 +142,28 @@ class TestSolve:
         assert rc == 2
         assert "too_optimistic" in capsys.readouterr().err
 
+    def test_solve_diagnoses_regime_once(self, fixture_dirs, tmp_path, monkeypatch):
+        import morozov.dual
+
+        calls = []
+        diagnose = morozov.dual.diagnose_regime
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return diagnose(*args, **kwargs)
+
+        monkeypatch.setattr(morozov.dual, "diagnose_regime", counting)
+        rc = run(["solve", "--problem", fixture_dirs["interior"], "--out", tmp_path / "r.json"])
+        assert rc == 0
+        assert len(calls) == 1
+        calls.clear()
+        rc = run([
+            "solve", "--problem", fixture_dirs["noise_dominates"],
+            "--out", tmp_path / "r.json",
+        ])
+        assert rc == 2
+        assert len(calls) == 1
+
     def test_override_regime_exits_3_on_bracket_failure(self, fixture_dirs, tmp_path):
         rc = run([
             "solve", "--problem", fixture_dirs["too_optimistic"],

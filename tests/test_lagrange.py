@@ -117,17 +117,6 @@ class TestSolveLagrange:
         assert iterative.solver_stats["method"] == "iterative"
         assert direct.solver_stats["factorization"] == "cholesky"
 
-    def test_jacobi_preconditioner_same_solution(self, rng):
-        A = random_dense_op(rng, 12, 9)
-        g = rng.standard_normal(12)
-        lag = Lagrangian(A, g, identity_regularizer(9), epsilon=0.5)
-        plain = solve_lagrange(lag, 1.5, solver="iterative", tol=1e-12)
-        pc = solve_lagrange(
-            lag, 1.5, solver="iterative", tol=1e-12, precondition="jacobi"
-        )
-        np.testing.assert_allclose(pc.f_lambda, plain.f_lambda, rtol=1e-7, atol=1e-10)
-        assert pc.solver_stats["preconditioner"] == "jacobi"
-
     def test_matrix_free_matches_dense(self, rng):
         mat = rng.standard_normal((7, 6))
         g = rng.standard_normal(7)
@@ -141,7 +130,6 @@ class TestSolveLagrange:
         a = solve_lagrange(dense, 4.0, solver="direct")
         b = solve_lagrange(free, 4.0, solver="iterative", tol=1e-13)
         np.testing.assert_allclose(b.f_lambda, a.f_lambda, rtol=1e-8, atol=1e-12)
-        assert b.solver_stats["kernel"] == "numpy"
 
     def test_optimality_residual_bound(self, rng):
         A = random_dense_op(rng, 9, 6)

@@ -131,11 +131,18 @@ class TestCheckAssumptions:
         assert report.kernel_intersection_dim == 0
 
     def test_consistency_invariant(self, rng):
-        A = random_dense_op(rng, 4, 4)
-        report = check_assumptions(identity_regularizer(4), A)
-        assert report.strictly_convex_along_kernel == (
-            report.kernel_intersection_dim == 0
-        )
+        cases = [
+            (identity_regularizer(4), random_dense_op(rng, 4, 4)),
+            # injective L, 3-dimensional ker A
+            (custom_regularizer(random_dense_op(rng, 8, 6)), random_dense_op(rng, 3, 6)),
+            (first_difference_regularizer(6), random_dense_op(rng, 4, 6)),
+        ]
+        for J, A in cases:
+            report = check_assumptions(J, A)
+            assert report.strictly_convex_along_kernel == (
+                report.kernel_intersection_dim == 0
+            )
+            assert report.coercive_on_problem == report.strictly_convex_along_kernel
 
     def test_matrix_free_unsupported(self):
         free = linops.from_callables(3, 3, lambda f: f, lambda y: y)
