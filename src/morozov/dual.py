@@ -26,6 +26,15 @@ D' is nonincreasing, so the default maximization brackets a sign change
 of D' and bisects; that is globally convergent and tolerance-controlled.
 Secant refinement and plain gradient ascent, lam <- lam + rho_n D'(lam)
 started from 0, are available as alternatives.
+
+Dense problems are factored once (``Lagrangian.spectral_factors``), and
+every evaluation of D and D' after that costs a few O(n^2) products.
+``maximize_dual`` takes three more things from the same factorization:
+building it is the strict-convexity check, and the true residual at
+``LAMBDA_MAX``, an upper bound on dist(g, range(A)), certifies the
+interior regime without a least-squares solve whenever it is below tau.
+Matrix-free problems are solved by conjugate gradient at every
+evaluation, and their regime is decided by ``distance_to_range``.
 """
 
 import logging
@@ -42,7 +51,6 @@ from .errors import (
 )
 from .lagrange import LAMBDA_MAX, Lagrangian, lagrangian_value, solve_lagrange
 from .linops import distance_to_range, residual_norm_sq
-from .regularizers import check_assumptions
 
 __all__ = [
     "DualEvaluation",
@@ -76,7 +84,12 @@ class DualEvaluation:
 
 @dataclass(frozen=True)
 class RegimeDiagnosis:
-    """Where the tolerance sits relative to the attainable discrepancies."""
+    """Where the tolerance sits relative to the attainable discrepancies.
+
+    ``dist_to_range`` is dist(g, range(A)), except when the regime was
+    decided from a residual bound (see ``diagnose_regime``): it then holds
+    that bound, which is an upper bound on the distance.
+    """
 
     dist_to_range: float
     data_norm: float
@@ -120,8 +133,8 @@ def eval_dual(lag: Lagrangian, lam, solver=None, tol=1e-10):
 
     At lam = 0 no inner solve is attempted: D(0) = 0 and the right
     derivative is ||g||^2 - epsilon. For lam > 0 the inner problem is
-    solved (direct factorization for dense operators by default,
-    conjugate gradient otherwise) and
+    solved (from the problem's spectral factors for dense operators by
+    default, by conjugate gradient otherwise) and
 
         D(lam) = J(f_lam) + lam * D'(lam),
         D'(lam) = ||A f_lam - g||^2 - epsilon.
@@ -134,7 +147,7 @@ def eval_dual(lag: Lagrangian, lam, solver=None, tol=1e-10):
             lam=0.0, d_value=0.0, d_prime=float(g @ g) - lag.epsilon
         )
     if solver is None:
-        solver = "direct" if _all_dense(lag) else "iterative"
+        solver = "spectral" if _all_dense(lag) else "iterative"
     sol = solve_lagrange(lag, lam, solver=solver, tol=tol)
     d_prime = sol.discrepancy_sq - lag.epsilon
     d_value = sol.j_value + lam * d_prime
@@ -145,18 +158,27 @@ def _all_dense(lag):
     return lag.op.is_dense and lag.regularizer.seminorm_operator.is_dense
 
 
-def diagnose_regime(op, g, tau, dist_tol=1e-10):
+def diagnose_regime(op, g, tau, dist_tol=1e-10, bound=None):
     """Classify where tau falls in dist(g, range(A)) < tau < ||g||.
 
     Equalities are classified into the failing regime, since the
     existence guarantee needs strict inequalities. When both boundary
     cases coincide (tau = ||g|| = dist), noise_dominates wins.
+
+    ``bound`` is an optional upper bound on dist(g, range(A)), such as
+    the norm of a true residual ||A f - g||. When tau >= ||g||, or when
+    bound < tau certifies the interior regime, no least-squares solve is
+    made and ``dist_to_range`` reports the bound; otherwise
+    ``distance_to_range`` decides as without a bound.
     """
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
     g = np.asarray(g, dtype=np.float64)
-    dist = distance_to_range(op, g, tol=dist_tol)
     data_norm = float(np.linalg.norm(g))
+    if bound is not None and (tau >= data_norm or bound < tau):
+        dist = float(bound)
+    else:
+        dist = distance_to_range(op, g, tol=dist_tol)
     if tau >= data_norm:
         regime = "noise_dominates"
     elif tau <= dist:
@@ -223,11 +245,14 @@ def maximize_dual(
     ------
     RegimeError
         If the problem is not in the interior regime (unless overridden).
+        This takes precedence over an ``AssumptionViolation``.
     AssumptionViolation
         If the penalty is not strictly convex along ker(A) (dense
-        operators are checked up front; matrix-free ones are trusted).
+        operators are checked up front by building their spectral
+        factors; matrix-free ones are trusted).
     BracketFailure
-        If D' never changes sign below LAMBDA_MAX.
+        If D' does not change sign below LAMBDA_MAX, or not within
+        ``max_iter`` doublings or halvings of ``lambda_init``.
     ConvergenceFailure
         If ``max_iter`` is exhausted; the trace so far is attached.
     """
@@ -238,7 +263,19 @@ def maximize_dual(
     if max_iter is None:
         max_iter = 10_000 if method == "gradient_ascent" else 200
 
-    diag = diagnose_regime(lag.op, lag.data, lag.tau)
+    # on dense problems the factorization is the assumption check, and its
+    # residual at LAMBDA_MAX bounds dist(g, range A) for the regime check
+    bound = violation = None
+    if _all_dense(lag):
+        try:
+            f_max = lag.spectral_factors().solve(LAMBDA_MAX)
+            bound = math.sqrt(residual_norm_sq(lag.op, f_max, lag.data))
+        except AssumptionViolation as exc:
+            violation = exc
+    else:
+        log.debug("matrix-free operators: strict-convexity check skipped")
+
+    diag = diagnose_regime(lag.op, lag.data, lag.tau, bound=bound)
     if diag.regime != "interior":
         if not override_regime:
             raise RegimeError(
@@ -246,17 +283,8 @@ def maximize_dual(
                 regime=diag.regime,
             )
         log.warning("regime gate overridden: %s", diag.regime)
-
-    if _all_dense(lag):
-        report = check_assumptions(lag.regularizer, lag.op)
-        if not report.strictly_convex_along_kernel:
-            raise AssumptionViolation(
-                "penalty is not strictly convex along ker(A) "
-                f"(kernel intersection dimension {report.kernel_intersection_dim}); "
-                "the selected reconstruction would not be unique"
-            )
-    else:
-        log.debug("matrix-free operators: strict-convexity check skipped")
+    if violation is not None:
+        raise violation
 
     trace = []
     d_tol = rtol * lag.epsilon
@@ -284,7 +312,7 @@ def maximize_dual(
             lag, evaluate, finish, d_tol, max_iter, step_rule, step_constant, trace
         )
 
-    e_lo, e_hi, e_done = _bracket_sign_change(evaluate, lambda_init, d_tol, trace)
+    e_lo, e_hi, e_done = _bracket_sign_change(evaluate, lambda_init, d_tol, max_iter, trace)
     if e_done is not None:
         return finish(e_done)
 
@@ -313,49 +341,49 @@ def maximize_dual(
     )
 
 
-def _bracket_sign_change(evaluate, lambda_init, d_tol, trace):
+def _bracket_sign_change(evaluate, lambda_init, d_tol, max_iter, trace):
     """Find evaluations with D'(lo) > 0 > D'(hi) by doubling or halving.
 
-    Returns (e_lo, e_hi, converged_eval); converged_eval is non-None when
-    an endpoint already satisfies the tolerance.
+    At most ``max_iter`` doublings or halvings follow the evaluation at
+    ``lambda_init``. Returns (e_lo, e_hi, converged_eval); converged_eval
+    is non-None when an endpoint already satisfies the tolerance.
     """
     if not 0 < lambda_init <= LAMBDA_MAX:
         raise ValueError(f"lambda_init must be in (0, {LAMBDA_MAX:g}]")
     e = evaluate(lambda_init)
     if abs(e.d_prime) <= d_tol:
         return None, None, e
-    if e.d_prime > 0:
-        e_lo = e
-        while True:
-            hi = 2.0 * e_lo.lam
-            if hi > LAMBDA_MAX:
-                raise BracketFailure(
-                    f"D' still positive at lam={e_lo.lam:g}; no maximizer below "
-                    f"LAMBDA_MAX={LAMBDA_MAX:g} (noise estimate too optimistic)",
-                    trace=trace,
-                )
-            e = evaluate(hi)
-            if abs(e.d_prime) <= d_tol:
-                return None, None, e
-            if e.d_prime < 0:
-                return e_lo, e, None
-            e_lo = e
-    else:
-        e_hi = e
-        while True:
-            lo = 0.5 * e_hi.lam
-            if lo < _BRACKET_FLOOR:
-                raise BracketFailure(
-                    f"D' still negative at lam={e_hi.lam:g} down to {lo:g}; the "
-                    "dual is nonincreasing (data dominated by noise)",
-                    trace=trace,
-                )
-            e = evaluate(lo)
-            if abs(e.d_prime) <= d_tol:
-                return None, None, e
-            if e.d_prime > 0:
-                return e, e_hi, None
-            e_hi = e
+    increasing = e.d_prime > 0
+    for _ in range(max_iter):
+        lam = 2.0 * e.lam if increasing else 0.5 * e.lam
+        if lam > LAMBDA_MAX:
+            raise BracketFailure(
+                f"D' still positive at lam={e.lam:g}; no maximizer below "
+                f"LAMBDA_MAX={LAMBDA_MAX:g} (noise estimate too optimistic)",
+                trace=trace,
+            )
+        if lam < _BRACKET_FLOOR:
+            raise BracketFailure(
+                f"D' still negative at lam={e.lam:g} down to {lam:g}; the "
+                "dual is nonincreasing (data dominated by noise)",
+                trace=trace,
+            )
+        e_prev, e = e, evaluate(lam)
+        if abs(e.d_prime) <= d_tol:
+            return None, None, e
+        if increasing and e.d_prime < 0:
+            return e_prev, e, None
+        if not increasing and e.d_prime > 0:
+            return e, e_prev, None
+    sign, cause = (
+        ("positive", "noise estimate too optimistic") if increasing
+        else ("negative", "data dominated by noise")
+    )
+    raise BracketFailure(
+        f"D' still {sign} at lam={e.lam:g} after {len(trace)} bracketing "
+        f"evaluations (max_iter={max_iter}); no sign change found ({cause})",
+        trace=trace,
+    )
 
 
 def _gradient_ascent(lag, evaluate, finish, d_tol, max_iter, step_rule, step_constant, trace):

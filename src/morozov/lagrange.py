@@ -1,4 +1,4 @@
-"""The penalized inner problem and its exact quadratic solver.
+"""The penalized inner problem and its quadratic solvers.
 
 For a multiplier lam > 0 the inner problem minimizes
 
@@ -14,9 +14,22 @@ so it stays well-posed uniformly as lam drops to zero. Solves at a given
 multiplier are equivalent to Tikhonov solves at regularization weight
 alpha = 1/lam. Conditioning deteriorates as lam grows, so multipliers
 above ``LAMBDA_MAX`` are rejected outright.
+
+Dense problems are factored once. The generalized eigendecomposition
+
+    A^T A X = B X diag(mu),   X^T B X = I,   B = L^T L + A^T A,
+
+turns the system at every lam into the diagonal one
+((1 - mu) + lam mu) y = lam X^T A^T g with f = X y, so each solve after
+the first costs a few O(n^2) products (``solver="spectral"``). B is
+positive definite exactly when ker L and ker A intersect trivially, so
+building the factorization is also the strict-convexity check. The
+Cholesky (``"direct"``) and conjugate gradient (``"iterative"``) solvers
+factor or iterate at each lam and stay as independent checkers.
 """
 
 import logging
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +44,7 @@ __all__ = [
     "LAMBDA_MAX",
     "Lagrangian",
     "LagrangeSolution",
+    "SpectralFactors",
     "lagrangian_value",
     "solve_lagrange",
     "validate_tolerance_setup",
@@ -54,16 +68,85 @@ class LagrangeSolution:
     solver_stats: dict = field(default_factory=dict)
 
 
+def _singular_pivot_ratio(factor):
+    """Pivot ratio of a Cholesky factor that shows a numerically singular
+    matrix, else None.
+
+    Rounding can let Cholesky succeed on a semidefinite matrix with a
+    sqrt(eps)-scale pivot; this catches that before it yields garbage.
+    """
+    pivots = np.abs(np.diagonal(factor))
+    if pivots.min() ** 2 <= factor.shape[0] * np.finfo(np.float64).eps * pivots.max() ** 2:
+        return pivots.min() / pivots.max()
+    return None
+
+
+@dataclass(frozen=True)
+class SpectralFactors:
+    """Generalized eigendecomposition of a dense problem.
+
+    ``X`` holds the eigenvectors of the pencil (A^T A, L^T L + A^T A),
+    normalized so that X^T (L^T L + A^T A) X = I; ``mu`` the eigenvalues,
+    clipped to [0, 1]; ``c`` the data in these coordinates, X^T A^T g.
+    """
+
+    X: np.ndarray
+    mu: np.ndarray
+    c: np.ndarray
+
+    @classmethod
+    def build(cls, A: LinearOperator, L: LinearOperator, g):
+        """Factor the pencil; one O(n^3) eigendecomposition.
+
+        Raises
+        ------
+        AssumptionViolation
+            If L^T L + A^T A is singular or numerically singular, i.e. the
+            penalty is not strictly convex along ker(A).
+        """
+        # fresh products, not the operators' cached Gram matrices: eigh
+        # overwrites gram_a with X, and a cached L^T L would keep n^2 floats
+        # that no spectral solve reads
+        gram_a = A.matrix.T @ A.matrix
+        B = L.matrix.T @ L.matrix
+        B += gram_a
+        try:
+            singular = _singular_pivot_ratio(scipy.linalg.cholesky(B, check_finite=False)) is not None
+        except scipy.linalg.LinAlgError:
+            singular = True
+        if singular:
+            raise AssumptionViolation(
+                "penalty is not strictly convex along ker(A): L^T L + A^T A is "
+                "singular or numerically singular, so the selected "
+                "reconstruction would not be unique"
+            )
+        mu, X = scipy.linalg.eigh(
+            gram_a, B, driver="gvd", overwrite_a=True, overwrite_b=True,
+            check_finite=False,
+        )
+        np.clip(mu, 0.0, 1.0, out=mu)
+        c = X.T @ A.apply_adjoint(g)
+        for arr in (X, mu, c):
+            arr.setflags(write=False)
+        return cls(X=X, mu=mu, c=c)
+
+    def solve(self, lam):
+        """f_lam = X y with ((1 - mu) + lam mu) y = lam c."""
+        return self.X @ (lam * self.c / ((1.0 - self.mu) + lam * self.mu))
+
+
 class Lagrangian:
     """Problem bundle (A, g, J) with the squared tolerance epsilon.
 
     ``epsilon`` is the square of the effective noise tolerance. Callers
     applying a Morozov safety factor c >= 1 must fold it in beforehand
-    (epsilon = (c * tau)^2); this class treats epsilon as final.
+    (epsilon = (c * tau)^2); this class treats epsilon as final. ``data``
+    is a read-only copy of ``g``, so the cached factorization cannot go
+    stale.
     """
 
     def __init__(self, op: LinearOperator, data, regularizer: Regularizer, epsilon):
-        data = np.asarray(data, dtype=np.float64)
+        data = np.array(data, dtype=np.float64)
         if data.ndim != 1 or data.shape[0] != op.dims.dim_g:
             raise DimensionMismatch(
                 f"data must have length {op.dims.dim_g}, got shape {data.shape}"
@@ -75,10 +158,32 @@ class Lagrangian:
             )
         if not epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
+        data.setflags(write=False)
         self.op = op
         self.data = data
         self.regularizer = regularizer
         self.epsilon = float(epsilon)
+        self._spectral = None
+        self._spectral_lock = threading.Lock()
+
+    def spectral_factors(self):
+        """The ``SpectralFactors`` of a dense problem, built on first use.
+
+        Raises
+        ------
+        ValueError
+            If A or L is matrix-free.
+        AssumptionViolation
+            If the penalty is not strictly convex along ker(A); nothing is
+            cached then, so each call raises again.
+        """
+        L = self.regularizer.seminorm_operator
+        if not (self.op.is_dense and L.is_dense):
+            raise ValueError("spectral factors need dense operators; use iterative")
+        with self._spectral_lock:
+            if self._spectral is None:
+                self._spectral = SpectralFactors.build(self.op, L, self.data)
+            return self._spectral
 
     @property
     def tau(self):
@@ -108,11 +213,14 @@ def solve_lagrange(lag: Lagrangian, lam, solver="direct", tol=1e-10):
     lag : Lagrangian
     lam : float
         Multiplier, in (0, LAMBDA_MAX].
-    solver : {"direct", "iterative"}
+    solver : {"direct", "iterative", "spectral"}
         Direct assembles the system matrix and takes a Cholesky
         factorization (dense operators only). Iterative runs conjugate
         gradient to relative residual ``tol`` with an iteration cap of
         ``10 * dim_f``, and works for matrix-free operators too.
+        Spectral reuses the problem's ``SpectralFactors`` (dense
+        operators only; built on the first call), so it costs a few
+        O(n^2) products per multiplier.
     tol : float
         Relative residual target for the iterative path.
 
@@ -140,9 +248,11 @@ def solve_lagrange(lag: Lagrangian, lam, solver="direct", tol=1e-10):
     A = lag.op
     L = lag.regularizer.seminorm_operator
     g = lag.data
-    rhs = lam * A.apply_adjoint(g)
 
-    if solver == "direct":
+    if solver == "spectral":
+        f = lag.spectral_factors().solve(lam)
+        stats = {"method": "spectral"}
+    elif solver == "direct":
         if not (A.is_dense and L.is_dense):
             raise ValueError("direct solver needs dense operators; use iterative")
         M = L.gram_matrix() + lam * A.gram_matrix()
@@ -153,24 +263,21 @@ def solve_lagrange(lag: Lagrangian, lam, solver="direct", tol=1e-10):
                 f"inner system singular at lam={lam:g}: ker(L) and ker(A) "
                 "intersect nontrivially"
             ) from exc
-        # rounding can let Cholesky succeed on a semidefinite matrix with a
-        # sqrt(eps)-scale pivot; catch that before it yields garbage
-        pivots = np.abs(np.diagonal(cho[0]))
-        n = M.shape[0]
-        if pivots.min() ** 2 <= n * np.finfo(np.float64).eps * pivots.max() ** 2:
+        ratio = _singular_pivot_ratio(cho[0])
+        if ratio is not None:
             raise AssumptionViolation(
                 f"inner system numerically singular at lam={lam:g} "
-                f"(pivot ratio {pivots.min() / pivots.max():.2e}): ker(L) and "
+                f"(pivot ratio {ratio:.2e}): ker(L) and "
                 "ker(A) intersect, or the system is conditioned beyond float64"
             )
-        f = scipy.linalg.cho_solve(cho, rhs, check_finite=False)
+        f = scipy.linalg.cho_solve(cho, lam * A.apply_adjoint(g), check_finite=False)
         stats = {"method": "direct", "factorization": "cholesky"}
     elif solver == "iterative":
         def system_apply(p):
             return L.apply_adjoint(L.apply(p)) + lam * A.gram_apply(p)
 
         f, iters, rel, status = cg_matvec(
-            system_apply, rhs, tol=tol, max_iter=10 * A.dims.dim_f
+            system_apply, lam * A.apply_adjoint(g), tol=tol, max_iter=10 * A.dims.dim_f
         )
         if status == 2:
             raise AssumptionViolation(

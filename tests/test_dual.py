@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ from morozov.errors import (
     ConvergenceFailure,
     RegimeError,
 )
-from morozov.lagrange import Lagrangian, lagrangian_value, solve_lagrange
-from morozov.problems import regime_fixture
+from morozov.lagrange import LAMBDA_MAX, Lagrangian, lagrangian_value, solve_lagrange
+from morozov.problems import _bump_profile, make_deconvolution, regime_fixture, synthesize
 from morozov.regularizers import (
     first_difference_regularizer,
     identity_regularizer,
@@ -221,8 +222,12 @@ class TestMaximizeDual:
     def test_override_noise_dominates_hits_bracket_failure(self):
         prob = regime_fixture("noise_dominates", seed=5)
         lag = lagrangian_of(prob)
-        with pytest.raises(BracketFailure):
+        with pytest.raises(BracketFailure) as err:
             maximize_dual(lag, override_regime=True)
+        max_iter = 200  # the bisection default
+        assert len(err.value.trace) <= max_iter + 1
+        assert f"after {len(err.value.trace)} bracketing evaluations" in str(err.value)
+        assert f"lam={err.value.trace[-1][0]:g}" in str(err.value)
 
     def test_assumption_gate_refuses_shared_kernel(self, rng):
         # forward and penalty both kill constants: selection must refuse
@@ -261,6 +266,144 @@ class TestMaximizeDual:
             maximize_dual(lag, method="gradient_ascent", step_rule="magic")
         with pytest.raises(ValueError):
             maximize_dual(lag, method="gradient_ascent", step_constant=0.0)
+
+
+class TestRegimeCertificate:
+    """The residual at LAMBDA_MAX bounds dist(g, range A) on dense problems."""
+
+    @staticmethod
+    def count_distance_calls(monkeypatch):
+        import morozov.dual
+
+        calls = []
+        distance = morozov.dual.distance_to_range
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return distance(*args, **kwargs)
+
+        monkeypatch.setattr(morozov.dual, "distance_to_range", counting)
+        return calls
+
+    def test_certified_problem_skips_least_squares(self, monkeypatch):
+        prob = regime_fixture("interior", seed=1)
+        expected = diagnose_regime(prob.op, prob.g, prob.tau)
+        calls = self.count_distance_calls(monkeypatch)
+        res = maximize_dual(lagrangian_of(prob))
+        assert calls == []
+        assert res.diagnosis.regime == expected.regime == "interior"
+        # the certificate reports its bound, never less than the distance
+        assert expected.dist_to_range <= res.diagnosis.dist_to_range < prob.tau
+
+    def test_uncertified_too_optimistic(self, monkeypatch):
+        prob = regime_fixture("too_optimistic", seed=1)
+        expected = diagnose_regime(prob.op, prob.g, prob.tau)
+        calls = self.count_distance_calls(monkeypatch)
+        with pytest.raises(RegimeError) as err:
+            maximize_dual(lagrangian_of(prob))
+        assert len(calls) == 1
+        assert err.value.regime == expected.regime == "too_optimistic"
+
+    def test_uncertified_interior_between_distance_and_bound(self, monkeypatch):
+        import morozov.dual
+
+        prob = synthesize(
+            make_deconvolution(24, kernel_width=2.0),
+            _bump_profile(24, np.random.default_rng(3)), noise_level=0.05, seed=3,
+        )
+        probe = lagrangian_of(prob)
+        bound = math.sqrt(solve_lagrange(probe, LAMBDA_MAX, solver="spectral").discrepancy_sq)
+        dist = linops.distance_to_range(prob.op, prob.g)
+        assert 1e3 * dist < bound < prob.tau
+        tau = 0.5 * bound
+        expected = diagnose_regime(prob.op, prob.g, tau)
+        assert expected.regime == "interior"
+
+        seen = []
+        diagnose = morozov.dual.diagnose_regime
+
+        def recording(*args, **kwargs):
+            seen.append(diagnose(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(morozov.dual, "diagnose_regime", recording)
+        calls = self.count_distance_calls(monkeypatch)
+        # interior, yet D' stays positive up to LAMBDA_MAX since tau < bound
+        with pytest.raises(BracketFailure, match="LAMBDA_MAX"):
+            maximize_dual(lagrangian_of(prob, tau=tau))
+        assert len(calls) == 1
+        assert [d.regime for d in seen] == [expected.regime]
+        assert seen[0].dist_to_range == expected.dist_to_range
+
+    @pytest.mark.parametrize("target", ["interior", "noise_dominates", "too_optimistic"])
+    def test_verdict_matches_diagnose_regime(self, target):
+        prob = regime_fixture(target, seed=2)
+        expected = diagnose_regime(prob.op, prob.g, prob.tau).regime
+        if target == "interior":
+            assert maximize_dual(lagrangian_of(prob)).diagnosis.regime == expected
+        else:
+            with pytest.raises(RegimeError) as err:
+                maximize_dual(lagrangian_of(prob))
+            assert err.value.regime == expected
+
+    def test_regime_error_precedes_assumption_violation(self, rng):
+        # the shared-kernel pair of test_assumption_gate_refuses_shared_kernel
+        # with tau above ||g||
+        n = 6
+        A = first_difference_regularizer(n).seminorm_operator
+        g = rng.standard_normal(n - 1)
+        g *= 2.0 / np.linalg.norm(g)
+        lag = Lagrangian(A, g, first_difference_regularizer(n), epsilon=9.0)
+        with pytest.raises(RegimeError) as err:
+            maximize_dual(lag)
+        assert err.value.regime == "noise_dominates"
+        with pytest.raises(AssumptionViolation, match="unique"):
+            maximize_dual(lag, override_regime=True)
+
+    def test_bound_argument(self, monkeypatch):
+        calls = self.count_distance_calls(monkeypatch)
+        d = diagnose_regime(linops.identity(2), [2.0, 0.0], tau=1.0, bound=0.5)
+        assert (d.regime, d.dist_to_range, len(calls)) == ("interior", 0.5, 0)
+        d = diagnose_regime(linops.identity(2), [2.0, 0.0], tau=1.0, bound=1.0)
+        assert d.regime == "interior" and len(calls) == 1
+        assert d.dist_to_range == pytest.approx(0.0, abs=1e-12)
+
+
+class TestWorkCounts:
+    """Deterministic work of the dense selector, counted at scipy.linalg."""
+
+    @staticmethod
+    def count_calls(monkeypatch, *names):
+        import scipy.linalg
+
+        counts = dict.fromkeys(names, 0)
+        for name in names:
+            fn = getattr(scipy.linalg, name)
+
+            def counting(*args, _fn=fn, _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(scipy.linalg, name, counting)
+        return counts
+
+    def test_selection_factors_once(self, monkeypatch):
+        prob = regime_fixture("interior", seed=1)
+        counts = self.count_calls(monkeypatch, "eigh", "cho_factor")
+        res = maximize_dual(lagrangian_of(prob))
+        assert counts == {"eigh": 1, "cho_factor": 0}
+        assert len(res.iterations) == 31
+        assert res.lambda_star == pytest.approx(33.936594009399414, rel=1e-9)
+        checker = maximize_dual(lagrangian_of(prob), solver="direct")
+        assert counts["cho_factor"] == len(checker.iterations) == 31
+        assert res.lambda_star == pytest.approx(checker.lambda_star, rel=1e-9)
+
+    def test_sweep_factors_once(self, monkeypatch):
+        prob = regime_fixture("interior", seed=1)
+        counts = self.count_calls(monkeypatch, "eigh")
+        evals = sweep_dual(lagrangian_of(prob), np.geomspace(1e-2, 1e8, 200))
+        assert counts == {"eigh": 1}
+        assert all(e.error is None for e in evals)
 
 
 class TestSweepDual:

@@ -117,6 +117,80 @@ class TestSolveLagrange:
         assert iterative.solver_stats["method"] == "iterative"
         assert direct.solver_stats["factorization"] == "cholesky"
 
+    @pytest.mark.parametrize("penalty", ["identity", "first_difference"])
+    def test_spectral_as_accurate_as_direct(self, rng, penalty):
+        # rectangular A with a nontrivial kernel, lam across the whole
+        # range; the reference is the stacked least-squares solution, and
+        # the spectral error may not exceed the Cholesky error by much
+        A = random_dense_op(rng, 9, 12)
+        g = rng.standard_normal(9)
+        J = identity_regularizer(12) if penalty == "identity" else first_difference_regularizer(12)
+        Lm = J.seminorm_operator.matrix
+        lag = Lagrangian(A, g, J, epsilon=0.5)
+        for lam in (1e-6, 1e-2, 1.0, 1e3, 1e8, LAMBDA_MAX):
+            stacked = np.vstack([A.matrix, Lm / np.sqrt(lam)])
+            rhs = np.concatenate([g, np.zeros(Lm.shape[0])])
+            expected, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
+            direct = solve_lagrange(lag, lam, solver="direct")
+            spectral = solve_lagrange(lag, lam, solver="spectral")
+            assert spectral.solver_stats == {"method": "spectral"}
+            scale = np.linalg.norm(expected)
+            err_direct = np.linalg.norm(direct.f_lambda - expected) / scale
+            err_spectral = np.linalg.norm(spectral.f_lambda - expected) / scale
+            assert err_spectral <= 10 * err_direct + 1e-12, lam
+            if lam <= 1e3:
+                assert spectral.discrepancy_sq == pytest.approx(direct.discrepancy_sq, rel=1e-10)
+                assert spectral.j_value == pytest.approx(direct.j_value, rel=1e-10)
+
+    def test_spectral_needs_dense_operators(self):
+        free = linops.from_callables(3, 3, lambda f: f, lambda y: y)
+        lag = Lagrangian(free, np.ones(3), identity_regularizer(3), epsilon=0.5)
+        with pytest.raises(ValueError, match="dense"):
+            solve_lagrange(lag, 1.0, solver="spectral")
+
+    def test_spectral_factors_built_once_across_threads(self, monkeypatch):
+        # more threads than cores race for the lazily built factorization
+        import sys
+        import threading
+
+        import scipy.linalg
+
+        calls = []
+        eigh = scipy.linalg.eigh
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", counting)
+        rng = np.random.default_rng(3)
+        # large enough that the build outlasts the threads' start
+        lag = Lagrangian(
+            random_dense_op(rng, 200, 200), rng.standard_normal(200),
+            identity_regularizer(200), epsilon=0.5,
+        )
+        results = []
+        barrier = threading.Barrier(8)
+
+        def worker():
+            barrier.wait(timeout=10)
+            results.append(lag.spectral_factors())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 8
+        assert len(calls) == 1
+        assert all(r is results[0] for r in results)
+
     def test_matrix_free_matches_dense(self, rng):
         mat = rng.standard_normal((7, 6))
         g = rng.standard_normal(7)
@@ -178,6 +252,8 @@ class TestSolveLagrange:
         lag = Lagrangian(A, np.zeros(n - 1), first_difference_regularizer(n), 1.0)
         with pytest.raises(AssumptionViolation):
             solve_lagrange(lag, 1.0, solver="direct")
+        with pytest.raises(AssumptionViolation, match="unique"):
+            solve_lagrange(lag, 1.0, solver="spectral")
 
     def test_singular_system_iterative_returns_a_minimizer(self, rng):
         # the right-hand side lives in range(A^T), orthogonal to the shared
@@ -247,6 +323,14 @@ class TestLagrangianValidation:
             Lagrangian(
                 linops.identity(2), np.zeros(2), identity_regularizer(3), 1.0
             )
+
+    def test_data_is_a_read_only_copy(self):
+        g = np.array([1.0, 2.0])
+        lag = Lagrangian(linops.identity(2), g, identity_regularizer(2), 1.0)
+        g[0] = 5.0
+        assert lag.data[0] == 1.0
+        with pytest.raises(ValueError):
+            lag.data[0] = 5.0
 
     def test_tau_property(self):
         assert scalar_lagrangian(epsilon=4.0).tau == 2.0

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from morozov import linops
-from morozov.errors import DimensionMismatch, UnsupportedCheck
+from morozov import Lagrangian, linops, problems
+from morozov.errors import AssumptionViolation, DimensionMismatch, UnsupportedCheck
 from morozov.regularizers import (
     check_assumptions,
     custom_regularizer,
@@ -11,6 +11,16 @@ from morozov.regularizers import (
 )
 
 from conftest import random_dense_op
+
+
+def _consistency_cases(rng):
+    """(penalty, forward) pairs whose kernels intersect trivially."""
+    return [
+        (identity_regularizer(4), random_dense_op(rng, 4, 4)),
+        # injective L, 3-dimensional ker A
+        (custom_regularizer(random_dense_op(rng, 8, 6)), random_dense_op(rng, 3, 6)),
+        (first_difference_regularizer(6), random_dense_op(rng, 4, 6)),
+    ]
 
 
 class TestEvaluate:
@@ -131,18 +141,38 @@ class TestCheckAssumptions:
         assert report.kernel_intersection_dim == 0
 
     def test_consistency_invariant(self, rng):
-        cases = [
-            (identity_regularizer(4), random_dense_op(rng, 4, 4)),
-            # injective L, 3-dimensional ker A
-            (custom_regularizer(random_dense_op(rng, 8, 6)), random_dense_op(rng, 3, 6)),
-            (first_difference_regularizer(6), random_dense_op(rng, 4, 6)),
-        ]
-        for J, A in cases:
+        for J, A in _consistency_cases(rng):
             report = check_assumptions(J, A)
             assert report.strictly_convex_along_kernel == (
                 report.kernel_intersection_dim == 0
             )
             assert report.coercive_on_problem == report.strictly_convex_along_kernel
+
+    def test_factorization_agrees_with_oracle(self, rng):
+        # building the spectral factors is the selector's assumption check;
+        # check_assumptions stays the independent oracle for it
+        n = 8
+        shared = first_difference_regularizer(n)
+        cases = _consistency_cases(rng) + [
+            (first_difference_regularizer(n), shared.seminorm_operator),
+            (first_difference_regularizer(10), problems.make_hilbert(10)),
+        ]
+        for target in ("interior", "noise_dominates", "too_optimistic"):
+            prob = problems.regime_fixture(target, seed=1)
+            cases.append((prob.regularizer, prob.op))
+        outcomes = []
+        for J, A in cases:
+            g = rng.standard_normal(A.dims.dim_g)
+            lag = Lagrangian(A, g, J, epsilon=1.0)
+            try:
+                lag.spectral_factors()
+                refused = False
+            except AssumptionViolation:
+                refused = True
+            oracle = check_assumptions(J, A).strictly_convex_along_kernel
+            assert refused == (not oracle), (J.kind, A)
+            outcomes.append(refused)
+        assert outcomes.count(True) == 1  # only the shared-kernel pair
 
     def test_matrix_free_unsupported(self):
         free = linops.from_callables(3, 3, lambda f: f, lambda y: y)
