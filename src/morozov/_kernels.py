@@ -1,21 +1,30 @@
-"""Conjugate-gradient kernel for symmetric positive definite systems.
+"""Krylov kernels: conjugate gradient and Golub-Kahan bidiagonalization.
 
-``cg_matvec`` is the one CG in the package. It serves every iterative
-solve: the regularized normal system ``(L^T L + lam * A^T A) x = b`` in
-``solve_lagrange``, dense or matrix-free, and the normal equations
-``A^T A x = A^T g`` in ``distance_to_range``. The system action is a
+``cg_matvec`` is the one CG in the package. It solves the regularized
+normal system ``(L^T L + lam * A^T A) x = b`` of ``solve_lagrange(...,
+solver="iterative")``, dense or matrix-free; the system action is a
 callback, so dense and matrix-free operators run the same iteration.
 
-Status codes:
+``GolubKahan`` is the one bidiagonalization. Started from the data g, it
+serves three layers of a matrix-free problem from one basis: the
+projected Tikhonov solve of ``solver="krylov"`` (Chung, Nagy & O'Leary,
+ETNA 2008), LSQR (Paige & Saunders, ACM TOMS 1982) for
+``distance_to_range``, and the LSQR residual that certifies the interior
+regime in ``maximize_dual``.
+
+CG status codes:
     0  converged to the requested relative residual
     1  iteration cap reached
     2  breakdown: the search direction has nonpositive curvature, i.e.
        the system matrix is not positive definite
 """
 
-import numpy as np
+import math
 
-__all__ = ["cg_matvec"]
+import numpy as np
+import scipy.linalg
+
+__all__ = ["GolubKahan", "cg_matvec"]
 
 
 def cg_matvec(system_apply, b, tol=1e-10, max_iter=1000):
@@ -66,3 +75,191 @@ def cg_matvec(system_apply, b, tol=1e-10, max_iter=1000):
         rr = rr_next
         p = r + beta * p
     return x, k, rel, status
+
+
+def _orthogonalize(w, Q):
+    """w minus its projection on the orthonormal rows of Q, taken twice."""
+    for _ in range(2):
+        w = w - (Q @ w) @ Q
+    return w
+
+
+class _Rows:
+    """A stack of row vectors that grows by doubling its storage.
+
+    Rows are never rewritten once appended, so a view taken earlier
+    stays valid after the storage moves.
+    """
+
+    def __init__(self, width):
+        self._store = np.empty((16, width))
+        self.n = 0
+
+    @property
+    def width(self):
+        return self._store.shape[1]
+
+    @property
+    def full(self):
+        """Whether there are as many rows as columns, so orthonormal rows
+        span the whole space."""
+        return self.n == self.width
+
+    def append(self, row):
+        if self.n == self._store.shape[0]:
+            store = np.empty((2 * self.n, self.width))
+            store[: self.n] = self._store[: self.n]
+            self._store = store
+        self._store[self.n] = row
+        self.n += 1
+
+    def __getitem__(self, index):
+        return self._store[: self.n][index]
+
+
+class GolubKahan:
+    """Lower bidiagonalization A V_k = U_{k+1} B_k started from g.
+
+    u_1 = g / beta_1, and B_k is the (k+1)-by-k lower bidiagonal matrix
+    with alpha_1..alpha_k on its diagonal and beta_2..beta_{k+1} below
+    it. The next right vector v_{k+1} and alpha_{k+1} are always formed
+    too, so A^T U_{k+1} = V_k B_k^T + alpha_{k+1} v_{k+1} e_{k+1}^T
+    gives the residuals below without an operator application. Both
+    bases are reorthogonalized in full at each step, which keeps them
+    orthonormal to rounding on ill-posed operators.
+
+    ``step`` adds one column at one forward and one adjoint application.
+    The basis is exhausted when the Krylov space K(A^T A, A^T g) is
+    invariant (a new alpha or beta vanishes to rounding) or a basis
+    spans its whole space; every projected solution is then exact. Not
+    thread-safe: callers that share a basis serialize on their own lock.
+    """
+
+    def __init__(self, forward, adjoint, g, dim_f):
+        g = np.asarray(g, dtype=np.float64)
+        self._forward = forward
+        self._adjoint = adjoint
+        self.k = 0
+        self._U = _Rows(g.shape[0])
+        self._V = _Rows(dim_f)
+        beta1 = float(np.linalg.norm(g))
+        self.alpha = []
+        self.beta = [beta1]
+        # a lower bound on ||A||: the largest alpha or beta so far
+        self.norm_estimate = 0.0
+        # LSQR's QR factorization of B_k, one Givens rotation a step: R_k has
+        # rho on its diagonal and theta above it, R_k y = phi, and |phibar|
+        # is the residual norm ||B_k y - beta_1 e_1||
+        self._rho, self._theta, self._phi = [], [], []
+        self._phibar = beta1
+        self._c = 1.0
+        if beta1 == 0.0:
+            self.alpha.append(0.0)
+        else:
+            self._U.append(g / beta1)
+            self._append_v(self._adjoint(self._U[0]))
+        self._rhobar = self.alpha[0]
+
+    @property
+    def exhausted(self):
+        return self.alpha[self.k] == 0.0
+
+    def _normalize(self, w, Q):
+        """w orthonormalized against the rows of Q, and its norm; the norm
+        is 0 when w is rounding noise or Q already spans the space."""
+        if Q.n:
+            w = _orthogonalize(w, Q[:])
+        norm = float(np.linalg.norm(w))
+        self.norm_estimate = max(self.norm_estimate, norm)
+        tiny = max(self._U.width, self._V.width) * np.finfo(float).eps * self.norm_estimate
+        if Q.full or norm <= tiny:
+            return w, 0.0
+        return w / norm, norm
+
+    def _append_v(self, w):
+        v, a = self._normalize(w, self._V)
+        self.alpha.append(a)
+        if a:
+            self._V.append(v)
+
+    def step(self):
+        """Add one column to B_k; a no-op once the basis is exhausted."""
+        if self.exhausted:
+            return
+        k = self.k
+        w = self._forward(self._V[k]) - self.alpha[k] * self._U[k]
+        u, b = self._normalize(w, self._U)
+        self.beta.append(b)
+        self.k = k + 1
+        if b:
+            self._U.append(u)
+            self._append_v(self._adjoint(u) - b * self._V[k])
+        else:
+            # A V_k lies in span(U_k): the Krylov space is invariant
+            self.alpha.append(0.0)
+        self._rotate(self.alpha[k + 1], b)
+
+    def _rotate(self, alpha_next, beta_next):
+        rho = math.hypot(self._rhobar, beta_next)
+        c, s = self._rhobar / rho, beta_next / rho
+        self._rho.append(rho)
+        self._theta.append(s * alpha_next)
+        self._phi.append(c * self._phibar)
+        self._rhobar = -c * alpha_next
+        self._phibar = s * self._phibar
+        self._c = c
+
+    # -- projected problems --------------------------------------------------
+
+    def expand(self, z):
+        """V_k z, the solution-space vector with coordinates z."""
+        return z @ self._V[: z.shape[0]]
+
+    def tikhonov(self, lam):
+        """Projected solution of (I + lam A^T A) f = lam A^T g in V_k.
+
+        Solves (I + lam B_k^T B_k) z = lam alpha_1 beta_1 e_1 and returns
+        (z, relative_residual) with f = V_k z. In exact arithmetic the full
+        residual is lam alpha_{k+1} beta_{k+1} z_k v_{k+1}, so its norm
+        relative to ||lam A^T g|| costs no application; callers confirm it
+        on the full system.
+        """
+        k = self.k
+        if self.alpha[0] == 0.0:
+            return np.zeros(0), 0.0
+        if k == 0:
+            return np.zeros(0), 1.0
+        alpha = np.asarray(self.alpha[: k + 1])
+        beta = np.asarray(self.beta[: k + 1])
+        # B_k^T B_k is tridiagonal: alpha_j^2 + beta_{j+1}^2 on the diagonal,
+        # alpha_{j+1} beta_{j+1} beside it
+        bands = np.zeros((2, k))
+        bands[0] = 1.0 + lam * (alpha[:k] ** 2 + beta[1:] ** 2)
+        bands[1, :-1] = lam * alpha[1:k] * beta[1:k]
+        rhs = np.zeros(k)
+        rhs[0] = lam * alpha[0] * beta[0]
+        if k == 1:
+            z = rhs / bands[0]
+        else:
+            z = scipy.linalg.solveh_banded(bands, rhs, lower=True, check_finite=False)
+        rel = alpha[k] * beta[k] * abs(z[-1]) / (alpha[0] * beta[0])
+        return z, float(rel)
+
+    def lsqr(self):
+        """LSQR at the current k.
+
+        Returns the coordinates y of the minimizer of ||A V_k y - g|| over
+        y, its residual norm ||r||, and ||A^T r|| / (||A|| ||r||), the
+        normal-residual ratio of Paige & Saunders's stopping rule, with
+        ``norm_estimate`` for ||A||. The last two
+        come from the recurrences, without an operator application.
+        """
+        k = self.k
+        if k == 0:
+            return np.zeros(0), self.beta[0], 0.0 if self.exhausted else 1.0
+        bands = np.zeros((2, k))
+        bands[0, 1:] = self._theta[: k - 1]
+        bands[1] = self._rho
+        y = scipy.linalg.solve_banded((0, 1), bands, np.asarray(self._phi), check_finite=False)
+        # ||r|| = |phibar| and ||A^T r|| = |phibar alpha_{k+1} c_k|
+        return y, abs(self._phibar), abs(self.alpha[k] * self._c) / self.norm_estimate

@@ -145,6 +145,10 @@ def _cmd_diagnose(args):
         "tau_eff": tau_eff,
         "safety_factor": args.safety_factor,
         "regime": diagnosis.regime,
+        # relative slack of each inequality in dist < tau_eff < ||g||;
+        # negative where it fails
+        "margin_dist": (tau_eff - diagnosis.dist_to_range) / tau_eff,
+        "margin_norm": (diagnosis.data_norm - tau_eff) / tau_eff,
     }
     print(json.dumps(payload, indent=2))
     if args.out:

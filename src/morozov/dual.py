@@ -33,8 +33,15 @@ every evaluation of D and D' after that costs a few O(n^2) products.
 building it is the strict-convexity check, and the true residual at
 ``LAMBDA_MAX``, an upper bound on dist(g, range(A)), certifies the
 interior regime without a least-squares solve whenever it is below tau.
-Matrix-free problems are solved by conjugate gradient at every
-evaluation, and their regime is decided by ``distance_to_range``.
+
+Matrix-free problems share one Golub-Kahan basis started from g
+(``Lagrangian.krylov_basis``). ``maximize_dual`` grows it until the true
+residual of the LSQR iterate, again an upper bound on the distance,
+drops below tau; with the identity penalty every evaluation is then a
+projected solve in the same basis, which grows only when a multiplier
+needs more steps. Other penalties are solved by conjugate gradient.
+Either way ``distance_to_range`` runs only when the bound does not
+certify the interior regime.
 """
 
 import logging
@@ -50,7 +57,7 @@ from .errors import (
     RegimeError,
 )
 from .lagrange import LAMBDA_MAX, Lagrangian, lagrangian_value, solve_lagrange
-from .linops import distance_to_range, residual_norm_sq
+from .linops import distance_to_range, lsqr_residual, residual_norm_sq
 
 __all__ = [
     "DualEvaluation",
@@ -88,13 +95,15 @@ class RegimeDiagnosis:
 
     ``dist_to_range`` is dist(g, range(A)), except when the regime was
     decided from a residual bound (see ``diagnose_regime``): it then holds
-    that bound, which is an upper bound on the distance.
+    that bound, which is an upper bound on the distance, and
+    ``dist_is_bound`` is true.
     """
 
     dist_to_range: float
     data_norm: float
     tau: float
     regime: str  # "interior" | "noise_dominates" | "too_optimistic"
+    dist_is_bound: bool = False
 
 
 @dataclass(frozen=True)
@@ -133,8 +142,9 @@ def eval_dual(lag: Lagrangian, lam, solver=None, tol=1e-10):
 
     At lam = 0 no inner solve is attempted: D(0) = 0 and the right
     derivative is ||g||^2 - epsilon. For lam > 0 the inner problem is
-    solved (from the problem's spectral factors for dense operators by
-    default, by conjugate gradient otherwise) and
+    solved (by default from the problem's spectral factors for dense
+    operators, in its Krylov basis for a matrix-free operator with the
+    identity penalty, by conjugate gradient otherwise) and
 
         D(lam) = J(f_lam) + lam * D'(lam),
         D'(lam) = ||A f_lam - g||^2 - epsilon.
@@ -147,7 +157,7 @@ def eval_dual(lag: Lagrangian, lam, solver=None, tol=1e-10):
             lam=0.0, d_value=0.0, d_prime=float(g @ g) - lag.epsilon
         )
     if solver is None:
-        solver = "spectral" if _all_dense(lag) else "iterative"
+        solver = _default_solver(lag)
     sol = solve_lagrange(lag, lam, solver=solver, tol=tol)
     d_prime = sol.discrepancy_sq - lag.epsilon
     d_value = sol.j_value + lam * d_prime
@@ -156,6 +166,12 @@ def eval_dual(lag: Lagrangian, lam, solver=None, tol=1e-10):
 
 def _all_dense(lag):
     return lag.op.is_dense and lag.regularizer.seminorm_operator.is_dense
+
+
+def _default_solver(lag):
+    if _all_dense(lag):
+        return "spectral"
+    return "krylov" if lag.regularizer.kind == "identity" else "iterative"
 
 
 def diagnose_regime(op, g, tau, dist_tol=1e-10, bound=None):
@@ -168,14 +184,15 @@ def diagnose_regime(op, g, tau, dist_tol=1e-10, bound=None):
     ``bound`` is an optional upper bound on dist(g, range(A)), such as
     the norm of a true residual ||A f - g||. When tau >= ||g||, or when
     bound < tau certifies the interior regime, no least-squares solve is
-    made and ``dist_to_range`` reports the bound; otherwise
-    ``distance_to_range`` decides as without a bound.
+    made, ``dist_to_range`` reports the bound and ``dist_is_bound`` is
+    true; otherwise ``distance_to_range`` decides as without a bound.
     """
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
     g = np.asarray(g, dtype=np.float64)
     data_norm = float(np.linalg.norm(g))
-    if bound is not None and (tau >= data_norm or bound < tau):
+    is_bound = bound is not None and (tau >= data_norm or bound < tau)
+    if is_bound:
         dist = float(bound)
     else:
         dist = distance_to_range(op, g, tol=dist_tol)
@@ -186,7 +203,8 @@ def diagnose_regime(op, g, tau, dist_tol=1e-10, bound=None):
     else:
         regime = "interior"
     return RegimeDiagnosis(
-        dist_to_range=dist, data_norm=data_norm, tau=float(tau), regime=regime
+        dist_to_range=dist, data_norm=data_norm, tau=float(tau), regime=regime,
+        dist_is_bound=is_bound,
     )
 
 
@@ -223,6 +241,12 @@ def maximize_dual(
     the discrepancy equation ||A f - g||^2 = epsilon at relative
     tolerance rtol.
 
+    Before the search, the regime is certified from a residual bound:
+    on dense problems the true residual at ``LAMBDA_MAX`` from the
+    spectral factors, on matrix-free ones the LSQR residual in the
+    problem's Krylov basis, grown until it drops below tau.
+    ``distance_to_range`` runs only when that bound is not below tau.
+
     Parameters
     ----------
     method : {"bisection", "secant", "gradient_ascent"}
@@ -254,7 +278,10 @@ def maximize_dual(
         If D' does not change sign below LAMBDA_MAX, or not within
         ``max_iter`` doublings or halvings of ``lambda_init``.
     ConvergenceFailure
-        If ``max_iter`` is exhausted; the trace so far is attached.
+        If ``max_iter`` is exhausted, or the bracket shrinks to adjacent
+        floats (the inner solves cannot resolve |D'| <= rtol * epsilon);
+        the trace so far is attached. For bisection and secant
+        ``err.best`` is the smallest |D'| reached.
     """
     if method not in ("bisection", "secant", "gradient_ascent"):
         raise ValueError(f"unknown method {method!r}")
@@ -264,7 +291,8 @@ def maximize_dual(
         max_iter = 10_000 if method == "gradient_ascent" else 200
 
     # on dense problems the factorization is the assumption check, and its
-    # residual at LAMBDA_MAX bounds dist(g, range A) for the regime check
+    # residual at LAMBDA_MAX bounds dist(g, range A) for the regime check;
+    # on matrix-free ones LSQR in the shared Krylov basis gives the bound
     bound = violation = None
     if _all_dense(lag):
         try:
@@ -274,6 +302,8 @@ def maximize_dual(
             violation = exc
     else:
         log.debug("matrix-free operators: strict-convexity check skipped")
+        with lag.krylov_basis() as basis:
+            bound, _ = lsqr_residual(lag.op, lag.data, basis, target=lag.tau)
 
     diag = diagnose_regime(lag.op, lag.data, lag.tau, bound=bound)
     if diag.regime != "interior":
@@ -320,6 +350,15 @@ def maximize_dual(
     e_prev, e_curr = e_lo, e_hi  # two most recent evaluations, for secant
     for _ in range(max_iter):
         lam = 0.5 * (lo + hi)
+        if not lo < lam < hi:
+            best = min(abs(dp) for _, _, dp in trace)
+            raise ConvergenceFailure(
+                f"{method} bracket [{lo!r}, {hi!r}] holds no float between its "
+                f"ends: smallest |D'| reached is {best:.3e}, requested "
+                f"{d_tol:.3e} is below what the inner solves resolve",
+                best=best,
+                trace=trace,
+            )
         if method == "secant":
             denom = e_curr.d_prime - e_prev.d_prime
             if denom != 0.0:
@@ -334,9 +373,11 @@ def maximize_dual(
         else:
             hi = lam
         e_prev, e_curr = e_curr, e
+    best = min(abs(dp) for _, _, dp in trace)
     raise ConvergenceFailure(
         f"{method} did not reach |D'| <= {d_tol:g} in {max_iter} iterations "
-        f"(bracket [{lo:g}, {hi:g}])",
+        f"(bracket [{lo:g}, {hi:g}], smallest |D'| {best:.3e})",
+        best=best,
         trace=trace,
     )
 

@@ -23,19 +23,30 @@ turns the system at every lam into the diagonal one
 ((1 - mu) + lam mu) y = lam X^T A^T g with f = X y, so each solve after
 the first costs a few O(n^2) products (``solver="spectral"``). B is
 positive definite exactly when ker L and ker A intersect trivially, so
-building the factorization is also the strict-convexity check. The
-Cholesky (``"direct"``) and conjugate gradient (``"iterative"``) solvers
-factor or iterate at each lam and stay as independent checkers.
+building the factorization is also the strict-convexity check.
+
+Matrix-free problems with the identity penalty share one Golub-Kahan
+basis A V_k = U_{k+1} B_k started from g (``solver="krylov"``). The
+solution at every lam lies in the Krylov space K(A^T A, A^T g) = span V_k,
+so each solve is the k-by-k tridiagonal system
+(I + lam B_k^T B_k) z = lam ||A^T g|| e_1 with f = V_k z; the basis grows
+only when a multiplier needs more steps than any before it. For L != I
+the solution leaves that space, and conjugate gradient
+(``"iterative"``) solves the full system instead.
+
+The Cholesky (``"direct"``) and conjugate gradient (``"iterative"``)
+solvers factor or iterate at each lam and stay as independent checkers.
 """
 
 import logging
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from ._kernels import cg_matvec
+from ._kernels import GolubKahan, cg_matvec
 from .errors import AssumptionViolation, ConvergenceFailure, DimensionMismatch
 from .linops import LinearOperator, residual_norm_sq
 from .regularizers import Regularizer
@@ -141,8 +152,8 @@ class Lagrangian:
     ``epsilon`` is the square of the effective noise tolerance. Callers
     applying a Morozov safety factor c >= 1 must fold it in beforehand
     (epsilon = (c * tau)^2); this class treats epsilon as final. ``data``
-    is a read-only copy of ``g``, so the cached factorization cannot go
-    stale.
+    is a read-only copy of ``g``, so the cached factorization and Krylov
+    basis cannot go stale.
     """
 
     def __init__(self, op: LinearOperator, data, regularizer: Regularizer, epsilon):
@@ -164,7 +175,8 @@ class Lagrangian:
         self.regularizer = regularizer
         self.epsilon = float(epsilon)
         self._spectral = None
-        self._spectral_lock = threading.Lock()
+        self._krylov = None
+        self._lock = threading.Lock()
 
     def spectral_factors(self):
         """The ``SpectralFactors`` of a dense problem, built on first use.
@@ -180,10 +192,25 @@ class Lagrangian:
         L = self.regularizer.seminorm_operator
         if not (self.op.is_dense and L.is_dense):
             raise ValueError("spectral factors need dense operators; use iterative")
-        with self._spectral_lock:
+        with self._lock:
             if self._spectral is None:
                 self._spectral = SpectralFactors.build(self.op, L, self.data)
             return self._spectral
+
+    @contextmanager
+    def krylov_basis(self):
+        """The problem's ``GolubKahan`` basis of (A, g), built on first use.
+
+        The basis grows on demand and serves every ``"krylov"`` solve and
+        the regime certificate of ``maximize_dual`` on this problem. The
+        context holds the problem's lock, so one caller grows it at a time.
+        """
+        with self._lock:
+            if self._krylov is None:
+                self._krylov = GolubKahan(
+                    self.op.apply, self.op.apply_adjoint, self.data, self.op.dims.dim_f
+                )
+            yield self._krylov
 
     @property
     def tau(self):
@@ -213,16 +240,20 @@ def solve_lagrange(lag: Lagrangian, lam, solver="direct", tol=1e-10):
     lag : Lagrangian
     lam : float
         Multiplier, in (0, LAMBDA_MAX].
-    solver : {"direct", "iterative", "spectral"}
+    solver : {"direct", "iterative", "spectral", "krylov"}
         Direct assembles the system matrix and takes a Cholesky
         factorization (dense operators only). Iterative runs conjugate
         gradient to relative residual ``tol`` with an iteration cap of
         ``10 * dim_f``, and works for matrix-free operators too.
         Spectral reuses the problem's ``SpectralFactors`` (dense
         operators only; built on the first call), so it costs a few
-        O(n^2) products per multiplier.
+        O(n^2) products per multiplier. Krylov (identity penalty only)
+        solves in the problem's Golub-Kahan basis, extending it until the
+        relative residual ||lam A^T g - (f + lam A^T A f)|| / ||lam A^T g||
+        of the full system is at most ``tol``; a solve that needs no new
+        step costs one forward and one adjoint application.
     tol : float
-        Relative residual target for the iterative path.
+        Relative residual target for the iterative and Krylov paths.
 
     Returns
     -------
@@ -236,7 +267,8 @@ def solve_lagrange(lag: Lagrangian, lam, solver="direct", tol=1e-10):
         If the system matrix is singular (the penalty is not strictly
         convex along ker A).
     ConvergenceFailure
-        If CG hits the iteration cap above ``tol``.
+        If CG hits the iteration cap, or the Krylov basis is exhausted,
+        above ``tol``.
     """
     if lam <= 0:
         raise ValueError(f"lam must be positive, got {lam}")
@@ -248,8 +280,11 @@ def solve_lagrange(lag: Lagrangian, lam, solver="direct", tol=1e-10):
     A = lag.op
     L = lag.regularizer.seminorm_operator
     g = lag.data
+    residual = None
 
-    if solver == "spectral":
+    if solver == "krylov":
+        f, residual, stats = _krylov_solve(lag, lam, tol)
+    elif solver == "spectral":
         f = lag.spectral_factors().solve(lam)
         stats = {"method": "spectral"}
     elif solver == "direct":
@@ -298,11 +333,10 @@ def solve_lagrange(lag: Lagrangian, lam, solver="direct", tol=1e-10):
     else:
         raise ValueError(f"unknown solver {solver!r}")
 
-    disc_sq = residual_norm_sq(A, f, g)
+    r, grad = residual or _residuals(lag, f, lam)
+    disc_sq = float(r @ r)
     j_val = lag.regularizer.evaluate(f)
-    opt_res = float(
-        np.linalg.norm(lag.regularizer.gradient(f) + 2.0 * lam * (A.gram_apply(f) - A.apply_adjoint(g)))
-    )
+    opt_res = float(np.linalg.norm(grad))
     log.debug(
         "solve_lagrange lam=%.6g disc_sq=%.6g j=%.6g opt_res=%.3e (%s)",
         lam, disc_sq, j_val, opt_res, stats["method"],
@@ -315,6 +349,47 @@ def solve_lagrange(lag: Lagrangian, lam, solver="direct", tol=1e-10):
         optimality_residual=opt_res,
         solver_stats=stats,
     )
+
+
+def _residuals(lag, f, lam):
+    """The data residual A f - g and the gradient of the inner objective,
+    grad J(f) + 2 lam A^T (A f - g), at one forward and one adjoint
+    application."""
+    r = lag.op.apply(f) - lag.data
+    return r, lag.regularizer.gradient(f) + 2.0 * lam * lag.op.apply_adjoint(r)
+
+
+def _krylov_solve(lag, lam, tol):
+    """Projected Tikhonov solve in the problem's Golub-Kahan basis.
+
+    The basis recurrences say when the projected solution should meet
+    ``tol``; the explicit residual of the full system decides, and the
+    basis grows one step while it does not. Returns (f, (r, grad), stats)
+    with the residuals of ``_residuals`` at f.
+    """
+    if lag.regularizer.kind != "identity":
+        raise ValueError("krylov solver needs the identity penalty; use iterative")
+    with lag.krylov_basis() as basis:
+        while True:
+            z, rel = basis.tikhonov(lam)
+            if rel <= tol or basis.exhausted:
+                f = basis.expand(z)
+                r, grad = _residuals(lag, f, lam)
+                # grad / 2 is the residual of the full system, and
+                # ||A^T g|| = alpha_1 beta_1
+                scale = 2.0 * lam * basis.alpha[0] * basis.beta[0]
+                rel = float(np.linalg.norm(grad)) / scale if scale else 0.0
+                if rel <= tol or basis.exhausted:
+                    break
+            basis.step()
+        k = basis.k
+    if rel > tol:
+        raise ConvergenceFailure(
+            f"Krylov basis exhausted at k={k} above tol={tol:g} at "
+            f"lam={lam:g} (relative residual {rel:.3e})",
+            best=f,
+        )
+    return f, (r, grad), {"method": "krylov", "iterations": k, "relative_residual": rel}
 
 
 def validate_tolerance_setup(lag: Lagrangian, g=None):

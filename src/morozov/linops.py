@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceFailure, DimensionMismatch
-from ._kernels import cg_matvec
+from ._kernels import GolubKahan
 
 __all__ = [
     "VectorSpaceDims",
@@ -31,6 +31,7 @@ __all__ = [
     "from_callables",
     "residual_norm_sq",
     "distance_to_range",
+    "lsqr_residual",
     "save_matrix_csv",
     "load_matrix_csv",
     "save_matrix_mdop",
@@ -225,19 +226,57 @@ def residual_norm_sq(op, f, g):
     return float(r @ r)
 
 
+def lsqr_residual(op, g, basis, tol=1e-10, target=0.0, max_steps=None):
+    """LSQR on a ``GolubKahan`` basis of (op, g): an upper bound on
+    dist(g, range(op)) that tightens as the basis grows.
+
+    The basis grows until the true residual r = A x - g of the LSQR
+    iterate x drops below ``target`` in norm, or LSQR has converged:
+    ||A^T r|| <= tol ||A|| ||r|| (Paige & Saunders's rule for
+    inconsistent systems), or the basis is exhausted, where x is the
+    least-squares solution. It also stops, unconverged, at ``max_steps``
+    columns. The recurrences say when to look; each look forms x and
+    costs one forward application, plus one adjoint when ||r|| is not
+    below ``target``.
+
+    Returns
+    -------
+    (residual_norm, converged)
+        ``converged`` is false when LSQR stopped below ``target`` or at
+        ``max_steps``.
+    """
+    while True:
+        y, res, ratio = basis.lsqr()
+        capped = max_steps is not None and basis.k >= max_steps
+        if res < target or ratio <= tol or basis.exhausted or capped:
+            r = op.apply(basis.expand(y)) - g
+            dist = float(np.linalg.norm(r))
+            if dist < target:
+                return dist, False
+            converged = basis.exhausted or float(
+                np.linalg.norm(op.apply_adjoint(r))
+            ) <= tol * basis.norm_estimate * dist
+            if converged or capped:
+                return dist, converged
+        basis.step()
+
+
 def distance_to_range(op, g, tol=1e-10, max_iter=None):
     """Distance from g to the range of the operator.
 
-    Dense operators use a direct least-squares factorization; matrix-free
-    operators run CG on the normal equations with an iteration cap of
-    ``10 * dim_f`` (the range is closed in finite dimensions, so the
-    minimum is attained).
+    Dense operators use a direct least-squares factorization. Matrix-free
+    operators run LSQR on a fresh Golub-Kahan basis, fully
+    reorthogonalized, until ||A^T r|| <= tol ||A|| ||r|| for the residual
+    r or the basis is exhausted: at most ``max_iter`` steps (default no
+    cap; exhaustion comes by min(dim_f, dim_g) steps), two operator
+    applications each. The range is closed in finite dimensions, so the
+    minimum is attained.
 
     Raises
     ------
     ConvergenceFailure
-        If the iterative solve does not reach ``tol``; the best distance
-        found is attached as ``err.best``.
+        If LSQR stops unconverged at ``max_iter`` steps; the best
+        distance found is attached as ``err.best``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -245,19 +284,12 @@ def distance_to_range(op, g, tol=1e-10, max_iter=None):
     if op.is_dense:
         f_ls, *_ = np.linalg.lstsq(op.matrix, g, rcond=None)
         return float(np.linalg.norm(op.matrix @ f_ls - g))
-    if max_iter is None:
-        max_iter = 10 * op.dims.dim_f
-    b = op.apply_adjoint(g)
-    f_ls, iters, rel, status = cg_matvec(
-        op.gram_apply, b, tol=tol, max_iter=max_iter
-    )
-    dist = float(np.linalg.norm(op.apply(f_ls) - g))
-    # status 2 (semidefinite breakdown) still yields the attained minimum
-    # along the explored Krylov space; only a residual above tol is a failure.
-    if status == 1 and rel > tol:
+    basis = GolubKahan(op.apply, op.apply_adjoint, g, op.dims.dim_f)
+    dist, converged = lsqr_residual(op, g, basis, tol=tol, max_steps=max_iter)
+    if not converged:
         raise ConvergenceFailure(
-            f"normal-equations CG did not reach tol={tol:g} in {iters} "
-            f"iterations (relative residual {rel:.3e})",
+            f"LSQR did not reach ||A^T r|| <= {tol:g} ||A|| ||r|| in "
+            f"{basis.k} steps (||r|| = {dist:.6g})",
             best=dist,
         )
     return dist

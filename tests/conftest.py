@@ -17,6 +17,21 @@ def assert_adjoint_consistent(op, n_probes=100, rtol=1e-10, seed=1234):
         assert abs(lhs - rhs) / denom <= rtol, (lhs, rhs)
 
 
+def counting_free_op(mat):
+    """Matrix-free view of ``mat`` that counts its forward and adjoint calls."""
+    counts = {"fwd": 0, "adj": 0}
+
+    def forward(f):
+        counts["fwd"] += 1
+        return mat @ f
+
+    def adjoint(y):
+        counts["adj"] += 1
+        return mat.T @ y
+
+    return linops.from_callables(mat.shape[1], mat.shape[0], forward, adjoint), counts
+
+
 def random_dense_op(rng, dim_g, dim_f, scale=1.0):
     return linops.from_matrix(scale * rng.standard_normal((dim_g, dim_f)))
 

@@ -59,11 +59,21 @@ class TestDiagnose:
         for key in ("dist_to_range", "data_norm", "tau", "tau_eff", "regime"):
             assert key in payload
         assert payload["tau_eff"] == pytest.approx(1.02 * payload["tau"])
+        tau_eff = payload["tau_eff"]
+        assert payload["margin_dist"] == pytest.approx((tau_eff - payload["dist_to_range"]) / tau_eff)
+        assert payload["margin_norm"] == pytest.approx((payload["data_norm"] - tau_eff) / tau_eff)
+        assert payload["margin_dist"] > 0 and payload["margin_norm"] > 0
+        assert list(payload) == [
+            "dist_to_range", "data_norm", "tau", "tau_eff", "safety_factor",
+            "regime", "margin_dist", "margin_norm",
+        ]
 
     def test_tau_override_forces_noise_dominates(self, fixture_dirs, capsys):
         rc = run(["diagnose", "--problem", fixture_dirs["interior"], "--tau", 1e6])
         assert rc == 0
-        assert json.loads(capsys.readouterr().out)["regime"] == "noise_dominates"
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["regime"] == "noise_dominates"
+        assert payload["margin_norm"] < 0 < payload["margin_dist"]
 
     def test_zero_tau_rejected(self, fixture_dirs):
         rc = run(["diagnose", "--problem", fixture_dirs["interior"], "--tau", 0.0])

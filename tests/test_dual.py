@@ -27,7 +27,7 @@ from morozov.regularizers import (
     identity_regularizer,
 )
 
-from conftest import make_interior_problem, random_dense_op
+from conftest import counting_free_op, make_interior_problem, random_dense_op
 
 
 def scalar_lagrangian(epsilon=1.0):
@@ -239,6 +239,28 @@ class TestMaximizeDual:
         with pytest.raises(AssumptionViolation, match="unique"):
             maximize_dual(lag)
 
+    def test_bisection_collapse_stops_with_best_d_prime(self):
+        # at noise 1e-7 the requested |D'| <= rtol * epsilon = 9.3e-21 is
+        # below what a Cholesky solve resolves: the bracket shrinks to two
+        # adjacent floats at evaluation 79, where bisection used to spin on
+        # to its 200-iteration cap (226 evaluations)
+        prob = synthesize(
+            make_deconvolution(128, 4.0),
+            _bump_profile(128, np.random.default_rng(0)), 1e-7, seed=0,
+        )
+        epsilon = (1.02 * prob.tau) ** 2
+        lag = Lagrangian(prob.op, prob.g, prob.regularizer, epsilon)
+        with pytest.raises(ConvergenceFailure, match="no float between") as err:
+            maximize_dual(lag, solver="direct")
+        trace = err.value.trace
+        assert len(trace) <= 80
+        best = min(abs(dp) for _, _, dp in trace)
+        assert err.value.best == best > 1e-8 * epsilon
+        assert f"{best:.3e}" in str(err.value)
+        # the spectral default resolves it
+        res = maximize_dual(Lagrangian(prob.op, prob.g, prob.regularizer, epsilon))
+        assert abs(res.discrepancy**2 - epsilon) <= 1e-8 * epsilon
+
     def test_max_iter_exhaustion_carries_trace(self):
         prob = make_interior_problem(seed=41)
         lag = lagrangian_of(prob)
@@ -292,6 +314,7 @@ class TestRegimeCertificate:
         res = maximize_dual(lagrangian_of(prob))
         assert calls == []
         assert res.diagnosis.regime == expected.regime == "interior"
+        assert res.diagnosis.dist_is_bound and not expected.dist_is_bound
         # the certificate reports its bound, never less than the distance
         assert expected.dist_to_range <= res.diagnosis.dist_to_range < prob.tau
 
@@ -363,9 +386,9 @@ class TestRegimeCertificate:
     def test_bound_argument(self, monkeypatch):
         calls = self.count_distance_calls(monkeypatch)
         d = diagnose_regime(linops.identity(2), [2.0, 0.0], tau=1.0, bound=0.5)
-        assert (d.regime, d.dist_to_range, len(calls)) == ("interior", 0.5, 0)
+        assert (d.regime, d.dist_to_range, d.dist_is_bound, len(calls)) == ("interior", 0.5, True, 0)
         d = diagnose_regime(linops.identity(2), [2.0, 0.0], tau=1.0, bound=1.0)
-        assert d.regime == "interior" and len(calls) == 1
+        assert d.regime == "interior" and not d.dist_is_bound and len(calls) == 1
         assert d.dist_to_range == pytest.approx(0.0, abs=1e-12)
 
 
@@ -397,6 +420,47 @@ class TestWorkCounts:
         checker = maximize_dual(lagrangian_of(prob), solver="direct")
         assert counts["cho_factor"] == len(checker.iterations) == 31
         assert res.lambda_star == pytest.approx(checker.lambda_star, rel=1e-9)
+
+    @staticmethod
+    def counting_free_lagrangian(prob):
+        op, counts = counting_free_op(prob.op.matrix)
+        return Lagrangian(op, prob.g, prob.regularizer, prob.tau**2), counts
+
+    def test_matrix_free_selection_in_one_basis(self, monkeypatch):
+        import morozov.lagrange
+
+        cg_calls = []
+        cg = morozov.lagrange.cg_matvec
+
+        def counting_cg(*args, **kwargs):
+            cg_calls.append(1)
+            return cg(*args, **kwargs)
+
+        monkeypatch.setattr(morozov.lagrange, "cg_matvec", counting_cg)
+        prob = regime_fixture("interior", seed=1)
+        lag, counts = self.counting_free_lagrangian(prob)
+        res = maximize_dual(lag)
+        assert cg_calls == []
+        assert res.diagnosis.regime == "interior" and res.diagnosis.dist_is_bound
+        # the same evaluations and multiplier as the dense spectral path
+        assert len(res.iterations) == 31
+        assert res.lambda_star == pytest.approx(33.936594009399414, rel=1e-9)
+        krylov = counts["fwd"] + counts["adj"]
+
+        checker_lag, checker_counts = self.counting_free_lagrangian(prob)
+        checker = maximize_dual(checker_lag, solver="iterative")
+        assert len(cg_calls) == len(checker.iterations)
+        iterative = checker_counts["fwd"] + checker_counts["adj"]
+        assert 5 * krylov <= iterative
+
+    def test_matrix_free_too_optimistic_falls_back_to_distance(self, monkeypatch):
+        prob = regime_fixture("too_optimistic", seed=1)
+        lag, _ = self.counting_free_lagrangian(prob)
+        calls = TestRegimeCertificate.count_distance_calls(monkeypatch)
+        with pytest.raises(RegimeError) as err:
+            maximize_dual(lag)
+        assert err.value.regime == "too_optimistic"
+        assert len(calls) == 1
 
     def test_sweep_factors_once(self, monkeypatch):
         prob = regime_fixture("interior", seed=1)
@@ -490,8 +554,8 @@ class TestSweepDual:
 
 class TestPipelineVariants:
     def test_matrix_free_end_to_end(self):
-        # the whole selection pipeline without ever materializing A:
-        # CGNR for the regime distance, CG for the inner solves
+        # the whole selection pipeline without ever materializing A: one
+        # Golub-Kahan basis for the regime certificate and the inner solves
         prob = regime_fixture("interior", seed=23)
         mat = prob.op.matrix
         free_op = linops.from_callables(

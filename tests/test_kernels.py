@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from morozov._kernels import cg_matvec
+from morozov._kernels import GolubKahan, cg_matvec
 
 
 def make_system(rng, n=12, lam=2.0):
@@ -39,3 +40,93 @@ class TestCgMatvec:
         _, _, _, status = cg_matvec(lambda p: M @ p, b, tol=1e-12, max_iter=50)
         assert status == 2
 
+
+
+def bidiagonalize(mat, g, steps, calls=None):
+    calls = [] if calls is None else calls
+
+    def forward(x):
+        calls.append("fwd")
+        return mat @ x
+
+    def adjoint(y):
+        calls.append("adj")
+        return mat.T @ y
+
+    basis = GolubKahan(forward, adjoint, g, mat.shape[1])
+    for _ in range(steps):
+        basis.step()
+    return basis
+
+
+def lower_bidiagonal(basis):
+    k = basis.k
+    B = np.zeros((k + 1, k))
+    B[np.arange(k), np.arange(k)] = basis.alpha[:k]
+    B[np.arange(1, k + 1), np.arange(k)] = basis.beta[1 : k + 1]
+    return B
+
+
+class TestGolubKahan:
+    def test_bidiagonal_relations_and_orthonormal_bases(self, rng):
+        mat = rng.standard_normal((15, 10))
+        calls = []
+        basis = bidiagonalize(mat, rng.standard_normal(15), 6, calls)
+        assert basis.k == 6 and not basis.exhausted
+        assert calls == ["adj"] + ["fwd", "adj"] * 6
+        U, V, B = basis._U[:], basis._V[:], lower_bidiagonal(basis)
+        assert U.shape == (7, 15) and V.shape == (7, 10)
+        np.testing.assert_allclose(U @ U.T, np.eye(7), atol=1e-13)
+        np.testing.assert_allclose(V @ V.T, np.eye(7), atol=1e-13)
+        # A V_k = U_{k+1} B_k and A^T U_{k+1} = V_k B_k^T + alpha_{k+1} v_{k+1} e_{k+1}^T
+        np.testing.assert_allclose(mat @ V[:6].T, U.T @ B, atol=1e-12)
+        tail = np.outer(V[6], np.eye(7)[6]) * basis.alpha[6]
+        np.testing.assert_allclose(mat.T @ U.T, V[:6].T @ B.T + tail, atol=1e-12)
+
+    def test_recurrences_match_explicit_residuals(self, rng):
+        mat = rng.standard_normal((9, 7))
+        g = rng.standard_normal(9)
+        lam = 3.0
+        basis = bidiagonalize(mat, g, 0)
+        for _ in range(6):
+            basis.step()
+            z, rel = basis.tikhonov(lam)
+            f = basis.expand(z)
+            rhs = lam * mat.T @ g
+            explicit = np.linalg.norm(f + lam * mat.T @ (mat @ f) - rhs) / np.linalg.norm(rhs)
+            assert rel == pytest.approx(explicit, rel=1e-9)
+            y, res, ratio = basis.lsqr()
+            r = mat @ basis.expand(y) - g
+            assert res == pytest.approx(np.linalg.norm(r), rel=1e-12)
+            normal = np.linalg.norm(mat.T @ r) / (basis.norm_estimate * np.linalg.norm(r))
+            assert ratio == pytest.approx(normal, rel=1e-9)
+
+    def test_full_basis_solves_exactly(self, rng):
+        mat = rng.standard_normal((9, 7))
+        g = rng.standard_normal(9)
+        basis = bidiagonalize(mat, g, 20)
+        assert basis.exhausted and basis.k == 7
+        z, rel = basis.tikhonov(2.0)
+        expected = np.linalg.solve(np.eye(7) + 2.0 * mat.T @ mat, 2.0 * mat.T @ g)
+        np.testing.assert_allclose(basis.expand(z), expected, rtol=1e-10)
+        assert rel == 0.0
+        y, res, ratio = basis.lsqr()
+        np.testing.assert_allclose(basis.expand(y), np.linalg.lstsq(mat, g, rcond=None)[0], rtol=1e-10)
+        assert ratio == 0.0
+
+    def test_invariant_krylov_space_exhausts_early(self, rng):
+        mat = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 4))
+        g = rng.standard_normal(6)
+        basis = bidiagonalize(mat, g, 10)
+        assert basis.exhausted and basis.k == 2
+        y, res, _ = basis.lsqr()
+        dist = np.linalg.norm(mat @ np.linalg.lstsq(mat, g, rcond=None)[0] - g)
+        assert res == pytest.approx(dist, rel=1e-10)
+
+    def test_zero_data(self):
+        calls = []
+        basis = bidiagonalize(np.eye(3), np.zeros(3), 2, calls)
+        assert basis.exhausted and basis.k == 0 and calls == []
+        z, rel = basis.tikhonov(1.0)
+        assert z.shape == (0,) and rel == 0.0
+        np.testing.assert_array_equal(basis.expand(z), np.zeros(3))

@@ -15,7 +15,7 @@ from morozov.regularizers import (
     identity_regularizer,
 )
 
-from conftest import random_dense_op
+from conftest import counting_free_op, random_dense_op
 
 
 def scalar_lagrangian(epsilon=1.0):
@@ -279,6 +279,100 @@ class TestSolveLagrange:
     def test_unknown_solver_rejected(self):
         with pytest.raises(ValueError):
             solve_lagrange(scalar_lagrangian(), 1.0, solver="magic")
+
+
+class TestKrylovSolver:
+    """Projected solves in the problem's shared Golub-Kahan basis."""
+
+    @staticmethod
+    def ill_posed(n=64, width=2.0, seed=5):
+        from morozov.problems import _bump_profile, make_deconvolution, synthesize
+
+        A = make_deconvolution(n, width)
+        prob = synthesize(A, _bump_profile(n, np.random.default_rng(seed)), 0.02, seed=seed)
+        return A.matrix, prob.g
+
+    def test_matches_direct_on_ill_posed_operator(self):
+        mat, g = self.ill_posed()
+        free, _ = counting_free_op(mat)
+        dense = Lagrangian(linops.from_matrix(mat), g, identity_regularizer(64), epsilon=0.1)
+        lag = Lagrangian(free, g, identity_regularizer(64), epsilon=0.1)
+        for lam in (1e-2, 1.0, 1e2, 1e4):
+            ref = solve_lagrange(dense, lam, solver="direct")
+            sol = solve_lagrange(lag, lam, solver="krylov")
+            assert sol.solver_stats["method"] == "krylov"
+            assert sol.solver_stats["relative_residual"] <= 1e-10
+            # I + lam A^T A has no eigenvalue below 1, so the error is at
+            # most the residual, 1e-10 ||lam A^T g||
+            err = np.linalg.norm(sol.f_lambda - ref.f_lambda)
+            assert err <= 2e-10 * lam * np.linalg.norm(mat.T @ g), lam
+            assert sol.optimality_residual <= 1e-8 * (1 + 2 * lam * np.linalg.norm(mat.T @ g))
+
+    def test_basis_grows_only_for_new_multipliers(self):
+        mat, g = self.ill_posed()
+        free, counts = counting_free_op(mat)
+        lag = Lagrangian(free, g, identity_regularizer(64), epsilon=0.1)
+        k_small = solve_lagrange(lag, 1.0, solver="krylov").solver_stats["iterations"]
+        k_large = solve_lagrange(lag, 1e4, solver="krylov").solver_stats["iterations"]
+        assert 0 < k_small < k_large
+        before = dict(counts)
+        again = solve_lagrange(lag, 1.0, solver="krylov")
+        # the basis is reused: one forward and one adjoint for the residual check
+        assert again.solver_stats["iterations"] == k_large
+        assert (counts["fwd"] - before["fwd"], counts["adj"] - before["adj"]) == (1, 1)
+
+    def test_needs_identity_penalty(self):
+        free, _ = counting_free_op(np.eye(4))
+        lag = Lagrangian(free, np.ones(4), first_difference_regularizer(4), epsilon=0.5)
+        with pytest.raises(ValueError, match="identity penalty"):
+            solve_lagrange(lag, 1.0, solver="krylov")
+
+    def test_exhausted_basis_above_tol_raises_with_best(self, rng):
+        mat = rng.standard_normal((20, 20))
+        free, _ = counting_free_op(mat)
+        lag = Lagrangian(free, rng.standard_normal(20), identity_regularizer(20), epsilon=0.1)
+        with pytest.raises(ConvergenceFailure, match="exhausted") as err:
+            solve_lagrange(lag, 1e6, solver="krylov", tol=1e-300)
+        assert err.value.best.shape == (20,)
+
+    def test_concurrent_solves_share_one_consistent_basis(self):
+        # more threads than cores grow the shared basis at once
+        import sys
+        import threading
+
+        mat, g = self.ill_posed()
+        free, _ = counting_free_op(mat)
+        lag = Lagrangian(free, g, identity_regularizer(64), epsilon=0.1)
+        lams = np.geomspace(1e-2, 1e5, 16)
+        results = {}
+
+        def worker(lam):
+            results[lam] = solve_lagrange(lag, lam, solver="krylov")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(lam,)) for lam in lams]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == len(lams)
+        for lam, sol in results.items():
+            f = sol.f_lambda
+            rhs = lam * mat.T @ g
+            rel = np.linalg.norm(f + lam * mat.T @ (mat @ f) - rhs) / np.linalg.norm(rhs)
+            assert rel <= 1e-10, lam
+        with lag.krylov_basis() as basis:
+            k = basis.k
+            assert len(basis.alpha) == len(basis.beta) == k + 1
+            U, V = basis._U[:], basis._V[:]
+            assert U.shape[0] == V.shape[0] == k + 1
+            np.testing.assert_allclose(U @ U.T, np.eye(k + 1), atol=1e-12)
+            np.testing.assert_allclose(V @ V.T, np.eye(k + 1), atol=1e-12)
 
 
 class TestValidateToleranceSetup:

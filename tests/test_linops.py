@@ -13,7 +13,7 @@ from morozov.linops import (
     identity,
     residual_norm_sq,
 )
-from morozov.problems import make_deconvolution, make_hilbert
+from morozov.problems import _bump_profile, make_deconvolution, make_hilbert, synthesize
 
 from conftest import assert_adjoint_consistent, random_dense_op
 
@@ -162,6 +162,19 @@ class TestDistanceToRange:
         g = rng.standard_normal(6)
         assert distance_to_range(free, g, tol=1e-10) == pytest.approx(
             distance_to_range(from_matrix(mat), g), abs=1e-8
+        )
+
+    def test_matrix_free_ill_posed_matches_dense(self):
+        # a Gaussian blur of width 2 has singular values down to 5e-9, so
+        # normal-equations CG stalled here; reorthogonalized LSQR runs to the
+        # full basis and resolves what the dense factorization resolves
+        A = make_deconvolution(256, 2.0)
+        prob = synthesize(A, _bump_profile(256, np.random.default_rng(0)), 0.02, seed=0)
+        mat = A.matrix
+        free = from_callables(256, 256, lambda f: mat @ f, lambda y: mat.T @ y)
+        dense = distance_to_range(A, prob.g)
+        assert distance_to_range(free, prob.g) == pytest.approx(
+            dense, abs=1e-9 * np.linalg.norm(prob.g)
         )
 
     def test_iteration_cap_failure_carries_best(self, rng):
