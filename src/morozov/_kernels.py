@@ -5,12 +5,14 @@ normal system ``(L^T L + lam * A^T A) x = b`` of ``solve_lagrange(...,
 solver="iterative")``, dense or matrix-free; the system action is a
 callback, so dense and matrix-free operators run the same iteration.
 
-``GolubKahan`` is the one bidiagonalization. Started from the data g, it
-serves three layers of a matrix-free problem from one basis: the
-projected Tikhonov solve of ``solver="krylov"`` (Chung, Nagy & O'Leary,
-ETNA 2008), LSQR (Paige & Saunders, ACM TOMS 1982) for
+``GolubKahan`` is the one bidiagonalization. Started from the data, it
+serves three layers from one basis: the projected Tikhonov solve of
+``solver="krylov"`` (Chung, Nagy & O'Leary, ETNA 2008) with its error
+estimates, LSQR (Paige & Saunders, ACM TOMS 1982) for
 ``distance_to_range``, and the LSQR residual that certifies the interior
-regime in ``maximize_dual``.
+regime, or gives the distance, in ``maximize_dual``. The problems of the
+identity and first-difference penalties, dense or matrix-free, run on
+it in the standard form of ``lagrange.StandardForm``.
 
 CG status codes:
     0  converged to the requested relative residual
@@ -23,6 +25,7 @@ import math
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 __all__ = ["GolubKahan", "cg_matvec"]
 
@@ -215,35 +218,91 @@ class GolubKahan:
         """V_k z, the solution-space vector with coordinates z."""
         return z @ self._V[: z.shape[0]]
 
-    def tikhonov(self, lam):
+    def _projected_factors(self, lam, k):
+        """LDL^T factors of the leading k-by-k block of I + lam B^T B.
+
+        B_k^T B_k is tridiagonal, with alpha_j^2 + beta_{j+1}^2 on the
+        diagonal and alpha_{j+1} beta_{j+1} beside it. Returns D and the
+        subdiagonal l of the unit lower bidiagonal factor; the factors of
+        every leading block of a matrix are leading parts of its factors.
+        """
+        alpha = np.asarray(self.alpha[: k + 1])
+        beta = np.asarray(self.beta[: k + 1])
+        d = 1.0 + lam * (alpha[:k] ** 2 + beta[1:] ** 2)
+        e = lam * alpha[1:k] * beta[1:k]
+        if k == 1:
+            return d, e
+        D, l, _ = scipy.linalg.lapack.dpttrf(d, e)
+        return D, l
+
+    def tikhonov(self, lam, k=None):
         """Projected solution of (I + lam A^T A) f = lam A^T g in V_k.
 
-        Solves (I + lam B_k^T B_k) z = lam alpha_1 beta_1 e_1 and returns
-        (z, relative_residual) with f = V_k z. In exact arithmetic the full
-        residual is lam alpha_{k+1} beta_{k+1} z_k v_{k+1}, so its norm
-        relative to ||lam A^T g|| costs no application; callers confirm it
-        on the full system.
+        Solves (I + lam B_k^T B_k) z = lam alpha_1 beta_1 e_1 on the first
+        ``k`` columns (default all) and returns (z, relative_residual)
+        with f = V_k z. In exact arithmetic the full residual is
+        lam alpha_{k+1} beta_{k+1} z_k v_{k+1}, so its norm relative to
+        ||lam A^T g|| costs no application; callers confirm it on the full
+        system. The result depends on the first k columns only, not on
+        how far the basis has grown.
         """
-        k = self.k
+        k = self.k if k is None else k
         if self.alpha[0] == 0.0:
             return np.zeros(0), 0.0
         if k == 0:
             return np.zeros(0), 1.0
-        alpha = np.asarray(self.alpha[: k + 1])
-        beta = np.asarray(self.beta[: k + 1])
-        # B_k^T B_k is tridiagonal: alpha_j^2 + beta_{j+1}^2 on the diagonal,
-        # alpha_{j+1} beta_{j+1} beside it
-        bands = np.zeros((2, k))
-        bands[0] = 1.0 + lam * (alpha[:k] ** 2 + beta[1:] ** 2)
-        bands[1, :-1] = lam * alpha[1:k] * beta[1:k]
-        rhs = np.zeros(k)
-        rhs[0] = lam * alpha[0] * beta[0]
-        if k == 1:
-            z = rhs / bands[0]
-        else:
-            z = scipy.linalg.solveh_banded(bands, rhs, lower=True, check_finite=False)
-        rel = alpha[k] * beta[k] * abs(z[-1]) / (alpha[0] * beta[0])
+        z = self._projected_solve(lam, k)
+        rel = self.alpha[k] * self.beta[k] * abs(z[-1]) / (self.alpha[0] * self.beta[0])
         return z, float(rel)
+
+    def _projected_solve(self, lam, k, times=1):
+        """(I + lam B_k^T B_k)^{-times} (lam alpha_1 beta_1 e_1), k >= 1."""
+        D, l = self._projected_factors(lam, k)
+        x = np.zeros(k)
+        x[0] = lam * self.alpha[0] * self.beta[0]
+        for _ in range(times):
+            x = x / D if k == 1 else scipy.linalg.lapack.dpttrs(D, l, x)[0]
+        return x
+
+    def tikhonov_residuals(self, lam):
+        """The relative residual of ``tikhonov(lam, j)`` for j = 0..k at once.
+
+        With T_j = L_j D_j L_j^T, the last coordinate of the solution in V_j
+        is y_j / D_j times lam alpha_1 beta_1, where y = L^{-1} e_1 has
+        entries prod_{i<j} (-l_i); one factorization of T_k gives every j.
+        """
+        k = self.k
+        if self.alpha[0] == 0.0:
+            return np.zeros(k + 1)
+        rel = np.ones(k + 1)  # j = 0: f = 0 leaves the whole right-hand side
+        if k:
+            D, l = self._projected_factors(lam, k)
+            y = np.cumprod(np.concatenate(([1.0], -l)))
+            alpha = np.asarray(self.alpha[1 : k + 1])
+            rel[1:] = lam * alpha * self.beta[1 : k + 1] * np.abs(y / D)
+        return rel
+
+    def discrepancy_error(self, lam, z, k):
+        """Estimated error of ||A f_j - g||^2 for the projected solution
+        f_j = V_j z of ``tikhonov(lam, j)``, taking V_k's (k > j) for the
+        exact one.
+
+        With M = I + lam A^T A, the normal residual s_j = M (f - f_j) is
+        lam alpha_{j+1} beta_{j+1} z_j v_{j+1}, and since
+        lam A^T (A f - g) = -f the squared data residuals differ by
+        2 (M^{-1} f)^T s_j / lam + ||A M^{-1} s_j||^2. The coordinates of
+        M^{-1} f in V_k are T_k^{-1} z^{(k)}, with T_k = I + lam B_k^T B_k;
+        ||A M^{-1} v_{j+1}|| is at most both 1 / (2 sqrt(lam)) and
+        ||A v_{j+1}|| = ||(alpha_{j+1}, beta_{j+2})||. The first term is an
+        estimate, accurate once V_k holds the solution; the second a bound.
+        """
+        j = z.shape[0]
+        e = self.alpha[j] * self.beta[j] * (abs(z[-1]) if j else 1.0)  # ||s_j|| / lam
+        if e == 0.0:
+            return 0.0
+        w = self._projected_solve(lam, k, times=2)
+        gamma = min(0.5 / math.sqrt(lam), math.hypot(self.alpha[j], self.beta[j + 1]))
+        return 2.0 * e * abs(w[j]) + (gamma * lam * e) ** 2
 
     def lsqr(self):
         """LSQR at the current k.

@@ -27,21 +27,27 @@ of D' and bisects; that is globally convergent and tolerance-controlled.
 Secant refinement and plain gradient ascent, lam <- lam + rho_n D'(lam)
 started from 0, are available as alternatives.
 
-Dense problems are factored once (``Lagrangian.spectral_factors``), and
-every evaluation of D and D' after that costs a few O(n^2) products.
-``maximize_dual`` takes three more things from the same factorization:
-building it is the strict-convexity check, and the true residual at
-``LAMBDA_MAX``, an upper bound on dist(g, range(A)), certifies the
-interior regime without a least-squares solve whenever it is below tau.
+Problems with a built-in penalty, the identity or first differences,
+share one Golub-Kahan basis of their standard form
+(``Lagrangian.krylov_basis``), dense or matrix-free. ``maximize_dual``
+grows it until the true residual of the LSQR iterate, an upper bound on
+dist(g, range(A)), drops below tau, which certifies the interior regime,
+or until LSQR converges, when that residual is the distance itself.
+Every evaluation is then a projected solve in the same basis, which grows
+only when a multiplier needs more columns. Building the standard form is
+the strict-convexity check. No least-squares solve or eigendecomposition
+runs.
 
-Matrix-free problems share one Golub-Kahan basis started from g
-(``Lagrangian.krylov_basis``). ``maximize_dual`` grows it until the true
-residual of the LSQR iterate, again an upper bound on the distance,
-drops below tau; with the identity penalty every evaluation is then a
-projected solve in the same basis, which grows only when a multiplier
-needs more steps. Other penalties are solved by conjugate gradient.
-Either way ``distance_to_range`` runs only when the bound does not
-certify the interior regime.
+Dense problems with a custom penalty are factored once
+(``Lagrangian.spectral_factors``), and every evaluation of D and D' after
+that costs a few O(n^2) products. Building the factorization is the
+strict-convexity check, and the true residual at ``LAMBDA_MAX``, again an
+upper bound on the distance, certifies the interior regime whenever it is
+below tau; ``distance_to_range`` runs only when it is not. Matrix-free
+problems with a custom penalty take the LSQR certificate and solve by
+conjugate gradient; their strict convexity is not checked. Dense sweeps
+use the factorization whatever the penalty, since a wide grid of
+multipliers grows the basis past its cost.
 """
 
 import logging
@@ -142,9 +148,9 @@ def eval_dual(lag: Lagrangian, lam, solver=None, tol=1e-10):
 
     At lam = 0 no inner solve is attempted: D(0) = 0 and the right
     derivative is ||g||^2 - epsilon. For lam > 0 the inner problem is
-    solved (by default from the problem's spectral factors for dense
-    operators, in its Krylov basis for a matrix-free operator with the
-    identity penalty, by conjugate gradient otherwise) and
+    solved (by default in the problem's Krylov basis for a built-in
+    penalty, from its spectral factors for a dense custom penalty, by
+    conjugate gradient otherwise) and
 
         D(lam) = J(f_lam) + lam * D'(lam),
         D'(lam) = ||A f_lam - g||^2 - epsilon.
@@ -169,18 +175,20 @@ def _all_dense(lag):
 
 
 def _default_solver(lag):
-    if _all_dense(lag):
-        return "spectral"
-    return "krylov" if lag.regularizer.kind == "identity" else "iterative"
+    if lag.regularizer.kind != "custom":
+        return "krylov"
+    return "spectral" if _all_dense(lag) else "iterative"
 
 
-def diagnose_regime(op, g, tau, dist_tol=1e-10, bound=None):
+def diagnose_regime(op, g, tau, dist_tol=1e-10, bound=None, dist=None):
     """Classify where tau falls in dist(g, range(A)) < tau < ||g||.
 
     Equalities are classified into the failing regime, since the
     existence guarantee needs strict inequalities. When both boundary
     cases coincide (tau = ||g|| = dist), noise_dominates wins.
 
+    ``dist`` is dist(g, range(A)) when the caller already has it, such as
+    the residual of a converged LSQR; no least-squares solve is made then.
     ``bound`` is an optional upper bound on dist(g, range(A)), such as
     the norm of a true residual ||A f - g||. When tau >= ||g||, or when
     bound < tau certifies the interior regime, no least-squares solve is
@@ -191,11 +199,13 @@ def diagnose_regime(op, g, tau, dist_tol=1e-10, bound=None):
         raise ValueError(f"tau must be positive, got {tau}")
     g = np.asarray(g, dtype=np.float64)
     data_norm = float(np.linalg.norm(g))
-    is_bound = bound is not None and (tau >= data_norm or bound < tau)
+    is_bound = dist is None and bound is not None and (tau >= data_norm or bound < tau)
     if is_bound:
         dist = float(bound)
-    else:
+    elif dist is None:
         dist = distance_to_range(op, g, tol=dist_tol)
+    else:
+        dist = float(dist)
     if tau >= data_norm:
         regime = "noise_dominates"
     elif tau <= dist:
@@ -241,11 +251,13 @@ def maximize_dual(
     the discrepancy equation ||A f - g||^2 = epsilon at relative
     tolerance rtol.
 
-    Before the search, the regime is certified from a residual bound:
-    on dense problems the true residual at ``LAMBDA_MAX`` from the
-    spectral factors, on matrix-free ones the LSQR residual in the
-    problem's Krylov basis, grown until it drops below tau.
-    ``distance_to_range`` runs only when that bound is not below tau.
+    Before the search, the regime is certified from the problem's own
+    work. With the spectral solver, or a dense custom penalty, that is
+    the true residual at ``LAMBDA_MAX`` from the spectral factors, an
+    upper bound on dist(g, range(A)), and ``distance_to_range`` runs only
+    when it is not below tau. Otherwise it is LSQR in the problem's
+    Krylov basis, grown until its residual drops below tau or LSQR
+    converges and gives the distance itself; no least-squares solve runs.
 
     Parameters
     ----------
@@ -271,9 +283,10 @@ def maximize_dual(
         If the problem is not in the interior regime (unless overridden).
         This takes precedence over an ``AssumptionViolation``.
     AssumptionViolation
-        If the penalty is not strictly convex along ker(A) (dense
-        operators are checked up front by building their spectral
-        factors; matrix-free ones are trusted).
+        If the penalty is not strictly convex along ker(A). Built-in
+        penalties are checked up front by their standard form, dense
+        custom ones by their spectral factors; matrix-free custom
+        penalties are trusted.
     BracketFailure
         If D' does not change sign below LAMBDA_MAX, or not within
         ``max_iter`` doublings or halvings of ``lambda_init``.
@@ -290,22 +303,29 @@ def maximize_dual(
     if max_iter is None:
         max_iter = 10_000 if method == "gradient_ascent" else 200
 
-    # on dense problems the factorization is the assumption check, and its
-    # residual at LAMBDA_MAX bounds dist(g, range A) for the regime check;
-    # on matrix-free ones LSQR in the shared Krylov basis gives the bound
-    bound = violation = None
-    if _all_dense(lag):
-        try:
+    # the spectral factorization or the standard form is the assumption
+    # check; the residual at LAMBDA_MAX, or LSQR in the shared Krylov basis,
+    # bounds or gives dist(g, range A) for the regime check
+    custom = lag.regularizer.kind == "custom"
+    bound = dist = violation = None
+    try:
+        if _all_dense(lag) and (custom or solver == "spectral"):
             f_max = lag.spectral_factors().solve(LAMBDA_MAX)
             bound = math.sqrt(residual_norm_sq(lag.op, f_max, lag.data))
-        except AssumptionViolation as exc:
-            violation = exc
-    else:
-        log.debug("matrix-free operators: strict-convexity check skipped")
-        with lag.krylov_basis() as basis:
-            bound, _ = lsqr_residual(lag.op, lag.data, basis, target=lag.tau)
+        else:
+            if custom:
+                log.debug("matrix-free custom penalty: strict-convexity check skipped")
+            form = lag.standard_form()
+            with lag.krylov_basis() as basis:
+                res, converged = lsqr_residual(form.op, form.data, basis, target=lag.tau)
+            if converged:
+                dist = res
+            else:
+                bound = res
+    except AssumptionViolation as exc:
+        violation = exc
 
-    diag = diagnose_regime(lag.op, lag.data, lag.tau, bound=bound)
+    diag = diagnose_regime(lag.op, lag.data, lag.tau, bound=bound, dist=dist)
     if diag.regime != "interior":
         if not override_regime:
             raise RegimeError(
@@ -456,7 +476,9 @@ def sweep_dual(lag: Lagrangian, lambdas, solver=None, tol=1e-10):
     """Evaluate the dual on an ascending positive grid.
 
     Inner failures at single points are recorded on the returned
-    evaluations (``error`` set, values NaN) and the sweep continues.
+    evaluations (``error`` set, values NaN) and the sweep continues. Dense
+    problems default to the spectral solver whatever the penalty: a wide
+    grid grows a Krylov basis past the cost of the eigendecomposition.
     """
     lambdas = np.asarray(lambdas, dtype=np.float64)
     if lambdas.size == 0:
@@ -465,6 +487,8 @@ def sweep_dual(lag: Lagrangian, lambdas, solver=None, tol=1e-10):
         raise ValueError("grid values must be positive")
     if np.any(np.diff(lambdas) <= 0):
         raise ValueError("grid must be strictly ascending")
+    if solver is None and _all_dense(lag):
+        solver = "spectral"
     out = []
     for lam in lambdas:
         try:

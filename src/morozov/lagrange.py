@@ -15,7 +15,21 @@ multiplier are equivalent to Tikhonov solves at regularization weight
 alpha = 1/lam. Conditioning deteriorates as lam grows, so multipliers
 above ``LAMBDA_MAX`` are rejected outright.
 
-Dense problems are factored once. The generalized eigendecomposition
+Problems with a built-in penalty, the identity or first differences,
+share one Golub-Kahan basis (``solver="krylov"``), dense or matrix-free.
+``StandardForm`` first brings the penalty to the identity: for first
+differences, Elden's transformation replaces (A, g) by
+Abar = (I - q q^T) A L^+ and gbar = (I - q q^T) g, with L^+ an O(n)
+cumulative sum and q the normalized image of the constants. The basis
+Abar V_k = U_{k+1} B_k is started from gbar. The standard-form solution
+at every lam lies in span V_k, so each solve is the k-by-k tridiagonal
+system (I + lam B_k^T B_k) z = lam ||Abar^T gbar|| e_1, mapped back to f
+in O(n); the basis grows only when a multiplier needs more columns than
+any before it. For first differences, A not annihilating the constants
+is the strict-convexity check.
+
+Dense problems with a custom penalty are factored once. The generalized
+eigendecomposition
 
     A^T A X = B X diag(mu),   X^T B X = I,   B = L^T L + A^T A,
 
@@ -23,22 +37,18 @@ turns the system at every lam into the diagonal one
 ((1 - mu) + lam mu) y = lam X^T A^T g with f = X y, so each solve after
 the first costs a few O(n^2) products (``solver="spectral"``). B is
 positive definite exactly when ker L and ker A intersect trivially, so
-building the factorization is also the strict-convexity check.
-
-Matrix-free problems with the identity penalty share one Golub-Kahan
-basis A V_k = U_{k+1} B_k started from g (``solver="krylov"``). The
-solution at every lam lies in the Krylov space K(A^T A, A^T g) = span V_k,
-so each solve is the k-by-k tridiagonal system
-(I + lam B_k^T B_k) z = lam ||A^T g|| e_1 with f = V_k z; the basis grows
-only when a multiplier needs more steps than any before it. For L != I
-the solution leaves that space, and conjugate gradient
-(``"iterative"``) solves the full system instead.
+building the factorization is also the strict-convexity check. Dense
+sweeps over many multipliers use it for built-in penalties too: a wide
+grid grows the basis past the cost of the eigendecomposition. Matrix-free
+problems with a custom penalty run conjugate gradient (``"iterative"``)
+on the full system.
 
 The Cholesky (``"direct"``) and conjugate gradient (``"iterative"``)
 solvers factor or iterate at each lam and stay as independent checkers.
 """
 
 import logging
+import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -48,7 +58,7 @@ import scipy.linalg
 
 from ._kernels import GolubKahan, cg_matvec
 from .errors import AssumptionViolation, ConvergenceFailure, DimensionMismatch
-from .linops import LinearOperator, residual_norm_sq
+from .linops import LinearOperator, from_callables, residual_norm_sq
 from .regularizers import Regularizer
 
 __all__ = [
@@ -56,15 +66,19 @@ __all__ = [
     "Lagrangian",
     "LagrangeSolution",
     "SpectralFactors",
+    "StandardForm",
     "lagrangian_value",
     "solve_lagrange",
-    "validate_tolerance_setup",
 ]
 
 log = logging.getLogger(__name__)
 
 # conditioning guard: inner systems above this multiplier are rejected
 LAMBDA_MAX = 1e12
+
+# columns beyond a Krylov solve's own whose solution stands in for the exact
+# one when its discrepancy error is estimated
+_LOOKAHEAD = 4
 
 
 @dataclass(frozen=True)
@@ -146,6 +160,117 @@ class SpectralFactors:
         return self.X @ (lam * self.c / ((1.0 - self.mu) + lam * self.mu))
 
 
+# ker L and ker A intersect trivially for first differences exactly when
+# A W != 0, W = 1/sqrt(n). ||A W|| at most this share of ||A^T q||, with
+# q = A W / ||A W|| (a lower bound on ||A||), counts as zero: the relative
+# rank cutoff that check_assumptions applies by default.
+KERNEL_CUTOFF = 1e-10
+
+
+def _difference_pinv(z):
+    """L^+ z for the first-difference map L: the vector with successive
+    differences z and mean zero."""
+    x = np.concatenate(([0.0], np.cumsum(z)))
+    return x - x.mean()
+
+
+def _difference_pinv_adjoint(y):
+    """(L^+)^T y: the suffix sums of y - mean(y), from the second entry on."""
+    return np.cumsum((y - y.mean())[:0:-1])[::-1]
+
+
+@dataclass(frozen=True)
+class StandardForm:
+    """The inner problem of a built-in penalty in identity-penalty form.
+
+    ``op`` and ``data`` are Abar and gbar such that, at every lam, the
+    inner minimizer is f = ``solution(z)`` for the minimizer z of
+    ||z||^2 + lam ||Abar z - gbar||^2, with the same data residual
+    A f - g = Abar z - gbar. So dist(gbar, range Abar) = dist(g, range A),
+    and one Golub-Kahan basis of (Abar, gbar) serves the regime
+    certificate and every solve.
+
+    For the identity penalty Abar = A, gbar = g and f = z. For first
+    differences (Elden's transformation, BIT 22, 1982) ker L is spanned by
+    W = 1/sqrt(n); with q = A W / ||A W||,
+
+        Abar = (I - q q^T) A L^+,   gbar = (I - q q^T) g,
+        f = x + W (A W)^T (g - A x) / ||A W||^2,   x = L^+ z,
+
+    where L^+ is a cumulative sum followed by subtracting the mean, O(n).
+    For a custom penalty the form is (A, g) itself; it serves only the
+    regime certificate, since dist(g, range A) does not involve L.
+
+    ``rhs_norm`` is ||A^T g||, the scale of the full system's residual,
+    which is L^T times the standard form's; ``lt_norm`` bounds ||L^T||.
+    """
+
+    op: LinearOperator
+    data: np.ndarray
+    rhs_norm: float
+    lt_norm: float = 1.0
+    # first differences: ||A W||, q^T g, and (L^+)^T A^T q, which gives
+    # q^T A x = h^T z without an application
+    aw_norm: float = None
+    qg: float = None
+    h: np.ndarray = None
+
+    @classmethod
+    def build(cls, A: LinearOperator, g, kind):
+        """Transform (A, g) for the penalty ``kind``; O(n) plus one forward
+        and two adjoint applications for first differences, one adjoint
+        otherwise.
+
+        Raises
+        ------
+        AssumptionViolation
+            For first differences when ||A W|| <= KERNEL_CUTOFF ||A^T q||:
+            A does not see the constants, so the penalty is not strictly
+            convex along ker(A).
+        """
+        if kind != "first_difference":
+            return cls(op=A, data=g, rhs_norm=float(np.linalg.norm(A.apply_adjoint(g))))
+        n = A.dims.dim_f
+        AW = A.apply(np.full(n, 1.0 / math.sqrt(n)))
+        aw_norm = float(np.linalg.norm(AW))
+        q = AW / aw_norm if aw_norm else AW
+        Atq = A.apply_adjoint(q)
+        if not aw_norm > KERNEL_CUTOFF * float(np.linalg.norm(Atq)):
+            raise AssumptionViolation(
+                f"penalty is not strictly convex along ker(A): A maps the "
+                f"constants, the kernel of the first-difference penalty, to "
+                f"||A W|| = {aw_norm:.3e}, at most {KERNEL_CUTOFF:g} ||A^T q||, "
+                "so the selected reconstruction would not be unique"
+            )
+
+        def forward(z):
+            y = A.apply(_difference_pinv(z))
+            return y - (q @ y) * q
+
+        def adjoint(y):
+            return _difference_pinv_adjoint(A.apply_adjoint(y - (q @ y) * q))
+
+        qg = float(q @ g)
+        gbar = g - qg * q
+        gbar.setflags(write=False)
+        return cls(
+            op=from_callables(n - 1, A.dims.dim_g, forward, adjoint),
+            data=gbar,
+            rhs_norm=float(np.linalg.norm(A.apply_adjoint(g))),
+            lt_norm=2.0,
+            aw_norm=aw_norm,
+            qg=qg,
+            h=_difference_pinv_adjoint(Atq),
+        )
+
+    def solution(self, z):
+        """The inner minimizer f for the standard-form minimizer z."""
+        if self.aw_norm is None:
+            return z
+        t = (self.qg - self.h @ z) / self.aw_norm
+        return _difference_pinv(z) + t / math.sqrt(z.shape[0] + 1)
+
+
 class Lagrangian:
     """Problem bundle (A, g, J) with the squared tolerance epsilon.
 
@@ -175,6 +300,7 @@ class Lagrangian:
         self.regularizer = regularizer
         self.epsilon = float(epsilon)
         self._spectral = None
+        self._form = None
         self._krylov = None
         self._lock = threading.Lock()
 
@@ -197,18 +323,34 @@ class Lagrangian:
                 self._spectral = SpectralFactors.build(self.op, L, self.data)
             return self._spectral
 
+    def standard_form(self):
+        """The problem's ``StandardForm``, built on first use.
+
+        Raises
+        ------
+        AssumptionViolation
+            If first differences are not strictly convex along ker(A);
+            nothing is cached then, so each call raises again.
+        """
+        with self._lock:
+            if self._form is None:
+                self._form = StandardForm.build(self.op, self.data, self.regularizer.kind)
+            return self._form
+
     @contextmanager
     def krylov_basis(self):
-        """The problem's ``GolubKahan`` basis of (A, g), built on first use.
+        """The problem's ``GolubKahan`` basis of its standard form
+        (Abar, gbar), built on first use.
 
         The basis grows on demand and serves every ``"krylov"`` solve and
         the regime certificate of ``maximize_dual`` on this problem. The
         context holds the problem's lock, so one caller grows it at a time.
         """
+        form = self.standard_form()
         with self._lock:
             if self._krylov is None:
                 self._krylov = GolubKahan(
-                    self.op.apply, self.op.apply_adjoint, self.data, self.op.dims.dim_f
+                    form.op.apply, form.op.apply_adjoint, form.data, form.op.dims.dim_f
                 )
             yield self._krylov
 
@@ -247,11 +389,13 @@ def solve_lagrange(lag: Lagrangian, lam, solver="direct", tol=1e-10):
         ``10 * dim_f``, and works for matrix-free operators too.
         Spectral reuses the problem's ``SpectralFactors`` (dense
         operators only; built on the first call), so it costs a few
-        O(n^2) products per multiplier. Krylov (identity penalty only)
-        solves in the problem's Golub-Kahan basis, extending it until the
-        relative residual ||lam A^T g - (f + lam A^T A f)|| / ||lam A^T g||
-        of the full system is at most ``tol``; a solve that needs no new
-        step costs one forward and one adjoint application.
+        O(n^2) products per multiplier. Krylov (identity and first-difference
+        penalties) solves in the Golub-Kahan basis of the problem's
+        ``StandardForm`` on the fewest columns whose solution has a
+        relative residual ||lam A^T g - (L^T L + lam A^T A) f|| / ||lam A^T g||
+        of the full system at most ``tol``, extending the basis when none
+        does; a solve that needs no new step costs one forward and one
+        adjoint application.
     tol : float
         Relative residual target for the iterative and Krylov paths.
 
@@ -362,27 +506,52 @@ def _residuals(lag, f, lam):
 def _krylov_solve(lag, lam, tol):
     """Projected Tikhonov solve in the problem's Golub-Kahan basis.
 
-    The basis recurrences say when the projected solution should meet
-    ``tol``; the explicit residual of the full system decides, and the
-    basis grows one step while it does not. Returns (f, (r, grad), stats)
-    with the residuals of ``_residuals`` at f.
+    Finds the fewest basis columns j whose projected solution passes two
+    estimates, and returns the solution on k = j + ``_LOOKAHEAD`` columns,
+    against which the second estimate is taken. k depends on lam alone,
+    not on how far earlier solves grew the basis, and so does the answer;
+    the basis grows while no j passes.
+
+    - The full system's relative residual is at most ``tol``. The full
+      residual is L^T times the standard form's, so the recurrences'
+      estimate times ``lt_norm`` bounds it. The explicit residual of the
+      returned solution decides.
+    - The error of ||A f - g||^2, and so of D', is at most
+      ``tol * epsilon`` by ``GolubKahan.discrepancy_error``. The residual
+      test alone does not bound this error: at small noise and large lam,
+      a relative residual of 1e-10 leaves D' wrong in its sign.
+
+    Returns (f, (r, grad), stats) with the residuals of ``_residuals`` at f.
     """
-    if lag.regularizer.kind != "identity":
-        raise ValueError("krylov solver needs the identity penalty; use iterative")
+    if lag.regularizer.kind == "custom":
+        raise ValueError(
+            "krylov solver needs the identity or first-difference penalty; use iterative"
+        )
+    form = lag.standard_form()
+    scale = 2.0 * lam * form.rhs_norm  # ||grad|| = 2 ||full residual||
     with lag.krylov_basis() as basis:
+        gain = form.lt_norm * basis.alpha[0] * basis.beta[0] / form.rhs_norm if scale else 0.0
+        j = 0
         while True:
-            z, rel = basis.tikhonov(lam)
-            if rel <= tol or basis.exhausted:
-                f = basis.expand(z)
-                r, grad = _residuals(lag, f, lam)
-                # grad / 2 is the residual of the full system, and
-                # ||A^T g|| = alpha_1 beta_1
-                scale = 2.0 * lam * basis.alpha[0] * basis.beta[0]
-                rel = float(np.linalg.norm(grad)) / scale if scale else 0.0
-                if rel <= tol or basis.exhausted:
-                    break
+            ahead = np.flatnonzero(gain * basis.tikhonov_residuals(lam)[j:] <= tol)
+            if not ahead.size:
+                j = basis.k + 1
+            else:
+                j += int(ahead[0])
+                k = min(j + _LOOKAHEAD, basis.k)
+                # an exhausted basis holds the exact solution
+                exact = k == basis.k and basis.exhausted
+                if k == j + _LOOKAHEAD or exact:
+                    z, _ = basis.tikhonov(lam, j)
+                    if exact or basis.discrepancy_error(lam, z, k) <= tol * lag.epsilon:
+                        f = form.solution(basis.expand(basis.tikhonov(lam, k)[0]))
+                        r, grad = _residuals(lag, f, lam)
+                        rel = float(np.linalg.norm(grad)) / scale if scale else 0.0
+                        if rel <= tol or exact:
+                            break
+                    j += 1
+                    continue
             basis.step()
-        k = basis.k
     if rel > tol:
         raise ConvergenceFailure(
             f"Krylov basis exhausted at k={k} above tol={tol:g} at "
@@ -390,16 +559,3 @@ def _krylov_solve(lag, lam, tol):
             best=f,
         )
     return f, (r, grad), {"method": "krylov", "iterations": k, "relative_residual": rel}
-
-
-def validate_tolerance_setup(lag: Lagrangian, g=None):
-    """Check ||g||^2 >= epsilon, under which the equality- and
-    inequality-constrained formulations coincide.
-
-    Returns "ok" when the condition holds (boundary included) and
-    "degenerate" when the tolerance exceeds the data norm.
-    """
-    if g is None:
-        g = lag.data
-    g = np.asarray(g, dtype=np.float64)
-    return "ok" if float(g @ g) >= lag.epsilon else "degenerate"

@@ -45,8 +45,10 @@ class Regularizer:
         The map L. Its input dimension is the solution-space dimension;
         its output dimension may differ.
     kind : str
-        One of "identity", "first_difference", "custom". Informational,
-        used for serialization.
+        One of "identity", "first_difference", "custom". Used for
+        serialization, and the built-in kinds select the selector's
+        Golub-Kahan engine, which assumes the map that
+        ``identity_regularizer`` or ``first_difference_regularizer`` builds.
     """
 
     def __init__(self, seminorm_operator: LinearOperator, kind="custom"):

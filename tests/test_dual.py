@@ -239,6 +239,16 @@ class TestMaximizeDual:
         with pytest.raises(AssumptionViolation, match="unique"):
             maximize_dual(lag)
 
+    def test_assumption_gate_checks_matrix_free_first_differences(self, rng):
+        # the shared-kernel pair behind callbacks: no longer trusted
+        n = 6
+        mat = first_difference_regularizer(n).seminorm_operator.matrix
+        g = rng.standard_normal(n - 1)
+        g *= 2.0 / np.linalg.norm(g)
+        lag = Lagrangian(counting_free_op(mat)[0], g, first_difference_regularizer(n), epsilon=1.0)
+        with pytest.raises(AssumptionViolation, match="unique"):
+            maximize_dual(lag)
+
     def test_bisection_collapse_stops_with_best_d_prime(self):
         # at noise 1e-7 the requested |D'| <= rtol * epsilon = 9.3e-21 is
         # below what a Cholesky solve resolves: the bracket shrinks to two
@@ -257,9 +267,10 @@ class TestMaximizeDual:
         best = min(abs(dp) for _, _, dp in trace)
         assert err.value.best == best > 1e-8 * epsilon
         assert f"{best:.3e}" in str(err.value)
-        # the spectral default resolves it
-        res = maximize_dual(Lagrangian(prob.op, prob.g, prob.regularizer, epsilon))
-        assert abs(res.discrepancy**2 - epsilon) <= 1e-8 * epsilon
+        # the default Krylov path and the spectral factors resolve it
+        for solver in (None, "spectral"):
+            res = maximize_dual(Lagrangian(prob.op, prob.g, prob.regularizer, epsilon), solver=solver)
+            assert abs(res.discrepancy**2 - epsilon) <= 1e-8 * epsilon
 
     def test_max_iter_exhaustion_carries_trace(self):
         prob = make_interior_problem(seed=41)
@@ -324,7 +335,8 @@ class TestRegimeCertificate:
         calls = self.count_distance_calls(monkeypatch)
         with pytest.raises(RegimeError) as err:
             maximize_dual(lagrangian_of(prob))
-        assert len(calls) == 1
+        # converged LSQR in the problem's basis gives the distance itself
+        assert calls == []
         assert err.value.regime == expected.regime == "too_optimistic"
 
     def test_uncertified_interior_between_distance_and_bound(self, monkeypatch):
@@ -353,7 +365,7 @@ class TestRegimeCertificate:
         calls = self.count_distance_calls(monkeypatch)
         # interior, yet D' stays positive up to LAMBDA_MAX since tau < bound
         with pytest.raises(BracketFailure, match="LAMBDA_MAX"):
-            maximize_dual(lagrangian_of(prob, tau=tau))
+            maximize_dual(lagrangian_of(prob, tau=tau), solver="spectral")
         assert len(calls) == 1
         assert [d.regime for d in seen] == [expected.regime]
         assert seen[0].dist_to_range == expected.dist_to_range
@@ -387,6 +399,9 @@ class TestRegimeCertificate:
         calls = self.count_distance_calls(monkeypatch)
         d = diagnose_regime(linops.identity(2), [2.0, 0.0], tau=1.0, bound=0.5)
         assert (d.regime, d.dist_to_range, d.dist_is_bound, len(calls)) == ("interior", 0.5, True, 0)
+        # a known distance is taken as it is
+        d = diagnose_regime(linops.identity(2), [2.0, 0.0], tau=1.0, dist=1.5)
+        assert (d.regime, d.dist_to_range, d.dist_is_bound, len(calls)) == ("too_optimistic", 1.5, False, 0)
         d = diagnose_regime(linops.identity(2), [2.0, 0.0], tau=1.0, bound=1.0)
         assert d.regime == "interior" and not d.dist_is_bound and len(calls) == 1
         assert d.dist_to_range == pytest.approx(0.0, abs=1e-12)
@@ -410,15 +425,37 @@ class TestWorkCounts:
             monkeypatch.setattr(scipy.linalg, name, counting)
         return counts
 
+    @staticmethod
+    def count_cg(monkeypatch):
+        import morozov.lagrange
+
+        calls = []
+        cg = morozov.lagrange.cg_matvec
+
+        def counting_cg(*args, **kwargs):
+            calls.append(1)
+            return cg(*args, **kwargs)
+
+        monkeypatch.setattr(morozov.lagrange, "cg_matvec", counting_cg)
+        return calls
+
     def test_selection_factors_once(self, monkeypatch):
         prob = regime_fixture("interior", seed=1)
         counts = self.count_calls(monkeypatch, "eigh", "cho_factor")
+        cg_calls = self.count_cg(monkeypatch)
+        # the default path: one Golub-Kahan basis, no factorization at all
         res = maximize_dual(lagrangian_of(prob))
-        assert counts == {"eigh": 1, "cho_factor": 0}
+        assert counts == {"eigh": 0, "cho_factor": 0} and cg_calls == []
         assert len(res.iterations) == 31
         assert res.lambda_star == pytest.approx(33.936594009399414, rel=1e-9)
+        spectral = maximize_dual(lagrangian_of(prob), solver="spectral")
+        assert counts == {"eigh": 1, "cho_factor": 0}
+        assert len(spectral.iterations) == 31
+        assert spectral.lambda_star == pytest.approx(33.936594009399414, rel=1e-9)
+        # the checker takes its certificate from the basis too: no eigh
         checker = maximize_dual(lagrangian_of(prob), solver="direct")
-        assert counts["cho_factor"] == len(checker.iterations) == 31
+        assert counts == {"eigh": 1, "cho_factor": len(checker.iterations)}
+        assert len(checker.iterations) == 31
         assert res.lambda_star == pytest.approx(checker.lambda_star, rel=1e-9)
 
     @staticmethod
@@ -427,16 +464,7 @@ class TestWorkCounts:
         return Lagrangian(op, prob.g, prob.regularizer, prob.tau**2), counts
 
     def test_matrix_free_selection_in_one_basis(self, monkeypatch):
-        import morozov.lagrange
-
-        cg_calls = []
-        cg = morozov.lagrange.cg_matvec
-
-        def counting_cg(*args, **kwargs):
-            cg_calls.append(1)
-            return cg(*args, **kwargs)
-
-        monkeypatch.setattr(morozov.lagrange, "cg_matvec", counting_cg)
+        cg_calls = self.count_cg(monkeypatch)
         prob = regime_fixture("interior", seed=1)
         lag, counts = self.counting_free_lagrangian(prob)
         res = maximize_dual(lag)
@@ -460,7 +488,30 @@ class TestWorkCounts:
         with pytest.raises(RegimeError) as err:
             maximize_dual(lag)
         assert err.value.regime == "too_optimistic"
-        assert len(calls) == 1
+        # converged LSQR in the certificate's basis gives the distance: no
+        # second LSQR in distance_to_range
+        assert calls == []
+
+    @pytest.mark.parametrize("matrix_free", [False, True])
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_first_difference_selection_in_one_basis(self, monkeypatch, n, matrix_free):
+        # Elden's standard form: the same selection as materialize plus
+        # Cholesky, from the problem's one basis
+        cg_calls = self.count_cg(monkeypatch)
+        A = make_deconvolution(n, 2.0)
+        prob = synthesize(A, _bump_profile(n, np.random.default_rng(n)), 0.02, seed=n)
+        epsilon = (1.02 * prob.tau) ** 2
+        op = counting_free_op(A.matrix)[0] if matrix_free else A
+        lag = Lagrangian(op, prob.g, first_difference_regularizer(n), epsilon)
+        res = maximize_dual(lag)
+        assert cg_calls == []
+        dense = linops.from_matrix(op.materialize())
+        ref = maximize_dual(
+            Lagrangian(dense, prob.g, first_difference_regularizer(n), epsilon), solver="direct"
+        )
+        assert len(res.iterations) == len(ref.iterations)
+        assert res.lambda_star == pytest.approx(ref.lambda_star, rel=1e-9)
+        np.testing.assert_allclose(res.f_star, ref.f_star, rtol=0, atol=1e-12 * np.abs(ref.f_star).max())
 
     def test_sweep_factors_once(self, monkeypatch):
         prob = regime_fixture("interior", seed=1)

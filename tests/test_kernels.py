@@ -130,3 +130,34 @@ class TestGolubKahan:
         z, rel = basis.tikhonov(1.0)
         assert z.shape == (0,) and rel == 0.0
         np.testing.assert_array_equal(basis.expand(z), np.zeros(3))
+
+    def test_prefix_solves_do_not_see_later_columns(self, rng):
+        mat = rng.standard_normal((12, 10)) @ np.diag(0.6 ** np.arange(10))
+        g = rng.standard_normal(12)
+        grown = bidiagonalize(mat, g, 8)
+        residuals = grown.tikhonov_residuals(5.0)
+        assert residuals.shape == (9,) and residuals[0] == 1.0
+        for j in range(1, 8):
+            z, rel = grown.tikhonov(5.0, j)
+            z_fresh, rel_fresh = bidiagonalize(mat, g, j).tikhonov(5.0)
+            assert z.tobytes() == z_fresh.tobytes() and rel == rel_fresh
+            assert residuals[j] == pytest.approx(rel, rel=1e-12)
+
+    def test_discrepancy_error_estimates_the_true_error(self):
+        from morozov.problems import make_deconvolution
+
+        mat = make_deconvolution(48, 2.0).matrix
+        g = mat @ np.sin(np.linspace(0.0, 3.0, 48)) + 1e-3 * np.cos(np.arange(48))
+        lam = 50.0
+        basis = bidiagonalize(mat, g, 48)
+        exact = np.linalg.solve(np.eye(48) + lam * mat.T @ mat, lam * mat.T @ g)
+        r_exact = mat @ exact - g
+        for j in (8, 12, 16):
+            z, _ = basis.tikhonov(lam, j)
+            r = mat @ basis.expand(z) - g
+            error = r @ r - r_exact @ r_exact
+            # the projected discrepancy only overestimates, and the estimate
+            # against the solution on four more columns tracks the error
+            assert error > 0
+            estimate = basis.discrepancy_error(lam, z, j + 4)
+            assert 0.8 * error <= estimate <= 1.5 * error, j

@@ -6,16 +6,17 @@ from morozov.errors import AssumptionViolation, ConvergenceFailure
 from morozov.lagrange import (
     LAMBDA_MAX,
     Lagrangian,
+    StandardForm,
     lagrangian_value,
     solve_lagrange,
-    validate_tolerance_setup,
 )
 from morozov.regularizers import (
+    custom_regularizer,
     first_difference_regularizer,
     identity_regularizer,
 )
 
-from conftest import counting_free_op, random_dense_op
+from conftest import assert_adjoint_consistent, counting_free_op, random_dense_op
 
 
 def scalar_lagrangian(epsilon=1.0):
@@ -308,23 +309,67 @@ class TestKrylovSolver:
             assert err <= 2e-10 * lam * np.linalg.norm(mat.T @ g), lam
             assert sol.optimality_residual <= 1e-8 * (1 + 2 * lam * np.linalg.norm(mat.T @ g))
 
+    @pytest.mark.parametrize("penalty", [identity_regularizer, first_difference_regularizer])
+    def test_first_solve_matches_any_later_one(self, penalty):
+        # a solve takes the fewest columns that pass, so it does not depend
+        # on how far other multipliers grew the shared basis
+        mat, g = self.ill_posed()
+        fresh = Lagrangian(counting_free_op(mat)[0], g, penalty(64), epsilon=0.1)
+        used = Lagrangian(counting_free_op(mat)[0], g, penalty(64), epsilon=0.1)
+        solve_lagrange(used, 1e5, solver="krylov")
+        a = solve_lagrange(fresh, 3.0, solver="krylov")
+        b = solve_lagrange(used, 3.0, solver="krylov")
+        assert a.solver_stats == b.solver_stats
+        assert a.f_lambda.tobytes() == b.f_lambda.tobytes()
+
+    def test_first_difference_matches_direct(self):
+        mat, g = self.ill_posed()
+        dense = Lagrangian(linops.from_matrix(mat), g, first_difference_regularizer(64), epsilon=0.1)
+        lag = Lagrangian(counting_free_op(mat)[0], g, first_difference_regularizer(64), epsilon=0.1)
+        for lam in (1e-3, 1.0, 1e2, 1e4):
+            ref = solve_lagrange(dense, lam, solver="direct")
+            sol = solve_lagrange(lag, lam, solver="krylov")
+            assert sol.solver_stats["relative_residual"] <= 1e-10
+            np.testing.assert_allclose(sol.f_lambda, ref.f_lambda, rtol=0, atol=1e-9 * np.abs(ref.f_lambda).max())
+            assert sol.discrepancy_sq == pytest.approx(ref.discrepancy_sq, rel=1e-10)
+            assert sol.j_value == pytest.approx(ref.j_value, rel=1e-8)
+
+    def test_discrepancy_resolved_at_small_noise(self):
+        # at noise 1e-7 the residual test alone stops where D' still has the
+        # wrong sign; the discrepancy error test keeps the basis growing
+        from morozov.problems import _bump_profile, make_deconvolution, synthesize
+
+        prob = synthesize(
+            make_deconvolution(128, 4.0),
+            _bump_profile(128, np.random.default_rng(0)), 1e-7, seed=0,
+        )
+        epsilon = (1.02 * prob.tau) ** 2
+        lag = Lagrangian(prob.op, prob.g, prob.regularizer, epsilon)
+        for lam in (1e6, 1e8, 1e10):
+            ref = solve_lagrange(lag, lam, solver="spectral")
+            sol = solve_lagrange(lag, lam, solver="krylov")
+            assert abs(sol.discrepancy_sq - ref.discrepancy_sq) <= 1e-3 * epsilon, lam
+
     def test_basis_grows_only_for_new_multipliers(self):
         mat, g = self.ill_posed()
         free, counts = counting_free_op(mat)
         lag = Lagrangian(free, g, identity_regularizer(64), epsilon=0.1)
-        k_small = solve_lagrange(lag, 1.0, solver="krylov").solver_stats["iterations"]
+        first = solve_lagrange(lag, 1.0, solver="krylov")
+        k_small = first.solver_stats["iterations"]
         k_large = solve_lagrange(lag, 1e4, solver="krylov").solver_stats["iterations"]
         assert 0 < k_small < k_large
         before = dict(counts)
         again = solve_lagrange(lag, 1.0, solver="krylov")
-        # the basis is reused: one forward and one adjoint for the residual check
-        assert again.solver_stats["iterations"] == k_large
+        # the basis is reused: one forward and one adjoint for the residual
+        # check, on the same leading columns as the first solve
+        assert again.solver_stats["iterations"] == k_small
+        assert again.f_lambda.tobytes() == first.f_lambda.tobytes()
         assert (counts["fwd"] - before["fwd"], counts["adj"] - before["adj"]) == (1, 1)
 
     def test_needs_identity_penalty(self):
         free, _ = counting_free_op(np.eye(4))
-        lag = Lagrangian(free, np.ones(4), first_difference_regularizer(4), epsilon=0.5)
-        with pytest.raises(ValueError, match="identity penalty"):
+        lag = Lagrangian(free, np.ones(4), custom_regularizer(linops.identity(4)), epsilon=0.5)
+        with pytest.raises(ValueError, match="identity or first-difference penalty"):
             solve_lagrange(lag, 1.0, solver="krylov")
 
     def test_exhausted_basis_above_tol_raises_with_best(self, rng):
@@ -375,28 +420,47 @@ class TestKrylovSolver:
             np.testing.assert_allclose(V @ V.T, np.eye(k + 1), atol=1e-12)
 
 
-class TestValidateToleranceSetup:
-    def test_ok(self):
-        lag = Lagrangian(
-            linops.identity(2), np.array([2.0, 0.0]), identity_regularizer(2), 1.0
-        )
-        assert validate_tolerance_setup(lag) == "ok"
+class TestStandardForm:
+    def test_first_differences_keep_the_data_residual(self, rng):
+        A = random_dense_op(rng, 9, 7)
+        g = rng.standard_normal(9)
+        form = StandardForm.build(A, g, "first_difference")
+        assert form.op.dims == linops.VectorSpaceDims(dim_f=6, dim_g=9)
+        assert_adjoint_consistent(form.op, n_probes=20)
+        L = first_difference_regularizer(7).seminorm_operator.matrix
+        for _ in range(5):
+            z = rng.standard_normal(6)
+            f = form.solution(z)
+            np.testing.assert_allclose(L @ f, z, atol=1e-13)
+            np.testing.assert_allclose(A.matrix @ f - g, form.op.apply(z) - form.data, atol=1e-13)
+            # the constant part of f is optimal for the data term
+            assert abs(np.sum(A.matrix.T @ (A.matrix @ f - g))) <= 1e-12
 
-    def test_degenerate(self):
-        lag = Lagrangian(
-            linops.identity(2), np.array([1.0, 0.0]), identity_regularizer(2), 4.0
-        )
-        assert validate_tolerance_setup(lag) == "degenerate"
+    def test_standard_form_solution_is_the_inner_minimizer(self, rng):
+        A = random_dense_op(rng, 9, 7)
+        g = rng.standard_normal(9)
+        form = StandardForm.build(A, g, "first_difference")
+        Abar = form.op.materialize()
+        lag = Lagrangian(A, g, first_difference_regularizer(7), epsilon=0.5)
+        for lam in (1e-2, 1.0, 1e3):
+            z = np.linalg.solve(np.eye(6) + lam * Abar.T @ Abar, lam * Abar.T @ form.data)
+            ref = solve_lagrange(lag, lam, solver="direct").f_lambda
+            np.testing.assert_allclose(form.solution(z), ref, rtol=1e-10, atol=1e-12)
 
-    def test_boundary_is_ok(self):
-        lag = Lagrangian(
-            linops.identity(2), np.array([2.0, 0.0]), identity_regularizer(2), 4.0
-        )
-        assert validate_tolerance_setup(lag) == "ok"
+    def test_identity_is_its_own_standard_form(self, rng):
+        A = random_dense_op(rng, 5, 4)
+        g = rng.standard_normal(5)
+        form = StandardForm.build(A, g, "identity")
+        assert form.op is A and form.data is g
+        z = rng.standard_normal(4)
+        assert form.solution(z) is z
+        assert form.rhs_norm == pytest.approx(np.linalg.norm(A.matrix.T @ g), rel=1e-14)
 
-    def test_explicit_g(self):
-        lag = scalar_lagrangian(epsilon=1.0)
-        assert validate_tolerance_setup(lag, np.array([0.5])) == "degenerate"
+    def test_constants_in_ker_a_refused(self):
+        # forward and penalty both kill constants
+        A = first_difference_regularizer(6).seminorm_operator
+        with pytest.raises(AssumptionViolation, match="unique"):
+            StandardForm.build(A, np.ones(5), "first_difference")
 
 
 class TestLagrangianValidation:

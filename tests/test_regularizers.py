@@ -174,6 +174,29 @@ class TestCheckAssumptions:
             outcomes.append(refused)
         assert outcomes.count(True) == 1  # only the shared-kernel pair
 
+    def test_standard_form_agrees_with_oracle(self, rng):
+        # for first differences the selector checks ||A W|| > 0 on the
+        # constants W, with no SVD; check_assumptions stays the oracle
+        n = 8
+        shared = first_difference_regularizer(n)
+        cases = _consistency_cases(rng) + [
+            (first_difference_regularizer(n), shared.seminorm_operator),
+            (first_difference_regularizer(10), problems.make_hilbert(10)),
+        ]
+        outcomes = []
+        for J, A in cases:
+            if J.kind == "custom":
+                continue
+            lag = Lagrangian(A, rng.standard_normal(A.dims.dim_g), J, epsilon=1.0)
+            try:
+                lag.standard_form()
+                refused = False
+            except AssumptionViolation:
+                refused = True
+            assert refused == (not check_assumptions(J, A).strictly_convex_along_kernel), (J.kind, A)
+            outcomes.append(refused)
+        assert outcomes == [False, False, True, False]
+
     def test_matrix_free_unsupported(self):
         free = linops.from_callables(3, 3, lambda f: f, lambda y: y)
         with pytest.raises(UnsupportedCheck, match="materialize"):
