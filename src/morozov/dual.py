@@ -27,27 +27,28 @@ of D' and bisects; that is globally convergent and tolerance-controlled.
 Secant refinement and plain gradient ascent, lam <- lam + rho_n D'(lam)
 started from 0, are available as alternatives.
 
-Problems with a built-in penalty, the identity or first differences,
-share one Golub-Kahan basis of their standard form
-(``Lagrangian.krylov_basis``), dense or matrix-free. ``maximize_dual``
-grows it until the true residual of the LSQR iterate, an upper bound on
-dist(g, range(A)), drops below tau, which certifies the interior regime,
-or until LSQR converges, when that residual is the distance itself.
-Every evaluation is then a projected solve in the same basis, which grows
-only when a multiplier needs more columns. Building the standard form is
-the strict-convexity check. No least-squares solve or eigendecomposition
-runs.
+Every selection certifies its regime in one Golub-Kahan basis of its
+standard form (``Lagrangian.krylov_basis``): (Abar, gbar) for a built-in
+penalty, (A, g) itself for a custom one, whether A is dense or
+matrix-free. ``maximize_dual`` grows the basis until the true residual
+of the LSQR iterate, an upper bound on dist(g, range(A)), drops below
+tau, which certifies the interior regime, or until LSQR converges, when
+that residual is the distance itself. No least-squares solve runs.
 
-Dense problems with a custom penalty are factored once
-(``Lagrangian.spectral_factors``), and every evaluation of D and D' after
-that costs a few O(n^2) products. Building the factorization is the
-strict-convexity check, and the true residual at ``LAMBDA_MAX``, again an
-upper bound on the distance, certifies the interior regime whenever it is
-below tau; ``distance_to_range`` runs only when it is not. Matrix-free
-problems with a custom penalty take the LSQR certificate and solve by
-conjugate gradient; their strict convexity is not checked. Dense sweeps
-use the factorization whatever the penalty, since a wide grid of
-multipliers grows the basis past its cost.
+With a built-in penalty, the identity or first differences, every
+evaluation is then a projected solve in the same basis, which grows only
+when a multiplier needs more columns. Building the standard form is the
+strict-convexity check, and no eigendecomposition runs.
+
+The solver is chosen by A alone; the penalty's map may be dense or
+matrix-free. With a dense A and a custom penalty the problem is factored
+once (``Lagrangian.spectral_factors``, materializing L), and every
+evaluation of D and D' after that costs a few O(n^2) products; building
+the factorization, at the first evaluation, is the strict-convexity
+check. With a matrix-free A and a custom penalty the inner problems are
+solved by conjugate gradient, and strict convexity is not checked.
+Sweeps with a dense A use the factorization whatever the penalty, since
+a wide grid of multipliers grows the basis past its cost.
 """
 
 import logging
@@ -149,8 +150,8 @@ def eval_dual(lag: Lagrangian, lam, solver=None, tol=1e-10):
     At lam = 0 no inner solve is attempted: D(0) = 0 and the right
     derivative is ||g||^2 - epsilon. For lam > 0 the inner problem is
     solved (by default in the problem's Krylov basis for a built-in
-    penalty, from its spectral factors for a dense custom penalty, by
-    conjugate gradient otherwise) and
+    penalty, from its spectral factors for a custom penalty with a dense
+    A, by conjugate gradient otherwise) and
 
         D(lam) = J(f_lam) + lam * D'(lam),
         D'(lam) = ||A f_lam - g||^2 - epsilon.
@@ -170,14 +171,10 @@ def eval_dual(lag: Lagrangian, lam, solver=None, tol=1e-10):
     return DualEvaluation(lam=float(lam), d_value=d_value, d_prime=d_prime, solution=sol)
 
 
-def _all_dense(lag):
-    return lag.op.is_dense and lag.regularizer.seminorm_operator.is_dense
-
-
 def _default_solver(lag):
     if lag.regularizer.kind != "custom":
         return "krylov"
-    return "spectral" if _all_dense(lag) else "iterative"
+    return "spectral" if lag.op.is_dense else "iterative"
 
 
 def diagnose_regime(op, g, tau, dist_tol=1e-10, bound=None, dist=None):
@@ -251,13 +248,11 @@ def maximize_dual(
     the discrepancy equation ||A f - g||^2 = epsilon at relative
     tolerance rtol.
 
-    Before the search, the regime is certified from the problem's own
-    work. With the spectral solver, or a dense custom penalty, that is
-    the true residual at ``LAMBDA_MAX`` from the spectral factors, an
-    upper bound on dist(g, range(A)), and ``distance_to_range`` runs only
-    when it is not below tau. Otherwise it is LSQR in the problem's
-    Krylov basis, grown until its residual drops below tau or LSQR
-    converges and gives the distance itself; no least-squares solve runs.
+    Before the search, the regime is certified by LSQR in the problem's
+    one Golub-Kahan basis, whatever the penalty and the solver: the basis
+    grows until the LSQR residual, an upper bound on dist(g, range(A)),
+    drops below tau, or LSQR converges and gives the distance itself. No
+    least-squares solve and no eigendecomposition runs for it.
 
     Parameters
     ----------
@@ -284,9 +279,10 @@ def maximize_dual(
         This takes precedence over an ``AssumptionViolation``.
     AssumptionViolation
         If the penalty is not strictly convex along ker(A). Built-in
-        penalties are checked up front by their standard form, dense
-        custom ones by their spectral factors; matrix-free custom
-        penalties are trusted.
+        penalties are checked up front by their standard form; custom
+        ones with a dense A by their first solve (the spectral factors,
+        or Cholesky with ``solver="direct"``). Custom penalties with a
+        matrix-free A are trusted.
     BracketFailure
         If D' does not change sign below LAMBDA_MAX, or not within
         ``max_iter`` doublings or halvings of ``lambda_init``.
@@ -303,25 +299,17 @@ def maximize_dual(
     if max_iter is None:
         max_iter = 10_000 if method == "gradient_ascent" else 200
 
-    # the spectral factorization or the standard form is the assumption
-    # check; the residual at LAMBDA_MAX, or LSQR in the shared Krylov basis,
-    # bounds or gives dist(g, range A) for the regime check
-    custom = lag.regularizer.kind == "custom"
+    # the standard form is a built-in penalty's assumption check; LSQR in
+    # its Krylov basis bounds or gives dist(g, range A) for the regime check
     bound = dist = violation = None
     try:
-        if _all_dense(lag) and (custom or solver == "spectral"):
-            f_max = lag.spectral_factors().solve(LAMBDA_MAX)
-            bound = math.sqrt(residual_norm_sq(lag.op, f_max, lag.data))
+        form = lag.standard_form()
+        with lag.krylov_basis() as basis:
+            res, converged = lsqr_residual(form.op, form.data, basis, target=lag.tau)
+        if converged:
+            dist = res
         else:
-            if custom:
-                log.debug("matrix-free custom penalty: strict-convexity check skipped")
-            form = lag.standard_form()
-            with lag.krylov_basis() as basis:
-                res, converged = lsqr_residual(form.op, form.data, basis, target=lag.tau)
-            if converged:
-                dist = res
-            else:
-                bound = res
+            bound = res
     except AssumptionViolation as exc:
         violation = exc
 
@@ -476,9 +464,10 @@ def sweep_dual(lag: Lagrangian, lambdas, solver=None, tol=1e-10):
     """Evaluate the dual on an ascending positive grid.
 
     Inner failures at single points are recorded on the returned
-    evaluations (``error`` set, values NaN) and the sweep continues. Dense
-    problems default to the spectral solver whatever the penalty: a wide
-    grid grows a Krylov basis past the cost of the eigendecomposition.
+    evaluations (``error`` set, values NaN) and the sweep continues.
+    Problems with a dense A default to the spectral solver whatever the
+    penalty: a wide grid grows a Krylov basis past the cost of the
+    eigendecomposition.
     """
     lambdas = np.asarray(lambdas, dtype=np.float64)
     if lambdas.size == 0:
@@ -487,7 +476,7 @@ def sweep_dual(lag: Lagrangian, lambdas, solver=None, tol=1e-10):
         raise ValueError("grid values must be positive")
     if np.any(np.diff(lambdas) <= 0):
         raise ValueError("grid must be strictly ascending")
-    if solver is None and _all_dense(lag):
+    if solver is None and lag.op.is_dense:
         solver = "spectral"
     out = []
     for lam in lambdas:

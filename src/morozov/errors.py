@@ -51,10 +51,11 @@ class AssumptionViolation(MorozovError, ValueError):
 
 
 class UnsupportedCheck(MorozovError, TypeError):
-    """A check needs a dense matrix but the operator is matrix-free.
+    """A check needs a dense forward operator but it is matrix-free.
 
     Materialize the operator (``LinearOperator.materialize``) and rebuild
-    it as a dense operator to run the check.
+    it as a dense operator to run the check. A matrix-free penalty map
+    needs no such step: the check materializes it itself.
     """
 
 

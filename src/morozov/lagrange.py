@@ -28,7 +28,8 @@ in O(n); the basis grows only when a multiplier needs more columns than
 any before it. For first differences, A not annihilating the constants
 is the strict-convexity check.
 
-Dense problems with a custom penalty are factored once. The generalized
+Problems with a dense A and a custom penalty, dense or matrix-free, are
+factored once; L is materialized for it. The generalized
 eigendecomposition
 
     A^T A X = B X diag(mu),   X^T B X = I,   B = L^T L + A^T A,
@@ -37,11 +38,11 @@ turns the system at every lam into the diagonal one
 ((1 - mu) + lam mu) y = lam X^T A^T g with f = X y, so each solve after
 the first costs a few O(n^2) products (``solver="spectral"``). B is
 positive definite exactly when ker L and ker A intersect trivially, so
-building the factorization is also the strict-convexity check. Dense
-sweeps over many multipliers use it for built-in penalties too: a wide
-grid grows the basis past the cost of the eigendecomposition. Matrix-free
-problems with a custom penalty run conjugate gradient (``"iterative"``)
-on the full system.
+building the factorization is also the strict-convexity check. Sweeps
+over many multipliers with a dense A use it for built-in penalties too:
+a wide grid grows the basis past the cost of the eigendecomposition.
+Problems with a matrix-free A and a custom penalty run conjugate
+gradient (``"iterative"``) on the full system.
 
 The Cholesky (``"direct"``) and conjugate gradient (``"iterative"``)
 solvers factor or iterate at each lam and stay as independent checkers.
@@ -133,7 +134,8 @@ class SpectralFactors:
         # overwrites gram_a with X, and a cached L^T L would keep n^2 floats
         # that no spectral solve reads
         gram_a = A.matrix.T @ A.matrix
-        B = L.matrix.T @ L.matrix
+        Lm = L.materialize()
+        B = Lm.T @ Lm
         B += gram_a
         try:
             singular = _singular_pivot_ratio(scipy.linalg.cholesky(B, check_finite=False)) is not None
@@ -310,14 +312,14 @@ class Lagrangian:
         Raises
         ------
         ValueError
-            If A or L is matrix-free.
+            If A is matrix-free.
         AssumptionViolation
             If the penalty is not strictly convex along ker(A); nothing is
             cached then, so each call raises again.
         """
         L = self.regularizer.seminorm_operator
-        if not (self.op.is_dense and L.is_dense):
-            raise ValueError("spectral factors need dense operators; use iterative")
+        if not self.op.is_dense:
+            raise ValueError("spectral factors need a dense A; use iterative")
         with self._lock:
             if self._spectral is None:
                 self._spectral = SpectralFactors.build(self.op, L, self.data)
@@ -384,13 +386,13 @@ def solve_lagrange(lag: Lagrangian, lam, solver="direct", tol=1e-10):
         Multiplier, in (0, LAMBDA_MAX].
     solver : {"direct", "iterative", "spectral", "krylov"}
         Direct assembles the system matrix and takes a Cholesky
-        factorization (dense operators only). Iterative runs conjugate
-        gradient to relative residual ``tol`` with an iteration cap of
-        ``10 * dim_f``, and works for matrix-free operators too.
-        Spectral reuses the problem's ``SpectralFactors`` (dense
-        operators only; built on the first call), so it costs a few
-        O(n^2) products per multiplier. Krylov (identity and first-difference
-        penalties) solves in the Golub-Kahan basis of the problem's
+        factorization (dense A only; a matrix-free L is materialized
+        once). Iterative runs conjugate gradient to relative residual
+        ``tol`` with an iteration cap of ``10 * dim_f``, and works for
+        matrix-free operators too. Spectral reuses the problem's
+        ``SpectralFactors`` (dense A only; built on the first call), so
+        it costs a few O(n^2) products per multiplier. Krylov (identity
+        and first-difference penalties) solves in the Golub-Kahan basis of the problem's
         ``StandardForm`` on the fewest columns whose solution has a
         relative residual ||lam A^T g - (L^T L + lam A^T A) f|| / ||lam A^T g||
         of the full system at most ``tol``, extending the basis when none
@@ -432,8 +434,8 @@ def solve_lagrange(lag: Lagrangian, lam, solver="direct", tol=1e-10):
         f = lag.spectral_factors().solve(lam)
         stats = {"method": "spectral"}
     elif solver == "direct":
-        if not (A.is_dense and L.is_dense):
-            raise ValueError("direct solver needs dense operators; use iterative")
+        if not A.is_dense:
+            raise ValueError("direct solver needs a dense A; use iterative")
         M = L.gram_matrix() + lam * A.gram_matrix()
         try:
             cho = scipy.linalg.cho_factor(M, check_finite=False)

@@ -155,11 +155,11 @@ class LinearOperator:
         return self.apply_adjoint(self.apply(f))
 
     def gram_matrix(self):
-        """Dense Gram matrix, cached; dense operators only."""
-        if not self.is_dense:
-            raise TypeError("gram_matrix requires a dense operator")
+        """Dense Gram matrix A^T A, cached. A matrix-free operator is
+        materialized for it first, at ``dim_f`` forward applications."""
         if self._gram is None:
-            self._gram = self._matrix.T @ self._matrix
+            mat = self._matrix if self.is_dense else self.materialize()
+            self._gram = mat.T @ mat
             self._gram.setflags(write=False)
         return self._gram
 

@@ -2,8 +2,8 @@
 
 The penalty map L is any linear operator out of the solution space; the
 identity gives classical Tikhonov, a first-difference map penalizes
-oscillation while letting constants through. ``check_assumptions``
-decides whether the penalty is strictly convex along the kernel of a
+oscillation while letting constants through; both are O(n) callback
+maps, not stored matrices. ``check_assumptions`` decides whether the penalty is strictly convex along the kernel of a
 forward operator, the condition under which the inner minimization
 problems have a unique solution.
 """
@@ -42,20 +42,17 @@ class Regularizer:
     Parameters
     ----------
     seminorm_operator : LinearOperator
-        The map L. Its input dimension is the solution-space dimension;
-        its output dimension may differ.
-    kind : str
-        One of "identity", "first_difference", "custom". Used for
-        serialization, and the built-in kinds select the selector's
-        Golub-Kahan engine, which assumes the map that
-        ``identity_regularizer`` or ``first_difference_regularizer`` builds.
+        The map L, dense or matrix-free. Its input dimension is the
+        solution-space dimension; its output dimension may differ.
+
+    ``kind`` is "custom" here; only the built-in factories set "identity"
+    or "first_difference", which select the Golub-Kahan engine.
     """
 
-    def __init__(self, seminorm_operator: LinearOperator, kind="custom"):
-        if kind not in ("identity", "first_difference", "custom"):
-            raise ValueError(f"unknown regularizer kind {kind!r}")
+    kind = "custom"
+
+    def __init__(self, seminorm_operator: LinearOperator):
         self.seminorm_operator = seminorm_operator
-        self.kind = kind
 
     @property
     def dim_f(self):
@@ -75,25 +72,28 @@ class Regularizer:
         return f"Regularizer(kind={self.kind!r}, dim_f={self.dim_f})"
 
 
+def _builtin(L, kind):
+    reg = Regularizer(L)
+    reg.kind = kind
+    return reg
+
+
 def identity_regularizer(n):
     """Classical Tikhonov penalty ||f||^2."""
-    return Regularizer(linops.identity(n), kind="identity")
+    return _builtin(linops.from_callables(n, n, np.copy, np.copy), "identity")
 
 
 def first_difference_regularizer(n):
     """Penalty on successive differences; constants are in the kernel."""
     if n < 2:
         raise ValueError("first differences need n >= 2")
-    D = np.zeros((n - 1, n))
-    idx = np.arange(n - 1)
-    D[idx, idx] = -1.0
-    D[idx, idx + 1] = 1.0
-    return Regularizer(linops.from_matrix(D), kind="first_difference")
+    L = linops.from_callables(n, n - 1, np.diff, lambda y: -np.diff(y, prepend=0.0, append=0.0))
+    return _builtin(L, "first_difference")
 
 
 def custom_regularizer(L: LinearOperator):
     """Penalty ||L f||^2 for a user-supplied map L."""
-    return Regularizer(L, kind="custom")
+    return Regularizer(L)
 
 
 def _null_space(mat, tol):
@@ -127,32 +127,32 @@ def check_assumptions(J: Regularizer, A: LinearOperator, tol=1e-10):
     ``attains_min_on_kernel`` is always true. ``coercive_on_problem``
     reports coercivity in the problem-restricted sense, which holds
     exactly when the kernels intersect trivially (an injective L is a
-    special case).
+    special case). A matrix-free L is materialized first.
 
     Raises
     ------
     UnsupportedCheck
-        If either operator is matrix-free. Densify first (see
+        If the forward operator is matrix-free. Densify it first (see
         ``LinearOperator.materialize``).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    L = J.seminorm_operator
-    if not A.is_dense or not L.is_dense:
+    if not A.is_dense:
         raise UnsupportedCheck(
-            "check_assumptions needs dense matrices; materialize the "
-            "matrix-free operator and rebuild it with from_matrix"
+            "check_assumptions needs a dense forward operator; materialize "
+            "the matrix-free operator and rebuild it with from_matrix"
         )
-    if L.dims.dim_f != A.dims.dim_f:
+    if J.dim_f != A.dims.dim_f:
         raise DimensionMismatch(
-            f"penalty input dim {L.dims.dim_f} != forward input dim {A.dims.dim_f}"
+            f"penalty input dim {J.dim_f} != forward input dim {A.dims.dim_f}"
         )
     ker_A = _null_space(A.matrix, tol)
     if ker_A.shape[1] == 0:
         intersection_dim = 0
     else:
-        L_scale = float(np.linalg.norm(L.matrix, 2))
-        restricted = L.matrix @ ker_A
+        L = J.seminorm_operator.materialize()
+        L_scale = float(np.linalg.norm(L, 2))
+        restricted = L @ ker_A
         intersection_dim = ker_A.shape[1] - _rank(restricted, tol, L_scale)
     strictly_convex = intersection_dim == 0
     # an injective L cannot vanish on ker A, so coercivity in the

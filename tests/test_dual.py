@@ -23,6 +23,8 @@ from morozov.errors import (
 from morozov.lagrange import LAMBDA_MAX, Lagrangian, lagrangian_value, solve_lagrange
 from morozov.problems import _bump_profile, make_deconvolution, regime_fixture, synthesize
 from morozov.regularizers import (
+    Regularizer,
+    custom_regularizer,
     first_difference_regularizer,
     identity_regularizer,
 )
@@ -232,7 +234,7 @@ class TestMaximizeDual:
     def test_assumption_gate_refuses_shared_kernel(self, rng):
         # forward and penalty both kill constants: selection must refuse
         n = 6
-        A = first_difference_regularizer(n).seminorm_operator
+        A = linops.from_matrix(first_difference_regularizer(n).seminorm_operator.materialize())
         g = rng.standard_normal(n - 1)
         g *= 2.0 / np.linalg.norm(g)
         lag = Lagrangian(A, g, first_difference_regularizer(n), epsilon=1.0)
@@ -242,7 +244,7 @@ class TestMaximizeDual:
     def test_assumption_gate_checks_matrix_free_first_differences(self, rng):
         # the shared-kernel pair behind callbacks: no longer trusted
         n = 6
-        mat = first_difference_regularizer(n).seminorm_operator.matrix
+        mat = first_difference_regularizer(n).seminorm_operator.materialize()
         g = rng.standard_normal(n - 1)
         g *= 2.0 / np.linalg.norm(g)
         lag = Lagrangian(counting_free_op(mat)[0], g, first_difference_regularizer(n), epsilon=1.0)
@@ -363,12 +365,13 @@ class TestRegimeCertificate:
 
         monkeypatch.setattr(morozov.dual, "diagnose_regime", recording)
         calls = self.count_distance_calls(monkeypatch)
-        # interior, yet D' stays positive up to LAMBDA_MAX since tau < bound
+        # interior, yet D' stays positive up to LAMBDA_MAX since tau < bound;
+        # the spectral solver takes its certificate from the basis too
         with pytest.raises(BracketFailure, match="LAMBDA_MAX"):
             maximize_dual(lagrangian_of(prob, tau=tau), solver="spectral")
-        assert len(calls) == 1
+        assert calls == []
         assert [d.regime for d in seen] == [expected.regime]
-        assert seen[0].dist_to_range == expected.dist_to_range
+        assert seen[0].dist_is_bound and seen[0].dist_to_range < tau
 
     @pytest.mark.parametrize("target", ["interior", "noise_dominates", "too_optimistic"])
     def test_verdict_matches_diagnose_regime(self, target):
@@ -383,17 +386,18 @@ class TestRegimeCertificate:
 
     def test_regime_error_precedes_assumption_violation(self, rng):
         # the shared-kernel pair of test_assumption_gate_refuses_shared_kernel
-        # with tau above ||g||
+        # with tau above ||g||; a custom penalty is checked by its first solve
         n = 6
-        A = first_difference_regularizer(n).seminorm_operator
+        A = linops.from_matrix(first_difference_regularizer(n).seminorm_operator.materialize())
         g = rng.standard_normal(n - 1)
         g *= 2.0 / np.linalg.norm(g)
-        lag = Lagrangian(A, g, first_difference_regularizer(n), epsilon=9.0)
-        with pytest.raises(RegimeError) as err:
-            maximize_dual(lag)
-        assert err.value.regime == "noise_dominates"
-        with pytest.raises(AssumptionViolation, match="unique"):
-            maximize_dual(lag, override_regime=True)
+        for J in (first_difference_regularizer(n), custom_regularizer(A)):
+            lag = Lagrangian(A, g, J, epsilon=9.0)
+            with pytest.raises(RegimeError) as err:
+                maximize_dual(lag)
+            assert err.value.regime == "noise_dominates"
+            with pytest.raises(AssumptionViolation, match="unique"):
+                maximize_dual(lag, override_regime=True)
 
     def test_bound_argument(self, monkeypatch):
         calls = self.count_distance_calls(monkeypatch)
@@ -511,6 +515,41 @@ class TestWorkCounts:
         )
         assert len(res.iterations) == len(ref.iterations)
         assert res.lambda_star == pytest.approx(ref.lambda_star, rel=1e-9)
+        np.testing.assert_allclose(res.f_star, ref.f_star, rtol=0, atol=1e-12 * np.abs(ref.f_star).max())
+
+    def test_custom_penalty_certificate_makes_no_eigh(self, monkeypatch):
+        # a dense custom penalty certifies its regime by LSQR on (A, g); its
+        # first solve is the strict-convexity check
+        prob = regime_fixture("interior", seed=1)
+        J = custom_regularizer(linops.from_matrix(np.diff(np.eye(24), axis=0)))
+        lag = Lagrangian(prob.op, prob.g, J, prob.tau**2)
+        counts = self.count_calls(monkeypatch, "eigh")
+        checker = maximize_dual(lag, solver="direct")
+        assert counts == {"eigh": 0}
+        assert checker.diagnosis.regime == "interior"
+        res = maximize_dual(Lagrangian(prob.op, prob.g, J, prob.tau**2))
+        assert counts == {"eigh": 1}
+        assert res.lambda_star == pytest.approx(checker.lambda_star, rel=1e-9)
+
+    def test_matrix_free_custom_penalty_with_dense_a_is_factored(self, monkeypatch):
+        # a matrix-free L is materialized for the spectral factors: no CG
+        prob = regime_fixture("interior", seed=1)
+        mat = np.diff(np.eye(24), axis=0)
+        cg_calls = self.count_cg(monkeypatch)
+        free = maximize_dual(Lagrangian(prob.op, prob.g, custom_regularizer(counting_free_op(mat)[0]), prob.tau**2))
+        assert cg_calls == []
+        dense = maximize_dual(Lagrangian(prob.op, prob.g, custom_regularizer(linops.from_matrix(mat)), prob.tau**2))
+        assert free.lambda_star == pytest.approx(dense.lambda_star, rel=1e-9)
+
+    def test_scaled_identity_is_a_custom_penalty(self):
+        # J(f) = ||2 f||^2 at lam is the identity penalty at lam / 4; it
+        # used to be passable as kind="identity", which the Krylov engine
+        # read as L = I
+        prob = regime_fixture("interior", seed=1)
+        J = Regularizer(linops.from_matrix(2.0 * np.eye(24)))
+        res = maximize_dual(Lagrangian(prob.op, prob.g, J, prob.tau**2))
+        ref = maximize_dual(lagrangian_of(prob))
+        assert res.lambda_star == pytest.approx(4.0 * ref.lambda_star, rel=1e-9)
         np.testing.assert_allclose(res.f_star, ref.f_star, rtol=0, atol=1e-12 * np.abs(ref.f_star).max())
 
     def test_sweep_factors_once(self, monkeypatch):

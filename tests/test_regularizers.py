@@ -4,13 +4,14 @@ import pytest
 from morozov import Lagrangian, linops, problems
 from morozov.errors import AssumptionViolation, DimensionMismatch, UnsupportedCheck
 from morozov.regularizers import (
+    Regularizer,
     check_assumptions,
     custom_regularizer,
     first_difference_regularizer,
     identity_regularizer,
 )
 
-from conftest import random_dense_op
+from conftest import assert_adjoint_consistent, counting_free_op, random_dense_op
 
 
 def _consistency_cases(rng):
@@ -91,6 +92,46 @@ class TestGradient:
             assert lhs == pytest.approx(2.0 * J.evaluate(f), rel=1e-10)
 
 
+class TestBuiltinMaps:
+    """The built-in penalties are O(n) callback maps, not stored matrices."""
+
+    @pytest.mark.parametrize("n", [2, 7, 64])
+    def test_materialized_maps_are_exact(self, n):
+        np.testing.assert_array_equal(identity_regularizer(n).seminorm_operator.materialize(), np.eye(n))
+        np.testing.assert_array_equal(
+            first_difference_regularizer(n).seminorm_operator.materialize(), np.diff(np.eye(n), axis=0)
+        )
+
+    def test_adjoint_consistent(self):
+        for J in (identity_regularizer(9), first_difference_regularizer(9)):
+            assert not J.seminorm_operator.is_dense
+            assert_adjoint_consistent(J.seminorm_operator, n_probes=50)
+
+    def test_no_dense_storage(self):
+        # a stored identity at n=4096 alone is 128 MiB
+        import tracemalloc
+
+        n = 4096
+        f = np.random.default_rng(0).standard_normal(n)
+        tracemalloc.start()
+        try:
+            for J in (identity_regularizer(n), first_difference_regularizer(n)):
+                J.evaluate(f)
+                J.gradient(f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_kind_is_set_by_factories_only(self):
+        L = linops.from_matrix(2.0 * np.eye(4))
+        with pytest.raises(TypeError):
+            Regularizer(L, kind="identity")
+        assert Regularizer(L).kind == custom_regularizer(L).kind == "custom"
+        assert identity_regularizer(4).kind == "identity"
+        assert first_difference_regularizer(4).kind == "first_difference"
+
+
 def test_midpoint_convexity(rng):
     J = custom_regularizer(random_dense_op(rng, 3, 5))
     for _ in range(50):
@@ -126,7 +167,7 @@ class TestCheckAssumptions:
         # intersection is exactly the 1-d space of constant vectors
         n = 6
         D = first_difference_regularizer(n)
-        A = D.seminorm_operator
+        A = linops.from_matrix(D.seminorm_operator.materialize())
         report = check_assumptions(first_difference_regularizer(n), A)
         assert report.kernel_intersection_dim == 1
         assert not report.strictly_convex_along_kernel
@@ -154,7 +195,7 @@ class TestCheckAssumptions:
         n = 8
         shared = first_difference_regularizer(n)
         cases = _consistency_cases(rng) + [
-            (first_difference_regularizer(n), shared.seminorm_operator),
+            (first_difference_regularizer(n), linops.from_matrix(shared.seminorm_operator.materialize())),
             (first_difference_regularizer(10), problems.make_hilbert(10)),
         ]
         for target in ("interior", "noise_dominates", "too_optimistic"):
@@ -180,7 +221,7 @@ class TestCheckAssumptions:
         n = 8
         shared = first_difference_regularizer(n)
         cases = _consistency_cases(rng) + [
-            (first_difference_regularizer(n), shared.seminorm_operator),
+            (first_difference_regularizer(n), linops.from_matrix(shared.seminorm_operator.materialize())),
             (first_difference_regularizer(10), problems.make_hilbert(10)),
         ]
         outcomes = []
@@ -197,12 +238,16 @@ class TestCheckAssumptions:
             outcomes.append(refused)
         assert outcomes == [False, False, True, False]
 
-    def test_matrix_free_unsupported(self):
+    def test_matrix_free_unsupported(self, rng):
         free = linops.from_callables(3, 3, lambda f: f, lambda y: y)
         with pytest.raises(UnsupportedCheck, match="materialize"):
             check_assumptions(identity_regularizer(3), free)
-        with pytest.raises(UnsupportedCheck):
-            check_assumptions(custom_regularizer(free), linops.identity(3))
+        # a matrix-free penalty is materialized: the report of its matrix
+        A = linops.from_matrix(np.diff(np.eye(6), axis=0))
+        for mat in (rng.standard_normal((4, 6)), np.diff(np.eye(6), axis=0)):
+            free_L = custom_regularizer(counting_free_op(mat)[0])
+            dense_L = custom_regularizer(linops.from_matrix(mat))
+            assert check_assumptions(free_L, A) == check_assumptions(dense_L, A)
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
