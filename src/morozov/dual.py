@@ -45,10 +45,11 @@ matrix-free. With a dense A and a custom penalty the problem is factored
 once (``Lagrangian.spectral_factors``, materializing L), and every
 evaluation of D and D' after that costs a few O(n^2) products; building
 the factorization, at the first evaluation, is the strict-convexity
-check. With a matrix-free A and a custom penalty the inner problems are
-solved by conjugate gradient, and strict convexity is not checked.
-Sweeps with a dense A use the factorization whatever the penalty, since
-a wide grid of multipliers grows the basis past its cost.
+check (``maximize_dual`` with ``solver="iterative"`` runs the Cholesky
+solver once instead). With a matrix-free A and a custom penalty the
+inner problems are solved by conjugate gradient, and strict convexity is
+not checked. Sweeps with a dense A use the factorization whatever the
+penalty, since a wide grid of multipliers grows the basis past its cost.
 """
 
 import logging
@@ -281,7 +282,8 @@ def maximize_dual(
         If the penalty is not strictly convex along ker(A). Built-in
         penalties are checked up front by their standard form; custom
         ones with a dense A by their first solve (the spectral factors,
-        or Cholesky with ``solver="direct"``). Custom penalties with a
+        or Cholesky with ``solver="direct"``), or by a Cholesky solve up
+        front with ``solver="iterative"``. Custom penalties with a
         matrix-free A are trusted.
     BracketFailure
         If D' does not change sign below LAMBDA_MAX, or not within
@@ -300,9 +302,13 @@ def maximize_dual(
         max_iter = 10_000 if method == "gradient_ascent" else 200
 
     # the standard form is a built-in penalty's assumption check; LSQR in
-    # its Krylov basis bounds or gives dist(g, range A) for the regime check
+    # its Krylov basis bounds or gives dist(g, range A) for the regime check.
+    # Conjugate gradient converges on a singular consistent system, so the
+    # Cholesky solver checks a dense custom penalty that it would solve.
     bound = dist = violation = None
     try:
+        if lag.regularizer.kind == "custom" and lag.op.is_dense and solver == "iterative":
+            solve_lagrange(lag, 1.0, solver="direct")
         form = lag.standard_form()
         with lag.krylov_basis() as basis:
             res, converged = lsqr_residual(form.op, form.data, basis, target=lag.tau)

@@ -345,16 +345,18 @@ class Lagrangian:
         (Abar, gbar), built on first use.
 
         The basis grows on demand and serves every ``"krylov"`` solve and
-        the regime certificate of ``maximize_dual`` on this problem. The
+        the regime certificate of ``maximize_dual`` on this problem; a
+        custom penalty's, which no solve reads, is fresh and not kept. The
         context holds the problem's lock, so one caller grows it at a time.
         """
         form = self.standard_form()
         with self._lock:
-            if self._krylov is None:
-                self._krylov = GolubKahan(
-                    form.op.apply, form.op.apply_adjoint, form.data, form.op.dims.dim_f
-                )
-            yield self._krylov
+            basis = self._krylov or GolubKahan(
+                form.op.apply, form.op.apply_adjoint, form.data, form.op.dims.dim_f
+            )
+            if self.regularizer.kind != "custom":
+                self._krylov = basis
+            yield basis
 
     @property
     def tau(self):

@@ -156,7 +156,8 @@ class LinearOperator:
 
     def gram_matrix(self):
         """Dense Gram matrix A^T A, cached. A matrix-free operator is
-        materialized for it first, at ``dim_f`` forward applications."""
+        materialized for it first, at ``dim_f`` forward applications, and
+        the dim_f^2 product stays cached with it."""
         if self._gram is None:
             mat = self._matrix if self.is_dense else self.materialize()
             self._gram = mat.T @ mat

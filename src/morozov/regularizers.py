@@ -3,9 +3,10 @@
 The penalty map L is any linear operator out of the solution space; the
 identity gives classical Tikhonov, a first-difference map penalizes
 oscillation while letting constants through; both are O(n) callback
-maps, not stored matrices. ``check_assumptions`` decides whether the penalty is strictly convex along the kernel of a
-forward operator, the condition under which the inner minimization
-problems have a unique solution.
+maps, not stored matrices. ``check_assumptions`` decides whether the
+penalty is strictly convex along the kernel of a forward operator, the
+condition under which the inner minimization problems have a unique
+solution.
 """
 
 from dataclasses import dataclass

@@ -240,6 +240,12 @@ class TestMaximizeDual:
         lag = Lagrangian(A, g, first_difference_regularizer(n), epsilon=1.0)
         with pytest.raises(AssumptionViolation, match="unique"):
             maximize_dual(lag)
+        # the same pair as a custom penalty, whatever solves it: conjugate
+        # gradient alone would converge to one of many minimizers
+        lag = Lagrangian(A, g, custom_regularizer(A), epsilon=1.0)
+        for solver in (None, "direct", "iterative"):
+            with pytest.raises(AssumptionViolation):
+                maximize_dual(lag, solver=solver)
 
     def test_assumption_gate_checks_matrix_free_first_differences(self, rng):
         # the shared-kernel pair behind callbacks: no longer trusted
@@ -386,18 +392,23 @@ class TestRegimeCertificate:
 
     def test_regime_error_precedes_assumption_violation(self, rng):
         # the shared-kernel pair of test_assumption_gate_refuses_shared_kernel
-        # with tau above ||g||; a custom penalty is checked by its first solve
+        # with tau above ||g||; a custom penalty is checked by its first solve,
+        # or up front when conjugate gradient solves it
         n = 6
         A = linops.from_matrix(first_difference_regularizer(n).seminorm_operator.materialize())
         g = rng.standard_normal(n - 1)
         g *= 2.0 / np.linalg.norm(g)
-        for J in (first_difference_regularizer(n), custom_regularizer(A)):
+        cases = [(first_difference_regularizer(n), None)]
+        cases += [(custom_regularizer(A), s) for s in (None, "direct", "iterative")]
+        for J, solver in cases:
             lag = Lagrangian(A, g, J, epsilon=9.0)
             with pytest.raises(RegimeError) as err:
-                maximize_dual(lag)
+                maximize_dual(lag, solver=solver)
             assert err.value.regime == "noise_dominates"
-            with pytest.raises(AssumptionViolation, match="unique"):
-                maximize_dual(lag, override_regime=True)
+            # the Cholesky solver reports the singular system at its lam
+            match = "unique" if solver is None else "singular"
+            with pytest.raises(AssumptionViolation, match=match):
+                maximize_dual(lag, solver=solver, override_regime=True)
 
     def test_bound_argument(self, monkeypatch):
         calls = self.count_distance_calls(monkeypatch)
@@ -518,18 +529,25 @@ class TestWorkCounts:
         np.testing.assert_allclose(res.f_star, ref.f_star, rtol=0, atol=1e-12 * np.abs(ref.f_star).max())
 
     def test_custom_penalty_certificate_makes_no_eigh(self, monkeypatch):
-        # a dense custom penalty certifies its regime by LSQR on (A, g); its
-        # first solve is the strict-convexity check
+        # a dense custom penalty certifies its regime by LSQR on (A, g), on a
+        # basis it does not keep; its first solve is the strict-convexity
+        # check, or one Cholesky solve up front for conjugate gradient
         prob = regime_fixture("interior", seed=1)
         J = custom_regularizer(linops.from_matrix(np.diff(np.eye(24), axis=0)))
         lag = Lagrangian(prob.op, prob.g, J, prob.tau**2)
-        counts = self.count_calls(monkeypatch, "eigh")
+        counts = self.count_calls(monkeypatch, "eigh", "cho_factor")
         checker = maximize_dual(lag, solver="direct")
-        assert counts == {"eigh": 0}
+        evals = len(checker.iterations)
+        assert counts == {"eigh": 0, "cho_factor": evals}
         assert checker.diagnosis.regime == "interior"
+        with lag.krylov_basis() as basis:
+            assert basis.k == 0
+        cg = maximize_dual(lag, solver="iterative")
+        assert counts == {"eigh": 0, "cho_factor": evals + 1}
         res = maximize_dual(Lagrangian(prob.op, prob.g, J, prob.tau**2))
-        assert counts == {"eigh": 1}
+        assert counts == {"eigh": 1, "cho_factor": evals + 1}
         assert res.lambda_star == pytest.approx(checker.lambda_star, rel=1e-9)
+        assert cg.lambda_star == pytest.approx(checker.lambda_star, rel=1e-9)
 
     def test_matrix_free_custom_penalty_with_dense_a_is_factored(self, monkeypatch):
         # a matrix-free L is materialized for the spectral factors: no CG

@@ -15,7 +15,7 @@ from morozov.linops import (
 )
 from morozov.problems import _bump_profile, make_deconvolution, make_hilbert, synthesize
 
-from conftest import assert_adjoint_consistent, random_dense_op
+from conftest import assert_adjoint_consistent, counting_free_op, random_dense_op
 
 
 def test_dims_validation():
@@ -92,6 +92,17 @@ class TestGramApply:
         for _ in range(100):
             f = rng.standard_normal(4)
             assert op.gram_apply(f) @ f >= 0.0
+
+    def test_gram_matrix_materializes_matrix_free(self, rng):
+        # dim_f forward applications, once: the product is cached
+        mat = rng.standard_normal((7, 5))
+        op, counts = counting_free_op(mat)
+        dense = op.materialize()
+        counts["fwd"] = 0
+        gram = op.gram_matrix()
+        assert np.array_equal(gram, dense.T @ dense)
+        assert op.gram_matrix() is gram and counts == {"fwd": 5, "adj": 0}
+        assert not gram.flags.writeable
 
     def test_equals_adjoint_after_apply(self, rng):
         op = random_dense_op(rng, 7, 5)
