@@ -36,7 +36,6 @@ from .errors import (
     DimensionMismatch,
     MorozovError,
     RegimeError,
-    UnsupportedCheck,
 )
 from .lagrange import Lagrangian, LagrangeSolution, lagrangian_value, solve_lagrange
 from .linops import LinearOperator, VectorSpaceDims
@@ -61,7 +60,6 @@ __all__ = [
     "RegimeError",
     "Regularizer",
     "SelectionResult",
-    "UnsupportedCheck",
     "VectorSpaceDims",
     "VerificationReport",
     "check_assumptions",

@@ -1,24 +1,13 @@
-"""Krylov kernels: conjugate gradient and Golub-Kahan bidiagonalization.
+"""Golub-Kahan bidiagonalization, the package's one Krylov kernel.
 
-``cg_matvec`` is the one CG in the package. It solves the regularized
-normal system ``(L^T L + lam * A^T A) x = b`` of ``solve_lagrange(...,
-solver="iterative")``, dense or matrix-free; the system action is a
-callback, so dense and matrix-free operators run the same iteration.
-
-``GolubKahan`` is the one bidiagonalization. Started from the data, it
-serves three layers from one basis: the projected Tikhonov solve of
-``solver="krylov"`` (Chung, Nagy & O'Leary, ETNA 2008) with its error
-estimates, LSQR (Paige & Saunders, ACM TOMS 1982) for
-``distance_to_range``, and the LSQR residual that certifies the interior
-regime, or gives the distance, in ``maximize_dual``. The problems of the
-identity and first-difference penalties, dense or matrix-free, run on
-it in the standard form of ``lagrange.StandardForm``.
-
-CG status codes:
-    0  converged to the requested relative residual
-    1  iteration cap reached
-    2  breakdown: the search direction has nonpositive curvature, i.e.
-       the system matrix is not positive definite
+``GolubKahan`` is started from the data and serves three layers from one
+basis: the projected Tikhonov solve of ``solver="krylov"`` (Chung, Nagy
+& O'Leary, ETNA 2008) with its error estimates, LSQR (Paige & Saunders,
+ACM TOMS 1982) for ``distance_to_range``, and the LSQR residual that
+certifies the interior regime, or gives the distance, in
+``maximize_dual``. The problems of the identity and first-difference
+penalties, dense or matrix-free, run on it in the standard form of
+``lagrange.StandardForm``.
 """
 
 import math
@@ -27,57 +16,7 @@ import numpy as np
 import scipy.linalg
 import scipy.linalg.lapack
 
-__all__ = ["GolubKahan", "cg_matvec"]
-
-
-def cg_matvec(system_apply, b, tol=1e-10, max_iter=1000):
-    """CG where the system action is a callback.
-
-    Parameters
-    ----------
-    system_apply : callable
-        Maps a vector to the SPD system matrix times that vector.
-    b : ndarray
-        Right-hand side.
-    tol : float
-        Relative residual target ||r|| / ||b||.
-    max_iter : int
-        Iteration cap.
-
-    Returns
-    -------
-    (x, iterations, relative_residual, status)
-    """
-    b = np.asarray(b, dtype=np.float64)
-    x = np.zeros(b.shape[0])
-    b_norm = np.linalg.norm(b)
-    if b_norm == 0.0:
-        return x, 0, 0.0, 0
-    r = b.copy()
-    p = r.copy()
-    rr = float(r @ r)
-    rel = 1.0
-    k = 0
-    status = 1
-    while k < max_iter:
-        Mp = system_apply(p)
-        pMp = float(p @ Mp)
-        if not np.isfinite(pMp) or pMp <= 0.0:
-            status = 2
-            break
-        alpha = rr / pMp
-        x = x + alpha * p
-        r = r - alpha * Mp
-        k += 1
-        rr_next = float(r @ r)
-        rel = float(np.sqrt(rr_next)) / b_norm
-        if rel <= tol:
-            status = 0
-            break
-        beta = rr_next / rr
-        rr = rr_next
-        p = r + beta * p
-    return x, k, rel, status
+__all__ = ["GolubKahan"]
 
 
 def _orthogonalize(w, Q):

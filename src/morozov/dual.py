@@ -40,16 +40,14 @@ evaluation is then a projected solve in the same basis, which grows only
 when a multiplier needs more columns. Building the standard form is the
 strict-convexity check, and no eigendecomposition runs.
 
-The solver is chosen by A alone; the penalty's map may be dense or
-matrix-free. With a dense A and a custom penalty the problem is factored
-once (``Lagrangian.spectral_factors``, materializing L), and every
-evaluation of D and D' after that costs a few O(n^2) products; building
-the factorization, at the first evaluation, is the strict-convexity
-check (``maximize_dual`` with ``solver="iterative"`` runs the Cholesky
-solver once instead). With a matrix-free A and a custom penalty the
-inner problems are solved by conjugate gradient, and strict convexity is
-not checked. Sweeps with a dense A use the factorization whatever the
-penalty, since a wide grid of multipliers grows the basis past its cost.
+A selection's solver is chosen by the penalty alone. With a custom
+penalty the problem is factored once (``Lagrangian.spectral_factors``,
+materializing a matrix-free A or L), and every evaluation of D and D'
+after that costs a few O(n^2) products; building the factorization, at
+the first evaluation, is the strict-convexity check, and the Cholesky
+solver's first solve checks it as well. Sweeps with a dense A use the
+factorization whatever the penalty, since a wide grid of multipliers
+grows the basis past its cost.
 """
 
 import logging
@@ -151,8 +149,7 @@ def eval_dual(lag: Lagrangian, lam, solver=None, tol=1e-10):
     At lam = 0 no inner solve is attempted: D(0) = 0 and the right
     derivative is ||g||^2 - epsilon. For lam > 0 the inner problem is
     solved (by default in the problem's Krylov basis for a built-in
-    penalty, from its spectral factors for a custom penalty with a dense
-    A, by conjugate gradient otherwise) and
+    penalty, from its spectral factors for a custom one) and
 
         D(lam) = J(f_lam) + lam * D'(lam),
         D'(lam) = ||A f_lam - g||^2 - epsilon.
@@ -173,9 +170,7 @@ def eval_dual(lag: Lagrangian, lam, solver=None, tol=1e-10):
 
 
 def _default_solver(lag):
-    if lag.regularizer.kind != "custom":
-        return "krylov"
-    return "spectral" if lag.op.is_dense else "iterative"
+    return "spectral" if lag.regularizer.kind == "custom" else "krylov"
 
 
 def diagnose_regime(op, g, tau, dist_tol=1e-10, bound=None, dist=None):
@@ -280,11 +275,9 @@ def maximize_dual(
         This takes precedence over an ``AssumptionViolation``.
     AssumptionViolation
         If the penalty is not strictly convex along ker(A). Built-in
-        penalties are checked up front by their standard form; custom
-        ones with a dense A by their first solve (the spectral factors,
-        or Cholesky with ``solver="direct"``), or by a Cholesky solve up
-        front with ``solver="iterative"``. Custom penalties with a
-        matrix-free A are trusted.
+        penalties are checked up front by their standard form, custom
+        ones by their first solve (the spectral factors, or Cholesky
+        with ``solver="direct"``).
     BracketFailure
         If D' does not change sign below LAMBDA_MAX, or not within
         ``max_iter`` doublings or halvings of ``lambda_init``.
@@ -302,13 +295,9 @@ def maximize_dual(
         max_iter = 10_000 if method == "gradient_ascent" else 200
 
     # the standard form is a built-in penalty's assumption check; LSQR in
-    # its Krylov basis bounds or gives dist(g, range A) for the regime check.
-    # Conjugate gradient converges on a singular consistent system, so the
-    # Cholesky solver checks a dense custom penalty that it would solve.
+    # its Krylov basis bounds or gives dist(g, range A) for the regime check
     bound = dist = violation = None
     try:
-        if lag.regularizer.kind == "custom" and lag.op.is_dense and solver == "iterative":
-            solve_lagrange(lag, 1.0, solver="direct")
         form = lag.standard_form()
         with lag.krylov_basis() as basis:
             res, converged = lsqr_residual(form.op, form.data, basis, target=lag.tau)
@@ -550,9 +539,10 @@ def verify_morozov_solution(
         }
     )
 
-    grad = lag.regularizer.gradient(f) + 2.0 * lam * (A.gram_apply(f) - A.apply_adjoint(g))
+    atg = A.apply_adjoint(g)
+    grad = lag.regularizer.gradient(f) + 2.0 * lam * (A.apply_adjoint(A.apply(f)) - atg)
     opt_res = float(np.linalg.norm(grad))
-    opt_bound = opt_tol * (1.0 + float(np.linalg.norm(2.0 * lam * A.apply_adjoint(g))))
+    opt_bound = opt_tol * (1.0 + float(np.linalg.norm(2.0 * lam * atg)))
     checks.append(
         {
             "name": "optimality",

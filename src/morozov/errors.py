@@ -6,7 +6,6 @@ __all__ = [
     "ConvergenceFailure",
     "BracketFailure",
     "AssumptionViolation",
-    "UnsupportedCheck",
     "RegimeError",
 ]
 
@@ -47,15 +46,6 @@ class AssumptionViolation(MorozovError, ValueError):
 
     Raised when ker(L) and ker(A) intersect nontrivially, so the inner
     minimization problem has no unique solution.
-    """
-
-
-class UnsupportedCheck(MorozovError, TypeError):
-    """A check needs a dense forward operator but it is matrix-free.
-
-    Materialize the operator (``LinearOperator.materialize``) and rebuild
-    it as a dense operator to run the check. A matrix-free penalty map
-    needs no such step: the check materializes it itself.
     """
 
 

@@ -28,9 +28,9 @@ in O(n); the basis grows only when a multiplier needs more columns than
 any before it. For first differences, A not annihilating the constants
 is the strict-convexity check.
 
-Problems with a dense A and a custom penalty, dense or matrix-free, are
-factored once; L is materialized for it. The generalized
-eigendecomposition
+Problems with a custom penalty are factored once, whether A and L are
+dense or matrix-free; a matrix-free map is materialized for it. The
+generalized eigendecomposition
 
     A^T A X = B X diag(mu),   X^T B X = I,   B = L^T L + A^T A,
 
@@ -38,14 +38,14 @@ turns the system at every lam into the diagonal one
 ((1 - mu) + lam mu) y = lam X^T A^T g with f = X y, so each solve after
 the first costs a few O(n^2) products (``solver="spectral"``). B is
 positive definite exactly when ker L and ker A intersect trivially, so
-building the factorization is also the strict-convexity check. Sweeps
-over many multipliers with a dense A use it for built-in penalties too:
-a wide grid grows the basis past the cost of the eigendecomposition.
-Problems with a matrix-free A and a custom penalty run conjugate
-gradient (``"iterative"``) on the full system.
+building the factorization is also the strict-convexity check. It
+costs O(n^3) time and O(n^2) memory, which a matrix-free A with a
+custom penalty pays too. Sweeps over many multipliers with a dense A use
+it for built-in penalties as well: a wide grid grows the basis past the
+cost of the eigendecomposition.
 
-The Cholesky (``"direct"``) and conjugate gradient (``"iterative"``)
-solvers factor or iterate at each lam and stay as independent checkers.
+The Cholesky solver (``"direct"``) factors the full system at each lam
+and stays as an independent checker.
 """
 
 import logging
@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from ._kernels import GolubKahan, cg_matvec
+from ._kernels import GolubKahan
 from .errors import AssumptionViolation, ConvergenceFailure, DimensionMismatch
 from .linops import LinearOperator, from_callables, residual_norm_sq
 from .regularizers import Regularizer
@@ -109,7 +109,7 @@ def _singular_pivot_ratio(factor):
 
 @dataclass(frozen=True)
 class SpectralFactors:
-    """Generalized eigendecomposition of a dense problem.
+    """Generalized eigendecomposition of a problem, dense or matrix-free.
 
     ``X`` holds the eigenvectors of the pencil (A^T A, L^T L + A^T A),
     normalized so that X^T (L^T L + A^T A) X = I; ``mu`` the eigenvalues,
@@ -122,7 +122,8 @@ class SpectralFactors:
 
     @classmethod
     def build(cls, A: LinearOperator, L: LinearOperator, g):
-        """Factor the pencil; one O(n^3) eigendecomposition.
+        """Factor the pencil; one O(n^3) eigendecomposition. A matrix-free A
+        or L is materialized first, at ``dim_f`` forward applications.
 
         Raises
         ------
@@ -132,10 +133,13 @@ class SpectralFactors:
         """
         # fresh products, not the operators' cached Gram matrices: eigh
         # overwrites gram_a with X, and a cached L^T L would keep n^2 floats
-        # that no spectral solve reads
-        gram_a = A.matrix.T @ A.matrix
-        Lm = L.materialize()
+        # that no spectral solve reads; so would a materialized map, which is
+        # dropped before the factorizations
+        Am, Lm = A.materialize(), L.materialize()
+        gram_a = Am.T @ Am
+        atg = Am.T @ g
         B = Lm.T @ Lm
+        del Am, Lm
         B += gram_a
         try:
             singular = _singular_pivot_ratio(scipy.linalg.cholesky(B, check_finite=False)) is not None
@@ -152,7 +156,7 @@ class SpectralFactors:
             check_finite=False,
         )
         np.clip(mu, 0.0, 1.0, out=mu)
-        c = X.T @ A.apply_adjoint(g)
+        c = X.T @ atg
         for arr in (X, mu, c):
             arr.setflags(write=False)
         return cls(X=X, mu=mu, c=c)
@@ -307,22 +311,19 @@ class Lagrangian:
         self._lock = threading.Lock()
 
     def spectral_factors(self):
-        """The ``SpectralFactors`` of a dense problem, built on first use.
+        """The problem's ``SpectralFactors``, built on first use.
 
         Raises
         ------
-        ValueError
-            If A is matrix-free.
         AssumptionViolation
             If the penalty is not strictly convex along ker(A); nothing is
             cached then, so each call raises again.
         """
-        L = self.regularizer.seminorm_operator
-        if not self.op.is_dense:
-            raise ValueError("spectral factors need a dense A; use iterative")
         with self._lock:
             if self._spectral is None:
-                self._spectral = SpectralFactors.build(self.op, L, self.data)
+                self._spectral = SpectralFactors.build(
+                    self.op, self.regularizer.seminorm_operator, self.data
+                )
             return self._spectral
 
     def standard_form(self):
@@ -386,22 +387,19 @@ def solve_lagrange(lag: Lagrangian, lam, solver="direct", tol=1e-10):
     lag : Lagrangian
     lam : float
         Multiplier, in (0, LAMBDA_MAX].
-    solver : {"direct", "iterative", "spectral", "krylov"}
+    solver : {"direct", "spectral", "krylov"}
         Direct assembles the system matrix and takes a Cholesky
-        factorization (dense A only; a matrix-free L is materialized
-        once). Iterative runs conjugate gradient to relative residual
-        ``tol`` with an iteration cap of ``10 * dim_f``, and works for
-        matrix-free operators too. Spectral reuses the problem's
-        ``SpectralFactors`` (dense A only; built on the first call), so
-        it costs a few O(n^2) products per multiplier. Krylov (identity
-        and first-difference penalties) solves in the Golub-Kahan basis of the problem's
-        ``StandardForm`` on the fewest columns whose solution has a
-        relative residual ||lam A^T g - (L^T L + lam A^T A) f|| / ||lam A^T g||
-        of the full system at most ``tol``, extending the basis when none
-        does; a solve that needs no new step costs one forward and one
+        factorization (a matrix-free A or L is materialized once).
+        Spectral reuses the problem's ``SpectralFactors`` (built on the
+        first call), so it costs a few O(n^2) products per multiplier.
+        Krylov (identity and first-difference penalties) solves in the
+        Golub-Kahan basis of the problem's ``StandardForm`` on the fewest
+        columns whose solution has a relative residual
+        ||lam A^T g - (L^T L + lam A^T A) f|| / ||lam A^T g|| of the full
+        system at most ``tol``, extending the basis when none does; a solve that needs no new step costs one forward and one
         adjoint application.
     tol : float
-        Relative residual target for the iterative and Krylov paths.
+        Relative residual target for the Krylov path.
 
     Returns
     -------
@@ -415,8 +413,7 @@ def solve_lagrange(lag: Lagrangian, lam, solver="direct", tol=1e-10):
         If the system matrix is singular (the penalty is not strictly
         convex along ker A).
     ConvergenceFailure
-        If CG hits the iteration cap, or the Krylov basis is exhausted,
-        above ``tol``.
+        If the Krylov basis is exhausted above ``tol``.
     """
     if lam <= 0:
         raise ValueError(f"lam must be positive, got {lam}")
@@ -436,8 +433,6 @@ def solve_lagrange(lag: Lagrangian, lam, solver="direct", tol=1e-10):
         f = lag.spectral_factors().solve(lam)
         stats = {"method": "spectral"}
     elif solver == "direct":
-        if not A.is_dense:
-            raise ValueError("direct solver needs a dense A; use iterative")
         M = L.gram_matrix() + lam * A.gram_matrix()
         try:
             cho = scipy.linalg.cho_factor(M, check_finite=False)
@@ -455,29 +450,6 @@ def solve_lagrange(lag: Lagrangian, lam, solver="direct", tol=1e-10):
             )
         f = scipy.linalg.cho_solve(cho, lam * A.apply_adjoint(g), check_finite=False)
         stats = {"method": "direct", "factorization": "cholesky"}
-    elif solver == "iterative":
-        def system_apply(p):
-            return L.apply_adjoint(L.apply(p)) + lam * A.gram_apply(p)
-
-        f, iters, rel, status = cg_matvec(
-            system_apply, lam * A.apply_adjoint(g), tol=tol, max_iter=10 * A.dims.dim_f
-        )
-        if status == 2:
-            raise AssumptionViolation(
-                f"CG breakdown at lam={lam:g}: inner system is not positive "
-                "definite (ker(L) and ker(A) intersect)"
-            )
-        if status == 1:
-            raise ConvergenceFailure(
-                f"CG did not reach tol={tol:g} in {iters} iterations at "
-                f"lam={lam:g} (relative residual {rel:.3e})",
-                best=f,
-            )
-        stats = {
-            "method": "iterative",
-            "iterations": iters,
-            "relative_residual": rel,
-        }
     else:
         raise ValueError(f"unknown solver {solver!r}")
 
@@ -529,7 +501,7 @@ def _krylov_solve(lag, lam, tol):
     """
     if lag.regularizer.kind == "custom":
         raise ValueError(
-            "krylov solver needs the identity or first-difference penalty; use iterative"
+            "krylov solver needs the identity or first-difference penalty; use spectral"
         )
     form = lag.standard_form()
     scale = 2.0 * lam * form.rhs_norm  # ||grad|| = 2 ||full residual||

@@ -116,11 +116,12 @@ class LinearOperator:
     def materialize(self):
         """Return the dense matrix of this operator.
 
+        A dense operator returns its stored read-only matrix, not a copy.
         Matrix-free operators are densified column by column, which costs
         ``dim_f`` forward applications.
         """
         if self.is_dense:
-            return np.array(self._matrix)
+            return self._matrix
         cols = np.empty((self.dims.dim_g, self.dims.dim_f))
         e = np.zeros(self.dims.dim_f)
         for j in range(self.dims.dim_f):
@@ -147,19 +148,12 @@ class LinearOperator:
         out = np.asarray(self._adjoint(y), dtype=np.float64)
         return _as_vector(out, self.dims.dim_f, "adjoint callback output")
 
-    def gram_apply(self, f):
-        """Fused adjoint-after-forward action (the Gram map)."""
-        f = _as_vector(f, self.dims.dim_f, "f")
-        if self.is_dense:
-            return self.gram_matrix() @ f
-        return self.apply_adjoint(self.apply(f))
-
     def gram_matrix(self):
         """Dense Gram matrix A^T A, cached. A matrix-free operator is
         materialized for it first, at ``dim_f`` forward applications, and
         the dim_f^2 product stays cached with it."""
         if self._gram is None:
-            mat = self._matrix if self.is_dense else self.materialize()
+            mat = self.materialize()
             self._gram = mat.T @ mat
             self._gram.setflags(write=False)
         return self._gram

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linops
-from .errors import DimensionMismatch, UnsupportedCheck
+from .errors import DimensionMismatch
 from .linops import LinearOperator
 
 __all__ = [
@@ -128,26 +128,16 @@ def check_assumptions(J: Regularizer, A: LinearOperator, tol=1e-10):
     ``attains_min_on_kernel`` is always true. ``coercive_on_problem``
     reports coercivity in the problem-restricted sense, which holds
     exactly when the kernels intersect trivially (an injective L is a
-    special case). A matrix-free L is materialized first.
-
-    Raises
-    ------
-    UnsupportedCheck
-        If the forward operator is matrix-free. Densify it first (see
-        ``LinearOperator.materialize``).
+    special case). A matrix-free A or L is materialized first, at
+    ``dim_f`` forward applications.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if not A.is_dense:
-        raise UnsupportedCheck(
-            "check_assumptions needs a dense forward operator; materialize "
-            "the matrix-free operator and rebuild it with from_matrix"
-        )
     if J.dim_f != A.dims.dim_f:
         raise DimensionMismatch(
             f"penalty input dim {J.dim_f} != forward input dim {A.dims.dim_f}"
         )
-    ker_A = _null_space(A.matrix, tol)
+    ker_A = _null_space(A.materialize(), tol)
     if ker_A.shape[1] == 0:
         intersection_dim = 0
     else:

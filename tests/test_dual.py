@@ -21,6 +21,7 @@ from morozov.errors import (
     RegimeError,
 )
 from morozov.lagrange import LAMBDA_MAX, Lagrangian, lagrangian_value, solve_lagrange
+from morozov.linops import lsqr_residual
 from morozov.problems import _bump_profile, make_deconvolution, regime_fixture, synthesize
 from morozov.regularizers import (
     Regularizer,
@@ -240,10 +241,9 @@ class TestMaximizeDual:
         lag = Lagrangian(A, g, first_difference_regularizer(n), epsilon=1.0)
         with pytest.raises(AssumptionViolation, match="unique"):
             maximize_dual(lag)
-        # the same pair as a custom penalty, whatever solves it: conjugate
-        # gradient alone would converge to one of many minimizers
+        # the same pair as a custom penalty, whatever solves it
         lag = Lagrangian(A, g, custom_regularizer(A), epsilon=1.0)
-        for solver in (None, "direct", "iterative"):
+        for solver in (None, "direct"):
             with pytest.raises(AssumptionViolation):
                 maximize_dual(lag, solver=solver)
 
@@ -253,9 +253,16 @@ class TestMaximizeDual:
         mat = first_difference_regularizer(n).seminorm_operator.materialize()
         g = rng.standard_normal(n - 1)
         g *= 2.0 / np.linalg.norm(g)
-        lag = Lagrangian(counting_free_op(mat)[0], g, first_difference_regularizer(n), epsilon=1.0)
+        free = counting_free_op(mat)[0]
+        lag = Lagrangian(free, g, first_difference_regularizer(n), epsilon=1.0)
         with pytest.raises(AssumptionViolation, match="unique"):
             maximize_dual(lag)
+        # as a custom penalty too, on the spectral factors of the
+        # materialized A or by Cholesky
+        lag = Lagrangian(free, g, custom_regularizer(free), epsilon=1.0)
+        for solver, match in ((None, "unique"), ("direct", "singular")):
+            with pytest.raises(AssumptionViolation, match=match):
+                maximize_dual(lag, solver=solver)
 
     def test_bisection_collapse_stops_with_best_d_prime(self):
         # at noise 1e-7 the requested |D'| <= rtol * epsilon = 9.3e-21 is
@@ -279,6 +286,21 @@ class TestMaximizeDual:
         for solver in (None, "spectral"):
             res = maximize_dual(Lagrangian(prob.op, prob.g, prob.regularizer, epsilon), solver=solver)
             assert abs(res.discrepancy**2 - epsilon) <= 1e-8 * epsilon
+
+    def test_matrix_free_custom_penalty_resolves_low_noise(self):
+        # the case above with a custom first-difference penalty and a
+        # matrix-free A: the spectral factors of the materialized A give
+        # the dense selection
+        prob = synthesize(
+            make_deconvolution(128, 4.0),
+            _bump_profile(128, np.random.default_rng(0)), 1e-7, seed=0,
+        )
+        epsilon = (1.02 * prob.tau) ** 2
+        J = custom_regularizer(linops.from_matrix(np.diff(np.eye(128), axis=0)))
+        dense = maximize_dual(Lagrangian(prob.op, prob.g, J, epsilon))
+        free = maximize_dual(Lagrangian(counting_free_op(prob.op.matrix)[0], prob.g, J, epsilon))
+        assert free.converged and abs(free.discrepancy**2 - epsilon) <= 1e-8 * epsilon
+        assert free.lambda_star == pytest.approx(dense.lambda_star, rel=1e-9)
 
     def test_max_iter_exhaustion_carries_trace(self):
         prob = make_interior_problem(seed=41)
@@ -392,14 +414,13 @@ class TestRegimeCertificate:
 
     def test_regime_error_precedes_assumption_violation(self, rng):
         # the shared-kernel pair of test_assumption_gate_refuses_shared_kernel
-        # with tau above ||g||; a custom penalty is checked by its first solve,
-        # or up front when conjugate gradient solves it
+        # with tau above ||g||; a custom penalty is checked by its first solve
         n = 6
         A = linops.from_matrix(first_difference_regularizer(n).seminorm_operator.materialize())
         g = rng.standard_normal(n - 1)
         g *= 2.0 / np.linalg.norm(g)
         cases = [(first_difference_regularizer(n), None)]
-        cases += [(custom_regularizer(A), s) for s in (None, "direct", "iterative")]
+        cases += [(custom_regularizer(A), s) for s in (None, "direct")]
         for J, solver in cases:
             lag = Lagrangian(A, g, J, epsilon=9.0)
             with pytest.raises(RegimeError) as err:
@@ -440,27 +461,12 @@ class TestWorkCounts:
             monkeypatch.setattr(scipy.linalg, name, counting)
         return counts
 
-    @staticmethod
-    def count_cg(monkeypatch):
-        import morozov.lagrange
-
-        calls = []
-        cg = morozov.lagrange.cg_matvec
-
-        def counting_cg(*args, **kwargs):
-            calls.append(1)
-            return cg(*args, **kwargs)
-
-        monkeypatch.setattr(morozov.lagrange, "cg_matvec", counting_cg)
-        return calls
-
     def test_selection_factors_once(self, monkeypatch):
         prob = regime_fixture("interior", seed=1)
         counts = self.count_calls(monkeypatch, "eigh", "cho_factor")
-        cg_calls = self.count_cg(monkeypatch)
         # the default path: one Golub-Kahan basis, no factorization at all
         res = maximize_dual(lagrangian_of(prob))
-        assert counts == {"eigh": 0, "cho_factor": 0} and cg_calls == []
+        assert counts == {"eigh": 0, "cho_factor": 0}
         assert len(res.iterations) == 31
         assert res.lambda_star == pytest.approx(33.936594009399414, rel=1e-9)
         spectral = maximize_dual(lagrangian_of(prob), solver="spectral")
@@ -479,22 +485,20 @@ class TestWorkCounts:
         return Lagrangian(op, prob.g, prob.regularizer, prob.tau**2), counts
 
     def test_matrix_free_selection_in_one_basis(self, monkeypatch):
-        cg_calls = self.count_cg(monkeypatch)
         prob = regime_fixture("interior", seed=1)
-        lag, counts = self.counting_free_lagrangian(prob)
+        lag, _ = self.counting_free_lagrangian(prob)
+        counts = self.count_calls(monkeypatch, "eigh", "cho_factor")
         res = maximize_dual(lag)
-        assert cg_calls == []
+        assert counts == {"eigh": 0, "cho_factor": 0}
         assert res.diagnosis.regime == "interior" and res.diagnosis.dist_is_bound
         # the same evaluations and multiplier as the dense spectral path
         assert len(res.iterations) == 31
         assert res.lambda_star == pytest.approx(33.936594009399414, rel=1e-9)
-        krylov = counts["fwd"] + counts["adj"]
 
-        checker_lag, checker_counts = self.counting_free_lagrangian(prob)
-        checker = maximize_dual(checker_lag, solver="iterative")
-        assert len(cg_calls) == len(checker.iterations)
-        iterative = checker_counts["fwd"] + checker_counts["adj"]
-        assert 5 * krylov <= iterative
+        # the Cholesky checker materializes A itself
+        checker_lag, _ = self.counting_free_lagrangian(prob)
+        checker = maximize_dual(checker_lag, solver="direct")
+        assert checker.lambda_star == pytest.approx(res.lambda_star, rel=1e-9)
 
     def test_matrix_free_too_optimistic_falls_back_to_distance(self, monkeypatch):
         prob = regime_fixture("too_optimistic", seed=1)
@@ -512,14 +516,14 @@ class TestWorkCounts:
     def test_first_difference_selection_in_one_basis(self, monkeypatch, n, matrix_free):
         # Elden's standard form: the same selection as materialize plus
         # Cholesky, from the problem's one basis
-        cg_calls = self.count_cg(monkeypatch)
+        counts = self.count_calls(monkeypatch, "eigh")
         A = make_deconvolution(n, 2.0)
         prob = synthesize(A, _bump_profile(n, np.random.default_rng(n)), 0.02, seed=n)
         epsilon = (1.02 * prob.tau) ** 2
         op = counting_free_op(A.matrix)[0] if matrix_free else A
         lag = Lagrangian(op, prob.g, first_difference_regularizer(n), epsilon)
         res = maximize_dual(lag)
-        assert cg_calls == []
+        assert counts == {"eigh": 0}
         dense = linops.from_matrix(op.materialize())
         ref = maximize_dual(
             Lagrangian(dense, prob.g, first_difference_regularizer(n), epsilon), solver="direct"
@@ -531,7 +535,7 @@ class TestWorkCounts:
     def test_custom_penalty_certificate_makes_no_eigh(self, monkeypatch):
         # a dense custom penalty certifies its regime by LSQR on (A, g), on a
         # basis it does not keep; its first solve is the strict-convexity
-        # check, or one Cholesky solve up front for conjugate gradient
+        # check
         prob = regime_fixture("interior", seed=1)
         J = custom_regularizer(linops.from_matrix(np.diff(np.eye(24), axis=0)))
         lag = Lagrangian(prob.op, prob.g, J, prob.tau**2)
@@ -542,22 +546,42 @@ class TestWorkCounts:
         assert checker.diagnosis.regime == "interior"
         with lag.krylov_basis() as basis:
             assert basis.k == 0
-        cg = maximize_dual(lag, solver="iterative")
-        assert counts == {"eigh": 0, "cho_factor": evals + 1}
         res = maximize_dual(Lagrangian(prob.op, prob.g, J, prob.tau**2))
-        assert counts == {"eigh": 1, "cho_factor": evals + 1}
+        assert counts == {"eigh": 1, "cho_factor": evals}
         assert res.lambda_star == pytest.approx(checker.lambda_star, rel=1e-9)
-        assert cg.lambda_star == pytest.approx(checker.lambda_star, rel=1e-9)
 
     def test_matrix_free_custom_penalty_with_dense_a_is_factored(self, monkeypatch):
-        # a matrix-free L is materialized for the spectral factors: no CG
+        # a matrix-free L is materialized for the spectral factors
         prob = regime_fixture("interior", seed=1)
         mat = np.diff(np.eye(24), axis=0)
-        cg_calls = self.count_cg(monkeypatch)
+        counts = self.count_calls(monkeypatch, "eigh")
         free = maximize_dual(Lagrangian(prob.op, prob.g, custom_regularizer(counting_free_op(mat)[0]), prob.tau**2))
-        assert cg_calls == []
+        assert counts == {"eigh": 1}
         dense = maximize_dual(Lagrangian(prob.op, prob.g, custom_regularizer(linops.from_matrix(mat)), prob.tau**2))
         assert free.lambda_star == pytest.approx(dense.lambda_star, rel=1e-9)
+
+    def test_matrix_free_custom_selection_is_factored_once(self, monkeypatch):
+        # a matrix-free A with a custom penalty runs on the spectral factors:
+        # one eigh, dim_f forward applications to materialize A, and per
+        # evaluation the residual check's one forward and one adjoint, on top
+        # of the certificate's LSQR on a fresh basis of (A, g)
+        prob = regime_fixture("interior", seed=1)
+        n = prob.op.dims.dim_f
+        J = custom_regularizer(linops.from_matrix(np.diff(np.eye(n), axis=0)))
+        cert_op, cert = counting_free_op(prob.op.matrix)
+        cert_lag = Lagrangian(cert_op, prob.g, J, prob.tau**2)
+        with cert_lag.krylov_basis() as basis:
+            lsqr_residual(cert_op, prob.g, basis, target=cert_lag.tau)
+
+        op, counts = counting_free_op(prob.op.matrix)
+        calls = self.count_calls(monkeypatch, "eigh", "cho_factor")
+        res = maximize_dual(Lagrangian(op, prob.g, J, prob.tau**2))
+        evals = len(res.iterations)
+        assert calls == {"eigh": 1, "cho_factor": 0}
+        assert counts == {"fwd": cert["fwd"] + n + evals, "adj": cert["adj"] + evals}
+        dense = maximize_dual(Lagrangian(prob.op, prob.g, J, prob.tau**2))
+        assert len(dense.iterations) == evals
+        assert res.lambda_star == pytest.approx(dense.lambda_star, rel=1e-9)
 
     def test_scaled_identity_is_a_custom_penalty(self):
         # J(f) = ||2 f||^2 at lam is the identity penalty at lam / 4; it
@@ -678,14 +702,6 @@ class TestPipelineVariants:
         assert res_free.converged
         assert res_free.lambda_star == pytest.approx(res_dense.lambda_star, rel=1e-4)
         np.testing.assert_allclose(res_free.f_star, res_dense.f_star, rtol=1e-5, atol=1e-10)
-
-    def test_direct_and_iterative_selection_agree(self):
-        prob = regime_fixture("interior", seed=29)
-        lag = lagrangian_of(prob)
-        a = maximize_dual(lag, solver="direct", rtol=1e-8)
-        b = maximize_dual(lag, solver="iterative", rtol=1e-8, inner_tol=1e-12)
-        assert b.lambda_star == pytest.approx(a.lambda_star, rel=1e-4)
-        np.testing.assert_allclose(b.f_star, a.f_star, rtol=1e-5, atol=1e-10)
 
     def test_concurrent_evaluations_match_sequential(self):
         # operators and the problem bundle are immutable; evaluations at

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from morozov import Lagrangian, linops, problems
-from morozov.errors import AssumptionViolation, DimensionMismatch, UnsupportedCheck
+from morozov.errors import AssumptionViolation, DimensionMismatch
 from morozov.regularizers import (
     Regularizer,
     check_assumptions,
@@ -238,16 +238,22 @@ class TestCheckAssumptions:
             outcomes.append(refused)
         assert outcomes == [False, False, True, False]
 
-    def test_matrix_free_unsupported(self, rng):
-        free = linops.from_callables(3, 3, lambda f: f, lambda y: y)
-        with pytest.raises(UnsupportedCheck, match="materialize"):
-            check_assumptions(identity_regularizer(3), free)
-        # a matrix-free penalty is materialized: the report of its matrix
-        A = linops.from_matrix(np.diff(np.eye(6), axis=0))
-        for mat in (rng.standard_normal((4, 6)), np.diff(np.eye(6), axis=0)):
+    def test_matrix_free_operators_give_the_dense_report(self, rng):
+        # matrix-free maps are materialized: the report of their matrices,
+        # for a pair whose kernels meet only in 0 and a shared-kernel pair
+        diff = np.diff(np.eye(6), axis=0)
+        A = linops.from_matrix(diff)
+        reports = []
+        for mat in (rng.standard_normal((4, 6)), diff):
             free_L = custom_regularizer(counting_free_op(mat)[0])
             dense_L = custom_regularizer(linops.from_matrix(mat))
-            assert check_assumptions(free_L, A) == check_assumptions(dense_L, A)
+            report = check_assumptions(dense_L, A)
+            assert check_assumptions(free_L, A) == report
+            free_A, counts = counting_free_op(diff)
+            assert check_assumptions(dense_L, free_A) == report
+            assert counts == {"fwd": 6, "adj": 0}
+            reports.append(report.kernel_intersection_dim)
+        assert reports == [0, 1]
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
