@@ -5,7 +5,7 @@ basis: the projected Tikhonov solve of ``solver="krylov"`` (Chung, Nagy
 & O'Leary, ETNA 2008) with its error estimates, LSQR (Paige & Saunders,
 ACM TOMS 1982) for ``distance_to_range``, and the LSQR residual that
 certifies the interior regime, or gives the distance, in
-``maximize_dual``. The problems of the identity and first-difference
+``diagnose_regime``. The problems of the identity and first-difference
 penalties, dense or matrix-free, run on it in the standard form of
 ``lagrange.StandardForm``.
 """

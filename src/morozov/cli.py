@@ -137,7 +137,7 @@ def _cmd_generate(args):
 def _cmd_diagnose(args):
     problem = problems.load_problem(args.problem)
     tau, tau_eff = _effective_tau(args, problem)
-    diagnosis = dual.diagnose_regime(problem.op, problem.g, tau_eff)
+    diagnosis = dual.diagnose_regime(_lagrangian(problem, tau_eff))
     payload = {
         "dist_to_range": diagnosis.dist_to_range,
         "data_norm": diagnosis.data_norm,
@@ -145,10 +145,11 @@ def _cmd_diagnose(args):
         "tau_eff": tau_eff,
         "safety_factor": args.safety_factor,
         "regime": diagnosis.regime,
-        # relative slack of each inequality in dist < tau_eff < ||g||;
-        # negative where it fails
+        # relative slack of each inequality in dist < tau_eff < data_norm;
+        # negative where it fails, and a lower bound when dist is a bound
         "margin_dist": (tau_eff - diagnosis.dist_to_range) / tau_eff,
         "margin_norm": (diagnosis.data_norm - tau_eff) / tau_eff,
+        "dist_is_bound": diagnosis.dist_is_bound,
     }
     print(json.dumps(payload, indent=2))
     if args.out:

@@ -5,20 +5,25 @@ multiplier,
 
     D(lam) = inf_f  J(f) + lam * (||A f - g||^2 - epsilon),
 
-with D(0) = 0 and right derivative D'(0) = ||g||^2 - epsilon. As an
-infimum of affine functions of lam, D is concave, and for quadratic
-penalties it is differentiable with
+with D(0) = 0. As an infimum of affine functions of lam, D is concave,
+and for quadratic penalties it is differentiable with
 
     D'(lam) = ||A f_lam - g||^2 - epsilon.
+
+As lam drops to 0, f_lam tends to the penalty's kernel, so the right
+derivative is D'(0) = ||gbar||^2 - epsilon, where gbar is g less its
+best fit from A(ker L): the data of the problem's standard form
+(``Lagrangian.standard_form``). For the identity penalty gbar = g; a
+custom penalty's form is (A, g) itself, exact when L is injective.
 
 Maximizing D produces the multiplier at which the discrepancy equation
 ||A f - g||^2 = epsilon holds, i.e. the Tikhonov weight alpha = 1/lam
 selected by the discrepancy principle. A maximizer exists exactly when
 
-    dist(g, range(A)) < tau < ||g||        (tau = sqrt(epsilon)),
+    dist(g, range(A)) < tau < ||gbar||        (tau = sqrt(epsilon)),
 
 and ``diagnose_regime`` classifies problems accordingly: "interior" when
-the inequality chain holds, "noise_dominates" when tau >= ||g|| (D is
+the inequality chain holds, "noise_dominates" when tau >= ||gbar|| (D is
 nonincreasing, dual maximum at 0), "too_optimistic" when
 tau <= dist(g, range(A)) (D increases forever and no maximum is attained).
 
@@ -27,13 +32,14 @@ of D' and bisects; that is globally convergent and tolerance-controlled.
 Secant refinement and plain gradient ascent, lam <- lam + rho_n D'(lam)
 started from 0, are available as alternatives.
 
-Every selection certifies its regime in one Golub-Kahan basis of its
-standard form (``Lagrangian.krylov_basis``): (Abar, gbar) for a built-in
-penalty, (A, g) itself for a custom one, whether A is dense or
-matrix-free. ``maximize_dual`` grows the basis until the true residual
-of the LSQR iterate, an upper bound on dist(g, range(A)), drops below
-tau, which certifies the interior regime, or until LSQR converges, when
-that residual is the distance itself. No least-squares solve runs.
+The regime verdict has one algorithm for every caller: LSQR in the
+Golub-Kahan basis of the problem's standard form
+(``Lagrangian.krylov_basis``), (Abar, gbar) for a built-in penalty,
+(A, g) itself for a custom one, whether A is dense or matrix-free. The
+basis grows until the true residual of the LSQR iterate, an upper bound
+on dist(g, range(A)), drops below tau, which certifies the interior
+regime, or until LSQR converges, when that residual is the distance
+itself. No least-squares factorization and no rank cutoff is used.
 
 With a built-in penalty, the identity or first differences, every
 evaluation is then a projected solve in the same basis, which grows only
@@ -99,10 +105,14 @@ class DualEvaluation:
 class RegimeDiagnosis:
     """Where the tolerance sits relative to the attainable discrepancies.
 
-    ``dist_to_range`` is dist(g, range(A)), except when the regime was
-    decided from a residual bound (see ``diagnose_regime``): it then holds
-    that bound, which is an upper bound on the distance, and
-    ``dist_is_bound`` is true.
+    ``data_norm`` is ||gbar||, the upper end of the existence window: the
+    norm of the data of the problem's standard form, g less its best fit
+    from A(ker L), so that D'(0) = ||gbar||^2 - tau^2. It is ||g|| for the
+    identity and custom penalties, and ``data_label`` names which.
+    ``dist_to_range`` is dist(g, range(A)), except when LSQR stopped on a
+    residual below tau (see ``diagnose_regime``): it then holds that
+    residual, an upper bound on the distance, and ``dist_is_bound`` is
+    true.
     """
 
     dist_to_range: float
@@ -110,6 +120,7 @@ class RegimeDiagnosis:
     tau: float
     regime: str  # "interior" | "noise_dominates" | "too_optimistic"
     dist_is_bound: bool = False
+    data_label: str = "||g||"
 
 
 @dataclass(frozen=True)
@@ -147,9 +158,11 @@ def eval_dual(lag: Lagrangian, lam, solver=None, tol=1e-10):
     """Evaluate D and D' at one multiplier.
 
     At lam = 0 no inner solve is attempted: D(0) = 0 and the right
-    derivative is ||g||^2 - epsilon. For lam > 0 the inner problem is
-    solved (by default in the problem's Krylov basis for a built-in
-    penalty, from its spectral factors for a custom one) and
+    derivative is ||gbar||^2 - epsilon, with gbar the data of the
+    problem's standard form (g for the identity and custom penalties).
+    For lam > 0 the inner problem is solved (by default in the problem's
+    Krylov basis for a built-in penalty, from its spectral factors for a
+    custom one) and
 
         D(lam) = J(f_lam) + lam * D'(lam),
         D'(lam) = ||A f_lam - g||^2 - epsilon.
@@ -157,7 +170,7 @@ def eval_dual(lag: Lagrangian, lam, solver=None, tol=1e-10):
     if lam < 0:
         raise ValueError(f"lam must be nonnegative, got {lam}")
     if lam == 0:
-        g = lag.data
+        g = lag.standard_form().data
         return DualEvaluation(
             lam=0.0, d_value=0.0, d_prime=float(g @ g) - lag.epsilon
         )
@@ -173,32 +186,34 @@ def _default_solver(lag):
     return "spectral" if lag.regularizer.kind == "custom" else "krylov"
 
 
-def diagnose_regime(op, g, tau, dist_tol=1e-10, bound=None, dist=None):
-    """Classify where tau falls in dist(g, range(A)) < tau < ||g||.
+def diagnose_regime(lag: Lagrangian):
+    """Classify where tau falls in dist(g, range(A)) < tau < ||gbar||.
+
+    LSQR runs in the problem's Golub-Kahan basis of its standard form
+    (Abar, gbar), the one ``Lagrangian.krylov_basis`` keeps for the
+    solves. It stops when its residual, an upper bound on
+    dist(gbar, range Abar) = dist(g, range A), drops below tau
+    (``dist_is_bound`` is then true), or when LSQR converges and the
+    residual is the distance itself.
+
+    First differences whose kernel A annihilates have no standard form;
+    A(ker L) is then numerically {0}, so gbar = g and the distance comes
+    from ``distance_to_range``.
 
     Equalities are classified into the failing regime, since the
     existence guarantee needs strict inequalities. When both boundary
-    cases coincide (tau = ||g|| = dist), noise_dominates wins.
-
-    ``dist`` is dist(g, range(A)) when the caller already has it, such as
-    the residual of a converged LSQR; no least-squares solve is made then.
-    ``bound`` is an optional upper bound on dist(g, range(A)), such as
-    the norm of a true residual ||A f - g||. When tau >= ||g||, or when
-    bound < tau certifies the interior regime, no least-squares solve is
-    made, ``dist_to_range`` reports the bound and ``dist_is_bound`` is
-    true; otherwise ``distance_to_range`` decides as without a bound.
+    cases coincide (tau = ||gbar|| = dist), noise_dominates wins.
     """
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    g = np.asarray(g, dtype=np.float64)
-    data_norm = float(np.linalg.norm(g))
-    is_bound = dist is None and bound is not None and (tau >= data_norm or bound < tau)
-    if is_bound:
-        dist = float(bound)
-    elif dist is None:
-        dist = distance_to_range(op, g, tol=dist_tol)
+    try:
+        form = lag.standard_form()
+    except AssumptionViolation:
+        data, dist, converged = lag.data, distance_to_range(lag.op, lag.data), True
     else:
-        dist = float(dist)
+        data = form.data
+        with lag.krylov_basis() as basis:
+            dist, converged = lsqr_residual(form.op, data, basis, target=lag.tau)
+    tau = lag.tau
+    data_norm = float(np.linalg.norm(data))
     if tau >= data_norm:
         regime = "noise_dominates"
     elif tau <= dist:
@@ -206,16 +221,17 @@ def diagnose_regime(op, g, tau, dist_tol=1e-10, bound=None, dist=None):
     else:
         regime = "interior"
     return RegimeDiagnosis(
-        dist_to_range=dist, data_norm=data_norm, tau=float(tau), regime=regime,
-        dist_is_bound=is_bound,
+        dist_to_range=dist, data_norm=data_norm, tau=tau, regime=regime,
+        dist_is_bound=not converged, data_label="||g||" if data is lag.data else "||gbar||",
     )
 
 
 def failed_inequality(diag: RegimeDiagnosis):
     """Human-readable statement of the violated inequality, or None."""
+    upper = diag.data_label
     if diag.regime == "noise_dominates":
         return (
-            f"tau >= ||g|| (tau={diag.tau:g}, ||g||={diag.data_norm:g}): "
+            f"tau >= {upper} (tau={diag.tau:g}, {upper}={diag.data_norm:g}): "
             "the data is dominated by the noise"
         )
     if diag.regime == "too_optimistic":
@@ -244,11 +260,10 @@ def maximize_dual(
     the discrepancy equation ||A f - g||^2 = epsilon at relative
     tolerance rtol.
 
-    Before the search, the regime is certified by LSQR in the problem's
-    one Golub-Kahan basis, whatever the penalty and the solver: the basis
-    grows until the LSQR residual, an upper bound on dist(g, range(A)),
-    drops below tau, or LSQR converges and gives the distance itself. No
-    least-squares solve and no eigendecomposition runs for it.
+    Before the search, ``diagnose_regime`` gives the regime verdict, by
+    LSQR in the problem's one Golub-Kahan basis whatever the penalty and
+    the solver; no least-squares factorization and no eigendecomposition
+    runs for it.
 
     Parameters
     ----------
@@ -294,21 +309,7 @@ def maximize_dual(
     if max_iter is None:
         max_iter = 10_000 if method == "gradient_ascent" else 200
 
-    # the standard form is a built-in penalty's assumption check; LSQR in
-    # its Krylov basis bounds or gives dist(g, range A) for the regime check
-    bound = dist = violation = None
-    try:
-        form = lag.standard_form()
-        with lag.krylov_basis() as basis:
-            res, converged = lsqr_residual(form.op, form.data, basis, target=lag.tau)
-        if converged:
-            dist = res
-        else:
-            bound = res
-    except AssumptionViolation as exc:
-        violation = exc
-
-    diag = diagnose_regime(lag.op, lag.data, lag.tau, bound=bound, dist=dist)
+    diag = diagnose_regime(lag)
     if diag.regime != "interior":
         if not override_regime:
             raise RegimeError(
@@ -316,8 +317,8 @@ def maximize_dual(
                 regime=diag.regime,
             )
         log.warning("regime gate overridden: %s", diag.regime)
-    if violation is not None:
-        raise violation
+    # a built-in penalty's strict-convexity check, behind the regime gate
+    lag.standard_form()
 
     trace = []
     d_tol = rtol * lag.epsilon

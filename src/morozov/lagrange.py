@@ -346,7 +346,7 @@ class Lagrangian:
         (Abar, gbar), built on first use.
 
         The basis grows on demand and serves every ``"krylov"`` solve and
-        the regime certificate of ``maximize_dual`` on this problem; a
+        the regime verdict of ``diagnose_regime`` on this problem; a
         custom penalty's, which no solve reads, is fresh and not kept. The
         context holds the problem's lock, so one caller grows it at a time.
         """

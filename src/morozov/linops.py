@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DimensionMismatch
+from .errors import DimensionMismatch
 from ._kernels import GolubKahan
 
 __all__ = [
@@ -221,7 +221,7 @@ def residual_norm_sq(op, f, g):
     return float(r @ r)
 
 
-def lsqr_residual(op, g, basis, tol=1e-10, target=0.0, max_steps=None):
+def lsqr_residual(op, g, basis, tol=1e-10, target=0.0):
     """LSQR on a ``GolubKahan`` basis of (op, g): an upper bound on
     dist(g, range(op)) that tightens as the basis grows.
 
@@ -229,65 +229,42 @@ def lsqr_residual(op, g, basis, tol=1e-10, target=0.0, max_steps=None):
     iterate x drops below ``target`` in norm, or LSQR has converged:
     ||A^T r|| <= tol ||A|| ||r|| (Paige & Saunders's rule for
     inconsistent systems), or the basis is exhausted, where x is the
-    least-squares solution. It also stops, unconverged, at ``max_steps``
-    columns. The recurrences say when to look; each look forms x and
-    costs one forward application, plus one adjoint when ||r|| is not
-    below ``target``.
+    least-squares solution. Exhaustion comes by min(dim_f, dim_g) steps,
+    so the loop is bounded. The recurrences say when to look; each look
+    forms x and costs one forward application, plus one adjoint when
+    ||r|| is not below ``target``.
 
     Returns
     -------
     (residual_norm, converged)
-        ``converged`` is false when LSQR stopped below ``target`` or at
-        ``max_steps``.
+        ``converged`` is false exactly when LSQR stopped below ``target``.
     """
     while True:
         y, res, ratio = basis.lsqr()
-        capped = max_steps is not None and basis.k >= max_steps
-        if res < target or ratio <= tol or basis.exhausted or capped:
+        if res < target or ratio <= tol or basis.exhausted:
             r = op.apply(basis.expand(y)) - g
             dist = float(np.linalg.norm(r))
             if dist < target:
                 return dist, False
-            converged = basis.exhausted or float(
-                np.linalg.norm(op.apply_adjoint(r))
-            ) <= tol * basis.norm_estimate * dist
-            if converged or capped:
-                return dist, converged
+            if basis.exhausted or np.linalg.norm(op.apply_adjoint(r)) <= tol * basis.norm_estimate * dist:
+                return dist, True
         basis.step()
 
 
-def distance_to_range(op, g, tol=1e-10, max_iter=None):
-    """Distance from g to the range of the operator.
+def distance_to_range(op, g, tol=1e-10):
+    """Distance from g to the range of the operator, dense or matrix-free.
 
-    Dense operators use a direct least-squares factorization. Matrix-free
-    operators run LSQR on a fresh Golub-Kahan basis, fully
-    reorthogonalized, until ||A^T r|| <= tol ||A|| ||r|| for the residual
-    r or the basis is exhausted: at most ``max_iter`` steps (default no
-    cap; exhaustion comes by min(dim_f, dim_g) steps), two operator
-    applications each. The range is closed in finite dimensions, so the
-    minimum is attained.
-
-    Raises
-    ------
-    ConvergenceFailure
-        If LSQR stops unconverged at ``max_iter`` steps; the best
-        distance found is attached as ``err.best``.
+    LSQR runs on a fresh Golub-Kahan basis, fully reorthogonalized, until
+    ||A^T r|| <= tol ||A|| ||r|| for the residual r or the basis is
+    exhausted, at two operator applications a step; no rank cutoff is
+    applied. The range is closed in finite dimensions, so the minimum is
+    attained.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     g = _as_vector(g, op.dims.dim_g, "g")
-    if op.is_dense:
-        f_ls, *_ = np.linalg.lstsq(op.matrix, g, rcond=None)
-        return float(np.linalg.norm(op.matrix @ f_ls - g))
     basis = GolubKahan(op.apply, op.apply_adjoint, g, op.dims.dim_f)
-    dist, converged = lsqr_residual(op, g, basis, tol=tol, max_steps=max_iter)
-    if not converged:
-        raise ConvergenceFailure(
-            f"LSQR did not reach ||A^T r|| <= {tol:g} ||A|| ||r|| in "
-            f"{basis.k} steps (||r|| = {dist:.6g})",
-            best=dist,
-        )
-    return dist
+    return lsqr_residual(op, g, basis, tol=tol)[0]
 
 
 # -- matrix / vector file formats -------------------------------------------

@@ -27,6 +27,7 @@ import scipy.linalg
 from . import linops
 from .dual import diagnose_regime
 from .errors import DimensionMismatch
+from .lagrange import Lagrangian
 from .linops import LinearOperator
 from .regularizers import (
     Regularizer,
@@ -168,8 +169,8 @@ def regime_fixture(target, seed=0):
 
     target : {"interior", "noise_dominates", "too_optimistic"}
 
-    Construction is by design and then verified by direct computation of
-    dist(g, range(A)) and ||g||; a verification miss is an internal error.
+    Construction is by design and then verified by ``diagnose_regime`` on
+    the problem's ``Lagrangian``; a verification miss is an internal error.
     """
     rng = np.random.default_rng(seed)
     if target in ("interior", "noise_dominates"):
@@ -197,12 +198,16 @@ def regime_fixture(target, seed=0):
     else:
         raise ValueError(f"unknown regime target {target!r}")
 
-    diag = diagnose_regime(problem.op, problem.g, problem.tau)
+    diag = diagnose_regime(_lagrangian(problem))
     if diag.regime != target:
         raise RuntimeError(
             f"internal error: fixture for {target!r} diagnosed as {diag.regime!r}"
         )
     return problem
+
+
+def _lagrangian(problem):
+    return Lagrangian(problem.op, problem.g, problem.regularizer, problem.tau**2)
 
 
 def save_problem(problem: InverseProblem, directory):
@@ -214,7 +219,7 @@ def save_problem(problem: InverseProblem, directory):
     linops.save_vector_csv(problem.g, directory / "g.csv")
     regime = problem.regime
     if regime is None and problem.tau > 0:
-        regime = diagnose_regime(problem.op, problem.g, problem.tau).regime
+        regime = diagnose_regime(_lagrangian(problem)).regime
     meta = {
         "tau": problem.tau,
         "noise_level": problem.noise_level,

@@ -3,6 +3,7 @@ import pytest
 
 from morozov import linops, problems
 from morozov.dual import diagnose_regime
+from morozov.lagrange import Lagrangian
 
 
 def assert_adjoint_consistent(op, n_probes=100, rtol=1e-10, seed=1234):
@@ -50,7 +51,7 @@ def make_interior_problem(seed, kind="deconvolution"):
     prob = problems.synthesize(
         A, f0, noise_level=rng.uniform(0.02, 0.15), seed=seed
     )
-    diag = diagnose_regime(prob.op, prob.g, prob.tau)
+    diag = diagnose_regime(Lagrangian(prob.op, prob.g, prob.regularizer, prob.tau**2))
     assert diag.regime == "interior", f"seed {seed} not interior: {diag}"
     return prob
 

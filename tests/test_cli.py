@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -7,7 +8,14 @@ from morozov import linops
 from morozov.cli import main
 from morozov.dual import maximize_dual
 from morozov.lagrange import Lagrangian
-from morozov.problems import InverseProblem, regime_fixture, save_problem
+from morozov.problems import (
+    InverseProblem,
+    _bump_profile,
+    make_deconvolution,
+    regime_fixture,
+    save_problem,
+    synthesize,
+)
 from morozov.regularizers import identity_regularizer
 
 
@@ -65,7 +73,7 @@ class TestDiagnose:
         assert payload["margin_dist"] > 0 and payload["margin_norm"] > 0
         assert list(payload) == [
             "dist_to_range", "data_norm", "tau", "tau_eff", "safety_factor",
-            "regime", "margin_dist", "margin_norm",
+            "regime", "margin_dist", "margin_norm", "dist_is_bound",
         ]
 
     def test_tau_override_forces_noise_dominates(self, fixture_dirs, capsys):
@@ -204,6 +212,40 @@ class TestSolve:
             payload = json.loads(out.read_text())
             tol = 1e-7 if method == "secant" else 1e-3
             assert payload["lambda_star"] == pytest.approx(1.0, abs=tol)
+
+
+class TestVerdictAgreement:
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_diagnose_reports_the_regime_solve_runs_under(self, seed, tmp_path, capsys, monkeypatch):
+        # tau at half the distance a rank-cut least-squares solve finds: the
+        # two commands used to give too_optimistic and interior
+        import morozov.dual
+
+        n = 128
+        A = make_deconvolution(n, 2.0)
+        prob = synthesize(A, _bump_profile(n, np.random.default_rng(seed)), 0.02, seed=seed)
+        f_ls = np.linalg.lstsq(A.matrix, prob.g, rcond=None)[0]
+        tau = 0.5 * float(np.linalg.norm(A.matrix @ f_ls - prob.g))
+        fx = tmp_path / "fx"
+        save_problem(dataclasses.replace(prob, tau=tau), fx)
+        assert run(["diagnose", "--problem", fx, "--safety-factor", 1.0]) == 0
+        payload = json.loads(capsys.readouterr().out)
+
+        seen = []
+        diagnose = morozov.dual.diagnose_regime
+
+        def recording(*args, **kwargs):
+            seen.append(diagnose(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(morozov.dual, "diagnose_regime", recording)
+        rc = run(["solve", "--problem", fx, "--safety-factor", 1.0, "--out", tmp_path / "r.json"])
+        assert [d.regime for d in seen] == [payload["regime"]]
+        assert payload["dist_to_range"] == seen[0].dist_to_range
+        assert payload["dist_is_bound"] == seen[0].dist_is_bound
+        # interior, yet D' stays positive up to LAMBDA_MAX: the tolerance
+        # sits at the rounding level of the distance
+        assert rc == (3 if payload["regime"] == "interior" else 2)
 
 
 class TestSweep:

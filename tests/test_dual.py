@@ -83,38 +83,43 @@ class TestEvalDual:
             eval_dual(scalar_lagrangian(), -0.1)
 
 
+def identity_lagrangian(mat, g, tau):
+    op = linops.from_matrix(mat)
+    return Lagrangian(op, g, identity_regularizer(op.dims.dim_f), tau**2)
+
+
 class TestDiagnoseRegime:
     def test_interior(self):
-        d = diagnose_regime(linops.identity(2), [2.0, 0.0], tau=1.0)
+        d = diagnose_regime(identity_lagrangian(np.eye(2), [2.0, 0.0], tau=1.0))
         assert d.regime == "interior"
         assert d.dist_to_range == pytest.approx(0.0, abs=1e-12)
         assert d.data_norm == pytest.approx(2.0)
         assert failed_inequality(d) is None
 
     def test_noise_dominates(self):
-        d = diagnose_regime(linops.identity(2), [1.0, 0.0], tau=2.0)
+        d = diagnose_regime(identity_lagrangian(np.eye(2), [1.0, 0.0], tau=2.0))
         assert d.regime == "noise_dominates"
         assert "tau >= ||g||" in failed_inequality(d)
 
     def test_too_optimistic(self):
-        op = linops.from_matrix([[1.0, 0.0], [0.0, 0.0]])
-        d = diagnose_regime(op, [1.0, 1.0], tau=0.5)
+        d = diagnose_regime(identity_lagrangian([[1.0, 0.0], [0.0, 0.0]], [1.0, 1.0], tau=0.5))
         assert d.dist_to_range == pytest.approx(1.0, rel=1e-12)
         assert d.regime == "too_optimistic"
         assert "dist" in failed_inequality(d)
 
     def test_equalities_fail_strictness(self):
         # tau = ||g|| must not be interior
-        d = diagnose_regime(linops.identity(2), [2.0, 0.0], tau=2.0)
+        d = diagnose_regime(identity_lagrangian(np.eye(2), [2.0, 0.0], tau=2.0))
         assert d.regime == "noise_dominates"
         # tau = dist must not be interior
-        op = linops.from_matrix([[1.0, 0.0], [0.0, 0.0]])
-        d = diagnose_regime(op, [1.0, 1.0], tau=1.0)
+        d = diagnose_regime(identity_lagrangian([[1.0, 0.0], [0.0, 0.0]], [1.0, 1.0], tau=1.0))
         assert d.regime == "too_optimistic"
 
     def test_rejects_nonpositive_tau(self):
-        with pytest.raises(ValueError):
-            diagnose_regime(linops.identity(2), [1.0, 0.0], tau=0.0)
+        # a diagnosis takes tau from its Lagrangian, which refuses tau <= 0
+        for epsilon in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                Lagrangian(linops.identity(2), [1.0, 0.0], identity_regularizer(2), epsilon)
 
 
 class TestMaximizeDual:
@@ -331,6 +336,63 @@ class TestMaximizeDual:
             maximize_dual(lag, method="gradient_ascent", step_constant=0.0)
 
 
+class TestFirstDifferenceWindow:
+    """The window's upper end is ||gbar||, g less its fit from A(ker L).
+
+    A smooth profile on a large constant: ||g|| = 56, but the constants,
+    which first differences do not penalize, fit all of g but ||gbar|| = 0.81.
+    """
+
+    @staticmethod
+    def problem(matrix_free):
+        n = 128
+        A = make_deconvolution(n, 2.0)
+        f0 = 5.0 + 0.1 * np.sin(6.0 * np.linspace(0.0, 1.0, n))
+        prob = synthesize(A, f0, 0.001, seed=1)
+        # oracle: g less its projection on A 1, the image of ker L
+        a1 = A.matrix.sum(axis=1)
+        gbar_norm = np.linalg.norm(prob.g - (a1 @ prob.g) / (a1 @ a1) * a1)
+        op = counting_free_op(A.matrix)[0] if matrix_free else A
+        return op, prob.g, gbar_norm
+
+    @staticmethod
+    def lagrangian(op, g, tau):
+        return Lagrangian(op, g, first_difference_regularizer(op.dims.dim_f), tau**2)
+
+    @pytest.mark.parametrize("matrix_free", [False, True])
+    def test_noise_dominates_between_gbar_and_g(self, matrix_free):
+        op, g, gbar_norm = self.problem(matrix_free)
+        assert 0.8 < gbar_norm < 0.82 and np.linalg.norm(g) > 55
+        lag = self.lagrangian(op, g, 0.5 * (gbar_norm + np.linalg.norm(g)))
+        d = diagnose_regime(lag)
+        assert d.regime == "noise_dominates"
+        assert d.data_norm == pytest.approx(gbar_norm, rel=1e-12)
+        assert "tau >= ||gbar||" in failed_inequality(d)
+        for solver in (None, "spectral"):
+            with pytest.raises(RegimeError) as err:
+                maximize_dual(lag, solver=solver)
+            assert err.value.regime == "noise_dominates"
+
+    @pytest.mark.parametrize("matrix_free", [False, True])
+    def test_right_derivative_at_zero(self, matrix_free):
+        op, g, gbar_norm = self.problem(matrix_free)
+        lag = self.lagrangian(op, g, 0.5 * (gbar_norm + np.linalg.norm(g)))
+        d_prime = eval_dual(lag, 0.0).d_prime
+        assert d_prime == pytest.approx(gbar_norm**2 - lag.epsilon, rel=1e-12)
+        # the limit of D' from the right, by Cholesky
+        assert eval_dual(lag, 1e-9, solver="direct").d_prime == pytest.approx(d_prime, rel=1e-6)
+
+    @pytest.mark.parametrize("matrix_free", [False, True])
+    def test_interior_below_gbar_still_selects(self, matrix_free):
+        op, g, gbar_norm = self.problem(matrix_free)
+        lag = self.lagrangian(op, g, 0.9 * gbar_norm)
+        res = maximize_dual(lag)
+        assert res.diagnosis.regime == "interior"
+        ref = maximize_dual(self.lagrangian(op, g, 0.9 * gbar_norm), solver="direct")
+        assert ref.lambda_star == pytest.approx(8.85908e-05, rel=1e-6)
+        assert res.lambda_star == pytest.approx(ref.lambda_star, rel=1e-6)
+
+
 class TestRegimeCertificate:
     """The residual at LAMBDA_MAX bounds dist(g, range A) on dense problems."""
 
@@ -350,18 +412,20 @@ class TestRegimeCertificate:
 
     def test_certified_problem_skips_least_squares(self, monkeypatch):
         prob = regime_fixture("interior", seed=1)
-        expected = diagnose_regime(prob.op, prob.g, prob.tau)
+        expected = diagnose_regime(lagrangian_of(prob))
         calls = self.count_distance_calls(monkeypatch)
         res = maximize_dual(lagrangian_of(prob))
         assert calls == []
-        assert res.diagnosis.regime == expected.regime == "interior"
-        assert res.diagnosis.dist_is_bound and not expected.dist_is_bound
+        assert res.diagnosis == expected
+        assert expected.regime == "interior" and expected.dist_is_bound
         # the certificate reports its bound, never less than the distance
-        assert expected.dist_to_range <= res.diagnosis.dist_to_range < prob.tau
+        f_ls = np.linalg.lstsq(prob.op.matrix, prob.g, rcond=None)[0]
+        dist = np.linalg.norm(prob.op.matrix @ f_ls - prob.g)
+        assert dist <= res.diagnosis.dist_to_range < prob.tau
 
     def test_uncertified_too_optimistic(self, monkeypatch):
         prob = regime_fixture("too_optimistic", seed=1)
-        expected = diagnose_regime(prob.op, prob.g, prob.tau)
+        expected = diagnose_regime(lagrangian_of(prob))
         calls = self.count_distance_calls(monkeypatch)
         with pytest.raises(RegimeError) as err:
             maximize_dual(lagrangian_of(prob))
@@ -381,7 +445,7 @@ class TestRegimeCertificate:
         dist = linops.distance_to_range(prob.op, prob.g)
         assert 1e3 * dist < bound < prob.tau
         tau = 0.5 * bound
-        expected = diagnose_regime(prob.op, prob.g, tau)
+        expected = diagnose_regime(lagrangian_of(prob, tau=tau))
         assert expected.regime == "interior"
 
         seen = []
@@ -404,7 +468,7 @@ class TestRegimeCertificate:
     @pytest.mark.parametrize("target", ["interior", "noise_dominates", "too_optimistic"])
     def test_verdict_matches_diagnose_regime(self, target):
         prob = regime_fixture(target, seed=2)
-        expected = diagnose_regime(prob.op, prob.g, prob.tau).regime
+        expected = diagnose_regime(lagrangian_of(prob)).regime
         if target == "interior":
             assert maximize_dual(lagrangian_of(prob)).diagnosis.regime == expected
         else:
@@ -430,18 +494,6 @@ class TestRegimeCertificate:
             match = "unique" if solver is None else "singular"
             with pytest.raises(AssumptionViolation, match=match):
                 maximize_dual(lag, solver=solver, override_regime=True)
-
-    def test_bound_argument(self, monkeypatch):
-        calls = self.count_distance_calls(monkeypatch)
-        d = diagnose_regime(linops.identity(2), [2.0, 0.0], tau=1.0, bound=0.5)
-        assert (d.regime, d.dist_to_range, d.dist_is_bound, len(calls)) == ("interior", 0.5, True, 0)
-        # a known distance is taken as it is
-        d = diagnose_regime(linops.identity(2), [2.0, 0.0], tau=1.0, dist=1.5)
-        assert (d.regime, d.dist_to_range, d.dist_is_bound, len(calls)) == ("too_optimistic", 1.5, False, 0)
-        d = diagnose_regime(linops.identity(2), [2.0, 0.0], tau=1.0, bound=1.0)
-        assert d.regime == "interior" and not d.dist_is_bound and len(calls) == 1
-        assert d.dist_to_range == pytest.approx(0.0, abs=1e-12)
-
 
 class TestWorkCounts:
     """Deterministic work of the dense selector, counted at scipy.linalg."""
@@ -725,12 +777,11 @@ def test_regime_invariants_on_random_instances(rng):
         mat = rng.standard_normal((m, n))
         if trial % 3 == 0:
             mat[:, : n // 2 + 1] = 0.0  # force rank deficiency
-        op = linops.from_matrix(mat)
         g = rng.standard_normal(m)
-        dist = linops.distance_to_range(op, g)
+        dist = np.linalg.norm(mat @ np.linalg.lstsq(mat, g, rcond=None)[0] - g)
         norm = float(np.linalg.norm(g))
         tau = float(rng.uniform(0.01, 1.5 * norm + 0.01))
-        regime = diagnose_regime(op, g, tau).regime
+        regime = diagnose_regime(identity_lagrangian(mat, g, tau)).regime
         if tau >= norm:
             assert regime == "noise_dominates"
         elif tau <= dist:

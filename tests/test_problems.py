@@ -18,6 +18,10 @@ from morozov.problems import (
 from conftest import assert_adjoint_consistent
 
 
+def lagrangian_of(prob):
+    return Lagrangian(prob.op, prob.g, prob.regularizer, prob.tau**2)
+
+
 class TestMakeDeconvolution:
     def test_delta_kernel_is_identity(self):
         op = make_deconvolution(8, kernel_width=1e-9)
@@ -141,7 +145,7 @@ class TestRegimeFixture:
     )
     def test_targets_certified(self, target):
         prob = regime_fixture(target, seed=9)
-        diag = diagnose_regime(prob.op, prob.g, prob.tau)
+        diag = diagnose_regime(lagrangian_of(prob))
         assert diag.regime == target
         assert prob.regime == target
         assert prob.op.dims.dim_f <= 32
@@ -163,7 +167,7 @@ class TestRegimeFixture:
         # oracle-exact tau with small noise puts every fixture interior
         for seed in range(6):
             prob = regime_fixture("interior", seed=seed)
-            assert diagnose_regime(prob.op, prob.g, prob.tau).regime == "interior"
+            assert diagnose_regime(lagrangian_of(prob)).regime == "interior"
 
     def test_operators_pass_adjoint_gate(self):
         for target in ("interior", "too_optimistic"):
