@@ -243,6 +243,19 @@ class GolubKahan:
         gamma = min(0.5 / math.sqrt(lam), math.hypot(self.alpha[j], self.beta[j + 1]))
         return 2.0 * e * abs(w[j]) + (gamma * lam * e) ** 2
 
+    def discrepancy_slope(self, lam, z):
+        """d||A f - g||^2 / dlam for the projected solution f = V_k z of
+        ``tikhonov(lam, k)``, k = len(z), in O(k).
+
+        In the projected problem lam B_k^T (B_k z - beta_1 e_1) = -z and
+        T_k dz/dlam = z / lam, so the slope is -2 z^T T_k^{-1} z / lam^2,
+        with T_k^{-1} z the solve of ``discrepancy_error``.
+        """
+        k = z.shape[0]
+        if k == 0:
+            return 0.0
+        return -2.0 * float((z / lam) @ (self._projected_solve(lam, k, times=2) / lam))
+
     def lsqr(self):
         """LSQR at the current k.
 

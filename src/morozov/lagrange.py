@@ -46,6 +46,12 @@ cost of the eigendecomposition.
 
 The Cholesky solver (``"direct"``) factors the full system at each lam
 and stays as an independent checker.
+
+Every solve also returns the slope d||A f - g||^2 / dlam, the dual's
+D''(lam), which the Newton search over lam uses. With r = A f - g and
+M = L^T L + lam A^T A it is -2 (A^T r)^T M^{-1} (A^T r); each solver
+takes it from what it already holds: the projected tridiagonal in O(k),
+the spectral factors in O(n), the Cholesky factor at one more solve.
 """
 
 import logging
@@ -84,13 +90,19 @@ _LOOKAHEAD = 4
 
 @dataclass(frozen=True)
 class LagrangeSolution:
-    """Minimizer of the inner problem at a fixed multiplier."""
+    """Minimizer of the inner problem at a fixed multiplier.
+
+    ``discrepancy_slope`` is d||A f_lam - g||^2 / dlam, which is D''(lam),
+    from the solver's own quantities: it is -2 (A^T r)^T M^{-1} (A^T r)
+    with r = A f - g and M = L^T L + lam A^T A, since M df/dlam = -A^T r.
+    """
 
     lam: float
     f_lambda: np.ndarray
     discrepancy_sq: float
     j_value: float
     optimality_residual: float
+    discrepancy_slope: float
     solver_stats: dict = field(default_factory=dict)
 
 
@@ -162,8 +174,13 @@ class SpectralFactors:
         return cls(X=X, mu=mu, c=c)
 
     def solve(self, lam):
-        """f_lam = X y with ((1 - mu) + lam mu) y = lam c."""
-        return self.X @ (lam * self.c / ((1.0 - self.mu) + lam * self.mu))
+        """f_lam = X y with ((1 - mu) + lam mu) y = lam c, and the slope
+        d||A f_lam - g||^2 / dlam = -2 sum c^2 (1 - mu)^2 / d^3 with
+        d = (1 - mu) + lam mu, in O(n): X^T A^T r = -c (1 - mu) / d and
+        M^{-1} = X diag(1 / d) X^T."""
+        d = (1.0 - self.mu) + lam * self.mu
+        slope = -2.0 * float(np.sum((self.c * (1.0 - self.mu)) ** 2 / d**3))
+        return self.X @ (lam * self.c / d), slope
 
 
 # ker L and ker A intersect trivially for first differences exactly when
@@ -396,10 +413,18 @@ def solve_lagrange(lag: Lagrangian, lam, solver="direct", tol=1e-10):
         Golub-Kahan basis of the problem's ``StandardForm`` on the fewest
         columns whose solution has a relative residual
         ||lam A^T g - (L^T L + lam A^T A) f|| / ||lam A^T g|| of the full
-        system at most ``tol``, extending the basis when none does; a solve that needs no new step costs one forward and one
-        adjoint application.
+        system at most ``tol``, extending the basis when none does; a
+        solve that needs no new step costs one forward and one adjoint
+        application. Each solver also returns the slope
+        d||A f - g||^2 / dlam from what it holds: O(k) in the basis, O(n)
+        from the spectral factors, one more triangular solve with the
+        Cholesky factor.
     tol : float
-        Relative residual target for the Krylov path.
+        Relative residual target for the Krylov path, floored at the full
+        system's float64 rounding level eps ||L||^2 ||f|| / (lam ||A^T g||),
+        which grows as 1/lam as Cholesky's own residual does: at
+        lam = 1e-6 on a first-difference problem that level is near
+        1e-9, and a fixed 1e-10 would exhaust the basis.
 
     Returns
     -------
@@ -413,7 +438,8 @@ def solve_lagrange(lag: Lagrangian, lam, solver="direct", tol=1e-10):
         If the system matrix is singular (the penalty is not strictly
         convex along ker A).
     ConvergenceFailure
-        If the Krylov basis is exhausted above ``tol``.
+        If the Krylov basis is exhausted above ``tol`` and the rounding
+        level.
     """
     if lam <= 0:
         raise ValueError(f"lam must be positive, got {lam}")
@@ -428,9 +454,9 @@ def solve_lagrange(lag: Lagrangian, lam, solver="direct", tol=1e-10):
     residual = None
 
     if solver == "krylov":
-        f, residual, stats = _krylov_solve(lag, lam, tol)
+        f, residual, slope, stats = _krylov_solve(lag, lam, tol)
     elif solver == "spectral":
-        f = lag.spectral_factors().solve(lam)
+        f, slope = lag.spectral_factors().solve(lam)
         stats = {"method": "spectral"}
     elif solver == "direct":
         M = L.gram_matrix() + lam * A.gram_matrix()
@@ -453,7 +479,9 @@ def solve_lagrange(lag: Lagrangian, lam, solver="direct", tol=1e-10):
     else:
         raise ValueError(f"unknown solver {solver!r}")
 
-    r, grad = residual or _residuals(lag, f, lam)
+    r, atr, grad = residual or _residuals(lag, f, lam)
+    if solver == "direct":
+        slope = -2.0 * float(atr @ scipy.linalg.cho_solve(cho, atr, check_finite=False))
     disc_sq = float(r @ r)
     j_val = lag.regularizer.evaluate(f)
     opt_res = float(np.linalg.norm(grad))
@@ -467,16 +495,18 @@ def solve_lagrange(lag: Lagrangian, lam, solver="direct", tol=1e-10):
         discrepancy_sq=disc_sq,
         j_value=j_val,
         optimality_residual=opt_res,
+        discrepancy_slope=slope,
         solver_stats=stats,
     )
 
 
 def _residuals(lag, f, lam):
-    """The data residual A f - g and the gradient of the inner objective,
-    grad J(f) + 2 lam A^T (A f - g), at one forward and one adjoint
+    """The data residual r = A f - g, A^T r, and the gradient of the inner
+    objective, grad J(f) + 2 lam A^T r, at one forward and one adjoint
     application."""
     r = lag.op.apply(f) - lag.data
-    return r, lag.regularizer.gradient(f) + 2.0 * lam * lag.op.apply_adjoint(r)
+    atr = lag.op.apply_adjoint(r)
+    return r, atr, lag.regularizer.gradient(f) + 2.0 * lam * atr
 
 
 def _krylov_solve(lag, lam, tol):
@@ -488,16 +518,19 @@ def _krylov_solve(lag, lam, tol):
     not on how far earlier solves grew the basis, and so does the answer;
     the basis grows while no j passes.
 
-    - The full system's relative residual is at most ``tol``. The full
-      residual is L^T times the standard form's, so the recurrences'
-      estimate times ``lt_norm`` bounds it. The explicit residual of the
-      returned solution decides.
+    - The full system's relative residual is at most ``tol``, or at most
+      its float64 rounding level where that is larger (``_rounding_level``).
+      The full residual is L^T times the standard form's, so the
+      recurrences' estimate times ``lt_norm`` bounds it. The explicit
+      residual of the returned solution decides.
     - The error of ||A f - g||^2, and so of D', is at most
       ``tol * epsilon`` by ``GolubKahan.discrepancy_error``. The residual
       test alone does not bound this error: at small noise and large lam,
       a relative residual of 1e-10 leaves D' wrong in its sign.
 
-    Returns (f, (r, grad), stats) with the residuals of ``_residuals`` at f.
+    Returns (f, (r, A^T r, grad), slope, stats) with the residuals of
+    ``_residuals`` at f and the slope d||A f - g||^2 / dlam of
+    ``GolubKahan.discrepancy_slope`` on the same k columns.
     """
     if lag.regularizer.kind == "custom":
         raise ValueError(
@@ -520,18 +553,31 @@ def _krylov_solve(lag, lam, tol):
                 if k == j + _LOOKAHEAD or exact:
                     z, _ = basis.tikhonov(lam, j)
                     if exact or basis.discrepancy_error(lam, z, k) <= tol * lag.epsilon:
-                        f = form.solution(basis.expand(basis.tikhonov(lam, k)[0]))
-                        r, grad = _residuals(lag, f, lam)
-                        rel = float(np.linalg.norm(grad)) / scale if scale else 0.0
-                        if rel <= tol or exact:
+                        z = basis.tikhonov(lam, k)[0]
+                        f = form.solution(basis.expand(z))
+                        residuals = _residuals(lag, f, lam)
+                        rel = float(np.linalg.norm(residuals[2])) / scale if scale else 0.0
+                        target = max(tol, _rounding_level(form, f, lam)) if scale else tol
+                        if rel <= target or exact:
                             break
                     j += 1
                     continue
             basis.step()
-    if rel > tol:
+        slope = basis.discrepancy_slope(lam, z)
+    if rel > target:
         raise ConvergenceFailure(
-            f"Krylov basis exhausted at k={k} above tol={tol:g} at "
+            f"Krylov basis exhausted at k={k} above tol={target:g} at "
             f"lam={lam:g} (relative residual {rel:.3e})",
             best=f,
         )
-    return f, (r, grad), {"method": "krylov", "iterations": k, "relative_residual": rel}
+    return f, residuals, slope, {"method": "krylov", "iterations": k, "relative_residual": rel}
+
+
+def _rounding_level(form, f, lam):
+    """The float64 rounding level of the full system's relative residual
+    ||lam A^T g - (L^T L + lam A^T A) f|| / ||lam A^T g||: forming L^T L f
+    rounds at eps ||L||^2 ||f||, which is eps ||L||^2 ||f|| / (lam ||A^T g||)
+    of the right-hand side and so grows as 1 / lam, as Cholesky's own
+    residual does."""
+    eps = np.finfo(np.float64).eps
+    return eps * form.lt_norm**2 * float(np.linalg.norm(f)) / (lam * form.rhs_norm)

@@ -199,8 +199,8 @@ class TestSolve:
         ])
         assert rc == 1
 
-    def test_secant_and_gradient_ascent_methods(self, fixture_dirs, tmp_path):
-        for method in ("secant", "gradient-ascent"):
+    def test_bisection_and_gradient_ascent_methods(self, fixture_dirs, tmp_path):
+        for method in ("bisection", "gradient-ascent"):
             out = tmp_path / f"{method}.json"
             args = [
                 "solve", "--problem", fixture_dirs["scalar"], "--method", method,
@@ -210,8 +210,24 @@ class TestSolve:
                 args += ["--rtol", 1e-4]
             assert run(args) == 0
             payload = json.loads(out.read_text())
-            tol = 1e-7 if method == "secant" else 1e-3
+            assert payload["method"] == method
+            tol = 1e-7 if method == "bisection" else 1e-3
             assert payload["lambda_star"] == pytest.approx(1.0, abs=tol)
+
+    def test_default_method_is_newton(self, fixture_dirs, tmp_path):
+        out, bis = tmp_path / "newton.json", tmp_path / "bisection.json"
+        assert run(["solve", "--problem", fixture_dirs["interior"], "--out", out]) == 0
+        assert run([
+            "solve", "--problem", fixture_dirs["interior"], "--method", "bisection", "--out", bis,
+        ]) == 0
+        newton, bisection = json.loads(out.read_text()), json.loads(bis.read_text())
+        assert newton["method"] == "newton"
+        assert newton["lambda_star"] == pytest.approx(bisection["lambda_star"], rel=1e-7)
+        assert len(newton["iterations"]) <= 10 < len(bisection["iterations"])
+        with pytest.raises(SystemExit) as err:
+            run(["solve", "--problem", fixture_dirs["interior"], "--method", "secant",
+                 "--out", tmp_path / "s.json"])
+        assert err.value.code == 2
 
 
 class TestVerdictAgreement:

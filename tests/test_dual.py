@@ -78,6 +78,37 @@ class TestEvalDual:
         assert e.d_prime == pytest.approx(e.solution.discrepancy_sq - lag.epsilon, rel=1e-14)
         assert e.d_value == pytest.approx(e.solution.j_value + e.lam * e.d_prime, rel=1e-14)
 
+    @pytest.mark.parametrize(
+        "penalty, solver",
+        [
+            ("identity", "krylov"), ("identity", "spectral"), ("identity", "direct"),
+            ("first_difference", "krylov"), ("first_difference", "spectral"),
+            ("first_difference", "direct"), ("custom", "spectral"), ("custom", "direct"),
+        ],
+    )
+    def test_d_second_matches_central_differences(self, penalty, solver):
+        n = 64
+        A = make_deconvolution(n, 2.0)
+        prob = synthesize(A, _bump_profile(n, np.random.default_rng(3)), 0.02, seed=3)
+        if penalty == "identity":
+            J = identity_regularizer(n)
+        elif penalty == "first_difference":
+            J = first_difference_regularizer(n)
+        else:
+            J = custom_regularizer(linops.from_matrix(np.diff(np.eye(n), n=2, axis=0) + 0.1 * np.eye(n)[:-2]))
+        lag = Lagrangian(A, prob.g, J, (1.02 * prob.tau) ** 2)
+        for lam in (1e-3, 0.1, 10.0, 1e3, 1e5):
+            h = 1e-4 * lam
+            central = (
+                eval_dual(lag, lam + h, solver=solver).d_prime
+                - eval_dual(lag, lam - h, solver=solver).d_prime
+            ) / (2.0 * h)
+            e = eval_dual(lag, lam, solver=solver)
+            assert e.d_second < 0
+            assert e.d_second == pytest.approx(central, rel=1e-5)
+            assert e.d_second == e.solution.discrepancy_slope
+        assert eval_dual(lag, 0.0).d_second is None
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             eval_dual(scalar_lagrangian(), -0.1)
@@ -123,7 +154,7 @@ class TestDiagnoseRegime:
 
 
 class TestMaximizeDual:
-    @pytest.mark.parametrize("method", ["bisection", "secant", "gradient_ascent"])
+    @pytest.mark.parametrize("method", ["newton", "bisection", "gradient_ascent"])
     def test_scalar_closed_form(self, method):
         # root of (1 + lam)^2 = g^2 / eps: lambda_bar = 1, alpha = 1
         lag = scalar_lagrangian(epsilon=1.0)
@@ -153,13 +184,17 @@ class TestMaximizeDual:
     def test_trace_records_every_evaluation(self):
         # eps = 0.25 puts the root at lambda = 3, so bracketing and
         # bisection both have to do real work
-        res = maximize_dual(scalar_lagrangian(epsilon=0.25))
+        res = maximize_dual(scalar_lagrangian(epsilon=0.25), method="bisection")
         assert res.lambda_star == pytest.approx(3.0, abs=1e-7)
         assert len(res.iterations) >= 3
         lams = [t[0] for t in res.iterations]
         assert res.lambda_star == lams[-1]
         for lam, d, dp in res.iterations:
             assert lam >= 0.0 and np.isfinite(d) and np.isfinite(dp)
+        # one component: psi = (1 + lam) / 2 - 2 is linear, and Newton's
+        # first step from lambda_init = 1 lands on the root
+        res = maximize_dual(scalar_lagrangian(epsilon=0.25))
+        assert [t[0] for t in res.iterations] == [1.0, pytest.approx(3.0, rel=1e-15)]
 
     def test_discrepancy_equation_holds(self):
         prob = make_interior_problem(seed=11)
@@ -196,14 +231,14 @@ class TestMaximizeDual:
         k = int(np.argmax(values))
         assert grid[max(k - 1, 0)] <= res.lambda_star <= grid[min(k + 1, len(grid) - 1)]
 
-    def test_secant_matches_bisection(self):
+    def test_newton_matches_bisection(self):
         prob = make_interior_problem(seed=31)
         lag = lagrangian_of(prob)
         a = maximize_dual(lag, method="bisection", rtol=1e-10)
-        b = maximize_dual(lag, method="secant", rtol=1e-10)
+        b = maximize_dual(lag, method="newton", rtol=1e-10)
         assert b.lambda_star == pytest.approx(a.lambda_star, rel=1e-4)
         np.testing.assert_allclose(b.f_star, a.f_star, rtol=1e-6, atol=1e-12)
-        # secant should not need more dual evaluations than bisection
+        # Newton should not need more dual evaluations than bisection
         assert len(b.iterations) <= len(a.iterations)
 
     def test_regime_gate_noise_dominates(self):
@@ -281,7 +316,7 @@ class TestMaximizeDual:
         epsilon = (1.02 * prob.tau) ** 2
         lag = Lagrangian(prob.op, prob.g, prob.regularizer, epsilon)
         with pytest.raises(ConvergenceFailure, match="no float between") as err:
-            maximize_dual(lag, solver="direct")
+            maximize_dual(lag, method="bisection", solver="direct")
         trace = err.value.trace
         assert len(trace) <= 80
         best = min(abs(dp) for _, _, dp in trace)
@@ -307,6 +342,33 @@ class TestMaximizeDual:
         assert free.converged and abs(free.discrepancy**2 - epsilon) <= 1e-8 * epsilon
         assert free.lambda_star == pytest.approx(dense.lambda_star, rel=1e-9)
 
+    def test_newton_collapse_stops_with_best_d_prime(self):
+        # rtol = 1e-16 asks for |D'| below the rounding of ||A f - g||^2:
+        # Newton's bracket closes on two adjacent floats
+        prob = make_interior_problem(seed=21)
+        lag = lagrangian_of(prob)
+        with pytest.raises(ConvergenceFailure, match="newton bracket .* no float between") as err:
+            maximize_dual(lag, rtol=1e-16)
+        trace = err.value.trace
+        assert len(trace) <= 20
+        best = min(abs(dp) for _, _, dp in trace)
+        assert err.value.best == best > 1e-16 * lag.epsilon
+        lo, hi = max(t[0] for t in trace if t[2] > 0), min(t[0] for t in trace if t[2] < 0)
+        assert np.nextafter(lo, np.inf) == hi
+
+    def test_newton_stops_where_its_step_passes_lambda_max(self):
+        # from below Newton never overshoots, so a step beyond LAMBDA_MAX
+        # puts the root there too; bisection doubles up to it
+        prob = regime_fixture("too_optimistic", seed=5)
+        errors = {}
+        for method in ("newton", "bisection"):
+            with pytest.raises(BracketFailure, match="no maximizer below LAMBDA_MAX") as err:
+                maximize_dual(lagrangian_of(prob), method=method, override_regime=True)
+            errors[method] = err.value
+            assert all(dp > 0 for _, _, dp in err.value.trace)
+        assert len(errors["newton"].trace) == 5
+        assert len(errors["bisection"].trace) == 40
+
     def test_max_iter_exhaustion_carries_trace(self):
         prob = make_interior_problem(seed=41)
         lag = lagrangian_of(prob)
@@ -325,7 +387,7 @@ class TestMaximizeDual:
     def test_rejects_bad_options(self):
         lag = scalar_lagrangian()
         with pytest.raises(ValueError):
-            maximize_dual(lag, method="newton")
+            maximize_dual(lag, method="secant")
         with pytest.raises(ValueError):
             maximize_dual(lag, rtol=0.0)
         with pytest.raises(ValueError):
@@ -391,6 +453,22 @@ class TestFirstDifferenceWindow:
         ref = maximize_dual(self.lagrangian(op, g, 0.9 * gbar_norm), solver="direct")
         assert ref.lambda_star == pytest.approx(8.85908e-05, rel=1e-6)
         assert res.lambda_star == pytest.approx(ref.lambda_star, rel=1e-6)
+
+
+    @pytest.mark.parametrize("matrix_free", [False, True])
+    def test_small_multiplier_resolved_at_the_rounding_level(self, matrix_free):
+        # tau = 0.999 ||gbar|| puts lambda_star near 7.7e-7, where the full
+        # system's relative residual cannot reach 1e-10 in float64: the
+        # Krylov solve stops at its rounding level as Cholesky does
+        op, g, gbar_norm = self.problem(matrix_free)
+        lag = self.lagrangian(op, g, 0.999 * gbar_norm)
+        res = maximize_dual(lag)
+        ref = maximize_dual(self.lagrangian(op, g, 0.999 * gbar_norm), solver="direct")
+        assert ref.lambda_star == pytest.approx(7.72139e-07, rel=1e-5)
+        assert res.lambda_star == pytest.approx(ref.lambda_star, rel=1e-6)
+        assert verify_morozov_solution(res, lag).passed
+        sol = solve_lagrange(lag, 9.53674e-07, solver="krylov")
+        assert 1e-10 < sol.solver_stats["relative_residual"] < 1e-9
 
 
 class TestRegimeCertificate:
@@ -516,20 +594,58 @@ class TestWorkCounts:
     def test_selection_factors_once(self, monkeypatch):
         prob = regime_fixture("interior", seed=1)
         counts = self.count_calls(monkeypatch, "eigh", "cho_factor")
-        # the default path: one Golub-Kahan basis, no factorization at all
-        res = maximize_dual(lagrangian_of(prob))
+        # the default solver: one Golub-Kahan basis, no factorization at all
+        res = maximize_dual(lagrangian_of(prob), method="bisection")
         assert counts == {"eigh": 0, "cho_factor": 0}
         assert len(res.iterations) == 31
         assert res.lambda_star == pytest.approx(33.936594009399414, rel=1e-9)
-        spectral = maximize_dual(lagrangian_of(prob), solver="spectral")
+        spectral = maximize_dual(lagrangian_of(prob), method="bisection", solver="spectral")
         assert counts == {"eigh": 1, "cho_factor": 0}
         assert len(spectral.iterations) == 31
         assert spectral.lambda_star == pytest.approx(33.936594009399414, rel=1e-9)
         # the checker takes its certificate from the basis too: no eigh
-        checker = maximize_dual(lagrangian_of(prob), solver="direct")
+        checker = maximize_dual(lagrangian_of(prob), method="bisection", solver="direct")
         assert counts == {"eigh": 1, "cho_factor": len(checker.iterations)}
         assert len(checker.iterations) == 31
         assert res.lambda_star == pytest.approx(checker.lambda_star, rel=1e-9)
+
+    def test_newton_selection_makes_no_factorization(self, monkeypatch):
+        prob = regime_fixture("interior", seed=1)
+        counts = self.count_calls(monkeypatch, "eigh", "cho_factor")
+        res = maximize_dual(lagrangian_of(prob))
+        assert res.method == "newton"
+        assert counts == {"eigh": 0, "cho_factor": 0}
+        assert len(res.iterations) == 6
+        # bisection's multiplier, 31 evaluations
+        assert res.lambda_star == pytest.approx(33.936594009399414, rel=1e-7)
+        # every solver takes the same Newton steps
+        spectral = maximize_dual(lagrangian_of(prob), solver="spectral")
+        assert counts == {"eigh": 1, "cho_factor": 0}
+        checker = maximize_dual(lagrangian_of(prob), solver="direct")
+        assert counts == {"eigh": 1, "cho_factor": 6}
+        for other in (spectral, checker):
+            assert len(other.iterations) == 6
+            assert other.lambda_star == pytest.approx(res.lambda_star, rel=1e-12)
+        # matrix-free, the same evaluations
+        free = maximize_dual(self.counting_free_lagrangian(prob)[0])
+        assert len(free.iterations) == 6
+        assert free.lambda_star == pytest.approx(res.lambda_star, rel=1e-12)
+        assert counts == {"eigh": 1, "cho_factor": 6}
+
+    def test_newton_low_noise_in_few_evaluations(self, monkeypatch):
+        # the case where bisection with Cholesky collapses its bracket
+        prob = synthesize(
+            make_deconvolution(128, 4.0),
+            _bump_profile(128, np.random.default_rng(0)), 1e-7, seed=0,
+        )
+        epsilon = (1.02 * prob.tau) ** 2
+        counts = self.count_calls(monkeypatch, "eigh", "cho_factor")
+        res = maximize_dual(Lagrangian(prob.op, prob.g, prob.regularizer, epsilon))
+        assert counts == {"eigh": 0, "cho_factor": 0}
+        assert len(res.iterations) <= 10
+        assert abs(res.discrepancy**2 - epsilon) <= 1e-8 * epsilon
+        spectral = maximize_dual(Lagrangian(prob.op, prob.g, prob.regularizer, epsilon), solver="spectral")
+        assert res.lambda_star == pytest.approx(spectral.lambda_star, rel=1e-6)
 
     @staticmethod
     def counting_free_lagrangian(prob):
@@ -540,7 +656,7 @@ class TestWorkCounts:
         prob = regime_fixture("interior", seed=1)
         lag, _ = self.counting_free_lagrangian(prob)
         counts = self.count_calls(monkeypatch, "eigh", "cho_factor")
-        res = maximize_dual(lag)
+        res = maximize_dual(lag, method="bisection")
         assert counts == {"eigh": 0, "cho_factor": 0}
         assert res.diagnosis.regime == "interior" and res.diagnosis.dist_is_bound
         # the same evaluations and multiplier as the dense spectral path
@@ -549,7 +665,7 @@ class TestWorkCounts:
 
         # the Cholesky checker materializes A itself
         checker_lag, _ = self.counting_free_lagrangian(prob)
-        checker = maximize_dual(checker_lag, solver="direct")
+        checker = maximize_dual(checker_lag, method="bisection", solver="direct")
         assert checker.lambda_star == pytest.approx(res.lambda_star, rel=1e-9)
 
     def test_matrix_free_too_optimistic_falls_back_to_distance(self, monkeypatch):
@@ -641,8 +757,8 @@ class TestWorkCounts:
         # read as L = I
         prob = regime_fixture("interior", seed=1)
         J = Regularizer(linops.from_matrix(2.0 * np.eye(24)))
-        res = maximize_dual(Lagrangian(prob.op, prob.g, J, prob.tau**2))
-        ref = maximize_dual(lagrangian_of(prob))
+        res = maximize_dual(Lagrangian(prob.op, prob.g, J, prob.tau**2), method="bisection")
+        ref = maximize_dual(lagrangian_of(prob), method="bisection")
         assert res.lambda_star == pytest.approx(4.0 * ref.lambda_star, rel=1e-9)
         np.testing.assert_allclose(res.f_star, ref.f_star, rtol=0, atol=1e-12 * np.abs(ref.f_star).max())
 
