@@ -65,7 +65,10 @@ after that costs a few O(n^2) products; building the factorization, at
 the first evaluation, is the strict-convexity check, and the Cholesky
 solver's first solve checks it as well. Sweeps with a dense A use the
 factorization whatever the penalty, since a wide grid of multipliers
-grows the basis past its cost.
+grows the basis past its cost. A sweep on the factors evaluates its grid
+in blocks of at most ``dim_f`` multipliers (``sweep_dual``): for a dense
+A, each block costs three matrix-matrix products after the one
+eigendecomposition, not three matrix-vector products per multiplier.
 """
 
 import logging
@@ -80,7 +83,13 @@ from .errors import (
     ConvergenceFailure,
     RegimeError,
 )
-from .lagrange import LAMBDA_MAX, Lagrangian, lagrangian_value, solve_lagrange
+from .lagrange import (
+    LAMBDA_MAX,
+    Lagrangian,
+    lagrangian_value,
+    solve_lagrange,
+    solve_lagrange_block,
+)
 from .linops import distance_to_range, lsqr_residual, residual_norm_sq
 
 __all__ = [
@@ -203,11 +212,14 @@ def eval_dual(lag: Lagrangian, lam, solver=None, tol=1e-10):
         )
     if solver is None:
         solver = _default_solver(lag)
-    sol = solve_lagrange(lag, lam, solver=solver, tol=tol)
+    return _evaluation(lag, solve_lagrange(lag, lam, solver=solver, tol=tol))
+
+
+def _evaluation(lag, sol):
+    """D, D' and D'' from the inner solution ``sol`` at its multiplier."""
     d_prime = sol.discrepancy_sq - lag.epsilon
-    d_value = sol.j_value + lam * d_prime
     return DualEvaluation(
-        lam=float(lam), d_value=d_value, d_prime=d_prime,
+        lam=sol.lam, d_value=sol.j_value + sol.lam * d_prime, d_prime=d_prime,
         d_second=sol.discrepancy_slope, solution=sol,
     )
 
@@ -335,10 +347,12 @@ def maximize_dual(
         ones by their first solve (the spectral factors, or Cholesky
         with ``solver="direct"``).
     BracketFailure
-        If D' is still positive where the next multiplier would exceed
-        LAMBDA_MAX (for Newton, where its step lands beyond it, so the
-        root does too), still negative where it would drop below 1e-300,
-        or of one sign after ``max_iter`` evaluations.
+        If D'(0) = ||gbar||^2 - epsilon is below -rtol * epsilon, after
+        the first evaluation (only with ``override_regime``); if D' is
+        still positive where the next multiplier would exceed LAMBDA_MAX
+        (for Newton, where its step lands beyond it, so the root does
+        too), still negative where it would drop below 1e-300, or of one
+        sign after ``max_iter`` evaluations.
     ConvergenceFailure
         If ``max_iter`` is exhausted, or the bracket shrinks to adjacent
         floats (the inner solves cannot resolve |D'| <= rtol * epsilon);
@@ -397,6 +411,17 @@ def maximize_dual(
         e = evaluate(lam)
         if abs(e.d_prime) <= d_tol:
             return finish(e)
+        # after the first solve, which is a custom penalty's convexity check:
+        # D' is nonincreasing, so D'(0) < -d_tol rules out every lam > 0
+        if len(trace) == 1:
+            d0 = eval_dual(lag, 0.0).d_prime
+            if d0 < -d_tol:
+                raise BracketFailure(
+                    f"D'(0) = {diag.data_label}^2 - epsilon = {d0:.6e} is below "
+                    f"-rtol*epsilon = {-d_tol:.6e}; D' is nonincreasing, so no "
+                    "lam > 0 reaches the tolerance (data dominated by noise)",
+                    trace=trace,
+                )
         if e.d_prime > 0:
             lo = lam
         else:
@@ -515,6 +540,16 @@ def sweep_dual(lag: Lagrangian, lambdas, solver=None, tol=1e-10):
     Problems with a dense A default to the spectral solver whatever the
     penalty: a wide grid grows a Krylov basis past the cost of the
     eigendecomposition.
+
+    On the spectral factors the grid is solved in blocks of at most
+    ``dim_f`` multipliers by ``solve_lagrange_block``: after the one
+    eigendecomposition, a block costs three matrix-matrix products for
+    a dense A, or one forward and one adjoint application per point for a
+    matrix-free one, and its temporaries stay within a few copies of the
+    factors. Every point is the same ``DualEvaluation`` that ``eval_dual``
+    returns; a singular pencil fails every point with the same
+    ``AssumptionViolation``, and multipliers above LAMBDA_MAX fail one by
+    one. Other solvers evaluate point by point through ``eval_dual``.
     """
     lambdas = np.asarray(lambdas, dtype=np.float64)
     if lambdas.size == 0:
@@ -523,24 +558,35 @@ def sweep_dual(lag: Lagrangian, lambdas, solver=None, tol=1e-10):
         raise ValueError("grid values must be positive")
     if np.any(np.diff(lambdas) <= 0):
         raise ValueError("grid must be strictly ascending")
-    if solver is None and lag.op.is_dense:
-        solver = "spectral"
+    if solver is None:
+        solver = "spectral" if lag.op.is_dense else _default_solver(lag)
     out = []
-    for lam in lambdas:
+    # the grid ascends, so the multipliers a spectral block accepts come
+    # first; the rest fail one by one with solve_lagrange's own message
+    blocked = int(np.searchsorted(lambdas, LAMBDA_MAX, side="right")) if solver == "spectral" else 0
+    size = lag.op.dims.dim_f
+    for start in range(0, blocked, size):
+        lams = lambdas[start:min(start + size, blocked)]
+        try:
+            out.extend(_evaluation(lag, sol) for sol in solve_lagrange_block(lag, lams))
+        except _POINT_ERRORS as exc:
+            out.extend(_failed_point(lam, exc) for lam in lams)
+    for lam in lambdas[blocked:]:
         try:
             out.append(eval_dual(lag, float(lam), solver=solver, tol=tol))
-        except (ConvergenceFailure, AssumptionViolation, ValueError) as exc:
-            log.warning("sweep point lam=%g failed: %s", lam, exc)
-            out.append(
-                DualEvaluation(
-                    lam=float(lam),
-                    d_value=float("nan"),
-                    d_prime=float("nan"),
-                    d_second=float("nan"),
-                    error=str(exc),
-                )
-            )
+        except _POINT_ERRORS as exc:
+            out.append(_failed_point(lam, exc))
     return out
+
+
+# failures a sweep records on its points instead of raising
+_POINT_ERRORS = (ConvergenceFailure, AssumptionViolation, ValueError)
+
+
+def _failed_point(lam, exc):
+    log.warning("sweep point lam=%g failed: %s", lam, exc)
+    nan = float("nan")
+    return DualEvaluation(lam=float(lam), d_value=nan, d_prime=nan, d_second=nan, error=str(exc))
 
 
 def concavity_defects(lambdas, d_values):

@@ -42,7 +42,11 @@ building the factorization is also the strict-convexity check. It
 costs O(n^3) time and O(n^2) memory, which a matrix-free A with a
 custom penalty pays too. Sweeps over many multipliers with a dense A use
 it for built-in penalties as well: a wide grid grows the basis past the
-cost of the eigendecomposition.
+cost of the eigendecomposition. ``solve_lagrange_block`` solves a block
+of m multipliers together: F = Y X^T, R = F A^T - g and A^T R are one
+matrix-matrix product each, O(m n^2) at BLAS-3 speed, in place of three
+memory-bound matrix-vector products per multiplier: at n = 512, for 200
+multipliers on 1 BLAS thread, about 8 ms against about 64 ms.
 
 The Cholesky solver (``"direct"``) factors the full system at each lam
 and stays as an independent checker.
@@ -76,6 +80,7 @@ __all__ = [
     "StandardForm",
     "lagrangian_value",
     "solve_lagrange",
+    "solve_lagrange_block",
 ]
 
 log = logging.getLogger(__name__)
@@ -173,14 +178,16 @@ class SpectralFactors:
             arr.setflags(write=False)
         return cls(X=X, mu=mu, c=c)
 
-    def solve(self, lam):
-        """f_lam = X y with ((1 - mu) + lam mu) y = lam c, and the slope
-        d||A f_lam - g||^2 / dlam = -2 sum c^2 (1 - mu)^2 / d^3 with
-        d = (1 - mu) + lam mu, in O(n): X^T A^T r = -c (1 - mu) / d and
-        M^{-1} = X diag(1 / d) X^T."""
-        d = (1.0 - self.mu) + lam * self.mu
-        slope = -2.0 * float(np.sum((self.c * (1.0 - self.mu)) ** 2 / d**3))
-        return self.X @ (lam * self.c / d), slope
+    def solve(self, lams):
+        """The rows f_lam = X y of F, with ((1 - mu) + lam mu) y = lam c,
+        for every lam of the 1-d array ``lams``, as one product Y X^T; and
+        each slope d||A f_lam - g||^2 / dlam = -2 sum c^2 (1 - mu)^2 / d^3
+        with d = (1 - mu) + lam mu, in O(n): X^T A^T r = -c (1 - mu) / d
+        and M^{-1} = X diag(1 / d) X^T."""
+        lams = np.asarray(lams, dtype=np.float64)[:, None]
+        d = (1.0 - self.mu) + lams * self.mu
+        slopes = -2.0 * np.sum((self.c * (1.0 - self.mu)) ** 2 / d**3, axis=1)
+        return (lams * self.c / d) @ self.X.T, slopes
 
 
 # ker L and ker A intersect trivially for first differences exactly when
@@ -408,7 +415,8 @@ def solve_lagrange(lag: Lagrangian, lam, solver="direct", tol=1e-10):
         Direct assembles the system matrix and takes a Cholesky
         factorization (a matrix-free A or L is materialized once).
         Spectral reuses the problem's ``SpectralFactors`` (built on the
-        first call), so it costs a few O(n^2) products per multiplier.
+        first call), so it costs a few O(n^2) products per multiplier; it
+        is the one-point case of ``solve_lagrange_block``.
         Krylov (identity and first-difference penalties) solves in the
         Golub-Kahan basis of the problem's ``StandardForm`` on the fewest
         columns whose solution has a relative residual
@@ -441,6 +449,79 @@ def solve_lagrange(lag: Lagrangian, lam, solver="direct", tol=1e-10):
         If the Krylov basis is exhausted above ``tol`` and the rounding
         level.
     """
+    _check_multiplier(lam)
+    if solver == "spectral":
+        return solve_lagrange_block(lag, [lam])[0]
+    if solver == "krylov":
+        f, residuals, slope, stats = _krylov_solve(lag, lam, tol)
+        return _solution(lag, lam, f, residuals, slope, stats)
+    if solver != "direct":
+        raise ValueError(f"unknown solver {solver!r}")
+    A = lag.op
+    M = lag.regularizer.seminorm_operator.gram_matrix() + lam * A.gram_matrix()
+    try:
+        cho = scipy.linalg.cho_factor(M, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise AssumptionViolation(
+            f"inner system singular at lam={lam:g}: ker(L) and ker(A) "
+            "intersect nontrivially"
+        ) from exc
+    ratio = _singular_pivot_ratio(cho[0])
+    if ratio is not None:
+        raise AssumptionViolation(
+            f"inner system numerically singular at lam={lam:g} "
+            f"(pivot ratio {ratio:.2e}): ker(L) and "
+            "ker(A) intersect, or the system is conditioned beyond float64"
+        )
+    f = scipy.linalg.cho_solve(cho, lam * A.apply_adjoint(lag.data), check_finite=False)
+    residuals = _residuals(lag, f, lam)
+    atr = residuals[1]
+    slope = -2.0 * float(atr @ scipy.linalg.cho_solve(cho, atr, check_finite=False))
+    return _solution(lag, lam, f, residuals, slope, {"method": "direct", "factorization": "cholesky"})
+
+
+def solve_lagrange_block(lag: Lagrangian, lams):
+    """``solve_lagrange(lag, lam, solver="spectral")`` at every multiplier
+    of ``lams`` at once, in order.
+
+    The rows F of f_lam come from the problem's ``SpectralFactors`` as one
+    product, and so do the residuals R = F A^T - g and A^T R: three
+    matrix-matrix (BLAS-3) products for a dense A where one multiplier at
+    a time costs three memory-bound O(n^2) matrix-vector products. A
+    matrix-free A is applied row by row, at one forward and one adjoint
+    application per multiplier, as one solve makes. The temporaries are a
+    few len(lams)-by-n blocks, so callers pass at most ``dim_f``
+    multipliers to stay within a few copies of the factors. Every row is
+    then finished as a single solve is, from its own r, A^T r and
+    gradient, and its ``f_lambda`` is its own array.
+
+    Raises
+    ------
+    ValueError
+        For a multiplier outside (0, LAMBDA_MAX].
+    AssumptionViolation
+        If the spectral factors cannot be built (``SpectralFactors.build``).
+    """
+    for lam in lams:
+        _check_multiplier(lam)
+    F, slopes = lag.spectral_factors().solve(lams)
+    A, g = lag.op, lag.data
+    if A.is_dense:
+        R = F @ A.matrix.T
+        R -= g
+        AtR = R @ A.matrix
+    else:
+        R = np.array([A.apply(f) for f in F]) - g
+        AtR = np.array([A.apply_adjoint(r) for r in R])
+    solutions = []
+    for lam, f, r, atr, slope in zip(lams, F, R, AtR, slopes):
+        f = f.copy()
+        residuals = _residuals(lag, f, lam, r, atr)
+        solutions.append(_solution(lag, lam, f, residuals, float(slope), {"method": "spectral"}))
+    return solutions
+
+
+def _check_multiplier(lam):
     if lam <= 0:
         raise ValueError(f"lam must be positive, got {lam}")
     if lam > LAMBDA_MAX:
@@ -448,40 +529,14 @@ def solve_lagrange(lag: Lagrangian, lam, solver="direct", tol=1e-10):
             f"lam={lam:g} exceeds LAMBDA_MAX={LAMBDA_MAX:g}; the inner system "
             "is too ill-conditioned to trust"
         )
-    A = lag.op
-    L = lag.regularizer.seminorm_operator
-    g = lag.data
-    residual = None
 
-    if solver == "krylov":
-        f, residual, slope, stats = _krylov_solve(lag, lam, tol)
-    elif solver == "spectral":
-        f, slope = lag.spectral_factors().solve(lam)
-        stats = {"method": "spectral"}
-    elif solver == "direct":
-        M = L.gram_matrix() + lam * A.gram_matrix()
-        try:
-            cho = scipy.linalg.cho_factor(M, check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
-            raise AssumptionViolation(
-                f"inner system singular at lam={lam:g}: ker(L) and ker(A) "
-                "intersect nontrivially"
-            ) from exc
-        ratio = _singular_pivot_ratio(cho[0])
-        if ratio is not None:
-            raise AssumptionViolation(
-                f"inner system numerically singular at lam={lam:g} "
-                f"(pivot ratio {ratio:.2e}): ker(L) and "
-                "ker(A) intersect, or the system is conditioned beyond float64"
-            )
-        f = scipy.linalg.cho_solve(cho, lam * A.apply_adjoint(g), check_finite=False)
-        stats = {"method": "direct", "factorization": "cholesky"}
-    else:
-        raise ValueError(f"unknown solver {solver!r}")
 
-    r, atr, grad = residual or _residuals(lag, f, lam)
-    if solver == "direct":
-        slope = -2.0 * float(atr @ scipy.linalg.cho_solve(cho, atr, check_finite=False))
+def _solution(lag, lam, f, residuals, slope, stats):
+    """The ``LagrangeSolution`` at f from its residuals (r, A^T r, grad) of
+    ``_residuals``: the tail every solver and block shares. The discrepancy
+    is ||r||^2 of the explicit residual, never an expanded form that
+    cancels, and the optimality residual is ||grad||."""
+    r, _, grad = residuals
     disc_sq = float(r @ r)
     j_val = lag.regularizer.evaluate(f)
     opt_res = float(np.linalg.norm(grad))
@@ -500,12 +555,13 @@ def solve_lagrange(lag: Lagrangian, lam, solver="direct", tol=1e-10):
     )
 
 
-def _residuals(lag, f, lam):
+def _residuals(lag, f, lam, r=None, atr=None):
     """The data residual r = A f - g, A^T r, and the gradient of the inner
-    objective, grad J(f) + 2 lam A^T r, at one forward and one adjoint
-    application."""
-    r = lag.op.apply(f) - lag.data
-    atr = lag.op.apply_adjoint(r)
+    objective, grad J(f) + 2 lam A^T r. Forming r and A^T r costs one
+    forward and one adjoint application, unless a block product gave them."""
+    if r is None:
+        r = lag.op.apply(f) - lag.data
+        atr = lag.op.apply_adjoint(r)
     return r, atr, lag.regularizer.gradient(f) + 2.0 * lam * atr
 
 

@@ -263,14 +263,17 @@ class TestMaximizeDual:
             maximize_dual(lag, override_regime=True)
 
     def test_override_noise_dominates_hits_bracket_failure(self):
+        # D'(0) < 0 proves D' has no positive root: stop after the first
+        # evaluation instead of halving toward the floor
         prob = regime_fixture("noise_dominates", seed=5)
         lag = lagrangian_of(prob)
-        with pytest.raises(BracketFailure) as err:
-            maximize_dual(lag, override_regime=True)
-        max_iter = 200  # the bisection default
-        assert len(err.value.trace) <= max_iter + 1
-        assert f"after {len(err.value.trace)} bracketing evaluations" in str(err.value)
-        assert f"lam={err.value.trace[-1][0]:g}" in str(err.value)
+        d0 = eval_dual(lag, 0.0).d_prime
+        assert d0 < -1e-8 * lag.epsilon
+        for method in ("newton", "bisection"):
+            with pytest.raises(BracketFailure) as err:
+                maximize_dual(lag, method=method, override_regime=True)
+            assert len(err.value.trace) == 1
+            assert f"D'(0) = ||g||^2 - epsilon = {d0:.6e}" in str(err.value)
 
     def test_assumption_gate_refuses_shared_kernel(self, rng):
         # forward and penalty both kill constants: selection must refuse
@@ -763,11 +766,32 @@ class TestWorkCounts:
         np.testing.assert_allclose(res.f_star, ref.f_star, rtol=0, atol=1e-12 * np.abs(ref.f_star).max())
 
     def test_sweep_factors_once(self, monkeypatch):
+        import morozov.dual
+
         prob = regime_fixture("interior", seed=1)
         counts = self.count_calls(monkeypatch, "eigh")
+        # the grid is solved in blocks, not through eval_dual point by point
+        points = []
+        per_point = morozov.dual.eval_dual
+        monkeypatch.setattr(morozov.dual, "eval_dual", lambda *a, **k: points.append(a) or per_point(*a, **k))
         evals = sweep_dual(lagrangian_of(prob), np.geomspace(1e-2, 1e8, 200))
         assert counts == {"eigh": 1}
+        assert points == []
         assert all(e.error is None for e in evals)
+
+    def test_matrix_free_custom_sweep_applications(self):
+        # materializing A for the spectral factors costs dim_f forward
+        # applications; each point then costs one forward and one adjoint,
+        # in blocks as one at a time
+        n, m = 64, 50
+        A = make_deconvolution(n, 2.0)
+        prob = synthesize(A, _bump_profile(n, np.random.default_rng(3)), 0.02, seed=3)
+        op, counts = counting_free_op(A.matrix)
+        J = custom_regularizer(linops.from_matrix(np.diff(np.eye(n), axis=0)))
+        evals = sweep_dual(Lagrangian(op, prob.g, J, prob.tau**2), np.geomspace(1e-2, 1e8, m))
+        assert all(e.error is None for e in evals)
+        assert counts == {"fwd": n + m, "adj": m}
+        assert counts == {"fwd": 114, "adj": 50}
 
 
 class TestSweepDual:
@@ -828,6 +852,86 @@ class TestSweepDual:
         assert evals[0].error is None and evals[1].error is None
         assert evals[2].error is not None
         assert np.isnan(evals[2].d_value) and np.isnan(evals[2].d_prime)
+
+    @staticmethod
+    def blocked_cases():
+        prob = regime_fixture("interior", seed=1)
+        n = prob.op.dims.dim_f
+        diff = np.diff(np.eye(n), axis=0)
+        free_op = counting_free_op(prob.op.matrix)[0]
+        return {
+            "identity": Lagrangian(prob.op, prob.g, identity_regularizer(n), prob.tau**2),
+            "first_difference": Lagrangian(prob.op, prob.g, first_difference_regularizer(n), prob.tau**2),
+            "custom": Lagrangian(prob.op, prob.g, custom_regularizer(linops.from_matrix(diff)), prob.tau**2),
+            "custom_matrix_free": Lagrangian(free_op, prob.g, custom_regularizer(linops.from_matrix(diff)), prob.tau**2),
+        }
+
+    @pytest.mark.parametrize("case", ["identity", "first_difference", "custom", "custom_matrix_free"])
+    def test_blocks_match_pointwise_spectral_solves(self, case):
+        lag = self.blocked_cases()[case]
+        # 70 points on dim_f = 24: three blocks, the last one short
+        grid = np.geomspace(1e-4, 1e8, 70)
+        assert grid.size > 2 * lag.op.dims.dim_f
+        evals = sweep_dual(lag, grid)
+        scale = float(lag.data @ lag.data)
+        for e, lam in zip(evals, grid):
+            ref = eval_dual(lag, lam, solver="spectral")
+            assert e.error is None and e.lam == ref.lam
+            assert e.d_value == pytest.approx(ref.d_value, rel=1e-10, abs=1e-12 * scale)
+            assert e.d_prime == pytest.approx(ref.d_prime, rel=1e-10, abs=1e-12 * scale)
+            assert e.d_second == pytest.approx(ref.d_second, rel=1e-10)
+            sol, ref_sol = e.solution, ref.solution
+            assert sol.discrepancy_sq == pytest.approx(ref_sol.discrepancy_sq, rel=1e-10)
+            assert sol.j_value == pytest.approx(ref_sol.j_value, rel=1e-10)
+            assert sol.optimality_residual <= 1e-10 * (1.0 + 2.0 * lam * math.sqrt(scale))
+            assert sol.solver_stats == {"method": "spectral"}
+            np.testing.assert_allclose(
+                sol.f_lambda, ref_sol.f_lambda, rtol=1e-10,
+                atol=1e-10 * np.abs(ref_sol.f_lambda).max(),
+            )
+        # every f_lambda is its own array, not a view of the block
+        fs = [e.solution.f_lambda for e in evals]
+        assert all(f.base is None for f in fs)
+
+    def test_blocks_keep_lambda_max_failures(self):
+        lag = self.blocked_cases()["first_difference"]
+        # 60 points up to 1e14: the last seven exceed LAMBDA_MAX, and the
+        # third block would reach into them
+        grid = np.geomspace(1e-4, 1e14, 60)
+        evals = sweep_dual(lag, grid)
+        over = grid > LAMBDA_MAX
+        assert over.sum() == 7 and not over[:48].any()
+        scale = float(lag.data @ lag.data)
+        for e, lam in zip(evals, grid):
+            if lam <= LAMBDA_MAX:
+                assert e.error is None
+                ref = eval_dual(lag, lam, solver="spectral")
+                assert e.d_prime == pytest.approx(ref.d_prime, rel=1e-10, abs=1e-12 * scale)
+                continue
+            with pytest.raises(ValueError) as err:
+                eval_dual(lag, lam, solver="spectral")
+            assert e.error == str(err.value) and "exceeds LAMBDA_MAX" in e.error
+            assert np.isnan(e.d_value) and np.isnan(e.d_prime) and np.isnan(e.d_second)
+
+    def test_singular_pencil_fails_every_point(self, rng):
+        # the shared-kernel pair of test_assumption_gate_refuses_shared_kernel
+        n = 6
+        A = linops.from_matrix(first_difference_regularizer(n).seminorm_operator.materialize())
+        g = rng.standard_normal(n - 1)
+        lag = Lagrangian(A, g, custom_regularizer(A), epsilon=1.0)
+        grid = np.geomspace(1e-2, 1e14, 20)
+        evals = sweep_dual(lag, grid)
+        with pytest.raises(AssumptionViolation) as singular:
+            eval_dual(lag, 1.0, solver="spectral")
+        for e, lam in zip(evals, grid):
+            with pytest.raises(ValueError) as err:
+                eval_dual(lag, lam, solver="spectral")
+            assert e.error == str(err.value)
+            if lam <= LAMBDA_MAX:
+                assert e.error == str(singular.value)
+            else:
+                assert "exceeds LAMBDA_MAX" in e.error
+            assert e.solution is None and np.isnan(e.d_prime)
 
     def test_grid_validation(self):
         lag = scalar_lagrangian()
