@@ -1,10 +1,10 @@
 """Golub-Kahan bidiagonalization, the package's one Krylov kernel.
 
-``GolubKahan`` is started from the data and serves three layers from one
+``GolubKahan`` is started from the data and serves two layers from one
 basis: the projected Tikhonov solve of ``solver="krylov"`` (Chung, Nagy
-& O'Leary, ETNA 2008) with its error estimates, LSQR (Paige & Saunders,
-ACM TOMS 1982) for ``distance_to_range``, and the LSQR residual that
-certifies the interior regime, or gives the distance, in
+& O'Leary, ETNA 2008) with its error estimates, and LSQR (Paige &
+Saunders, ACM TOMS 1982), whose residual certifies the interior regime,
+or gives the distance from the data to the range, in
 ``diagnose_regime``. The problems of the identity and first-difference
 penalties, dense or matrix-free, run on it in the standard form of
 ``lagrange.StandardForm``.
@@ -17,6 +17,9 @@ import scipy.linalg
 import scipy.linalg.lapack
 
 __all__ = ["GolubKahan"]
+
+# LSQR has converged when ||A^T r|| <= LSQR_TOL ||A|| ||r||
+LSQR_TOL = 1e-10
 
 
 def _orthogonalize(w, Q):
@@ -70,6 +73,8 @@ class GolubKahan:
     bases are reorthogonalized in full at each step, which keeps them
     orthonormal to rounding on ill-posed operators.
 
+    ``g`` is the start vector, and ``distance`` measures it against the
+    range of A by LSQR in this basis, on the maps the basis was built from.
     ``step`` adds one column at one forward and one adjoint application.
     The basis is exhausted when the Krylov space K(A^T A, A^T g) is
     invariant (a new alpha or beta vanishes to rounding) or a basis
@@ -79,6 +84,7 @@ class GolubKahan:
 
     def __init__(self, forward, adjoint, g, dim_f):
         g = np.asarray(g, dtype=np.float64)
+        self.g = g
         self._forward = forward
         self._adjoint = adjoint
         self.k = 0
@@ -274,3 +280,34 @@ class GolubKahan:
         y = scipy.linalg.solve_banded((0, 1), bands, np.asarray(self._phi), check_finite=False)
         # ||r|| = |phibar| and ||A^T r|| = |phibar alpha_{k+1} c_k|
         return y, abs(self._phibar), abs(self.alpha[k] * self._c) / self.norm_estimate
+
+    def distance(self, target=0.0):
+        """LSQR from this basis: an upper bound on dist(g, range A) that
+        tightens as the basis grows.
+
+        The basis grows until the true residual r = A x - g of the LSQR
+        iterate x drops below ``target`` in norm, or LSQR has converged:
+        ||A^T r|| <= LSQR_TOL ||A|| ||r|| (Paige & Saunders's rule for
+        inconsistent systems), or the basis is exhausted, where x is the
+        least-squares solution. Exhaustion comes by min(dim_f, dim_g)
+        steps, so the loop is bounded. The recurrences say when to look;
+        each look forms x and costs one forward application, plus one
+        adjoint when ||r|| is not below ``target`` and the basis is not
+        exhausted. No rank cutoff is applied; the range is closed in
+        finite dimensions, so the minimum is attained.
+
+        Returns
+        -------
+        (residual_norm, converged)
+            ``converged`` is false exactly when LSQR stopped below ``target``.
+        """
+        while True:
+            y, res, ratio = self.lsqr()
+            if res < target or ratio <= LSQR_TOL or self.exhausted:
+                r = self._forward(self.expand(y)) - self.g
+                dist = float(np.linalg.norm(r))
+                if dist < target:
+                    return dist, False
+                if self.exhausted or np.linalg.norm(self._adjoint(r)) <= LSQR_TOL * self.norm_estimate * dist:
+                    return dist, True
+            self.step()

@@ -44,14 +44,16 @@ reach rtol = 1e-8 where bisection, kept as the checker, needs about 30.
 Plain gradient ascent, lam <- lam + rho_n D'(lam) started from 0, is
 the paper's iteration and stays available.
 
-The regime verdict has one algorithm for every caller: LSQR in the
-Golub-Kahan basis of the problem's standard form
-(``Lagrangian.krylov_basis``), (Abar, gbar) for a built-in penalty,
-(A, g) itself for a custom one, whether A is dense or matrix-free. The
-basis grows until the true residual of the LSQR iterate, an upper bound
-on dist(g, range(A)), drops below tau, which certifies the interior
-regime, or until LSQR converges, when that residual is the distance
-itself. No least-squares factorization and no rank cutoff is used.
+The regime verdict has one algorithm and one code path for every
+caller: LSQR (``GolubKahan.distance``) in the problem's Golub-Kahan basis
+(``Lagrangian.krylov_basis``), that of the standard form (Abar, gbar)
+for a built-in penalty and of (A, g) itself for a custom one or for
+first differences whose constants A annihilates, whether A is dense or
+matrix-free. The basis grows until the true residual of the LSQR
+iterate, an upper bound on dist(g, range(A)), drops below tau, which
+certifies the interior regime, or until LSQR converges, when that
+residual is the distance itself. No least-squares factorization and no
+rank cutoff is used.
 
 With a built-in penalty, the identity or first differences, every
 evaluation is then a projected solve in the same basis, which grows only
@@ -90,7 +92,7 @@ from .lagrange import (
     solve_lagrange,
     solve_lagrange_block,
 )
-from .linops import distance_to_range, lsqr_residual, residual_norm_sq
+from .linops import residual_norm_sq
 
 __all__ = [
     "DualEvaluation",
@@ -231,31 +233,23 @@ def _default_solver(lag):
 def diagnose_regime(lag: Lagrangian):
     """Classify where tau falls in dist(g, range(A)) < tau < ||gbar||.
 
-    LSQR runs in the problem's Golub-Kahan basis of its standard form
-    (Abar, gbar), the one ``Lagrangian.krylov_basis`` keeps for the
-    solves. It stops when its residual, an upper bound on
+    LSQR runs in the problem's Golub-Kahan basis of (Abar, gbar), the one
+    ``Lagrangian.krylov_basis`` keeps for the solves of a built-in
+    penalty. It stops when its residual, an upper bound on
     dist(gbar, range Abar) = dist(g, range A), drops below tau
     (``dist_is_bound`` is then true), or when LSQR converges and the
-    residual is the distance itself.
-
-    First differences whose kernel A annihilates have no standard form;
-    A(ker L) is then numerically {0}, so gbar = g and the distance comes
-    from ``distance_to_range``.
+    residual is the distance itself. ||gbar|| is the basis's beta_1.
+    First differences whose constants A annihilates have no standard
+    form; there A(ker L) = {0}, so gbar = g and the basis is of (A, g).
 
     Equalities are classified into the failing regime, since the
     existence guarantee needs strict inequalities. When both boundary
     cases coincide (tau = ||gbar|| = dist), noise_dominates wins.
     """
-    try:
-        form = lag.standard_form()
-    except AssumptionViolation:
-        data, dist, converged = lag.data, distance_to_range(lag.op, lag.data), True
-    else:
-        data = form.data
-        with lag.krylov_basis() as basis:
-            dist, converged = lsqr_residual(form.op, data, basis, target=lag.tau)
     tau = lag.tau
-    data_norm = float(np.linalg.norm(data))
+    with lag.krylov_basis() as basis:
+        dist, converged = basis.distance(target=tau)
+    data_norm = basis.beta[0]
     if tau >= data_norm:
         regime = "noise_dominates"
     elif tau <= dist:
@@ -264,7 +258,7 @@ def diagnose_regime(lag: Lagrangian):
         regime = "interior"
     return RegimeDiagnosis(
         dist_to_range=dist, data_norm=data_norm, tau=tau, regime=regime,
-        dist_is_bound=not converged, data_label="||g||" if data is lag.data else "||gbar||",
+        dist_is_bound=not converged, data_label="||g||" if basis.g is lag.data else "||gbar||",
     )
 
 

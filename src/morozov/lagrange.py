@@ -370,16 +370,21 @@ class Lagrangian:
         (Abar, gbar), built on first use.
 
         The basis grows on demand and serves every ``"krylov"`` solve and
-        the regime verdict of ``diagnose_regime`` on this problem; a
-        custom penalty's, which no solve reads, is fresh and not kept. The
-        context holds the problem's lock, so one caller grows it at a time.
+        the regime verdict of ``diagnose_regime`` on this problem. A custom
+        penalty's basis is of (A, g), and so is that of first differences
+        whose constants A annihilates, which have no standard form: there
+        A(ker L) = {0}, so gbar = g. No solve reads either, so it is fresh
+        and not kept. The context holds the problem's lock, so one caller
+        grows the basis at a time.
         """
-        form = self.standard_form()
+        try:
+            form = self.standard_form()
+        except AssumptionViolation:
+            form = None
+        op, data = (self.op, self.data) if form is None else (form.op, form.data)
         with self._lock:
-            basis = self._krylov or GolubKahan(
-                form.op.apply, form.op.apply_adjoint, form.data, form.op.dims.dim_f
-            )
-            if self.regularizer.kind != "custom":
+            basis = self._krylov or GolubKahan(op.apply, op.apply_adjoint, data, op.dims.dim_f)
+            if form is not None and self.regularizer.kind != "custom":
                 self._krylov = basis
             yield basis
 

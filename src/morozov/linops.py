@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from ._kernels import GolubKahan
 
 __all__ = [
     "VectorSpaceDims",
@@ -30,8 +29,6 @@ __all__ = [
     "from_matrix",
     "from_callables",
     "residual_norm_sq",
-    "distance_to_range",
-    "lsqr_residual",
     "save_matrix_csv",
     "load_matrix_csv",
     "save_matrix_mdop",
@@ -219,52 +216,6 @@ def residual_norm_sq(op, f, g):
     g = _as_vector(g, op.dims.dim_g, "g")
     r = op.apply(f) - g
     return float(r @ r)
-
-
-def lsqr_residual(op, g, basis, tol=1e-10, target=0.0):
-    """LSQR on a ``GolubKahan`` basis of (op, g): an upper bound on
-    dist(g, range(op)) that tightens as the basis grows.
-
-    The basis grows until the true residual r = A x - g of the LSQR
-    iterate x drops below ``target`` in norm, or LSQR has converged:
-    ||A^T r|| <= tol ||A|| ||r|| (Paige & Saunders's rule for
-    inconsistent systems), or the basis is exhausted, where x is the
-    least-squares solution. Exhaustion comes by min(dim_f, dim_g) steps,
-    so the loop is bounded. The recurrences say when to look; each look
-    forms x and costs one forward application, plus one adjoint when
-    ||r|| is not below ``target``.
-
-    Returns
-    -------
-    (residual_norm, converged)
-        ``converged`` is false exactly when LSQR stopped below ``target``.
-    """
-    while True:
-        y, res, ratio = basis.lsqr()
-        if res < target or ratio <= tol or basis.exhausted:
-            r = op.apply(basis.expand(y)) - g
-            dist = float(np.linalg.norm(r))
-            if dist < target:
-                return dist, False
-            if basis.exhausted or np.linalg.norm(op.apply_adjoint(r)) <= tol * basis.norm_estimate * dist:
-                return dist, True
-        basis.step()
-
-
-def distance_to_range(op, g, tol=1e-10):
-    """Distance from g to the range of the operator, dense or matrix-free.
-
-    LSQR runs on a fresh Golub-Kahan basis, fully reorthogonalized, until
-    ||A^T r|| <= tol ||A|| ||r|| for the residual r or the basis is
-    exhausted, at two operator applications a step; no rank cutoff is
-    applied. The range is closed in finite dimensions, so the minimum is
-    attained.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    g = _as_vector(g, op.dims.dim_g, "g")
-    basis = GolubKahan(op.apply, op.apply_adjoint, g, op.dims.dim_f)
-    return lsqr_residual(op, g, basis, tol=tol)[0]
 
 
 # -- matrix / vector file formats -------------------------------------------

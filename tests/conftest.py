@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from morozov import linops, problems
+from morozov._kernels import GolubKahan
 from morozov.dual import diagnose_regime
 from morozov.lagrange import Lagrangian
 
@@ -31,6 +32,12 @@ def counting_free_op(mat):
         return mat.T @ y
 
     return linops.from_callables(mat.shape[1], mat.shape[0], forward, adjoint), counts
+
+
+def lsqr_distance(op, g, target=0.0):
+    """``GolubKahan.distance`` on a fresh basis of (op, g): (dist, converged)."""
+    g = np.asarray(g, dtype=np.float64)
+    return GolubKahan(op.apply, op.apply_adjoint, g, op.dims.dim_f).distance(target)
 
 
 def random_dense_op(rng, dim_g, dim_f, scale=1.0):

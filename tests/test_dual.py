@@ -21,7 +21,6 @@ from morozov.errors import (
     RegimeError,
 )
 from morozov.lagrange import LAMBDA_MAX, Lagrangian, lagrangian_value, solve_lagrange
-from morozov.linops import lsqr_residual
 from morozov.problems import _bump_profile, make_deconvolution, regime_fixture, synthesize
 from morozov.regularizers import (
     Regularizer,
@@ -30,7 +29,7 @@ from morozov.regularizers import (
     identity_regularizer,
 )
 
-from conftest import counting_free_op, make_interior_problem, random_dense_op
+from conftest import counting_free_op, lsqr_distance, make_interior_problem, random_dense_op
 
 
 def scalar_lagrangian(epsilon=1.0):
@@ -146,6 +145,38 @@ class TestDiagnoseRegime:
         d = diagnose_regime(identity_lagrangian([[1.0, 0.0], [0.0, 0.0]], [1.0, 1.0], tau=1.0))
         assert d.regime == "too_optimistic"
 
+    @pytest.mark.parametrize("matrix_free", [False, True])
+    def test_first_differences_whose_constants_a_annihilates(self, rng, matrix_free):
+        # no standard form: A(ker L) = {0}, so gbar = g and the verdict runs
+        # in the basis of (A, g), the same LSQR as every other problem's
+        n = 8
+        mat = rng.standard_normal((12, n))
+        mat -= mat.mean(axis=1, keepdims=True)
+        g = rng.standard_normal(12)
+        dist = np.linalg.norm(mat @ np.linalg.lstsq(mat, g, rcond=None)[0] - g)
+        g_norm = np.linalg.norm(g)
+        assert 0.1 * g_norm < dist < 0.9 * g_norm
+        op = counting_free_op(mat)[0] if matrix_free else linops.from_matrix(mat)
+
+        def lagrangian(tau):
+            return Lagrangian(op, g, first_difference_regularizer(n), tau**2)
+
+        with pytest.raises(AssumptionViolation):
+            lagrangian(dist).standard_form()
+        lag = lagrangian(0.5 * dist)
+        d = diagnose_regime(lag)
+        assert d.regime == "too_optimistic" and not d.dist_is_bound
+        # no solve reads that basis, so it is not kept
+        with lag.krylov_basis() as basis:
+            assert basis.k == 0
+        assert d.data_label == "||g||" and d.data_norm == g_norm
+        assert d.dist_to_range == pytest.approx(dist, abs=1e-9 * g_norm)
+        # between the distance and ||g||: certified by the residual bound
+        tau = 0.5 * (dist + g_norm)
+        d = diagnose_regime(lagrangian(tau))
+        assert d.regime == "interior" and d.data_label == "||g||"
+        assert dist - 1e-9 * g_norm <= d.dist_to_range < tau
+
     def test_rejects_nonpositive_tau(self):
         # a diagnosis takes tau from its Lagrangian, which refuses tau <= 0
         for epsilon in (0.0, -1.0):
@@ -220,7 +251,7 @@ class TestMaximizeDual:
         # dist(g, range A) and ||g||
         A = random_dense_op(rng, 20, 15)
         g = rng.standard_normal(20)
-        dist = linops.distance_to_range(A, g)
+        dist = lsqr_distance(A, g)[0]
         assert dist > 0
         tau = np.sqrt(dist * np.linalg.norm(g))
         lag = Lagrangian(A, g, identity_regularizer(15), epsilon=tau**2)
@@ -308,22 +339,25 @@ class TestMaximizeDual:
                 maximize_dual(lag, solver=solver)
 
     def test_bisection_collapse_stops_with_best_d_prime(self):
-        # at noise 1e-7 the requested |D'| <= rtol * epsilon = 9.3e-21 is
-        # below what a Cholesky solve resolves: the bracket shrinks to two
-        # adjacent floats at evaluation 79, where bisection used to spin on
-        # to its 200-iteration cap (226 evaluations)
+        # at noise 1e-7 a Cholesky solve resolves D' to about 1e-9 epsilon,
+        # the last digits set by the BLAS thread count (7.6e-10 epsilon on
+        # one thread, 1.9e-8 on two), so rtol = 1e-12 asks for less than it
+        # resolves: the bracket shrinks to two adjacent floats after 78
+        # evaluations on either, where bisection used to spin on to its
+        # 200-iteration cap (226 evaluations)
         prob = synthesize(
             make_deconvolution(128, 4.0),
             _bump_profile(128, np.random.default_rng(0)), 1e-7, seed=0,
         )
         epsilon = (1.02 * prob.tau) ** 2
         lag = Lagrangian(prob.op, prob.g, prob.regularizer, epsilon)
+        rtol = 1e-12
         with pytest.raises(ConvergenceFailure, match="no float between") as err:
-            maximize_dual(lag, method="bisection", solver="direct")
+            maximize_dual(lag, method="bisection", solver="direct", rtol=rtol)
         trace = err.value.trace
         assert len(trace) <= 80
         best = min(abs(dp) for _, _, dp in trace)
-        assert err.value.best == best > 1e-8 * epsilon
+        assert err.value.best == best > rtol * epsilon
         assert f"{best:.3e}" in str(err.value)
         # the default Krylov path and the spectral factors resolve it
         for solver in (None, "spectral"):
@@ -475,44 +509,48 @@ class TestFirstDifferenceWindow:
 
 
 class TestRegimeCertificate:
-    """The residual at LAMBDA_MAX bounds dist(g, range A) on dense problems."""
+    """The residual at LAMBDA_MAX bounds dist(g, range A) on dense problems.
 
-    @staticmethod
-    def count_distance_calls(monkeypatch):
-        import morozov.dual
+    The verdict is one LSQR in the problem's basis, counted here in the
+    applications of a matrix-free view of A: one adjoint for the standard
+    form's ||A^T g||, one for the basis's first column, one forward and one
+    adjoint per step, and per look at the LSQR residual one forward, plus an
+    adjoint unless the residual is below tau or the basis is exhausted.
+    """
 
-        calls = []
-        distance = morozov.dual.distance_to_range
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return distance(*args, **kwargs)
-
-        monkeypatch.setattr(morozov.dual, "distance_to_range", counting)
-        return calls
-
-    def test_certified_problem_skips_least_squares(self, monkeypatch):
+    def test_certified_problem_skips_least_squares(self):
         prob = regime_fixture("interior", seed=1)
         expected = diagnose_regime(lagrangian_of(prob))
-        calls = self.count_distance_calls(monkeypatch)
         res = maximize_dual(lagrangian_of(prob))
-        assert calls == []
         assert res.diagnosis == expected
         assert expected.regime == "interior" and expected.dist_is_bound
         # the certificate reports its bound, never less than the distance
         f_ls = np.linalg.lstsq(prob.op.matrix, prob.g, rcond=None)[0]
         dist = np.linalg.norm(prob.op.matrix @ f_ls - prob.g)
         assert dist <= res.diagnosis.dist_to_range < prob.tau
+        # three steps and one look, below tau
+        lag, counts = TestWorkCounts.counting_free_lagrangian(prob)
+        assert diagnose_regime(lag) == expected
+        with lag.krylov_basis() as basis:
+            assert basis.k == 3
+        assert counts == {"fwd": 4, "adj": 5}
 
-    def test_uncertified_too_optimistic(self, monkeypatch):
+    def test_uncertified_too_optimistic(self):
         prob = regime_fixture("too_optimistic", seed=1)
         expected = diagnose_regime(lagrangian_of(prob))
-        calls = self.count_distance_calls(monkeypatch)
         with pytest.raises(RegimeError) as err:
             maximize_dual(lagrangian_of(prob))
-        # converged LSQR in the problem's basis gives the distance itself
-        assert calls == []
         assert err.value.regime == expected.regime == "too_optimistic"
+        # converged LSQR in the problem's basis gives the distance itself:
+        # A has rank 6, so the basis is exhausted after six steps and one
+        # look, at no second least-squares solve
+        assert not expected.dist_is_bound
+        f_ls = np.linalg.lstsq(prob.op.matrix, prob.g, rcond=None)[0]
+        dist = np.linalg.norm(prob.op.matrix @ f_ls - prob.g)
+        assert expected.dist_to_range == pytest.approx(dist, abs=1e-9 * np.linalg.norm(prob.g))
+        lag, counts = TestWorkCounts.counting_free_lagrangian(prob)
+        assert diagnose_regime(lag) == expected
+        assert counts == {"fwd": 7, "adj": 8}
 
     def test_uncertified_interior_between_distance_and_bound(self, monkeypatch):
         import morozov.dual
@@ -523,28 +561,30 @@ class TestRegimeCertificate:
         )
         probe = lagrangian_of(prob)
         bound = math.sqrt(solve_lagrange(probe, LAMBDA_MAX, solver="spectral").discrepancy_sq)
-        dist = linops.distance_to_range(prob.op, prob.g)
+        dist = lsqr_distance(prob.op, prob.g)[0]
         assert 1e3 * dist < bound < prob.tau
         tau = 0.5 * bound
         expected = diagnose_regime(lagrangian_of(prob, tau=tau))
         assert expected.regime == "interior"
 
+        op, counts = counting_free_op(prob.op.matrix)
         seen = []
         diagnose = morozov.dual.diagnose_regime
 
         def recording(*args, **kwargs):
-            seen.append(diagnose(*args, **kwargs))
-            return seen[-1]
+            seen.append((diagnose(*args, **kwargs), dict(counts)))
+            return seen[-1][0]
 
         monkeypatch.setattr(morozov.dual, "diagnose_regime", recording)
-        calls = self.count_distance_calls(monkeypatch)
         # interior, yet D' stays positive up to LAMBDA_MAX since tau < bound;
         # the spectral solver takes its certificate from the basis too
         with pytest.raises(BracketFailure, match="LAMBDA_MAX"):
-            maximize_dual(lagrangian_of(prob, tau=tau), solver="spectral")
-        assert calls == []
-        assert [d.regime for d in seen] == [expected.regime]
-        assert seen[0].dist_is_bound and seen[0].dist_to_range < tau
+            maximize_dual(Lagrangian(op, prob.g, prob.regularizer, tau**2), solver="spectral")
+        assert [d.regime for d, _ in seen] == [expected.regime]
+        assert seen[0][0].dist_is_bound and seen[0][0].dist_to_range < tau
+        # the basis is exhausted at k = 24 = dim_f, where the last step finds
+        # no new left vector and so applies no adjoint; one look, below tau
+        assert seen[0][1] == {"fwd": 25, "adj": 25}
 
     @pytest.mark.parametrize("target", ["interior", "noise_dominates", "too_optimistic"])
     def test_verdict_matches_diagnose_regime(self, target):
@@ -671,16 +711,15 @@ class TestWorkCounts:
         checker = maximize_dual(checker_lag, method="bisection", solver="direct")
         assert checker.lambda_star == pytest.approx(res.lambda_star, rel=1e-9)
 
-    def test_matrix_free_too_optimistic_falls_back_to_distance(self, monkeypatch):
+    def test_matrix_free_too_optimistic_falls_back_to_distance(self):
         prob = regime_fixture("too_optimistic", seed=1)
-        lag, _ = self.counting_free_lagrangian(prob)
-        calls = TestRegimeCertificate.count_distance_calls(monkeypatch)
+        lag, counts = self.counting_free_lagrangian(prob)
         with pytest.raises(RegimeError) as err:
             maximize_dual(lag)
         assert err.value.regime == "too_optimistic"
-        # converged LSQR in the certificate's basis gives the distance: no
-        # second LSQR in distance_to_range
-        assert calls == []
+        # converged LSQR in the certificate's basis gives the distance: the
+        # gate's one LSQR, six steps and one look, is all the selection applies
+        assert counts == {"fwd": 7, "adj": 8}
 
     @pytest.mark.parametrize("matrix_free", [False, True])
     @pytest.mark.parametrize("n", [64, 256])
@@ -742,7 +781,7 @@ class TestWorkCounts:
         cert_op, cert = counting_free_op(prob.op.matrix)
         cert_lag = Lagrangian(cert_op, prob.g, J, prob.tau**2)
         with cert_lag.krylov_basis() as basis:
-            lsqr_residual(cert_op, prob.g, basis, target=cert_lag.tau)
+            basis.distance(target=cert_lag.tau)
 
         op, counts = counting_free_op(prob.op.matrix)
         calls = self.count_calls(monkeypatch, "eigh", "cho_factor")

@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 
 from morozov._kernels import GolubKahan
+from morozov.linops import from_callables, from_matrix, identity
+from morozov.problems import _bump_profile, make_deconvolution, synthesize
+
+from conftest import lsqr_distance, random_dense_op
 
 
 def bidiagonalize(mat, g, steps, calls=None):
@@ -106,8 +110,6 @@ class TestGolubKahan:
             assert residuals[j] == pytest.approx(rel, rel=1e-12)
 
     def test_discrepancy_error_estimates_the_true_error(self):
-        from morozov.problems import make_deconvolution
-
         mat = make_deconvolution(48, 2.0).matrix
         g = mat @ np.sin(np.linspace(0.0, 3.0, 48)) + 1e-3 * np.cos(np.arange(48))
         lam = 50.0
@@ -123,3 +125,80 @@ class TestGolubKahan:
             assert error > 0
             estimate = basis.discrepancy_error(lam, z, j + 4)
             assert 0.8 * error <= estimate <= 1.5 * error, j
+
+
+def projection_distance(mat, g):
+    """Oracle: ||g - Q Q^T g|| for an orthonormal basis Q of range(mat),
+    taken from the SVD at a rank set by the test."""
+    u, sv, _ = np.linalg.svd(np.asarray(mat, dtype=np.float64), full_matrices=False)
+    q = u[:, sv > 1e-12 * sv[0]]
+    return float(np.linalg.norm(g - q @ (q.T @ g)))
+
+
+class TestDistance:
+    """``GolubKahan.distance``: LSQR's dist(g, range A) on the basis's own maps."""
+
+    def test_surjective_is_zero(self, rng):
+        g = rng.standard_normal(5)
+        dist, converged = lsqr_distance(identity(5), g)
+        assert converged and dist == pytest.approx(0.0, abs=1e-12)
+
+    def test_orthogonal_component(self):
+        dist, converged = lsqr_distance(from_matrix([[1.0, 0.0], [0.0, 0.0]]), [1.0, 1.0])
+        assert converged and dist == pytest.approx(1.0, rel=1e-12)
+
+    def test_projection_oracle_rank_deficient(self, rng):
+        # range basis via QR of a rank-2 6x4 matrix; oracle projects g
+        # onto it and measures the orthogonal remainder
+        B = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 4))
+        g = rng.standard_normal(6)
+        q, _ = np.linalg.qr(B[:, :2])  # first two columns span the range here
+        expected = np.linalg.norm(g - q @ (q.T @ g))
+        assert lsqr_distance(from_matrix(B), g)[0] == pytest.approx(expected, abs=1e-8)
+
+    def test_lower_bounds_any_candidate(self, rng):
+        op = random_dense_op(rng, 6, 3)
+        g = rng.standard_normal(6)
+        d = lsqr_distance(op, g)[0]
+        for _ in range(25):
+            f = rng.standard_normal(3)
+            assert d <= np.linalg.norm(op.apply(f) - g) + 1e-12
+
+    def test_matrix_free_matches_dense(self, rng):
+        mat = rng.standard_normal((8, 5))
+        free = from_callables(5, 8, lambda f: mat @ f, lambda y: mat.T @ y)
+        g = rng.standard_normal(8)
+        assert lsqr_distance(free, g)[0] == pytest.approx(projection_distance(mat, g), abs=1e-8)
+        # one algorithm for both representations: the same numbers
+        assert lsqr_distance(free, g) == lsqr_distance(from_matrix(mat), g)
+
+    def test_matrix_free_rank_deficient(self, rng):
+        mat = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 4))
+        free = from_callables(4, 6, lambda f: mat @ f, lambda y: mat.T @ y)
+        g = rng.standard_normal(6)
+        assert lsqr_distance(free, g)[0] == pytest.approx(projection_distance(mat, g), abs=1e-8)
+
+    def test_matrix_free_ill_posed_matches_dense(self):
+        # a Gaussian blur of width 2 has singular values down to 5e-9, so
+        # normal-equations CG stalled here; reorthogonalized LSQR runs to the
+        # full basis and resolves what a dense least-squares solve resolves
+        A = make_deconvolution(256, 2.0)
+        prob = synthesize(A, _bump_profile(256, np.random.default_rng(0)), 0.02, seed=0)
+        mat = A.matrix
+        free = from_callables(256, 256, lambda f: mat @ f, lambda y: mat.T @ y)
+        dense = np.linalg.norm(mat @ np.linalg.lstsq(mat, prob.g, rcond=None)[0] - prob.g)
+        dist, converged = lsqr_distance(free, prob.g)
+        assert converged and dist == pytest.approx(dense, abs=1e-9 * np.linalg.norm(prob.g))
+
+    def test_stops_below_target(self, rng):
+        # a residual below target is an upper bound good enough to stop on,
+        # one forward application for the look and no adjoint
+        mat = rng.standard_normal((20, 10))
+        g = rng.standard_normal(20)
+        exact = projection_distance(mat, g)
+        target = 0.5 * (exact + np.linalg.norm(g))
+        calls = []
+        basis = bidiagonalize(mat, g, 0, calls)
+        dist, converged = basis.distance(target)
+        assert not converged and exact <= dist < target
+        assert calls == ["adj"] + ["fwd", "adj"] * basis.k + ["fwd"]

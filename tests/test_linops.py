@@ -7,13 +7,12 @@ from morozov import linops
 from morozov.errors import DimensionMismatch
 from morozov.linops import (
     VectorSpaceDims,
-    distance_to_range,
     from_callables,
     from_matrix,
     identity,
     residual_norm_sq,
 )
-from morozov.problems import _bump_profile, make_deconvolution, make_hilbert, synthesize
+from morozov.problems import make_deconvolution, make_hilbert
 
 from conftest import assert_adjoint_consistent, counting_free_op, random_dense_op
 
@@ -104,77 +103,6 @@ class TestResidualNormSq:
         r = op.matrix @ f - g
         expected = sum(float(v) * float(v) for v in r)
         assert residual_norm_sq(op, f, g) == pytest.approx(expected, rel=1e-12)
-
-
-def projection_distance(mat, g):
-    """Oracle: ||g - Q Q^T g|| for an orthonormal basis Q of range(mat),
-    taken from the SVD at a rank set by the test."""
-    u, sv, _ = np.linalg.svd(np.asarray(mat, dtype=np.float64), full_matrices=False)
-    q = u[:, sv > 1e-12 * sv[0]]
-    return float(np.linalg.norm(g - q @ (q.T @ g)))
-
-
-class TestDistanceToRange:
-    def test_surjective_is_zero(self, rng):
-        g = rng.standard_normal(5)
-        assert distance_to_range(identity(5), g) == pytest.approx(0.0, abs=1e-12)
-
-    def test_orthogonal_component(self):
-        op = from_matrix([[1.0, 0.0], [0.0, 0.0]])
-        assert distance_to_range(op, [1.0, 1.0]) == pytest.approx(1.0, rel=1e-12)
-
-    def test_projection_oracle_rank_deficient(self, rng):
-        # range basis via QR of a rank-2 6x4 matrix; oracle projects g
-        # onto it and measures the orthogonal remainder
-        B = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 4))
-        op = from_matrix(B)
-        g = rng.standard_normal(6)
-        q, _ = np.linalg.qr(B[:, :2])  # first two columns span the range here
-        expected = np.linalg.norm(g - q @ (q.T @ g))
-        assert distance_to_range(op, g) == pytest.approx(expected, abs=1e-8)
-
-    def test_lower_bounds_any_candidate(self, rng):
-        op = random_dense_op(rng, 6, 3)
-        g = rng.standard_normal(6)
-        d = distance_to_range(op, g)
-        for _ in range(25):
-            f = rng.standard_normal(3)
-            assert d <= np.linalg.norm(op.apply(f) - g) + 1e-12
-
-    def test_matrix_free_matches_dense(self, rng):
-        mat = rng.standard_normal((8, 5))
-        free = from_callables(5, 8, lambda f: mat @ f, lambda y: mat.T @ y)
-        g = rng.standard_normal(8)
-        assert distance_to_range(free, g, tol=1e-12) == pytest.approx(
-            projection_distance(mat, g), abs=1e-8
-        )
-        # one algorithm for both representations: the same numbers
-        assert distance_to_range(free, g) == distance_to_range(from_matrix(mat), g)
-
-    def test_matrix_free_rank_deficient(self, rng):
-        mat = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 4))
-        free = from_callables(4, 6, lambda f: mat @ f, lambda y: mat.T @ y)
-        g = rng.standard_normal(6)
-        assert distance_to_range(free, g, tol=1e-10) == pytest.approx(
-            projection_distance(mat, g), abs=1e-8
-        )
-
-    def test_matrix_free_ill_posed_matches_dense(self):
-        # a Gaussian blur of width 2 has singular values down to 5e-9, so
-        # normal-equations CG stalled here; reorthogonalized LSQR runs to the
-        # full basis and resolves what a dense least-squares solve resolves
-        A = make_deconvolution(256, 2.0)
-        prob = synthesize(A, _bump_profile(256, np.random.default_rng(0)), 0.02, seed=0)
-        mat = A.matrix
-        free = from_callables(256, 256, lambda f: mat @ f, lambda y: mat.T @ y)
-        dense = np.linalg.norm(mat @ np.linalg.lstsq(mat, prob.g, rcond=None)[0] - prob.g)
-        assert distance_to_range(free, prob.g) == pytest.approx(
-            dense, abs=1e-9 * np.linalg.norm(prob.g)
-        )
-
-    def test_rejects_nonpositive_tol(self):
-        with pytest.raises(ValueError):
-            distance_to_range(identity(2), [1.0, 0.0], tol=0.0)
 
 
 class TestOperatorAlgebra:

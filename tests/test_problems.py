@@ -15,7 +15,7 @@ from morozov.problems import (
     synthesize,
 )
 
-from conftest import assert_adjoint_consistent
+from conftest import assert_adjoint_consistent, lsqr_distance
 
 
 def lagrangian_of(prob):
@@ -49,6 +49,13 @@ class TestMakeDeconvolution:
         # with a narrow kernel the whole mass fits in an interior row
         narrow = make_deconvolution(20, kernel_width=1.0).matrix.sum(axis=1)
         assert narrow[10] == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("n, width", [(128, 2.0), (512, 2.0), (512, 1.2)])
+    def test_no_subnormal_entries(self, n, width):
+        # the weight exp(-k^2 / 8) is subnormal from offset 76 on at width 2:
+        # such entries are set to zero, since they slow every product with A
+        mat = make_deconvolution(n, width).matrix
+        assert mat[mat != 0.0].min() >= np.finfo(float).tiny
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -156,7 +163,7 @@ class TestRegimeFixture:
 
     def test_too_optimistic_uses_half_distance(self):
         prob = regime_fixture("too_optimistic", seed=4)
-        dist = linops.distance_to_range(prob.op, prob.g)
+        dist = lsqr_distance(prob.op, prob.g)[0]
         assert prob.tau == pytest.approx(0.5 * dist, rel=1e-12)
 
     def test_unknown_target(self):
