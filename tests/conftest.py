@@ -34,10 +34,9 @@ def counting_free_op(mat):
     return linops.from_callables(mat.shape[1], mat.shape[0], forward, adjoint), counts
 
 
-def lsqr_distance(op, g, target=0.0):
+def lsqr_distance(op, g):
     """``GolubKahan.distance`` on a fresh basis of (op, g): (dist, converged)."""
-    g = np.asarray(g, dtype=np.float64)
-    return GolubKahan(op.apply, op.apply_adjoint, g, op.dims.dim_f).distance(target)
+    return GolubKahan(op.apply, op.apply_adjoint, g, op.dims.dim_f).distance()
 
 
 def random_dense_op(rng, dim_g, dim_f, scale=1.0):
