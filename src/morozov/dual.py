@@ -55,17 +55,14 @@ certifies the interior regime, or until LSQR converges, when that
 residual is the distance itself. No least-squares factorization and no
 rank cutoff is used.
 
-With a built-in penalty, the identity or first differences, every
-evaluation is then a projected solve in the same basis, which grows only
-when a multiplier needs more columns. Building the standard form is the
-strict-convexity check, and no eigendecomposition runs.
-
-A selection's solver is chosen by the penalty alone. With a custom
-penalty the problem is factored once (``Lagrangian.spectral_factors``,
-materializing a matrix-free A or L), and every evaluation of D and D'
-after that costs a few O(n^2) products; building the factorization, at
-the first evaluation, is the strict-convexity check, and the Cholesky
-solver's first solve checks it as well. Sweeps with a dense A use the
+This module only searches: the problem's engine (``Lagrangian.engine``),
+which ``maximize_dual`` builds once behind the regime gate, serves every
+evaluation and is the strict-convexity check. With a built-in penalty
+every evaluation is a projected solve in the same basis, which grows
+only when a multiplier needs more columns; with a custom one the problem
+is factored once (``Lagrangian.spectral_factors``, materializing a
+matrix-free A or L), and every evaluation after that costs a few O(n^2)
+products. Sweeps with a dense A use the
 factorization whatever the penalty, since a wide grid of multipliers
 grows the basis past its cost. A sweep on the factors evaluates its grid
 in blocks of at most ``dim_f`` multipliers (``sweep_dual``): for a dense
@@ -79,19 +76,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    AssumptionViolation,
-    BracketFailure,
-    ConvergenceFailure,
-    RegimeError,
-)
-from .lagrange import (
-    LAMBDA_MAX,
-    Lagrangian,
-    lagrangian_value,
-    solve_lagrange,
-    solve_lagrange_block,
-)
+from .errors import BracketFailure, ConvergenceFailure, RegimeError
+from .lagrange import LAMBDA_MAX, Lagrangian, lagrangian_value, solve_lagrange, solve_lagrange_block
 from .linops import residual_norm_sq
 
 __all__ = [
@@ -189,15 +175,14 @@ class VerificationReport:
         return [c["name"] for c in self.checks if not c["passed"]]
 
 
-def eval_dual(lag: Lagrangian, lam, solver=None, tol=1e-10):
+def eval_dual(lag: Lagrangian, lam, solver=None):
     """Evaluate D, D' and D'' at one multiplier.
 
     At lam = 0 no inner solve is attempted: D(0) = 0 and the right
     derivative is ||gbar||^2 - epsilon, with gbar the data of the
     problem's standard form (g for the identity and custom penalties).
-    For lam > 0 the inner problem is solved (by default in the problem's
-    Krylov basis for a built-in penalty, from its spectral factors for a
-    custom one) and
+    For lam > 0 the inner problem is solved by ``solve_lagrange`` with
+    ``solver`` as given (None is the problem's ``Lagrangian.engine``) and
 
         D(lam) = J(f_lam) + lam * D'(lam),
         D'(lam) = ||A f_lam - g||^2 - epsilon,
@@ -205,16 +190,12 @@ def eval_dual(lag: Lagrangian, lam, solver=None, tol=1e-10):
 
     the last from the solver's own quantities (``LagrangeSolution``).
     """
-    if lam < 0:
+    if not lam >= 0:  # NaN fails it too
         raise ValueError(f"lam must be nonnegative, got {lam}")
     if lam == 0:
         g = lag.standard_form().data
-        return DualEvaluation(
-            lam=0.0, d_value=0.0, d_prime=float(g @ g) - lag.epsilon
-        )
-    if solver is None:
-        solver = _default_solver(lag)
-    return _evaluation(lag, solve_lagrange(lag, lam, solver=solver, tol=tol))
+        return DualEvaluation(lam=0.0, d_value=0.0, d_prime=float(g @ g) - lag.epsilon)
+    return _evaluation(lag, solve_lagrange(lag, lam, solver=solver))
 
 
 def _evaluation(lag, sol):
@@ -224,10 +205,6 @@ def _evaluation(lag, sol):
         lam=sol.lam, d_value=sol.j_value + sol.lam * d_prime, d_prime=d_prime,
         d_second=sol.discrepancy_slope, solution=sol,
     )
-
-
-def _default_solver(lag):
-    return "spectral" if lag.regularizer.kind == "custom" else "krylov"
 
 
 def diagnose_regime(lag: Lagrangian):
@@ -287,7 +264,6 @@ def maximize_dual(
     step_rule="inv_n",
     step_constant=2.0,
     solver=None,
-    inner_tol=1e-10,
     override_regime=False,
 ):
     """Find the multiplier maximizing D, i.e. solve D'(lam) = 0.
@@ -326,41 +302,52 @@ def maximize_dual(
         tolerance).
     step_rule : {"inv_n", "constant"}
         rho_n = step_constant / n, or rho_n = step_constant.
+    solver : None or str
+        Passed unchanged to every ``eval_dual``; None is ``lag.engine()``.
     override_regime : bool
         Skip the interior-regime gate (for experimentation; outside the
         interior regime the iteration cannot converge).
 
     Raises
     ------
+    ValueError
+        For an option out of its range or NaN, before any work.
     RegimeError
         If the problem is not in the interior regime (unless overridden).
         This takes precedence over an ``AssumptionViolation``.
     AssumptionViolation
-        If the penalty is not strictly convex along ker(A). Built-in
-        penalties are checked up front by their standard form, custom
-        ones by their first solve (the spectral factors, or Cholesky
-        with ``solver="direct"``).
+        If the penalty is not strictly convex along ker(A), by building
+        the problem's engine after the regime gate, whatever the solver.
     BracketFailure
-        If D'(0) = ||gbar||^2 - epsilon is below -rtol * epsilon, after
-        the first evaluation (only with ``override_regime``); if D' is
-        still positive where the next multiplier would exceed LAMBDA_MAX
-        (for Newton, where its step lands beyond it, so the root does
-        too), still negative where it would drop below 1e-300, or of one
-        sign after ``max_iter`` evaluations.
+        For Newton and bisection, if D'(0) = ||gbar||^2 - epsilon is
+        below -rtol * epsilon, before any evaluation (only with
+        ``override_regime``); if D' is still positive where the next
+        multiplier would exceed LAMBDA_MAX (for Newton, where its step
+        lands beyond it, so the root does too), still negative where it
+        would drop below 1e-300, or of one sign after ``max_iter`` evaluations.
     ConvergenceFailure
         If ``max_iter`` is exhausted, or the bracket shrinks to adjacent
         floats (the inner solves cannot resolve |D'| <= rtol * epsilon);
         the trace so far is attached. For Newton and bisection
-        ``err.best`` is the smallest |D'| reached.
+        ``err.best`` is the smallest |D'| reached. Also if an inner solve
+        misses its precision (``solve_lagrange``).
     """
+    # comparisons that NaN fails, so a NaN option is refused too
     if method not in ("newton", "bisection", "gradient_ascent"):
         raise ValueError(f"unknown method {method!r}")
-    if rtol <= 0:
-        raise ValueError("rtol must be positive")
-    if method != "gradient_ascent" and not 0 < lambda_init <= LAMBDA_MAX:
-        raise ValueError(f"lambda_init must be in (0, {LAMBDA_MAX:g}]")
+    if not rtol > 0:
+        raise ValueError(f"rtol must be positive, got {rtol}")
     if max_iter is None:
         max_iter = 10_000 if method == "gradient_ascent" else 200
+    if not max_iter >= 0:
+        raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
+    if method == "gradient_ascent":
+        if step_rule not in ("inv_n", "constant"):
+            raise ValueError(f"unknown step_rule {step_rule!r}")
+        if not step_constant > 0:
+            raise ValueError(f"step_constant must be positive, got {step_constant}")
+    elif not 0 < lambda_init <= LAMBDA_MAX:
+        raise ValueError(f"lambda_init must be in (0, {LAMBDA_MAX:g}]")
 
     diag = diagnose_regime(lag)
     if diag.regime != "interior":
@@ -370,14 +357,14 @@ def maximize_dual(
                 regime=diag.regime,
             )
         log.warning("regime gate overridden: %s", diag.regime)
-    # a built-in penalty's strict-convexity check, behind the regime gate
-    lag.standard_form()
+    # the strict-convexity check, behind the regime gate
+    lag.engine()
 
     trace = []
     d_tol = rtol * lag.epsilon
 
     def evaluate(lam):
-        e = eval_dual(lag, lam, solver=solver, tol=inner_tol)
+        e = eval_dual(lag, lam, solver=solver)
         trace.append((e.lam, e.d_value, e.d_prime))
         return e
 
@@ -396,26 +383,23 @@ def maximize_dual(
 
     if method == "gradient_ascent":
         return _gradient_ascent(
-            lag, evaluate, finish, d_tol, max_iter, step_rule, step_constant, trace
+            evaluate, finish, d_tol, max_iter, step_rule, step_constant, trace
         )
 
+    # D' is nonincreasing, so D'(0) < -d_tol rules out every lam > 0
+    d0 = diag.data_norm**2 - lag.epsilon
+    if d0 < -d_tol:
+        raise BracketFailure(
+            f"D'(0) = {diag.data_label}^2 - epsilon = {d0:.6e} is below "
+            f"-rtol*epsilon = {-d_tol:.6e}; D' is nonincreasing, so no "
+            "lam > 0 reaches the tolerance (data dominated by noise)", trace=trace,
+        )
     lo, hi = 0.0, math.inf
     lam = lambda_init
     for _ in range(max_iter + 1):
         e = evaluate(lam)
         if abs(e.d_prime) <= d_tol:
             return finish(e)
-        # after the first solve, which is a custom penalty's convexity check:
-        # D' is nonincreasing, so D'(0) < -d_tol rules out every lam > 0
-        if len(trace) == 1:
-            d0 = eval_dual(lag, 0.0).d_prime
-            if d0 < -d_tol:
-                raise BracketFailure(
-                    f"D'(0) = {diag.data_label}^2 - epsilon = {d0:.6e} is below "
-                    f"-rtol*epsilon = {-d_tol:.6e}; D' is nonincreasing, so no "
-                    "lam > 0 reaches the tolerance (data dominated by noise)",
-                    trace=trace,
-                )
         if e.d_prime > 0:
             lo = lam
         else:
@@ -501,11 +485,7 @@ def _next_multiplier(method, e, lo, hi, tau, trace, d_tol):
     return lam
 
 
-def _gradient_ascent(lag, evaluate, finish, d_tol, max_iter, step_rule, step_constant, trace):
-    if step_rule not in ("inv_n", "constant"):
-        raise ValueError(f"unknown step_rule {step_rule!r}")
-    if step_constant <= 0:
-        raise ValueError("step_constant must be positive")
+def _gradient_ascent(evaluate, finish, d_tol, max_iter, step_rule, step_constant, trace):
     lam = 0.0
     e = evaluate(0.0)
     for n in range(1, max_iter + 1):
@@ -526,14 +506,14 @@ def _gradient_ascent(lag, evaluate, finish, d_tol, max_iter, step_rule, step_con
     )
 
 
-def sweep_dual(lag: Lagrangian, lambdas, solver=None, tol=1e-10):
+def sweep_dual(lag: Lagrangian, lambdas, solver=None):
     """Evaluate the dual on an ascending positive grid.
 
     Inner failures at single points are recorded on the returned
     evaluations (``error`` set, values NaN) and the sweep continues.
-    Problems with a dense A default to the spectral solver whatever the
-    penalty: a wide grid grows a Krylov basis past the cost of the
-    eigendecomposition.
+    Problems with a dense A or a custom penalty default to the spectral
+    solver: a wide grid grows a Krylov basis past the cost of the
+    eigendecomposition. Other problems default to their engine.
 
     On the spectral factors the grid is solved in blocks of at most
     ``dim_f`` multipliers by ``solve_lagrange_block``: after the one
@@ -548,12 +528,13 @@ def sweep_dual(lag: Lagrangian, lambdas, solver=None, tol=1e-10):
     lambdas = np.asarray(lambdas, dtype=np.float64)
     if lambdas.size == 0:
         raise ValueError("grid must be nonempty")
-    if np.any(lambdas <= 0):
+    if not np.all(lambdas > 0):  # NaN fails it too
         raise ValueError("grid values must be positive")
     if np.any(np.diff(lambdas) <= 0):
         raise ValueError("grid must be strictly ascending")
-    if solver is None:
-        solver = "spectral" if lag.op.is_dense else _default_solver(lag)
+    # no engine built here, so a singular pencil fails every point
+    if solver is None and (lag.op.is_dense or lag.regularizer.kind == "custom"):
+        solver = "spectral"
     out = []
     # the grid ascends, so the multipliers a spectral block accepts come
     # first; the rest fail one by one with solve_lagrange's own message
@@ -567,14 +548,15 @@ def sweep_dual(lag: Lagrangian, lambdas, solver=None, tol=1e-10):
             out.extend(_failed_point(lam, exc) for lam in lams)
     for lam in lambdas[blocked:]:
         try:
-            out.append(eval_dual(lag, float(lam), solver=solver, tol=tol))
+            out.append(eval_dual(lag, float(lam), solver=solver))
         except _POINT_ERRORS as exc:
             out.append(_failed_point(lam, exc))
     return out
 
 
-# failures a sweep records on its points instead of raising
-_POINT_ERRORS = (ConvergenceFailure, AssumptionViolation, ValueError)
+# failures a sweep records on its points instead of raising; an
+# AssumptionViolation is a ValueError
+_POINT_ERRORS = (ConvergenceFailure, ValueError)
 
 
 def _failed_point(lam, exc):

@@ -48,8 +48,11 @@ matrix-matrix product each, O(m n^2) at BLAS-3 speed, in place of three
 memory-bound matrix-vector products per multiplier: at n = 512, for 200
 multipliers on 1 BLAS thread, about 8 ms against about 64 ms.
 
-The Cholesky solver (``"direct"``) factors the full system at each lam
-and stays as an independent checker.
+``Lagrangian.engine`` picks between the two by penalty, and
+``solve_lagrange`` uses it by default. The Cholesky solver (``"direct"``)
+factors the full system at each lam and stays as an independent
+checker; it decides no convexity, so a factor numerically singular at
+one lam is a ``ConvergenceFailure`` stating the pivot ratio reached.
 
 Every solve also returns the slope d||A f - g||^2 / dlam, the dual's
 D''(lam), which the Newton search over lam uses. With r = A f - g and
@@ -364,6 +367,18 @@ class Lagrangian:
                 self._form = StandardForm.build(self.op, self.data, self.regularizer.kind)
             return self._form
 
+    def engine(self):
+        """The name of the solver that serves this problem, built on first
+        use: ``"krylov"`` (``standard_form``) for a built-in penalty,
+        ``"spectral"`` (``spectral_factors``) for a custom one. Building it
+        is the problem's one strict-convexity check, so it raises their
+        ``AssumptionViolation``."""
+        if self.regularizer.kind == "custom":
+            self.spectral_factors()
+            return "spectral"
+        self.standard_form()
+        return "krylov"
+
     @contextmanager
     def krylov_basis(self):
         """The problem's ``GolubKahan`` basis of its standard form
@@ -408,7 +423,7 @@ def lagrangian_value(lag: Lagrangian, f, lam):
     return j + lam * (residual_norm_sq(lag.op, f, lag.data) - lag.epsilon)
 
 
-def solve_lagrange(lag: Lagrangian, lam, solver="direct", tol=1e-10):
+def solve_lagrange(lag: Lagrangian, lam, solver=None, tol=1e-10):
     """Minimize the inner problem at multiplier ``lam > 0``.
 
     Parameters
@@ -416,9 +431,10 @@ def solve_lagrange(lag: Lagrangian, lam, solver="direct", tol=1e-10):
     lag : Lagrangian
     lam : float
         Multiplier, in (0, LAMBDA_MAX].
-    solver : {"direct", "spectral", "krylov"}
-        Direct assembles the system matrix and takes a Cholesky
-        factorization (a matrix-free A or L is materialized once).
+    solver : {None, "direct", "spectral", "krylov"}
+        None is the problem's engine, ``lag.engine()``. Direct assembles
+        the system matrix and takes a Cholesky factorization (a
+        matrix-free A or L is materialized once).
         Spectral reuses the problem's ``SpectralFactors`` (built on the
         first call), so it costs a few O(n^2) products per multiplier; it
         is the one-point case of ``solve_lagrange_block``.
@@ -446,15 +462,18 @@ def solve_lagrange(lag: Lagrangian, lam, solver="direct", tol=1e-10):
     Raises
     ------
     ValueError
-        For ``lam <= 0`` or ``lam > LAMBDA_MAX``.
+        For ``lam`` outside (0, LAMBDA_MAX], NaN included.
     AssumptionViolation
-        If the system matrix is singular (the penalty is not strictly
-        convex along ker A).
+        If the penalty is not strictly convex along ker(A), when the
+        Krylov or spectral solver is built (``Lagrangian.engine``).
     ConvergenceFailure
         If the Krylov basis is exhausted above ``tol`` and the rounding
-        level.
+        level, or if the Cholesky factor is numerically singular at
+        ``lam``; the message states the pivot ratio reached.
     """
     _check_multiplier(lam)
+    if solver is None:
+        solver = lag.engine()
     if solver == "spectral":
         return solve_lagrange_block(lag, [lam])[0]
     if solver == "krylov":
@@ -466,17 +485,14 @@ def solve_lagrange(lag: Lagrangian, lam, solver="direct", tol=1e-10):
     M = lag.regularizer.seminorm_operator.gram_matrix() + lam * A.gram_matrix()
     try:
         cho = scipy.linalg.cho_factor(M, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise AssumptionViolation(
-            f"inner system singular at lam={lam:g}: ker(L) and ker(A) "
-            "intersect nontrivially"
-        ) from exc
-    ratio = _singular_pivot_ratio(cho[0])
+        ratio = _singular_pivot_ratio(cho[0])
+    except scipy.linalg.LinAlgError:
+        ratio = 0.0  # a pivot that is not positive
     if ratio is not None:
-        raise AssumptionViolation(
-            f"inner system numerically singular at lam={lam:g} "
-            f"(pivot ratio {ratio:.2e}): ker(L) and "
-            "ker(A) intersect, or the system is conditioned beyond float64"
+        raise ConvergenceFailure(
+            f"Cholesky factor of the inner system numerically singular at lam={lam:g}: "
+            f"pivot ratio {ratio:.2e}, at most sqrt(n eps); the system is conditioned "
+            "beyond float64 at this multiplier"
         )
     f = scipy.linalg.cho_solve(cho, lam * A.apply_adjoint(lag.data), check_finite=False)
     residuals = _residuals(lag, f, lam)
@@ -527,7 +543,8 @@ def solve_lagrange_block(lag: Lagrangian, lams):
 
 
 def _check_multiplier(lam):
-    if lam <= 0:
+    # comparisons that NaN fails: the Krylov solve's loop never ends on NaN
+    if not lam > 0:
         raise ValueError(f"lam must be positive, got {lam}")
     if lam > LAMBDA_MAX:
         raise ValueError(

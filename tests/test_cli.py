@@ -199,6 +199,15 @@ class TestSolve:
         ])
         assert rc == 1
 
+    @pytest.mark.parametrize("option", [["--max-iter", -1], ["--rtol", "nan"]])
+    def test_bad_search_option_exits_1(self, fixture_dirs, tmp_path, capsys, option):
+        # refused up front with the contract's "error:" line, not a
+        # traceback (--max-iter -1) or a search that runs on NaN (--rtol nan)
+        rc = run(["solve", "--problem", fixture_dirs["interior"], *option, "--out", tmp_path / "r.json"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "r.json").exists()
+
     def test_bisection_and_gradient_ascent_methods(self, fixture_dirs, tmp_path):
         for method in ("bisection", "gradient-ascent"):
             out = tmp_path / f"{method}.json"

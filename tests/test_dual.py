@@ -109,8 +109,11 @@ class TestEvalDual:
         assert eval_dual(lag, 0.0).d_second is None
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            eval_dual(scalar_lagrangian(), -0.1)
+        # a NaN multiplier would never end the Krylov solve's loop
+        for solver in (None, "direct", "spectral", "krylov"):
+            for lam in (-0.1, math.nan):
+                with pytest.raises(ValueError, match="nonnegative"):
+                    eval_dual(scalar_lagrangian(), lam, solver=solver)
 
 
 def identity_lagrangian(mat, g, tau):
@@ -294,7 +297,7 @@ class TestMaximizeDual:
             maximize_dual(lag, override_regime=True)
 
     def test_override_noise_dominates_hits_bracket_failure(self):
-        # D'(0) < 0 proves D' has no positive root: stop after the first
+        # D'(0) < 0 proves D' has no positive root: stop before any
         # evaluation instead of halving toward the floor
         prob = regime_fixture("noise_dominates", seed=5)
         lag = lagrangian_of(prob)
@@ -303,7 +306,7 @@ class TestMaximizeDual:
         for method in ("newton", "bisection"):
             with pytest.raises(BracketFailure) as err:
                 maximize_dual(lag, method=method, override_regime=True)
-            assert len(err.value.trace) == 1
+            assert len(err.value.trace) == 0
             assert f"D'(0) = ||g||^2 - epsilon = {d0:.6e}" in str(err.value)
 
     def test_assumption_gate_refuses_shared_kernel(self, rng):
@@ -433,6 +436,17 @@ class TestMaximizeDual:
             maximize_dual(lag, method="gradient_ascent", step_rule="magic")
         with pytest.raises(ValueError):
             maximize_dual(lag, method="gradient_ascent", step_constant=0.0)
+        # refused before any work: a negative budget, and NaN, which fails
+        # every comparison
+        for bad in (
+            {"max_iter": -1},
+            {"rtol": math.nan},
+            {"lambda_init": math.nan},
+            {"method": "gradient_ascent", "step_constant": math.nan},
+            {"method": "gradient_ascent", "max_iter": -1},
+        ):
+            with pytest.raises(ValueError, match="must be"):
+                maximize_dual(lag, **bad)
 
 
 class TestFirstDifferenceWindow:
@@ -506,6 +520,21 @@ class TestFirstDifferenceWindow:
         assert verify_morozov_solution(res, lag).passed
         sol = solve_lagrange(lag, 9.53674e-07, solver="krylov")
         assert 1e-10 < sol.solver_stats["relative_residual"] < 1e-9
+
+    def test_direct_reports_precision_not_a_shared_kernel(self):
+        # ker L and ker A intersect trivially here, so the standard form
+        # builds, yet at lam = 1e-18 the Cholesky factor is numerically
+        # singular: a precision failure that states its pivot ratio
+        op, g, gbar_norm = self.problem(False)
+        lag = self.lagrangian(op, g, 0.999 * gbar_norm)
+        lag.standard_form()
+        with pytest.raises(ConvergenceFailure, match="pivot ratio") as err:
+            solve_lagrange(lag, 1e-18, solver="direct")
+        assert "lam=1e-18" in str(err.value)
+        assert solve_lagrange(lag, 1e-18, solver="krylov").solver_stats["iterations"] == 5
+        evals = sweep_dual(lag, [1e-18, 1e-6, 1.0], solver="direct")
+        assert [e.error for e in evals] == [str(err.value), None, None]
+        assert all(math.isfinite(e.d_prime) for e in evals[1:])
 
 
 class TestRegimeCertificate:
@@ -744,20 +773,23 @@ class TestWorkCounts:
 
     def test_custom_penalty_certificate_makes_no_eigh(self, monkeypatch):
         # a dense custom penalty certifies its regime by LSQR on (A, g), on a
-        # basis it does not keep; its first solve is the strict-convexity
-        # check
+        # basis it does not keep; its spectral factors, built once behind the
+        # regime gate whatever the solver, are the strict-convexity check
         prob = regime_fixture("interior", seed=1)
         J = custom_regularizer(linops.from_matrix(np.diff(np.eye(24), axis=0)))
         lag = Lagrangian(prob.op, prob.g, J, prob.tau**2)
         counts = self.count_calls(monkeypatch, "eigh", "cho_factor")
+        assert diagnose_regime(lag).regime == "interior"
+        assert counts == {"eigh": 0, "cho_factor": 0}
         checker = maximize_dual(lag, solver="direct")
         evals = len(checker.iterations)
-        assert counts == {"eigh": 0, "cho_factor": evals}
+        assert counts == {"eigh": 1, "cho_factor": evals}
         assert checker.diagnosis.regime == "interior"
         with lag.krylov_basis() as basis:
             assert basis.k == 0
+        # one more eigh, for the fresh problem
         res = maximize_dual(Lagrangian(prob.op, prob.g, J, prob.tau**2))
-        assert counts == {"eigh": 1, "cho_factor": evals}
+        assert counts == {"eigh": 2, "cho_factor": evals}
         assert res.lambda_star == pytest.approx(checker.lambda_star, rel=1e-9)
 
     def test_matrix_free_custom_penalty_with_dense_a_is_factored(self, monkeypatch):
@@ -818,22 +850,37 @@ class TestWorkCounts:
         assert points == []
         assert all(e.error is None for e in evals)
 
-    def test_matrix_free_custom_sweep_applications(self):
+    def test_matrix_free_custom_sweep_applications(self, monkeypatch):
         # materializing A for the spectral factors costs dim_f forward
         # applications; each point then costs one forward and one adjoint,
         # in blocks as one at a time
+        import morozov.dual
+
         n, m = 64, 50
         A = make_deconvolution(n, 2.0)
         prob = synthesize(A, _bump_profile(n, np.random.default_rng(3)), 0.02, seed=3)
         op, counts = counting_free_op(A.matrix)
         J = custom_regularizer(linops.from_matrix(np.diff(np.eye(n), axis=0)))
+        # a custom penalty keeps the spectral blocks with a matrix-free A too
+        points = []
+        per_point = morozov.dual.eval_dual
+        monkeypatch.setattr(morozov.dual, "eval_dual", lambda *a, **k: points.append(a) or per_point(*a, **k))
         evals = sweep_dual(Lagrangian(op, prob.g, J, prob.tau**2), np.geomspace(1e-2, 1e8, m))
+        assert points == []
         assert all(e.error is None for e in evals)
         assert counts == {"fwd": n + m, "adj": m}
         assert counts == {"fwd": 114, "adj": 50}
 
 
 class TestSweepDual:
+    def test_rejects_nan_grid(self):
+        # a NaN point is refused, not swept as a NaN evaluation with no
+        # error, nor left to the Krylov solve's loop, which it never ends
+        lag = lagrangian_of(regime_fixture("interior", seed=1))
+        for solver in (None, "krylov"):
+            with pytest.raises(ValueError, match="positive"):
+                sweep_dual(lag, [1.0, math.nan], solver=solver)
+
     def test_interior_shape(self):
         prob = regime_fixture("interior", seed=2)
         lag = lagrangian_of(prob)
@@ -1009,7 +1056,7 @@ class TestPipelineVariants:
             free_op, prob.g, prob.regularizer, prob.tau**2
         )
         res_dense = maximize_dual(dense_lag, rtol=1e-8)
-        res_free = maximize_dual(free_lag, rtol=1e-8, inner_tol=1e-12)
+        res_free = maximize_dual(free_lag, rtol=1e-8)
         assert res_free.converged
         assert res_free.lambda_star == pytest.approx(res_dense.lambda_star, rel=1e-4)
         np.testing.assert_allclose(res_free.f_star, res_dense.f_star, rtol=1e-5, atol=1e-10)

@@ -237,15 +237,33 @@ class TestSolveLagrange:
             assert base <= lagrangian_value(lag, f, lam) + 1e-12
 
     def test_rejects_nonpositive_lambda(self):
+        # NaN passes no residual test, so it would never end a Krylov solve
         lag = scalar_lagrangian()
-        for lam in (0.0, -1.0):
-            with pytest.raises(ValueError):
-                solve_lagrange(lag, lam)
+        for solver in (None, "direct", "spectral", "krylov"):
+            for lam in (0.0, -1.0, float("nan")):
+                with pytest.raises(ValueError, match="positive"):
+                    solve_lagrange(lag, lam, solver=solver)
 
     def test_rejects_lambda_above_cap(self):
         lag = scalar_lagrangian()
         with pytest.raises(ValueError, match="LAMBDA_MAX"):
             solve_lagrange(lag, 2 * LAMBDA_MAX)
+
+    @pytest.mark.parametrize("kind", ["identity", "first_difference", "custom"])
+    def test_default_solver_is_the_engine(self, rng, kind):
+        n = 8
+        A = random_dense_op(rng, 10, n)
+        J = {
+            "identity": identity_regularizer(n),
+            "first_difference": first_difference_regularizer(n),
+            "custom": custom_regularizer(linops.from_matrix(np.diff(np.eye(n), axis=0))),
+        }[kind]
+        lag = Lagrangian(A, rng.standard_normal(10), J, 1.0)
+        engine = lag.engine()
+        assert engine == ("spectral" if kind == "custom" else "krylov")
+        sol = solve_lagrange(lag, 0.5)
+        assert sol.solver_stats["method"] == engine
+        assert sol.f_lambda.tobytes() == solve_lagrange(lag, 0.5, solver=engine).f_lambda.tobytes()
 
     def test_singular_system_direct(self):
         # shared kernel (constants) makes the system matrix singular
@@ -253,23 +271,30 @@ class TestSolveLagrange:
         D = first_difference_regularizer(n)
         A = linops.from_matrix(D.seminorm_operator.materialize())
         lag = Lagrangian(A, np.zeros(n - 1), first_difference_regularizer(n), 1.0)
-        with pytest.raises(AssumptionViolation):
+        # Cholesky reports only that it cannot resolve the system; the
+        # engine is what decides strict convexity
+        with pytest.raises(ConvergenceFailure, match="pivot ratio"):
             solve_lagrange(lag, 1.0, solver="direct")
+        with pytest.raises(AssumptionViolation, match="unique"):
+            lag.engine()
         with pytest.raises(AssumptionViolation, match="unique"):
             solve_lagrange(lag, 1.0, solver="spectral")
 
     def test_singular_system_matrix_free_refused(self, rng):
         # the shared-kernel pair behind callbacks: the right-hand side lives
         # in range(A^T), orthogonal to the shared kernel, so the system is
-        # consistent, yet every solver refuses its many minimizers
+        # consistent, yet the engine refuses its many minimizers and
+        # Cholesky cannot resolve them
         n = 5
         D = first_difference_regularizer(n).seminorm_operator.materialize()
         A = counting_free_op(D)[0]
         g = rng.standard_normal(n - 1)
         for J in (first_difference_regularizer(n), custom_regularizer(A)):
             lag = Lagrangian(A, g, J, 1.0)
-            with pytest.raises(AssumptionViolation, match="singular"):
+            with pytest.raises(ConvergenceFailure, match="singular"):
                 solve_lagrange(lag, 1.0, solver="direct")
+            with pytest.raises(AssumptionViolation, match="unique"):
+                lag.engine()
             with pytest.raises(AssumptionViolation, match="unique"):
                 solve_lagrange(lag, 1.0, solver="spectral")
         with pytest.raises(AssumptionViolation, match="unique"):
