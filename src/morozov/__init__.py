@@ -40,12 +40,11 @@ from .errors import (
 from .lagrange import Lagrangian, LagrangeSolution, lagrangian_value, solve_lagrange
 from .linops import LinearOperator, VectorSpaceDims
 from .problems import InverseProblem
-from .regularizers import AssumptionReport, Regularizer, check_assumptions
+from .regularizers import Regularizer
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssumptionReport",
     "AssumptionViolation",
     "BracketFailure",
     "ConvergenceFailure",
@@ -62,7 +61,6 @@ __all__ = [
     "SelectionResult",
     "VectorSpaceDims",
     "VerificationReport",
-    "check_assumptions",
     "diagnose_regime",
     "dual",
     "eval_dual",

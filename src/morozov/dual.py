@@ -179,8 +179,9 @@ def eval_dual(lag: Lagrangian, lam, solver=None):
     """Evaluate D, D' and D'' at one multiplier.
 
     At lam = 0 no inner solve is attempted: D(0) = 0 and the right
-    derivative is ||gbar||^2 - epsilon, with gbar the data of the
-    problem's standard form (g for the identity and custom penalties).
+    derivative is ||gbar||^2 - epsilon, with ||gbar|| the beta_1 of the
+    problem's basis (``Lagrangian.krylov_basis``), as ``diagnose_regime``
+    reads it; no engine is built and no convexity is decided there.
     For lam > 0 the inner problem is solved by ``solve_lagrange`` with
     ``solver`` as given (None is the problem's ``Lagrangian.engine``) and
 
@@ -193,8 +194,9 @@ def eval_dual(lag: Lagrangian, lam, solver=None):
     if not lam >= 0:  # NaN fails it too
         raise ValueError(f"lam must be nonnegative, got {lam}")
     if lam == 0:
-        g = lag.standard_form().data
-        return DualEvaluation(lam=0.0, d_value=0.0, d_prime=float(g @ g) - lag.epsilon)
+        with lag.krylov_basis() as basis:
+            data_norm = basis.beta[0]
+        return DualEvaluation(lam=0.0, d_value=0.0, d_prime=data_norm**2 - lag.epsilon)
     return _evaluation(lag, solve_lagrange(lag, lam, solver=solver))
 
 

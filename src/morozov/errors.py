@@ -44,8 +44,9 @@ class BracketFailure(ConvergenceFailure):
 class AssumptionViolation(MorozovError, ValueError):
     """The quadratic penalty is not positive definite on the problem.
 
-    Raised when ker(L) and ker(A) intersect nontrivially, so the inner
-    minimization problem has no unique solution.
+    Raised when the problem's engine is built (``Lagrangian.engine``) and
+    ker(L) and ker(A) intersect nontrivially, so the inner minimization
+    problem has no unique solution.
     """
 
 

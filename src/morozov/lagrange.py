@@ -195,8 +195,9 @@ class SpectralFactors:
 
 # ker L and ker A intersect trivially for first differences exactly when
 # A W != 0, W = 1/sqrt(n). ||A W|| at most this share of ||A^T q||, with
-# q = A W / ||A W|| (a lower bound on ||A||), counts as zero: the relative
-# rank cutoff that check_assumptions applies by default.
+# q = A W / ||A W|| (a lower bound on ||A||), counts as zero: a solution's
+# constant part, (q^T g - h^T z) / ||A W||, would then carry rounding of
+# order eps ||A^T q|| ||z|| / ||A W||, above 2e-6 ||z||.
 KERNEL_CUTOFF = 1e-10
 
 
@@ -304,6 +305,13 @@ class StandardForm:
         return _difference_pinv(z) + t / math.sqrt(z.shape[0] + 1)
 
 
+def _require_finite(name, arr):
+    """Raise ValueError naming the first NaN or infinite entry of ``arr``."""
+    if not np.isfinite(arr).all():
+        index = np.argwhere(~np.isfinite(arr))[0]
+        raise ValueError(f"{name} must be finite, but {name}{index.tolist()} = {arr[tuple(index)]}")
+
+
 class Lagrangian:
     """Problem bundle (A, g, J) with the squared tolerance epsilon.
 
@@ -311,7 +319,10 @@ class Lagrangian:
     applying a Morozov safety factor c >= 1 must fold it in beforehand
     (epsilon = (c * tau)^2); this class treats epsilon as final. ``data``
     is a read-only copy of ``g``, so the cached factorization and Krylov
-    basis cannot go stale.
+    basis cannot go stale. A NaN or an infinity in ``data`` or a dense
+    ``op``, on which a Krylov solve never returns, raises ``ValueError``
+    naming the first such entry; a matrix-free ``op`` cannot be checked
+    up front.
     """
 
     def __init__(self, op: LinearOperator, data, regularizer: Regularizer, epsilon):
@@ -325,8 +336,11 @@ class Lagrangian:
                 f"regularizer input dim {regularizer.dim_f} != "
                 f"operator input dim {op.dims.dim_f}"
             )
-        if not epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
+        if not 0 < epsilon < math.inf:  # NaN fails it too
+            raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+        _require_finite("data", data)
+        if op.is_dense:
+            _require_finite("A", op.matrix)
         data.setflags(write=False)
         self.op = op
         self.data = data

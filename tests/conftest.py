@@ -39,6 +39,13 @@ def lsqr_distance(op, g):
     return GolubKahan(op.apply, op.apply_adjoint, g, op.dims.dim_f).distance()
 
 
+def shares_kernel(A, L):
+    """Whether ker A and ker L meet outside 0, by numpy's rank of the
+    materialized maps: ker [A; L] = ker A ∩ ker L."""
+    stacked = np.vstack([A.materialize(), L.materialize()])
+    return np.linalg.matrix_rank(stacked) < A.dims.dim_f
+
+
 def random_dense_op(rng, dim_g, dim_f, scale=1.0):
     return linops.from_matrix(scale * rng.standard_normal((dim_g, dim_f)))
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -237,6 +238,22 @@ class TestSolve:
             run(["solve", "--problem", fixture_dirs["interior"], "--method", "secant",
                  "--out", tmp_path / "s.json"])
         assert err.value.code == 2
+
+
+class TestNonFiniteData:
+    @pytest.mark.parametrize("command", ["diagnose", "solve"])
+    def test_nan_in_data_exits_1(self, fixture_dirs, tmp_path, capsys, command):
+        # refused when the problem is built, with the contract's "error:"
+        # line, not a ZeroDivisionError traceback from the regime verdict
+        d = tmp_path / "nan"
+        shutil.copytree(fixture_dirs["interior"], d)
+        lines = (d / "g.csv").read_text().splitlines()
+        lines[3] = "nan"
+        (d / "g.csv").write_text("\n".join(lines) + "\n")
+        rc = run([command, "--problem", d, "--out", tmp_path / "r.json"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: data must be finite")
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestVerdictAgreement:

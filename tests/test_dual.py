@@ -108,6 +108,30 @@ class TestEvalDual:
             assert e.d_second == e.solution.discrepancy_slope
         assert eval_dual(lag, 0.0).d_second is None
 
+    @pytest.mark.parametrize("matrix_free", [False, True])
+    def test_lambda_zero_reads_the_verdicts_data_norm(self, rng, matrix_free):
+        # D'(0) = ||gbar||^2 - epsilon from the basis diagnose_regime reads,
+        # bit for bit, and no engine is built for it: first differences
+        # whose constants A annihilates have none, yet D'(0) = ||g||^2 - eps
+        n = 8
+        cases = [
+            (np.diff(np.eye(n), axis=0), first_difference_regularizer(n)),
+            (rng.standard_normal((10, n)), identity_regularizer(n)),
+            (rng.standard_normal((10, n)), first_difference_regularizer(n)),
+            (rng.standard_normal((10, n)), custom_regularizer(random_dense_op(rng, 5, n))),
+        ]
+        for i, (mat, J) in enumerate(cases):
+            op = counting_free_op(mat)[0] if matrix_free else linops.from_matrix(mat)
+            g = rng.standard_normal(mat.shape[0])
+            lag = Lagrangian(op, g, J, 0.25)
+            e = eval_dual(lag, 0.0)
+            assert e.d_value == 0.0 and e.solution is None and e.d_second is None
+            assert e.d_prime == diagnose_regime(lag).data_norm**2 - lag.epsilon
+            if i == 0:
+                assert e.d_prime == pytest.approx(g @ g - lag.epsilon, rel=1e-14)
+                with pytest.raises(AssumptionViolation):
+                    lag.engine()
+
     def test_rejects_negative(self):
         # a NaN multiplier would never end the Krylov solve's loop
         for solver in (None, "direct", "spectral", "krylov"):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from morozov.lagrange import (
     lagrangian_value,
     solve_lagrange,
 )
+from morozov.problems import regime_fixture
 from morozov.regularizers import (
     custom_regularizer,
     first_difference_regularizer,
@@ -488,10 +491,31 @@ class TestStandardForm:
 
 class TestLagrangianValidation:
     def test_epsilon_positive(self):
-        with pytest.raises(ValueError):
-            Lagrangian(
-                linops.identity(2), np.zeros(2), identity_regularizer(2), 0.0
-            )
+        for epsilon in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                Lagrangian(
+                    linops.identity(2), np.zeros(2), identity_regularizer(2), epsilon
+                )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_data_refused(self, bad):
+        # the regime verdict divided by zero on it, and a Krylov solve
+        # never returned
+        prob = regime_fixture("interior", seed=1)
+        g = prob.g.copy()
+        g[3] = bad
+        with pytest.raises(ValueError, match=rf"data\[3\] = {bad}"):
+            Lagrangian(prob.op, g, prob.regularizer, prob.tau**2)
+
+    def test_non_finite_dense_operator_refused(self):
+        mat = np.eye(3)
+        mat[1, 2] = math.nan
+        with pytest.raises(ValueError, match=r"A\[1, 2\] = nan"):
+            Lagrangian(linops.from_matrix(mat), np.ones(3), identity_regularizer(3), 1.0)
+        # a matrix-free map is known only by applying it, so it is not checked
+        op, counts = counting_free_op(mat)
+        Lagrangian(op, np.ones(3), identity_regularizer(3), 1.0)
+        assert counts == {"fwd": 0, "adj": 0}
 
     def test_data_dims(self):
         with pytest.raises(Exception):

@@ -5,13 +5,12 @@ from morozov import Lagrangian, linops, problems
 from morozov.errors import AssumptionViolation, DimensionMismatch
 from morozov.regularizers import (
     Regularizer,
-    check_assumptions,
     custom_regularizer,
     first_difference_regularizer,
     identity_regularizer,
 )
 
-from conftest import assert_adjoint_consistent, counting_free_op, random_dense_op
+from conftest import assert_adjoint_consistent, counting_free_op, random_dense_op, shares_kernel
 
 
 def _consistency_cases(rng):
@@ -21,7 +20,19 @@ def _consistency_cases(rng):
         # injective L, 3-dimensional ker A
         (custom_regularizer(random_dense_op(rng, 8, 6)), random_dense_op(rng, 3, 6)),
         (first_difference_regularizer(6), random_dense_op(rng, 4, 6)),
+        # identity penalty, 3-dimensional ker A
+        (identity_regularizer(6), random_dense_op(rng, 3, 6)),
     ]
+
+
+def _refused(build):
+    """Whether building a problem's engine, ``build()``, raises
+    ``AssumptionViolation``."""
+    try:
+        build()
+    except AssumptionViolation:
+        return True
+    return False
 
 
 class TestEvaluate:
@@ -154,44 +165,10 @@ def test_midpoint_equality_iff_difference_in_kernel(rng):
 
 
 class TestCheckAssumptions:
-    def test_identity_penalty_always_strict(self, rng):
-        A = random_dense_op(rng, 3, 6)  # huge kernel
-        report = check_assumptions(identity_regularizer(6), A)
-        assert report.strictly_convex_along_kernel
-        assert report.kernel_intersection_dim == 0
-        assert report.coercive_on_problem
-        assert report.attains_min_on_kernel
-
-    def test_first_difference_pair_shares_constants(self):
-        # ker(first difference) = constants for both maps, so the
-        # intersection is exactly the 1-d space of constant vectors
-        n = 6
-        D = first_difference_regularizer(n)
-        A = linops.from_matrix(D.seminorm_operator.materialize())
-        report = check_assumptions(first_difference_regularizer(n), A)
-        assert report.kernel_intersection_dim == 1
-        assert not report.strictly_convex_along_kernel
-        assert not report.coercive_on_problem
-        constant = np.ones(n)
-        assert np.linalg.norm(A.apply(constant)) == pytest.approx(0.0, abs=1e-14)
-
-    def test_injective_forward_trivial_kernel(self, rng):
-        A = linops.identity(5)
-        report = check_assumptions(first_difference_regularizer(5), A)
-        assert report.strictly_convex_along_kernel
-        assert report.kernel_intersection_dim == 0
-
-    def test_consistency_invariant(self, rng):
-        for J, A in _consistency_cases(rng):
-            report = check_assumptions(J, A)
-            assert report.strictly_convex_along_kernel == (
-                report.kernel_intersection_dim == 0
-            )
-            assert report.coercive_on_problem == report.strictly_convex_along_kernel
+    # building the engine is the selector's one strict-convexity check;
+    # numpy's rank of [A; L] (conftest.shares_kernel) is the oracle for it
 
     def test_factorization_agrees_with_oracle(self, rng):
-        # building the spectral factors is the selector's assumption check;
-        # check_assumptions stays the independent oracle for it
         n = 8
         shared = first_difference_regularizer(n)
         cases = _consistency_cases(rng) + [
@@ -204,20 +181,14 @@ class TestCheckAssumptions:
         outcomes = []
         for J, A in cases:
             g = rng.standard_normal(A.dims.dim_g)
-            lag = Lagrangian(A, g, J, epsilon=1.0)
-            try:
-                lag.spectral_factors()
-                refused = False
-            except AssumptionViolation:
-                refused = True
-            oracle = check_assumptions(J, A).strictly_convex_along_kernel
-            assert refused == (not oracle), (J.kind, A)
+            refused = _refused(Lagrangian(A, g, J, epsilon=1.0).spectral_factors)
+            assert refused == shares_kernel(A, J.seminorm_operator), (J.kind, A)
             outcomes.append(refused)
-        assert outcomes.count(True) == 1  # only the shared-kernel pair
+        assert outcomes == [False] * 4 + [True] + [False] * 4  # only the shared-kernel pair
 
     def test_standard_form_agrees_with_oracle(self, rng):
         # for first differences the selector checks ||A W|| > 0 on the
-        # constants W, with no SVD; check_assumptions stays the oracle
+        # constants W, with no SVD
         n = 8
         shared = first_difference_regularizer(n)
         cases = _consistency_cases(rng) + [
@@ -229,36 +200,29 @@ class TestCheckAssumptions:
             if J.kind == "custom":
                 continue
             lag = Lagrangian(A, rng.standard_normal(A.dims.dim_g), J, epsilon=1.0)
-            try:
-                lag.standard_form()
-                refused = False
-            except AssumptionViolation:
-                refused = True
-            assert refused == (not check_assumptions(J, A).strictly_convex_along_kernel), (J.kind, A)
+            refused = _refused(lag.standard_form)
+            assert refused == shares_kernel(A, J.seminorm_operator), (J.kind, A)
             outcomes.append(refused)
-        assert outcomes == [False, False, True, False]
+        assert outcomes == [False, False, False, True, False]
 
-    def test_matrix_free_operators_give_the_dense_report(self, rng):
-        # matrix-free maps are materialized: the report of their matrices,
-        # for a pair whose kernels meet only in 0 and a shared-kernel pair
+    def test_engine_decides_matrix_free_maps_as_dense_ones(self, rng):
+        # a custom penalty's engine materializes a matrix-free A or L for its
+        # spectral factors, at dim_f forward applications each: the decision
+        # for a pair whose kernels meet only in 0 and for a shared-kernel pair
         diff = np.diff(np.eye(6), axis=0)
-        A = linops.from_matrix(diff)
-        reports = []
+        g = rng.standard_normal(5)
+        outcomes = []
         for mat in (rng.standard_normal((4, 6)), diff):
-            free_L = custom_regularizer(counting_free_op(mat)[0])
-            dense_L = custom_regularizer(linops.from_matrix(mat))
-            report = check_assumptions(dense_L, A)
-            assert check_assumptions(free_L, A) == report
-            free_A, counts = counting_free_op(diff)
-            assert check_assumptions(dense_L, free_A) == report
-            assert counts == {"fwd": 6, "adj": 0}
-            reports.append(report.kernel_intersection_dim)
-        assert reports == [0, 1]
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            check_assumptions(identity_regularizer(3), linops.identity(4))
-
-    def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
-            check_assumptions(identity_regularizer(3), linops.identity(3), tol=-1.0)
+            oracle = shares_kernel(linops.from_matrix(diff), linops.from_matrix(mat))
+            for free in ((), ("A",), ("L",), ("A", "L")):
+                maps, counts = {}, {}
+                for name, m in (("A", diff), ("L", mat)):
+                    if name in free:
+                        maps[name], counts[name] = counting_free_op(m)
+                    else:
+                        maps[name] = linops.from_matrix(m)
+                lag = Lagrangian(maps["A"], g, custom_regularizer(maps["L"]), epsilon=1.0)
+                assert _refused(lag.engine) == oracle, free
+                assert counts == {name: {"fwd": 6, "adj": 0} for name in free}
+            outcomes.append(oracle)
+        assert outcomes == [False, True]
