@@ -1,10 +1,10 @@
 """Golub-Kahan bidiagonalization, the package's one Krylov kernel.
 
 ``GolubKahan`` is started from the data and serves two layers from one
-basis: the projected Tikhonov solve of ``solver="krylov"`` (Chung, Nagy
-& O'Leary, ETNA 2008) with its error estimates, and LSQR (Paige &
-Saunders, ACM TOMS 1982), whose residual certifies the interior regime,
-or gives the distance from the data to the range, in
+basis: the projected Tikhonov solve of ``lagrange.solve_lagrange``
+(Chung, Nagy & O'Leary, ETNA 2008) with its error estimates, and LSQR
+(Paige & Saunders, ACM TOMS 1982), whose residual certifies the interior
+regime, or gives the distance from the data to the range, in
 ``diagnose_regime``. The problems of the identity and first-difference
 penalties, dense or matrix-free, run on it in the standard form of
 ``lagrange.StandardForm``.
@@ -184,21 +184,15 @@ class GolubKahan:
         """Projected solution of (I + lam A^T A) f = lam A^T g in V_k.
 
         Solves (I + lam B_k^T B_k) z = lam alpha_1 beta_1 e_1 on the first
-        ``k`` columns (default all) and returns (z, relative_residual)
-        with f = V_k z. In exact arithmetic the full residual is
-        lam alpha_{k+1} beta_{k+1} z_k v_{k+1}, so its norm relative to
-        ||lam A^T g|| costs no application; callers confirm it on the full
-        system. The result depends on the first k columns only, not on
-        how far the basis has grown.
+        ``k`` columns (default all) and returns z, with f = V_k z; its
+        relative residual is ``tikhonov_residuals(lam)[k]``. The result
+        depends on the first k columns only, not on how far the basis has
+        grown.
         """
         k = self.k if k is None else k
-        if self.alpha[0] == 0.0:
-            return np.zeros(0), 0.0
-        if k == 0:
-            return np.zeros(0), 1.0
-        z = self._projected_solve(lam, k)
-        rel = self.alpha[k] * self.beta[k] * abs(z[-1]) / (self.alpha[0] * self.beta[0])
-        return z, float(rel)
+        if k == 0:  # alpha_1 = 0 exhausts the basis at k = 0
+            return np.zeros(0)
+        return self._projected_solve(lam, k)
 
     def _projected_solve(self, lam, k, times=1):
         """(I + lam B_k^T B_k)^{-times} (lam alpha_1 beta_1 e_1), k >= 1."""
@@ -212,9 +206,12 @@ class GolubKahan:
     def tikhonov_residuals(self, lam):
         """The relative residual of ``tikhonov(lam, j)`` for j = 0..k at once.
 
-        With T_j = L_j D_j L_j^T, the last coordinate of the solution in V_j
-        is y_j / D_j times lam alpha_1 beta_1, where y = L^{-1} e_1 has
-        entries prod_{i<j} (-l_i); one factorization of T_k gives every j.
+        In exact arithmetic the full residual of V_j z is
+        lam alpha_{j+1} beta_{j+1} z_j v_{j+1}, so its norm relative to
+        ||lam A^T g|| costs no application; callers confirm it on the full
+        system. With T_j = L_j D_j L_j^T, z_j is y_j / D_j times
+        lam alpha_1 beta_1, where y = L^{-1} e_1 has entries prod_{i<j} (-l_i);
+        one factorization of T_k gives every j.
         """
         k = self.k
         if self.alpha[0] == 0.0:

@@ -5,10 +5,10 @@ Subcommands: ``generate`` (write a fixture directory), ``diagnose``
 parameter), ``sweep`` (tabulate the dual function on a grid), ``verify``
 (re-check a solve result).
 
-Exit codes are a stable contract: 0 success, 1 I/O or invalid input,
-2 regime precondition failed, 3 non-convergence (including a failed
-verification). The environment variable ``MOROZOV_LOG`` (error, info or
-debug) controls log verbosity.
+Exit codes are a stable contract: 0 success, 1 I/O or invalid input (a
+usage error included), 2 regime precondition failed, 3 non-convergence
+(including a failed verification). The environment variable
+``MOROZOV_LOG`` (error, info or debug) controls log verbosity.
 
 The Morozov safety factor ``--safety-factor`` c >= 1 rescales the noise
 estimate: the solver works with the effective tolerance c * tau. Values
@@ -45,8 +45,15 @@ def _configure_logging():
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are invalid input, exit 1."""
+
+    def error(self, message):
+        self.exit(EXIT_IO, f"error: {message}\n")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="morozov",
         description="Tikhonov regularization with the parameter selected by "
         "maximizing the dual of the discrepancy constraint.",
@@ -63,8 +70,9 @@ def _build_parser():
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True, help="fixture directory to create")
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--problem", required=True, help="fixture directory")
+    problem = argparse.ArgumentParser(add_help=False)
+    problem.add_argument("--problem", required=True, help="fixture directory")
+    common = argparse.ArgumentParser(add_help=False, parents=[problem])
     common.add_argument("--tau", type=float, default=None, help="override the stored noise estimate")
     common.add_argument("--safety-factor", type=float, default=1.02, help="Morozov constant c >= 1")
 
@@ -95,7 +103,8 @@ def _build_parser():
     sweep.add_argument("--out", default="sweep.csv")
     sweep.add_argument("--format", choices=["csv", "json"], default="csv")
 
-    verify = sub.add_parser("verify", parents=[common], help="re-check a solve result")
+    # the saved tau_eff is checked, so no tolerance flags
+    verify = sub.add_parser("verify", parents=[problem], help="re-check a solve result")
     verify.add_argument("--result", required=True, help="JSON written by solve")
     verify.add_argument("--rtol", type=float, default=1e-8)
     verify.add_argument("--out", default=None, help="write the report as JSON")
@@ -108,7 +117,7 @@ def _effective_tau(args, problem):
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
     c = args.safety_factor
-    if c < 1.0:
+    if not c >= 1.0:  # NaN fails it too
         raise ValueError(f"safety factor must be >= 1, got {c}")
     if c == 1.0:
         print(

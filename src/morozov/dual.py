@@ -27,9 +27,9 @@ the inequality chain holds, "noise_dominates" when tau >= ||gbar|| (D is
 nonincreasing, dual maximum at 0), "too_optimistic" when
 tau <= dist(g, range(A)) (D increases forever and no maximum is attained).
 
-D' is nonincreasing and every solver also returns D''(lam), the slope
-d||A f_lam - g||^2 / dlam, at O(k) or O(n) cost or one extra triangular
-solve. The default maximization is a safeguarded Newton iteration on
+D' is nonincreasing and every inner solve also returns D''(lam), the
+slope d||A f_lam - g||^2 / dlam, at O(k) or O(n) cost. The default
+maximization is a safeguarded Newton iteration on
 
     psi(lam) = 1/||A f_lam - g|| - 1/tau,
 
@@ -62,12 +62,9 @@ every evaluation is a projected solve in the same basis, which grows
 only when a multiplier needs more columns; with a custom one the problem
 is factored once (``Lagrangian.spectral_factors``, materializing a
 matrix-free A or L), and every evaluation after that costs a few O(n^2)
-products. Sweeps with a dense A use the
-factorization whatever the penalty, since a wide grid of multipliers
-grows the basis past its cost. A sweep on the factors evaluates its grid
-in blocks of at most ``dim_f`` multipliers (``sweep_dual``): for a dense
-A, each block costs three matrix-matrix products after the one
-eigendecomposition, not three matrix-vector products per multiplier.
+products. Sweeps with a dense A use the factorization whatever the
+penalty, in blocks of multipliers (``sweep_dual``), since a wide grid
+grows the basis past its cost.
 """
 
 import logging
@@ -175,21 +172,21 @@ class VerificationReport:
         return [c["name"] for c in self.checks if not c["passed"]]
 
 
-def eval_dual(lag: Lagrangian, lam, solver=None):
+def eval_dual(lag: Lagrangian, lam):
     """Evaluate D, D' and D'' at one multiplier.
 
     At lam = 0 no inner solve is attempted: D(0) = 0 and the right
     derivative is ||gbar||^2 - epsilon, with ||gbar|| the beta_1 of the
     problem's basis (``Lagrangian.krylov_basis``), as ``diagnose_regime``
     reads it; no engine is built and no convexity is decided there.
-    For lam > 0 the inner problem is solved by ``solve_lagrange`` with
-    ``solver`` as given (None is the problem's ``Lagrangian.engine``) and
+    For lam > 0 the inner problem is solved by ``solve_lagrange`` on the
+    problem's ``Lagrangian.engine`` and
 
         D(lam) = J(f_lam) + lam * D'(lam),
         D'(lam) = ||A f_lam - g||^2 - epsilon,
         D''(lam) = d||A f_lam - g||^2 / dlam,
 
-    the last from the solver's own quantities (``LagrangeSolution``).
+    the last from the engine's own quantities (``LagrangeSolution``).
     """
     if not lam >= 0:  # NaN fails it too
         raise ValueError(f"lam must be nonnegative, got {lam}")
@@ -197,7 +194,7 @@ def eval_dual(lag: Lagrangian, lam, solver=None):
         with lag.krylov_basis() as basis:
             data_norm = basis.beta[0]
         return DualEvaluation(lam=0.0, d_value=0.0, d_prime=data_norm**2 - lag.epsilon)
-    return _evaluation(lag, solve_lagrange(lag, lam, solver=solver))
+    return _evaluation(lag, solve_lagrange(lag, lam))
 
 
 def _evaluation(lag, sol):
@@ -265,7 +262,6 @@ def maximize_dual(
     lambda_init=1.0,
     step_rule="inv_n",
     step_constant=2.0,
-    solver=None,
     override_regime=False,
 ):
     """Find the multiplier maximizing D, i.e. solve D'(lam) = 0.
@@ -275,9 +271,8 @@ def maximize_dual(
     tolerance rtol.
 
     Before the search, ``diagnose_regime`` gives the regime verdict, by
-    LSQR in the problem's one Golub-Kahan basis whatever the penalty and
-    the solver; no least-squares factorization and no eigendecomposition
-    runs for it.
+    LSQR in the problem's one Golub-Kahan basis whatever the penalty; no
+    least-squares factorization and no eigendecomposition runs for it.
 
     Parameters
     ----------
@@ -304,8 +299,6 @@ def maximize_dual(
         tolerance).
     step_rule : {"inv_n", "constant"}
         rho_n = step_constant / n, or rho_n = step_constant.
-    solver : None or str
-        Passed unchanged to every ``eval_dual``; None is ``lag.engine()``.
     override_regime : bool
         Skip the interior-regime gate (for experimentation; outside the
         interior regime the iteration cannot converge).
@@ -319,7 +312,7 @@ def maximize_dual(
         This takes precedence over an ``AssumptionViolation``.
     AssumptionViolation
         If the penalty is not strictly convex along ker(A), by building
-        the problem's engine after the regime gate, whatever the solver.
+        the problem's engine after the regime gate.
     BracketFailure
         For Newton and bisection, if D'(0) = ||gbar||^2 - epsilon is
         below -rtol * epsilon, before any evaluation (only with
@@ -366,7 +359,7 @@ def maximize_dual(
     d_tol = rtol * lag.epsilon
 
     def evaluate(lam):
-        e = eval_dual(lag, lam, solver=solver)
+        e = eval_dual(lag, lam)
         trace.append((e.lam, e.d_value, e.d_prime))
         return e
 
@@ -508,14 +501,16 @@ def _gradient_ascent(evaluate, finish, d_tol, max_iter, step_rule, step_constant
     )
 
 
-def sweep_dual(lag: Lagrangian, lambdas, solver=None):
+def sweep_dual(lag: Lagrangian, lambdas):
     """Evaluate the dual on an ascending positive grid.
 
     Inner failures at single points are recorded on the returned
     evaluations (``error`` set, values NaN) and the sweep continues.
-    Problems with a dense A or a custom penalty default to the spectral
-    solver: a wide grid grows a Krylov basis past the cost of the
-    eigendecomposition. Other problems default to their engine.
+    Problems with a dense A or a custom penalty are swept on the spectral
+    factors: a wide grid grows a Krylov basis past the cost of the
+    eigendecomposition. Other problems, a matrix-free A with a built-in
+    penalty, are evaluated point by point through ``eval_dual`` on their
+    engine.
 
     On the spectral factors the grid is solved in blocks of at most
     ``dim_f`` multipliers by ``solve_lagrange_block``: after the one
@@ -525,7 +520,7 @@ def sweep_dual(lag: Lagrangian, lambdas, solver=None):
     factors. Every point is the same ``DualEvaluation`` that ``eval_dual``
     returns; a singular pencil fails every point with the same
     ``AssumptionViolation``, and multipliers above LAMBDA_MAX fail one by
-    one. Other solvers evaluate point by point through ``eval_dual``.
+    one.
     """
     lambdas = np.asarray(lambdas, dtype=np.float64)
     if lambdas.size == 0:
@@ -534,13 +529,12 @@ def sweep_dual(lag: Lagrangian, lambdas, solver=None):
         raise ValueError("grid values must be positive")
     if np.any(np.diff(lambdas) <= 0):
         raise ValueError("grid must be strictly ascending")
-    # no engine built here, so a singular pencil fails every point
-    if solver is None and (lag.op.is_dense or lag.regularizer.kind == "custom"):
-        solver = "spectral"
+    # no engine built here, so a singular pencil fails every point; the
+    # grid ascends, so the multipliers a spectral block accepts come first
+    # and the rest fail one by one with solve_lagrange's own message
+    spectral = lag.op.is_dense or lag.regularizer.kind == "custom"
+    blocked = int(np.searchsorted(lambdas, LAMBDA_MAX, side="right")) if spectral else 0
     out = []
-    # the grid ascends, so the multipliers a spectral block accepts come
-    # first; the rest fail one by one with solve_lagrange's own message
-    blocked = int(np.searchsorted(lambdas, LAMBDA_MAX, side="right")) if solver == "spectral" else 0
     size = lag.op.dims.dim_f
     for start in range(0, blocked, size):
         lams = lambdas[start:min(start + size, blocked)]
@@ -550,7 +544,7 @@ def sweep_dual(lag: Lagrangian, lambdas, solver=None):
             out.extend(_failed_point(lam, exc) for lam in lams)
     for lam in lambdas[blocked:]:
         try:
-            out.append(eval_dual(lag, float(lam), solver=solver))
+            out.append(eval_dual(lag, float(lam)))
         except _POINT_ERRORS as exc:
             out.append(_failed_point(lam, exc))
     return out

@@ -16,7 +16,7 @@ alpha = 1/lam. Conditioning deteriorates as lam grows, so multipliers
 above ``LAMBDA_MAX`` are rejected outright.
 
 Problems with a built-in penalty, the identity or first differences,
-share one Golub-Kahan basis (``solver="krylov"``), dense or matrix-free.
+share one Golub-Kahan basis, dense or matrix-free.
 ``StandardForm`` first brings the penalty to the identity: for first
 differences, Elden's transformation replaces (A, g) by
 Abar = (I - q q^T) A L^+ and gbar = (I - q q^T) g, with L^+ an O(n)
@@ -36,7 +36,7 @@ generalized eigendecomposition
 
 turns the system at every lam into the diagonal one
 ((1 - mu) + lam mu) y = lam X^T A^T g with f = X y, so each solve after
-the first costs a few O(n^2) products (``solver="spectral"``). B is
+the first costs a few O(n^2) products. B is
 positive definite exactly when ker L and ker A intersect trivially, so
 building the factorization is also the strict-convexity check. It
 costs O(n^3) time and O(n^2) memory, which a matrix-free A with a
@@ -49,16 +49,13 @@ memory-bound matrix-vector products per multiplier: at n = 512, for 200
 multipliers on 1 BLAS thread, about 8 ms against about 64 ms.
 
 ``Lagrangian.engine`` picks between the two by penalty, and
-``solve_lagrange`` uses it by default. The Cholesky solver (``"direct"``)
-factors the full system at each lam and stays as an independent
-checker; it decides no convexity, so a factor numerically singular at
-one lam is a ``ConvergenceFailure`` stating the pivot ratio reached.
+``solve_lagrange`` solves on it.
 
 Every solve also returns the slope d||A f - g||^2 / dlam, the dual's
 D''(lam), which the Newton search over lam uses. With r = A f - g and
-M = L^T L + lam A^T A it is -2 (A^T r)^T M^{-1} (A^T r); each solver
+M = L^T L + lam A^T A it is -2 (A^T r)^T M^{-1} (A^T r); each engine
 takes it from what it already holds: the projected tridiagonal in O(k),
-the spectral factors in O(n), the Cholesky factor at one more solve.
+the spectral factors in O(n).
 """
 
 import logging
@@ -76,6 +73,7 @@ from .linops import LinearOperator, from_callables, residual_norm_sq
 from .regularizers import Regularizer
 
 __all__ = [
+    "KRYLOV_TOL",
     "LAMBDA_MAX",
     "Lagrangian",
     "LagrangeSolution",
@@ -91,6 +89,12 @@ log = logging.getLogger(__name__)
 # conditioning guard: inner systems above this multiplier are rejected
 LAMBDA_MAX = 1e12
 
+# relative residual target of a Krylov solve, floored at the full system's
+# float64 rounding level eps ||L||^2 ||f|| / (lam ||A^T g||), which grows as
+# 1/lam (``_rounding_level``): at lam = 1e-6 on a first-difference problem
+# that level is near 1e-9, and a fixed 1e-10 would exhaust the basis
+KRYLOV_TOL = 1e-10
+
 # columns beyond a Krylov solve's own whose solution stands in for the exact
 # one when its discrepancy error is estimated
 _LOOKAHEAD = 4
@@ -101,7 +105,7 @@ class LagrangeSolution:
     """Minimizer of the inner problem at a fixed multiplier.
 
     ``discrepancy_slope`` is d||A f_lam - g||^2 / dlam, which is D''(lam),
-    from the solver's own quantities: it is -2 (A^T r)^T M^{-1} (A^T r)
+    from the engine's own quantities: it is -2 (A^T r)^T M^{-1} (A^T r)
     with r = A f - g and M = L^T L + lam A^T A, since M df/dlam = -A^T r.
     """
 
@@ -151,10 +155,8 @@ class SpectralFactors:
             If L^T L + A^T A is singular or numerically singular, i.e. the
             penalty is not strictly convex along ker(A).
         """
-        # fresh products, not the operators' cached Gram matrices: eigh
-        # overwrites gram_a with X, and a cached L^T L would keep n^2 floats
-        # that no spectral solve reads; so would a materialized map, which is
-        # dropped before the factorizations
+        # the materialized maps are dropped before the O(n^3) factorizations,
+        # so fewer n^2 blocks are held at the peak
         Am, Lm = A.materialize(), L.materialize()
         gram_a = Am.T @ Am
         atg = Am.T @ g
@@ -437,41 +439,17 @@ def lagrangian_value(lag: Lagrangian, f, lam):
     return j + lam * (residual_norm_sq(lag.op, f, lag.data) - lag.epsilon)
 
 
-def solve_lagrange(lag: Lagrangian, lam, solver=None, tol=1e-10):
-    """Minimize the inner problem at multiplier ``lam > 0``.
+def solve_lagrange(lag: Lagrangian, lam):
+    """Minimize the inner problem at multiplier ``lam`` on the problem's
+    engine, ``lag.engine()``.
 
-    Parameters
-    ----------
-    lag : Lagrangian
-    lam : float
-        Multiplier, in (0, LAMBDA_MAX].
-    solver : {None, "direct", "spectral", "krylov"}
-        None is the problem's engine, ``lag.engine()``. Direct assembles
-        the system matrix and takes a Cholesky factorization (a
-        matrix-free A or L is materialized once).
-        Spectral reuses the problem's ``SpectralFactors`` (built on the
-        first call), so it costs a few O(n^2) products per multiplier; it
-        is the one-point case of ``solve_lagrange_block``.
-        Krylov (identity and first-difference penalties) solves in the
-        Golub-Kahan basis of the problem's ``StandardForm`` on the fewest
-        columns whose solution has a relative residual
-        ||lam A^T g - (L^T L + lam A^T A) f|| / ||lam A^T g|| of the full
-        system at most ``tol``, extending the basis when none does; a
-        solve that needs no new step costs one forward and one adjoint
-        application. Each solver also returns the slope
-        d||A f - g||^2 / dlam from what it holds: O(k) in the basis, O(n)
-        from the spectral factors, one more triangular solve with the
-        Cholesky factor.
-    tol : float
-        Relative residual target for the Krylov path, floored at the full
-        system's float64 rounding level eps ||L||^2 ||f|| / (lam ||A^T g||),
-        which grows as 1/lam as Cholesky's own residual does: at
-        lam = 1e-6 on a first-difference problem that level is near
-        1e-9, and a fixed 1e-10 would exhaust the basis.
-
-    Returns
-    -------
-    LagrangeSolution
+    A custom penalty is solved as the one-point case of
+    ``solve_lagrange_block``. A built-in one is solved in the Golub-Kahan
+    basis of its ``StandardForm`` (``_krylov_solve``) to a relative
+    residual ||lam A^T g - (L^T L + lam A^T A) f|| / ||lam A^T g|| of at
+    most ``KRYLOV_TOL``, or the full system's float64 rounding level where
+    that is larger; a solve that needs no new basis column costs one
+    forward and one adjoint application.
 
     Raises
     ------
@@ -479,45 +457,21 @@ def solve_lagrange(lag: Lagrangian, lam, solver=None, tol=1e-10):
         For ``lam`` outside (0, LAMBDA_MAX], NaN included.
     AssumptionViolation
         If the penalty is not strictly convex along ker(A), when the
-        Krylov or spectral solver is built (``Lagrangian.engine``).
+        engine is built.
     ConvergenceFailure
-        If the Krylov basis is exhausted above ``tol`` and the rounding
-        level, or if the Cholesky factor is numerically singular at
-        ``lam``; the message states the pivot ratio reached.
+        If the Krylov basis is exhausted above that residual.
     """
     _check_multiplier(lam)
-    if solver is None:
-        solver = lag.engine()
-    if solver == "spectral":
+    if lag.engine() == "spectral":
         return solve_lagrange_block(lag, [lam])[0]
-    if solver == "krylov":
-        f, residuals, slope, stats = _krylov_solve(lag, lam, tol)
-        return _solution(lag, lam, f, residuals, slope, stats)
-    if solver != "direct":
-        raise ValueError(f"unknown solver {solver!r}")
-    A = lag.op
-    M = lag.regularizer.seminorm_operator.gram_matrix() + lam * A.gram_matrix()
-    try:
-        cho = scipy.linalg.cho_factor(M, check_finite=False)
-        ratio = _singular_pivot_ratio(cho[0])
-    except scipy.linalg.LinAlgError:
-        ratio = 0.0  # a pivot that is not positive
-    if ratio is not None:
-        raise ConvergenceFailure(
-            f"Cholesky factor of the inner system numerically singular at lam={lam:g}: "
-            f"pivot ratio {ratio:.2e}, at most sqrt(n eps); the system is conditioned "
-            "beyond float64 at this multiplier"
-        )
-    f = scipy.linalg.cho_solve(cho, lam * A.apply_adjoint(lag.data), check_finite=False)
-    residuals = _residuals(lag, f, lam)
-    atr = residuals[1]
-    slope = -2.0 * float(atr @ scipy.linalg.cho_solve(cho, atr, check_finite=False))
-    return _solution(lag, lam, f, residuals, slope, {"method": "direct", "factorization": "cholesky"})
+    f, residuals, slope, stats = _krylov_solve(lag, lam)
+    return _solution(lag, lam, f, residuals, slope, stats)
 
 
 def solve_lagrange_block(lag: Lagrangian, lams):
-    """``solve_lagrange(lag, lam, solver="spectral")`` at every multiplier
-    of ``lams`` at once, in order.
+    """The inner minimizers on the problem's ``SpectralFactors`` at every
+    multiplier of ``lams`` at once, in order; ``solve_lagrange`` of a
+    custom penalty is the one-point case.
 
     The rows F of f_lam come from the problem's ``SpectralFactors`` as one
     product, and so do the residuals R = F A^T - g and A^T R: three
@@ -569,7 +523,7 @@ def _check_multiplier(lam):
 
 def _solution(lag, lam, f, residuals, slope, stats):
     """The ``LagrangeSolution`` at f from its residuals (r, A^T r, grad) of
-    ``_residuals``: the tail every solver and block shares. The discrepancy
+    ``_residuals``: the tail every engine and block shares. The discrepancy
     is ||r||^2 of the explicit residual, never an expanded form that
     cancels, and the optimality residual is ||grad||."""
     r, _, grad = residuals
@@ -601,7 +555,7 @@ def _residuals(lag, f, lam, r=None, atr=None):
     return r, atr, lag.regularizer.gradient(f) + 2.0 * lam * atr
 
 
-def _krylov_solve(lag, lam, tol):
+def _krylov_solve(lag, lam):
     """Projected Tikhonov solve in the problem's Golub-Kahan basis.
 
     Finds the fewest basis columns j whose projected solution passes two
@@ -610,31 +564,28 @@ def _krylov_solve(lag, lam, tol):
     not on how far earlier solves grew the basis, and so does the answer;
     the basis grows while no j passes.
 
-    - The full system's relative residual is at most ``tol``, or at most
-      its float64 rounding level where that is larger (``_rounding_level``).
+    - The full system's relative residual is at most ``KRYLOV_TOL``, or at
+      most its float64 rounding level where that is larger
+      (``_rounding_level``).
       The full residual is L^T times the standard form's, so the
       recurrences' estimate times ``lt_norm`` bounds it. The explicit
       residual of the returned solution decides.
     - The error of ||A f - g||^2, and so of D', is at most
-      ``tol * epsilon`` by ``GolubKahan.discrepancy_error``. The residual
-      test alone does not bound this error: at small noise and large lam,
-      a relative residual of 1e-10 leaves D' wrong in its sign.
+      ``KRYLOV_TOL * epsilon`` by ``GolubKahan.discrepancy_error``. The
+      residual test alone does not bound this error: at small noise and
+      large lam, a relative residual of 1e-10 leaves D' wrong in its sign.
 
     Returns (f, (r, A^T r, grad), slope, stats) with the residuals of
     ``_residuals`` at f and the slope d||A f - g||^2 / dlam of
     ``GolubKahan.discrepancy_slope`` on the same k columns.
     """
-    if lag.regularizer.kind == "custom":
-        raise ValueError(
-            "krylov solver needs the identity or first-difference penalty; use spectral"
-        )
     form = lag.standard_form()
     scale = 2.0 * lam * form.rhs_norm  # ||grad|| = 2 ||full residual||
     with lag.krylov_basis() as basis:
         gain = form.lt_norm * basis.alpha[0] * basis.beta[0] / form.rhs_norm if scale else 0.0
         j = 0
         while True:
-            ahead = np.flatnonzero(gain * basis.tikhonov_residuals(lam)[j:] <= tol)
+            ahead = np.flatnonzero(gain * basis.tikhonov_residuals(lam)[j:] <= KRYLOV_TOL)
             if not ahead.size:
                 j = basis.k + 1
             else:
@@ -643,13 +594,13 @@ def _krylov_solve(lag, lam, tol):
                 # an exhausted basis holds the exact solution
                 exact = k == basis.k and basis.exhausted
                 if k == j + _LOOKAHEAD or exact:
-                    z, _ = basis.tikhonov(lam, j)
-                    if exact or basis.discrepancy_error(lam, z, k) <= tol * lag.epsilon:
-                        z = basis.tikhonov(lam, k)[0]
+                    z = basis.tikhonov(lam, j)
+                    if exact or basis.discrepancy_error(lam, z, k) <= KRYLOV_TOL * lag.epsilon:
+                        z = basis.tikhonov(lam, k)
                         f = form.solution(basis.expand(z))
                         residuals = _residuals(lag, f, lam)
                         rel = float(np.linalg.norm(residuals[2])) / scale if scale else 0.0
-                        target = max(tol, _rounding_level(form, f, lam)) if scale else tol
+                        target = max(KRYLOV_TOL, _rounding_level(form, f, lam)) if scale else KRYLOV_TOL
                         if rel <= target or exact:
                             break
                     j += 1
@@ -669,7 +620,6 @@ def _rounding_level(form, f, lam):
     """The float64 rounding level of the full system's relative residual
     ||lam A^T g - (L^T L + lam A^T A) f|| / ||lam A^T g||: forming L^T L f
     rounds at eps ||L||^2 ||f||, which is eps ||L||^2 ||f|| / (lam ||A^T g||)
-    of the right-hand side and so grows as 1 / lam, as Cholesky's own
-    residual does."""
+    of the right-hand side and so grows as 1 / lam."""
     eps = np.finfo(np.float64).eps
     return eps * form.lt_norm**2 * float(np.linalg.norm(f)) / (lam * form.rhs_norm)

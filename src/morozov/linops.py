@@ -92,7 +92,6 @@ class LinearOperator:
             self._matrix = None
             self._forward = forward
             self._adjoint = adjoint
-        self._gram = None
 
     # -- representation ---------------------------------------------------
 
@@ -144,16 +143,6 @@ class LinearOperator:
             return self._matrix.T @ y
         out = np.asarray(self._adjoint(y), dtype=np.float64)
         return _as_vector(out, self.dims.dim_f, "adjoint callback output")
-
-    def gram_matrix(self):
-        """Dense Gram matrix A^T A, cached. A matrix-free operator is
-        materialized for it first, at ``dim_f`` forward applications, and
-        the dim_f^2 product stays cached with it."""
-        if self._gram is None:
-            mat = self.materialize()
-            self._gram = mat.T @ mat
-            self._gram.setflags(write=False)
-        return self._gram
 
     # -- composition -------------------------------------------------------
 

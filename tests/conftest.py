@@ -5,6 +5,7 @@ from morozov import linops, problems
 from morozov._kernels import GolubKahan
 from morozov.dual import diagnose_regime
 from morozov.lagrange import Lagrangian
+from morozov.regularizers import custom_regularizer
 
 
 def assert_adjoint_consistent(op, n_probes=100, rtol=1e-10, seed=1234):
@@ -44,6 +45,22 @@ def shares_kernel(A, L):
     materialized maps: ker [A; L] = ker A ∩ ker L."""
     stacked = np.vstack([A.materialize(), L.materialize()])
     return np.linalg.matrix_rank(stacked) < A.dims.dim_f
+
+
+def spectral_twin(lag):
+    """The problem of ``lag`` with its penalty map stored as a custom
+    penalty, whose engine is the spectral factors: the same A, g, epsilon
+    and L, so the same inner minimizers by another solver."""
+    L = linops.from_matrix(lag.regularizer.seminorm_operator.materialize())
+    return Lagrangian(lag.op, lag.data, custom_regularizer(L), lag.epsilon)
+
+
+def numpy_inner_solve(lag, lam):
+    """f_lam by numpy on the materialized maps, independent of the package's
+    solvers: (L^T L + lam A^T A) f = lam A^T g."""
+    A = lag.op.materialize()
+    L = lag.regularizer.seminorm_operator.materialize()
+    return np.linalg.solve(L.T @ L + lam * A.T @ A, lam * A.T @ lag.data)
 
 
 def random_dense_op(rng, dim_g, dim_f, scale=1.0):

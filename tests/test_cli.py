@@ -193,12 +193,15 @@ class TestSolve:
     def test_missing_problem_exits_1(self, tmp_path):
         assert run(["solve", "--problem", tmp_path / "nope", "--out", tmp_path / "r.json"]) == 1
 
-    def test_bad_safety_factor_exits_1(self, fixture_dirs, tmp_path):
-        rc = run([
-            "solve", "--problem", fixture_dirs["interior"],
-            "--safety-factor", 0.5, "--out", tmp_path / "r.json",
-        ])
-        assert rc == 1
+    def test_bad_safety_factor_exits_1(self, fixture_dirs, tmp_path, capsys):
+        # NaN is refused as a safety factor, not reported as an epsilon
+        for c in (0.5, "nan"):
+            rc = run([
+                "solve", "--problem", fixture_dirs["interior"],
+                "--safety-factor", c, "--out", tmp_path / "r.json",
+            ])
+            assert rc == 1
+            assert capsys.readouterr().err == f"error: safety factor must be >= 1, got {float(c)}\n"
 
     @pytest.mark.parametrize("option", [["--max-iter", -1], ["--rtol", "nan"]])
     def test_bad_search_option_exits_1(self, fixture_dirs, tmp_path, capsys, option):
@@ -224,7 +227,7 @@ class TestSolve:
             tol = 1e-7 if method == "bisection" else 1e-3
             assert payload["lambda_star"] == pytest.approx(1.0, abs=tol)
 
-    def test_default_method_is_newton(self, fixture_dirs, tmp_path):
+    def test_default_method_is_newton(self, fixture_dirs, tmp_path, capsys):
         out, bis = tmp_path / "newton.json", tmp_path / "bisection.json"
         assert run(["solve", "--problem", fixture_dirs["interior"], "--out", out]) == 0
         assert run([
@@ -234,10 +237,13 @@ class TestSolve:
         assert newton["method"] == "newton"
         assert newton["lambda_star"] == pytest.approx(bisection["lambda_star"], rel=1e-7)
         assert len(newton["iterations"]) <= 10 < len(bisection["iterations"])
+        capsys.readouterr()
+        # a usage error is invalid input
         with pytest.raises(SystemExit) as err:
             run(["solve", "--problem", fixture_dirs["interior"], "--method", "secant",
                  "--out", tmp_path / "s.json"])
-        assert err.value.code == 2
+        assert err.value.code == 1
+        assert capsys.readouterr().err.startswith("error: argument --method: invalid choice")
 
 
 class TestNonFiniteData:
@@ -391,6 +397,24 @@ class TestVerify:
         text = capsys.readouterr().out
         assert "discrepancy" in text and "optimality" in text
         assert json.loads(report.read_text())["passed"] is True
+
+    @pytest.mark.parametrize("flag", [["--tau", 1000], ["--safety-factor", 5]])
+    def test_verify_refuses_tolerance_flags(self, fixture_dirs, tmp_path, capsys, flag):
+        # verify checks against the saved tau_eff, so a tolerance flag would
+        # be ignored: it is a usage error
+        out = tmp_path / "result.json"
+        assert run(["solve", "--problem", fixture_dirs["interior"], "--out", out]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            run(["verify", "--problem", fixture_dirs["interior"], "--result", out, *flag])
+        assert err.value.code == 1
+        assert capsys.readouterr().err == f"error: unrecognized arguments: {flag[0]} {flag[1]}\n"
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            run(["verify", "--help"])
+        assert err.value.code == 0
+        assert "--result" in capsys.readouterr().out
 
     def test_verify_fails_on_corrupted_result(self, fixture_dirs, tmp_path):
         out = tmp_path / "result.json"

@@ -29,7 +29,14 @@ from morozov.regularizers import (
     identity_regularizer,
 )
 
-from conftest import counting_free_op, lsqr_distance, make_interior_problem, random_dense_op
+from conftest import (
+    counting_free_op,
+    lsqr_distance,
+    make_interior_problem,
+    numpy_inner_solve,
+    random_dense_op,
+    spectral_twin,
+)
 
 
 def scalar_lagrangian(epsilon=1.0):
@@ -78,14 +85,15 @@ class TestEvalDual:
         assert e.d_value == pytest.approx(e.solution.j_value + e.lam * e.d_prime, rel=1e-14)
 
     @pytest.mark.parametrize(
-        "penalty, solver",
+        "penalty, engine",
         [
-            ("identity", "krylov"), ("identity", "spectral"), ("identity", "direct"),
+            ("identity", "krylov"), ("identity", "spectral"),
             ("first_difference", "krylov"), ("first_difference", "spectral"),
-            ("first_difference", "direct"), ("custom", "spectral"), ("custom", "direct"),
+            ("custom", "spectral"),
         ],
     )
-    def test_d_second_matches_central_differences(self, penalty, solver):
+    def test_d_second_matches_central_differences(self, penalty, engine):
+        # the spectral cases of the built-in penalties run on the twin
         n = 64
         A = make_deconvolution(n, 2.0)
         prob = synthesize(A, _bump_profile(n, np.random.default_rng(3)), 0.02, seed=3)
@@ -96,13 +104,13 @@ class TestEvalDual:
         else:
             J = custom_regularizer(linops.from_matrix(np.diff(np.eye(n), n=2, axis=0) + 0.1 * np.eye(n)[:-2]))
         lag = Lagrangian(A, prob.g, J, (1.02 * prob.tau) ** 2)
+        if engine != lag.engine():
+            lag = spectral_twin(lag)
+        assert lag.engine() == engine
         for lam in (1e-3, 0.1, 10.0, 1e3, 1e5):
             h = 1e-4 * lam
-            central = (
-                eval_dual(lag, lam + h, solver=solver).d_prime
-                - eval_dual(lag, lam - h, solver=solver).d_prime
-            ) / (2.0 * h)
-            e = eval_dual(lag, lam, solver=solver)
+            central = (eval_dual(lag, lam + h).d_prime - eval_dual(lag, lam - h).d_prime) / (2.0 * h)
+            e = eval_dual(lag, lam)
             assert e.d_second < 0
             assert e.d_second == pytest.approx(central, rel=1e-5)
             assert e.d_second == e.solution.discrepancy_slope
@@ -134,10 +142,10 @@ class TestEvalDual:
 
     def test_rejects_negative(self):
         # a NaN multiplier would never end the Krylov solve's loop
-        for solver in (None, "direct", "spectral", "krylov"):
+        for lag in (scalar_lagrangian(), spectral_twin(scalar_lagrangian())):
             for lam in (-0.1, math.nan):
                 with pytest.raises(ValueError, match="nonnegative"):
-                    eval_dual(scalar_lagrangian(), lam, solver=solver)
+                    eval_dual(lag, lam)
 
 
 def identity_lagrangian(mat, g, tau):
@@ -342,11 +350,10 @@ class TestMaximizeDual:
         lag = Lagrangian(A, g, first_difference_regularizer(n), epsilon=1.0)
         with pytest.raises(AssumptionViolation, match="unique"):
             maximize_dual(lag)
-        # the same pair as a custom penalty, whatever solves it
+        # the same pair as a custom penalty, on its spectral factors
         lag = Lagrangian(A, g, custom_regularizer(A), epsilon=1.0)
-        for solver in (None, "direct"):
-            with pytest.raises(AssumptionViolation):
-                maximize_dual(lag, solver=solver)
+        with pytest.raises(AssumptionViolation):
+            maximize_dual(lag)
 
     def test_assumption_gate_checks_matrix_free_first_differences(self, rng):
         # the shared-kernel pair behind callbacks: no longer trusted
@@ -359,19 +366,17 @@ class TestMaximizeDual:
         with pytest.raises(AssumptionViolation, match="unique"):
             maximize_dual(lag)
         # as a custom penalty too, on the spectral factors of the
-        # materialized A or by Cholesky
+        # materialized A
         lag = Lagrangian(free, g, custom_regularizer(free), epsilon=1.0)
-        for solver, match in ((None, "unique"), ("direct", "singular")):
-            with pytest.raises(AssumptionViolation, match=match):
-                maximize_dual(lag, solver=solver)
+        with pytest.raises(AssumptionViolation, match="unique"):
+            maximize_dual(lag)
 
     def test_bisection_collapse_stops_with_best_d_prime(self):
-        # at noise 1e-7 a Cholesky solve resolves D' to about 1e-9 epsilon,
-        # the last digits set by the BLAS thread count (7.6e-10 epsilon on
-        # one thread, 1.9e-8 on two), so rtol = 1e-12 asks for less than it
-        # resolves: the bracket shrinks to two adjacent floats after 78
-        # evaluations on either, where bisection used to spin on to its
-        # 200-iteration cap (226 evaluations)
+        # at noise 1e-7 the inner solves resolve D' to about 4e-11 epsilon,
+        # on one BLAS thread as on two, so rtol = 1e-12 asks for less than
+        # they resolve: the bracket shrinks to two adjacent floats after 78
+        # evaluations, where bisection used to spin on to its 200-iteration
+        # cap (226 evaluations)
         prob = synthesize(
             make_deconvolution(128, 4.0),
             _bump_profile(128, np.random.default_rng(0)), 1e-7, seed=0,
@@ -380,15 +385,17 @@ class TestMaximizeDual:
         lag = Lagrangian(prob.op, prob.g, prob.regularizer, epsilon)
         rtol = 1e-12
         with pytest.raises(ConvergenceFailure, match="no float between") as err:
-            maximize_dual(lag, method="bisection", solver="direct", rtol=rtol)
+            maximize_dual(lag, method="bisection", rtol=rtol)
         trace = err.value.trace
         assert len(trace) <= 80
         best = min(abs(dp) for _, _, dp in trace)
         assert err.value.best == best > rtol * epsilon
         assert f"{best:.3e}" in str(err.value)
-        # the default Krylov path and the spectral factors resolve it
-        for solver in (None, "spectral"):
-            res = maximize_dual(Lagrangian(prob.op, prob.g, prob.regularizer, epsilon), solver=solver)
+        # Newton at the default rtol resolves it, on the Golub-Kahan basis and
+        # on the spectral factors
+        fresh = Lagrangian(prob.op, prob.g, prob.regularizer, epsilon)
+        for problem in (fresh, spectral_twin(fresh)):
+            res = maximize_dual(problem)
             assert abs(res.discrepancy**2 - epsilon) <= 1e-8 * epsilon
 
     def test_matrix_free_custom_penalty_resolves_low_noise(self):
@@ -505,10 +512,9 @@ class TestFirstDifferenceWindow:
         assert d.regime == "noise_dominates"
         assert d.data_norm == pytest.approx(gbar_norm, rel=1e-12)
         assert "tau >= ||gbar||" in failed_inequality(d)
-        for solver in (None, "spectral"):
-            with pytest.raises(RegimeError) as err:
-                maximize_dual(lag, solver=solver)
-            assert err.value.regime == "noise_dominates"
+        with pytest.raises(RegimeError) as err:
+            maximize_dual(lag)
+        assert err.value.regime == "noise_dominates"
 
     @pytest.mark.parametrize("matrix_free", [False, True])
     def test_right_derivative_at_zero(self, matrix_free):
@@ -516,8 +522,9 @@ class TestFirstDifferenceWindow:
         lag = self.lagrangian(op, g, 0.5 * (gbar_norm + np.linalg.norm(g)))
         d_prime = eval_dual(lag, 0.0).d_prime
         assert d_prime == pytest.approx(gbar_norm**2 - lag.epsilon, rel=1e-12)
-        # the limit of D' from the right, by Cholesky
-        assert eval_dual(lag, 1e-9, solver="direct").d_prime == pytest.approx(d_prime, rel=1e-6)
+        # the limit of D' from the right, by a dense direct solve
+        f = numpy_inner_solve(lag, 1e-9)
+        assert linops.residual_norm_sq(op, f, g) - lag.epsilon == pytest.approx(d_prime, rel=1e-6)
 
     @pytest.mark.parametrize("matrix_free", [False, True])
     def test_interior_below_gbar_still_selects(self, matrix_free):
@@ -525,7 +532,7 @@ class TestFirstDifferenceWindow:
         lag = self.lagrangian(op, g, 0.9 * gbar_norm)
         res = maximize_dual(lag)
         assert res.diagnosis.regime == "interior"
-        ref = maximize_dual(self.lagrangian(op, g, 0.9 * gbar_norm), solver="direct")
+        ref = maximize_dual(spectral_twin(self.lagrangian(op, g, 0.9 * gbar_norm)))
         assert ref.lambda_star == pytest.approx(8.85908e-05, rel=1e-6)
         assert res.lambda_star == pytest.approx(ref.lambda_star, rel=1e-6)
 
@@ -534,31 +541,25 @@ class TestFirstDifferenceWindow:
     def test_small_multiplier_resolved_at_the_rounding_level(self, matrix_free):
         # tau = 0.999 ||gbar|| puts lambda_star near 7.7e-7, where the full
         # system's relative residual cannot reach 1e-10 in float64: the
-        # Krylov solve stops at its rounding level as Cholesky does
+        # Krylov solve stops at its rounding level
         op, g, gbar_norm = self.problem(matrix_free)
         lag = self.lagrangian(op, g, 0.999 * gbar_norm)
         res = maximize_dual(lag)
-        ref = maximize_dual(self.lagrangian(op, g, 0.999 * gbar_norm), solver="direct")
+        ref = maximize_dual(spectral_twin(self.lagrangian(op, g, 0.999 * gbar_norm)))
         assert ref.lambda_star == pytest.approx(7.72139e-07, rel=1e-5)
         assert res.lambda_star == pytest.approx(ref.lambda_star, rel=1e-6)
         assert verify_morozov_solution(res, lag).passed
-        sol = solve_lagrange(lag, 9.53674e-07, solver="krylov")
+        sol = solve_lagrange(lag, 9.53674e-07)
         assert 1e-10 < sol.solver_stats["relative_residual"] < 1e-9
 
-    def test_direct_reports_precision_not_a_shared_kernel(self):
-        # ker L and ker A intersect trivially here, so the standard form
-        # builds, yet at lam = 1e-18 the Cholesky factor is numerically
-        # singular: a precision failure that states its pivot ratio
+    def test_krylov_resolves_a_tiny_multiplier(self):
+        # at lam = 1e-18 the full system is numerically singular in float64,
+        # yet the standard form's basis solves it on five columns, with D'
+        # at its right limit at 0
         op, g, gbar_norm = self.problem(False)
         lag = self.lagrangian(op, g, 0.999 * gbar_norm)
-        lag.standard_form()
-        with pytest.raises(ConvergenceFailure, match="pivot ratio") as err:
-            solve_lagrange(lag, 1e-18, solver="direct")
-        assert "lam=1e-18" in str(err.value)
-        assert solve_lagrange(lag, 1e-18, solver="krylov").solver_stats["iterations"] == 5
-        evals = sweep_dual(lag, [1e-18, 1e-6, 1.0], solver="direct")
-        assert [e.error for e in evals] == [str(err.value), None, None]
-        assert all(math.isfinite(e.d_prime) for e in evals[1:])
+        assert solve_lagrange(lag, 1e-18).solver_stats["iterations"] == 5
+        assert eval_dual(lag, 1e-18).d_prime == pytest.approx(eval_dual(lag, 0.0).d_prime, rel=1e-9)
 
 
 class TestRegimeCertificate:
@@ -613,7 +614,7 @@ class TestRegimeCertificate:
             _bump_profile(24, np.random.default_rng(3)), noise_level=0.05, seed=3,
         )
         probe = lagrangian_of(prob)
-        bound = math.sqrt(solve_lagrange(probe, LAMBDA_MAX, solver="spectral").discrepancy_sq)
+        bound = math.sqrt(solve_lagrange(spectral_twin(probe), LAMBDA_MAX).discrepancy_sq)
         dist = lsqr_distance(prob.op, prob.g)[0]
         assert 1e3 * dist < bound < prob.tau
         tau = 0.5 * bound
@@ -630,9 +631,9 @@ class TestRegimeCertificate:
 
         monkeypatch.setattr(morozov.dual, "diagnose_regime", recording)
         # interior, yet D' stays positive up to LAMBDA_MAX since tau < bound;
-        # the spectral solver takes its certificate from the basis too
+        # the spectral factors take their certificate from the basis too
         with pytest.raises(BracketFailure, match="LAMBDA_MAX"):
-            maximize_dual(Lagrangian(op, prob.g, prob.regularizer, tau**2), solver="spectral")
+            maximize_dual(spectral_twin(Lagrangian(op, prob.g, prob.regularizer, tau**2)))
         assert [d.regime for d, _ in seen] == [expected.regime]
         assert seen[0][0].dist_is_bound and seen[0][0].dist_to_range < tau
         # the basis is exhausted at k = 24 = dim_f, where the last step finds
@@ -657,17 +658,13 @@ class TestRegimeCertificate:
         A = linops.from_matrix(first_difference_regularizer(n).seminorm_operator.materialize())
         g = rng.standard_normal(n - 1)
         g *= 2.0 / np.linalg.norm(g)
-        cases = [(first_difference_regularizer(n), None)]
-        cases += [(custom_regularizer(A), s) for s in (None, "direct")]
-        for J, solver in cases:
+        for J in (first_difference_regularizer(n), custom_regularizer(A)):
             lag = Lagrangian(A, g, J, epsilon=9.0)
             with pytest.raises(RegimeError) as err:
-                maximize_dual(lag, solver=solver)
+                maximize_dual(lag)
             assert err.value.regime == "noise_dominates"
-            # the Cholesky solver reports the singular system at its lam
-            match = "unique" if solver is None else "singular"
-            with pytest.raises(AssumptionViolation, match=match):
-                maximize_dual(lag, solver=solver, override_regime=True)
+            with pytest.raises(AssumptionViolation, match="unique"):
+                maximize_dual(lag, override_regime=True)
 
 class TestWorkCounts:
     """Deterministic work of the dense selector, counted at scipy.linalg."""
@@ -689,58 +686,51 @@ class TestWorkCounts:
 
     def test_selection_factors_once(self, monkeypatch):
         prob = regime_fixture("interior", seed=1)
-        counts = self.count_calls(monkeypatch, "eigh", "cho_factor")
-        # the default solver: one Golub-Kahan basis, no factorization at all
+        counts = self.count_calls(monkeypatch, "eigh")
+        # the engine of the identity: one Golub-Kahan basis, no factorization
         res = maximize_dual(lagrangian_of(prob), method="bisection")
-        assert counts == {"eigh": 0, "cho_factor": 0}
+        assert counts == {"eigh": 0}
         assert len(res.iterations) == 31
         assert res.lambda_star == pytest.approx(33.936594009399414, rel=1e-9)
-        spectral = maximize_dual(lagrangian_of(prob), method="bisection", solver="spectral")
-        assert counts == {"eigh": 1, "cho_factor": 0}
+        spectral = maximize_dual(spectral_twin(lagrangian_of(prob)), method="bisection")
+        assert counts == {"eigh": 1}
         assert len(spectral.iterations) == 31
         assert spectral.lambda_star == pytest.approx(33.936594009399414, rel=1e-9)
-        # the checker takes its certificate from the basis too: no eigh
-        checker = maximize_dual(lagrangian_of(prob), method="bisection", solver="direct")
-        assert counts == {"eigh": 1, "cho_factor": len(checker.iterations)}
-        assert len(checker.iterations) == 31
-        assert res.lambda_star == pytest.approx(checker.lambda_star, rel=1e-9)
+        assert res.lambda_star == pytest.approx(spectral.lambda_star, rel=1e-9)
 
     def test_newton_selection_makes_no_factorization(self, monkeypatch):
         prob = regime_fixture("interior", seed=1)
-        counts = self.count_calls(monkeypatch, "eigh", "cho_factor")
+        counts = self.count_calls(monkeypatch, "eigh")
         res = maximize_dual(lagrangian_of(prob))
         assert res.method == "newton"
-        assert counts == {"eigh": 0, "cho_factor": 0}
+        assert counts == {"eigh": 0}
         assert len(res.iterations) == 6
         # bisection's multiplier, 31 evaluations
         assert res.lambda_star == pytest.approx(33.936594009399414, rel=1e-7)
-        # every solver takes the same Newton steps
-        spectral = maximize_dual(lagrangian_of(prob), solver="spectral")
-        assert counts == {"eigh": 1, "cho_factor": 0}
-        checker = maximize_dual(lagrangian_of(prob), solver="direct")
-        assert counts == {"eigh": 1, "cho_factor": 6}
-        for other in (spectral, checker):
-            assert len(other.iterations) == 6
-            assert other.lambda_star == pytest.approx(res.lambda_star, rel=1e-12)
+        # the spectral factors take the same Newton steps
+        spectral = maximize_dual(spectral_twin(lagrangian_of(prob)))
+        assert counts == {"eigh": 1}
+        assert len(spectral.iterations) == 6
+        assert spectral.lambda_star == pytest.approx(res.lambda_star, rel=1e-12)
         # matrix-free, the same evaluations
         free = maximize_dual(self.counting_free_lagrangian(prob)[0])
         assert len(free.iterations) == 6
         assert free.lambda_star == pytest.approx(res.lambda_star, rel=1e-12)
-        assert counts == {"eigh": 1, "cho_factor": 6}
+        assert counts == {"eigh": 1}
 
     def test_newton_low_noise_in_few_evaluations(self, monkeypatch):
-        # the case where bisection with Cholesky collapses its bracket
+        # the case where bisection at rtol = 1e-12 collapses its bracket
         prob = synthesize(
             make_deconvolution(128, 4.0),
             _bump_profile(128, np.random.default_rng(0)), 1e-7, seed=0,
         )
         epsilon = (1.02 * prob.tau) ** 2
-        counts = self.count_calls(monkeypatch, "eigh", "cho_factor")
+        counts = self.count_calls(monkeypatch, "eigh")
         res = maximize_dual(Lagrangian(prob.op, prob.g, prob.regularizer, epsilon))
-        assert counts == {"eigh": 0, "cho_factor": 0}
+        assert counts == {"eigh": 0}
         assert len(res.iterations) <= 10
         assert abs(res.discrepancy**2 - epsilon) <= 1e-8 * epsilon
-        spectral = maximize_dual(Lagrangian(prob.op, prob.g, prob.regularizer, epsilon), solver="spectral")
+        spectral = maximize_dual(spectral_twin(Lagrangian(prob.op, prob.g, prob.regularizer, epsilon)))
         assert res.lambda_star == pytest.approx(spectral.lambda_star, rel=1e-6)
 
     @staticmethod
@@ -751,17 +741,17 @@ class TestWorkCounts:
     def test_matrix_free_selection_in_one_basis(self, monkeypatch):
         prob = regime_fixture("interior", seed=1)
         lag, _ = self.counting_free_lagrangian(prob)
-        counts = self.count_calls(monkeypatch, "eigh", "cho_factor")
+        counts = self.count_calls(monkeypatch, "eigh")
         res = maximize_dual(lag, method="bisection")
-        assert counts == {"eigh": 0, "cho_factor": 0}
+        assert counts == {"eigh": 0}
         assert res.diagnosis.regime == "interior" and res.diagnosis.dist_is_bound
         # the same evaluations and multiplier as the dense spectral path
         assert len(res.iterations) == 31
         assert res.lambda_star == pytest.approx(33.936594009399414, rel=1e-9)
 
-        # the Cholesky checker materializes A itself
+        # the spectral factors materialize A themselves
         checker_lag, _ = self.counting_free_lagrangian(prob)
-        checker = maximize_dual(checker_lag, method="bisection", solver="direct")
+        checker = maximize_dual(spectral_twin(checker_lag), method="bisection")
         assert checker.lambda_star == pytest.approx(res.lambda_star, rel=1e-9)
 
     def test_matrix_free_too_optimistic_falls_back_to_distance(self):
@@ -777,8 +767,8 @@ class TestWorkCounts:
     @pytest.mark.parametrize("matrix_free", [False, True])
     @pytest.mark.parametrize("n", [64, 256])
     def test_first_difference_selection_in_one_basis(self, monkeypatch, n, matrix_free):
-        # Elden's standard form: the same selection as materialize plus
-        # Cholesky, from the problem's one basis
+        # Elden's standard form: the same selection as the spectral factors
+        # of the materialized maps, from the problem's one basis
         counts = self.count_calls(monkeypatch, "eigh")
         A = make_deconvolution(n, 2.0)
         prob = synthesize(A, _bump_profile(n, np.random.default_rng(n)), 0.02, seed=n)
@@ -788,9 +778,7 @@ class TestWorkCounts:
         res = maximize_dual(lag)
         assert counts == {"eigh": 0}
         dense = linops.from_matrix(op.materialize())
-        ref = maximize_dual(
-            Lagrangian(dense, prob.g, first_difference_regularizer(n), epsilon), solver="direct"
-        )
+        ref = maximize_dual(spectral_twin(Lagrangian(dense, prob.g, first_difference_regularizer(n), epsilon)))
         assert len(res.iterations) == len(ref.iterations)
         assert res.lambda_star == pytest.approx(ref.lambda_star, rel=1e-9)
         np.testing.assert_allclose(res.f_star, ref.f_star, rtol=0, atol=1e-12 * np.abs(ref.f_star).max())
@@ -798,23 +786,22 @@ class TestWorkCounts:
     def test_custom_penalty_certificate_makes_no_eigh(self, monkeypatch):
         # a dense custom penalty certifies its regime by LSQR on (A, g), on a
         # basis it does not keep; its spectral factors, built once behind the
-        # regime gate whatever the solver, are the strict-convexity check
+        # regime gate, are the strict-convexity check
         prob = regime_fixture("interior", seed=1)
         J = custom_regularizer(linops.from_matrix(np.diff(np.eye(24), axis=0)))
         lag = Lagrangian(prob.op, prob.g, J, prob.tau**2)
-        counts = self.count_calls(monkeypatch, "eigh", "cho_factor")
+        counts = self.count_calls(monkeypatch, "eigh")
         assert diagnose_regime(lag).regime == "interior"
-        assert counts == {"eigh": 0, "cho_factor": 0}
-        checker = maximize_dual(lag, solver="direct")
-        evals = len(checker.iterations)
-        assert counts == {"eigh": 1, "cho_factor": evals}
-        assert checker.diagnosis.regime == "interior"
+        assert counts == {"eigh": 0}
+        res = maximize_dual(lag)
+        assert counts == {"eigh": 1}
+        assert res.diagnosis.regime == "interior"
         with lag.krylov_basis() as basis:
             assert basis.k == 0
-        # one more eigh, for the fresh problem
-        res = maximize_dual(Lagrangian(prob.op, prob.g, J, prob.tau**2))
-        assert counts == {"eigh": 2, "cho_factor": evals}
-        assert res.lambda_star == pytest.approx(checker.lambda_star, rel=1e-9)
+        # the same map as built-in first differences, in a Golub-Kahan basis
+        ref = maximize_dual(Lagrangian(prob.op, prob.g, first_difference_regularizer(24), prob.tau**2))
+        assert counts == {"eigh": 1}
+        assert res.lambda_star == pytest.approx(ref.lambda_star, rel=1e-9)
 
     def test_matrix_free_custom_penalty_with_dense_a_is_factored(self, monkeypatch):
         # a matrix-free L is materialized for the spectral factors
@@ -840,10 +827,10 @@ class TestWorkCounts:
             basis.distance(target=cert_lag.tau)
 
         op, counts = counting_free_op(prob.op.matrix)
-        calls = self.count_calls(monkeypatch, "eigh", "cho_factor")
+        calls = self.count_calls(monkeypatch, "eigh")
         res = maximize_dual(Lagrangian(op, prob.g, J, prob.tau**2))
         evals = len(res.iterations)
-        assert calls == {"eigh": 1, "cho_factor": 0}
+        assert calls == {"eigh": 1}
         assert counts == {"fwd": cert["fwd"] + n + evals, "adj": cert["adj"] + evals}
         dense = maximize_dual(Lagrangian(prob.op, prob.g, J, prob.tau**2))
         assert len(dense.iterations) == evals
@@ -900,10 +887,11 @@ class TestSweepDual:
     def test_rejects_nan_grid(self):
         # a NaN point is refused, not swept as a NaN evaluation with no
         # error, nor left to the Krylov solve's loop, which it never ends
-        lag = lagrangian_of(regime_fixture("interior", seed=1))
-        for solver in (None, "krylov"):
+        prob = regime_fixture("interior", seed=1)
+        # spectral blocks, and Krylov solves point by point
+        for lag in (lagrangian_of(prob), TestWorkCounts.counting_free_lagrangian(prob)[0]):
             with pytest.raises(ValueError, match="positive"):
-                sweep_dual(lag, [1.0, math.nan], solver=solver)
+                sweep_dual(lag, [1.0, math.nan])
 
     def test_interior_shape(self):
         prob = regime_fixture("interior", seed=2)
@@ -983,9 +971,10 @@ class TestSweepDual:
         grid = np.geomspace(1e-4, 1e8, 70)
         assert grid.size > 2 * lag.op.dims.dim_f
         evals = sweep_dual(lag, grid)
+        twin = spectral_twin(lag)
         scale = float(lag.data @ lag.data)
         for e, lam in zip(evals, grid):
-            ref = eval_dual(lag, lam, solver="spectral")
+            ref = eval_dual(twin, lam)
             assert e.error is None and e.lam == ref.lam
             assert e.d_value == pytest.approx(ref.d_value, rel=1e-10, abs=1e-12 * scale)
             assert e.d_prime == pytest.approx(ref.d_prime, rel=1e-10, abs=1e-12 * scale)
@@ -1011,15 +1000,16 @@ class TestSweepDual:
         evals = sweep_dual(lag, grid)
         over = grid > LAMBDA_MAX
         assert over.sum() == 7 and not over[:48].any()
+        twin = spectral_twin(lag)
         scale = float(lag.data @ lag.data)
         for e, lam in zip(evals, grid):
             if lam <= LAMBDA_MAX:
                 assert e.error is None
-                ref = eval_dual(lag, lam, solver="spectral")
+                ref = eval_dual(twin, lam)
                 assert e.d_prime == pytest.approx(ref.d_prime, rel=1e-10, abs=1e-12 * scale)
                 continue
             with pytest.raises(ValueError) as err:
-                eval_dual(lag, lam, solver="spectral")
+                eval_dual(twin, lam)
             assert e.error == str(err.value) and "exceeds LAMBDA_MAX" in e.error
             assert np.isnan(e.d_value) and np.isnan(e.d_prime) and np.isnan(e.d_second)
 
@@ -1032,10 +1022,10 @@ class TestSweepDual:
         grid = np.geomspace(1e-2, 1e14, 20)
         evals = sweep_dual(lag, grid)
         with pytest.raises(AssumptionViolation) as singular:
-            eval_dual(lag, 1.0, solver="spectral")
+            eval_dual(lag, 1.0)
         for e, lam in zip(evals, grid):
             with pytest.raises(ValueError) as err:
-                eval_dual(lag, lam, solver="spectral")
+                eval_dual(lag, lam)
             assert e.error == str(err.value)
             if lam <= LAMBDA_MAX:
                 assert e.error == str(singular.value)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from morozov import linops
+from morozov import lagrange, linops
 from morozov.errors import AssumptionViolation, ConvergenceFailure
 from morozov.lagrange import (
     LAMBDA_MAX,
@@ -11,6 +11,7 @@ from morozov.lagrange import (
     StandardForm,
     lagrangian_value,
     solve_lagrange,
+    solve_lagrange_block,
 )
 from morozov.problems import regime_fixture
 from morozov.regularizers import (
@@ -19,7 +20,13 @@ from morozov.regularizers import (
     identity_regularizer,
 )
 
-from conftest import assert_adjoint_consistent, counting_free_op, random_dense_op
+from conftest import (
+    assert_adjoint_consistent,
+    counting_free_op,
+    numpy_inner_solve,
+    random_dense_op,
+    spectral_twin,
+)
 
 
 def scalar_lagrangian(epsilon=1.0):
@@ -114,45 +121,46 @@ class TestSolveLagrange:
     def test_spectral_as_accurate_as_direct(self, rng, penalty):
         # rectangular A with a nontrivial kernel, lam across the whole
         # range; the reference is the stacked least-squares solution, and
-        # the spectral error may not exceed the Cholesky error by much
+        # the spectral error may not exceed that of a dense direct solve of
+        # the system by much
         A = random_dense_op(rng, 9, 12)
         g = rng.standard_normal(9)
         J = identity_regularizer(12) if penalty == "identity" else first_difference_regularizer(12)
         Lm = J.seminorm_operator.materialize()
-        lag = Lagrangian(A, g, J, epsilon=0.5)
+        lag = spectral_twin(Lagrangian(A, g, J, epsilon=0.5))
         for lam in (1e-6, 1e-2, 1.0, 1e3, 1e8, LAMBDA_MAX):
             stacked = np.vstack([A.matrix, Lm / np.sqrt(lam)])
             rhs = np.concatenate([g, np.zeros(Lm.shape[0])])
             expected, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
-            direct = solve_lagrange(lag, lam, solver="direct")
-            spectral = solve_lagrange(lag, lam, solver="spectral")
+            direct = numpy_inner_solve(lag, lam)
+            spectral = solve_lagrange(lag, lam)
             assert spectral.solver_stats == {"method": "spectral"}
             scale = np.linalg.norm(expected)
-            err_direct = np.linalg.norm(direct.f_lambda - expected) / scale
+            err_direct = np.linalg.norm(direct - expected) / scale
             err_spectral = np.linalg.norm(spectral.f_lambda - expected) / scale
             assert err_spectral <= 10 * err_direct + 1e-12, lam
             if lam <= 1e3:
-                assert spectral.discrepancy_sq == pytest.approx(direct.discrepancy_sq, rel=1e-10)
-                assert spectral.j_value == pytest.approx(direct.j_value, rel=1e-10)
+                disc_sq = linops.residual_norm_sq(A, direct, g)
+                assert spectral.discrepancy_sq == pytest.approx(disc_sq, rel=1e-10)
+                assert spectral.j_value == pytest.approx(J.evaluate(direct), rel=1e-10)
 
-    def test_spectral_and_direct_on_matrix_free_a_equal_dense(self, rng):
+    def test_spectral_on_matrix_free_a_equals_dense(self, rng):
         # a matrix-free A is materialized, column by column, into the very
-        # matrix a dense A stores, so both factored solvers give its answers
+        # matrix a dense A stores, so the spectral factors give its answers
         mat = rng.standard_normal((7, 6))
         g = rng.standard_normal(7)
         J = custom_regularizer(linops.from_matrix(np.diff(np.eye(6), axis=0)))
         dense = Lagrangian(linops.from_matrix(mat), g, J, epsilon=0.3)
         free_op, counts = counting_free_op(mat)
         free = Lagrangian(free_op, g, J, epsilon=0.3)
-        for solver in ("spectral", "direct"):
-            for lam in (1e-2, 1.0, 1e3):
-                a = solve_lagrange(dense, lam, solver=solver)
-                b = solve_lagrange(free, lam, solver=solver)
-                np.testing.assert_array_equal(b.f_lambda, a.f_lambda)
-                assert b.discrepancy_sq == a.discrepancy_sq
-        # one materialization per solver, then one forward and one adjoint
-        # application per solve for its residuals, plus the Cholesky right-hand side
-        assert counts == {"fwd": 2 * 6 + 6, "adj": 6 + 3}
+        for lam in (1e-2, 1.0, 1e3):
+            a = solve_lagrange(dense, lam)
+            b = solve_lagrange(free, lam)
+            np.testing.assert_array_equal(b.f_lambda, a.f_lambda)
+            assert b.discrepancy_sq == a.discrepancy_sq
+        # one materialization, then one forward and one adjoint application
+        # per solve for its residuals
+        assert counts == {"fwd": 6 + 3, "adj": 3}
 
     def test_spectral_factors_built_once_across_threads(self, monkeypatch):
         # more threads than cores race for the lazily built factorization
@@ -207,9 +215,10 @@ class TestSolveLagrange:
             6, 7, lambda f: mat @ f, lambda y: mat.T @ y
         )
         free = Lagrangian(free_op, g, identity_regularizer(6), epsilon=0.3)
-        a = solve_lagrange(dense, 4.0, solver="direct")
-        b = solve_lagrange(free, 4.0, solver="krylov", tol=1e-13)
-        np.testing.assert_allclose(b.f_lambda, a.f_lambda, rtol=1e-8, atol=1e-12)
+        a = numpy_inner_solve(dense, 4.0)
+        b = solve_lagrange(free, 4.0)
+        assert b.solver_stats["method"] == "krylov"
+        np.testing.assert_allclose(b.f_lambda, a, rtol=1e-8, atol=1e-12)
 
     def test_optimality_residual_bound(self, rng):
         A = random_dense_op(rng, 9, 6)
@@ -242,10 +251,10 @@ class TestSolveLagrange:
     def test_rejects_nonpositive_lambda(self):
         # NaN passes no residual test, so it would never end a Krylov solve
         lag = scalar_lagrangian()
-        for solver in (None, "direct", "spectral", "krylov"):
+        for problem in (lag, spectral_twin(lag)):
             for lam in (0.0, -1.0, float("nan")):
                 with pytest.raises(ValueError, match="positive"):
-                    solve_lagrange(lag, lam, solver=solver)
+                    solve_lagrange(problem, lam)
 
     def test_rejects_lambda_above_cap(self):
         lag = scalar_lagrangian()
@@ -266,46 +275,39 @@ class TestSolveLagrange:
         assert engine == ("spectral" if kind == "custom" else "krylov")
         sol = solve_lagrange(lag, 0.5)
         assert sol.solver_stats["method"] == engine
-        assert sol.f_lambda.tobytes() == solve_lagrange(lag, 0.5, solver=engine).f_lambda.tobytes()
+        if engine == "spectral":
+            assert sol.f_lambda.tobytes() == solve_lagrange_block(lag, [0.5])[0].f_lambda.tobytes()
+        np.testing.assert_allclose(sol.f_lambda, numpy_inner_solve(lag, 0.5), rtol=1e-10)
 
-    def test_singular_system_direct(self):
-        # shared kernel (constants) makes the system matrix singular
+    def test_singular_system_dense_refused(self):
+        # shared kernel (constants) makes the system matrix singular; the
+        # engine decides strict convexity, the spectral factors of the
+        # stored penalty too
         n = 5
         D = first_difference_regularizer(n)
         A = linops.from_matrix(D.seminorm_operator.materialize())
         lag = Lagrangian(A, np.zeros(n - 1), first_difference_regularizer(n), 1.0)
-        # Cholesky reports only that it cannot resolve the system; the
-        # engine is what decides strict convexity
-        with pytest.raises(ConvergenceFailure, match="pivot ratio"):
-            solve_lagrange(lag, 1.0, solver="direct")
         with pytest.raises(AssumptionViolation, match="unique"):
             lag.engine()
-        with pytest.raises(AssumptionViolation, match="unique"):
-            solve_lagrange(lag, 1.0, solver="spectral")
+        for problem in (lag, spectral_twin(lag)):
+            with pytest.raises(AssumptionViolation, match="unique"):
+                solve_lagrange(problem, 1.0)
 
     def test_singular_system_matrix_free_refused(self, rng):
         # the shared-kernel pair behind callbacks: the right-hand side lives
         # in range(A^T), orthogonal to the shared kernel, so the system is
-        # consistent, yet the engine refuses its many minimizers and
-        # Cholesky cannot resolve them
+        # consistent, yet the engine refuses its many minimizers
         n = 5
         D = first_difference_regularizer(n).seminorm_operator.materialize()
         A = counting_free_op(D)[0]
         g = rng.standard_normal(n - 1)
         for J in (first_difference_regularizer(n), custom_regularizer(A)):
             lag = Lagrangian(A, g, J, 1.0)
-            with pytest.raises(ConvergenceFailure, match="singular"):
-                solve_lagrange(lag, 1.0, solver="direct")
             with pytest.raises(AssumptionViolation, match="unique"):
                 lag.engine()
-            with pytest.raises(AssumptionViolation, match="unique"):
-                solve_lagrange(lag, 1.0, solver="spectral")
-        with pytest.raises(AssumptionViolation, match="unique"):
-            solve_lagrange(Lagrangian(A, g, first_difference_regularizer(n), 1.0), 1.0, solver="krylov")
-
-    def test_unknown_solver_rejected(self):
-        with pytest.raises(ValueError):
-            solve_lagrange(scalar_lagrangian(), 1.0, solver="magic")
+            for problem in (lag, spectral_twin(lag)):
+                with pytest.raises(AssumptionViolation, match="unique"):
+                    solve_lagrange(problem, 1.0)
 
 
 class TestKrylovSolver:
@@ -325,13 +327,13 @@ class TestKrylovSolver:
         dense = Lagrangian(linops.from_matrix(mat), g, identity_regularizer(64), epsilon=0.1)
         lag = Lagrangian(free, g, identity_regularizer(64), epsilon=0.1)
         for lam in (1e-2, 1.0, 1e2, 1e4):
-            ref = solve_lagrange(dense, lam, solver="direct")
-            sol = solve_lagrange(lag, lam, solver="krylov")
+            ref = numpy_inner_solve(dense, lam)
+            sol = solve_lagrange(lag, lam)
             assert sol.solver_stats["method"] == "krylov"
             assert sol.solver_stats["relative_residual"] <= 1e-10
             # I + lam A^T A has no eigenvalue below 1, so the error is at
             # most the residual, 1e-10 ||lam A^T g||
-            err = np.linalg.norm(sol.f_lambda - ref.f_lambda)
+            err = np.linalg.norm(sol.f_lambda - ref)
             assert err <= 2e-10 * lam * np.linalg.norm(mat.T @ g), lam
             assert sol.optimality_residual <= 1e-8 * (1 + 2 * lam * np.linalg.norm(mat.T @ g))
 
@@ -342,9 +344,9 @@ class TestKrylovSolver:
         mat, g = self.ill_posed()
         fresh = Lagrangian(counting_free_op(mat)[0], g, penalty(64), epsilon=0.1)
         used = Lagrangian(counting_free_op(mat)[0], g, penalty(64), epsilon=0.1)
-        solve_lagrange(used, 1e5, solver="krylov")
-        a = solve_lagrange(fresh, 3.0, solver="krylov")
-        b = solve_lagrange(used, 3.0, solver="krylov")
+        solve_lagrange(used, 1e5)
+        a = solve_lagrange(fresh, 3.0)
+        b = solve_lagrange(used, 3.0)
         assert a.solver_stats == b.solver_stats
         assert a.f_lambda.tobytes() == b.f_lambda.tobytes()
 
@@ -353,12 +355,13 @@ class TestKrylovSolver:
         dense = Lagrangian(linops.from_matrix(mat), g, first_difference_regularizer(64), epsilon=0.1)
         lag = Lagrangian(counting_free_op(mat)[0], g, first_difference_regularizer(64), epsilon=0.1)
         for lam in (1e-3, 1.0, 1e2, 1e4):
-            ref = solve_lagrange(dense, lam, solver="direct")
-            sol = solve_lagrange(lag, lam, solver="krylov")
+            ref = numpy_inner_solve(dense, lam)
+            sol = solve_lagrange(lag, lam)
             assert sol.solver_stats["relative_residual"] <= 1e-10
-            np.testing.assert_allclose(sol.f_lambda, ref.f_lambda, rtol=0, atol=1e-9 * np.abs(ref.f_lambda).max())
-            assert sol.discrepancy_sq == pytest.approx(ref.discrepancy_sq, rel=1e-10)
-            assert sol.j_value == pytest.approx(ref.j_value, rel=1e-8)
+            np.testing.assert_allclose(sol.f_lambda, ref, rtol=0, atol=1e-9 * np.abs(ref).max())
+            disc_sq = linops.residual_norm_sq(dense.op, ref, g)
+            assert sol.discrepancy_sq == pytest.approx(disc_sq, rel=1e-10)
+            assert sol.j_value == pytest.approx(dense.regularizer.evaluate(ref), rel=1e-8)
 
     def test_discrepancy_resolved_at_small_noise(self):
         # at noise 1e-7 the residual test alone stops where D' still has the
@@ -372,38 +375,33 @@ class TestKrylovSolver:
         epsilon = (1.02 * prob.tau) ** 2
         lag = Lagrangian(prob.op, prob.g, prob.regularizer, epsilon)
         for lam in (1e6, 1e8, 1e10):
-            ref = solve_lagrange(lag, lam, solver="spectral")
-            sol = solve_lagrange(lag, lam, solver="krylov")
+            ref = solve_lagrange(spectral_twin(lag), lam)
+            sol = solve_lagrange(lag, lam)
             assert abs(sol.discrepancy_sq - ref.discrepancy_sq) <= 1e-3 * epsilon, lam
 
     def test_basis_grows_only_for_new_multipliers(self):
         mat, g = self.ill_posed()
         free, counts = counting_free_op(mat)
         lag = Lagrangian(free, g, identity_regularizer(64), epsilon=0.1)
-        first = solve_lagrange(lag, 1.0, solver="krylov")
+        first = solve_lagrange(lag, 1.0)
         k_small = first.solver_stats["iterations"]
-        k_large = solve_lagrange(lag, 1e4, solver="krylov").solver_stats["iterations"]
+        k_large = solve_lagrange(lag, 1e4).solver_stats["iterations"]
         assert 0 < k_small < k_large
         before = dict(counts)
-        again = solve_lagrange(lag, 1.0, solver="krylov")
+        again = solve_lagrange(lag, 1.0)
         # the basis is reused: one forward and one adjoint for the residual
         # check, on the same leading columns as the first solve
         assert again.solver_stats["iterations"] == k_small
         assert again.f_lambda.tobytes() == first.f_lambda.tobytes()
         assert (counts["fwd"] - before["fwd"], counts["adj"] - before["adj"]) == (1, 1)
 
-    def test_needs_identity_penalty(self):
-        free, _ = counting_free_op(np.eye(4))
-        lag = Lagrangian(free, np.ones(4), custom_regularizer(linops.identity(4)), epsilon=0.5)
-        with pytest.raises(ValueError, match="identity or first-difference penalty"):
-            solve_lagrange(lag, 1.0, solver="krylov")
-
-    def test_exhausted_basis_above_tol_raises_with_best(self, rng):
+    def test_exhausted_basis_above_tol_raises_with_best(self, rng, monkeypatch):
         mat = rng.standard_normal((20, 20))
         free, _ = counting_free_op(mat)
         lag = Lagrangian(free, rng.standard_normal(20), identity_regularizer(20), epsilon=0.1)
+        monkeypatch.setattr(lagrange, "KRYLOV_TOL", 1e-300)
         with pytest.raises(ConvergenceFailure, match="exhausted") as err:
-            solve_lagrange(lag, 1e6, solver="krylov", tol=1e-300)
+            solve_lagrange(lag, 1e6)
         assert err.value.best.shape == (20,)
 
     def test_concurrent_solves_share_one_consistent_basis(self):
@@ -418,7 +416,7 @@ class TestKrylovSolver:
         results = {}
 
         def worker(lam):
-            results[lam] = solve_lagrange(lag, lam, solver="krylov")
+            results[lam] = solve_lagrange(lag, lam)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -470,7 +468,7 @@ class TestStandardForm:
         lag = Lagrangian(A, g, first_difference_regularizer(7), epsilon=0.5)
         for lam in (1e-2, 1.0, 1e3):
             z = np.linalg.solve(np.eye(6) + lam * Abar.T @ Abar, lam * Abar.T @ form.data)
-            ref = solve_lagrange(lag, lam, solver="direct").f_lambda
+            ref = numpy_inner_solve(lag, lam)
             np.testing.assert_allclose(form.solution(z), ref, rtol=1e-10, atol=1e-12)
 
     def test_identity_is_its_own_standard_form(self, rng):

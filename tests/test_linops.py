@@ -14,7 +14,7 @@ from morozov.linops import (
 )
 from morozov.problems import make_deconvolution, make_hilbert
 
-from conftest import assert_adjoint_consistent, counting_free_op, random_dense_op
+from conftest import assert_adjoint_consistent, random_dense_op
 
 
 def test_dims_validation():
@@ -72,19 +72,6 @@ class TestApplyAdjoint:
         op = from_matrix(np.ones((3, 2)))
         with pytest.raises(DimensionMismatch):
             op.apply_adjoint([1.0, 2.0])
-
-
-class TestGramApply:
-    def test_gram_matrix_materializes_matrix_free(self, rng):
-        # dim_f forward applications, once: the product is cached
-        mat = rng.standard_normal((7, 5))
-        op, counts = counting_free_op(mat)
-        dense = op.materialize()
-        counts["fwd"] = 0
-        gram = op.gram_matrix()
-        assert np.array_equal(gram, dense.T @ dense)
-        assert op.gram_matrix() is gram and counts == {"fwd": 5, "adj": 0}
-        assert not gram.flags.writeable
 
 
 class TestResidualNormSq:
