@@ -21,12 +21,31 @@ __all__ = ["GolubKahan"]
 # LSQR has converged when ||A^T r|| <= LSQR_TOL ||A|| ||r||
 LSQR_TOL = 1e-10
 
+_EPS = np.finfo(np.float64).eps
+
+
+# a reorthogonalization pass that leaves less than this share of a vector's
+# norm has cancelled enough to lose orthogonality to rounding; one more pass
+# restores it, and a third is never needed ("twice is enough": Daniel,
+# Gragg, Kaufman & Stewart, Math. Comp. 30, 1976)
+_TWICE = math.sqrt(0.5)
+
+
+def _norm(w):
+    """||w||: np.linalg.norm's own sqrt(w . w), without its dispatch."""
+    return math.sqrt(w @ w)
+
 
 def _orthogonalize(w, Q):
-    """w minus its projection on the orthonormal rows of Q, taken twice."""
-    for _ in range(2):
+    """w minus its projection on the orthonormal rows of Q, and its norm:
+    one pass, and a second only when the first cancels below ``_TWICE``."""
+    before = _norm(w)
+    w = w - (Q @ w) @ Q
+    norm = _norm(w)
+    if norm < _TWICE * before:
         w = w - (Q @ w) @ Q
-    return w
+        norm = _norm(w)
+    return w, norm
 
 
 class _Rows:
@@ -69,9 +88,18 @@ class GolubKahan:
     with alpha_1..alpha_k on its diagonal and beta_2..beta_{k+1} below
     it. The next right vector v_{k+1} and alpha_{k+1} are always formed
     too, so A^T U_{k+1} = V_k B_k^T + alpha_{k+1} v_{k+1} e_{k+1}^T
-    gives the residuals below without an operator application. Both
-    bases are reorthogonalized in full at each step, which keeps them
-    orthonormal to rounding on ill-posed operators.
+    gives the residuals below without an operator application.
+
+    Reorthogonalization is one-sided (Simon & Zha, SISC 21, 2000): each
+    new v is orthogonalized against every earlier one, in one pass or in
+    two when the first cancels (``_orthogonalize``), which keeps V_k
+    orthonormal to rounding on ill-posed operators. The u side runs the
+    plain recurrence and can lose orthogonality once Ritz values
+    converge; the estimates below assume it, and callers confirm their
+    answers on the full system. So U is not kept: a step reads only the
+    last u, and U_{k+1} holds k + 1 vectors, which exhausts the u side
+    once k + 1 = dim_g. A step costs its two operator applications plus
+    O(k dim_f) for V.
 
     ``g`` is the start vector, and ``distance`` measures it against the
     range of A by LSQR in this basis, on the maps the basis was built from.
@@ -88,8 +116,12 @@ class GolubKahan:
         self._forward = forward
         self._adjoint = adjoint
         self.k = 0
-        self._U = _Rows(g.shape[0])
+        self._u = None  # u_{k+1}, the last left vector
         self._V = _Rows(dim_f)
+        # the LDL^T factors of I + lam B^T B at the last lam asked for
+        # (``_factors``), and that lam
+        self._ldl = None
+        self._ldl_lam = None
         beta1 = float(np.linalg.norm(g))
         self.alpha = []
         self.beta = [beta1]
@@ -104,28 +136,30 @@ class GolubKahan:
         if beta1 == 0.0:
             self.alpha.append(0.0)
         else:
-            self._U.append(g / beta1)
-            self._append_v(self._adjoint(self._U[0]))
+            self._u = g / beta1
+            self._append_v(self._adjoint(self._u))
         self._rhobar = self.alpha[0]
 
     @property
     def exhausted(self):
         return self.alpha[self.k] == 0.0
 
-    def _normalize(self, w, Q):
-        """w orthonormalized against the rows of Q, and its norm; the norm
-        is 0 when w is rounding noise or Q already spans the space."""
-        if Q.n:
-            w = _orthogonalize(w, Q[:])
-        norm = float(np.linalg.norm(w))
+    def _normalize(self, w, full, Q=None):
+        """w orthogonalized against the rows of Q, if given, and normalized,
+        and its norm; the norm is 0 when w is rounding noise or ``full``
+        says the vectors so far already span w's space."""
+        if Q is not None and Q.n:
+            w, norm = _orthogonalize(w, Q[:])
+        else:
+            norm = _norm(w)
         self.norm_estimate = max(self.norm_estimate, norm)
-        tiny = max(self._U.width, self._V.width) * np.finfo(float).eps * self.norm_estimate
-        if Q.full or norm <= tiny:
+        tiny = max(self.g.shape[0], self._V.width) * _EPS * self.norm_estimate
+        if full or norm <= tiny:
             return w, 0.0
         return w / norm, norm
 
     def _append_v(self, w):
-        v, a = self._normalize(w, self._V)
+        v, a = self._normalize(w, self._V.full, self._V)
         self.alpha.append(a)
         if a:
             self._V.append(v)
@@ -135,12 +169,12 @@ class GolubKahan:
         if self.exhausted:
             return
         k = self.k
-        w = self._forward(self._V[k]) - self.alpha[k] * self._U[k]
-        u, b = self._normalize(w, self._U)
+        w = self._forward(self._V[k]) - self.alpha[k] * self._u
+        u, b = self._normalize(w, k + 1 == self.g.shape[0])
         self.beta.append(b)
         self.k = k + 1
         if b:
-            self._U.append(u)
+            self._u = u
             self._append_v(self._adjoint(u) - b * self._V[k])
         else:
             # A V_k lies in span(U_k): the Krylov space is invariant
@@ -163,22 +197,48 @@ class GolubKahan:
         """V_k z, the solution-space vector with coordinates z."""
         return z @ self._V[: z.shape[0]]
 
-    def _projected_factors(self, lam, k):
-        """LDL^T factors of the leading k-by-k block of I + lam B^T B.
+    def _factors(self, lam, k):
+        """Lists of D_j, l_j and the relative residual of
+        ``tikhonov(lam, j + 1)`` for j = 0..k-1 at least: the LDL^T
+        factorization of I + lam B_k^T B_k.
 
-        B_k^T B_k is tridiagonal, with alpha_j^2 + beta_{j+1}^2 on the
-        diagonal and alpha_{j+1} beta_{j+1} beside it. Returns D and the
-        subdiagonal l of the unit lower bidiagonal factor; the factors of
-        every leading block of a matrix are leading parts of its factors.
+        I + lam B^T B is tridiagonal, with d_j = 1 + lam (alpha_j^2 +
+        beta_{j+1}^2) on its diagonal and e_j = lam alpha_{j+1} beta_{j+1}
+        beside it (alpha_j is ``alpha[j]``). Its L has l_j = e_j / D_j below
+        the unit diagonal, and y = L^{-1} e_1 has y_j = prod_{i<j} (-l_i).
+        The factors of a leading block are the leading entries, so they
+        are kept for the last lam asked for and grow with the basis: a new
+        lam factors every column so far at once (``dpttrf``), and each
+        column gained since costs one step of dpttrf's own recurrence,
+        D_j = d_j - l_{j-1} e_{j-1}, in the same floating-point operations.
+        So an entry does not depend on when it was formed.
         """
-        alpha = np.asarray(self.alpha[: k + 1])
-        beta = np.asarray(self.beta[: k + 1])
-        d = 1.0 + lam * (alpha[:k] ** 2 + beta[1:] ** 2)
-        e = lam * alpha[1:k] * beta[1:k]
-        if k == 1:
-            return d, e
-        D, l, _ = scipy.linalg.lapack.dpttrf(d, e)
-        return D, l
+        if lam != self._ldl_lam:
+            self._ldl_lam, self._ldl = lam, ([], [], [], [])
+            n = self.k
+            if n:
+                alpha = np.asarray(self.alpha[: n + 1])
+                beta = np.asarray(self.beta[: n + 1])
+                d = 1.0 + lam * (alpha[:n] ** 2 + beta[1:] ** 2)
+                e = lam * alpha[1:] * beta[1:]
+                D = d if n == 1 else scipy.linalg.lapack.dpttrf(d, e[:-1])[0]
+                l = e / D
+                y = np.cumprod(np.concatenate(([1.0], -l[:-1])))
+                self._ldl = (D.tolist(), l.tolist(), y.tolist(), (e * np.abs(y / D)).tolist())
+        D, l, y, rel = self._ldl
+        for j in range(len(D), k):
+            a, b = self.alpha[j], self.beta[j + 1]
+            d = 1.0 + lam * (a * a + b * b)
+            if j:
+                D_j, y_j = d - l[-1] * (lam * self.alpha[j] * self.beta[j]), y[-1] * -l[-1]
+            else:
+                D_j, y_j = d, 1.0
+            e = lam * self.alpha[j + 1] * self.beta[j + 1]
+            D.append(D_j)
+            l.append(e / D_j)
+            y.append(y_j)
+            rel.append(e * abs(y_j / D_j))
+        return D, l, rel
 
     def tikhonov(self, lam, k=None):
         """Projected solution of (I + lam A^T A) f = lam A^T g in V_k.
@@ -196,7 +256,8 @@ class GolubKahan:
 
     def _projected_solve(self, lam, k, times=1):
         """(I + lam B_k^T B_k)^{-times} (lam alpha_1 beta_1 e_1), k >= 1."""
-        D, l = self._projected_factors(lam, k)
+        D, l, _ = self._factors(lam, k)
+        D, l = np.array(D[:k]), np.array(l[: k - 1])
         x = np.zeros(k)
         x[0] = lam * self.alpha[0] * self.beta[0]
         for _ in range(times):
@@ -210,18 +271,15 @@ class GolubKahan:
         lam alpha_{j+1} beta_{j+1} z_j v_{j+1}, so its norm relative to
         ||lam A^T g|| costs no application; callers confirm it on the full
         system. With T_j = L_j D_j L_j^T, z_j is y_j / D_j times
-        lam alpha_1 beta_1, where y = L^{-1} e_1 has entries prod_{i<j} (-l_i);
-        one factorization of T_k gives every j.
+        lam alpha_1 beta_1 (``_factors``), so the factors of T_k give every
+        j, and a column the basis gained since the last call at this lam
+        costs O(1).
         """
         k = self.k
         if self.alpha[0] == 0.0:
             return np.zeros(k + 1)
         rel = np.ones(k + 1)  # j = 0: f = 0 leaves the whole right-hand side
-        if k:
-            D, l = self._projected_factors(lam, k)
-            y = np.cumprod(np.concatenate(([1.0], -l)))
-            alpha = np.asarray(self.alpha[1 : k + 1])
-            rel[1:] = lam * alpha * self.beta[1 : k + 1] * np.abs(y / D)
+        rel[1:] = self._factors(lam, k)[2][:k]
         return rel
 
     def discrepancy_error(self, lam, z, k):
@@ -285,11 +343,17 @@ class GolubKahan:
         The basis grows until the true residual r = A x - g of the LSQR
         iterate x drops below ``target`` in norm, or LSQR has converged:
         ||A^T r|| <= LSQR_TOL ||A|| ||r|| (Paige & Saunders's rule for
-        inconsistent systems), or the basis is exhausted, where x is the
-        least-squares solution. Exhaustion comes by min(dim_f, dim_g)
-        steps, so the loop is bounded. The recurrences say when to look;
-        each look forms x and costs one forward application, plus one
-        adjoint when ||r|| is not below ``target`` and the basis is not
+        inconsistent systems), or ||r|| <= max(dim_f, dim_g) eps ||g||, the
+        rounding level of the data (their rule for consistent systems, at
+        float64's tolerance), or the basis is exhausted, where x is the
+        least-squares solution. A consistent system would otherwise run on
+        rounding noise to exhaustion, and by then the u side, which is not
+        reorthogonalized, has lost its orthogonality, so the projected
+        problem is no longer the full one.
+        Exhaustion comes by min(dim_f, dim_g) steps, so the loop is
+        bounded. The recurrences say when to look; each look forms x and
+        costs one forward application, plus one adjoint when ||r|| is below
+        neither ``target`` nor the rounding level and the basis is not
         exhausted. No rank cutoff is applied; the range is closed in
         finite dimensions, so the minimum is attained.
 
@@ -298,13 +362,14 @@ class GolubKahan:
         (residual_norm, converged)
             ``converged`` is false exactly when LSQR stopped below ``target``.
         """
+        floor = max(self.g.shape[0], self._V.width) * _EPS * self.beta[0]
         while True:
             y, res, ratio = self.lsqr()
-            if res < target or ratio <= LSQR_TOL or self.exhausted:
+            if res < target or ratio <= LSQR_TOL or res <= floor or self.exhausted:
                 r = self._forward(self.expand(y)) - self.g
                 dist = float(np.linalg.norm(r))
                 if dist < target:
                     return dist, False
-                if self.exhausted or np.linalg.norm(self._adjoint(r)) <= LSQR_TOL * self.norm_estimate * dist:
+                if self.exhausted or dist <= floor or np.linalg.norm(self._adjoint(r)) <= LSQR_TOL * self.norm_estimate * dist:
                     return dist, True
             self.step()

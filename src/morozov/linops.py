@@ -6,13 +6,11 @@ are supported: a dense float64 matrix, and a matrix-free pair of callbacks
 (forward and adjoint action). Operators are immutable after construction
 and safe to share between concurrent evaluations.
 
-Dense matrices can be read from and written to two on-disk formats:
-
-* header-free CSV, row-major, comma separated;
-* a binary format ("MDOP"): a 16-byte header consisting of the magic
-  bytes ``MDOP``, the row count as little-endian u32, the column count as
-  little-endian u32, and 4 reserved zero bytes, followed by the entries
-  as little-endian float64 in column-major order.
+Dense matrices can be read from and written to a binary format
+("MDOP"): a 16-byte header consisting of the magic bytes ``MDOP``, the
+row count as little-endian u32, the column count as little-endian u32,
+and 4 reserved zero bytes, followed by the entries as little-endian
+float64 in column-major order.
 """
 
 import struct
@@ -29,8 +27,6 @@ __all__ = [
     "from_matrix",
     "from_callables",
     "residual_norm_sq",
-    "save_matrix_csv",
-    "load_matrix_csv",
     "save_matrix_mdop",
     "load_matrix_mdop",
     "save_vector_csv",
@@ -144,35 +140,6 @@ class LinearOperator:
         out = np.asarray(self._adjoint(y), dtype=np.float64)
         return _as_vector(out, self.dims.dim_f, "adjoint callback output")
 
-    # -- composition -------------------------------------------------------
-
-    def adjoint(self):
-        """The adjoint as an operator in its own right."""
-        dims = VectorSpaceDims(dim_f=self.dims.dim_g, dim_g=self.dims.dim_f)
-        if self.is_dense:
-            return LinearOperator(dims, matrix=self._matrix.T)
-        return LinearOperator(dims, forward=self.apply_adjoint, adjoint=self.apply)
-
-    def compose(self, other):
-        """self after other, i.e. the map f -> self(other(f))."""
-        if other.dims.dim_g != self.dims.dim_f:
-            raise DimensionMismatch(
-                f"cannot compose: inner dims {self.dims.dim_f} != {other.dims.dim_g}"
-            )
-        dims = VectorSpaceDims(dim_f=other.dims.dim_f, dim_g=self.dims.dim_g)
-        if self.is_dense and other.is_dense:
-            return LinearOperator(dims, matrix=self._matrix @ other._matrix)
-        return LinearOperator(
-            dims,
-            forward=lambda f: self.apply(other.apply(f)),
-            adjoint=lambda y: other.apply_adjoint(self.apply_adjoint(y)),
-        )
-
-    def __matmul__(self, other):
-        if isinstance(other, LinearOperator):
-            return self.compose(other)
-        return self.apply(other)
-
     def __repr__(self):
         kind = "dense" if self.is_dense else "matrix-free"
         return f"LinearOperator({kind}, dim_f={self.dims.dim_f}, dim_g={self.dims.dim_g})"
@@ -208,18 +175,6 @@ def residual_norm_sq(op, f, g):
 
 
 # -- matrix / vector file formats -------------------------------------------
-
-
-def save_matrix_csv(mat, path):
-    """Write a dense matrix as header-free row-major CSV."""
-    mat = np.atleast_2d(np.asarray(mat, dtype=np.float64))
-    np.savetxt(path, mat, delimiter=",", fmt="%.17g")
-
-
-def load_matrix_csv(path):
-    """Read a header-free row-major CSV matrix."""
-    mat = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    return mat
 
 
 def save_matrix_mdop(mat, path):

@@ -40,6 +40,15 @@ def lsqr_distance(op, g):
     return GolubKahan(op.apply, op.apply_adjoint, g, op.dims.dim_f).distance()
 
 
+def lower_bidiagonal(basis):
+    """B_k of a ``GolubKahan`` basis as a (k+1)-by-k array."""
+    k = basis.k
+    B = np.zeros((k + 1, k))
+    B[np.arange(k), np.arange(k)] = basis.alpha[:k]
+    B[np.arange(1, k + 1), np.arange(k)] = basis.beta[1 : k + 1]
+    return B
+
+
 def shares_kernel(A, L):
     """Whether ker A and ker L meet outside 0, by numpy's rank of the
     materialized maps: ker [A; L] = ker A ∩ ker L."""

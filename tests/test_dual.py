@@ -733,6 +733,24 @@ class TestWorkCounts:
         spectral = maximize_dual(spectral_twin(Lagrangian(prob.op, prob.g, prob.regularizer, epsilon)))
         assert res.lambda_star == pytest.approx(spectral.lambda_star, rel=1e-6)
 
+    def test_krylov_evaluation_factors_its_tridiagonal_once(self, monkeypatch):
+        # a new multiplier factors the projected tridiagonal at most once;
+        # each column the basis gains within the evaluation extends the
+        # factors in O(1), where the basis used to re-factor all k columns
+        import scipy.linalg.lapack
+
+        calls = []
+        dpttrf = scipy.linalg.lapack.dpttrf
+        monkeypatch.setattr(scipy.linalg.lapack, "dpttrf", lambda *a, **k: calls.append(a) or dpttrf(*a, **k))
+        A = make_deconvolution(128, 2.0)
+        prob = synthesize(A, _bump_profile(128, np.random.default_rng(128)), 0.02, seed=128)
+        lag = Lagrangian(A, prob.g, identity_regularizer(128), (1.02 * prob.tau) ** 2)
+        res = maximize_dual(lag)
+        evals = len(res.iterations)
+        assert 0 < len(calls) <= evals
+        with lag.krylov_basis() as basis:
+            assert basis.k > 4 * evals
+
     @staticmethod
     def counting_free_lagrangian(prob):
         op, counts = counting_free_op(prob.op.matrix)

@@ -5,7 +5,7 @@ from morozov._kernels import GolubKahan
 from morozov.linops import from_callables, from_matrix, identity
 from morozov.problems import _bump_profile, make_deconvolution, synthesize
 
-from conftest import lsqr_distance, random_dense_op
+from conftest import lower_bidiagonal, lsqr_distance, random_dense_op
 
 
 def bidiagonalize(mat, g, steps, calls=None):
@@ -25,14 +25,6 @@ def bidiagonalize(mat, g, steps, calls=None):
     return basis
 
 
-def lower_bidiagonal(basis):
-    k = basis.k
-    B = np.zeros((k + 1, k))
-    B[np.arange(k), np.arange(k)] = basis.alpha[:k]
-    B[np.arange(1, k + 1), np.arange(k)] = basis.beta[1 : k + 1]
-    return B
-
-
 class TestGolubKahan:
     def test_bidiagonal_relations_and_orthonormal_bases(self, rng):
         mat = rng.standard_normal((15, 10))
@@ -40,14 +32,16 @@ class TestGolubKahan:
         basis = bidiagonalize(mat, rng.standard_normal(15), 6, calls)
         assert basis.k == 6 and not basis.exhausted
         assert calls == ["adj"] + ["fwd", "adj"] * 6
-        U, V, B = basis._U[:], basis._V[:], lower_bidiagonal(basis)
-        assert U.shape == (7, 15) and V.shape == (7, 10)
-        np.testing.assert_allclose(U @ U.T, np.eye(7), atol=1e-13)
+        # only V is kept and reorthogonalized; of U, the last vector u_{k+1}
+        V, B, u = basis._V[:], lower_bidiagonal(basis), basis._u
+        assert V.shape == (7, 10)
         np.testing.assert_allclose(V @ V.T, np.eye(7), atol=1e-13)
-        # A V_k = U_{k+1} B_k and A^T U_{k+1} = V_k B_k^T + alpha_{k+1} v_{k+1} e_{k+1}^T
-        np.testing.assert_allclose(mat @ V[:6].T, U.T @ B, atol=1e-12)
-        tail = np.outer(V[6], np.eye(7)[6]) * basis.alpha[6]
-        np.testing.assert_allclose(mat.T @ U.T, V[:6].T @ B.T + tail, atol=1e-12)
+        # A V_k = U_{k+1} B_k with U_{k+1} orthonormal: (A V_k)^T (A V_k) = B_k^T B_k
+        AV = mat @ V[:6].T
+        np.testing.assert_allclose(AV.T @ AV, B.T @ B, atol=1e-12)
+        # the last column of A^T U_{k+1} = V_k B_k^T + alpha_{k+1} v_{k+1} e_{k+1}^T
+        assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-14)
+        np.testing.assert_allclose(mat.T @ u, basis.beta[6] * V[5] + basis.alpha[6] * V[6], atol=1e-12)
 
     def test_recurrences_match_explicit_residuals(self, rng):
         mat = rng.standard_normal((9, 7))
@@ -91,6 +85,22 @@ class TestGolubKahan:
         dist = np.linalg.norm(mat @ np.linalg.lstsq(mat, g, rcond=None)[0] - g)
         assert res == pytest.approx(dist, rel=1e-10)
 
+    def test_wide_operator_exhausts_on_the_u_side(self, rng):
+        # U is not stored: u_1..u_{dim_g} span the data space, so the basis
+        # stops at k = dim_g with dim_f - dim_g directions of V unused. On
+        # this blur, sampled on every other row, the unreorthogonalized u
+        # side does not cancel to rounding there, so only the count stops it
+        mat = make_deconvolution(128, 1.0).matrix[::2]
+        g = rng.standard_normal(64)
+        basis = bidiagonalize(mat, g, 200)
+        assert basis.exhausted and basis.k == 64
+        dist, converged = lsqr_distance(from_matrix(mat), g)
+        assert converged and dist == pytest.approx(0.0, abs=1e-12)
+        z = basis.tikhonov(2.0)
+        expected = np.linalg.solve(np.eye(128) + 2.0 * mat.T @ mat, 2.0 * mat.T @ g)
+        np.testing.assert_allclose(basis.expand(z), expected, rtol=1e-10)
+        assert basis.tikhonov_residuals(2.0)[basis.k] == 0.0
+
     def test_zero_data(self):
         calls = []
         basis = bidiagonalize(np.eye(3), np.zeros(3), 2, calls)
@@ -114,6 +124,20 @@ class TestGolubKahan:
             rhs = 5.0 * mat.T @ g
             explicit = np.linalg.norm(f + 5.0 * mat.T @ (mat @ f) - rhs) / np.linalg.norm(rhs)
             assert residuals[j] == pytest.approx(explicit, rel=1e-9)
+
+    def test_residual_estimates_do_not_depend_on_the_order_of_multipliers(self, rng):
+        # the factors kept for one multiplier grow a column at a time as the
+        # basis grows, and a new multiplier factors every column at once:
+        # both give the bits of a fresh basis factored once
+        mat = rng.standard_normal((40, 30)) @ np.diag(0.8 ** np.arange(30))
+        g = rng.standard_normal(40)
+        grown = bidiagonalize(mat, g, 0)
+        for lam, steps in [(5.0, 0), (5.0, 4), (5.0, 8), (0.1, 2), (0.1, 8), (5.0, 1), (5.0, 7)]:
+            for _ in range(steps):
+                grown.step()
+            fresh = bidiagonalize(mat, g, grown.k)
+            assert grown.tikhonov_residuals(lam).tobytes() == fresh.tikhonov_residuals(lam).tobytes()
+            assert grown.tikhonov(lam).tobytes() == fresh.tikhonov(lam).tobytes()
 
     def test_discrepancy_error_estimates_the_true_error(self):
         mat = make_deconvolution(48, 2.0).matrix

@@ -23,6 +23,7 @@ from morozov.regularizers import (
 from conftest import (
     assert_adjoint_consistent,
     counting_free_op,
+    lower_bidiagonal,
     numpy_inner_solve,
     random_dense_op,
     spectral_twin,
@@ -438,10 +439,14 @@ class TestKrylovSolver:
         with lag.krylov_basis() as basis:
             k = basis.k
             assert len(basis.alpha) == len(basis.beta) == k + 1
-            U, V = basis._U[:], basis._V[:]
-            assert U.shape[0] == V.shape[0] == k + 1
-            np.testing.assert_allclose(U @ U.T, np.eye(k + 1), atol=1e-12)
+            # V is kept and orthonormal; the u side keeps its last vector
+            V, B, u = basis._V[:], lower_bidiagonal(basis), basis._u
+            assert V.shape[0] == k + 1
             np.testing.assert_allclose(V @ V.T, np.eye(k + 1), atol=1e-12)
+            AV = mat @ V[:k].T
+            np.testing.assert_allclose(AV.T @ AV, B.T @ B, atol=1e-12)
+            assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-14)
+            np.testing.assert_allclose(mat.T @ u, basis.beta[k] * V[k - 1] + basis.alpha[k] * V[k], atol=1e-12)
 
 
 class TestStandardForm:
