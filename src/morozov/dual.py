@@ -12,9 +12,10 @@ and for quadratic penalties it is differentiable with
 
 As lam drops to 0, f_lam tends to the penalty's kernel, so the right
 derivative is D'(0) = ||gbar||^2 - epsilon, where gbar is g less its
-best fit from A(ker L): the data of the problem's standard form
-(``Lagrangian.standard_form``). For the identity penalty gbar = g; a
-custom penalty's form is (A, g) itself, exact when L is injective.
+best fit from A(ker L): the data of the problem's standard form, its
+regime certificate (``Lagrangian.certificate``). For the identity penalty
+gbar = g; a custom penalty's form is (A, g) itself, exact when L is
+injective.
 
 Maximizing D produces the multiplier at which the discrepancy equation
 ||A f - g||^2 = epsilon holds, i.e. the Tikhonov weight alpha = 1/lam
@@ -45,26 +46,25 @@ Plain gradient ascent, lam <- lam + rho_n D'(lam) started from 0, is
 the paper's iteration and stays available.
 
 The regime verdict has one algorithm and one code path for every
-caller: LSQR (``GolubKahan.distance``) in the problem's Golub-Kahan basis
-(``Lagrangian.krylov_basis``), that of the standard form (Abar, gbar)
-for a built-in penalty and of (A, g) itself for a custom one or for
-first differences whose constants A annihilates, whether A is dense or
-matrix-free. The basis grows until the true residual of the LSQR
-iterate, an upper bound on dist(g, range(A)), drops below tau, which
-certifies the interior regime, or until LSQR converges, when that
-residual is the distance itself. No least-squares factorization and no
+caller: LSQR (``GolubKahan.distance``) in the Golub-Kahan basis of the
+problem's certificate (``Lagrangian.certificate``), that of the standard
+form (Abar, gbar) for a built-in penalty and of (A, g) itself for a
+custom one or for first differences whose constants A annihilates,
+whether A is dense or matrix-free. The basis grows until the true
+residual of the LSQR iterate, an upper bound on dist(g, range(A)), drops
+below tau, which certifies the interior regime, or until LSQR converges,
+when that residual is the distance itself. No least-squares factorization and no
 rank cutoff is used.
 
 This module only searches: the problem's engine (``Lagrangian.engine``),
 which ``maximize_dual`` builds once behind the regime gate, serves every
 evaluation and is the strict-convexity check. With a built-in penalty
-every evaluation is a projected solve in the same basis, which grows
-only when a multiplier needs more columns; with a custom one the problem
-is factored once (``Lagrangian.spectral_factors``, materializing a
+every evaluation is a projected solve in the certificate's basis, which
+grows only when a multiplier needs more columns; with a custom one the
+problem is factored once (``SpectralFactors``, materializing a
 matrix-free A or L), and every evaluation after that costs a few O(n^2)
-products. Sweeps with a dense A use the factorization whatever the
-penalty, in blocks of multipliers (``sweep_dual``), since a wide grid
-grows the basis past its cost.
+products. ``sweep_dual`` runs on ``Lagrangian.sweep_engine``, in blocks
+of as many multipliers as that engine takes.
 """
 
 import logging
@@ -74,7 +74,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BracketFailure, ConvergenceFailure, RegimeError
-from .lagrange import LAMBDA_MAX, Lagrangian, lagrangian_value, solve_lagrange, solve_lagrange_block
+from .lagrange import LAMBDA_MAX, Lagrangian, lagrangian_value, solve_lagrange
 from .linops import residual_norm_sq
 
 __all__ = [
@@ -176,9 +176,10 @@ def eval_dual(lag: Lagrangian, lam):
     """Evaluate D, D' and D'' at one multiplier.
 
     At lam = 0 no inner solve is attempted: D(0) = 0 and the right
-    derivative is ||gbar||^2 - epsilon, with ||gbar|| the beta_1 of the
-    problem's basis (``Lagrangian.krylov_basis``), as ``diagnose_regime``
-    reads it; no engine is built and no convexity is decided there.
+    derivative is ||gbar||^2 - epsilon, with ||gbar|| the ``data_norm`` of
+    the problem's certificate (``Lagrangian.certificate``), as
+    ``diagnose_regime`` reads it; no engine is built and no convexity is
+    decided there.
     For lam > 0 the inner problem is solved by ``solve_lagrange`` on the
     problem's ``Lagrangian.engine`` and
 
@@ -191,9 +192,7 @@ def eval_dual(lag: Lagrangian, lam):
     if not lam >= 0:  # NaN fails it too
         raise ValueError(f"lam must be nonnegative, got {lam}")
     if lam == 0:
-        with lag.krylov_basis() as basis:
-            data_norm = basis.beta[0]
-        return DualEvaluation(lam=0.0, d_value=0.0, d_prime=data_norm**2 - lag.epsilon)
+        return DualEvaluation(lam=0.0, d_value=0.0, d_prime=lag.certificate().data_norm**2 - lag.epsilon)
     return _evaluation(lag, solve_lagrange(lag, lam))
 
 
@@ -209,23 +208,22 @@ def _evaluation(lag, sol):
 def diagnose_regime(lag: Lagrangian):
     """Classify where tau falls in dist(g, range(A)) < tau < ||gbar||.
 
-    LSQR runs in the problem's Golub-Kahan basis of (Abar, gbar), the one
-    ``Lagrangian.krylov_basis`` keeps for the solves of a built-in
-    penalty. It stops when its residual, an upper bound on
-    dist(gbar, range Abar) = dist(g, range A), drops below tau
+    LSQR runs in the Golub-Kahan basis of (Abar, gbar) of the problem's
+    certificate (``Lagrangian.certificate``), which also serves the
+    solves of a built-in penalty. It stops when its residual, an upper
+    bound on dist(gbar, range Abar) = dist(g, range A), drops below tau
     (``dist_is_bound`` is then true), or when LSQR converges and the
-    residual is the distance itself. ||gbar|| is the basis's beta_1.
-    First differences whose constants A annihilates have no standard
-    form; there A(ker L) = {0}, so gbar = g and the basis is of (A, g).
+    residual is the distance itself. ||gbar|| and its label are the
+    certificate's ``data_norm`` and ``data_label``.
 
     Equalities are classified into the failing regime, since the
     existence guarantee needs strict inequalities. When both boundary
     cases coincide (tau = ||gbar|| = dist), noise_dominates wins.
     """
     tau = lag.tau
-    with lag.krylov_basis() as basis:
-        dist, converged = basis.distance(target=tau)
-    data_norm = basis.beta[0]
+    cert = lag.certificate()
+    dist, converged = cert.distance(tau)
+    data_norm = cert.data_norm
     if tau >= data_norm:
         regime = "noise_dominates"
     elif tau <= dist:
@@ -234,7 +232,7 @@ def diagnose_regime(lag: Lagrangian):
         regime = "interior"
     return RegimeDiagnosis(
         dist_to_range=dist, data_norm=data_norm, tau=tau, regime=regime,
-        dist_is_bound=not converged, data_label="||g||" if basis.g is lag.data else "||gbar||",
+        dist_is_bound=not converged, data_label=cert.data_label,
     )
 
 
@@ -506,21 +504,17 @@ def sweep_dual(lag: Lagrangian, lambdas):
 
     Inner failures at single points are recorded on the returned
     evaluations (``error`` set, values NaN) and the sweep continues.
-    Problems with a dense A or a custom penalty are swept on the spectral
-    factors: a wide grid grows a Krylov basis past the cost of the
-    eigendecomposition. Other problems, a matrix-free A with a built-in
-    penalty, are evaluated point by point through ``eval_dual`` on their
-    engine.
-
-    On the spectral factors the grid is solved in blocks of at most
-    ``dim_f`` multipliers by ``solve_lagrange_block``: after the one
-    eigendecomposition, a block costs three matrix-matrix products for
-    a dense A, or one forward and one adjoint application per point for a
-    matrix-free one, and its temporaries stay within a few copies of the
-    factors. Every point is the same ``DualEvaluation`` that ``eval_dual``
-    returns; a singular pencil fails every point with the same
+    The grid runs on the problem's sweep engine (``Lagrangian.sweep_engine``)
+    in blocks of at most its ``block_size`` multipliers, one ``solve``
+    each. On the spectral factors a block holds ``dim_f`` multipliers and,
+    after the one eigendecomposition, costs three matrix-matrix products
+    for a dense A, or one forward and one adjoint application per point
+    for a matrix-free one. In a Golub-Kahan basis a block is one
+    multiplier, so a ``ConvergenceFailure`` fails its own point only.
+    Every point is the same ``DualEvaluation`` that ``eval_dual`` returns.
+    An engine that cannot be built fails every point with its
     ``AssumptionViolation``, and multipliers above LAMBDA_MAX fail one by
-    one.
+    one with ``solve_lagrange``'s message.
     """
     lambdas = np.asarray(lambdas, dtype=np.float64)
     if lambdas.size == 0:
@@ -529,17 +523,16 @@ def sweep_dual(lag: Lagrangian, lambdas):
         raise ValueError("grid values must be positive")
     if np.any(np.diff(lambdas) <= 0):
         raise ValueError("grid must be strictly ascending")
-    # no engine built here, so a singular pencil fails every point; the
-    # grid ascends, so the multipliers a spectral block accepts come first
-    # and the rest fail one by one with solve_lagrange's own message
-    spectral = lag.op.is_dense or lag.regularizer.kind == "custom"
-    blocked = int(np.searchsorted(lambdas, LAMBDA_MAX, side="right")) if spectral else 0
+    # the grid ascends, so the multipliers an engine accepts come first
+    blocked = int(np.searchsorted(lambdas, LAMBDA_MAX, side="right"))
     out = []
-    size = lag.op.dims.dim_f
-    for start in range(0, blocked, size):
-        lams = lambdas[start:min(start + size, blocked)]
+    while len(out) < blocked:
+        # an engine that cannot be built fails every point left
+        lams = lambdas[len(out):blocked]
         try:
-            out.extend(_evaluation(lag, sol) for sol in solve_lagrange_block(lag, lams))
+            engine = lag.sweep_engine()
+            lams = lams[:engine.block_size]
+            out.extend(_evaluation(lag, sol) for sol in engine.solve(lag, lams))
         except _POINT_ERRORS as exc:
             out.extend(_failed_point(lam, exc) for lam in lams)
     for lam in lambdas[blocked:]:

@@ -16,8 +16,8 @@ alpha = 1/lam. Conditioning deteriorates as lam grows, so multipliers
 above ``LAMBDA_MAX`` are rejected outright.
 
 Problems with a built-in penalty, the identity or first differences,
-share one Golub-Kahan basis, dense or matrix-free.
-``StandardForm`` first brings the penalty to the identity: for first
+dense or matrix-free, are solved by one engine: ``StandardForm`` and the
+Golub-Kahan basis it owns. It brings the penalty to the identity: for first
 differences, Elden's transformation replaces (A, g) by
 Abar = (I - q q^T) A L^+ and gbar = (I - q q^T) g, with L^+ an O(n)
 cumulative sum and q the normalized image of the constants. The basis
@@ -28,9 +28,9 @@ in O(n); the basis grows only when a multiplier needs more columns than
 any before it. For first differences, A not annihilating the constants
 is the strict-convexity check.
 
-Problems with a custom penalty are factored once, whether A and L are
-dense or matrix-free; a matrix-free map is materialized for it. The
-generalized eigendecomposition
+Problems with a custom penalty are solved by ``SpectralFactors``,
+factored once whether A and L are dense or matrix-free; a matrix-free
+map is materialized for it. The generalized eigendecomposition
 
     A^T A X = B X diag(mu),   X^T B X = I,   B = L^T L + A^T A,
 
@@ -42,14 +42,17 @@ building the factorization is also the strict-convexity check. It
 costs O(n^3) time and O(n^2) memory, which a matrix-free A with a
 custom penalty pays too. Sweeps over many multipliers with a dense A use
 it for built-in penalties as well: a wide grid grows the basis past the
-cost of the eigendecomposition. ``solve_lagrange_block`` solves a block
-of m multipliers together: F = Y X^T, R = F A^T - g and A^T R are one
+cost of the eigendecomposition. Its ``solve`` takes a block of m
+multipliers together: F = Y X^T, R = F A^T - g and A^T R are one
 matrix-matrix product each, O(m n^2) at BLAS-3 speed, in place of three
 memory-bound matrix-vector products per multiplier: at n = 512, for 200
 multipliers on 1 BLAS thread, about 8 ms against about 64 ms.
 
-``Lagrangian.engine`` picks between the two by penalty, and
-``solve_lagrange`` solves on it.
+``Lagrangian`` picks each engine once: ``engine``, which
+``solve_lagrange`` runs on, ``sweep_engine`` and ``certificate``. An
+engine's ``solve`` takes the ``Lagrangian`` it was built from: holding it
+would make a reference cycle, which frees the factors only when the
+cyclic garbage collector runs.
 
 Every solve also returns the slope d||A f - g||^2 / dlam, the dual's
 D''(lam), which the Newton search over lam uses. With r = A f - g and
@@ -61,7 +64,6 @@ the spectral factors in O(n).
 import logging
 import math
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,7 +83,6 @@ __all__ = [
     "StandardForm",
     "lagrangian_value",
     "solve_lagrange",
-    "solve_lagrange_block",
 ]
 
 log = logging.getLogger(__name__)
@@ -183,16 +184,46 @@ class SpectralFactors:
             arr.setflags(write=False)
         return cls(X=X, mu=mu, c=c)
 
-    def solve(self, lams):
-        """The rows f_lam = X y of F, with ((1 - mu) + lam mu) y = lam c,
-        for every lam of the 1-d array ``lams``, as one product Y X^T; and
-        each slope d||A f_lam - g||^2 / dlam = -2 sum c^2 (1 - mu)^2 / d^3
-        with d = (1 - mu) + lam mu, in O(n): X^T A^T r = -c (1 - mu) / d
-        and M^{-1} = X diag(1 / d) X^T."""
-        lams = np.asarray(lams, dtype=np.float64)[:, None]
-        d = (1.0 - self.mu) + lams * self.mu
+    @property
+    def block_size(self):
+        """The most multipliers a sweep solves at once: ``dim_f``, whose
+        temporaries stay within a few copies of the factors."""
+        return self.X.shape[0]
+
+    def solve(self, lag, lams):
+        """The inner minimizers of ``lag``, the problem the factors were
+        built from, at every multiplier of ``lams`` at once, in order;
+        ``ValueError`` for one outside (0, LAMBDA_MAX], before any solve.
+
+        The rows f_lam = X y of F, with ((1 - mu) + lam mu) y = lam c, are
+        one product Y X^T, and so are R = F A^T - g and A^T R for a dense A:
+        three BLAS-3 products where one multiplier at a time costs three
+        memory-bound matrix-vector products. A matrix-free A is applied row
+        by row. Each slope d||A f_lam - g||^2 / dlam =
+        -2 sum c^2 (1 - mu)^2 / d^3 with d = (1 - mu) + lam mu costs O(n):
+        X^T A^T r = -c (1 - mu) / d and M^{-1} = X diag(1 / d) X^T. Every
+        ``f_lambda`` is its own array.
+        """
+        for lam in lams:
+            _check_multiplier(lam)
+        col = np.asarray(lams, dtype=np.float64)[:, None]
+        d = (1.0 - self.mu) + col * self.mu
         slopes = -2.0 * np.sum((self.c * (1.0 - self.mu)) ** 2 / d**3, axis=1)
-        return (lams * self.c / d) @ self.X.T, slopes
+        F = (col * self.c / d) @ self.X.T
+        A, g = lag.op, lag.data
+        if A.is_dense:
+            R = F @ A.matrix.T
+            R -= g
+            AtR = R @ A.matrix
+        else:
+            R = np.array([A.apply(f) for f in F]) - g
+            AtR = np.array([A.apply_adjoint(r) for r in R])
+        solutions = []
+        for lam, f, r, atr, slope in zip(lams, F, R, AtR, slopes):
+            f = f.copy()
+            residuals = _residuals(lag, f, lam, r, atr)
+            solutions.append(_solution(lag, lam, f, residuals, float(slope), {"method": "spectral"}))
+        return solutions
 
 
 # ker L and ker A intersect trivially for first differences exactly when
@@ -215,16 +246,17 @@ def _difference_pinv_adjoint(y):
     return np.cumsum((y - y.mean())[:0:-1])[::-1]
 
 
-@dataclass(frozen=True)
+@dataclass
 class StandardForm:
-    """The inner problem of a built-in penalty in identity-penalty form.
+    """The inner problem of a built-in penalty in identity-penalty form,
+    and the Golub-Kahan basis of that form: the Krylov engine.
 
     ``op`` and ``data`` are Abar and gbar such that, at every lam, the
     inner minimizer is f = ``solution(z)`` for the minimizer z of
     ||z||^2 + lam ||Abar z - gbar||^2, with the same data residual
     A f - g = Abar z - gbar. So dist(gbar, range Abar) = dist(g, range A),
-    and one Golub-Kahan basis of (Abar, gbar) serves the regime
-    certificate and every solve.
+    and one ``basis`` of (Abar, gbar), grown on demand under ``lock``,
+    serves the regime certificate and every solve.
 
     For the identity penalty Abar = A, gbar = g and f = z. For first
     differences (Elden's transformation, BIT 22, 1982) ker L is spanned by
@@ -235,7 +267,8 @@ class StandardForm:
 
     where L^+ is a cumulative sum followed by subtracting the mean, O(n).
     For a custom penalty the form is (A, g) itself; it serves only the
-    regime certificate, since dist(g, range A) does not involve L.
+    regime certificate, since dist(g, range A) does not involve L, and so
+    does that of first differences whose constants A annihilates.
 
     ``rhs_norm`` is ||A^T g||, the scale of the full system's residual,
     which is L^T times the standard form's; ``lt_norm`` bounds ||L^T||.
@@ -251,11 +284,18 @@ class StandardForm:
     qg: float = None
     h: np.ndarray = None
 
+    # a sweep solves one multiplier at a time: a failure fails its point only
+    block_size = 1
+
+    def __post_init__(self):
+        self.basis = GolubKahan(self.op.apply, self.op.apply_adjoint, self.data, self.op.dims.dim_f)
+        self.lock = threading.Lock()
+
     @classmethod
     def build(cls, A: LinearOperator, g, kind):
         """Transform (A, g) for the penalty ``kind``; O(n) plus one forward
         and two adjoint applications for first differences, one adjoint
-        otherwise.
+        otherwise, and the basis's first column at one adjoint more.
 
         Raises
         ------
@@ -306,6 +346,89 @@ class StandardForm:
         t = (self.qg - self.h @ z) / self.aw_norm
         return _difference_pinv(z) + t / math.sqrt(z.shape[0] + 1)
 
+    @property
+    def data_norm(self):
+        """||gbar||, the basis's beta_1, with D'(0) = ||gbar||^2 - epsilon."""
+        return self.basis.beta[0]
+
+    @property
+    def data_label(self):
+        """How messages name ``data_norm``: ||gbar|| in Elden's form."""
+        return "||g||" if self.aw_norm is None else "||gbar||"
+
+    def distance(self, target):
+        """``GolubKahan.distance``: dist(gbar, range Abar) = dist(g, range A)."""
+        with self.lock:
+            return self.basis.distance(target=target)
+
+    def solve(self, lag, lams):
+        """Projected Tikhonov solves of ``lag``, the problem the form was
+        built from, at each multiplier of ``lams`` in turn; ``ValueError``
+        for one outside (0, LAMBDA_MAX], before any solve.
+
+        Each finds the fewest basis columns j whose projected solution
+        passes two estimates, and returns the solution on k = j +
+        ``_LOOKAHEAD`` columns, against which the second estimate is taken.
+        k depends on lam alone, not on how far earlier solves grew the
+        basis, and so does the answer; the basis grows while no j passes.
+
+        - The full system's relative residual
+          ||lam A^T g - (L^T L + lam A^T A) f|| / ||lam A^T g|| is at most
+          ``KRYLOV_TOL``, or its float64 rounding level where that is
+          larger (``_rounding_level``). It is L^T times the standard
+          form's, so the recurrences' estimate times ``lt_norm`` bounds it;
+          the explicit residual of the returned solution decides, and
+          ``ConvergenceFailure`` is raised if the basis is exhausted above it.
+        - The error of ||A f - g||^2, and so of D', is at most
+          ``KRYLOV_TOL * epsilon`` by ``GolubKahan.discrepancy_error``. The
+          residual test alone does not bound this error: at small noise and
+          large lam, a relative residual of 1e-10 leaves D' wrong in its sign.
+
+        The slope d||A f - g||^2 / dlam is ``GolubKahan.discrepancy_slope``
+        on the same k columns.
+        """
+        for lam in lams:
+            _check_multiplier(lam)
+        solutions = []
+        for lam in map(float, lams):
+            scale = 2.0 * lam * self.rhs_norm  # ||grad|| = 2 ||full residual||
+            with self.lock:
+                basis = self.basis
+                gain = self.lt_norm * basis.alpha[0] * basis.beta[0] / self.rhs_norm if scale else 0.0
+                j = 0
+                while True:
+                    ahead = np.flatnonzero(gain * basis.tikhonov_residuals(lam)[j:] <= KRYLOV_TOL)
+                    if not ahead.size:
+                        j = basis.k + 1
+                    else:
+                        j += int(ahead[0])
+                        k = min(j + _LOOKAHEAD, basis.k)
+                        # an exhausted basis holds the exact solution
+                        exact = k == basis.k and basis.exhausted
+                        if k == j + _LOOKAHEAD or exact:
+                            z = basis.tikhonov(lam, j)
+                            if exact or basis.discrepancy_error(lam, z, k) <= KRYLOV_TOL * lag.epsilon:
+                                z = basis.tikhonov(lam, k)
+                                f = self.solution(basis.expand(z))
+                                residuals = _residuals(lag, f, lam)
+                                rel = float(np.linalg.norm(residuals[2])) / scale if scale else 0.0
+                                target = max(KRYLOV_TOL, _rounding_level(self, f, lam)) if scale else KRYLOV_TOL
+                                if rel <= target or exact:
+                                    break
+                            j += 1
+                            continue
+                    basis.step()
+                slope = basis.discrepancy_slope(lam, z)
+            if rel > target:
+                raise ConvergenceFailure(
+                    f"Krylov basis exhausted at k={k} above tol={target:g} at "
+                    f"lam={lam:g} (relative residual {rel:.3e})",
+                    best=f,
+                )
+            stats = {"method": "krylov", "iterations": k, "relative_residual": rel}
+            solutions.append(_solution(lag, lam, f, residuals, slope, stats))
+        return solutions
+
 
 def _require_finite(name, arr):
     """Raise ValueError naming the first NaN or infinite entry of ``arr``."""
@@ -320,11 +443,10 @@ class Lagrangian:
     ``epsilon`` is the square of the effective noise tolerance. Callers
     applying a Morozov safety factor c >= 1 must fold it in beforehand
     (epsilon = (c * tau)^2); this class treats epsilon as final. ``data``
-    is a read-only copy of ``g``, so the cached factorization and Krylov
-    basis cannot go stale. A NaN or an infinity in ``data`` or a dense
-    ``op``, on which a Krylov solve never returns, raises ``ValueError``
-    naming the first such entry; a matrix-free ``op`` cannot be checked
-    up front.
+    is a read-only copy of ``g``, so the engines built from it cannot go
+    stale. A NaN or an infinity in ``data`` or a dense ``op``, on which a
+    Krylov solve never returns, raises ``ValueError`` naming the first
+    such entry; a matrix-free ``op`` cannot be checked up front.
     """
 
     def __init__(self, op: LinearOperator, data, regularizer: Regularizer, epsilon):
@@ -350,74 +472,54 @@ class Lagrangian:
         self.epsilon = float(epsilon)
         self._spectral = None
         self._form = None
-        self._krylov = None
+        self._violation = None  # why first differences have no standard form
         self._lock = threading.Lock()
 
-    def spectral_factors(self):
-        """The problem's ``SpectralFactors``, built on first use.
+    def certificate(self):
+        """The ``StandardForm`` and basis of the regime verdict, built once:
+        Elden's form for first differences whose constants A sees, and
+        (A, g) itself otherwise. It is the engine of a built-in penalty.
+        First differences whose constants A annihilates have no standard
+        form, and there A(ker L) = {0}, so gbar = g."""
+        with self._lock:
+            if self._form is None:
+                try:
+                    self._form = StandardForm.build(self.op, self.data, self.regularizer.kind)
+                except AssumptionViolation as exc:
+                    self._violation = str(exc)
+                    self._form = StandardForm.build(self.op, self.data, "identity")
+            return self._form
 
-        Raises
-        ------
-        AssumptionViolation
-            If the penalty is not strictly convex along ker(A); nothing is
-            cached then, so each call raises again.
-        """
+    def engine(self):
+        """The problem's inner solver, built once: the ``certificate`` for a
+        built-in penalty, ``SpectralFactors`` for a custom one. It is the
+        problem's one strict-convexity check: each call raises
+        ``AssumptionViolation`` if the penalty is not strictly convex along
+        ker(A)."""
+        if self.regularizer.kind == "custom":
+            return self._spectral_factors()
+        form = self.certificate()
+        if self._violation is not None:
+            raise AssumptionViolation(self._violation)
+        return form
+
+    def sweep_engine(self):
+        """The solver of a sweep: ``SpectralFactors`` when A is dense or the
+        penalty custom, else ``engine()``; it raises as ``engine()`` does.
+        A wide grid grows a Krylov basis past the cost of the
+        eigendecomposition: 200 points on a width-2 blur at n = 512 take
+        0.146 s on the factors, building them included, against 0.277 s in
+        a basis (2 CPUs, BLAS on 1 thread)."""
+        return self._spectral_factors() if self.op.is_dense else self.engine()
+
+    def _spectral_factors(self):
+        # nothing is kept when the build raises, so each call raises again
         with self._lock:
             if self._spectral is None:
                 self._spectral = SpectralFactors.build(
                     self.op, self.regularizer.seminorm_operator, self.data
                 )
             return self._spectral
-
-    def standard_form(self):
-        """The problem's ``StandardForm``, built on first use.
-
-        Raises
-        ------
-        AssumptionViolation
-            If first differences are not strictly convex along ker(A);
-            nothing is cached then, so each call raises again.
-        """
-        with self._lock:
-            if self._form is None:
-                self._form = StandardForm.build(self.op, self.data, self.regularizer.kind)
-            return self._form
-
-    def engine(self):
-        """The name of the solver that serves this problem, built on first
-        use: ``"krylov"`` (``standard_form``) for a built-in penalty,
-        ``"spectral"`` (``spectral_factors``) for a custom one. Building it
-        is the problem's one strict-convexity check, so it raises their
-        ``AssumptionViolation``."""
-        if self.regularizer.kind == "custom":
-            self.spectral_factors()
-            return "spectral"
-        self.standard_form()
-        return "krylov"
-
-    @contextmanager
-    def krylov_basis(self):
-        """The problem's ``GolubKahan`` basis of its standard form
-        (Abar, gbar), built on first use.
-
-        The basis grows on demand and serves every ``"krylov"`` solve and
-        the regime verdict of ``diagnose_regime`` on this problem. A custom
-        penalty's basis is of (A, g), and so is that of first differences
-        whose constants A annihilates, which have no standard form: there
-        A(ker L) = {0}, so gbar = g. No solve reads either, so it is fresh
-        and not kept. The context holds the problem's lock, so one caller
-        grows the basis at a time.
-        """
-        try:
-            form = self.standard_form()
-        except AssumptionViolation:
-            form = None
-        op, data = (self.op, self.data) if form is None else (form.op, form.data)
-        with self._lock:
-            basis = self._krylov or GolubKahan(op.apply, op.apply_adjoint, data, op.dims.dim_f)
-            if form is not None and self.regularizer.kind != "custom":
-                self._krylov = basis
-            yield basis
 
     @property
     def tau(self):
@@ -433,81 +535,28 @@ class Lagrangian:
 
 def lagrangian_value(lag: Lagrangian, f, lam):
     """J(f) + lam * (||A f - g||^2 - epsilon)."""
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    if not lam >= 0:  # NaN fails it too
+        raise ValueError(f"lam must be nonnegative, got {lam}")
     j = lag.regularizer.evaluate(f)
     return j + lam * (residual_norm_sq(lag.op, f, lag.data) - lag.epsilon)
 
 
 def solve_lagrange(lag: Lagrangian, lam):
     """Minimize the inner problem at multiplier ``lam`` on the problem's
-    engine, ``lag.engine()``.
-
-    A custom penalty is solved as the one-point case of
-    ``solve_lagrange_block``. A built-in one is solved in the Golub-Kahan
-    basis of its ``StandardForm`` (``_krylov_solve``) to a relative
-    residual ||lam A^T g - (L^T L + lam A^T A) f|| / ||lam A^T g|| of at
-    most ``KRYLOV_TOL``, or the full system's float64 rounding level where
-    that is larger; a solve that needs no new basis column costs one
-    forward and one adjoint application.
+    engine (``StandardForm.solve``, ``SpectralFactors.solve``).
 
     Raises
     ------
     ValueError
-        For ``lam`` outside (0, LAMBDA_MAX], NaN included.
-    AssumptionViolation
-        If the penalty is not strictly convex along ker(A), when the
+        For ``lam`` outside (0, LAMBDA_MAX], NaN included, before the
         engine is built.
+    AssumptionViolation
+        If the penalty is not strictly convex along ker(A).
     ConvergenceFailure
-        If the Krylov basis is exhausted above that residual.
+        If the Krylov basis is exhausted above its residual target.
     """
     _check_multiplier(lam)
-    if lag.engine() == "spectral":
-        return solve_lagrange_block(lag, [lam])[0]
-    f, residuals, slope, stats = _krylov_solve(lag, lam)
-    return _solution(lag, lam, f, residuals, slope, stats)
-
-
-def solve_lagrange_block(lag: Lagrangian, lams):
-    """The inner minimizers on the problem's ``SpectralFactors`` at every
-    multiplier of ``lams`` at once, in order; ``solve_lagrange`` of a
-    custom penalty is the one-point case.
-
-    The rows F of f_lam come from the problem's ``SpectralFactors`` as one
-    product, and so do the residuals R = F A^T - g and A^T R: three
-    matrix-matrix (BLAS-3) products for a dense A where one multiplier at
-    a time costs three memory-bound O(n^2) matrix-vector products. A
-    matrix-free A is applied row by row, at one forward and one adjoint
-    application per multiplier, as one solve makes. The temporaries are a
-    few len(lams)-by-n blocks, so callers pass at most ``dim_f``
-    multipliers to stay within a few copies of the factors. Every row is
-    then finished as a single solve is, from its own r, A^T r and
-    gradient, and its ``f_lambda`` is its own array.
-
-    Raises
-    ------
-    ValueError
-        For a multiplier outside (0, LAMBDA_MAX].
-    AssumptionViolation
-        If the spectral factors cannot be built (``SpectralFactors.build``).
-    """
-    for lam in lams:
-        _check_multiplier(lam)
-    F, slopes = lag.spectral_factors().solve(lams)
-    A, g = lag.op, lag.data
-    if A.is_dense:
-        R = F @ A.matrix.T
-        R -= g
-        AtR = R @ A.matrix
-    else:
-        R = np.array([A.apply(f) for f in F]) - g
-        AtR = np.array([A.apply_adjoint(r) for r in R])
-    solutions = []
-    for lam, f, r, atr, slope in zip(lams, F, R, AtR, slopes):
-        f = f.copy()
-        residuals = _residuals(lag, f, lam, r, atr)
-        solutions.append(_solution(lag, lam, f, residuals, float(slope), {"method": "spectral"}))
-    return solutions
+    return lag.engine().solve(lag, [lam])[0]
 
 
 def _check_multiplier(lam):
@@ -553,67 +602,6 @@ def _residuals(lag, f, lam, r=None, atr=None):
         r = lag.op.apply(f) - lag.data
         atr = lag.op.apply_adjoint(r)
     return r, atr, lag.regularizer.gradient(f) + 2.0 * lam * atr
-
-
-def _krylov_solve(lag, lam):
-    """Projected Tikhonov solve in the problem's Golub-Kahan basis.
-
-    Finds the fewest basis columns j whose projected solution passes two
-    estimates, and returns the solution on k = j + ``_LOOKAHEAD`` columns,
-    against which the second estimate is taken. k depends on lam alone,
-    not on how far earlier solves grew the basis, and so does the answer;
-    the basis grows while no j passes.
-
-    - The full system's relative residual is at most ``KRYLOV_TOL``, or at
-      most its float64 rounding level where that is larger
-      (``_rounding_level``).
-      The full residual is L^T times the standard form's, so the
-      recurrences' estimate times ``lt_norm`` bounds it. The explicit
-      residual of the returned solution decides.
-    - The error of ||A f - g||^2, and so of D', is at most
-      ``KRYLOV_TOL * epsilon`` by ``GolubKahan.discrepancy_error``. The
-      residual test alone does not bound this error: at small noise and
-      large lam, a relative residual of 1e-10 leaves D' wrong in its sign.
-
-    Returns (f, (r, A^T r, grad), slope, stats) with the residuals of
-    ``_residuals`` at f and the slope d||A f - g||^2 / dlam of
-    ``GolubKahan.discrepancy_slope`` on the same k columns.
-    """
-    form = lag.standard_form()
-    scale = 2.0 * lam * form.rhs_norm  # ||grad|| = 2 ||full residual||
-    with lag.krylov_basis() as basis:
-        gain = form.lt_norm * basis.alpha[0] * basis.beta[0] / form.rhs_norm if scale else 0.0
-        j = 0
-        while True:
-            ahead = np.flatnonzero(gain * basis.tikhonov_residuals(lam)[j:] <= KRYLOV_TOL)
-            if not ahead.size:
-                j = basis.k + 1
-            else:
-                j += int(ahead[0])
-                k = min(j + _LOOKAHEAD, basis.k)
-                # an exhausted basis holds the exact solution
-                exact = k == basis.k and basis.exhausted
-                if k == j + _LOOKAHEAD or exact:
-                    z = basis.tikhonov(lam, j)
-                    if exact or basis.discrepancy_error(lam, z, k) <= KRYLOV_TOL * lag.epsilon:
-                        z = basis.tikhonov(lam, k)
-                        f = form.solution(basis.expand(z))
-                        residuals = _residuals(lag, f, lam)
-                        rel = float(np.linalg.norm(residuals[2])) / scale if scale else 0.0
-                        target = max(KRYLOV_TOL, _rounding_level(form, f, lam)) if scale else KRYLOV_TOL
-                        if rel <= target or exact:
-                            break
-                    j += 1
-                    continue
-            basis.step()
-        slope = basis.discrepancy_slope(lam, z)
-    if rel > target:
-        raise ConvergenceFailure(
-            f"Krylov basis exhausted at k={k} above tol={target:g} at "
-            f"lam={lam:g} (relative residual {rel:.3e})",
-            best=f,
-        )
-    return f, residuals, slope, {"method": "krylov", "iterations": k, "relative_residual": rel}
 
 
 def _rounding_level(form, f, lam):

@@ -20,7 +20,14 @@ from morozov.errors import (
     ConvergenceFailure,
     RegimeError,
 )
-from morozov.lagrange import LAMBDA_MAX, Lagrangian, lagrangian_value, solve_lagrange
+from morozov.lagrange import (
+    LAMBDA_MAX,
+    Lagrangian,
+    SpectralFactors,
+    StandardForm,
+    lagrangian_value,
+    solve_lagrange,
+)
 from morozov.problems import _bump_profile, make_deconvolution, regime_fixture, synthesize
 from morozov.regularizers import (
     Regularizer,
@@ -87,9 +94,14 @@ class TestEvalDual:
     @pytest.mark.parametrize(
         "penalty, engine",
         [
-            ("identity", "krylov"), ("identity", "spectral"),
-            ("first_difference", "krylov"), ("first_difference", "spectral"),
-            ("custom", "spectral"),
+            ("identity", StandardForm), ("identity", SpectralFactors),
+            ("first_difference", StandardForm), ("first_difference", SpectralFactors),
+            ("custom", SpectralFactors),
+        ],
+        ids=[
+            "identity-krylov", "identity-spectral",
+            "first_difference-krylov", "first_difference-spectral",
+            "custom-spectral",
         ],
     )
     def test_d_second_matches_central_differences(self, penalty, engine):
@@ -104,9 +116,9 @@ class TestEvalDual:
         else:
             J = custom_regularizer(linops.from_matrix(np.diff(np.eye(n), n=2, axis=0) + 0.1 * np.eye(n)[:-2]))
         lag = Lagrangian(A, prob.g, J, (1.02 * prob.tau) ** 2)
-        if engine != lag.engine():
+        if not isinstance(lag.engine(), engine):
             lag = spectral_twin(lag)
-        assert lag.engine() == engine
+        assert isinstance(lag.engine(), engine)
         for lam in (1e-3, 0.1, 10.0, 1e3, 1e5):
             h = 1e-4 * lam
             central = (eval_dual(lag, lam + h).d_prime - eval_dual(lag, lam - h).d_prime) / (2.0 * h)
@@ -197,13 +209,16 @@ class TestDiagnoseRegime:
             return Lagrangian(op, g, first_difference_regularizer(n), tau**2)
 
         with pytest.raises(AssumptionViolation):
-            lagrangian(dist).standard_form()
+            lagrangian(dist).engine()
         lag = lagrangian(0.5 * dist)
         d = diagnose_regime(lag)
         assert d.regime == "too_optimistic" and not d.dist_is_bound
-        # no solve reads that basis, so it is not kept
-        with lag.krylov_basis() as basis:
-            assert basis.k == 0
+        # no solve reads that basis, yet it is kept: a second verdict
+        # grows it no further
+        k = lag.certificate().basis.k
+        assert k > 0 and diagnose_regime(lag) == d and lag.certificate().basis.k == k
+        with pytest.raises(AssumptionViolation):
+            lag.engine()
         assert d.data_label == "||g||" and d.data_norm == g_norm
         assert d.dist_to_range == pytest.approx(dist, abs=1e-9 * g_norm)
         # between the distance and ||g||: certified by the residual bound
@@ -585,8 +600,7 @@ class TestRegimeCertificate:
         # three steps and one look, below tau
         lag, counts = TestWorkCounts.counting_free_lagrangian(prob)
         assert diagnose_regime(lag) == expected
-        with lag.krylov_basis() as basis:
-            assert basis.k == 3
+        assert lag.certificate().basis.k == 3
         assert counts == {"fwd": 4, "adj": 5}
 
     def test_uncertified_too_optimistic(self):
@@ -665,6 +679,49 @@ class TestRegimeCertificate:
             assert err.value.regime == "noise_dominates"
             with pytest.raises(AssumptionViolation, match="unique"):
                 maximize_dual(lag, override_regime=True)
+
+class TestEngineTable:
+    """Which engine ``Lagrangian`` picks, for every kind of A and penalty."""
+
+    # (A, penalty): the engine, the sweep engine
+    TABLE = {
+        ("dense", "identity"): (StandardForm, SpectralFactors),
+        ("dense", "first_difference"): (StandardForm, SpectralFactors),
+        ("dense", "custom"): (SpectralFactors, SpectralFactors),
+        ("matrix_free", "identity"): (StandardForm, StandardForm),
+        ("matrix_free", "first_difference"): (StandardForm, StandardForm),
+        ("matrix_free", "custom"): (SpectralFactors, SpectralFactors),
+    }
+
+    @pytest.mark.parametrize("storage, penalty", list(TABLE))
+    def test_engines(self, storage, penalty):
+        prob = regime_fixture("interior", seed=1)
+        n = prob.op.dims.dim_f
+        op = counting_free_op(prob.op.matrix)[0] if storage == "matrix_free" else prob.op
+        J = {
+            "identity": identity_regularizer(n),
+            "first_difference": first_difference_regularizer(n),
+            "custom": custom_regularizer(linops.from_matrix(np.diff(np.eye(n), axis=0))),
+        }[penalty]
+        lag = Lagrangian(op, prob.g, J, prob.tau**2)
+        engine, sweep = self.TABLE[storage, penalty]
+        assert type(lag.engine()) is engine and type(lag.sweep_engine()) is sweep
+        # each is built once: repeated calls return the same object, and
+        # the factors serve a custom penalty's solves and sweeps alike
+        assert lag.engine() is lag.engine() and lag.sweep_engine() is lag.sweep_engine()
+        assert (lag.sweep_engine() is lag.engine()) == (storage == "matrix_free" or penalty == "custom")
+        # the certificate is the Krylov engine of a built-in penalty
+        assert lag.certificate() is lag.certificate()
+        assert (lag.certificate() is lag.engine()) == (penalty != "custom")
+        res = maximize_dual(lag)
+        if sweep is StandardForm:
+            # a sweep after the selection grows the selection's basis
+            basis = lag.engine().basis
+            k = basis.k
+            evals = sweep_dual(lag, np.geomspace(res.lambda_star, 1e6 * res.lambda_star, 10))
+            assert all(e.error is None for e in evals)
+            assert lag.engine().basis is basis and basis.k > k
+
 
 class TestWorkCounts:
     """Deterministic work of the dense selector, counted at scipy.linalg."""
@@ -748,8 +805,7 @@ class TestWorkCounts:
         res = maximize_dual(lag)
         evals = len(res.iterations)
         assert 0 < len(calls) <= evals
-        with lag.krylov_basis() as basis:
-            assert basis.k > 4 * evals
+        assert lag.engine().basis.k > 4 * evals
 
     @staticmethod
     def counting_free_lagrangian(prob):
@@ -802,9 +858,9 @@ class TestWorkCounts:
         np.testing.assert_allclose(res.f_star, ref.f_star, rtol=0, atol=1e-12 * np.abs(ref.f_star).max())
 
     def test_custom_penalty_certificate_makes_no_eigh(self, monkeypatch):
-        # a dense custom penalty certifies its regime by LSQR on (A, g), on a
-        # basis it does not keep; its spectral factors, built once behind the
-        # regime gate, are the strict-convexity check
+        # a dense custom penalty certifies its regime by LSQR on (A, g), in a
+        # basis it keeps for the certificate alone; its spectral factors,
+        # built once behind the regime gate, are the strict-convexity check
         prob = regime_fixture("interior", seed=1)
         J = custom_regularizer(linops.from_matrix(np.diff(np.eye(24), axis=0)))
         lag = Lagrangian(prob.op, prob.g, J, prob.tau**2)
@@ -814,8 +870,9 @@ class TestWorkCounts:
         res = maximize_dual(lag)
         assert counts == {"eigh": 1}
         assert res.diagnosis.regime == "interior"
-        with lag.krylov_basis() as basis:
-            assert basis.k == 0
+        k = lag.certificate().basis.k
+        assert k > 0 and lag.engine() is not lag.certificate()
+        assert diagnose_regime(lag) == res.diagnosis and lag.certificate().basis.k == k
         # the same map as built-in first differences, in a Golub-Kahan basis
         ref = maximize_dual(Lagrangian(prob.op, prob.g, first_difference_regularizer(24), prob.tau**2))
         assert counts == {"eigh": 1}
@@ -835,14 +892,13 @@ class TestWorkCounts:
         # a matrix-free A with a custom penalty runs on the spectral factors:
         # one eigh, dim_f forward applications to materialize A, and per
         # evaluation the residual check's one forward and one adjoint, on top
-        # of the certificate's LSQR on a fresh basis of (A, g)
+        # of the certificate's LSQR in its basis of (A, g)
         prob = regime_fixture("interior", seed=1)
         n = prob.op.dims.dim_f
         J = custom_regularizer(linops.from_matrix(np.diff(np.eye(n), axis=0)))
         cert_op, cert = counting_free_op(prob.op.matrix)
         cert_lag = Lagrangian(cert_op, prob.g, J, prob.tau**2)
-        with cert_lag.krylov_basis() as basis:
-            basis.distance(target=cert_lag.tau)
+        cert_lag.certificate().distance(cert_lag.tau)
 
         op, counts = counting_free_op(prob.op.matrix)
         calls = self.count_calls(monkeypatch, "eigh")

@@ -8,10 +8,10 @@ from morozov.errors import AssumptionViolation, ConvergenceFailure
 from morozov.lagrange import (
     LAMBDA_MAX,
     Lagrangian,
+    SpectralFactors,
     StandardForm,
     lagrangian_value,
     solve_lagrange,
-    solve_lagrange_block,
 )
 from morozov.problems import regime_fixture
 from morozov.regularizers import (
@@ -65,8 +65,9 @@ class TestLagrangianValue:
 
     def test_rejects_negative_lambda(self):
         lag = scalar_lagrangian()
-        with pytest.raises(ValueError):
-            lagrangian_value(lag, np.array([1.0]), -0.5)
+        for lam in (-0.5, math.nan):
+            with pytest.raises(ValueError, match="nonnegative"):
+                lagrangian_value(lag, np.array([1.0]), lam)
 
 
 class TestSolveLagrange:
@@ -189,7 +190,7 @@ class TestSolveLagrange:
 
         def worker():
             barrier.wait(timeout=10)
-            results.append(lag.spectral_factors())
+            results.append(lag.sweep_engine())
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -273,11 +274,10 @@ class TestSolveLagrange:
         }[kind]
         lag = Lagrangian(A, rng.standard_normal(10), J, 1.0)
         engine = lag.engine()
-        assert engine == ("spectral" if kind == "custom" else "krylov")
+        assert isinstance(engine, SpectralFactors if kind == "custom" else StandardForm)
         sol = solve_lagrange(lag, 0.5)
-        assert sol.solver_stats["method"] == engine
-        if engine == "spectral":
-            assert sol.f_lambda.tobytes() == solve_lagrange_block(lag, [0.5])[0].f_lambda.tobytes()
+        assert sol.solver_stats["method"] == ("spectral" if kind == "custom" else "krylov")
+        assert sol.f_lambda.tobytes() == engine.solve(lag, [0.5])[0].f_lambda.tobytes()
         np.testing.assert_allclose(sol.f_lambda, numpy_inner_solve(lag, 0.5), rtol=1e-10)
 
     def test_singular_system_dense_refused(self):
@@ -436,17 +436,17 @@ class TestKrylovSolver:
             rhs = lam * mat.T @ g
             rel = np.linalg.norm(f + lam * mat.T @ (mat @ f) - rhs) / np.linalg.norm(rhs)
             assert rel <= 1e-10, lam
-        with lag.krylov_basis() as basis:
-            k = basis.k
-            assert len(basis.alpha) == len(basis.beta) == k + 1
-            # V is kept and orthonormal; the u side keeps its last vector
-            V, B, u = basis._V[:], lower_bidiagonal(basis), basis._u
-            assert V.shape[0] == k + 1
-            np.testing.assert_allclose(V @ V.T, np.eye(k + 1), atol=1e-12)
-            AV = mat @ V[:k].T
-            np.testing.assert_allclose(AV.T @ AV, B.T @ B, atol=1e-12)
-            assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-14)
-            np.testing.assert_allclose(mat.T @ u, basis.beta[k] * V[k - 1] + basis.alpha[k] * V[k], atol=1e-12)
+        basis = lag.engine().basis
+        k = basis.k
+        assert len(basis.alpha) == len(basis.beta) == k + 1
+        # V is kept and orthonormal; the u side keeps its last vector
+        V, B, u = basis._V[:], lower_bidiagonal(basis), basis._u
+        assert V.shape[0] == k + 1
+        np.testing.assert_allclose(V @ V.T, np.eye(k + 1), atol=1e-12)
+        AV = mat @ V[:k].T
+        np.testing.assert_allclose(AV.T @ AV, B.T @ B, atol=1e-12)
+        assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-14)
+        np.testing.assert_allclose(mat.T @ u, basis.beta[k] * V[k - 1] + basis.alpha[k] * V[k], atol=1e-12)
 
 
 class TestStandardForm:

@@ -169,6 +169,7 @@ class TestCheckAssumptions:
     # numpy's rank of [A; L] (conftest.shares_kernel) is the oracle for it
 
     def test_factorization_agrees_with_oracle(self, rng):
+        # every A here is dense, so the sweep engine is the spectral factors
         n = 8
         shared = first_difference_regularizer(n)
         cases = _consistency_cases(rng) + [
@@ -181,7 +182,7 @@ class TestCheckAssumptions:
         outcomes = []
         for J, A in cases:
             g = rng.standard_normal(A.dims.dim_g)
-            refused = _refused(Lagrangian(A, g, J, epsilon=1.0).spectral_factors)
+            refused = _refused(Lagrangian(A, g, J, epsilon=1.0).sweep_engine)
             assert refused == shares_kernel(A, J.seminorm_operator), (J.kind, A)
             outcomes.append(refused)
         assert outcomes == [False] * 4 + [True] + [False] * 4  # only the shared-kernel pair
@@ -200,7 +201,7 @@ class TestCheckAssumptions:
             if J.kind == "custom":
                 continue
             lag = Lagrangian(A, rng.standard_normal(A.dims.dim_g), J, epsilon=1.0)
-            refused = _refused(lag.standard_form)
+            refused = _refused(lag.engine)
             assert refused == shares_kernel(A, J.seminorm_operator), (J.kind, A)
             outcomes.append(refused)
         assert outcomes == [False, False, False, True, False]
