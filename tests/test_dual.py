@@ -857,6 +857,25 @@ class TestWorkCounts:
         assert res.lambda_star == pytest.approx(ref.lambda_star, rel=1e-9)
         np.testing.assert_allclose(res.f_star, ref.f_star, rtol=0, atol=1e-12 * np.abs(ref.f_star).max())
 
+    @pytest.mark.parametrize("penalty", [identity_regularizer, first_difference_regularizer])
+    def test_banded_selection_matches_its_gemv_twin(self, penalty):
+        # the width-2 blur is banded (kl = ku = 75), so from_matrix applies it
+        # by dgbmv; the callables twin runs numpy's dense products
+        n = 512
+        A = make_deconvolution(n, 2.0)
+        prob = synthesize(A, _bump_profile(n, np.random.default_rng(n)), 0.02, seed=n)
+        epsilon = (1.02 * prob.tau) ** 2
+        M = A.matrix
+        band = Lagrangian(linops.from_matrix(M), prob.g, penalty(n), epsilon)
+        twin = Lagrangian(
+            linops.from_callables(n, n, M.__matmul__, M.T.__matmul__), prob.g, penalty(n), epsilon
+        )
+        res, ref = maximize_dual(band), maximize_dual(twin)
+        assert len(res.iterations) == len(ref.iterations)
+        assert band.engine().basis.k == twin.engine().basis.k
+        assert res.lambda_star == pytest.approx(ref.lambda_star, rel=1e-12)
+        assert verify_morozov_solution(res, band).passed
+
     def test_custom_penalty_certificate_makes_no_eigh(self, monkeypatch):
         # a dense custom penalty certifies its regime by LSQR on (A, g), in a
         # basis it keeps for the certificate alone; its spectral factors,

@@ -118,6 +118,65 @@ class TestOperatorAlgebra:
             op.matrix[0, 0] = 5.0
 
 
+def banded(rng, m, n, kl, ku):
+    """An m-by-n matrix with random entries on diagonals -kl..ku, zero off them."""
+    i, j = np.indices((m, n))
+    return np.where((i - j <= kl) & (j - i <= ku), rng.standard_normal((m, n)), 0.0)
+
+
+def assert_products_match(op, mat, rng):
+    # the band and dense products sum the same terms in another order
+    for _ in range(5):
+        x, y = rng.standard_normal(mat.shape[1]), rng.standard_normal(mat.shape[0])
+        for got, ref in ((op.apply(x), mat @ x), (op.apply_adjoint(y), mat.T @ y)):
+            assert np.linalg.norm(got - ref) <= 1e-15 * np.linalg.norm(ref)
+
+
+class TestBandStorage:
+    """Dense matrices whose band fits half their size are applied by dgbmv."""
+
+    @pytest.mark.parametrize(
+        "m, n, kl, ku",
+        [
+            (12, 12, 2, 3),  # square
+            (20, 8, 1, 2),  # tall: rows below the band are all zero
+            (20, 8, 3, 0),
+            (8, 20, 2, 1),  # wide
+            (12, 12, 4, 0),  # lower only
+            (12, 12, 0, 4),  # upper only
+            (12, 12, 0, 0),  # diagonal
+            (12, 12, 3, 2),  # kl + ku + 1 = 6, exactly half
+        ],
+    )
+    def test_band_products_match_dense(self, rng, m, n, kl, ku):
+        mat = banded(rng, m, n, kl, ku)
+        op = from_matrix(mat)
+        assert op._band is not None and op._band[:2] == (kl, ku)
+        assert_products_match(op, mat, rng)
+        np.testing.assert_array_equal(op.matrix, mat)
+        assert op.materialize() is op.matrix
+
+    @pytest.mark.parametrize("m, n, kl, ku", [(12, 12, 3, 3), (20, 8, 2, 2), (8, 20, 4, 0)])
+    def test_one_past_half_width_stays_dense(self, rng, m, n, kl, ku):
+        mat = banded(rng, m, n, kl, ku)
+        op = from_matrix(mat)
+        assert op._band is None
+        assert_products_match(op, mat, rng)
+        np.testing.assert_array_equal(op.matrix, mat)
+
+    def test_all_zero_matrix(self, rng):
+        op = from_matrix(np.zeros((10, 6)))
+        assert op._band[:2] == (0, 0)
+        assert np.array_equal(op.apply(rng.standard_normal(6)), np.zeros(10))
+        assert np.array_equal(op.apply_adjoint(rng.standard_normal(10)), np.zeros(6))
+        np.testing.assert_array_equal(op.materialize(), np.zeros((10, 6)))
+
+    def test_deconvolution_band_ends_at_the_flushed_weights(self):
+        # at width 2 the weights past offset 75 underflow and are stored as 0
+        op = make_deconvolution(512, 2.0)
+        assert op._band[:2] == (75, 75)
+
+
 def test_all_shipped_operators_pass_adjoint_gate(rng):
     ops = [
         identity(7),
@@ -165,6 +224,25 @@ class TestMatrixFiles:
         path.write_bytes(raw[:-8])
         with pytest.raises(ValueError, match="truncated"):
             linops.load_matrix_mdop(path)
+
+    def test_mdop_rejects_trailing_bytes(self, tmp_path, rng):
+        # a 4x4 payload under a 2x4 header
+        path = tmp_path / "m.bin"
+        linops.save_matrix_mdop(rng.standard_normal((4, 4)), path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:4] + struct.pack("<II", 2, 4) + raw[12:])
+        with pytest.raises(ValueError, match="longer than 2x4") as err:
+            linops.load_matrix_mdop(path)
+        assert str(path) in str(err.value)
+
+    def test_mdop_rejects_nonzero_reserved_bytes(self, tmp_path, rng):
+        path = tmp_path / "m.bin"
+        linops.save_matrix_mdop(rng.standard_normal((2, 2)), path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:12] + b"\x01\x00\x00\x00" + raw[16:])
+        with pytest.raises(ValueError, match="reserved") as err:
+            linops.load_matrix_mdop(path)
+        assert str(path) in str(err.value)
 
     def test_vector_csv_roundtrip(self, tmp_path, rng):
         v = rng.standard_normal(9)
