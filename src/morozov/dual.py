@@ -290,6 +290,9 @@ def maximize_dual(
         22 to 34, and the two multipliers agree to 3e-8. Gradient
         ascent iterates lam <- max(lam + rho_n D'(lam), 0) from lam = 0
         with rho_n given by ``step_rule``.
+    rtol : float in (0, 1)
+        At rtol >= 1 the test accepts every lam whose discrepancy is at
+        most sqrt(1 + rtol) tau, however far below tau.
     max_iter : int or None
         Evaluations after the first, at most. None picks a per-method
         default: 200 for Newton and bisection, 10000 for gradient ascent
@@ -328,8 +331,8 @@ def maximize_dual(
     # comparisons that NaN fails, so a NaN option is refused too
     if method not in ("newton", "bisection", "gradient_ascent"):
         raise ValueError(f"unknown method {method!r}")
-    if not rtol > 0:
-        raise ValueError(f"rtol must be positive, got {rtol}")
+    if not 0 < rtol < 1:
+        raise ValueError(f"rtol must be in (0, 1), got {rtol}")
     if max_iter is None:
         max_iter = 10_000 if method == "gradient_ascent" else 200
     if not max_iter >= 0:
@@ -584,7 +587,14 @@ def verify_morozov_solution(
     f against ``n_probes`` random perturbations.
 
     Returns a report listing each check; nothing is raised on failure.
+    ``ValueError`` for a tolerance that is not positive and finite, or an
+    ``n_probes`` that is not a nonnegative integer, before any work.
     """
+    for name, tol in (("rtol", rtol), ("opt_tol", opt_tol)):
+        if not 0 < tol < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {tol}")
+    if not (isinstance(n_probes, (int, np.integer)) and n_probes >= 0):
+        raise ValueError(f"n_probes must be a nonnegative integer, got {n_probes!r}")
     if not res.converged:
         raise ValueError("verification needs a converged SelectionResult")
     f = np.asarray(res.f_star, dtype=np.float64)

@@ -272,11 +272,13 @@ class StandardForm:
 
     ``rhs_norm`` is ||A^T g||, the scale of the full system's residual,
     which is L^T times the standard form's; ``lt_norm`` bounds ||L^T||.
+    When the form is (A, g), the basis's first column gives ||A^T g|| as
+    alpha_1 beta_1, so ``rhs_norm`` is left out and read from there.
     """
 
     op: LinearOperator
     data: np.ndarray
-    rhs_norm: float
+    rhs_norm: float = None
     lt_norm: float = 1.0
     # first differences: ||A W||, q^T g, and (L^+)^T A^T q, which gives
     # q^T A x = h^T z without an application
@@ -290,11 +292,13 @@ class StandardForm:
     def __post_init__(self):
         self.basis = GolubKahan(self.op.apply, self.op.apply_adjoint, self.data, self.op.dims.dim_f)
         self.lock = threading.Lock()
+        if self.rhs_norm is None:
+            self.rhs_norm = self.basis.alpha[0] * self.basis.beta[0]
 
     @classmethod
     def build(cls, A: LinearOperator, g, kind):
         """Transform (A, g) for the penalty ``kind``; O(n) plus one forward
-        and two adjoint applications for first differences, one adjoint
+        and two adjoint applications for first differences, none
         otherwise, and the basis's first column at one adjoint more.
 
         Raises
@@ -305,7 +309,7 @@ class StandardForm:
             convex along ker(A).
         """
         if kind != "first_difference":
-            return cls(op=A, data=g, rhs_norm=float(np.linalg.norm(A.apply_adjoint(g))))
+            return cls(op=A, data=g)
         n = A.dims.dim_f
         AW = A.apply(np.full(n, 1.0 / math.sqrt(n)))
         aw_norm = float(np.linalg.norm(AW))

@@ -3,16 +3,26 @@
 An operator maps the solution space (dimension ``dim_f``) into the data
 space (dimension ``dim_g``) and carries its adjoint. Two representations
 are supported: a dense float64 matrix, and a matrix-free pair of callbacks
-(forward and adjoint action). Operators are immutable after construction
-and safe to share between concurrent evaluations.
+(forward and adjoint action). Either way an operator keeps exactly one
+(forward, adjoint) pair of vector products, and ``apply`` and
+``apply_adjoint`` check the input vector and call it. A matrix-free
+operator's pair is its callbacks, with a check of their output.
 
-A dense matrix whose nonzeros lie within ``kl`` subdiagonals and ``ku``
-superdiagonals, with ``kl + ku + 1 <= min(rows, cols) / 2``, also keeps a
-LAPACK band copy, and its matrix-vector products run BLAS ``dgbmv`` on that
-copy in O((kl + ku + 1) cols) work; wider matrices use the dense product.
-The band follows the stored zeros alone: a Gaussian blur whose tail
-weights are 0, a diagonal or a difference matrix qualifies without any
-option. Products of whole blocks always read the dense matrix.
+A dense operator picks its pair at its first matrix-vector product. When
+the nonzeros lie within ``kl`` subdiagonals and ``ku`` superdiagonals,
+with ``kl + ku + 1 <= min(rows, cols) / 2``, the pair runs BLAS ``dgbmv``
+on a LAPACK band copy in O((kl + ku + 1) cols) work; wider matrices use
+the dense product. The band follows the stored zeros alone: a Gaussian
+blur whose tail weights are 0, a diagonal or a difference matrix
+qualifies without any option. Products of whole blocks always read the
+stored matrix, so a problem that never applies a dense operator to a
+single vector never builds the band copy.
+
+Operators are safe to share between concurrent evaluations. Concurrent
+first products of a dense operator may each build a pair; the pairs are
+equal and read-only, so every product gives the same answer whichever is
+kept. A pair holds the matrix or its band copy, never the operator, so an
+operator is in no reference cycle and is freed once unreachable.
 
 Dense matrices can be read from and written to a binary format
 ("MDOP"): a 16-byte header consisting of the magic bytes ``MDOP``, the
@@ -25,6 +35,7 @@ says.
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.blas import dgbmv
@@ -94,14 +105,34 @@ def _band_storage(mat, kl, ku):
     return ab
 
 
+def _dense_pair(mat):
+    """The (forward, adjoint) products of a dense matrix: ``dgbmv`` on a
+    band copy when the band fits half its size, else numpy's product."""
+    # up to half width the band copy costs at most half the matrix, and
+    # dgbmv measured 1.3x to 3.5x faster than the dense product there
+    # (n = 256, 512, 1024, one BLAS thread on a Xeon). Wider bands gain
+    # less, at n = 256 they lose, and their copy grows toward the matrix's
+    # size. The cutoff also meets scipy's requirement m >= kl + ku + 1 on
+    # dgbmv.
+    kl, ku = _bandwidths(mat)
+    if kl + ku + 1 > min(mat.shape) / 2:
+        return mat.__matmul__, mat.T.__matmul__
+    m, n = mat.shape
+    ab = _band_storage(mat, kl, ku)
+    return (
+        lambda f: dgbmv(m, n, kl, ku, 1.0, ab, f),
+        lambda y: dgbmv(m, n, kl, ku, 1.0, ab, y, trans=1),
+    )
+
+
 class LinearOperator:
     """A linear map with its adjoint, dense or matrix-free.
 
     A dense operator stores its matrix, and ``matrix`` and ``materialize()``
-    return it unchanged. When the nonzeros fit in ``kl`` sub- and ``ku``
-    superdiagonals with ``kl + ku + 1 <= min(dim_g, dim_f) / 2``, ``apply``
-    and ``apply_adjoint`` run ``dgbmv`` on a band copy of it; otherwise
-    they run the dense matrix-vector product.
+    return it unchanged. ``apply`` and ``apply_adjoint`` call the
+    operator's one (forward, adjoint) pair: a matrix-free operator's
+    checked callbacks, or, for a dense one, the products picked at its
+    first matrix-vector product by the band rule of the module docstring.
 
     Use the module-level constructors ``identity``, ``from_matrix`` and
     ``from_callables`` rather than calling this class directly.
@@ -109,11 +140,8 @@ class LinearOperator:
 
     def __init__(self, dims, matrix=None, forward=None, adjoint=None):
         self.dims = dims
-        self._band = None
         if matrix is not None:
             mat = np.array(matrix, dtype=np.float64, order="C", copy=True)
-            if mat.ndim != 2:
-                raise DimensionMismatch("matrix must be 2-dimensional")
             if mat.shape != (dims.dim_g, dims.dim_f):
                 raise DimensionMismatch(
                     f"matrix shape {mat.shape} does not match dims "
@@ -121,25 +149,18 @@ class LinearOperator:
                 )
             mat.setflags(write=False)
             self._matrix = mat
-            # up to half width the band copy costs at most half the matrix,
-            # and dgbmv measured 1.3x to 3.5x faster than the dense product
-            # there (n = 256, 512, 1024, one BLAS thread on a Xeon). Wider
-            # bands gain less, at n = 256 they lose, and their copy grows
-            # toward the matrix's size. The cutoff also meets scipy's
-            # requirement m >= kl + ku + 1 on dgbmv.
-            kl, ku = _bandwidths(mat)
-            if kl + ku + 1 <= min(mat.shape) / 2:
-                self._band = (kl, ku, _band_storage(mat, kl, ku))
-            self._forward = None
-            self._adjoint = None
         else:
             if forward is None or adjoint is None:
                 raise ValueError(
                     "matrix-free operator needs both forward and adjoint callbacks"
                 )
             self._matrix = None
-            self._forward = forward
-            self._adjoint = adjoint
+            # the callbacks with their output checked; the lambdas close
+            # over the callbacks and dims, not over the operator
+            self._pair = (
+                lambda f: _as_vector(forward(f), dims.dim_g, "forward callback output"),
+                lambda y: _as_vector(adjoint(y), dims.dim_f, "adjoint callback output"),
+            )
 
     # -- representation ---------------------------------------------------
 
@@ -151,11 +172,6 @@ class LinearOperator:
     def matrix(self):
         """The dense matrix, or None for matrix-free operators."""
         return self._matrix
-
-    @property
-    def shape(self):
-        """(dim_g, dim_f), matching matrix convention."""
-        return (self.dims.dim_g, self.dims.dim_f)
 
     def materialize(self):
         """Return the dense matrix of this operator.
@@ -170,33 +186,25 @@ class LinearOperator:
         e = np.zeros(self.dims.dim_f)
         for j in range(self.dims.dim_f):
             e[j] = 1.0
-            cols[:, j] = self._forward(e)
+            cols[:, j] = self._pair[0](e)
             e[j] = 0.0
         return cols
 
     # -- action ------------------------------------------------------------
 
+    @cached_property
+    def _pair(self):
+        """A dense operator's (forward, adjoint) pair, picked at its first
+        matrix-vector product; a matrix-free one sets it when built."""
+        return _dense_pair(self._matrix)
+
     def apply(self, f):
         """Forward action on a vector of length ``dim_f``."""
-        f = _as_vector(f, self.dims.dim_f, "f")
-        if self._band is not None:
-            kl, ku, ab = self._band
-            return dgbmv(self.dims.dim_g, self.dims.dim_f, kl, ku, 1.0, ab, f)
-        if self.is_dense:
-            return self._matrix @ f
-        out = np.asarray(self._forward(f), dtype=np.float64)
-        return _as_vector(out, self.dims.dim_g, "forward callback output")
+        return self._pair[0](_as_vector(f, self.dims.dim_f, "f"))
 
     def apply_adjoint(self, y):
         """Adjoint action on a vector of length ``dim_g``."""
-        y = _as_vector(y, self.dims.dim_g, "y")
-        if self._band is not None:
-            kl, ku, ab = self._band
-            return dgbmv(self.dims.dim_g, self.dims.dim_f, kl, ku, 1.0, ab, y, trans=1)
-        if self.is_dense:
-            return self._matrix.T @ y
-        out = np.asarray(self._adjoint(y), dtype=np.float64)
-        return _as_vector(out, self.dims.dim_f, "adjoint callback output")
+        return self._pair[1](_as_vector(y, self.dims.dim_g, "y"))
 
     def __repr__(self):
         kind = "dense" if self.is_dense else "matrix-free"

@@ -70,7 +70,7 @@ class InverseProblem:
     regime: str = None
 
 
-def make_deconvolution(n, kernel_width, seed=None):
+def make_deconvolution(n, kernel_width):
     """Dense n-by-n discrete convolution with a normalized Gaussian kernel.
 
     The kernel is normalized over the full offset window, so interior
@@ -78,8 +78,6 @@ def make_deconvolution(n, kernel_width, seed=None):
     to less; the matrix is symmetric. Widths at or below 1e-8 degenerate
     to the identity. Weights below the smallest normal float are set to
     0. Conditioning worsens rapidly with ``kernel_width``.
-    ``seed`` is accepted for signature uniformity with the other
-    generators and ignored (the operator is deterministic).
     """
     if n < 4:
         raise ValueError(f"n must be >= 4, got {n}")

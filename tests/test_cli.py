@@ -203,10 +203,11 @@ class TestSolve:
             assert rc == 1
             assert capsys.readouterr().err == f"error: safety factor must be >= 1, got {float(c)}\n"
 
-    @pytest.mark.parametrize("option", [["--max-iter", -1], ["--rtol", "nan"]])
+    @pytest.mark.parametrize("option", [["--max-iter", -1], ["--rtol", "nan"], ["--rtol", "inf"]])
     def test_bad_search_option_exits_1(self, fixture_dirs, tmp_path, capsys, option):
         # refused up front with the contract's "error:" line, not a
-        # traceback (--max-iter -1) or a search that runs on NaN (--rtol nan)
+        # traceback (--max-iter -1), a search that runs on NaN (--rtol nan)
+        # or one that accepts its first multiplier (--rtol inf)
         rc = run(["solve", "--problem", fixture_dirs["interior"], *option, "--out", tmp_path / "r.json"])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
@@ -409,6 +410,17 @@ class TestVerify:
             run(["verify", "--problem", fixture_dirs["interior"], "--result", out, *flag])
         assert err.value.code == 1
         assert capsys.readouterr().err == f"error: unrecognized arguments: {flag[0]} {flag[1]}\n"
+
+    @pytest.mark.parametrize("rtol", ["nan", -1, 0, "inf"])
+    def test_bad_rtol_exits_1(self, fixture_dirs, tmp_path, capsys, rtol):
+        # invalid input, not a failed verification (exit 3) or, at inf, a
+        # verification that passes any result
+        out = tmp_path / "result.json"
+        assert run(["solve", "--problem", fixture_dirs["interior"], "--out", out]) == 0
+        capsys.readouterr()
+        rc = run(["verify", "--problem", fixture_dirs["interior"], "--result", out, "--rtol", rtol])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: rtol must be positive and finite, got {float(rtol)}\n"
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -1,4 +1,9 @@
+import gc
 import struct
+import sys
+import threading
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -51,6 +56,16 @@ class TestApply:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             identity(2).apply([1.0, 2.0, 3.0])
+
+    def test_callback_output_is_checked(self):
+        # a 3-by-2 map whose callbacks return one entry too many
+        op = from_callables(2, 3, lambda f: np.zeros(4), lambda y: np.zeros(3))
+        with pytest.raises(DimensionMismatch, match="forward callback output"):
+            op.apply(np.ones(2))
+        with pytest.raises(DimensionMismatch, match="forward callback output"):
+            op.materialize()
+        with pytest.raises(DimensionMismatch, match="adjoint callback output"):
+            op.apply_adjoint(np.ones(3))
 
 
 class TestApplyAdjoint:
@@ -132,8 +147,23 @@ def assert_products_match(op, mat, rng):
             assert np.linalg.norm(got - ref) <= 1e-15 * np.linalg.norm(ref)
 
 
+@pytest.fixture
+def band_copies(monkeypatch):
+    """The (kl, ku) of every band copy built while the test runs."""
+    built = []
+    band_storage = linops._band_storage
+
+    def recording(mat, kl, ku):
+        built.append((kl, ku))
+        return band_storage(mat, kl, ku)
+
+    monkeypatch.setattr(linops, "_band_storage", recording)
+    return built
+
+
 class TestBandStorage:
-    """Dense matrices whose band fits half their size are applied by dgbmv."""
+    """Dense matrices whose band fits half their size are applied by dgbmv,
+    on a band copy built at the first matrix-vector product."""
 
     @pytest.mark.parametrize(
         "m, n, kl, ku",
@@ -148,33 +178,79 @@ class TestBandStorage:
             (12, 12, 3, 2),  # kl + ku + 1 = 6, exactly half
         ],
     )
-    def test_band_products_match_dense(self, rng, m, n, kl, ku):
+    def test_band_products_match_dense(self, rng, band_copies, m, n, kl, ku):
         mat = banded(rng, m, n, kl, ku)
         op = from_matrix(mat)
-        assert op._band is not None and op._band[:2] == (kl, ku)
-        assert_products_match(op, mat, rng)
+        # reading the stored matrix, as block products do, builds no copy
         np.testing.assert_array_equal(op.matrix, mat)
         assert op.materialize() is op.matrix
+        assert band_copies == []
+        assert_products_match(op, mat, rng)
+        # one copy, built at the first product and kept
+        assert band_copies == [(kl, ku)]
 
     @pytest.mark.parametrize("m, n, kl, ku", [(12, 12, 3, 3), (20, 8, 2, 2), (8, 20, 4, 0)])
-    def test_one_past_half_width_stays_dense(self, rng, m, n, kl, ku):
+    def test_one_past_half_width_stays_dense(self, rng, band_copies, m, n, kl, ku):
         mat = banded(rng, m, n, kl, ku)
         op = from_matrix(mat)
-        assert op._band is None
         assert_products_match(op, mat, rng)
+        assert band_copies == []
         np.testing.assert_array_equal(op.matrix, mat)
 
-    def test_all_zero_matrix(self, rng):
+    def test_all_zero_matrix(self, rng, band_copies):
         op = from_matrix(np.zeros((10, 6)))
-        assert op._band[:2] == (0, 0)
         assert np.array_equal(op.apply(rng.standard_normal(6)), np.zeros(10))
+        assert band_copies == [(0, 0)]
         assert np.array_equal(op.apply_adjoint(rng.standard_normal(10)), np.zeros(6))
         np.testing.assert_array_equal(op.materialize(), np.zeros((10, 6)))
 
-    def test_deconvolution_band_ends_at_the_flushed_weights(self):
+    def test_deconvolution_band_ends_at_the_flushed_weights(self, band_copies):
         # at width 2 the weights past offset 75 underflow and are stored as 0
         op = make_deconvolution(512, 2.0)
-        assert op._band[:2] == (75, 75)
+        assert band_copies == []
+        op.apply_adjoint(np.ones(512))
+        assert band_copies == [(75, 75)]
+
+    def test_concurrent_first_products_agree(self, rng, band_copies):
+        # every thread may build its own pair; each must give M @ x
+        mat = banded(rng, 256, 256, 20, 30)
+        op = from_matrix(mat)
+        xs = rng.standard_normal((8, 256))
+        barrier = threading.Barrier(8, timeout=30)
+
+        def first_product(x):
+            barrier.wait()
+            return op.apply(x), op.apply_adjoint(x)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                results = [future.result(timeout=30) for future in [pool.submit(first_product, x) for x in xs]]
+        finally:
+            sys.setswitchinterval(interval)
+        for x, (forward, adjoint) in zip(xs, results):
+            for got, ref in ((forward, mat @ x), (adjoint, mat.T @ x)):
+                assert np.linalg.norm(got - ref) <= 1e-15 * np.linalg.norm(ref)
+        assert 1 <= len(band_copies) <= 8 and set(band_copies) == {(20, 30)}
+
+    @pytest.mark.parametrize("kind", ["banded", "dense", "callables"])
+    def test_operator_is_freed_without_the_cycle_collector(self, rng, kind):
+        # the pair holds the matrix, its band or the callbacks, not the
+        # operator, so reference counting alone frees a used operator
+        mat = banded(rng, 12, 12, 1, 1) if kind == "banded" else rng.standard_normal((12, 12))
+        if kind == "callables":
+            op = from_callables(12, 12, mat.__matmul__, mat.T.__matmul__)
+        else:
+            op = from_matrix(mat)
+        op.apply(np.ones(12))
+        ref = weakref.ref(op)
+        gc.disable()
+        try:
+            del op
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 def test_all_shipped_operators_pass_adjoint_gate(rng):
