@@ -207,8 +207,8 @@ def _cmd_solve(args):
 
 
 def _cmd_sweep(args):
-    if not (0 < args.lambda_min < args.lambda_max):
-        raise ValueError("need 0 < lambda-min < lambda-max")
+    if not (0 < args.lambda_min < args.lambda_max < math.inf):
+        raise ValueError("need 0 < lambda-min < lambda-max < inf")
     if args.points < 2:
         raise ValueError("need at least 2 points")
     problem = problems.load_problem(args.problem)

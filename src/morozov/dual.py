@@ -335,8 +335,8 @@ def maximize_dual(
         raise ValueError(f"rtol must be in (0, 1), got {rtol}")
     if max_iter is None:
         max_iter = 10_000 if method == "gradient_ascent" else 200
-    if not max_iter >= 0:
-        raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
+    if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 0):
+        raise ValueError(f"max_iter must be a nonnegative integer, got {max_iter!r}")
     if method == "gradient_ascent":
         if step_rule not in ("inv_n", "constant"):
             raise ValueError(f"unknown step_rule {step_rule!r}")
@@ -522,9 +522,10 @@ def sweep_dual(lag: Lagrangian, lambdas):
     lambdas = np.asarray(lambdas, dtype=np.float64)
     if lambdas.size == 0:
         raise ValueError("grid must be nonempty")
-    if not np.all(lambdas > 0):  # NaN fails it too
-        raise ValueError("grid values must be positive")
-    if np.any(np.diff(lambdas) <= 0):
+    # comparisons that NaN fails, and inf - inf is NaN
+    if not np.all((lambdas > 0) & np.isfinite(lambdas)):
+        raise ValueError("grid values must be positive and finite")
+    if not np.all(np.diff(lambdas) > 0):
         raise ValueError("grid must be strictly ascending")
     # the grid ascends, so the multipliers an engine accepts come first
     blocked = int(np.searchsorted(lambdas, LAMBDA_MAX, side="right"))

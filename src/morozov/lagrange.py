@@ -35,8 +35,10 @@ map is materialized for it. The generalized eigendecomposition
     A^T A X = B X diag(mu),   X^T B X = I,   B = L^T L + A^T A,
 
 turns the system at every lam into the diagonal one
-((1 - mu) + lam mu) y = lam X^T A^T g with f = X y, so each solve after
-the first costs a few O(n^2) products. B is
+(nu + lam mu) y = lam X^T A^T g with f = X y, nu = diag(X^T L^T L X),
+so each solve after the first costs a few O(n^2) products. nu is 1 - mu
+in exact arithmetic; along ker L, where both vanish, it is formed as
+||L x_i||^2, since the rounding of 1 - mu would swamp lam mu there. B is
 positive definite exactly when ker L and ker A intersect trivially, so
 building the factorization is also the strict-convexity check. It
 costs O(n^3) time and O(n^2) memory, which a matrix-free A with a
@@ -138,17 +140,21 @@ class SpectralFactors:
 
     ``X`` holds the eigenvectors of the pencil (A^T A, L^T L + A^T A),
     normalized so that X^T (L^T L + A^T A) X = I; ``mu`` the eigenvalues,
-    clipped to [0, 1]; ``c`` the data in these coordinates, X^T A^T g.
+    clipped to [0, 1]; ``nu`` the penalty's, X^T L^T L X = diag(nu), which
+    is 1 - mu but for the columns near ker L, where ``build`` forms
+    ||L x_i||^2; ``c`` the data in these coordinates, X^T A^T g.
     """
 
     X: np.ndarray
     mu: np.ndarray
+    nu: np.ndarray
     c: np.ndarray
 
     @classmethod
     def build(cls, A: LinearOperator, L: LinearOperator, g):
         """Factor the pencil; one O(n^3) eigendecomposition. A matrix-free A
-        or L is materialized first, at ``dim_f`` forward applications.
+        or L is materialized first, at ``dim_f`` forward applications, and L
+        is applied once more per column near ker L, for ``nu``.
 
         Raises
         ------
@@ -179,10 +185,18 @@ class SpectralFactors:
             check_finite=False,
         )
         np.clip(mu, 0.0, 1.0, out=mu)
+        # 1 - mu = ||L x_i||^2 rounds at eps, which swamps lam mu along ker L,
+        # where it is 0: below sqrt(eps) it has lost half its digits, so there
+        # ||L x_i||^2 is formed, which rounds relative to itself. Only columns
+        # near ker L fall there, at one application of L each.
+        nu = 1.0 - mu
+        for i in np.flatnonzero(nu <= math.sqrt(np.finfo(np.float64).eps)):
+            lx = L.apply(X[:, i])
+            nu[i] = lx @ lx
         c = X.T @ atg
-        for arr in (X, mu, c):
+        for arr in (X, mu, nu, c):
             arr.setflags(write=False)
-        return cls(X=X, mu=mu, c=c)
+        return cls(X=X, mu=mu, nu=nu, c=c)
 
     @property
     def block_size(self):
@@ -195,20 +209,20 @@ class SpectralFactors:
         built from, at every multiplier of ``lams`` at once, in order;
         ``ValueError`` for one outside (0, LAMBDA_MAX], before any solve.
 
-        The rows f_lam = X y of F, with ((1 - mu) + lam mu) y = lam c, are
+        The rows f_lam = X y of F, with (nu + lam mu) y = lam c, are
         one product Y X^T, and so are R = F A^T - g and A^T R for a dense A:
         three BLAS-3 products where one multiplier at a time costs three
         memory-bound matrix-vector products. A matrix-free A is applied row
         by row. Each slope d||A f_lam - g||^2 / dlam =
-        -2 sum c^2 (1 - mu)^2 / d^3 with d = (1 - mu) + lam mu costs O(n):
-        X^T A^T r = -c (1 - mu) / d and M^{-1} = X diag(1 / d) X^T. Every
+        -2 sum c^2 nu^2 / d^3 with d = nu + lam mu costs O(n):
+        X^T A^T r = -c nu / d and M^{-1} = X diag(1 / d) X^T. Every
         ``f_lambda`` is its own array.
         """
         for lam in lams:
             _check_multiplier(lam)
         col = np.asarray(lams, dtype=np.float64)[:, None]
-        d = (1.0 - self.mu) + col * self.mu
-        slopes = -2.0 * np.sum((self.c * (1.0 - self.mu)) ** 2 / d**3, axis=1)
+        d = self.nu + col * self.mu
+        slopes = -2.0 * np.sum((self.c * self.nu) ** 2 / d**3, axis=1)
         F = (col * self.c / d) @ self.X.T
         A, g = lag.op, lag.data
         if A.is_dense:
@@ -218,12 +232,10 @@ class SpectralFactors:
         else:
             R = np.array([A.apply(f) for f in F]) - g
             AtR = np.array([A.apply_adjoint(r) for r in R])
-        solutions = []
-        for lam, f, r, atr, slope in zip(lams, F, R, AtR, slopes):
-            f = f.copy()
-            residuals = _residuals(lag, f, lam, r, atr)
-            solutions.append(_solution(lag, lam, f, residuals, float(slope), {"method": "spectral"}))
-        return solutions
+        return [
+            _solution(lag, lam, f.copy(), r, atr, float(slope), {"method": "spectral"})
+            for lam, f, r, atr, slope in zip(lams, F, R, AtR, slopes)
+        ]
 
 
 # ker L and ker A intersect trivially for first differences exactly when
@@ -370,18 +382,28 @@ class StandardForm:
         built from, at each multiplier of ``lams`` in turn; ``ValueError``
         for one outside (0, LAMBDA_MAX], before any solve.
 
-        Each finds the fewest basis columns j whose projected solution
-        passes two estimates, and returns the solution on k = j +
-        ``_LOOKAHEAD`` columns, against which the second estimate is taken.
+        Each solve runs three steps from j = 0, and returns the solution on
+        k = j + ``_LOOKAHEAD`` columns, or on all of an exhausted basis:
+
+        1. Find the first column j from the current one whose projected
+           solution passes the residual estimate below, in one search of
+           ``GolubKahan.tikhonov_residuals``; the basis grows only while
+           no column passes.
+        2. Grow the basis once, to k columns or to exhaustion.
+        3. Unless the basis is exhausted, whose solution is exact, estimate
+           the discrepancy error of column j against the solution on k. If
+           it passes, build the solution on k once and accept it when its
+           own explicit residual passes; otherwise go on from j + 1.
+
         k depends on lam alone, not on how far earlier solves grew the
-        basis, and so does the answer; the basis grows while no j passes.
+        basis, and so does the answer.
 
         - The full system's relative residual
           ||lam A^T g - (L^T L + lam A^T A) f|| / ||lam A^T g|| is at most
           ``KRYLOV_TOL``, or its float64 rounding level where that is
           larger (``_rounding_level``). It is L^T times the standard
           form's, so the recurrences' estimate times ``lt_norm`` bounds it;
-          the explicit residual of the returned solution decides, and
+          the ``optimality_residual`` of the returned solution decides, and
           ``ConvergenceFailure`` is raised if the basis is exhausted above it.
         - The error of ||A f - g||^2, and so of D', is at most
           ``KRYLOV_TOL * epsilon`` by ``GolubKahan.discrepancy_error``. The
@@ -401,36 +423,36 @@ class StandardForm:
                 gain = self.lt_norm * basis.alpha[0] * basis.beta[0] / self.rhs_norm if scale else 0.0
                 j = 0
                 while True:
-                    ahead = np.flatnonzero(gain * basis.tikhonov_residuals(lam)[j:] <= KRYLOV_TOL)
-                    if not ahead.size:
+                    # the first column from j whose residual estimate passes
+                    while not (ahead := np.flatnonzero(gain * basis.tikhonov_residuals(lam)[j:] <= KRYLOV_TOL)).size:
                         j = basis.k + 1
-                    else:
-                        j += int(ahead[0])
-                        k = min(j + _LOOKAHEAD, basis.k)
-                        # an exhausted basis holds the exact solution
-                        exact = k == basis.k and basis.exhausted
-                        if k == j + _LOOKAHEAD or exact:
-                            z = basis.tikhonov(lam, j)
-                            if exact or basis.discrepancy_error(lam, z, k) <= KRYLOV_TOL * lag.epsilon:
-                                z = basis.tikhonov(lam, k)
-                                f = self.solution(basis.expand(z))
-                                residuals = _residuals(lag, f, lam)
-                                rel = float(np.linalg.norm(residuals[2])) / scale if scale else 0.0
-                                target = max(KRYLOV_TOL, _rounding_level(self, f, lam)) if scale else KRYLOV_TOL
-                                if rel <= target or exact:
-                                    break
-                            j += 1
-                            continue
-                    basis.step()
-                slope = basis.discrepancy_slope(lam, z)
+                        basis.step()
+                    j += int(ahead[0])
+                    # its lookahead columns, or all there are
+                    while basis.k < j + _LOOKAHEAD and not basis.exhausted:
+                        basis.step()
+                    k = min(j + _LOOKAHEAD, basis.k)
+                    # an exhausted basis holds the exact solution
+                    exact = k == basis.k and basis.exhausted
+                    if exact or basis.discrepancy_error(lam, basis.tikhonov(lam, j), k) <= KRYLOV_TOL * lag.epsilon:
+                        z = basis.tikhonov(lam, k)
+                        f = self.solution(basis.expand(z))
+                        r = lag.op.apply(f) - lag.data
+                        stats = {"method": "krylov", "iterations": k}
+                        sol = _solution(lag, lam, f, r, lag.op.apply_adjoint(r), basis.discrepancy_slope(lam, z), stats)
+                        rel = sol.optimality_residual / scale if scale else 0.0
+                        stats["relative_residual"] = rel
+                        target = max(KRYLOV_TOL, _rounding_level(self, f, lam)) if scale else KRYLOV_TOL
+                        if rel <= target or exact:
+                            break
+                    j += 1
             if rel > target:
                 raise ConvergenceFailure(
                     f"Krylov basis exhausted at k={k} above tol={target:g} at "
                     f"lam={lam:g} (relative residual {rel:.3e})",
                     best=f,
                 )
-            stats = {"method": "krylov", "iterations": k, "relative_residual": rel}
-            solutions.append(_solution(lag, lam, f, residuals, slope, stats))
+            solutions.append(sol)
         return solutions
 
 
@@ -512,8 +534,8 @@ class Lagrangian:
         penalty custom, else ``engine()``; it raises as ``engine()`` does.
         A wide grid grows a Krylov basis past the cost of the
         eigendecomposition: 200 points on a width-2 blur at n = 512 take
-        0.146 s on the factors, building them included, against 0.277 s in
-        a basis (2 CPUs, BLAS on 1 thread)."""
+        0.14 s on the factors, building them included, against 0.18-0.22 s
+        in a basis (2 CPUs, BLAS on 1 thread)."""
         return self._spectral_factors() if self.op.is_dense else self.engine()
 
     def _spectral_factors(self):
@@ -574,15 +596,15 @@ def _check_multiplier(lam):
         )
 
 
-def _solution(lag, lam, f, residuals, slope, stats):
-    """The ``LagrangeSolution`` at f from its residuals (r, A^T r, grad) of
-    ``_residuals``: the tail every engine and block shares. The discrepancy
-    is ||r||^2 of the explicit residual, never an expanded form that
-    cancels, and the optimality residual is ||grad||."""
-    r, _, grad = residuals
+def _solution(lag, lam, f, r, atr, slope, stats):
+    """The ``LagrangeSolution`` at f from its data residual r = A f - g and
+    A^T r: the tail every engine and block shares. The discrepancy is
+    ||r||^2 of the explicit residual, never an expanded form that cancels,
+    and the optimality residual is the norm of the inner objective's
+    gradient, grad J(f) + 2 lam A^T r."""
     disc_sq = float(r @ r)
     j_val = lag.regularizer.evaluate(f)
-    opt_res = float(np.linalg.norm(grad))
+    opt_res = float(np.linalg.norm(lag.regularizer.gradient(f) + 2.0 * lam * atr))
     log.debug(
         "solve_lagrange lam=%.6g disc_sq=%.6g j=%.6g opt_res=%.3e (%s)",
         lam, disc_sq, j_val, opt_res, stats["method"],
@@ -596,16 +618,6 @@ def _solution(lag, lam, f, residuals, slope, stats):
         discrepancy_slope=slope,
         solver_stats=stats,
     )
-
-
-def _residuals(lag, f, lam, r=None, atr=None):
-    """The data residual r = A f - g, A^T r, and the gradient of the inner
-    objective, grad J(f) + 2 lam A^T r. Forming r and A^T r costs one
-    forward and one adjoint application, unless a block product gave them."""
-    if r is None:
-        r = lag.op.apply(f) - lag.data
-        atr = lag.op.apply_adjoint(r)
-    return r, atr, lag.regularizer.gradient(f) + 2.0 * lam * atr
 
 
 def _rounding_level(form, f, lam):

@@ -353,12 +353,14 @@ class TestSweep:
         assert set(rows[0]) == {"lambda", "D", "Dprime", "discrepancy_sq", "j_value"}
 
     def test_bad_grid_exits_1(self, fixture_dirs, tmp_path):
-        rc = run([
-            "sweep", "--problem", fixture_dirs["interior"],
-            "--lambda-min", 10, "--lambda-max", 1, "--points", 5,
-            "--out", tmp_path / "s.csv",
-        ])
-        assert rc == 1
+        # a descending grid, and an infinite end, whose grid repeats inf
+        for lo, hi in ((10, 1), (1e-4, "inf")):
+            rc = run([
+                "sweep", "--problem", fixture_dirs["interior"],
+                "--lambda-min", lo, "--lambda-max", hi, "--points", 5,
+                "--out", tmp_path / "s.csv",
+            ])
+            assert rc == 1, (lo, hi)
 
 
 class TestLogging:

@@ -493,6 +493,9 @@ class TestMaximizeDual:
             {"lambda_init": math.nan},
             {"method": "gradient_ascent", "step_constant": math.nan},
             {"method": "gradient_ascent", "max_iter": -1},
+            # a budget that is not a whole number of evaluations
+            {"max_iter": 2.5},
+            {"max_iter": math.inf},
         ):
             with pytest.raises(ValueError, match="must be"):
                 maximize_dual(lag, **bad)
@@ -578,6 +581,21 @@ class TestFirstDifferenceWindow:
         lag = self.lagrangian(op, g, 0.999 * gbar_norm)
         assert solve_lagrange(lag, 1e-18).solver_stats["iterations"] == 5
         assert eval_dual(lag, 1e-18).d_prime == pytest.approx(eval_dual(lag, 0.0).d_prime, rel=1e-9)
+
+    def test_sweep_resolves_tiny_multipliers_along_ker_l(self):
+        # a dense sweep runs on the spectral factors, whose 1 - mu rounds at
+        # eps along ker L and would swamp lam mu there: read with it, D' at
+        # 1e-18 was 3115 where the Krylov engine reads 0.00131. D'' agrees
+        # above 1e-18; at 1e-18 nu's own rounding (6.5e-29, 0 in exact
+        # arithmetic) still moves it by 1.5%
+        op, g, gbar_norm = self.problem(False)
+        lag = self.lagrangian(op, g, 0.999 * gbar_norm)
+        lams = [1e-18, 1e-16, 1e-14, 1e-12, 1e-10, 1e-8]
+        for e, lam in zip(sweep_dual(lag, lams), lams):
+            krylov = eval_dual(lag, lam)
+            assert e.d_prime == pytest.approx(krylov.d_prime, rel=1e-6), lam
+            if lam > 1e-18:
+                assert e.d_second == pytest.approx(krylov.d_second, rel=1e-6), lam
 
 
 class TestRegimeCertificate:
@@ -1151,6 +1169,11 @@ class TestSweepDual:
             sweep_dual(lag, [0.0, 1.0])
         with pytest.raises(ValueError):
             sweep_dual(lag, [2.0, 1.0])
+        # inf - inf is NaN, which an ascending test written as "no step
+        # <= 0" lets through
+        for grid in ([1.0, math.inf], [1.0, math.inf, math.inf]):
+            with pytest.raises(ValueError):
+                sweep_dual(lag, grid)
 
     def test_weak_duality_against_ground_truth(self):
         # the ground truth is feasible when tau is oracle-exact, so every

@@ -208,13 +208,16 @@ class TestCheckAssumptions:
 
     def test_engine_decides_matrix_free_maps_as_dense_ones(self, rng):
         # a custom penalty's engine materializes a matrix-free A or L for its
-        # spectral factors, at dim_f forward applications each: the decision
-        # for a pair whose kernels meet only in 0 and for a shared-kernel pair
+        # spectral factors, at dim_f forward applications each, and applies
+        # L once more per direction of ker L once the pencil is factored:
+        # the decision for a pair whose kernels meet only in 0 and for a
+        # shared-kernel pair
         diff = np.diff(np.eye(6), axis=0)
         g = rng.standard_normal(5)
         outcomes = []
         for mat in (rng.standard_normal((4, 6)), diff):
             oracle = shares_kernel(linops.from_matrix(diff), linops.from_matrix(mat))
+            ker_l = 0 if oracle else 6 - np.linalg.matrix_rank(mat)
             for free in ((), ("A",), ("L",), ("A", "L")):
                 maps, counts = {}, {}
                 for name, m in (("A", diff), ("L", mat)):
@@ -224,6 +227,6 @@ class TestCheckAssumptions:
                         maps[name] = linops.from_matrix(m)
                 lag = Lagrangian(maps["A"], g, custom_regularizer(maps["L"]), epsilon=1.0)
                 assert _refused(lag.engine) == oracle, free
-                assert counts == {name: {"fwd": 6, "adj": 0} for name in free}
+                assert counts == {name: {"fwd": 6 + (ker_l if name == "L" else 0), "adj": 0} for name in free}
             outcomes.append(oracle)
         assert outcomes == [False, True]
