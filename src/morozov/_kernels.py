@@ -119,9 +119,8 @@ class GolubKahan:
         self._u = None  # u_{k+1}, the last left vector
         self._V = _Rows(dim_f)
         # the LDL^T factors of I + lam B^T B at the last lam asked for
-        # (``_factors``), and that lam
-        self._ldl = None
-        self._ldl_lam = None
+        # (``_factors``): that lam, how many columns, and their buffer
+        self._ldl_lam, self._ldl_k, self._ldl = None, 0, None
         beta1 = float(np.linalg.norm(g))
         self.alpha = []
         self.beta = [beta1]
@@ -194,11 +193,12 @@ class GolubKahan:
     # -- projected problems --------------------------------------------------
 
     def expand(self, z):
-        """V_k z, the solution-space vector with coordinates z."""
-        return z @ self._V[: z.shape[0]]
+        """V_k z, the solution-space vector with coordinates z; one row
+        each for the rows of a block z."""
+        return z @ self._V[: z.shape[-1]]
 
     def _factors(self, lam, k):
-        """Lists of D_j, l_j and the relative residual of
+        """Arrays of D_j, l_j and the relative residual of
         ``tikhonov(lam, j + 1)`` for j = 0..k-1 at least: the LDL^T
         factorization of I + lam B_k^T B_k.
 
@@ -211,33 +211,41 @@ class GolubKahan:
         lam factors every column so far at once (``dpttrf``), and each
         column gained since costs one step of dpttrf's own recurrence,
         D_j = d_j - l_{j-1} e_{j-1}, in the same floating-point operations.
-        So an entry does not depend on when it was formed.
+        So an entry does not depend on when it was formed. The factors sit
+        in the rows of one buffer, a new one per lam, that grows by doubling
+        and whose entries are never rewritten, so the slices handed out stay
+        valid.
         """
         if lam != self._ldl_lam:
-            self._ldl_lam, self._ldl = lam, ([], [], [], [])
             n = self.k
+            alpha = np.asarray(self.alpha[: n + 1])
+            beta = np.asarray(self.beta[: n + 1])
+            d = 1.0 + lam * (alpha[:n] ** 2 + beta[1:] ** 2)
+            e = lam * alpha[1:] * beta[1:]
+            D = d if n <= 1 else scipy.linalg.lapack.dpttrf(d, e[:-1])[0]
+            l = e / D
+            y = np.cumprod(np.concatenate(([1.0], -l[:-1])))[:n]
+            self._ldl_lam, self._ldl_k, self._ldl = lam, n, np.empty((4, max(16, 2 * n)))
+            self._ldl[:, :n] = D, l, y, e * np.abs(y / D)
+        n = self._ldl_k
+        if n < k:
+            if k > self._ldl.shape[1]:
+                self._ldl = np.concatenate((self._ldl, np.empty((4, max(k, self._ldl.shape[1])))), axis=1)
+            buf = self._ldl
             if n:
-                alpha = np.asarray(self.alpha[: n + 1])
-                beta = np.asarray(self.beta[: n + 1])
-                d = 1.0 + lam * (alpha[:n] ** 2 + beta[1:] ** 2)
-                e = lam * alpha[1:] * beta[1:]
-                D = d if n == 1 else scipy.linalg.lapack.dpttrf(d, e[:-1])[0]
-                l = e / D
-                y = np.cumprod(np.concatenate(([1.0], -l[:-1])))
-                self._ldl = (D.tolist(), l.tolist(), y.tolist(), (e * np.abs(y / D)).tolist())
-        D, l, y, rel = self._ldl
-        for j in range(len(D), k):
-            a, b = self.alpha[j], self.beta[j + 1]
-            d = 1.0 + lam * (a * a + b * b)
-            if j:
-                D_j, y_j = d - l[-1] * (lam * self.alpha[j] * self.beta[j]), y[-1] * -l[-1]
-            else:
-                D_j, y_j = d, 1.0
-            e = lam * self.alpha[j + 1] * self.beta[j + 1]
-            D.append(D_j)
-            l.append(e / D_j)
-            y.append(y_j)
-            rel.append(e * abs(y_j / D_j))
+                l_j, y_j = float(buf[1, n - 1]), float(buf[2, n - 1])
+            for j in range(n, k):
+                a, b = self.alpha[j], self.beta[j + 1]
+                d = 1.0 + lam * (a * a + b * b)
+                if j:
+                    D_j, y_j = d - l_j * (lam * self.alpha[j] * self.beta[j]), y_j * -l_j
+                else:
+                    D_j, y_j = d, 1.0
+                e = lam * self.alpha[j + 1] * self.beta[j + 1]
+                l_j = e / D_j
+                buf[:, j] = D_j, l_j, y_j, e * abs(y_j / D_j)
+            self._ldl_k = k
+        D, l, _, rel = self._ldl[:, : self._ldl_k]
         return D, l, rel
 
     def tikhonov(self, lam, k=None):
@@ -249,20 +257,16 @@ class GolubKahan:
         depends on the first k columns only, not on how far the basis has
         grown.
         """
-        k = self.k if k is None else k
-        if k == 0:  # alpha_1 = 0 exhausts the basis at k = 0
-            return np.zeros(0)
-        return self._projected_solve(lam, k)
+        x = np.zeros(self.k if k is None else k)
+        # x stays empty at k = 0, where alpha_1 = 0 exhausts the basis
+        x[:1] = lam * self.alpha[0] * self.beta[0]
+        return self.projected_solve(lam, x)
 
-    def _projected_solve(self, lam, k, times=1):
-        """(I + lam B_k^T B_k)^{-times} (lam alpha_1 beta_1 e_1), k >= 1."""
+    def projected_solve(self, lam, x):
+        """(I + lam B_k^T B_k)^{-1} x on the first k = len(x) columns."""
+        k = x.shape[0]
         D, l, _ = self._factors(lam, k)
-        D, l = np.array(D[:k]), np.array(l[: k - 1])
-        x = np.zeros(k)
-        x[0] = lam * self.alpha[0] * self.beta[0]
-        for _ in range(times):
-            x = x / D if k == 1 else scipy.linalg.lapack.dpttrs(D, l, x)[0]
-        return x
+        return x / D[:k] if k <= 1 else scipy.linalg.lapack.dpttrs(D[:k], l[: k - 1], x)[0]
 
     def tikhonov_residuals(self, lam):
         """The relative residual of ``tikhonov(lam, j)`` for j = 0..k at once.
@@ -282,10 +286,11 @@ class GolubKahan:
         rel[1:] = self._factors(lam, k)[2][:k]
         return rel
 
-    def discrepancy_error(self, lam, z, k):
+    def discrepancy_error(self, lam, z, w):
         """Estimated error of ||A f_j - g||^2 for the projected solution
         f_j = V_j z of ``tikhonov(lam, j)``, taking V_k's (k > j) for the
-        exact one.
+        exact one; w is T_k^{-1} z^{(k)}, the ``projected_solve`` of
+        ``tikhonov(lam, k)``, of length k.
 
         With M = I + lam A^T A, the normal residual s_j = M (f - f_j) is
         lam alpha_{j+1} beta_{j+1} z_j v_{j+1}, and since
@@ -300,22 +305,18 @@ class GolubKahan:
         e = self.alpha[j] * self.beta[j] * (abs(z[-1]) if j else 1.0)  # ||s_j|| / lam
         if e == 0.0:
             return 0.0
-        w = self._projected_solve(lam, k, times=2)
         gamma = min(0.5 / math.sqrt(lam), math.hypot(self.alpha[j], self.beta[j + 1]))
         return 2.0 * e * abs(w[j]) + (gamma * lam * e) ** 2
 
-    def discrepancy_slope(self, lam, z):
+    def discrepancy_slope(self, lam, z, w):
         """d||A f - g||^2 / dlam for the projected solution f = V_k z of
-        ``tikhonov(lam, k)``, k = len(z), in O(k).
+        ``tikhonov(lam, k)``, k = len(z), in O(k), with w = T_k^{-1} z as
+        in ``discrepancy_error``.
 
         In the projected problem lam B_k^T (B_k z - beta_1 e_1) = -z and
-        T_k dz/dlam = z / lam, so the slope is -2 z^T T_k^{-1} z / lam^2,
-        with T_k^{-1} z the solve of ``discrepancy_error``.
+        T_k dz/dlam = z / lam, so the slope is -2 z^T T_k^{-1} z / lam^2.
         """
-        k = z.shape[0]
-        if k == 0:
-            return 0.0
-        return -2.0 * float((z / lam) @ (self._projected_solve(lam, k, times=2) / lam))
+        return -2.0 * float((z / lam) @ (w / lam))
 
     def lsqr(self):
         """LSQR at the current k.

@@ -63,8 +63,9 @@ every evaluation is a projected solve in the certificate's basis, which
 grows only when a multiplier needs more columns; with a custom one the
 problem is factored once (``SpectralFactors``, materializing a
 matrix-free A or L), and every evaluation after that costs a few O(n^2)
-products. ``sweep_dual`` runs on ``Lagrangian.sweep_engine``, in blocks
-of as many multipliers as that engine takes.
+products. ``sweep_dual`` runs on the same engine, in blocks of
+multipliers whose size one rule bounds for every engine
+(``_BLOCK_FLOATS``).
 """
 
 import logging
@@ -507,17 +508,20 @@ def sweep_dual(lag: Lagrangian, lambdas):
 
     Inner failures at single points are recorded on the returned
     evaluations (``error`` set, values NaN) and the sweep continues.
-    The grid runs on the problem's sweep engine (``Lagrangian.sweep_engine``)
-    in blocks of at most its ``block_size`` multipliers, one ``solve``
-    each. On the spectral factors a block holds ``dim_f`` multipliers and,
-    after the one eigendecomposition, costs three matrix-matrix products
-    for a dense A, or one forward and one adjoint application per point
-    for a matrix-free one. In a Golub-Kahan basis a block is one
-    multiplier, so a ``ConvergenceFailure`` fails its own point only.
-    Every point is the same ``DualEvaluation`` that ``eval_dual`` returns.
-    An engine that cannot be built fails every point with its
-    ``AssumptionViolation``, and multipliers above LAMBDA_MAX fail one by
-    one with ``solve_lagrange``'s message.
+    The grid runs on the problem's engine (``Lagrangian.engine``), built
+    once, in blocks of one ``solve`` each. A block holds as many
+    multipliers as keep each of its m-by-n arrays (F, A F - g and
+    A^T (A F - g), n the larger dimension of A) within ``_BLOCK_FLOATS``
+    entries, whichever the engine. In the Golub-Kahan basis each point
+    keeps its own search, and the block shares the products of its tail;
+    on the spectral factors the whole block is three matrix-matrix
+    products for a dense A. Every point is the same ``DualEvaluation``
+    that ``eval_dual`` returns, up to the rounding of the block products.
+    A ``ConvergenceFailure`` fails its own point only: its block is
+    solved again point by point by ``eval_dual``. An engine that cannot be
+    built fails every point with its ``AssumptionViolation``, and
+    multipliers above LAMBDA_MAX fail one by one with
+    ``solve_lagrange``'s message.
     """
     lambdas = np.asarray(lambdas, dtype=np.float64)
     if lambdas.size == 0:
@@ -529,27 +533,41 @@ def sweep_dual(lag: Lagrangian, lambdas):
         raise ValueError("grid must be strictly ascending")
     # the grid ascends, so the multipliers an engine accepts come first
     blocked = int(np.searchsorted(lambdas, LAMBDA_MAX, side="right"))
+    rows = max(1, _BLOCK_FLOATS // max(lag.op.dims.dim_f, lag.op.dims.dim_g))
     out = []
-    while len(out) < blocked:
-        # an engine that cannot be built fails every point left
-        lams = lambdas[len(out):blocked]
+    if blocked:
         try:
-            engine = lag.sweep_engine()
-            lams = lams[:engine.block_size]
+            engine = lag.engine()
+        except _POINT_ERRORS as exc:
+            # tried once: every point the engine would take records why
+            out = [_failed_point(lam, exc) for lam in lambdas[:blocked]]
+    for start in range(len(out), blocked, rows):
+        lams = lambdas[start:blocked][:rows]
+        try:
             out.extend(_evaluation(lag, sol) for sol in engine.solve(lag, lams))
-        except _POINT_ERRORS as exc:
-            out.extend(_failed_point(lam, exc) for lam in lams)
-    for lam in lambdas[blocked:]:
-        try:
-            out.append(eval_dual(lag, float(lam)))
-        except _POINT_ERRORS as exc:
-            out.append(_failed_point(lam, exc))
+        except ConvergenceFailure:
+            # a point that fails fails alone: the block again, point by point
+            out.extend(_point(lag, lam) for lam in lams)
+    out.extend(_point(lag, lam) for lam in lambdas[blocked:])
     return out
 
+
+# the most entries of each m-by-n array of a sweep's block, 8 MiB of float64:
+# 2048 multipliers at n = 512, 16 at n = 65536, where 200 in one block would
+# hold three arrays of 105 MB each
+_BLOCK_FLOATS = 1 << 20
 
 # failures a sweep records on its points instead of raising; an
 # AssumptionViolation is a ValueError
 _POINT_ERRORS = (ConvergenceFailure, ValueError)
+
+
+def _point(lag, lam):
+    """``eval_dual`` at one sweep point, its failure recorded on it."""
+    try:
+        return eval_dual(lag, float(lam))
+    except _POINT_ERRORS as exc:
+        return _failed_point(lam, exc)
 
 
 def _failed_point(lam, exc):

@@ -26,7 +26,10 @@ at every lam lies in span V_k, so each solve is the k-by-k tridiagonal
 system (I + lam B_k^T B_k) z = lam ||Abar^T gbar|| e_1, mapped back to f
 in O(n); the basis grows only when a multiplier needs more columns than
 any before it. For first differences, A not annihilating the constants
-is the strict-convexity check.
+is the strict-convexity check. Its ``solve`` takes a block of m
+multipliers: each keeps its own search for its k, and the block shares
+its tail, F = Z V_k and, for a dense A, R = F A^T - g and A^T R, one
+matrix-matrix product each.
 
 Problems with a custom penalty are solved by ``SpectralFactors``,
 factored once whether A and L are dense or matrix-free; a matrix-free
@@ -42,19 +45,20 @@ in exact arithmetic; along ker L, where both vanish, it is formed as
 positive definite exactly when ker L and ker A intersect trivially, so
 building the factorization is also the strict-convexity check. It
 costs O(n^3) time and O(n^2) memory, which a matrix-free A with a
-custom penalty pays too. Sweeps over many multipliers with a dense A use
-it for built-in penalties as well: a wide grid grows the basis past the
-cost of the eigendecomposition. Its ``solve`` takes a block of m
-multipliers together: F = Y X^T, R = F A^T - g and A^T R are one
-matrix-matrix product each, O(m n^2) at BLAS-3 speed, in place of three
-memory-bound matrix-vector products per multiplier: at n = 512, for 200
-multipliers on 1 BLAS thread, about 8 ms against about 64 ms.
+custom penalty pays too. Its ``solve`` takes a block of m multipliers
+too: F = Y X^T is one product, and so is the tail.
 
-``Lagrangian`` picks each engine once: ``engine``, which
-``solve_lagrange`` runs on, ``sweep_engine`` and ``certificate``. An
-engine's ``solve`` takes the ``Lagrangian`` it was built from: holding it
-would make a reference cycle, which frees the factors only when the
-cyclic garbage collector runs.
+Both engines end in ``_solutions``, one tail for a block of multipliers:
+for a dense A and m > 1, R = F A^T - g and A^T R are one matrix-matrix
+product each, O(m n^2) at BLAS-3 speed, in place of two memory-bound
+matrix-vector products per multiplier; a single multiplier, every
+evaluation of a selection, applies A through its operator pair.
+
+``Lagrangian`` picks each engine once, by the penalty's kind alone:
+``engine``, which ``solve_lagrange`` and every sweep run on, and
+``certificate``. An engine's ``solve`` takes the ``Lagrangian`` it was
+built from: holding it would make a reference cycle, which frees the
+factors only when the cyclic garbage collector runs.
 
 Every solve also returns the slope d||A f - g||^2 / dlam, the dual's
 D''(lam), which the Newton search over lam uses. With r = A f - g and
@@ -121,19 +125,6 @@ class LagrangeSolution:
     solver_stats: dict = field(default_factory=dict)
 
 
-def _singular_pivot_ratio(factor):
-    """Pivot ratio of a Cholesky factor that shows a numerically singular
-    matrix, else None.
-
-    Rounding can let Cholesky succeed on a semidefinite matrix with a
-    sqrt(eps)-scale pivot; this catches that before it yields garbage.
-    """
-    pivots = np.abs(np.diagonal(factor))
-    if pivots.min() ** 2 <= factor.shape[0] * np.finfo(np.float64).eps * pivots.max() ** 2:
-        return pivots.min() / pivots.max()
-    return None
-
-
 @dataclass(frozen=True)
 class SpectralFactors:
     """Generalized eigendecomposition of a problem, dense or matrix-free.
@@ -171,7 +162,10 @@ class SpectralFactors:
         del Am, Lm
         B += gram_a
         try:
-            singular = _singular_pivot_ratio(scipy.linalg.cholesky(B, check_finite=False)) is not None
+            # rounding can let Cholesky succeed on a semidefinite matrix with
+            # a sqrt(eps)-scale pivot, which would yield garbage
+            pivots = np.abs(np.diagonal(scipy.linalg.cholesky(B, check_finite=False)))
+            singular = pivots.min() ** 2 <= B.shape[0] * np.finfo(np.float64).eps * pivots.max() ** 2
         except scipy.linalg.LinAlgError:
             singular = True
         if singular:
@@ -198,25 +192,16 @@ class SpectralFactors:
             arr.setflags(write=False)
         return cls(X=X, mu=mu, nu=nu, c=c)
 
-    @property
-    def block_size(self):
-        """The most multipliers a sweep solves at once: ``dim_f``, whose
-        temporaries stay within a few copies of the factors."""
-        return self.X.shape[0]
-
     def solve(self, lag, lams):
         """The inner minimizers of ``lag``, the problem the factors were
         built from, at every multiplier of ``lams`` at once, in order;
         ``ValueError`` for one outside (0, LAMBDA_MAX], before any solve.
 
-        The rows f_lam = X y of F, with (nu + lam mu) y = lam c, are
-        one product Y X^T, and so are R = F A^T - g and A^T R for a dense A:
-        three BLAS-3 products where one multiplier at a time costs three
-        memory-bound matrix-vector products. A matrix-free A is applied row
-        by row. Each slope d||A f_lam - g||^2 / dlam =
-        -2 sum c^2 nu^2 / d^3 with d = nu + lam mu costs O(n):
-        X^T A^T r = -c nu / d and M^{-1} = X diag(1 / d) X^T. Every
-        ``f_lambda`` is its own array.
+        The rows f_lam = X y of F, with (nu + lam mu) y = lam c, are one
+        product Y X^T, and ``_solutions`` forms the residuals. Each slope
+        d||A f_lam - g||^2 / dlam = -2 sum c^2 nu^2 / d^3 with
+        d = nu + lam mu costs O(n): X^T A^T r = -c nu / d and
+        M^{-1} = X diag(1 / d) X^T.
         """
         for lam in lams:
             _check_multiplier(lam)
@@ -224,18 +209,7 @@ class SpectralFactors:
         d = self.nu + col * self.mu
         slopes = -2.0 * np.sum((self.c * self.nu) ** 2 / d**3, axis=1)
         F = (col * self.c / d) @ self.X.T
-        A, g = lag.op, lag.data
-        if A.is_dense:
-            R = F @ A.matrix.T
-            R -= g
-            AtR = R @ A.matrix
-        else:
-            R = np.array([A.apply(f) for f in F]) - g
-            AtR = np.array([A.apply_adjoint(r) for r in R])
-        return [
-            _solution(lag, lam, f.copy(), r, atr, float(slope), {"method": "spectral"})
-            for lam, f, r, atr, slope in zip(lams, F, R, AtR, slopes)
-        ]
+        return _solutions(lag, lams, F, slopes, [{"method": "spectral"} for _ in lams])
 
 
 # ker L and ker A intersect trivially for first differences exactly when
@@ -248,9 +222,9 @@ KERNEL_CUTOFF = 1e-10
 
 def _difference_pinv(z):
     """L^+ z for the first-difference map L: the vector with successive
-    differences z and mean zero."""
-    x = np.concatenate(([0.0], np.cumsum(z)))
-    return x - x.mean()
+    differences z and mean zero; row by row for a block of rows."""
+    x = np.cumsum(np.concatenate((np.zeros(z.shape[:-1] + (1,)), z), axis=-1), axis=-1)
+    return x - x.sum(axis=-1, keepdims=True) / x.shape[-1]
 
 
 def _difference_pinv_adjoint(y):
@@ -297,9 +271,6 @@ class StandardForm:
     aw_norm: float = None
     qg: float = None
     h: np.ndarray = None
-
-    # a sweep solves one multiplier at a time: a failure fails its point only
-    block_size = 1
 
     def __post_init__(self):
         self.basis = GolubKahan(self.op.apply, self.op.apply_adjoint, self.data, self.op.dims.dim_f)
@@ -356,11 +327,12 @@ class StandardForm:
         )
 
     def solution(self, z):
-        """The inner minimizer f for the standard-form minimizer z."""
+        """The inner minimizer f for the standard-form minimizer z; row by
+        row for a block of rows."""
         if self.aw_norm is None:
             return z
-        t = (self.qg - self.h @ z) / self.aw_norm
-        return _difference_pinv(z) + t / math.sqrt(z.shape[0] + 1)
+        t = (self.qg - z @ self.h) / self.aw_norm
+        return _difference_pinv(z) + t[..., None] / math.sqrt(z.shape[-1] + 1)
 
     @property
     def data_norm(self):
@@ -379,24 +351,20 @@ class StandardForm:
 
     def solve(self, lag, lams):
         """Projected Tikhonov solves of ``lag``, the problem the form was
-        built from, at each multiplier of ``lams`` in turn; ``ValueError``
-        for one outside (0, LAMBDA_MAX], before any solve.
+        built from, at every multiplier of ``lams`` at once, in order;
+        ``ValueError`` for one outside (0, LAMBDA_MAX], before any solve.
 
-        Each solve runs three steps from j = 0, and returns the solution on
-        k = j + ``_LOOKAHEAD`` columns, or on all of an exhausted basis:
-
-        1. Find the first column j from the current one whose projected
-           solution passes the residual estimate below, in one search of
-           ``GolubKahan.tikhonov_residuals``; the basis grows only while
-           no column passes.
-        2. Grow the basis once, to k columns or to exhaustion.
-        3. Unless the basis is exhausted, whose solution is exact, estimate
-           the discrepancy error of column j against the solution on k. If
-           it passes, build the solution on k once and accept it when its
-           own explicit residual passes; otherwise go on from j + 1.
+        Each multiplier runs its own search (``_column``) from j = 0 and
+        takes the solution on k = j + ``_LOOKAHEAD`` columns, or on all of
+        an exhausted basis. The block then shares its tail: the rows of
+        F = Z V_k are one product, mapped back to f row by row, and
+        ``_solutions`` forms the residuals. A point is accepted when its
+        own explicit residual passes; otherwise its search goes on from
+        j + 1, and a new block holds the points that did not pass.
 
         k depends on lam alone, not on how far earlier solves grew the
-        basis, and so does the answer.
+        basis nor on the other multipliers of the block, and so does the
+        answer, up to the rounding of the block products.
 
         - The full system's relative residual
           ||lam A^T g - (L^T L + lam A^T A) f|| / ||lam A^T g|| is at most
@@ -415,45 +383,70 @@ class StandardForm:
         """
         for lam in lams:
             _check_multiplier(lam)
-        solutions = []
-        for lam in map(float, lams):
-            scale = 2.0 * lam * self.rhs_norm  # ||grad|| = 2 ||full residual||
+        out = [None] * len(lams)
+        starts = dict.fromkeys(range(len(lams)), 0)  # point: its search's first column
+        while starts:
             with self.lock:
-                basis = self.basis
-                gain = self.lt_norm * basis.alpha[0] * basis.beta[0] / self.rhs_norm if scale else 0.0
-                j = 0
-                while True:
-                    # the first column from j whose residual estimate passes
-                    while not (ahead := np.flatnonzero(gain * basis.tikhonov_residuals(lam)[j:] <= KRYLOV_TOL)).size:
-                        j = basis.k + 1
-                        basis.step()
-                    j += int(ahead[0])
-                    # its lookahead columns, or all there are
-                    while basis.k < j + _LOOKAHEAD and not basis.exhausted:
-                        basis.step()
-                    k = min(j + _LOOKAHEAD, basis.k)
-                    # an exhausted basis holds the exact solution
-                    exact = k == basis.k and basis.exhausted
-                    if exact or basis.discrepancy_error(lam, basis.tikhonov(lam, j), k) <= KRYLOV_TOL * lag.epsilon:
-                        z = basis.tikhonov(lam, k)
-                        f = self.solution(basis.expand(z))
-                        r = lag.op.apply(f) - lag.data
-                        stats = {"method": "krylov", "iterations": k}
-                        sol = _solution(lag, lam, f, r, lag.op.apply_adjoint(r), basis.discrepancy_slope(lam, z), stats)
-                        rel = sol.optimality_residual / scale if scale else 0.0
-                        stats["relative_residual"] = rel
-                        target = max(KRYLOV_TOL, _rounding_level(self, f, lam)) if scale else KRYLOV_TOL
-                        if rel <= target or exact:
-                            break
-                    j += 1
-            if rel > target:
-                raise ConvergenceFailure(
-                    f"Krylov basis exhausted at k={k} above tol={target:g} at "
-                    f"lam={lam:g} (relative residual {rel:.3e})",
-                    best=f,
-                )
-            solutions.append(sol)
-        return solutions
+                picks = {i: self._column(lag, float(lams[i]), j) for i, j in starts.items()}
+                js, exacts, zs, slopes = zip(*picks.values())
+                Z = np.zeros((len(zs), max(map(len, zs))))
+                for row, z in zip(Z, zs):
+                    row[: len(z)] = z
+                F = self.solution(self.basis.expand(Z))
+            stats = [{"method": "krylov", "iterations": len(z)} for z in zs]
+            sols = _solutions(lag, [lams[i] for i in picks], F, slopes, stats)
+            starts = {}
+            for i, j, exact, sol in zip(picks, js, exacts, sols):
+                scale = 2.0 * sol.lam * self.rhs_norm  # ||grad|| = 2 ||full residual||
+                rel = sol.solver_stats["relative_residual"] = sol.optimality_residual / scale if scale else 0.0
+                target = max(KRYLOV_TOL, _rounding_level(self, sol.f_lambda, sol.lam)) if scale else KRYLOV_TOL
+                if rel <= target:
+                    out[i] = sol
+                elif exact:
+                    raise ConvergenceFailure(
+                        f"Krylov basis exhausted at k={sol.solver_stats['iterations']} above tol={target:g} at "
+                        f"lam={sol.lam:g} (relative residual {rel:.3e})",
+                        best=sol.f_lambda,
+                    )
+                else:
+                    starts[i] = j + 1
+        return out
+
+    def _column(self, lag, lam, j):
+        """The search of one multiplier from column j, under ``lock``:
+        (j, exact, z, slope) for the first column j whose projected solution
+        passes the residual estimate and whose discrepancy error, against
+        the solution z on k columns, passes too; slope is z's
+        ``GolubKahan.discrepancy_slope``.
+
+        1. Find the first column from j whose residual estimate passes, in
+           one search of ``GolubKahan.tikhonov_residuals``; the basis grows
+           only while no column passes.
+        2. Grow the basis once, to k = j + ``_LOOKAHEAD`` columns or to
+           exhaustion.
+        3. Unless the basis is exhausted (``exact``), whose solution is
+           exact, estimate the discrepancy error of column j against the
+           solution on k; if it fails, go on from j + 1.
+        """
+        basis = self.basis
+        gain = self.lt_norm * basis.alpha[0] * basis.beta[0] / self.rhs_norm if self.rhs_norm else 0.0
+        while True:
+            # the first column from j whose residual estimate passes
+            while not (ahead := np.flatnonzero(gain * basis.tikhonov_residuals(lam)[j:] <= KRYLOV_TOL)).size:
+                j = basis.k + 1
+                basis.step()
+            j += int(ahead[0])
+            # its lookahead columns, or all there are
+            while basis.k < j + _LOOKAHEAD and not basis.exhausted:
+                basis.step()
+            k = min(j + _LOOKAHEAD, basis.k)
+            # an exhausted basis holds the exact solution
+            exact = k == basis.k and basis.exhausted
+            z = basis.tikhonov(lam, k)
+            w = basis.projected_solve(lam, z)
+            if exact or basis.discrepancy_error(lam, basis.tikhonov(lam, j), w) <= KRYLOV_TOL * lag.epsilon:
+                return j, exact, z, basis.discrepancy_slope(lam, z, w)
+            j += 1
 
 
 def _require_finite(name, arr):
@@ -523,29 +516,18 @@ class Lagrangian:
         ``AssumptionViolation`` if the penalty is not strictly convex along
         ker(A)."""
         if self.regularizer.kind == "custom":
-            return self._spectral_factors()
+            # nothing is kept when the build raises, so each call raises again
+            with self._lock:
+                if self._spectral is None:
+                    self._spectral = SpectralFactors.build(
+                        self.op, self.regularizer.seminorm_operator, self.data
+                    )
+                return self._spectral
         form = self.certificate()
         if self._violation is not None:
             raise AssumptionViolation(self._violation)
         return form
 
-    def sweep_engine(self):
-        """The solver of a sweep: ``SpectralFactors`` when A is dense or the
-        penalty custom, else ``engine()``; it raises as ``engine()`` does.
-        A wide grid grows a Krylov basis past the cost of the
-        eigendecomposition: 200 points on a width-2 blur at n = 512 take
-        0.14 s on the factors, building them included, against 0.18-0.22 s
-        in a basis (2 CPUs, BLAS on 1 thread)."""
-        return self._spectral_factors() if self.op.is_dense else self.engine()
-
-    def _spectral_factors(self):
-        # nothing is kept when the build raises, so each call raises again
-        with self._lock:
-            if self._spectral is None:
-                self._spectral = SpectralFactors.build(
-                    self.op, self.regularizer.seminorm_operator, self.data
-                )
-            return self._spectral
 
     @property
     def tau(self):
@@ -596,9 +578,30 @@ def _check_multiplier(lam):
         )
 
 
+def _solutions(lag, lams, F, slopes, stats):
+    """The ``LagrangeSolution`` at each multiplier of ``lams`` from the rows
+    of F: the tail both engines share. For a dense A and more than one
+    multiplier, R = F A^T - g and A^T R are one matrix-matrix product each,
+    at BLAS-3 speed, where one multiplier at a time costs two memory-bound
+    matrix-vector products; otherwise A is applied row by row through its
+    operator pair. Every ``f_lambda`` is its own array."""
+    A, g = lag.op, lag.data
+    if A.is_dense and len(F) > 1:
+        R = F @ A.matrix.T
+        R -= g
+        AtR = R @ A.matrix
+    else:
+        R = np.array([A.apply(f) for f in F]) - g
+        AtR = np.array([A.apply_adjoint(r) for r in R])
+    return [
+        _solution(lag, lam, f.copy(), r, atr, float(slope), s)
+        for lam, f, r, atr, slope, s in zip(lams, F, R, AtR, slopes, stats)
+    ]
+
+
 def _solution(lag, lam, f, r, atr, slope, stats):
     """The ``LagrangeSolution`` at f from its data residual r = A f - g and
-    A^T r: the tail every engine and block shares. The discrepancy is
+    A^T r. The discrepancy is
     ||r||^2 of the explicit residual, never an expanded form that cancels,
     and the optimality residual is the norm of the inner objective's
     gradient, grad J(f) + 2 lam A^T r."""

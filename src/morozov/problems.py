@@ -81,7 +81,7 @@ def make_deconvolution(n, kernel_width):
     """
     if n < 4:
         raise ValueError(f"n must be >= 4, got {n}")
-    if kernel_width <= 0:
+    if not kernel_width > 0:  # NaN fails it too
         raise ValueError(f"kernel_width must be positive, got {kernel_width}")
     if kernel_width <= 1e-8:
         return linops.identity(n)
@@ -108,12 +108,15 @@ def synthesize(A, f0, noise_level, tau_accuracy=1.0, seed=None, regularizer=None
     ``||noise|| = noise_level * ||A f0||`` holds exactly rather than in
     expectation, and ``tau = tau_accuracy * ||noise||``;
     ``tau_accuracy = 1`` therefore means an oracle-exact estimate.
-    Deterministic under ``seed``.
+    Deterministic under ``seed``. ``ValueError`` for a ``noise_level``
+    that is not nonnegative and finite, or a ``tau_accuracy`` that is not
+    positive and finite.
     """
-    if noise_level < 0:
-        raise ValueError("noise_level must be nonnegative")
-    if tau_accuracy <= 0:
-        raise ValueError("tau_accuracy must be positive")
+    # comparisons that NaN fails, so NaN is refused too
+    if not 0 <= noise_level < np.inf:
+        raise ValueError(f"noise_level must be nonnegative and finite, got {noise_level}")
+    if not 0 < tau_accuracy < np.inf:
+        raise ValueError(f"tau_accuracy must be positive and finite, got {tau_accuracy}")
     f0 = np.asarray(f0, dtype=np.float64)
     if f0.ndim != 1 or f0.shape[0] != A.dims.dim_f:
         raise DimensionMismatch(

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from morozov import linops
+from morozov import lagrange, linops
 from morozov.dual import (
     concavity_defects,
     diagnose_regime,
@@ -583,19 +583,23 @@ class TestFirstDifferenceWindow:
         assert eval_dual(lag, 1e-18).d_prime == pytest.approx(eval_dual(lag, 0.0).d_prime, rel=1e-9)
 
     def test_sweep_resolves_tiny_multipliers_along_ker_l(self):
-        # a dense sweep runs on the spectral factors, whose 1 - mu rounds at
-        # eps along ker L and would swamp lam mu there: read with it, D' at
-        # 1e-18 was 3115 where the Krylov engine reads 0.00131. D'' agrees
-        # above 1e-18; at 1e-18 nu's own rounding (6.5e-29, 0 in exact
-        # arithmetic) still moves it by 1.5%
+        # the spectral factors of the same map as a custom penalty: their
+        # 1 - mu rounds at eps along ker L and would swamp lam mu there, so
+        # nu is formed as ||L x_i||^2. Read with 1 - mu, D' at 1e-18 was
+        # 3115 where the Krylov engine reads 0.00131. D'' agrees above
+        # 1e-18; at 1e-18 nu's own rounding (6.5e-29, 0 in exact
+        # arithmetic) still moves it by 1.5%. The built-in penalty sweeps
+        # in its basis, where D'' holds at 1e-18 too
         op, g, gbar_norm = self.problem(False)
         lag = self.lagrangian(op, g, 0.999 * gbar_norm)
         lams = [1e-18, 1e-16, 1e-14, 1e-12, 1e-10, 1e-8]
-        for e, lam in zip(sweep_dual(lag, lams), lams):
+        for e, twin, lam in zip(sweep_dual(lag, lams), sweep_dual(spectral_twin(lag), lams), lams):
             krylov = eval_dual(lag, lam)
-            assert e.d_prime == pytest.approx(krylov.d_prime, rel=1e-6), lam
+            assert e.d_prime == pytest.approx(krylov.d_prime, rel=1e-10), lam
+            assert e.d_second == pytest.approx(krylov.d_second, rel=1e-10), lam
+            assert twin.d_prime == pytest.approx(krylov.d_prime, rel=1e-6), lam
             if lam > 1e-18:
-                assert e.d_second == pytest.approx(krylov.d_second, rel=1e-6), lam
+                assert twin.d_second == pytest.approx(krylov.d_second, rel=1e-6), lam
 
 
 class TestRegimeCertificate:
@@ -702,16 +706,17 @@ class TestRegimeCertificate:
                 maximize_dual(lag, override_regime=True)
 
 class TestEngineTable:
-    """Which engine ``Lagrangian`` picks, for every kind of A and penalty."""
+    """Which engine ``Lagrangian`` picks, for every kind of A and penalty:
+    the penalty's kind alone decides, and selections and sweeps share it."""
 
-    # (A, penalty): the engine, the sweep engine
+    # (A, penalty): the engine
     TABLE = {
-        ("dense", "identity"): (StandardForm, SpectralFactors),
-        ("dense", "first_difference"): (StandardForm, SpectralFactors),
-        ("dense", "custom"): (SpectralFactors, SpectralFactors),
-        ("matrix_free", "identity"): (StandardForm, StandardForm),
-        ("matrix_free", "first_difference"): (StandardForm, StandardForm),
-        ("matrix_free", "custom"): (SpectralFactors, SpectralFactors),
+        ("dense", "identity"): StandardForm,
+        ("dense", "first_difference"): StandardForm,
+        ("dense", "custom"): SpectralFactors,
+        ("matrix_free", "identity"): StandardForm,
+        ("matrix_free", "first_difference"): StandardForm,
+        ("matrix_free", "custom"): SpectralFactors,
     }
 
     @pytest.mark.parametrize("storage, penalty", list(TABLE))
@@ -725,23 +730,21 @@ class TestEngineTable:
             "custom": custom_regularizer(linops.from_matrix(np.diff(np.eye(n), axis=0))),
         }[penalty]
         lag = Lagrangian(op, prob.g, J, prob.tau**2)
-        engine, sweep = self.TABLE[storage, penalty]
-        assert type(lag.engine()) is engine and type(lag.sweep_engine()) is sweep
-        # each is built once: repeated calls return the same object, and
-        # the factors serve a custom penalty's solves and sweeps alike
-        assert lag.engine() is lag.engine() and lag.sweep_engine() is lag.sweep_engine()
-        assert (lag.sweep_engine() is lag.engine()) == (storage == "matrix_free" or penalty == "custom")
+        engine = self.TABLE[storage, penalty]
+        assert type(lag.engine()) is engine
+        # it is built once: repeated calls return the same object
+        assert lag.engine() is lag.engine()
         # the certificate is the Krylov engine of a built-in penalty
         assert lag.certificate() is lag.certificate()
         assert (lag.certificate() is lag.engine()) == (penalty != "custom")
         res = maximize_dual(lag)
-        if sweep is StandardForm:
-            # a sweep after the selection grows the selection's basis
-            basis = lag.engine().basis
-            k = basis.k
-            evals = sweep_dual(lag, np.geomspace(res.lambda_star, 1e6 * res.lambda_star, 10))
-            assert all(e.error is None for e in evals)
-            assert lag.engine().basis is basis and basis.k > k
+        # a sweep after the selection runs on the selection's engine, and
+        # for a built-in penalty grows the selection's basis
+        k = lag.certificate().basis.k
+        evals = sweep_dual(lag, np.geomspace(res.lambda_star, 1e6 * res.lambda_star, 10))
+        method = "krylov" if engine is StandardForm else "spectral"
+        assert all(e.error is None and e.solution.solver_stats["method"] == method for e in evals)
+        assert (lag.certificate().basis.k > k) == (engine is StandardForm)
 
 
 class TestWorkCounts:
@@ -898,9 +901,10 @@ class TestWorkCounts:
         assert verify_morozov_solution(res, band).passed
 
     @pytest.mark.parametrize("penalty", [identity_regularizer, first_difference_regularizer])
-    def test_dense_sweep_builds_no_band_copy(self, monkeypatch, penalty):
-        # the spectral factors apply a dense A only in block products, so
-        # its band copy, which only matrix-vector products read, is never built
+    def test_dense_sweep_builds_one_band_copy(self, monkeypatch, penalty):
+        # a dense sweep's basis applies A through its operator pair, whose
+        # band copy is built once, at the first product; the block
+        # products of the sweep's tail read the stored matrix and add none
         n = 512
         prob = synthesize(make_deconvolution(n, 2.0), _bump_profile(n, np.random.default_rng(n)), 0.02, seed=n)
         copies = []
@@ -909,7 +913,7 @@ class TestWorkCounts:
         lag = Lagrangian(linops.from_matrix(prob.op.matrix), prob.g, penalty(n), (1.02 * prob.tau) ** 2)
         evals = sweep_dual(lag, np.logspace(-2, 8, 20))
         assert all(e.error is None for e in evals)
-        assert copies == []
+        assert [args[1:] for args in copies] == [(75, 75)]
 
     def test_custom_penalty_certificate_makes_no_eigh(self, monkeypatch):
         # a dense custom penalty certifies its regime by LSQR on (A, g), in a
@@ -984,10 +988,15 @@ class TestWorkCounts:
         points = []
         per_point = morozov.dual.eval_dual
         monkeypatch.setattr(morozov.dual, "eval_dual", lambda *a, **k: points.append(a) or per_point(*a, **k))
-        evals = sweep_dual(lagrangian_of(prob), np.geomspace(1e-2, 1e8, 200))
+        grid = np.geomspace(1e-2, 1e8, 200)
+        # a built-in penalty sweeps in its Golub-Kahan basis, with no eigh
+        evals = sweep_dual(lagrangian_of(prob), grid)
+        assert counts == {"eigh": 0}
+        # a custom one factors once
+        twin = sweep_dual(spectral_twin(lagrangian_of(prob)), grid)
         assert counts == {"eigh": 1}
         assert points == []
-        assert all(e.error is None for e in evals)
+        assert all(e.error is None for e in evals + twin)
 
     def test_matrix_free_custom_sweep_applications(self, monkeypatch):
         # materializing A for the spectral factors costs dim_f forward
@@ -1093,12 +1102,20 @@ class TestSweepDual:
         }
 
     @pytest.mark.parametrize("case", ["identity", "first_difference", "custom", "custom_matrix_free"])
-    def test_blocks_match_pointwise_spectral_solves(self, case):
+    def test_blocks_match_pointwise_spectral_solves(self, case, monkeypatch):
+        import morozov.dual
+
         lag = self.blocked_cases()[case]
-        # 70 points on dim_f = 24: three blocks, the last one short
+        engine = lag.engine()
+        blocks = []
+        solve = type(engine).solve
+        monkeypatch.setattr(type(engine), "solve", lambda *a: blocks.append(len(a[2])) or solve(*a))
+        # blocks of 24 rows on dim_f = 24: 70 points make three blocks, the
+        # last one short
+        monkeypatch.setattr(morozov.dual, "_BLOCK_FLOATS", 24 * 24)
         grid = np.geomspace(1e-4, 1e8, 70)
-        assert grid.size > 2 * lag.op.dims.dim_f
         evals = sweep_dual(lag, grid)
+        assert blocks == [24, 24, 22]
         twin = spectral_twin(lag)
         scale = float(lag.data @ lag.data)
         for e, lam in zip(evals, grid):
@@ -1107,18 +1124,48 @@ class TestSweepDual:
             assert e.d_value == pytest.approx(ref.d_value, rel=1e-10, abs=1e-12 * scale)
             assert e.d_prime == pytest.approx(ref.d_prime, rel=1e-10, abs=1e-12 * scale)
             assert e.d_second == pytest.approx(ref.d_second, rel=1e-10)
-            sol, ref_sol = e.solution, ref.solution
-            assert sol.discrepancy_sq == pytest.approx(ref_sol.discrepancy_sq, rel=1e-10)
-            assert sol.j_value == pytest.approx(ref_sol.j_value, rel=1e-10)
+            sol = e.solution
             assert sol.optimality_residual <= 1e-10 * (1.0 + 2.0 * lam * math.sqrt(scale))
-            assert sol.solver_stats == {"method": "spectral"}
+            # the block's answer is its engine's own, one multiplier at a
+            # time, up to the rounding of the block products. The twin's f
+            # and penalty differ from the basis's by up to 3e-9 above
+            # lam = 1e6, where both leave relative residuals near 1e-14:
+            # that is the system's conditioning, not either engine
+            own = eval_dual(lag, lam).solution
+            assert sol.discrepancy_sq == pytest.approx(own.discrepancy_sq, rel=1e-12)
+            assert sol.j_value == pytest.approx(own.j_value, rel=1e-12)
+            if isinstance(engine, StandardForm):
+                # each point keeps its own k and explicit residual check
+                assert sol.solver_stats["iterations"] == own.solver_stats["iterations"]
+                target = max(lagrange.KRYLOV_TOL, lagrange._rounding_level(engine, sol.f_lambda, lam))
+                assert sol.solver_stats["relative_residual"] <= target
+            else:
+                assert sol.solver_stats == {"method": "spectral"}
             np.testing.assert_allclose(
-                sol.f_lambda, ref_sol.f_lambda, rtol=1e-10,
-                atol=1e-10 * np.abs(ref_sol.f_lambda).max(),
+                sol.f_lambda, own.f_lambda, rtol=1e-12,
+                atol=1e-12 * np.abs(own.f_lambda).max(),
             )
         # every f_lambda is its own array, not a view of the block
         fs = [e.solution.f_lambda for e in evals]
         assert all(f.base is None for f in fs)
+
+    @pytest.mark.parametrize("penalty", [identity_regularizer, first_difference_regularizer])
+    def test_dense_sweep_matches_its_twin(self, penalty):
+        # a benchmark-sized sweep: 200 points at n = 512 in one block of the
+        # basis, against the spectral factors of the same map
+        n = 512
+        prob = synthesize(make_deconvolution(n, 2.0), _bump_profile(n, np.random.default_rng(n)), 0.02, seed=n)
+        lag = Lagrangian(prob.op, prob.g, penalty(n), (1.02 * prob.tau) ** 2)
+        grid = np.logspace(-2, 8, 200)
+        evals = sweep_dual(lag, grid)
+        scale = float(prob.g @ prob.g)
+        for e, ref, lam in zip(evals, sweep_dual(spectral_twin(lag), grid), grid):
+            assert e.error is None and ref.error is None
+            assert e.d_value == pytest.approx(ref.d_value, rel=1e-10, abs=1e-10 * scale)
+            assert e.d_prime == pytest.approx(ref.d_prime, rel=1e-10, abs=1e-10 * scale)
+            assert e.d_second == pytest.approx(ref.d_second, rel=1e-8)
+            target = max(lagrange.KRYLOV_TOL, lagrange._rounding_level(lag.engine(), e.solution.f_lambda, lam))
+            assert e.solution.solver_stats["relative_residual"] <= target
 
     def test_blocks_keep_lambda_max_failures(self):
         lag = self.blocked_cases()["first_difference"]
@@ -1141,14 +1188,22 @@ class TestSweepDual:
             assert e.error == str(err.value) and "exceeds LAMBDA_MAX" in e.error
             assert np.isnan(e.d_value) and np.isnan(e.d_prime) and np.isnan(e.d_second)
 
-    def test_singular_pencil_fails_every_point(self, rng):
+    def test_singular_pencil_fails_every_point(self, rng, monkeypatch):
+        import morozov.dual
+
         # the shared-kernel pair of test_assumption_gate_refuses_shared_kernel
         n = 6
         A = linops.from_matrix(first_difference_regularizer(n).seminorm_operator.materialize())
         g = rng.standard_normal(n - 1)
         lag = Lagrangian(A, g, custom_regularizer(A), epsilon=1.0)
         grid = np.geomspace(1e-2, 1e14, 20)
+        # blocks of two points, yet one attempt to build the engine
+        monkeypatch.setattr(morozov.dual, "_BLOCK_FLOATS", 2 * n)
+        builds = []
+        build = SpectralFactors.build.__func__
+        monkeypatch.setattr(SpectralFactors, "build", classmethod(lambda cls, *a: builds.append(a) or build(cls, *a)))
         evals = sweep_dual(lag, grid)
+        assert len(builds) == 1
         with pytest.raises(AssumptionViolation) as singular:
             eval_dual(lag, 1.0)
         for e, lam in zip(evals, grid):
@@ -1160,6 +1215,37 @@ class TestSweepDual:
             else:
                 assert "exceeds LAMBDA_MAX" in e.error
             assert e.solution is None and np.isnan(e.d_prime)
+
+    def test_failed_point_in_a_krylov_block_fails_alone(self, monkeypatch):
+        # the explicit check fails every candidate at one multiplier, so its
+        # search exhausts the basis and raises ConvergenceFailure: that
+        # point records it, and the block is solved again point by point
+        lag = self.blocked_cases()["identity"]
+        grid = np.geomspace(1e-2, 1e4, 12)
+        bad = grid[5]
+        blocks = []
+        solve = StandardForm.solve
+        monkeypatch.setattr(StandardForm, "solve", lambda *a: blocks.append(len(a[2])) or solve(*a))
+        solution = lagrange._solution
+
+        def failing(lag, lam, f, r, atr, slope, stats):
+            sol = solution(lag, lam, f, r, atr, slope, stats)
+            return dataclasses.replace(sol, optimality_residual=math.inf) if lam == bad else sol
+
+        monkeypatch.setattr(lagrange, "_solution", failing)
+        evals = sweep_dual(lag, grid)
+        assert blocks == [12] + [1] * 12
+        with pytest.raises(ConvergenceFailure) as err:
+            eval_dual(lag, bad)
+        assert "exhausted" in str(err.value)
+        for e, lam in zip(evals, grid):
+            if lam == bad:
+                assert e.error == str(err.value) and e.solution is None and np.isnan(e.d_prime)
+                continue
+            ref = eval_dual(lag, lam)
+            assert e.error is None
+            assert (e.d_value, e.d_prime, e.d_second) == (ref.d_value, ref.d_prime, ref.d_second)
+            assert e.solution.f_lambda.tobytes() == ref.solution.f_lambda.tobytes()
 
     def test_grid_validation(self):
         lag = scalar_lagrangian()

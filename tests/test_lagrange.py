@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -180,17 +181,18 @@ class TestSolveLagrange:
 
         monkeypatch.setattr(scipy.linalg, "eigh", counting)
         rng = np.random.default_rng(3)
-        # large enough that the build outlasts the threads' start
+        # large enough that the build outlasts the threads' start; the
+        # factors are the engine of a custom penalty
         lag = Lagrangian(
             random_dense_op(rng, 200, 200), rng.standard_normal(200),
-            identity_regularizer(200), epsilon=0.5,
+            custom_regularizer(linops.from_matrix(np.eye(200))), epsilon=0.5,
         )
         results = []
         barrier = threading.Barrier(8)
 
         def worker():
             barrier.wait(timeout=10)
-            results.append(lag.sweep_engine())
+            results.append(lag.engine())
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -395,6 +397,50 @@ class TestKrylovSolver:
         assert again.solver_stats["iterations"] == k_small
         assert again.f_lambda.tobytes() == first.f_lambda.tobytes()
         assert (counts["fwd"] - before["fwd"], counts["adj"] - before["adj"]) == (1, 1)
+
+    @pytest.mark.parametrize("penalty", [identity_regularizer, first_difference_regularizer])
+    def test_failed_explicit_check_goes_on_from_the_next_column(self, monkeypatch, penalty):
+        # the recurrences' estimates can pass a candidate whose explicit
+        # residual on the full system does not: that point's search goes on
+        # from the next column, alone, in a single solve and in a block
+        mat, g = self.ill_posed()
+        lams = [0.5, 3.0, 20.0]
+
+        def problem():
+            return Lagrangian(linops.from_matrix(mat), g, penalty(64), epsilon=0.1)
+
+        plain = problem()
+        k0 = solve_lagrange(plain, 3.0).solver_stats["iterations"]
+        block = plain.engine().solve(plain, lams)
+        candidates = []
+        solution = lagrange._solution
+
+        def rejecting(lag, lam, f, r, atr, slope, stats):
+            # the first candidate at lam = 3 fails its explicit check
+            sol = solution(lag, lam, f, r, atr, slope, stats)
+            if lam == 3.0:
+                candidates.append(stats["iterations"])
+                if len(candidates) == 1:
+                    return dataclasses.replace(sol, optimality_residual=math.inf)
+            return sol
+
+        monkeypatch.setattr(lagrange, "_solution", rejecting)
+        single = solve_lagrange(problem(), 3.0)
+        assert candidates == [k0, k0 + 1]
+        assert single.solver_stats["iterations"] == k0 + 1
+        assert single.solver_stats["relative_residual"] <= lagrange.KRYLOV_TOL
+        ref = numpy_inner_solve(plain, 3.0)
+        np.testing.assert_allclose(single.f_lambda, ref, rtol=0, atol=1e-9 * np.abs(ref).max())
+
+        candidates.clear()
+        lag = problem()
+        rejected = lag.engine().solve(lag, lams)
+        assert candidates == [k0, k0 + 1]
+        assert rejected[1].f_lambda.tobytes() == single.f_lambda.tobytes()
+        # its neighbours in the block are unchanged
+        for i in (0, 2):
+            assert rejected[i].f_lambda.tobytes() == block[i].f_lambda.tobytes()
+            assert rejected[i].solver_stats == block[i].solver_stats
 
     def test_exhausted_basis_above_tol_raises_with_best(self, rng, monkeypatch):
         mat = rng.standard_normal((20, 20))

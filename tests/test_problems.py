@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -144,6 +145,23 @@ class TestSynthesize:
             synthesize(A, f0, noise_level=-0.1)
         with pytest.raises(ValueError):
             synthesize(A, f0, noise_level=0.1, tau_accuracy=0.0)
+
+
+# each used to return a problem of NaN or infinite data, tau or matrix
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda f0: synthesize(make_hilbert(4), f0, math.nan),
+        lambda f0: synthesize(make_hilbert(4), f0, math.inf),
+        lambda f0: synthesize(make_hilbert(4), f0, 0.1, tau_accuracy=math.nan),
+        lambda f0: synthesize(make_hilbert(4), f0, 0.1, tau_accuracy=math.inf),
+        lambda f0: make_deconvolution(16, math.nan),
+    ],
+    ids=["noise_nan", "noise_inf", "tau_accuracy_nan", "tau_accuracy_inf", "width_nan"],
+)
+def test_generators_refuse_non_finite_input(make):
+    with pytest.raises(ValueError, match="must be"):
+        make(np.ones(4))
 
 
 class TestRegimeFixture:

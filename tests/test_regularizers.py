@@ -10,7 +10,7 @@ from morozov.regularizers import (
     identity_regularizer,
 )
 
-from conftest import assert_adjoint_consistent, counting_free_op, random_dense_op, shares_kernel
+from conftest import assert_adjoint_consistent, counting_free_op, random_dense_op, shares_kernel, spectral_twin
 
 
 def _consistency_cases(rng):
@@ -169,7 +169,8 @@ class TestCheckAssumptions:
     # numpy's rank of [A; L] (conftest.shares_kernel) is the oracle for it
 
     def test_factorization_agrees_with_oracle(self, rng):
-        # every A here is dense, so the sweep engine is the spectral factors
+        # every penalty here is stored as a custom one, whose engine is the
+        # spectral factors
         n = 8
         shared = first_difference_regularizer(n)
         cases = _consistency_cases(rng) + [
@@ -182,7 +183,7 @@ class TestCheckAssumptions:
         outcomes = []
         for J, A in cases:
             g = rng.standard_normal(A.dims.dim_g)
-            refused = _refused(Lagrangian(A, g, J, epsilon=1.0).sweep_engine)
+            refused = _refused(spectral_twin(Lagrangian(A, g, J, epsilon=1.0)).engine)
             assert refused == shares_kernel(A, J.seminorm_operator), (J.kind, A)
             outcomes.append(refused)
         assert outcomes == [False] * 4 + [True] + [False] * 4  # only the shared-kernel pair
