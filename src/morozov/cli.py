@@ -230,8 +230,9 @@ def _cmd_sweep(args):
             for row in rows:
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
     else:
+        # strict JSON: a failed point's values are null, not the bare NaN token
         keys = ("lambda", "D", "Dprime", "discrepancy_sq", "j_value")
-        _write_json([dict(zip(keys, row)) for row in rows], args.out)
+        _write_json([{k: v if math.isfinite(v) else None for k, v in zip(keys, row)} for row in rows], args.out)
     n_failed = sum(e.solution is None for e in evals)
     print(f"wrote {len(rows)} sweep points to {args.out}"
           + (f" ({n_failed} failed)" if n_failed else ""))
@@ -240,19 +241,24 @@ def _cmd_sweep(args):
 
 def _cmd_verify(args):
     problem = problems.load_problem(args.problem)
-    with open(args.result) as fh:
-        saved = json.load(fh)
-    f_star = load_vector_csv(Path(args.result).parent / saved["f_star_path"])
+    saved = problems.load_json_object(args.result)
+
+    def field(key, kind):
+        return problems.json_field(saved, key, kind, args.result)
+
+    iterations = field("iterations", list)
+    if not all(isinstance(t, list) and len(t) == 3 for t in iterations):
+        raise ValueError(f"{args.result}: iterations must be a list of [lam, D, D'] triples")
     result = dual.SelectionResult(
-        lambda_star=saved["lambda_star"],
-        alpha=saved["alpha"],
-        f_star=f_star,
-        discrepancy=saved["discrepancy"],
-        iterations=[tuple(t) for t in saved["iterations"]],
-        method=saved["method"],
-        converged=saved["converged"],
+        lambda_star=field("lambda_star", float),
+        alpha=field("alpha", float),
+        f_star=load_vector_csv(Path(args.result).parent / field("f_star_path", str)),
+        discrepancy=field("discrepancy", float),
+        iterations=[tuple(t) for t in iterations],
+        method=field("method", str),
+        converged=field("converged", bool),
     )
-    lag = _lagrangian(problem, saved["tau_eff"])
+    lag = _lagrangian(problem, field("tau_eff", float))
     report = dual.verify_morozov_solution(result, lag, rtol=args.rtol)
     payload = {
         "passed": report.passed,

@@ -99,6 +99,13 @@ _BRACKET_FLOOR = 1e-300
 # root D'' is nearly flat, and an unlimited step in log lam can land where
 # the inner system is singular to working precision
 _MAX_DROP = 1.0 / 16.0
+# Newton's and bisection's first multiplier
+_LAMBDA_INIT = 1.0
+# verify_morozov_solution: the stationarity tolerance, relative to
+# 1 + ||2 lam A^T g||, and the random perturbations of the minimality check
+_OPT_TOL = 1e-8
+_N_PROBES = 100
+_PROBE_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -144,8 +151,8 @@ class SelectionResult:
     """Outcome of the dual maximization.
 
     ``iterations`` records every multiplier visited, in order, as
-    (lam, D, D') triples: the first at ``lambda_init`` (0 for gradient
-    ascent), then every step, fallbacks included, the last at
+    (lam, D, D') triples: the first at lam = 1 (0 for gradient ascent),
+    then every step, fallbacks included, the last at
     ``lambda_star``. At rtol = 1e-8 Newton makes about 7 evaluations and
     bisection about 30. ``alpha`` is defined as ``1.0 / lambda_star``.
     ``diagnosis`` is the regime diagnosis the selection ran under; None
@@ -258,7 +265,6 @@ def maximize_dual(
     method="newton",
     rtol=1e-8,
     max_iter=None,
-    lambda_init=1.0,
     step_rule="inv_n",
     step_constant=2.0,
     override_regime=False,
@@ -276,7 +282,7 @@ def maximize_dual(
     Parameters
     ----------
     method : {"newton", "bisection", "gradient_ascent"}
-        Newton and bisection start at ``lambda_init`` and keep a bracket
+        Newton and bisection start at lam = 1 and keep a bracket
         (lo, hi), first (0, inf), that each evaluation tightens by the
         sign of D'; both are globally convergent since D' is
         nonincreasing. Newton steps on psi(lam) = 1/||A f_lam - g|| - 1/tau
@@ -343,8 +349,6 @@ def maximize_dual(
             raise ValueError(f"unknown step_rule {step_rule!r}")
         if not step_constant > 0:
             raise ValueError(f"step_constant must be positive, got {step_constant}")
-    elif not 0 < lambda_init <= LAMBDA_MAX:
-        raise ValueError(f"lambda_init must be in (0, {LAMBDA_MAX:g}]")
 
     diag = diagnose_regime(lag)
     if diag.regime != "interior":
@@ -392,7 +396,7 @@ def maximize_dual(
             "lam > 0 reaches the tolerance (data dominated by noise)", trace=trace,
         )
     lo, hi = 0.0, math.inf
-    lam = lambda_init
+    lam = _LAMBDA_INIT
     for _ in range(max_iter + 1):
         e = evaluate(lam)
         if abs(e.d_prime) <= d_tol:
@@ -509,18 +513,19 @@ def sweep_dual(lag: Lagrangian, lambdas):
     Inner failures at single points are recorded on the returned
     evaluations (``error`` set, values NaN) and the sweep continues.
     The grid runs on the problem's engine (``Lagrangian.engine``), built
-    once, in blocks of one ``solve`` each. A block holds as many
-    multipliers as keep each of its m-by-n arrays (F, A F - g and
-    A^T (A F - g), n the larger dimension of A) within ``_BLOCK_FLOATS``
-    entries, whichever the engine. In the Golub-Kahan basis each point
+    once, failure included, in blocks of one ``solve`` each. A block
+    holds as many multipliers as keep each of its m-by-n arrays (F,
+    A F - g and A^T (A F - g), n the larger dimension of A) within
+    ``_BLOCK_FLOATS`` entries, whichever the engine. In the Golub-Kahan basis each point
     keeps its own search, and the block shares the products of its tail;
     on the spectral factors the whole block is three matrix-matrix
     products for a dense A. Every point is the same ``DualEvaluation``
     that ``eval_dual`` returns, up to the rounding of the block products.
-    A ``ConvergenceFailure`` fails its own point only: its block is
-    solved again point by point by ``eval_dual``. An engine that cannot be
-    built fails every point with its ``AssumptionViolation``, and
-    multipliers above LAMBDA_MAX fail one by one with
+    A block that raises a point's error is solved again point by point by
+    ``eval_dual``, so a ``ConvergenceFailure`` fails its own point only,
+    and an engine that cannot be built fails every point with the
+    ``AssumptionViolation`` its one build raised. Multipliers above
+    LAMBDA_MAX are left out of the blocks and fail one by one with
     ``solve_lagrange``'s message.
     """
     lambdas = np.asarray(lambdas, dtype=np.float64)
@@ -535,17 +540,11 @@ def sweep_dual(lag: Lagrangian, lambdas):
     blocked = int(np.searchsorted(lambdas, LAMBDA_MAX, side="right"))
     rows = max(1, _BLOCK_FLOATS // max(lag.op.dims.dim_f, lag.op.dims.dim_g))
     out = []
-    if blocked:
-        try:
-            engine = lag.engine()
-        except _POINT_ERRORS as exc:
-            # tried once: every point the engine would take records why
-            out = [_failed_point(lam, exc) for lam in lambdas[:blocked]]
-    for start in range(len(out), blocked, rows):
+    for start in range(0, blocked, rows):
         lams = lambdas[start:blocked][:rows]
         try:
-            out.extend(_evaluation(lag, sol) for sol in engine.solve(lag, lams))
-        except ConvergenceFailure:
+            out.extend(_evaluation(lag, sol) for sol in lag.engine().solve(lag, lams))
+        except _POINT_ERRORS:
             # a point that fails fails alone: the block again, point by point
             out.extend(_point(lag, lam) for lam in lams)
     out.extend(_point(lag, lam) for lam in lambdas[blocked:])
@@ -594,26 +593,21 @@ def concavity_defects(lambdas, d_values):
     return chord - d2
 
 
-def verify_morozov_solution(
-    res: SelectionResult, lag: Lagrangian, rtol=1e-8, opt_tol=1e-8, n_probes=100, seed=0
-):
+def verify_morozov_solution(res: SelectionResult, lag: Lagrangian, rtol=1e-8):
     """Re-check a converged selection independently of how it was found.
 
     Checks, in order: (a) the discrepancy equation
     |  ||A f - g||^2 - epsilon | <= rtol * epsilon; (b) the stationarity
     residual ||grad J(f) + 2 lam (A^T A f - A^T g)|| against
-    opt_tol * (1 + ||2 lam A^T g||); (c) minimality of the Lagrangian at
-    f against ``n_probes`` random perturbations.
+    1e-8 (1 + ||2 lam A^T g||); (c) minimality of the Lagrangian at f
+    against 100 random perturbations, the same ones on every call.
 
     Returns a report listing each check; nothing is raised on failure.
-    ``ValueError`` for a tolerance that is not positive and finite, or an
-    ``n_probes`` that is not a nonnegative integer, before any work.
+    ``ValueError`` for an ``rtol`` that is not positive and finite, before
+    any work.
     """
-    for name, tol in (("rtol", rtol), ("opt_tol", opt_tol)):
-        if not 0 < tol < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {tol}")
-    if not (isinstance(n_probes, (int, np.integer)) and n_probes >= 0):
-        raise ValueError(f"n_probes must be a nonnegative integer, got {n_probes!r}")
+    if not 0 < rtol < math.inf:
+        raise ValueError(f"rtol must be positive and finite, got {rtol}")
     if not res.converged:
         raise ValueError("verification needs a converged SelectionResult")
     f = np.asarray(res.f_star, dtype=np.float64)
@@ -635,7 +629,7 @@ def verify_morozov_solution(
     atg = A.apply_adjoint(g)
     grad = lag.regularizer.gradient(f) + 2.0 * lam * (A.apply_adjoint(A.apply(f)) - atg)
     opt_res = float(np.linalg.norm(grad))
-    opt_bound = opt_tol * (1.0 + float(np.linalg.norm(2.0 * lam * atg)))
+    opt_bound = _OPT_TOL * (1.0 + float(np.linalg.norm(2.0 * lam * atg)))
     checks.append(
         {
             "name": "optimality",
@@ -645,13 +639,13 @@ def verify_morozov_solution(
         }
     )
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_PROBE_SEED)
     base = lagrangian_value(lag, f, lam)
     scale = 0.1 * (1.0 + float(np.linalg.norm(f)))
     slack = 1e-9 * (1.0 + abs(base))
     worst = 0.0
     ok = True
-    for _ in range(n_probes):
+    for _ in range(_N_PROBES):
         delta = rng.standard_normal(f.shape[0])
         delta *= scale / np.linalg.norm(delta)
         gap = base - lagrangian_value(lag, f + delta, lam)

@@ -56,9 +56,11 @@ evaluation of a selection, applies A through its operator pair.
 
 ``Lagrangian`` picks each engine once, by the penalty's kind alone:
 ``engine``, which ``solve_lagrange`` and every sweep run on, and
-``certificate``. An engine's ``solve`` takes the ``Lagrangian`` it was
-built from: holding it would make a reference cycle, which frees the
-factors only when the cyclic garbage collector runs.
+``certificate``. It keeps what each build returned, or the
+``AssumptionViolation`` it raised, so no build runs twice. An engine's
+``solve`` takes the ``Lagrangian`` it was built from: holding it would
+make a reference cycle, which frees the factors only when the cyclic
+garbage collector runs.
 
 Every solve also returns the slope d||A f - g||^2 / dlam, the dual's
 D''(lam), which the Newton search over lam uses. With r = A f - g and
@@ -466,6 +468,12 @@ class Lagrangian:
     stale. A NaN or an infinity in ``data`` or a dense ``op``, on which a
     Krylov solve never returns, raises ``ValueError`` naming the first
     such entry; a matrix-free ``op`` cannot be checked up front.
+
+    The engines are built lazily, each at most once, under one lock:
+    ``engine`` and ``certificate`` keep what each build returned, or the
+    message of the ``AssumptionViolation`` it raised, by one rule for
+    every penalty, so a problem that fails the strict-convexity check is
+    checked once and raises the same message on every later call.
     """
 
     def __init__(self, op: LinearOperator, data, regularizer: Regularizer, epsilon):
@@ -489,45 +497,46 @@ class Lagrangian:
         self.data = data
         self.regularizer = regularizer
         self.epsilon = float(epsilon)
-        self._spectral = None
-        self._form = None
-        self._violation = None  # why first differences have no standard form
+        self._built = {}  # each lazy build: what it returned, or the message it raised
         self._lock = threading.Lock()
+
+    def _once(self, name, build):
+        """What ``build()`` returned, or the message of the
+        ``AssumptionViolation`` it raised, kept under ``name``: built once
+        under the one lock, whichever thread asks first."""
+        with self._lock:
+            if name not in self._built:
+                try:
+                    self._built[name] = build()
+                except AssumptionViolation as exc:
+                    self._built[name] = str(exc)
+            return self._built[name]
+
+    def engine(self):
+        """The problem's inner solver, built once: ``StandardForm`` for a
+        built-in penalty, ``SpectralFactors`` for a custom one. It is the
+        problem's one strict-convexity check: a build that raised
+        ``AssumptionViolation`` is kept, not tried again, and each call
+        raises a fresh one with its message."""
+        if self.regularizer.kind == "custom":
+            built = self._once("engine", lambda: SpectralFactors.build(self.op, self.regularizer.seminorm_operator, self.data))
+        else:
+            built = self._once("engine", lambda: StandardForm.build(self.op, self.data, self.regularizer.kind))
+        if isinstance(built, str):
+            raise AssumptionViolation(built)
+        return built
 
     def certificate(self):
         """The ``StandardForm`` and basis of the regime verdict, built once:
-        Elden's form for first differences whose constants A sees, and
-        (A, g) itself otherwise. It is the engine of a built-in penalty.
-        First differences whose constants A annihilates have no standard
-        form, and there A(ker L) = {0}, so gbar = g."""
-        with self._lock:
-            if self._form is None:
-                try:
-                    self._form = StandardForm.build(self.op, self.data, self.regularizer.kind)
-                except AssumptionViolation as exc:
-                    self._violation = str(exc)
-                    self._form = StandardForm.build(self.op, self.data, "identity")
-            return self._form
-
-    def engine(self):
-        """The problem's inner solver, built once: the ``certificate`` for a
-        built-in penalty, ``SpectralFactors`` for a custom one. It is the
-        problem's one strict-convexity check: each call raises
-        ``AssumptionViolation`` if the penalty is not strictly convex along
-        ker(A)."""
-        if self.regularizer.kind == "custom":
-            # nothing is kept when the build raises, so each call raises again
-            with self._lock:
-                if self._spectral is None:
-                    self._spectral = SpectralFactors.build(
-                        self.op, self.regularizer.seminorm_operator, self.data
-                    )
-                return self._spectral
-        form = self.certificate()
-        if self._violation is not None:
-            raise AssumptionViolation(self._violation)
-        return form
-
+        the engine of a built-in penalty when that builds, and the form
+        (A, g) otherwise, for a custom penalty and for first differences
+        whose constants A annihilates. There A(ker L) = {0}, so gbar = g."""
+        if self.regularizer.kind != "custom":
+            try:
+                return self.engine()
+            except AssumptionViolation:
+                pass
+        return self._once("certificate", lambda: StandardForm.build(self.op, self.data, "identity"))
 
     @property
     def tau(self):

@@ -29,10 +29,11 @@ Dense matrices can be read from and written to a binary format
 row count as little-endian u32, the column count as little-endian u32,
 and 4 reserved zero bytes, followed by the entries as little-endian
 float64 in column-major order. The loader rejects a file whose reserved
-bytes are not zero, or whose payload is shorter or longer than the header
-says.
+bytes are not zero, or whose size disagrees with the header, before it
+reads the payload.
 """
 
+import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -264,12 +265,16 @@ def load_matrix_mdop(path):
         if header[12:] != b"\x00" * 4:
             raise ValueError(f"{path}: nonzero reserved MDOP header bytes")
         rows, cols = struct.unpack("<II", header[4:12])
+        # the size is checked before the read: a header of up to
+        # (2^32 - 1)^2 entries would otherwise ask read for up to 2^67 bytes
+        size = os.fstat(fh.fileno()).st_size
+        expected = MDOP_HEADER_SIZE + 8 * rows * cols
+        if size != expected:
+            raise ValueError(
+                f"{path}: truncated MDOP payload" if size < expected
+                else f"{path}: MDOP payload longer than {rows}x{cols} entries"
+            )
         data = np.frombuffer(fh.read(rows * cols * 8), dtype="<f8")
-        trailing = fh.read(1)
-    if data.size != rows * cols:
-        raise ValueError(f"{path}: truncated MDOP payload")
-    if trailing:
-        raise ValueError(f"{path}: MDOP payload longer than {rows}x{cols} entries")
     return data.reshape((rows, cols), order="F").copy()
 
 

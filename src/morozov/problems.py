@@ -248,8 +248,8 @@ def load_problem(directory):
     A = linops.from_matrix(linops.load_matrix_mdop(directory / "A.bin"))
     f0 = linops.load_vector_csv(directory / "f0.csv")
     g = linops.load_vector_csv(directory / "g.csv")
-    with open(directory / "meta.json") as fh:
-        meta = json.load(fh)
+    meta_path = directory / "meta.json"
+    meta = load_json_object(meta_path)
     kind = meta.get("regularizer", "identity")
     if kind == "identity":
         reg = identity_regularizer(A.dims.dim_f)
@@ -262,18 +262,45 @@ def load_problem(directory):
     else:
         raise ValueError(f"unknown regularizer kind {kind!r} in meta.json")
     g0 = A.apply(f0)
-    delta = meta.get("delta_g_norm")
-    if delta is None:
+    if meta.get("delta_g_norm") is None:
         delta = float(np.linalg.norm(g - g0))
+    else:
+        delta = json_field(meta, "delta_g_norm", float, meta_path)
     return InverseProblem(
         op=A,
         g=g,
         g0=g0,
         f0=f0,
-        delta_g_norm=float(delta),
-        tau=float(meta["tau"]),
-        noise_level=float(meta.get("noise_level", 0.0)),
+        delta_g_norm=delta,
+        tau=json_field(meta, "tau", float, meta_path),
+        noise_level=json_field(meta, "noise_level", float, meta_path, default=0.0),
         regularizer=reg,
         seed=meta.get("seed"),
         regime=meta.get("regime"),
     )
+
+
+def load_json_object(path):
+    """The JSON object in the file ``path``; ``ValueError`` for any other
+    JSON value."""
+    with open(path) as fh:
+        record = json.load(fh)
+    if not isinstance(record, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(record).__name__}")
+    return record
+
+
+_JSON_KINDS = {float: "a number", str: "a string", bool: "true or false", list: "a list"}
+
+
+def json_field(record, key, kind, source, default=None):
+    """``record[key]``, or ``default`` when given and the key is absent,
+    checked to be of ``kind``: float (any JSON number, returned as a
+    float; true and false are not numbers), str, bool or list.
+    ``ValueError`` naming ``source`` and the key for a value of another
+    type, ``KeyError`` for a missing key without a default."""
+    value = record[key] if default is None else record.get(key, default)
+    number = kind is float and isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number or (kind is not float and isinstance(value, kind))):
+        raise ValueError(f"{source}: {key} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return float(value) if number else value

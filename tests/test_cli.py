@@ -17,7 +17,11 @@ from morozov.problems import (
     save_problem,
     synthesize,
 )
-from morozov.regularizers import identity_regularizer
+from morozov.regularizers import (
+    custom_regularizer,
+    first_difference_regularizer,
+    identity_regularizer,
+)
 
 
 @pytest.fixture(scope="module")
@@ -263,6 +267,75 @@ class TestNonFiniteData:
         assert not (tmp_path / "r.json").exists()
 
 
+class TestMalformedFiles:
+    """A malformed fixture or result file is invalid input: exit 1 with one
+    "error:" line, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "command, file, change",
+        [
+            ("diagnose", "meta.json", {"tau": None}),
+            ("diagnose", "meta.json", [1, 2]),
+            ("verify", "result.json", {"lambda_star": "x"}),
+            ("verify", "result.json", {"iterations": 5}),
+            ("verify", "result.json", {"f_star_path": None}),
+            ("verify", "result.json", {"tau_eff": None}),
+        ],
+        ids=["null_tau", "list_meta", "string_lambda_star", "number_iterations", "null_f_star_path", "null_tau_eff"],
+    )
+    def test_bad_json_field_exits_1(self, fixture_dirs, tmp_path, capsys, command, file, change):
+        d = tmp_path / "fx"
+        shutil.copytree(fixture_dirs["interior"], d)
+        result = d / "result.json"
+        assert run(["solve", "--problem", d, "--out", result]) == 0
+        path = d / file
+        payload = json.loads(path.read_text())
+        path.write_text(json.dumps({**payload, **change} if isinstance(change, dict) else change))
+        capsys.readouterr()
+        args = ["--problem", d] + (["--result", result] if command == "verify" else [])
+        assert run([command, *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+
+    def test_mdop_header_larger_than_the_file_exits_1(self, fixture_dirs, tmp_path, capsys):
+        d = tmp_path / "fx"
+        shutil.copytree(fixture_dirs["interior"], d)
+        (d / "A.bin").write_bytes(b"MDOP" + b"\xff" * 8 + b"\x00" * 4 + b"\x00" * 64)
+        assert run(["diagnose", "--problem", d]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "truncated MDOP payload" in err and err.count("\n") == 1, err
+
+
+class TestCustomPenaltyFixture:
+    def test_solve_verify_sweep(self, tmp_path, capsys):
+        # L.bin holds the first-difference matrix as a custom penalty: the
+        # selection matches the built-in first differences on the same data
+        n = 128
+        f0 = np.sin(np.linspace(0, np.pi, n))
+        custom = custom_regularizer(linops.from_matrix(np.diff(np.eye(n), axis=0)))
+        stars = {}
+        for name, J in (("custom", custom), ("builtin", first_difference_regularizer(n))):
+            fx = tmp_path / name
+            save_problem(synthesize(make_deconvolution(n, 2.0), f0, 0.02, seed=1, regularizer=J), fx)
+            out = tmp_path / f"{name}.json"
+            assert run(["solve", "--problem", fx, "--out", out]) == 0
+            stars[name] = json.loads(out.read_text())["lambda_star"]
+        assert (tmp_path / "custom" / "L.bin").exists()
+        assert stars["custom"] == pytest.approx(stars["builtin"], rel=1e-6)
+        assert stars["custom"] == pytest.approx(0.32760401383, rel=1e-6)
+        fx = tmp_path / "custom"
+        assert run(["verify", "--problem", fx, "--result", tmp_path / "custom.json"]) == 0
+        sweep = tmp_path / "sweep.csv"
+        assert run(["sweep", "--problem", fx, "--lambda-min", 1e-2, "--lambda-max", 1e2,
+                    "--points", 20, "--out", sweep]) == 0
+        data = np.loadtxt(sweep, delimiter=",", skiprows=1)
+        assert data.shape == (20, 5) and np.isfinite(data).all()
+        # D' changes sign once, around the selected multiplier
+        cross = np.flatnonzero((data[:-1, 2] > 0) & (data[1:, 2] <= 0))
+        assert len(cross) == 1
+        assert data[cross[0], 0] <= stars["custom"] <= data[cross[0] + 1, 0]
+
+
 class TestVerdictAgreement:
     @pytest.mark.parametrize("seed", [0, 7])
     def test_diagnose_reports_the_regime_solve_runs_under(self, seed, tmp_path, capsys, monkeypatch):
@@ -351,6 +424,26 @@ class TestSweep:
         rows = json.loads(out.read_text())
         assert len(rows) == 5
         assert set(rows[0]) == {"lambda", "D", "Dprime", "discrepancy_sq", "j_value"}
+
+    def test_json_is_strict_with_failed_points(self, fixture_dirs, tmp_path, capsys):
+        # the multiplier above LAMBDA_MAX = 1e12 fails: its values are null,
+        # which a strict parser reads, not the bare NaN token
+        out = tmp_path / "sweep.json"
+        rc = run([
+            "sweep", "--problem", fixture_dirs["interior"],
+            "--lambda-min", 1e10, "--lambda-max", 1e14, "--points", 3,
+            "--out", out, "--format", "json",
+        ])
+        assert rc == 0
+        assert "(1 failed)" in capsys.readouterr().out
+
+        def refuse(token):
+            raise ValueError(f"non-strict JSON token {token}")
+
+        rows = json.loads(out.read_text(), parse_constant=refuse)
+        assert [r["lambda"] for r in rows] == pytest.approx([1e10, 1e12, 1e14])
+        assert all(isinstance(v, float) for row in rows[:2] for v in row.values())
+        assert [rows[2][k] for k in ("D", "Dprime", "discrepancy_sq", "j_value")] == [None] * 4
 
     def test_bad_grid_exits_1(self, fixture_dirs, tmp_path):
         # a descending grid, and an infinite end, whose grid repeats inf

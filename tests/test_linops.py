@@ -311,6 +311,15 @@ class TestMatrixFiles:
             linops.load_matrix_mdop(path)
         assert str(path) in str(err.value)
 
+    def test_mdop_rejects_a_header_larger_than_the_file(self, tmp_path):
+        # refused from the file's size, before a read of (2^32 - 1)^2 * 8
+        # bytes, which raised OverflowError
+        path = tmp_path / "m.bin"
+        path.write_bytes(b"MDOP" + struct.pack("<II", 0xFFFFFFFF, 0xFFFFFFFF) + b"\x00" * 4 + b"\x00" * 64)
+        with pytest.raises(ValueError, match="truncated") as err:
+            linops.load_matrix_mdop(path)
+        assert str(path) in str(err.value)
+
     def test_mdop_rejects_nonzero_reserved_bytes(self, tmp_path, rng):
         path = tmp_path / "m.bin"
         linops.save_matrix_mdop(rng.standard_normal((2, 2)), path)
