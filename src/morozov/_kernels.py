@@ -1,25 +1,20 @@
 """Golub-Kahan bidiagonalization, the package's one Krylov kernel.
 
-``GolubKahan`` is started from the data and serves two layers from one
-basis: the projected Tikhonov solve of ``lagrange.solve_lagrange``
-(Chung, Nagy & O'Leary, ETNA 2008) with its error estimates, and LSQR
-(Paige & Saunders, ACM TOMS 1982), whose residual certifies the interior
-regime, or gives the distance from the data to the range, in
-``diagnose_regime``. The problems of the identity and first-difference
-penalties, dense or matrix-free, run on it in the standard form of
-``lagrange.StandardForm``.
+``GolubKahan`` is started from the data and holds one projected problem:
+Tikhonov's (Chung, Nagy & O'Leary, ETNA 2008), with its error estimates.
+It serves ``lagrange.solve_lagrange`` and the regime verdict of
+``dual.diagnose_regime``, whose certificate is the projected solution at
+the largest multiplier the search accepts (``StandardForm.certify``). The
+problems of the identity and first-difference penalties, dense or
+matrix-free, run on it in the standard form of ``lagrange.StandardForm``.
 """
 
 import math
 
 import numpy as np
-import scipy.linalg
 import scipy.linalg.lapack
 
 __all__ = ["GolubKahan"]
-
-# LSQR has converged when ||A^T r|| <= LSQR_TOL ||A|| ||r||
-LSQR_TOL = 1e-10
 
 _EPS = np.finfo(np.float64).eps
 
@@ -101,13 +96,12 @@ class GolubKahan:
     once k + 1 = dim_g. A step costs its two operator applications plus
     O(k dim_f) for V.
 
-    ``g`` is the start vector, and ``distance`` measures it against the
-    range of A by LSQR in this basis, on the maps the basis was built from.
-    ``step`` adds one column at one forward and one adjoint application.
-    The basis is exhausted when the Krylov space K(A^T A, A^T g) is
-    invariant (a new alpha or beta vanishes to rounding) or a basis
-    spans its whole space; every projected solution is then exact. Not
-    thread-safe: callers that share a basis serialize on their own lock.
+    ``g`` is the start vector. ``step`` adds one column at one forward and
+    one adjoint application. The basis is exhausted when the Krylov space
+    K(A^T A, A^T g) is invariant (a new alpha or beta vanishes to
+    rounding) or a basis spans its whole space; every projected solution
+    is then exact. Not thread-safe: callers that share a basis serialize
+    on their own lock.
     """
 
     def __init__(self, forward, adjoint, g, dim_f):
@@ -126,18 +120,11 @@ class GolubKahan:
         self.beta = [beta1]
         # a lower bound on ||A||: the largest alpha or beta so far
         self.norm_estimate = 0.0
-        # LSQR's QR factorization of B_k, one Givens rotation a step: R_k has
-        # rho on its diagonal and theta above it, R_k y = phi, and |phibar|
-        # is the residual norm ||B_k y - beta_1 e_1||
-        self._rho, self._theta, self._phi = [], [], []
-        self._phibar = beta1
-        self._c = 1.0
         if beta1 == 0.0:
             self.alpha.append(0.0)
         else:
             self._u = g / beta1
             self._append_v(self._adjoint(self._u))
-        self._rhobar = self.alpha[0]
 
     @property
     def exhausted(self):
@@ -178,17 +165,6 @@ class GolubKahan:
         else:
             # A V_k lies in span(U_k): the Krylov space is invariant
             self.alpha.append(0.0)
-        self._rotate(self.alpha[k + 1], b)
-
-    def _rotate(self, alpha_next, beta_next):
-        rho = math.hypot(self._rhobar, beta_next)
-        c, s = self._rhobar / rho, beta_next / rho
-        self._rho.append(rho)
-        self._theta.append(s * alpha_next)
-        self._phi.append(c * self._phibar)
-        self._rhobar = -c * alpha_next
-        self._phibar = s * self._phibar
-        self._c = c
 
     # -- projected problems --------------------------------------------------
 
@@ -286,6 +262,19 @@ class GolubKahan:
         rel[1:] = self._factors(lam, k)[2][:k]
         return rel
 
+    def tikhonov_bound(self, lam, z):
+        """||B_k z - beta_1 e_1||^2 + ||z||^2 / lam for z on the first
+        k = len(z) columns: the projected Tikhonov objective, which is
+        ||A V_k z - g||^2 + ||V_k z||^2 / lam while U_{k+1} is orthonormal,
+        in O(k) and without an application.
+        """
+        k = z.shape[0]
+        r = np.zeros(k + 1)
+        r[0] = -self.beta[0]
+        r[:k] += np.multiply(self.alpha[:k], z)
+        r[1:] += np.multiply(self.beta[1 : k + 1], z)
+        return float(r @ r + z @ z / lam)
+
     def discrepancy_error(self, lam, z, w):
         """Estimated error of ||A f_j - g||^2 for the projected solution
         f_j = V_j z of ``tikhonov(lam, j)``, taking V_k's (k > j) for the
@@ -317,60 +306,3 @@ class GolubKahan:
         T_k dz/dlam = z / lam, so the slope is -2 z^T T_k^{-1} z / lam^2.
         """
         return -2.0 * float((z / lam) @ (w / lam))
-
-    def lsqr(self):
-        """LSQR at the current k.
-
-        Returns the coordinates y of the minimizer of ||A V_k y - g|| over
-        y, its residual norm ||r||, and ||A^T r|| / (||A|| ||r||), the
-        normal-residual ratio of Paige & Saunders's stopping rule, with
-        ``norm_estimate`` for ||A||. The last two
-        come from the recurrences, without an operator application.
-        """
-        k = self.k
-        if k == 0:
-            return np.zeros(0), self.beta[0], 0.0 if self.exhausted else 1.0
-        bands = np.zeros((2, k))
-        bands[0, 1:] = self._theta[: k - 1]
-        bands[1] = self._rho
-        y = scipy.linalg.solve_banded((0, 1), bands, np.asarray(self._phi), check_finite=False)
-        # ||r|| = |phibar| and ||A^T r|| = |phibar alpha_{k+1} c_k|
-        return y, abs(self._phibar), abs(self.alpha[k] * self._c) / self.norm_estimate
-
-    def distance(self, target=0.0):
-        """LSQR from this basis: an upper bound on dist(g, range A) that
-        tightens as the basis grows.
-
-        The basis grows until the true residual r = A x - g of the LSQR
-        iterate x drops below ``target`` in norm, or LSQR has converged:
-        ||A^T r|| <= LSQR_TOL ||A|| ||r|| (Paige & Saunders's rule for
-        inconsistent systems), or ||r|| <= max(dim_f, dim_g) eps ||g||, the
-        rounding level of the data (their rule for consistent systems, at
-        float64's tolerance), or the basis is exhausted, where x is the
-        least-squares solution. A consistent system would otherwise run on
-        rounding noise to exhaustion, and by then the u side, which is not
-        reorthogonalized, has lost its orthogonality, so the projected
-        problem is no longer the full one.
-        Exhaustion comes by min(dim_f, dim_g) steps, so the loop is
-        bounded. The recurrences say when to look; each look forms x and
-        costs one forward application, plus one adjoint when ||r|| is below
-        neither ``target`` nor the rounding level and the basis is not
-        exhausted. No rank cutoff is applied; the range is closed in
-        finite dimensions, so the minimum is attained.
-
-        Returns
-        -------
-        (residual_norm, converged)
-            ``converged`` is false exactly when LSQR stopped below ``target``.
-        """
-        floor = max(self.g.shape[0], self._V.width) * _EPS * self.beta[0]
-        while True:
-            y, res, ratio = self.lsqr()
-            if res < target or ratio <= LSQR_TOL or res <= floor or self.exhausted:
-                r = self._forward(self.expand(y)) - self.g
-                dist = float(np.linalg.norm(r))
-                if dist < target:
-                    return dist, False
-                if self.exhausted or dist <= floor or np.linalg.norm(self._adjoint(r)) <= LSQR_TOL * self.norm_estimate * dist:
-                    return dist, True
-            self.step()

@@ -157,10 +157,10 @@ def _cmd_diagnose(args):
         "safety_factor": args.safety_factor,
         "regime": diagnosis.regime,
         # relative slack of each inequality in dist < tau_eff < data_norm;
-        # negative where it fails, and a lower bound when dist is a bound
+        # negative where it fails. dist is the residual the verdict read,
+        # an upper bound on the distance, so margin_dist is a lower bound
         "margin_dist": (tau_eff - diagnosis.dist_to_range) / tau_eff,
         "margin_norm": (diagnosis.data_norm - tau_eff) / tau_eff,
-        "dist_is_bound": diagnosis.dist_is_bound,
     }
     print(json.dumps(payload, indent=2))
     if args.out:

@@ -12,9 +12,8 @@ and for quadratic penalties it is differentiable with
 
 As lam drops to 0, f_lam tends to the penalty's kernel, so the right
 derivative is D'(0) = ||gbar||^2 - epsilon, where gbar is g less its
-best fit from A(ker L): the data of the problem's standard form, its
-regime certificate (``Lagrangian.certificate``). For the identity penalty
-gbar = g; a custom penalty's form is (A, g) itself, exact when L is
+best fit from A(ker L): the data of the problem's standard form. For the
+identity penalty gbar = g; a custom penalty reads ||g||, exact when L is
 injective.
 
 Maximizing D produces the multiplier at which the discrepancy equation
@@ -23,10 +22,14 @@ selected by the discrepancy principle. A maximizer exists exactly when
 
     dist(g, range(A)) < tau < ||gbar||        (tau = sqrt(epsilon)),
 
-and ``diagnose_regime`` classifies problems accordingly: "interior" when
-the inequality chain holds, "noise_dominates" when tau >= ||gbar|| (D is
-nonincreasing, dual maximum at 0), "too_optimistic" when
-tau <= dist(g, range(A)) (D increases forever and no maximum is attained).
+but the search only visits multipliers up to its conditioning guard
+``LAMBDA_MAX``, so the window it can honour is D'(0+) > 0 > D'(LAMBDA_MAX),
+that is ||A f_LAMBDA_MAX - g|| < tau < ||gbar||. ``diagnose_regime``
+classifies problems by that window: "interior" when both hold,
+"noise_dominates" when tau >= ||gbar|| (D is nonincreasing, dual maximum
+at 0), "too_optimistic" when D' >= 0 up to LAMBDA_MAX, which
+tau <= dist(g, range(A)) implies (D increases forever, or up to beyond
+LAMBDA_MAX, and no maximum is reached).
 
 D' is nonincreasing and every inner solve also returns D''(lam), the
 slope d||A f_lam - g||^2 / dlam, at O(k) or O(n) cost. The default
@@ -46,21 +49,22 @@ Plain gradient ascent, lam <- lam + rho_n D'(lam) started from 0, is
 the paper's iteration and stays available.
 
 The regime verdict has one algorithm and one code path for every
-caller: LSQR (``GolubKahan.distance``) in the Golub-Kahan basis of the
-problem's certificate (``Lagrangian.certificate``), that of the standard
-form (Abar, gbar) for a built-in penalty and of (A, g) itself for a
-custom one or for first differences whose constants A annihilates,
-whether A is dense or matrix-free. The basis grows until the true
-residual of the LSQR iterate, an upper bound on dist(g, range(A)), drops
-below tau, which certifies the interior regime, or until LSQR converges,
-when that residual is the distance itself. No least-squares factorization and no
-rank cutoff is used.
+caller: it asks the engine of the problem's certificate
+(``Lagrangian.certificate``), the problem itself or, when its engine
+cannot be built, its identity twin on (A, g), for the sign of
+D'(LAMBDA_MAX). In the Golub-Kahan basis of a built-in penalty the
+projected solution at LAMBDA_MAX proves D'(LAMBDA_MAX) < 0 as soon as its
+residual plus its penalty over LAMBDA_MAX drops below epsilon
+(``StandardForm.certify``); otherwise, and for a custom penalty, the
+engine's own solve at LAMBDA_MAX decides. Its only thresholds are
+LAMBDA_MAX and ``KRYLOV_TOL``, which the search obeys too: no
+least-squares solve and no rank cutoff is used.
 
 This module only searches: the problem's engine (``Lagrangian.engine``),
-which ``maximize_dual`` builds once behind the regime gate, serves every
-evaluation and is the strict-convexity check. With a built-in penalty
-every evaluation is a projected solve in the certificate's basis, which
-grows only when a multiplier needs more columns; with a custom one the
+which the regime verdict builds, serves every evaluation and is the
+strict-convexity check. With a built-in penalty every evaluation is a
+projected solve in the verdict's basis, which grows only when a
+multiplier needs more columns; with a custom one the
 problem is factored once (``SpectralFactors``, materializing a
 matrix-free A or L), and every evaluation after that costs a few O(n^2)
 products. ``sweep_dual`` runs on the same engine, in blocks of
@@ -75,7 +79,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BracketFailure, ConvergenceFailure, RegimeError
-from .lagrange import LAMBDA_MAX, Lagrangian, lagrangian_value, solve_lagrange
+from .lagrange import LAMBDA_MAX, Lagrangian, StandardForm, lagrangian_value, solve_lagrange
 from .linops import residual_norm_sq
 
 __all__ = [
@@ -132,17 +136,16 @@ class RegimeDiagnosis:
     norm of the data of the problem's standard form, g less its best fit
     from A(ker L), so that D'(0) = ||gbar||^2 - tau^2. It is ||g|| for the
     identity and custom penalties, and ``data_label`` names which.
-    ``dist_to_range`` is dist(g, range(A)), except when LSQR stopped on a
-    residual below tau (see ``diagnose_regime``): it then holds that
-    residual, an upper bound on the distance, and ``dist_is_bound`` is
-    true.
+    ``dist_to_range`` is the residual ||A x - g|| the verdict read (see
+    ``diagnose_regime``): ``data_norm`` itself, the residual of x = 0, when
+    the noise dominates, and otherwise that of a solution at or for
+    LAMBDA_MAX. It is an upper bound on dist(g, range(A)).
     """
 
     dist_to_range: float
     data_norm: float
     tau: float
     regime: str  # "interior" | "noise_dominates" | "too_optimistic"
-    dist_is_bound: bool = False
     data_label: str = "||g||"
 
 
@@ -185,9 +188,10 @@ def eval_dual(lag: Lagrangian, lam):
 
     At lam = 0 no inner solve is attempted: D(0) = 0 and the right
     derivative is ||gbar||^2 - epsilon, with ||gbar|| the ``data_norm`` of
-    the problem's certificate (``Lagrangian.certificate``), as
-    ``diagnose_regime`` reads it; no engine is built and no convexity is
-    decided there.
+    the engine of the problem's certificate (``Lagrangian.certificate``),
+    as ``diagnose_regime`` reads it. That builds the problem's engine,
+    or its identity twin's where it cannot be built, but raises no
+    ``AssumptionViolation``.
     For lam > 0 the inner problem is solved by ``solve_lagrange`` on the
     problem's ``Lagrangian.engine`` and
 
@@ -200,7 +204,7 @@ def eval_dual(lag: Lagrangian, lam):
     if not lam >= 0:  # NaN fails it too
         raise ValueError(f"lam must be nonnegative, got {lam}")
     if lam == 0:
-        return DualEvaluation(lam=0.0, d_value=0.0, d_prime=lag.certificate().data_norm**2 - lag.epsilon)
+        return DualEvaluation(lam=0.0, d_value=0.0, d_prime=lag.certificate().engine().data_norm**2 - lag.epsilon)
     return _evaluation(lag, solve_lagrange(lag, lam))
 
 
@@ -214,34 +218,42 @@ def _evaluation(lag, sol):
 
 
 def diagnose_regime(lag: Lagrangian):
-    """Classify where tau falls in dist(g, range(A)) < tau < ||gbar||.
+    """Classify where tau falls in the window the search can honour,
+    ||A f_LAMBDA_MAX - g|| < tau < ||gbar||: "interior" exactly when
+    tau < ||gbar|| and D'(LAMBDA_MAX) < 0 on the engine of the problem's
+    certificate (``Lagrangian.certificate``).
 
-    LSQR runs in the Golub-Kahan basis of (Abar, gbar) of the problem's
-    certificate (``Lagrangian.certificate``), which also serves the
-    solves of a built-in penalty. It stops when its residual, an upper
-    bound on dist(gbar, range Abar) = dist(g, range A), drops below tau
-    (``dist_is_bound`` is then true), or when LSQR converges and the
-    residual is the distance itself. ||gbar|| and its label are the
-    certificate's ``data_norm`` and ``data_label``.
+    ||gbar|| and its label are that engine's ``data_norm`` and
+    ``data_label``; tau >= ||gbar|| is "noise_dominates" before any
+    further work. Otherwise a built-in penalty's basis grows until its
+    projected solution x at LAMBDA_MAX proves D'(LAMBDA_MAX) < 0
+    (``StandardForm.certify``), and ``dist_to_range`` is its residual.
+    Where no such proof comes, and for a custom penalty, the engine's
+    own solve at LAMBDA_MAX (``solve_lagrange``) decides by the sign of
+    its D', and ``dist_to_range`` is its residual. Either residual is an
+    upper bound on dist(g, range(A)) and, in exact arithmetic, at most
+    ||gbar||, which f = 0 attains.
 
     Equalities are classified into the failing regime, since the
-    existence guarantee needs strict inequalities. When both boundary
-    cases coincide (tau = ||gbar|| = dist), noise_dominates wins.
+    existence guarantee needs strict inequalities: D'(LAMBDA_MAX) = 0 is
+    "too_optimistic". tau = ||gbar|| is "noise_dominates" whatever the
+    residual.
     """
     tau = lag.tau
     cert = lag.certificate()
-    dist, converged = cert.distance(tau)
-    data_norm = cert.data_norm
-    if tau >= data_norm:
-        regime = "noise_dominates"
-    elif tau <= dist:
-        regime = "too_optimistic"
-    else:
+    engine = cert.engine()
+    regime, dist = "noise_dominates", engine.data_norm
+    if tau < engine.data_norm:
         regime = "interior"
-    return RegimeDiagnosis(
-        dist_to_range=dist, data_norm=data_norm, tau=tau, regime=regime,
-        dist_is_bound=not converged, data_label=cert.data_label,
-    )
+        dist = engine.certify(lag.epsilon) if isinstance(engine, StandardForm) else None
+        if dist is None:
+            # certify has released the basis lock, which the solve takes
+            disc_sq = solve_lagrange(cert, LAMBDA_MAX).discrepancy_sq
+            dist = math.sqrt(disc_sq)
+            if not disc_sq < lag.epsilon:
+                regime = "too_optimistic"
+    return RegimeDiagnosis(dist_to_range=dist, data_norm=engine.data_norm, tau=tau,
+                           regime=regime, data_label=engine.data_label)
 
 
 def failed_inequality(diag: RegimeDiagnosis):
@@ -254,8 +266,9 @@ def failed_inequality(diag: RegimeDiagnosis):
         )
     if diag.regime == "too_optimistic":
         return (
-            f"tau <= dist(g, range(A)) (tau={diag.tau:g}, "
-            f"dist={diag.dist_to_range:g}): the noise estimate is too optimistic"
+            f"tau <= ||A f - g|| at lam = LAMBDA_MAX={LAMBDA_MAX:g} (tau={diag.tau:g}, residual="
+            f"{diag.dist_to_range:g}, an upper bound on dist(g, range(A))): D' >= 0 up to "
+            "LAMBDA_MAX, so the search reaches no maximizer: the noise estimate is too optimistic"
         )
     return None
 
@@ -275,9 +288,10 @@ def maximize_dual(
     the discrepancy equation ||A f - g||^2 = epsilon at relative
     tolerance rtol.
 
-    Before the search, ``diagnose_regime`` gives the regime verdict, by
-    LSQR in the problem's one Golub-Kahan basis whatever the penalty; no
-    least-squares factorization and no eigendecomposition runs for it.
+    Before the search, ``diagnose_regime`` gives the regime verdict on
+    the problem's own engine, which the search then reuses: in a
+    built-in penalty's Golub-Kahan basis, or on a custom penalty's
+    spectral factors, whose one eigendecomposition comes before it.
 
     Parameters
     ----------
@@ -301,10 +315,10 @@ def maximize_dual(
         At rtol >= 1 the test accepts every lam whose discrepancy is at
         most sqrt(1 + rtol) tau, however far below tau.
     max_iter : int or None
-        Evaluations after the first, at most. None picks a per-method
-        default: 200 for Newton and bisection, 10000 for gradient ascent
-        (the unaccelerated iteration needs far more steps for the same
-        tolerance).
+        Evaluations after the first, at most; a bool is refused. None
+        picks a per-method default: 200 for Newton and bisection, 10000
+        for gradient ascent (the unaccelerated iteration needs far more
+        steps for the same tolerance).
     step_rule : {"inv_n", "constant"}
         rho_n = step_constant / n, or rho_n = step_constant.
     override_regime : bool
@@ -316,11 +330,12 @@ def maximize_dual(
     ValueError
         For an option out of its range or NaN, before any work.
     RegimeError
-        If the problem is not in the interior regime (unless overridden).
-        This takes precedence over an ``AssumptionViolation``.
+        If the problem is not in the interior regime (unless overridden):
+        D'(LAMBDA_MAX) >= 0, or D'(0) <= 0, before any evaluation. This
+        takes precedence over an ``AssumptionViolation``.
     AssumptionViolation
-        If the penalty is not strictly convex along ker(A), by building
-        the problem's engine after the regime gate.
+        If the penalty is not strictly convex along ker(A): the problem's
+        engine, whose build failed, is asked for after the regime gate.
     BracketFailure
         For Newton and bisection, if D'(0) = ||gbar||^2 - epsilon is
         below -rtol * epsilon, before any evaluation (only with
@@ -342,7 +357,8 @@ def maximize_dual(
         raise ValueError(f"rtol must be in (0, 1), got {rtol}")
     if max_iter is None:
         max_iter = 10_000 if method == "gradient_ascent" else 200
-    if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 0):
+    # True is an int, and would run as max_iter=1
+    if isinstance(max_iter, bool) or not (isinstance(max_iter, (int, np.integer)) and max_iter >= 0):
         raise ValueError(f"max_iter must be a nonnegative integer, got {max_iter!r}")
     if method == "gradient_ascent":
         if step_rule not in ("inv_n", "constant"):
@@ -508,7 +524,8 @@ def _gradient_ascent(evaluate, finish, d_tol, max_iter, step_rule, step_constant
 
 
 def sweep_dual(lag: Lagrangian, lambdas):
-    """Evaluate the dual on an ascending positive grid.
+    """Evaluate the dual on an ascending positive 1-d grid ``lambdas``;
+    ``ValueError`` for any other, before any work.
 
     Inner failures at single points are recorded on the returned
     evaluations (``error`` set, values NaN) and the sweep continues.
@@ -529,8 +546,8 @@ def sweep_dual(lag: Lagrangian, lambdas):
     ``solve_lagrange``'s message.
     """
     lambdas = np.asarray(lambdas, dtype=np.float64)
-    if lambdas.size == 0:
-        raise ValueError("grid must be nonempty")
+    if lambdas.ndim != 1 or lambdas.size == 0:
+        raise ValueError(f"lambdas must be a nonempty 1-d grid, got shape {lambdas.shape}")
     # comparisons that NaN fails, and inf - inf is NaN
     if not np.all((lambdas > 0) & np.isfinite(lambdas)):
         raise ValueError("grid values must be positive and finite")

@@ -55,8 +55,10 @@ matrix-vector products per multiplier; a single multiplier, every
 evaluation of a selection, applies A through its operator pair.
 
 ``Lagrangian`` picks each engine once, by the penalty's kind alone:
-``engine``, which ``solve_lagrange`` and every sweep run on, and
-``certificate``. It keeps what each build returned, or the
+``engine``, which ``solve_lagrange``, every sweep and the regime verdict
+run on. ``certificate`` is the Lagrangian whose engine gives the verdict:
+the problem itself, or, when its engine cannot be built, its twin with
+the identity penalty on (A, g). It keeps what each build returned, or the
 ``AssumptionViolation`` it raised, so no build runs twice. An engine's
 ``solve`` takes the ``Lagrangian`` it was built from: holding it would
 make a reference cycle, which frees the factors only when the cyclic
@@ -80,7 +82,7 @@ import scipy.linalg
 from ._kernels import GolubKahan
 from .errors import AssumptionViolation, ConvergenceFailure, DimensionMismatch
 from .linops import LinearOperator, from_callables, residual_norm_sq
-from .regularizers import Regularizer
+from .regularizers import Regularizer, identity_regularizer
 
 __all__ = [
     "KRYLOV_TOL",
@@ -135,13 +137,17 @@ class SpectralFactors:
     normalized so that X^T (L^T L + A^T A) X = I; ``mu`` the eigenvalues,
     clipped to [0, 1]; ``nu`` the penalty's, X^T L^T L X = diag(nu), which
     is 1 - mu but for the columns near ker L, where ``build`` forms
-    ||L x_i||^2; ``c`` the data in these coordinates, X^T A^T g.
+    ||L x_i||^2; ``c`` the data in these coordinates, X^T A^T g; and
+    ``data_norm`` ||g||, the upper end of the regime window, exact only
+    when L is injective.
     """
 
     X: np.ndarray
     mu: np.ndarray
     nu: np.ndarray
     c: np.ndarray
+    data_norm: float
+    data_label = "||g||"
 
     @classmethod
     def build(cls, A: LinearOperator, L: LinearOperator, g):
@@ -192,7 +198,7 @@ class SpectralFactors:
         c = X.T @ atg
         for arr in (X, mu, nu, c):
             arr.setflags(write=False)
-        return cls(X=X, mu=mu, nu=nu, c=c)
+        return cls(X=X, mu=mu, nu=nu, c=c, data_norm=float(np.linalg.norm(g)))
 
     def solve(self, lag, lams):
         """The inner minimizers of ``lag``, the problem the factors were
@@ -244,7 +250,7 @@ class StandardForm:
     ||z||^2 + lam ||Abar z - gbar||^2, with the same data residual
     A f - g = Abar z - gbar. So dist(gbar, range Abar) = dist(g, range A),
     and one ``basis`` of (Abar, gbar), grown on demand under ``lock``,
-    serves the regime certificate and every solve.
+    serves the regime certificate (``certify``) and every solve.
 
     For the identity penalty Abar = A, gbar = g and f = z. For first
     differences (Elden's transformation, BIT 22, 1982) ker L is spanned by
@@ -254,9 +260,9 @@ class StandardForm:
         f = x + W (A W)^T (g - A x) / ||A W||^2,   x = L^+ z,
 
     where L^+ is a cumulative sum followed by subtracting the mean, O(n).
-    For a custom penalty the form is (A, g) itself; it serves only the
-    regime certificate, since dist(g, range A) does not involve L, and so
-    does that of first differences whose constants A annihilates.
+    The identity penalty's form (A, g) is also the engine of the identity
+    twin that judges the regime of a problem whose own engine cannot be
+    built (``Lagrangian.certificate``).
 
     ``rhs_norm`` is ||A^T g||, the scale of the full system's residual,
     which is L^T times the standard form's; ``lt_norm`` bounds ||L^T||.
@@ -346,10 +352,42 @@ class StandardForm:
         """How messages name ``data_norm``: ||gbar|| in Elden's form."""
         return "||g||" if self.aw_norm is None else "||gbar||"
 
-    def distance(self, target):
-        """``GolubKahan.distance``: dist(gbar, range Abar) = dist(g, range A)."""
+    @property
+    def _gain(self):
+        """The factor from the basis's relative residual estimate to the
+        full system's: L^T times the standard form's residual, over
+        ||A^T g|| in place of ||Abar^T gbar|| = alpha_1 beta_1."""
+        basis = self.basis
+        return self.lt_norm * basis.alpha[0] * basis.beta[0] / self.rhs_norm if self.rhs_norm else 0.0
+
+    def certify(self, epsilon):
+        """The data residual ||Abar x - gbar|| = ||A f - g|| of a projected
+        solution x that proves D'(LAMBDA_MAX) < 0 at this epsilon, or None
+        where the basis gives no such proof before the solve at LAMBDA_MAX
+        would stop growing it.
+
+        f_lam minimizes ||z||^2 / lam + ||Abar z - gbar||^2, so every x has
+        ||A f_lam - g||^2 <= ||Abar x - gbar||^2 + ||x||^2 / lam. Under
+        ``lock`` the basis grows one column at a time until, for
+        x = V_k z and z = ``GolubKahan.tikhonov(LAMBDA_MAX)``, the projected
+        bound (``GolubKahan.tikhonov_bound``) falls below epsilon; one
+        forward application then confirms the bound on x itself, and a
+        miss goes on growing. It returns None once the basis is exhausted
+        or its residual estimate at LAMBDA_MAX passes ``KRYLOV_TOL``: the
+        columns a solve there would take. No other threshold is read.
+        """
+        basis = self.basis
         with self.lock:
-            return self.basis.distance(target=target)
+            while True:
+                z = basis.tikhonov(LAMBDA_MAX)
+                if basis.tikhonov_bound(LAMBDA_MAX, z) < epsilon:
+                    x = basis.expand(z)
+                    r = self.op.apply(x) - self.data
+                    if float(r @ r) + float(x @ x) / LAMBDA_MAX < epsilon:
+                        return float(np.linalg.norm(r))
+                if basis.exhausted or self._gain * basis.tikhonov_residuals(LAMBDA_MAX)[-1] <= KRYLOV_TOL:
+                    return None
+                basis.step()
 
     def solve(self, lag, lams):
         """Projected Tikhonov solves of ``lag``, the problem the form was
@@ -430,8 +468,7 @@ class StandardForm:
            exact, estimate the discrepancy error of column j against the
            solution on k; if it fails, go on from j + 1.
         """
-        basis = self.basis
-        gain = self.lt_norm * basis.alpha[0] * basis.beta[0] / self.rhs_norm if self.rhs_norm else 0.0
+        basis, gain = self.basis, self._gain
         while True:
             # the first column from j whose residual estimate passes
             while not (ahead := np.flatnonzero(gain * basis.tikhonov_residuals(lam)[j:] <= KRYLOV_TOL)).size:
@@ -469,11 +506,12 @@ class Lagrangian:
     Krylov solve never returns, raises ``ValueError`` naming the first
     such entry; a matrix-free ``op`` cannot be checked up front.
 
-    The engines are built lazily, each at most once, under one lock:
-    ``engine`` and ``certificate`` keep what each build returned, or the
-    message of the ``AssumptionViolation`` it raised, by one rule for
-    every penalty, so a problem that fails the strict-convexity check is
-    checked once and raises the same message on every later call.
+    The engine and the certificate are built lazily, each at most once,
+    under one lock: ``engine`` and ``certificate`` keep what each build
+    returned, or the message of the ``AssumptionViolation`` it raised, by
+    one rule for every penalty, so a problem that fails the
+    strict-convexity check is checked once and raises the same message on
+    every later call.
     """
 
     def __init__(self, op: LinearOperator, data, regularizer: Regularizer, epsilon):
@@ -527,16 +565,16 @@ class Lagrangian:
         return built
 
     def certificate(self):
-        """The ``StandardForm`` and basis of the regime verdict, built once:
-        the engine of a built-in penalty when that builds, and the form
-        (A, g) otherwise, for a custom penalty and for first differences
-        whose constants A annihilates. There A(ker L) = {0}, so gbar = g."""
-        if self.regularizer.kind != "custom":
-            try:
-                return self.engine()
-            except AssumptionViolation:
-                pass
-        return self._once("certificate", lambda: StandardForm.build(self.op, self.data, "identity"))
+        """The ``Lagrangian`` whose engine gives the regime verdict: this
+        problem when its engine builds, and otherwise its twin with the
+        identity penalty on (A, g), built once. The twin has its own
+        window, dist(g, range A) < tau < ||g||; so a problem outside it is
+        refused for its regime before its strict-convexity check fails."""
+        try:
+            self.engine()
+            return self
+        except AssumptionViolation:
+            return self._once("certificate", lambda: Lagrangian(self.op, self.data, identity_regularizer(self.op.dims.dim_f), self.epsilon))
 
     @property
     def tau(self):

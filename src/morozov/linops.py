@@ -62,14 +62,17 @@ MDOP_HEADER_SIZE = 16
 
 @dataclass(frozen=True)
 class VectorSpaceDims:
-    """Dimensions of the discretized solution and data spaces."""
+    """Dimensions of the discretized solution and data spaces: integers,
+    numpy's included, of at least 1; ``ValueError`` naming the field
+    otherwise (a float such as 2.5, or a bool)."""
 
     dim_f: int
     dim_g: int
 
     def __post_init__(self):
-        if self.dim_f < 1 or self.dim_g < 1:
-            raise ValueError(f"dimensions must be >= 1, got {self}")
+        for name, value in (("dim_f", self.dim_f), ("dim_g", self.dim_g)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def _as_vector(x, n, name):

@@ -25,7 +25,6 @@ import numpy as np
 import scipy.linalg
 
 from . import linops
-from ._kernels import GolubKahan
 from .dual import diagnose_regime
 from .errors import DimensionMismatch
 from .lagrange import Lagrangian
@@ -162,11 +161,12 @@ def _bump_profile(n, rng):
 
 
 def _rank_deficient(n, rank, rng):
-    """Random n-by-n operator of the given rank with singular values in [0.5, 2]."""
+    """Random n-by-n operator of the given rank with singular values in
+    [0.5, 2], and the orthonormal columns that span its range."""
     q1, _ = np.linalg.qr(rng.standard_normal((n, rank)))
     q2, _ = np.linalg.qr(rng.standard_normal((n, rank)))
     s = rng.uniform(0.5, 2.0, size=rank)
-    return linops.from_matrix(q1 @ np.diag(s) @ q2.T)
+    return linops.from_matrix(q1 @ np.diag(s) @ q2.T), q1
 
 
 def regime_fixture(target, seed=0):
@@ -192,11 +192,12 @@ def regime_fixture(target, seed=0):
             problem = replace(problem, regime=target)
     elif target == "too_optimistic":
         n = 12
-        A = _rank_deficient(n, rank=6, rng=rng)
+        A, q1 = _rank_deficient(n, rank=6, rng=rng)
         problem = synthesize(
             A, _bump_profile(n, rng), noise_level=0.05, tau_accuracy=1.0, seed=seed
         )
-        dist = GolubKahan(A.apply, A.apply_adjoint, problem.g, n).distance()[0]
+        # dist(g, range A), by construction: g less its projection on range A
+        dist = float(np.linalg.norm(problem.g - q1 @ (q1.T @ problem.g)))
         if dist <= 0.0:
             raise RuntimeError("internal error: noisy data landed inside the range")
         problem = replace(problem, tau=0.5 * dist, regime=target)

@@ -78,7 +78,7 @@ class TestDiagnose:
         assert payload["margin_dist"] > 0 and payload["margin_norm"] > 0
         assert list(payload) == [
             "dist_to_range", "data_norm", "tau", "tau_eff", "safety_factor",
-            "regime", "margin_dist", "margin_norm", "dist_is_bound",
+            "regime", "margin_dist", "margin_norm",
         ]
 
     def test_tau_override_forces_noise_dominates(self, fixture_dirs, capsys):
@@ -364,10 +364,9 @@ class TestVerdictAgreement:
         rc = run(["solve", "--problem", fx, "--safety-factor", 1.0, "--out", tmp_path / "r.json"])
         assert [d.regime for d in seen] == [payload["regime"]]
         assert payload["dist_to_range"] == seen[0].dist_to_range
-        assert payload["dist_is_bound"] == seen[0].dist_is_bound
-        # interior, yet D' stays positive up to LAMBDA_MAX: the tolerance
-        # sits at the rounding level of the distance
-        assert rc == (3 if payload["regime"] == "interior" else 2)
+        # D' stays positive up to LAMBDA_MAX: the verdict refuses it, and
+        # the search never runs into the cap
+        assert payload["regime"] == "too_optimistic" and rc == 2
 
 
 class TestSweep:

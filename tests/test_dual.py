@@ -38,9 +38,9 @@ from morozov.regularizers import (
 
 from conftest import (
     counting_free_op,
-    lsqr_distance,
     make_interior_problem,
     numpy_inner_solve,
+    projection_distance,
     random_dense_op,
     spectral_twin,
 )
@@ -169,7 +169,8 @@ class TestDiagnoseRegime:
     def test_interior(self):
         d = diagnose_regime(identity_lagrangian(np.eye(2), [2.0, 0.0], tau=1.0))
         assert d.regime == "interior"
-        assert d.dist_to_range == pytest.approx(0.0, abs=1e-12)
+        # the residual of f = lam g / (1 + lam) at LAMBDA_MAX, above the distance 0
+        assert d.dist_to_range == pytest.approx(2.0 / (1.0 + LAMBDA_MAX), rel=1e-9)
         assert d.data_norm == pytest.approx(2.0)
         assert failed_inequality(d) is None
 
@@ -195,7 +196,7 @@ class TestDiagnoseRegime:
     @pytest.mark.parametrize("matrix_free", [False, True])
     def test_first_differences_whose_constants_a_annihilates(self, rng, matrix_free):
         # no standard form: A(ker L) = {0}, so gbar = g and the verdict runs
-        # in the basis of (A, g), the same LSQR as every other problem's
+        # on the identity twin on (A, g), in its basis
         n = 8
         mat = rng.standard_normal((12, n))
         mat -= mat.mean(axis=1, keepdims=True)
@@ -212,16 +213,17 @@ class TestDiagnoseRegime:
             lagrangian(dist).engine()
         lag = lagrangian(0.5 * dist)
         d = diagnose_regime(lag)
-        assert d.regime == "too_optimistic" and not d.dist_is_bound
-        # no solve reads that basis, yet it is kept: a second verdict
-        # grows it no further
-        k = lag.certificate().basis.k
-        assert k > 0 and diagnose_regime(lag) == d and lag.certificate().basis.k == k
+        assert d.regime == "too_optimistic"
+        # the twin is kept: a second verdict grows its basis no further
+        twin = lag.certificate()
+        assert twin is not lag and twin.regularizer.kind == "identity"
+        k = twin.engine().basis.k
+        assert k > 0 and diagnose_regime(lag) == d and lag.certificate() is twin and twin.engine().basis.k == k
         with pytest.raises(AssumptionViolation):
             lag.engine()
         assert d.data_label == "||g||" and d.data_norm == g_norm
         assert d.dist_to_range == pytest.approx(dist, abs=1e-9 * g_norm)
-        # between the distance and ||g||: certified by the residual bound
+        # between the distance and ||g||: certified by the bound at LAMBDA_MAX
         tau = 0.5 * (dist + g_norm)
         d = diagnose_regime(lagrangian(tau))
         assert d.regime == "interior" and d.data_label == "||g||"
@@ -301,7 +303,7 @@ class TestMaximizeDual:
         # dist(g, range A) and ||g||
         A = random_dense_op(rng, 20, 15)
         g = rng.standard_normal(20)
-        dist = lsqr_distance(A, g)[0]
+        dist = projection_distance(A, g)
         assert dist > 0
         tau = np.sqrt(dist * np.linalg.norm(g))
         lag = Lagrangian(A, g, identity_regularizer(15), epsilon=tau**2)
@@ -600,13 +602,13 @@ class TestFirstDifferenceWindow:
 
 
 class TestRegimeCertificate:
-    """The residual at LAMBDA_MAX bounds dist(g, range A) on dense problems.
+    """The verdict asks for the sign of D'(LAMBDA_MAX) on the problem's engine.
 
-    The verdict is one LSQR in the problem's basis, counted here in the
-    applications of a matrix-free view of A: one adjoint for the basis's
-    first column, which also gives ||A^T g|| as alpha_1 beta_1, one forward
-    and one adjoint per step, and per look at the LSQR residual one forward, plus an
-    adjoint unless the residual is below tau or the basis is exhausted.
+    In a built-in penalty's basis it is counted here in the applications
+    of a matrix-free view of A: one adjoint for the basis's first column,
+    which also gives ||A^T g|| as alpha_1 beta_1, one forward and one
+    adjoint per step, one forward per look at a projected solution whose
+    bound passes, and, where no bound passes, the solve at LAMBDA_MAX.
     """
 
     def test_certified_problem_skips_least_squares(self):
@@ -614,15 +616,15 @@ class TestRegimeCertificate:
         expected = diagnose_regime(lagrangian_of(prob))
         res = maximize_dual(lagrangian_of(prob))
         assert res.diagnosis == expected
-        assert expected.regime == "interior" and expected.dist_is_bound
-        # the certificate reports its bound, never less than the distance
+        assert expected.regime == "interior"
+        # the certificate reports its residual, never less than the distance
         f_ls = np.linalg.lstsq(prob.op.matrix, prob.g, rcond=None)[0]
         dist = np.linalg.norm(prob.op.matrix @ f_ls - prob.g)
         assert dist <= res.diagnosis.dist_to_range < prob.tau
         # three steps and one look, below tau
         lag, counts = TestWorkCounts.counting_free_lagrangian(prob)
         assert diagnose_regime(lag) == expected
-        assert lag.certificate().basis.k == 3
+        assert lag.certificate() is lag and lag.engine().basis.k == 3
         assert counts == {"fwd": 4, "adj": 4}
 
     def test_uncertified_too_optimistic(self):
@@ -631,18 +633,23 @@ class TestRegimeCertificate:
         with pytest.raises(RegimeError) as err:
             maximize_dual(lagrangian_of(prob))
         assert err.value.regime == expected.regime == "too_optimistic"
-        # converged LSQR in the problem's basis gives the distance itself:
-        # A has rank 6, so the basis is exhausted after six steps and one
-        # look, at no second least-squares solve
-        assert not expected.dist_is_bound
+        # A has rank 6, so the basis is exhausted after six steps with no
+        # bound below tau, and the solve at LAMBDA_MAX on all six columns
+        # reads the distance itself
         f_ls = np.linalg.lstsq(prob.op.matrix, prob.g, rcond=None)[0]
         dist = np.linalg.norm(prob.op.matrix @ f_ls - prob.g)
         assert expected.dist_to_range == pytest.approx(dist, abs=1e-9 * np.linalg.norm(prob.g))
+        # six steps, then the solve's one forward and one adjoint
         lag, counts = TestWorkCounts.counting_free_lagrangian(prob)
         assert diagnose_regime(lag) == expected
-        assert counts == {"fwd": 7, "adj": 7}
+        assert lag.engine().basis.k == 6
+        assert counts == {"fwd": 7, "adj": 8}
 
     def test_uncertified_interior_between_distance_and_bound(self, monkeypatch):
+        # tau between dist(g, range A) and the residual at LAMBDA_MAX: D'
+        # stays positive up to LAMBDA_MAX, so the search cannot reach a
+        # root, and the spectral factors' solve at LAMBDA_MAX refuses it
+        # before any evaluation
         import morozov.dual
 
         prob = synthesize(
@@ -651,30 +658,25 @@ class TestRegimeCertificate:
         )
         probe = lagrangian_of(prob)
         bound = math.sqrt(solve_lagrange(spectral_twin(probe), LAMBDA_MAX).discrepancy_sq)
-        dist = lsqr_distance(prob.op, prob.g)[0]
+        dist = projection_distance(prob.op, prob.g)
         assert 1e3 * dist < bound < prob.tau
         tau = 0.5 * bound
         expected = diagnose_regime(lagrangian_of(prob, tau=tau))
-        assert expected.regime == "interior"
+        assert expected.regime == "too_optimistic"
+        # the Krylov engine's residual there; the spectral factors resolve
+        # lam mu only to eps lam at lam = LAMBDA_MAX
+        assert expected.dist_to_range == pytest.approx(bound, rel=1e-5)
 
         op, counts = counting_free_op(prob.op.matrix)
-        seen = []
-        diagnose = morozov.dual.diagnose_regime
-
-        def recording(*args, **kwargs):
-            seen.append((diagnose(*args, **kwargs), dict(counts)))
-            return seen[-1][0]
-
-        monkeypatch.setattr(morozov.dual, "diagnose_regime", recording)
-        # interior, yet D' stays positive up to LAMBDA_MAX since tau < bound;
-        # the spectral factors take their certificate from the basis too
-        with pytest.raises(BracketFailure, match="LAMBDA_MAX"):
+        evals = []
+        evaluate = morozov.dual.eval_dual
+        monkeypatch.setattr(morozov.dual, "eval_dual", lambda *a: evals.append(a) or evaluate(*a))
+        with pytest.raises(RegimeError, match="LAMBDA_MAX") as err:
             maximize_dual(spectral_twin(Lagrangian(op, prob.g, prob.regularizer, tau**2)))
-        assert [d.regime for d, _ in seen] == [expected.regime]
-        assert seen[0][0].dist_is_bound and seen[0][0].dist_to_range < tau
-        # the basis is exhausted at k = 24 = dim_f, where the last step finds
-        # no new left vector and so applies no adjoint; one look, below tau
-        assert seen[0][1] == {"fwd": 25, "adj": 24}
+        assert err.value.regime == "too_optimistic" and evals == []
+        # dim_f forward applications to materialize A, and the solve's one
+        # forward and one adjoint for its residual
+        assert counts == {"fwd": 25, "adj": 1}
 
     @pytest.mark.parametrize("target", ["interior", "noise_dominates", "too_optimistic"])
     def test_verdict_matches_diagnose_regime(self, target):
@@ -701,6 +703,130 @@ class TestRegimeCertificate:
             assert err.value.regime == "noise_dominates"
             with pytest.raises(AssumptionViolation, match="unique"):
                 maximize_dual(lag, override_regime=True)
+
+def half_distance_case(seed, n=128):
+    """A width-2 blur of a bump-plus-box profile, 2% noise, the identity
+    penalty, and tau at half the lstsq distance: D' stays positive up to
+    LAMBDA_MAX, whose residual is far above that distance."""
+    A = make_deconvolution(n, 2.0)
+    x = np.linspace(0.0, 1.0, n)
+    f0 = _bump_profile(n, np.random.default_rng(seed)) + ((x >= 0.3) & (x <= 0.6))
+    prob = synthesize(A, f0, 0.02, seed=seed)
+    f_ls = np.linalg.lstsq(A.matrix, prob.g, rcond=None)[0]
+    return lagrangian_of(prob, tau=0.5 * np.linalg.norm(A.matrix @ f_ls - prob.g))
+
+
+class TestVerdictAtLambdaMax:
+    """``diagnose_regime`` says interior exactly when D'(LAMBDA_MAX) < 0."""
+
+    @staticmethod
+    def count_evaluations(monkeypatch):
+        import morozov.dual
+
+        calls = []
+        evaluate = morozov.dual.eval_dual
+        monkeypatch.setattr(morozov.dual, "eval_dual", lambda *a: calls.append(a) or evaluate(*a))
+        return calls
+
+    def test_half_distance_cases_are_refused_before_any_evaluation(self, monkeypatch):
+        # the distance is far below tau's residual at LAMBDA_MAX, so a
+        # verdict by the distance would send these to a search that can
+        # only bracket up to LAMBDA_MAX
+        calls = self.count_evaluations(monkeypatch)
+        for seed in range(8):
+            with pytest.raises(RegimeError, match="LAMBDA_MAX") as err:
+                maximize_dual(half_distance_case(seed))
+            assert err.value.regime == "too_optimistic" and calls == [], seed
+
+    def test_half_distance_verdicts_follow_d_prime_at_lambda_max(self):
+        for seed in range(8):
+            lag, fresh = half_distance_case(seed), half_distance_case(seed)
+            d = diagnose_regime(lag)
+            d_prime = eval_dual(fresh, LAMBDA_MAX).d_prime
+            assert (d.regime == "interior") == (d_prime < 0), seed
+            assert d.dist_to_range**2 - d.tau**2 == pytest.approx(d_prime, rel=1e-9)
+            # the verdict grows the basis no further than that solve needs
+            assert lag.engine().basis.k == fresh.engine().basis.k < 128, seed
+
+    def test_a_bound_estimate_that_misleads_is_caught_by_its_look(self, monkeypatch):
+        # the projected bound assumes U orthonormal; each time it passes,
+        # one forward application checks the bound on x itself. Here every
+        # estimate passes and every look fails, so the verdict is still the
+        # solve's at LAMBDA_MAX, after one look per column
+        prob = regime_fixture("too_optimistic", seed=1)
+        expected = diagnose_regime(lagrangian_of(prob))
+        monkeypatch.setattr(lagrange.GolubKahan, "tikhonov_bound", lambda self, lam, z: 0.0)
+        lag, counts = TestWorkCounts.counting_free_lagrangian(prob)
+        assert diagnose_regime(lag) == expected
+        assert lag.engine().basis.k == 6
+        # seven looks at k = 0..6, six steps, and the solve's pair
+        assert counts == {"fwd": 7 + 6 + 1, "adj": 1 + 6 + 1}
+
+    def test_residual_of_a_numerically_singular_blur_stays_within_g(self):
+        # a square width-3 blur at n = 256 of standard normal data, which
+        # is numerically singular: lstsq's distance is 6.06 and ||g|| =
+        # 14.67. The residual at LAMBDA_MAX, 10.07, is the verdict's; tau
+        # below it is refused, and tau above it still selects
+        n = 256
+        A = make_deconvolution(n, 3.0)
+        g = np.random.default_rng(1).standard_normal(n)
+        g_norm = np.linalg.norm(g)
+        for tau in (5.0, 8.0):
+            lag = Lagrangian(A, g, identity_regularizer(n), tau**2)
+            d = diagnose_regime(lag)
+            assert d.regime == "too_optimistic"
+            assert projection_distance(A, g) < d.dist_to_range <= g_norm
+            assert d.dist_to_range == pytest.approx(10.0658, rel=1e-5)
+            with pytest.raises(RegimeError, match="LAMBDA_MAX"):
+                maximize_dual(lag)
+        res = maximize_dual(Lagrangian(A, g, identity_regularizer(n), 12.0**2))
+        assert abs(res.discrepancy - 12.0) <= 1e-8 * 12.0
+
+    def test_low_noise_is_certified_by_the_solve_at_lambda_max(self, monkeypatch):
+        # no projected solution can prove D'(LAMBDA_MAX) < 0 here: the bound
+        # of any x is at least ||f||^2 / LAMBDA_MAX at the solution f there,
+        # 9.4e-11 against epsilon = 9.3e-13. So the engine's own solve at
+        # LAMBDA_MAX decides, and reads 6.62e-7 < tau
+        import morozov.dual
+
+        prob = synthesize(
+            make_deconvolution(128, 4.0),
+            _bump_profile(128, np.random.default_rng(0)), 1e-7, seed=0,
+        )
+        epsilon = (1.02 * prob.tau) ** 2
+        sol = solve_lagrange(Lagrangian(prob.op, prob.g, prob.regularizer, epsilon), LAMBDA_MAX)
+        assert sol.j_value / LAMBDA_MAX > 50 * epsilon
+        solves = []
+        solve = morozov.dual.solve_lagrange
+        monkeypatch.setattr(morozov.dual, "solve_lagrange", lambda *a: solves.append(a[1]) or solve(*a))
+        lag = Lagrangian(prob.op, prob.g, prob.regularizer, epsilon)
+        d = diagnose_regime(lag)
+        assert d.regime == "interior" and solves == [LAMBDA_MAX]
+        assert d.dist_to_range == math.sqrt(sol.discrepancy_sq)
+        assert d.dist_to_range == pytest.approx(6.62e-7, rel=1e-3)
+        res = maximize_dual(lag)
+        assert len(res.iterations) == 7
+        assert res.lambda_star == pytest.approx(1.8787e7, rel=1e-4)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: linops.from_callables(2.5, 3, np.negative, np.negative), "dim_f"),
+        (lambda: linops.VectorSpaceDims(True, 3), "dim_f"),
+        (lambda: linops.VectorSpaceDims(3, np.float64(4.0)), "dim_g"),
+        (lambda: maximize_dual(scalar_lagrangian(), max_iter=True), "max_iter"),
+        (lambda: sweep_dual(scalar_lagrangian(), [[1.0, 2.0], [3.0, 4.0]]), "lambdas"),
+    ],
+    ids=["float-dim", "bool-dim", "numpy-float-dim", "bool-max-iter", "2d-grid"],
+)
+def test_unusable_sizes_and_grids_are_refused(call, name):
+    # refused before any work; otherwise they build an operator whose every
+    # apply raises, take a bool as a size or as max_iter=1, or fail in numpy
+    # with "object too deep"
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        call()
+
 
 class TestEngineTable:
     """Which engine ``Lagrangian`` picks, for every kind of A and penalty:
@@ -731,17 +857,18 @@ class TestEngineTable:
         assert type(lag.engine()) is engine
         # it is built once: repeated calls return the same object
         assert lag.engine() is lag.engine()
-        # the certificate is the Krylov engine of a built-in penalty
-        assert lag.certificate() is lag.certificate()
-        assert (lag.certificate() is lag.engine()) == (penalty != "custom")
+        # the regime verdict runs on the problem's own engine
+        assert lag.certificate() is lag
         res = maximize_dual(lag)
+        assert lag.engine() is lag.engine()
         # a sweep after the selection runs on the selection's engine, and
-        # for a built-in penalty grows the selection's basis
-        k = lag.certificate().basis.k
+        # for a built-in penalty grows the verdict's and selection's basis
+        grown = (lambda: lag.engine().basis.k) if engine is StandardForm else (lambda: 0)
+        k = grown()
         evals = sweep_dual(lag, np.geomspace(res.lambda_star, 1e6 * res.lambda_star, 10))
         method = "krylov" if engine is StandardForm else "spectral"
         assert all(e.error is None and e.solution.solver_stats["method"] == method for e in evals)
-        assert (lag.certificate().basis.k > k) == (engine is StandardForm)
+        assert (grown() > k) == (engine is StandardForm)
 
 
 class TestWorkCounts:
@@ -839,7 +966,7 @@ class TestWorkCounts:
         counts = self.count_calls(monkeypatch, "eigh")
         res = maximize_dual(lag, method="bisection")
         assert counts == {"eigh": 0}
-        assert res.diagnosis.regime == "interior" and res.diagnosis.dist_is_bound
+        assert res.diagnosis.regime == "interior"
         # the same evaluations and multiplier as the dense spectral path
         assert len(res.iterations) == 31
         assert res.lambda_star == pytest.approx(33.936594009399414, rel=1e-9)
@@ -855,9 +982,9 @@ class TestWorkCounts:
         with pytest.raises(RegimeError) as err:
             maximize_dual(lag)
         assert err.value.regime == "too_optimistic"
-        # converged LSQR in the certificate's basis gives the distance: the
-        # gate's one LSQR, six steps and one look, is all the selection applies
-        assert counts == {"fwd": 7, "adj": 7}
+        # the gate's six steps, which exhaust the basis with no bound below
+        # tau, and its solve at LAMBDA_MAX are all the selection applies
+        assert counts == {"fwd": 7, "adj": 8}
 
     @pytest.mark.parametrize("matrix_free", [False, True])
     @pytest.mark.parametrize("n", [64, 256])
@@ -913,21 +1040,20 @@ class TestWorkCounts:
         assert [args[1:] for args in copies] == [(75, 75)]
 
     def test_custom_penalty_certificate_makes_no_eigh(self, monkeypatch):
-        # a dense custom penalty certifies its regime by LSQR on (A, g), in a
-        # basis it keeps for the certificate alone; its spectral factors,
-        # built once behind the regime gate, are the strict-convexity check
+        # a dense custom penalty certifies its regime by its spectral
+        # factors' solve at LAMBDA_MAX: their one eigh comes before the
+        # verdict, and the selection and a second verdict reuse it
         prob = regime_fixture("interior", seed=1)
         J = custom_regularizer(linops.from_matrix(np.diff(np.eye(24), axis=0)))
         lag = Lagrangian(prob.op, prob.g, J, prob.tau**2)
         counts = self.count_calls(monkeypatch, "eigh")
         assert diagnose_regime(lag).regime == "interior"
-        assert counts == {"eigh": 0}
+        assert counts == {"eigh": 1}
         res = maximize_dual(lag)
         assert counts == {"eigh": 1}
         assert res.diagnosis.regime == "interior"
-        k = lag.certificate().basis.k
-        assert k > 0 and lag.engine() is not lag.certificate()
-        assert diagnose_regime(lag) == res.diagnosis and lag.certificate().basis.k == k
+        assert lag.certificate() is lag and isinstance(lag.engine(), SpectralFactors)
+        assert diagnose_regime(lag) == res.diagnosis and counts == {"eigh": 1}
         # the same map as built-in first differences, in a Golub-Kahan basis
         ref = maximize_dual(Lagrangian(prob.op, prob.g, first_difference_regularizer(24), prob.tau**2))
         assert counts == {"eigh": 1}
@@ -946,21 +1072,17 @@ class TestWorkCounts:
     def test_matrix_free_custom_selection_is_factored_once(self, monkeypatch):
         # a matrix-free A with a custom penalty runs on the spectral factors:
         # one eigh, dim_f forward applications to materialize A, and per
-        # evaluation the residual check's one forward and one adjoint, on top
-        # of the certificate's LSQR in its basis of (A, g)
+        # solve the residual's one forward and one adjoint: the verdict's at
+        # LAMBDA_MAX, then one per evaluation
         prob = regime_fixture("interior", seed=1)
         n = prob.op.dims.dim_f
         J = custom_regularizer(linops.from_matrix(np.diff(np.eye(n), axis=0)))
-        cert_op, cert = counting_free_op(prob.op.matrix)
-        cert_lag = Lagrangian(cert_op, prob.g, J, prob.tau**2)
-        cert_lag.certificate().distance(cert_lag.tau)
-
         op, counts = counting_free_op(prob.op.matrix)
         calls = self.count_calls(monkeypatch, "eigh")
         res = maximize_dual(Lagrangian(op, prob.g, J, prob.tau**2))
         evals = len(res.iterations)
         assert calls == {"eigh": 1}
-        assert counts == {"fwd": cert["fwd"] + n + evals, "adj": cert["adj"] + evals}
+        assert counts == {"fwd": n + 1 + evals, "adj": 1 + evals}
         dense = maximize_dual(Lagrangian(prob.op, prob.g, J, prob.tau**2))
         assert len(dense.iterations) == evals
         assert res.lambda_star == pytest.approx(dense.lambda_star, rel=1e-9)

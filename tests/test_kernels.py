@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from morozov._kernels import GolubKahan
+from morozov.dual import diagnose_regime
+from morozov.lagrange import LAMBDA_MAX, Lagrangian
 from morozov.linops import from_callables, from_matrix, identity
 from morozov.problems import _bump_profile, make_deconvolution, synthesize
+from morozov.regularizers import identity_regularizer
 
-from conftest import lower_bidiagonal, lsqr_distance, random_dense_op
+from conftest import lower_bidiagonal, projection_distance, random_dense_op
 
 
 def bidiagonalize(mat, g, steps, calls=None):
@@ -56,11 +59,6 @@ class TestGolubKahan:
             rhs = lam * mat.T @ g
             explicit = np.linalg.norm(f + lam * mat.T @ (mat @ f) - rhs) / np.linalg.norm(rhs)
             assert rel == pytest.approx(explicit, rel=1e-9)
-            y, res, ratio = basis.lsqr()
-            r = mat @ basis.expand(y) - g
-            assert res == pytest.approx(np.linalg.norm(r), rel=1e-12)
-            normal = np.linalg.norm(mat.T @ r) / (basis.norm_estimate * np.linalg.norm(r))
-            assert ratio == pytest.approx(normal, rel=1e-9)
 
     def test_full_basis_solves_exactly(self, rng):
         mat = rng.standard_normal((9, 7))
@@ -72,18 +70,12 @@ class TestGolubKahan:
         expected = np.linalg.solve(np.eye(7) + 2.0 * mat.T @ mat, 2.0 * mat.T @ g)
         np.testing.assert_allclose(basis.expand(z), expected, rtol=1e-10)
         assert rel == 0.0
-        y, res, ratio = basis.lsqr()
-        np.testing.assert_allclose(basis.expand(y), np.linalg.lstsq(mat, g, rcond=None)[0], rtol=1e-10)
-        assert ratio == 0.0
 
     def test_invariant_krylov_space_exhausts_early(self, rng):
         mat = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 4))
         g = rng.standard_normal(6)
         basis = bidiagonalize(mat, g, 10)
         assert basis.exhausted and basis.k == 2
-        y, res, _ = basis.lsqr()
-        dist = np.linalg.norm(mat @ np.linalg.lstsq(mat, g, rcond=None)[0] - g)
-        assert res == pytest.approx(dist, rel=1e-10)
 
     def test_wide_operator_exhausts_on_the_u_side(self, rng):
         # U is not stored: u_1..u_{dim_g} span the data space, so the basis
@@ -94,8 +86,6 @@ class TestGolubKahan:
         g = rng.standard_normal(64)
         basis = bidiagonalize(mat, g, 200)
         assert basis.exhausted and basis.k == 64
-        dist, converged = lsqr_distance(from_matrix(mat), g)
-        assert converged and dist == pytest.approx(0.0, abs=1e-12)
         z = basis.tikhonov(2.0)
         expected = np.linalg.solve(np.eye(128) + 2.0 * mat.T @ mat, 2.0 * mat.T @ g)
         np.testing.assert_allclose(basis.expand(z), expected, rtol=1e-10)
@@ -158,25 +148,28 @@ class TestGolubKahan:
             assert 0.8 * error <= estimate <= 1.5 * error, j
 
 
-def projection_distance(mat, g):
-    """Oracle: ||g - Q Q^T g|| for an orthonormal basis Q of range(mat),
-    taken from the SVD at a rank set by the test."""
-    u, sv, _ = np.linalg.svd(np.asarray(mat, dtype=np.float64), full_matrices=False)
-    q = u[:, sv > 1e-12 * sv[0]]
-    return float(np.linalg.norm(g - q @ (q.T @ g)))
+def verdict(op, g, tau):
+    """``diagnose_regime`` on the identity penalty's problem (op, g) at tau."""
+    return diagnose_regime(Lagrangian(op, g, identity_regularizer(op.dims.dim_f), tau**2))
 
 
 class TestDistance:
-    """``GolubKahan.distance``: LSQR's dist(g, range A) on the basis's own maps."""
+    """The residual the regime verdict reads, ``dist_to_range``: that of
+    the projected solution at LAMBDA_MAX, or of the solve there, in the
+    basis of (A, g). It bounds dist(g, range A) from above and reaches it
+    where the singular values s have LAMBDA_MAX s^2 >> 1."""
 
     def test_surjective_is_zero(self, rng):
         g = rng.standard_normal(5)
-        dist, converged = lsqr_distance(identity(5), g)
-        assert converged and dist == pytest.approx(0.0, abs=1e-12)
+        d = verdict(identity(5), g, 0.5 * np.linalg.norm(g))
+        # A = I: f = lam g / (1 + lam) leaves g / (1 + lam)
+        assert d.regime == "interior"
+        assert d.dist_to_range == pytest.approx(np.linalg.norm(g) / (1.0 + LAMBDA_MAX), rel=1e-9)
 
     def test_orthogonal_component(self):
-        dist, converged = lsqr_distance(from_matrix([[1.0, 0.0], [0.0, 0.0]]), [1.0, 1.0])
-        assert converged and dist == pytest.approx(1.0, rel=1e-12)
+        d = verdict(from_matrix([[1.0, 0.0], [0.0, 0.0]]), [1.0, 1.0], 0.5)
+        assert d.regime == "too_optimistic"
+        assert d.dist_to_range == pytest.approx(1.0, rel=1e-12)
 
     def test_projection_oracle_rank_deficient(self, rng):
         # range basis via QR of a rank-2 6x4 matrix; oracle projects g
@@ -185,12 +178,14 @@ class TestDistance:
         g = rng.standard_normal(6)
         q, _ = np.linalg.qr(B[:, :2])  # first two columns span the range here
         expected = np.linalg.norm(g - q @ (q.T @ g))
-        assert lsqr_distance(from_matrix(B), g)[0] == pytest.approx(expected, abs=1e-8)
+        d = verdict(from_matrix(B), g, 0.5 * expected)
+        assert d.regime == "too_optimistic"
+        assert d.dist_to_range == pytest.approx(expected, abs=1e-8)
 
     def test_lower_bounds_any_candidate(self, rng):
         op = random_dense_op(rng, 6, 3)
         g = rng.standard_normal(6)
-        d = lsqr_distance(op, g)[0]
+        d = verdict(op, g, 1e-3).dist_to_range
         for _ in range(25):
             f = rng.standard_normal(3)
             assert d <= np.linalg.norm(op.apply(f) - g) + 1e-12
@@ -199,37 +194,50 @@ class TestDistance:
         mat = rng.standard_normal((8, 5))
         free = from_callables(5, 8, lambda f: mat @ f, lambda y: mat.T @ y)
         g = rng.standard_normal(8)
-        assert lsqr_distance(free, g)[0] == pytest.approx(projection_distance(mat, g), abs=1e-8)
+        d = verdict(free, g, 1e-3)
+        assert d.regime == "too_optimistic"
+        assert d.dist_to_range == pytest.approx(projection_distance(from_matrix(mat), g), abs=1e-8)
         # one algorithm for both representations: the same numbers
-        assert lsqr_distance(free, g) == lsqr_distance(from_matrix(mat), g)
+        assert d == verdict(from_matrix(mat), g, 1e-3)
 
     def test_matrix_free_rank_deficient(self, rng):
         mat = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 4))
         free = from_callables(4, 6, lambda f: mat @ f, lambda y: mat.T @ y)
         g = rng.standard_normal(6)
-        assert lsqr_distance(free, g)[0] == pytest.approx(projection_distance(mat, g), abs=1e-8)
+        d = verdict(free, g, 1e-3)
+        assert d.dist_to_range == pytest.approx(projection_distance(from_matrix(mat), g), abs=1e-8)
 
     def test_matrix_free_ill_posed_matches_dense(self):
-        # a Gaussian blur of width 2 has singular values down to 5e-9, so
-        # normal-equations CG stalled here; reorthogonalized LSQR runs to the
-        # full basis and resolves what a dense least-squares solve resolves
+        # a Gaussian blur of width 2 has singular values down to 5e-9, which
+        # LAMBDA_MAX s^2 leaves unfitted: the residual at LAMBDA_MAX is far
+        # above lstsq's distance, and it is what an SVD gives there
         A = make_deconvolution(256, 2.0)
         prob = synthesize(A, _bump_profile(256, np.random.default_rng(0)), 0.02, seed=0)
         mat = A.matrix
         free = from_callables(256, 256, lambda f: mat @ f, lambda y: mat.T @ y)
-        dense = np.linalg.norm(mat @ np.linalg.lstsq(mat, prob.g, rcond=None)[0] - prob.g)
-        dist, converged = lsqr_distance(free, prob.g)
-        assert converged and dist == pytest.approx(dense, abs=1e-9 * np.linalg.norm(prob.g))
+        dist = np.linalg.norm(mat @ np.linalg.lstsq(mat, prob.g, rcond=None)[0] - prob.g)
+        u, sv, _ = np.linalg.svd(mat)
+        c = u.T @ prob.g
+        at_max = np.linalg.norm(c / (1.0 + LAMBDA_MAX * sv**2))
+        d = verdict(free, prob.g, 0.5 * at_max)
+        assert d.regime == "too_optimistic" and 1e3 * dist < d.dist_to_range
+        assert d.dist_to_range == pytest.approx(at_max, rel=1e-6)
+        assert verdict(A, prob.g, 0.5 * at_max).dist_to_range == pytest.approx(d.dist_to_range, rel=1e-9)
 
     def test_stops_below_target(self, rng):
-        # a residual below target is an upper bound good enough to stop on,
-        # one forward application for the look and no adjoint
+        # a projected solution whose bound passes is good enough to stop on:
+        # one forward application for the look, no adjoint and no solve
         mat = rng.standard_normal((20, 10))
         g = rng.standard_normal(20)
-        exact = projection_distance(mat, g)
+        exact = projection_distance(from_matrix(mat), g)
         target = 0.5 * (exact + np.linalg.norm(g))
         calls = []
-        basis = bidiagonalize(mat, g, 0, calls)
-        dist, converged = basis.distance(target)
-        assert not converged and exact <= dist < target
-        assert calls == ["adj"] + ["fwd", "adj"] * basis.k + ["fwd"]
+        op = from_callables(
+            10, 20, lambda f: calls.append("fwd") or mat @ f, lambda y: calls.append("adj") or mat.T @ y
+        )
+        lag = Lagrangian(op, g, identity_regularizer(10), target**2)
+        d = diagnose_regime(lag)
+        k = lag.engine().basis.k
+        assert d.regime == "interior" and exact <= d.dist_to_range < target
+        assert 0 < k < 10
+        assert calls == ["adj"] + ["fwd", "adj"] * k + ["fwd"]

@@ -28,6 +28,8 @@ def test_dims_validation():
     with pytest.raises(ValueError):
         VectorSpaceDims(3, -1)
     assert VectorSpaceDims(2, 5).dim_f == 2
+    # numpy integers are sizes too
+    assert VectorSpaceDims(np.int64(2), np.int32(5)).dim_g == 5
 
 
 class TestApply:

@@ -16,7 +16,7 @@ from morozov.problems import (
     synthesize,
 )
 
-from conftest import assert_adjoint_consistent, lsqr_distance
+from conftest import assert_adjoint_consistent, projection_distance
 
 
 def lagrangian_of(prob):
@@ -181,7 +181,7 @@ class TestRegimeFixture:
 
     def test_too_optimistic_uses_half_distance(self):
         prob = regime_fixture("too_optimistic", seed=4)
-        dist = lsqr_distance(prob.op, prob.g)[0]
+        dist = projection_distance(prob.op, prob.g)
         assert prob.tau == pytest.approx(0.5 * dist, rel=1e-12)
 
     def test_unknown_target(self):
