@@ -13,8 +13,8 @@ and for quadratic penalties it is differentiable with
 As lam drops to 0, f_lam tends to the penalty's kernel, so the right
 derivative is D'(0) = ||gbar||^2 - epsilon, where gbar is g less its
 best fit from A(ker L): the data of the problem's standard form. For the
-identity penalty gbar = g; a custom penalty reads ||g||, exact when L is
-injective.
+identity penalty gbar = g. Its slope there is D''(0+) = -2 ||Abar^T gbar||^2,
+with Abar the operator of the standard form.
 
 Maximizing D produces the multiplier at which the discrepancy equation
 ||A f - g||^2 = epsilon holds, i.e. the Tikhonov weight alpha = 1/lam
@@ -41,10 +41,14 @@ the secular-equation device of Reinsch (1967) and More (1977) that Engl,
 Hanke & Neubauer (1996, sec. 4.3) use for the discrepancy principle.
 ||A f_lam - g||^2 = dist^2 + sum_i (c_i/s_i)^2 / (lam + 1/s_i)^2 has the
 trust-region form, so psi is concave and increasing, and from any lam
-with D' > 0 Newton climbs to the root without overshooting. The steps
-stay inside a bracket that every evaluation tightens by the sign of D',
-which makes the iteration globally convergent; about 7 evaluations
-reach rtol = 1e-8 where bisection, kept as the checker, needs about 30.
+with D' > 0 Newton climbs to the root without overshooting. That holds at
+lam = 0 too, where ||r|| = ||gbar|| and D''(0+) are read from the engine
+without a solve: the search starts at Newton's step from 0, below the
+root, so Newton's iterates grow a Krylov basis only to the columns the
+root needs. The steps stay inside a bracket that every evaluation
+tightens by the sign of D', which makes the iteration globally
+convergent; about 6 evaluations reach rtol = 1e-8 where bisection, kept
+as the checker, needs about 27.
 Plain gradient ascent, lam <- lam + rho_n D'(lam) started from 0, is
 the paper's iteration and stays available.
 
@@ -103,7 +107,8 @@ _BRACKET_FLOOR = 1e-300
 # root D'' is nearly flat, and an unlimited step in log lam can land where
 # the inner system is singular to working precision
 _MAX_DROP = 1.0 / 16.0
-# Newton's and bisection's first multiplier
+# Newton's and bisection's first multiplier where Newton's step from 0 is
+# not a positive float: D''(0+) = 0, or D'(0) <= 0 under override_regime
 _LAMBDA_INIT = 1.0
 # verify_morozov_solution: the stationarity tolerance, relative to
 # 1 + ||2 lam A^T g||, and the random perturbations of the minimality check
@@ -117,7 +122,8 @@ class DualEvaluation:
     """D, D' and D'' at one multiplier, with the inner solution when lam > 0.
 
     ``d_second`` is D''(lam) = d||A f_lam - g||^2 / dlam, the inner
-    solution's ``discrepancy_slope``; None at lam = 0.
+    solution's ``discrepancy_slope``; at lam = 0 its right limit
+    -2 ||Abar^T gbar||^2, read from the engine.
     """
 
     lam: float
@@ -135,7 +141,8 @@ class RegimeDiagnosis:
     ``data_norm`` is ||gbar||, the upper end of the existence window: the
     norm of the data of the problem's standard form, g less its best fit
     from A(ker L), so that D'(0) = ||gbar||^2 - tau^2. It is ||g|| for the
-    identity and custom penalties, and ``data_label`` names which.
+    identity penalty and for a custom penalty whose L is injective, and
+    ``data_label`` names which.
     ``dist_to_range`` is the residual ||A x - g|| the verdict read (see
     ``diagnose_regime``): ``data_norm`` itself, the residual of x = 0, when
     the noise dominates, and otherwise that of a solution at or for
@@ -154,10 +161,11 @@ class SelectionResult:
     """Outcome of the dual maximization.
 
     ``iterations`` records every multiplier visited, in order, as
-    (lam, D, D') triples: the first at lam = 1 (0 for gradient ascent),
-    then every step, fallbacks included, the last at
-    ``lambda_star``. At rtol = 1e-8 Newton makes about 7 evaluations and
-    bisection about 30. ``alpha`` is defined as ``1.0 / lambda_star``.
+    (lam, D, D') triples: the first at Newton's step from lam = 0, below
+    the root (at 0 for gradient ascent), then every step, fallbacks
+    included, the last at ``lambda_star``. At rtol = 1e-8 Newton makes
+    about 6 evaluations and bisection about 27. ``alpha`` is defined as
+    ``1.0 / lambda_star``.
     ``diagnosis`` is the regime diagnosis the selection ran under; None
     when the result was rebuilt from storage.
     """
@@ -186,12 +194,13 @@ class VerificationReport:
 def eval_dual(lag: Lagrangian, lam):
     """Evaluate D, D' and D'' at one multiplier.
 
-    At lam = 0 no inner solve is attempted: D(0) = 0 and the right
+    At lam = 0 no inner solve is attempted: D(0) = 0, the right
     derivative is ||gbar||^2 - epsilon, with ||gbar|| the ``data_norm`` of
     the engine of the problem's certificate (``Lagrangian.certificate``),
-    as ``diagnose_regime`` reads it. That builds the problem's engine,
-    or its identity twin's where it cannot be built, but raises no
-    ``AssumptionViolation``.
+    as ``diagnose_regime`` reads it, and D''(0+) = -2 ||Abar^T gbar||^2 is
+    that engine's ``slope_at_zero``, read without an application. That
+    builds the problem's engine, or its identity twin's where it cannot be
+    built, but raises no ``AssumptionViolation``.
     For lam > 0 the inner problem is solved by ``solve_lagrange`` on the
     problem's ``Lagrangian.engine`` and
 
@@ -204,7 +213,9 @@ def eval_dual(lag: Lagrangian, lam):
     if not lam >= 0:  # NaN fails it too
         raise ValueError(f"lam must be nonnegative, got {lam}")
     if lam == 0:
-        return DualEvaluation(lam=0.0, d_value=0.0, d_prime=lag.certificate().engine().data_norm**2 - lag.epsilon)
+        engine = lag.certificate().engine()
+        return DualEvaluation(lam=0.0, d_value=0.0, d_prime=engine.data_norm**2 - lag.epsilon,
+                              d_second=engine.slope_at_zero)
     return _evaluation(lag, solve_lagrange(lag, lam))
 
 
@@ -296,8 +307,14 @@ def maximize_dual(
     Parameters
     ----------
     method : {"newton", "bisection", "gradient_ascent"}
-        Newton and bisection start at lam = 1 and keep a bracket
-        (lo, hi), first (0, inf), that each evaluation tightens by the
+        Newton and bisection start at Newton's step on psi from lam = 0,
+        lam_0 = 2 s (1 - sqrt(s) / tau) / D''(0+) with s = ||gbar||^2,
+        which psi's concavity keeps below the root. Both are read from
+        the engine, as ``eval_dual`` at 0 reads them, and that read is
+        not a trace entry. lam_0 is capped at LAMBDA_MAX, and is 1 where
+        it is not a positive float: D''(0+) = 0, or D'(0) <= 0 under
+        ``override_regime``. Both searches keep a bracket (lo, hi), first
+        (0, inf), that each evaluation tightens by the
         sign of D'; both are globally convergent since D' is
         nonincreasing. Newton steps on psi(lam) = 1/||A f_lam - g|| - 1/tau
         with D'' = ``DualEvaluation.d_second``: in lam from below, where
@@ -306,9 +323,7 @@ def maximize_dual(
         to doubling while hi = inf, halving while lo = 0, and the
         bracket's geometric mean otherwise. Bisection always falls back,
         with the arithmetic mean: it doubles or halves until D' changes
-        sign, then bisects. At ``rtol=1e-8`` Newton needs 5 to 8
-        evaluations on the benchmark's selections where bisection needs
-        22 to 34, and the two multipliers agree to 3e-8. Gradient
+        sign, then bisects. Gradient
         ascent iterates lam <- max(lam + rho_n D'(lam), 0) from lam = 0
         with rho_n given by ``step_rule``.
     rtol : float in (0, 1)
@@ -375,7 +390,7 @@ def maximize_dual(
             )
         log.warning("regime gate overridden: %s", diag.regime)
     # the strict-convexity check, behind the regime gate
-    lag.engine()
+    engine = lag.engine()
 
     trace = []
     d_tol = rtol * lag.epsilon
@@ -412,7 +427,7 @@ def maximize_dual(
             "lam > 0 reaches the tolerance (data dominated by noise)", trace=trace,
         )
     lo, hi = 0.0, math.inf
-    lam = _LAMBDA_INIT
+    lam = _first_multiplier(engine.data_norm**2, engine.slope_at_zero, lag.tau)
     for _ in range(max_iter + 1):
         e = evaluate(lam)
         if abs(e.d_prime) <= d_tol:
@@ -441,11 +456,26 @@ def maximize_dual(
     )
 
 
+def _newton_increment(s, slope, tau):
+    """Newton's increment on psi(lam) = 1/||r|| - 1/tau where ||r||^2 = s
+    and D'' = slope < 0: 2 s (1 - sqrt(s) / tau) / slope."""
+    return 2.0 * s * (1.0 - math.sqrt(s) / tau) / slope
+
+
+def _first_multiplier(s, slope, tau):
+    """Newton's step on psi from lam = 0, where ||r||^2 = s = ||gbar||^2 and
+    D''(0+) = slope: below the root, since psi is concave and increasing,
+    and capped at LAMBDA_MAX; ``_LAMBDA_INIT`` where it is not a positive
+    float."""
+    lam = _newton_increment(s, slope, tau) if slope else math.nan
+    return min(lam, LAMBDA_MAX) if lam > 0 else _LAMBDA_INIT
+
+
 def _next_multiplier(method, e, lo, hi, tau, trace, d_tol):
     """The multiplier to evaluate after ``e``, strictly inside (lo, hi).
 
-    Newton's increment on psi(lam) = 1/||r|| - 1/tau, with s = ||r||^2
-    and s' = D'', is delta = 2 s (1 - sqrt(s) / tau) / s'. From below
+    Newton's increment on psi(lam) = 1/||r|| - 1/tau
+    (``_newton_increment``). From below
     (D' > 0) the step is lam + delta, which never overshoots the root.
     From above, where a step in lam undershoots and often lands below 0,
     it is the same Newton step in log lam, lam exp(delta / lam), which
@@ -463,8 +493,7 @@ def _next_multiplier(method, e, lo, hi, tau, trace, d_tol):
     """
     lam = math.nan
     if method == "newton" and e.d_second < 0:
-        s = e.solution.discrepancy_sq
-        delta = 2.0 * s * (1.0 - math.sqrt(s) / tau) / e.d_second
+        delta = _newton_increment(e.solution.discrepancy_sq, e.d_second, tau)
         if e.d_prime > 0:
             lam = e.lam + delta
         else:

@@ -68,7 +68,9 @@ Every solve also returns the slope d||A f - g||^2 / dlam, the dual's
 D''(lam), which the Newton search over lam uses. With r = A f - g and
 M = L^T L + lam A^T A it is -2 (A^T r)^T M^{-1} (A^T r); each engine
 takes it from what it already holds: the projected tridiagonal in O(k),
-the spectral factors in O(n).
+the spectral factors in O(n). Its right limit at 0, -2 ||Abar^T gbar||^2,
+which places the search's first multiplier, is each engine's
+``slope_at_zero``, read without an application.
 """
 
 import logging
@@ -137,17 +139,32 @@ class SpectralFactors:
     normalized so that X^T (L^T L + A^T A) X = I; ``mu`` the eigenvalues,
     clipped to [0, 1]; ``nu`` the penalty's, X^T L^T L X = diag(nu), which
     is 1 - mu but for the columns near ker L, where ``build`` forms
-    ||L x_i||^2; ``c`` the data in these coordinates, X^T A^T g; and
-    ``data_norm`` ||g||, the upper end of the regime window, exact only
-    when L is injective.
+    ||L x_i||^2; ``c`` the data in these coordinates, X^T A^T g;
+    ``kernel`` the columns of ker L (see ``build``); and ``data_norm``
+    ||gbar||, the upper end of the regime window: g less its best fit from
+    A(ker L), whose columns A x_i are orthonormal, so that
+    ||gbar||^2 = ||g||^2 - sum of c_i^2 over ``kernel``.
     """
 
     X: np.ndarray
     mu: np.ndarray
     nu: np.ndarray
     c: np.ndarray
+    kernel: np.ndarray
     data_norm: float
-    data_label = "||g||"
+
+    @property
+    def data_label(self):
+        """How messages name ``data_norm``: ||gbar|| when L has a kernel."""
+        return "||gbar||" if self.kernel.any() else "||g||"
+
+    @property
+    def slope_at_zero(self):
+        """D''(0+) = -2 ||Abar^T gbar||^2 = -2 sum c_i^2 / nu_i over the
+        columns outside ``kernel``, in O(n): the limit of ``solve``'s slope,
+        in which a column of ker L carries no weight."""
+        live = ~self.kernel
+        return -2.0 * float(np.sum(self.c[live] ** 2 / self.nu[live]))
 
     @classmethod
     def build(cls, A: LinearOperator, L: LinearOperator, g):
@@ -187,18 +204,22 @@ class SpectralFactors:
             check_finite=False,
         )
         np.clip(mu, 0.0, 1.0, out=mu)
-        # 1 - mu = ||L x_i||^2 rounds at eps, which swamps lam mu along ker L,
-        # where it is 0: below sqrt(eps) it has lost half its digits, so there
-        # ||L x_i||^2 is formed, which rounds relative to itself. Only columns
-        # near ker L fall there, at one application of L each.
+        # A column of ker L is one with 1 - mu <= sqrt(eps). 1 - mu = ||L x_i||^2
+        # rounds at eps, which swamps lam mu along ker L, where it is 0: below
+        # sqrt(eps) it has lost half its digits, so there ||L x_i||^2 is
+        # formed, which rounds relative to itself, at one application of L
+        # per column. The same columns are the ones lam -> 0 fits exactly:
+        # they leave gbar (``data_norm``) and D''(0+) (``slope_at_zero``).
         nu = 1.0 - mu
-        for i in np.flatnonzero(nu <= math.sqrt(np.finfo(np.float64).eps)):
+        kernel = nu <= math.sqrt(np.finfo(np.float64).eps)
+        for i in np.flatnonzero(kernel):
             lx = L.apply(X[:, i])
             nu[i] = lx @ lx
         c = X.T @ atg
-        for arr in (X, mu, nu, c):
+        for arr in (X, mu, nu, c, kernel):
             arr.setflags(write=False)
-        return cls(X=X, mu=mu, nu=nu, c=c, data_norm=float(np.linalg.norm(g)))
+        gbar_sq = float(g @ g) - float(np.sum(c[kernel] ** 2))
+        return cls(X=X, mu=mu, nu=nu, c=c, kernel=kernel, data_norm=math.sqrt(max(gbar_sq, 0.0)))
 
     def solve(self, lag, lams):
         """The inner minimizers of ``lag``, the problem the factors were
@@ -351,6 +372,12 @@ class StandardForm:
     def data_label(self):
         """How messages name ``data_norm``: ||gbar|| in Elden's form."""
         return "||g||" if self.aw_norm is None else "||gbar||"
+
+    @property
+    def slope_at_zero(self):
+        """D''(0+) = -2 ||Abar^T gbar||^2, from the basis's first column:
+        ||Abar^T gbar|| = alpha_1 beta_1, with no application."""
+        return -2.0 * (self.basis.alpha[0] * self.basis.beta[0]) ** 2
 
     @property
     def _gain(self):

@@ -77,6 +77,21 @@ def numpy_inner_solve(lag, lam):
     return np.linalg.solve(L.T @ L + lam * A.T @ A, lam * A.T @ lag.data)
 
 
+def numpy_slope_at_zero(lag):
+    """D''(0+) = -2 ||Abar^T gbar||^2 by numpy on the materialized maps,
+    independent of the package's engines: gbar is g less its projection on
+    A(ker L), with ker L from L's SVD at numpy's rank tolerance, and
+    Abar^T gbar = (L^+)^T A^T gbar."""
+    A = lag.op.materialize()
+    L = lag.regularizer.seminorm_operator.materialize()
+    _, sv, vt = np.linalg.svd(L)
+    rank = int(np.sum(sv > sv.max() * max(L.shape) * np.finfo(np.float64).eps))
+    q = np.linalg.qr(A @ vt[rank:].T)[0]
+    gbar = lag.data - q @ (q.T @ lag.data)
+    w = np.linalg.pinv(L).T @ (A.T @ gbar)
+    return -2.0 * float(w @ w)
+
+
 def random_dense_op(rng, dim_g, dim_f, scale=1.0):
     return linops.from_matrix(scale * rng.standard_normal((dim_g, dim_f)))
 

@@ -336,6 +336,23 @@ class TestCustomPenaltyFixture:
         assert data[cross[0], 0] <= stars["custom"] <= data[cross[0] + 1, 0]
 
 
+    def test_window_case_is_noise_dominated(self, tmp_path, capsys):
+        # first differences as a custom penalty on a smooth profile over a
+        # large constant: tau = 28.4 lies between ||gbar|| = 0.811 and
+        # ||g|| = 56.0, so the noise dominates the data that L penalizes
+        n = 128
+        f0 = 5.0 + 0.1 * np.sin(6.0 * np.linspace(0.0, 1.0, n))
+        J = custom_regularizer(linops.from_matrix(np.diff(np.eye(n), axis=0)))
+        fx = tmp_path / "window"
+        save_problem(synthesize(make_deconvolution(n, 2.0), f0, 0.001, seed=1, regularizer=J), fx)
+        assert run(["diagnose", "--problem", fx, "--tau", 28.4]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["regime"] == "noise_dominates"
+        assert payload["data_norm"] == pytest.approx(0.81095132407, rel=1e-10)
+        assert run(["solve", "--problem", fx, "--tau", 28.4, "--out", tmp_path / "sol.json"]) == 2
+        assert "||gbar||" in capsys.readouterr().err
+
+
 class TestVerdictAgreement:
     @pytest.mark.parametrize("seed", [0, 7])
     def test_diagnose_reports_the_regime_solve_runs_under(self, seed, tmp_path, capsys, monkeypatch):

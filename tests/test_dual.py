@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -40,6 +41,7 @@ from conftest import (
     counting_free_op,
     make_interior_problem,
     numpy_inner_solve,
+    numpy_slope_at_zero,
     projection_distance,
     random_dense_op,
     spectral_twin,
@@ -126,7 +128,21 @@ class TestEvalDual:
             assert e.d_second < 0
             assert e.d_second == pytest.approx(central, rel=1e-5)
             assert e.d_second == e.solution.discrepancy_slope
-        assert eval_dual(lag, 0.0).d_second is None
+        # at 0 the engine's right limit -2 ||Abar^T gbar||^2, without a solve
+        assert eval_dual(lag, 0.0).d_second == pytest.approx(numpy_slope_at_zero(lag), rel=1e-10)
+
+    def test_d_second_at_zero_agrees_between_the_twins(self):
+        # first differences at n = 64: alpha_1 beta_1 of Elden's form, and
+        # the spectral factors' sum over the columns outside ker L
+        n = 64
+        A = make_deconvolution(n, 2.0)
+        prob = synthesize(A, _bump_profile(n, np.random.default_rng(n)), 0.02, seed=n)
+        lag = Lagrangian(A, prob.g, first_difference_regularizer(n), (1.02 * prob.tau) ** 2)
+        krylov, spectral = eval_dual(lag, 0.0), eval_dual(spectral_twin(lag), 0.0)
+        assert isinstance(lag.engine(), StandardForm)
+        assert krylov.d_second == pytest.approx(-2323.012267, rel=1e-9)
+        assert spectral.d_second == pytest.approx(krylov.d_second, rel=1e-10)
+        assert spectral.d_prime == pytest.approx(krylov.d_prime, rel=1e-10)
 
     @pytest.mark.parametrize("matrix_free", [False, True])
     def test_lambda_zero_reads_the_verdicts_data_norm(self, rng, matrix_free):
@@ -145,8 +161,9 @@ class TestEvalDual:
             g = rng.standard_normal(mat.shape[0])
             lag = Lagrangian(op, g, J, 0.25)
             e = eval_dual(lag, 0.0)
-            assert e.d_value == 0.0 and e.solution is None and e.d_second is None
+            assert e.d_value == 0.0 and e.solution is None
             assert e.d_prime == diagnose_regime(lag).data_norm**2 - lag.epsilon
+            assert e.d_second == lag.certificate().engine().slope_at_zero < 0
             if i == 0:
                 assert e.d_prime == pytest.approx(g @ g - lag.epsilon, rel=1e-14)
                 with pytest.raises(AssumptionViolation):
@@ -265,19 +282,22 @@ class TestMaximizeDual:
         assert res.alpha == 1.0 / res.lambda_star  # bitwise, by construction
 
     def test_trace_records_every_evaluation(self):
-        # eps = 0.25 puts the root at lambda = 3, so bracketing and
-        # bisection both have to do real work
-        res = maximize_dual(scalar_lagrangian(epsilon=0.25), method="bisection")
-        assert res.lambda_star == pytest.approx(3.0, abs=1e-7)
-        assert len(res.iterations) >= 3
+        # two components, A = diag(1, 1/2), make psi curved, so bracketing
+        # and bisection both have to do real work from Newton's step from 0
+        lag = Lagrangian(linops.from_matrix(np.diag([1.0, 0.5])), np.array([2.0, 1.0]), identity_regularizer(2), 0.25)
+        res = maximize_dual(lag, method="bisection")
+        assert res.lambda_star == pytest.approx(5.8526934, abs=1e-7)
+        assert len(res.iterations) == 26
         lams = [t[0] for t in res.iterations]
         assert res.lambda_star == lams[-1]
+        assert lams[0] < res.lambda_star < lams[1] == 2.0 * lams[0]
         for lam, d, dp in res.iterations:
-            assert lam >= 0.0 and np.isfinite(d) and np.isfinite(dp)
+            assert lam > 0.0 and np.isfinite(d) and np.isfinite(dp)
         # one component: psi = (1 + lam) / 2 - 2 is linear, and Newton's
-        # first step from lam = 1 lands on the root
+        # step from 0 lands on the root, lambda = 3 at eps = 0.25, in one
+        # evaluation; the read at 0 is not a trace entry
         res = maximize_dual(scalar_lagrangian(epsilon=0.25))
-        assert [t[0] for t in res.iterations] == [1.0, pytest.approx(3.0, rel=1e-15)]
+        assert [t[0] for t in res.iterations] == [3.0]
 
     def test_discrepancy_equation_holds(self):
         prob = make_interior_problem(seed=11)
@@ -454,8 +474,8 @@ class TestMaximizeDual:
                 maximize_dual(lagrangian_of(prob), method=method, override_regime=True)
             errors[method] = err.value
             assert all(dp > 0 for _, _, dp in err.value.trace)
-        assert len(errors["newton"].trace) == 5
-        assert len(errors["bisection"].trace) == 40
+        assert len(errors["newton"].trace) == 4
+        assert len(errors["bisection"].trace) == 36
 
     def test_max_iter_exhaustion_carries_trace(self):
         prob = make_interior_problem(seed=41)
@@ -500,6 +520,94 @@ class TestMaximizeDual:
                 maximize_dual(lag, **bad)
 
 
+def fft_blur(n, width):
+    """The Toeplitz blur ``make_deconvolution(n, width)``, applied matrix-free
+    by FFT through its circulant embedding, and its dense twin."""
+    A = make_deconvolution(n, width)
+    column = np.concatenate([A.matrix[:, 0], [0.0], A.matrix[0, :0:-1]])
+    m = column.shape[0]
+    symbol = np.fft.rfft(column)
+
+    def forward(x):
+        return np.fft.irfft(symbol * np.fft.rfft(x, m), m)[:n]
+
+    def adjoint(y):
+        return np.fft.irfft(np.conj(symbol) * np.fft.rfft(y, m), m)[:n]
+
+    return linops.from_callables(n, n, forward, adjoint), A
+
+
+class TestFirstMultiplier:
+    """Newton and bisection start at Newton's step on psi from lam = 0,
+    lam_0 = 2 s (1 - sqrt(s) / tau) / D''(0+) with s = ||gbar||^2, which
+    psi's concavity keeps below the root."""
+
+    @staticmethod
+    def problems():
+        """Makers of fresh Lagrangians: the benchmark's dense n = 512
+        first-difference selection and its matrix-free n = 256 identity one
+        (width 1.2, by FFT), 2% noise, c = 1.02."""
+        makers = {}
+        for name, n, width, penalty, free in (
+            ("first_difference-512", 512, 2.0, first_difference_regularizer, False),
+            ("fft-identity-256", 256, 1.2, identity_regularizer, True),
+        ):
+            op, A = fft_blur(n, width)
+            prob = synthesize(A, _bump_profile(n, np.random.default_rng(0)), 0.02, seed=0)
+            makers[name] = functools.partial(Lagrangian, op if free else A, prob.g, penalty(n), (1.02 * prob.tau) ** 2)
+        return makers
+
+    @pytest.mark.parametrize("name", ["first_difference-512", "fft-identity-256"])
+    def test_basis_grows_only_to_what_lambda_star_needs(self, name):
+        # from below the root every multiplier needs at most the columns of
+        # lambda_star; a start at lam = 1 took the n = 512 first-difference
+        # basis to 70 columns where lambda_star needs 39
+        make = self.problems()[name]
+        lag = make()
+        res = maximize_dual(lag)
+        assert all(lam <= res.lambda_star for lam, _, _ in res.iterations)
+        fresh = make()
+        solve_lagrange(fresh, res.lambda_star)
+        assert lag.engine().basis.k == fresh.engine().basis.k
+        assert isinstance(lag.engine(), StandardForm)
+
+    @pytest.mark.parametrize("method", ["newton", "bisection"])
+    def test_starts_below_the_root_on_both_engines(self, method):
+        lags = [lagrangian_of(make_interior_problem(seed)) for seed in (11, 21, 31)]
+        lags.append(self.problems()["first_difference-512"]())
+        for lag in lags:
+            for problem in (lag, spectral_twin(lag)):
+                start = eval_dual(problem, 0.0)
+                s = problem.engine().data_norm ** 2
+                lam_0 = 2.0 * s * (1.0 - math.sqrt(s) / problem.tau) / start.d_second
+                res = maximize_dual(problem, method=method)
+                assert res.iterations[0][0] == pytest.approx(lam_0, rel=1e-14)
+                assert 0 < res.iterations[0][0] <= res.lambda_star
+                assert res.iterations[0][2] > 0
+
+    def test_a_step_out_of_range_is_capped_or_replaced(self):
+        # tau = 1e-13 puts the scalar problem's root at 2e13 - 1, where the
+        # step from 0 lands: it is capped at LAMBDA_MAX, the one evaluation
+        lag = scalar_lagrangian(epsilon=1e-26)
+        with pytest.raises(BracketFailure, match="no maximizer below LAMBDA_MAX") as err:
+            maximize_dual(lag, override_regime=True)
+        assert [t[0] for t in err.value.trace] == [LAMBDA_MAX]
+        # D''(0+) = 0 where A^T g = 0: Newton's step from 0 is no float, and
+        # the search starts at lam = 1. Under override_regime, D'(0) <= 0
+        # within rtol gives a step that is not positive, and so lam = 1 too
+        op = linops.from_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
+        lag = Lagrangian(op, np.array([0.0, 1.0]), identity_regularizer(2), 0.25)
+        assert eval_dual(lag, 0.0).d_second == 0.0
+        with pytest.raises(BracketFailure) as err:
+            maximize_dual(lag, override_regime=True, max_iter=0)
+        assert [t[0] for t in err.value.trace] == [1.0]
+        lag = scalar_lagrangian(epsilon=4.0 * (1.0 + 1e-10))
+        assert -1e-8 * lag.epsilon < eval_dual(lag, 0.0).d_prime < 0
+        with pytest.raises(BracketFailure) as err:
+            maximize_dual(lag, override_regime=True, max_iter=0)
+        assert [t[0] for t in err.value.trace] == [1.0]
+
+
 class TestFirstDifferenceWindow:
     """The window's upper end is ||gbar||, g less its fit from A(ker L).
 
@@ -533,6 +641,25 @@ class TestFirstDifferenceWindow:
         assert d.data_norm == pytest.approx(gbar_norm, rel=1e-12)
         assert "tau >= ||gbar||" in failed_inequality(d)
         with pytest.raises(RegimeError) as err:
+            maximize_dual(lag)
+        assert err.value.regime == "noise_dominates"
+
+    @pytest.mark.parametrize("matrix_free", [False, True])
+    def test_custom_penalty_reads_gbar_from_its_factors(self, matrix_free):
+        # the same map as a custom penalty: ||gbar||^2 is ||g||^2 less c_i^2
+        # over the one column of ker L. Read as ||g||, tau = 28.40 was
+        # interior, and the search selected lam = 2.3e-29, which verified
+        op, g, gbar_norm = self.problem(matrix_free)
+        tau = 0.5 * (gbar_norm + np.linalg.norm(g))
+        assert tau == pytest.approx(28.40, abs=0.01)
+        J = custom_regularizer(linops.from_matrix(np.diff(np.eye(128), axis=0)))
+        lag = Lagrangian(op, g, J, tau**2)
+        d = diagnose_regime(lag)
+        assert isinstance(lag.engine(), SpectralFactors) and lag.engine().kernel.sum() == 1
+        assert d.regime == "noise_dominates" and d.data_label == "||gbar||"
+        assert d.data_norm == pytest.approx(0.81095132407, rel=1e-10)
+        assert d.data_norm == pytest.approx(gbar_norm, rel=1e-10)
+        with pytest.raises(RegimeError, match=r"tau >= \|\|gbar\|\|") as err:
             maximize_dual(lag)
         assert err.value.regime == "noise_dominates"
 
@@ -698,6 +825,9 @@ class TestRegimeCertificate:
         g *= 2.0 / np.linalg.norm(g)
         for J in (first_difference_regularizer(n), custom_regularizer(A)):
             lag = Lagrangian(A, g, J, epsilon=9.0)
+            # the identity twin judges, with its own window's end ||g||
+            d = diagnose_regime(lag)
+            assert d.data_label == "||g||" and d.data_norm == pytest.approx(2.0, rel=1e-15)
             with pytest.raises(RegimeError) as err:
                 maximize_dual(lag)
             assert err.value.regime == "noise_dominates"
@@ -805,7 +935,7 @@ class TestVerdictAtLambdaMax:
         assert d.dist_to_range == math.sqrt(sol.discrepancy_sq)
         assert d.dist_to_range == pytest.approx(6.62e-7, rel=1e-3)
         res = maximize_dual(lag)
-        assert len(res.iterations) == 7
+        assert len(res.iterations) == 6
         assert res.lambda_star == pytest.approx(1.8787e7, rel=1e-4)
 
 
@@ -895,12 +1025,12 @@ class TestWorkCounts:
         # the engine of the identity: one Golub-Kahan basis, no factorization
         res = maximize_dual(lagrangian_of(prob), method="bisection")
         assert counts == {"eigh": 0}
-        assert len(res.iterations) == 31
-        assert res.lambda_star == pytest.approx(33.936594009399414, rel=1e-9)
+        assert len(res.iterations) == 22
+        assert res.lambda_star == pytest.approx(33.93659387458379, rel=1e-9)
         spectral = maximize_dual(spectral_twin(lagrangian_of(prob)), method="bisection")
         assert counts == {"eigh": 1}
-        assert len(spectral.iterations) == 31
-        assert spectral.lambda_star == pytest.approx(33.936594009399414, rel=1e-9)
+        assert len(spectral.iterations) == 22
+        assert spectral.lambda_star == pytest.approx(33.93659387458379, rel=1e-9)
         assert res.lambda_star == pytest.approx(spectral.lambda_star, rel=1e-9)
 
     def test_newton_selection_makes_no_factorization(self, monkeypatch):
@@ -909,17 +1039,17 @@ class TestWorkCounts:
         res = maximize_dual(lagrangian_of(prob))
         assert res.method == "newton"
         assert counts == {"eigh": 0}
-        assert len(res.iterations) == 6
-        # bisection's multiplier, 31 evaluations
-        assert res.lambda_star == pytest.approx(33.936594009399414, rel=1e-7)
+        assert len(res.iterations) == 5
+        # bisection's multiplier, 22 evaluations
+        assert res.lambda_star == pytest.approx(33.93659387458379, rel=1e-7)
         # the spectral factors take the same Newton steps
         spectral = maximize_dual(spectral_twin(lagrangian_of(prob)))
         assert counts == {"eigh": 1}
-        assert len(spectral.iterations) == 6
+        assert len(spectral.iterations) == 5
         assert spectral.lambda_star == pytest.approx(res.lambda_star, rel=1e-12)
         # matrix-free, the same evaluations
         free = maximize_dual(self.counting_free_lagrangian(prob)[0])
-        assert len(free.iterations) == 6
+        assert len(free.iterations) == 5
         assert free.lambda_star == pytest.approx(res.lambda_star, rel=1e-12)
         assert counts == {"eigh": 1}
 
@@ -962,14 +1092,19 @@ class TestWorkCounts:
 
     def test_matrix_free_selection_in_one_basis(self, monkeypatch):
         prob = regime_fixture("interior", seed=1)
-        lag, _ = self.counting_free_lagrangian(prob)
+        lag, applies = self.counting_free_lagrangian(prob)
         counts = self.count_calls(monkeypatch, "eigh")
         res = maximize_dual(lag, method="bisection")
         assert counts == {"eigh": 0}
         assert res.diagnosis.regime == "interior"
         # the same evaluations and multiplier as the dense spectral path
-        assert len(res.iterations) == 31
-        assert res.lambda_star == pytest.approx(33.936594009399414, rel=1e-9)
+        assert len(res.iterations) == 22
+        assert res.lambda_star == pytest.approx(33.93659387458379, rel=1e-9)
+        # 20 steps, the basis's first column (an adjoint), the verdict's one
+        # look (a forward), and one forward and one adjoint per evaluation:
+        # 31 evaluations made this 52 and 52
+        assert lag.engine().basis.k == 20
+        assert applies == {"fwd": 1 + 20 + 22, "adj": 1 + 20 + 22}
 
         # the spectral factors materialize A themselves
         checker_lag, _ = self.counting_free_lagrangian(prob)
