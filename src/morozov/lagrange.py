@@ -40,13 +40,14 @@ map is materialized for it. The generalized eigendecomposition
 turns the system at every lam into the diagonal one
 (nu + lam mu) y = lam X^T A^T g with f = X y, nu = diag(X^T L^T L X),
 so each solve after the first costs a few O(n^2) products. nu is 1 - mu
-in exact arithmetic; along ker L, where both vanish, it is formed as
-||L x_i||^2, since the rounding of 1 - mu would swamp lam mu there. B is
-positive definite exactly when ker L and ker A intersect trivially, so
-building the factorization is also the strict-convexity check. It
-costs O(n^3) time and O(n^2) memory, which a matrix-free A with a
-custom penalty pays too. Its ``solve`` takes a block of m multipliers
-too: F = Y X^T is one product, and so is the tail.
+in exact arithmetic; where that is below sqrt(eps), along ker L or where
+L is small next to A, it is formed as ||L x_i||^2, since the rounding of
+1 - mu would swamp lam mu there. B is positive definite exactly when
+ker L and ker A intersect trivially, so building the factorization is
+also the strict-convexity check. It costs O(n^3) time and O(n^2)
+memory, which a matrix-free A with a custom penalty pays too. Its
+``solve`` takes a block of m multipliers too: F = Y X^T is one product,
+and so is the tail.
 
 Both engines end in ``_solutions``, one tail for a block of multipliers:
 for a dense A and m > 1, R = F A^T - g and A^T R are one matrix-matrix
@@ -138,7 +139,7 @@ class SpectralFactors:
     ``X`` holds the eigenvectors of the pencil (A^T A, L^T L + A^T A),
     normalized so that X^T (L^T L + A^T A) X = I; ``mu`` the eigenvalues,
     clipped to [0, 1]; ``nu`` the penalty's, X^T L^T L X = diag(nu), which
-    is 1 - mu but for the columns near ker L, where ``build`` forms
+    is 1 - mu but where that is below sqrt(eps), where ``build`` forms
     ||L x_i||^2; ``c`` the data in these coordinates, X^T A^T g;
     ``kernel`` the columns of ker L (see ``build``); and ``data_norm``
     ||gbar||, the upper end of the regime window: g less its best fit from
@@ -170,7 +171,8 @@ class SpectralFactors:
     def build(cls, A: LinearOperator, L: LinearOperator, g):
         """Factor the pencil; one O(n^3) eigendecomposition. A matrix-free A
         or L is materialized first, at ``dim_f`` forward applications, and L
-        is applied once more per column near ker L, for ``nu``.
+        is applied once more per column whose 1 - mu is below sqrt(eps), for
+        ``nu``.
 
         Raises
         ------
@@ -185,6 +187,7 @@ class SpectralFactors:
         atg = Am.T @ g
         B = Lm.T @ Lm
         del Am, Lm
+        l_sq = float(np.trace(B))  # ||L||_F^2, a bound on ||L||^2
         B += gram_a
         try:
             # rounding can let Cholesky succeed on a semidefinite matrix with
@@ -204,17 +207,23 @@ class SpectralFactors:
             check_finite=False,
         )
         np.clip(mu, 0.0, 1.0, out=mu)
-        # A column of ker L is one with 1 - mu <= sqrt(eps). 1 - mu = ||L x_i||^2
-        # rounds at eps, which swamps lam mu along ker L, where it is 0: below
-        # sqrt(eps) it has lost half its digits, so there ||L x_i||^2 is
-        # formed, which rounds relative to itself, at one application of L
-        # per column. The same columns are the ones lam -> 0 fits exactly:
-        # they leave gbar (``data_norm``) and D''(0+) (``slope_at_zero``).
+        # 1 - mu = ||L x_i||^2 rounds at eps, which swamps lam mu where it is
+        # near 0: below sqrt(eps) it has lost half its digits, so there
+        # ||L x_i||^2 is formed, which rounds relative to itself, at one
+        # application of L per column. 1 - mu is L's share of ||x_i||_B^2,
+        # so it is small also where L is merely small next to A; a column of
+        # ker L is one whose formed ||L x_i||^2 is at most the rounding of
+        # applying L, n eps ||L||_F^2 ||x_i||^2, which compares L with
+        # itself alone. These are the columns lam -> 0 fits exactly: they
+        # leave gbar (``data_norm``) and D''(0+) (``slope_at_zero``).
+        eps = np.finfo(np.float64).eps
         nu = 1.0 - mu
-        kernel = nu <= math.sqrt(np.finfo(np.float64).eps)
-        for i in np.flatnonzero(kernel):
-            lx = L.apply(X[:, i])
+        kernel = np.zeros_like(mu, dtype=bool)
+        for i in np.flatnonzero(nu <= math.sqrt(eps)):
+            x = X[:, i]
+            lx = L.apply(x)
             nu[i] = lx @ lx
+            kernel[i] = nu[i] <= len(mu) * eps * l_sq * (x @ x)
         c = X.T @ atg
         for arr in (X, mu, nu, c, kernel):
             arr.setflags(write=False)
@@ -305,7 +314,7 @@ class StandardForm:
         self.basis = GolubKahan(self.op.apply, self.op.apply_adjoint, self.data, self.op.dims.dim_f)
         self.lock = threading.Lock()
         if self.rhs_norm is None:
-            self.rhs_norm = self.basis.alpha[0] * self.basis.beta[0]
+            self.rhs_norm = self.abar_t_gbar
 
     @classmethod
     def build(cls, A: LinearOperator, g, kind):
@@ -374,18 +383,21 @@ class StandardForm:
         return "||g||" if self.aw_norm is None else "||gbar||"
 
     @property
+    def abar_t_gbar(self):
+        """||Abar^T gbar|| = alpha_1 beta_1, from the basis's first column."""
+        return self.basis.alpha[0] * self.basis.beta[0]
+
+    @property
     def slope_at_zero(self):
-        """D''(0+) = -2 ||Abar^T gbar||^2, from the basis's first column:
-        ||Abar^T gbar|| = alpha_1 beta_1, with no application."""
-        return -2.0 * (self.basis.alpha[0] * self.basis.beta[0]) ** 2
+        """D''(0+) = -2 ||Abar^T gbar||^2, with no application."""
+        return -2.0 * self.abar_t_gbar**2
 
     @property
     def _gain(self):
         """The factor from the basis's relative residual estimate to the
         full system's: L^T times the standard form's residual, over
-        ||A^T g|| in place of ||Abar^T gbar|| = alpha_1 beta_1."""
-        basis = self.basis
-        return self.lt_norm * basis.alpha[0] * basis.beta[0] / self.rhs_norm if self.rhs_norm else 0.0
+        ||A^T g|| in place of ||Abar^T gbar||."""
+        return self.lt_norm * self.abar_t_gbar / self.rhs_norm if self.rhs_norm else 0.0
 
     def certify(self, epsilon):
         """The data residual ||Abar x - gbar|| = ||A f - g|| of a projected

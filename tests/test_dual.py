@@ -728,6 +728,47 @@ class TestFirstDifferenceWindow:
                 assert twin.d_second == pytest.approx(krylov.d_second, rel=1e-6), lam
 
 
+class TestKernelColumns:
+    """A column of the spectral factors is in ker L by a test on L alone,
+    ||L x_i||^2 against the rounding of applying L: 1 - mu, L's share of
+    ||x_i||_B^2, is small also where L is merely small next to A."""
+
+    def test_small_injective_penalty_has_no_kernel(self):
+        # L = 1e-5 I puts 1 - mu below sqrt(eps) on every column with
+        # s_i^2 >= 0.0067. Counted as ker L, those columns left a window
+        # ending at 0.978 < tau, and the problem raised RegimeError. The
+        # spectral factors' nu above sqrt(eps) is 1 - mu, which keeps about
+        # n eps / nu of relative accuracy: so 1e-6 on lambda_star
+        n = 128
+        A = make_deconvolution(n, 2.0)
+        prob = synthesize(A, 5.0 + 0.1 * np.sin(6.0 * np.linspace(0.0, 1.0, n)), 0.02, seed=1)
+        lag = Lagrangian(A, prob.g, custom_regularizer(linops.from_matrix(1e-5 * np.eye(n))), prob.tau**2)
+        res = maximize_dual(lag)
+        ref = maximize_dual(Lagrangian(A, prob.g, identity_regularizer(n), prob.tau**2))
+        assert not lag.engine().kernel.any()
+        assert res.diagnosis.regime == ref.diagnosis.regime == "interior"
+        assert res.diagnosis.data_label == "||g||"
+        assert res.diagnosis.data_norm == pytest.approx(np.linalg.norm(prob.g), rel=1e-15)
+        assert ref.lambda_star == pytest.approx(100.715163, rel=1e-8)
+        assert res.lambda_star == pytest.approx(1e-10 * ref.lambda_star, rel=1e-6)
+        assert eval_dual(lag, 0.0).d_second == pytest.approx(numpy_slope_at_zero(lag), rel=1e-6)
+
+    @pytest.mark.parametrize("scale", [1e3, 1e-3])
+    def test_window_is_free_of_the_scale_of_the_data(self, scale):
+        # the window case in other units: A and g scaled alike. At 1e3,
+        # 1 - mu is below sqrt(eps) on the columns of low frequency too,
+        # and counted as ker L they took all but the noise out of ||gbar||.
+        # eigh resolves the kernel column there to eps over the gap between
+        # mu = 1 and the next, about 6e-7 in angle: so 1e-4
+        op, g, gbar_norm = TestFirstDifferenceWindow.problem(False)
+        J = custom_regularizer(linops.from_matrix(np.diff(np.eye(128), axis=0)))
+        lag = Lagrangian(linops.from_matrix(scale * op.matrix), scale * g, J, (scale * 28.4) ** 2)
+        d = diagnose_regime(lag)
+        assert lag.engine().kernel.sum() == 1
+        assert d.regime == "noise_dominates" and d.data_label == "||gbar||"
+        assert d.data_norm == pytest.approx(scale * gbar_norm, rel=1e-4)
+
+
 class TestRegimeCertificate:
     """The verdict asks for the sign of D'(LAMBDA_MAX) on the problem's engine.
 
