@@ -229,7 +229,7 @@ class GolubKahan:
 
         Solves (I + lam B_k^T B_k) z = lam alpha_1 beta_1 e_1 on the first
         ``k`` columns (default all) and returns z, with f = V_k z; its
-        relative residual is ``tikhonov_residuals(lam)[k]``. The result
+        relative residual is ``tikhonov_residuals(lam, k)[0]``. The result
         depends on the first k columns only, not on how far the basis has
         grown.
         """
@@ -244,8 +244,9 @@ class GolubKahan:
         D, l, _ = self._factors(lam, k)
         return x / D[:k] if k <= 1 else scipy.linalg.lapack.dpttrs(D[:k], l[: k - 1], x)[0]
 
-    def tikhonov_residuals(self, lam):
-        """The relative residual of ``tikhonov(lam, j)`` for j = 0..k at once.
+    def tikhonov_residuals(self, lam, start=0):
+        """The relative residual of ``tikhonov(lam, j)`` for j = start..k at
+        once.
 
         In exact arithmetic the full residual of V_j z is
         lam alpha_{j+1} beta_{j+1} z_j v_{j+1}, so its norm relative to
@@ -253,14 +254,16 @@ class GolubKahan:
         system. With T_j = L_j D_j L_j^T, z_j is y_j / D_j times
         lam alpha_1 beta_1 (``_factors``), so the factors of T_k give every
         j, and a column the basis gained since the last call at this lam
-        costs O(1).
+        costs O(1). From ``start`` >= 1 the result is a view of the kept
+        factors, so a search that reads only the columns past its last
+        look costs O(1) a column too.
         """
         k = self.k
         if self.alpha[0] == 0.0:
-            return np.zeros(k + 1)
-        rel = np.ones(k + 1)  # j = 0: f = 0 leaves the whole right-hand side
-        rel[1:] = self._factors(lam, k)[2][:k]
-        return rel
+            return np.zeros(k + 1 - start)
+        rel = self._factors(lam, k)[2][max(start - 1, 0) : k]
+        # j = 0: f = 0 leaves the whole right-hand side
+        return rel if start else np.concatenate(([1.0], rel))
 
     def tikhonov_bound(self, lam, z):
         """||B_k z - beta_1 e_1||^2 + ||z||^2 / lam for z on the first

@@ -84,7 +84,7 @@ import numpy as np
 
 from .errors import BracketFailure, ConvergenceFailure, RegimeError
 from .lagrange import LAMBDA_MAX, Lagrangian, StandardForm, lagrangian_value, solve_lagrange
-from .linops import residual_norm_sq
+from .linops import from_callables, residual_norm_sq
 
 __all__ = [
     "DualEvaluation",
@@ -648,6 +648,10 @@ def verify_morozov_solution(res: SelectionResult, lag: Lagrangian, rtol=1e-8):
     1e-8 (1 + ||2 lam A^T g||); (c) minimality of the Lagrangian at f
     against 100 random perturbations, the same ones on every call.
 
+    A dense A is applied in all three by numpy's products of its stored
+    matrix, not by the band copy that a selection's basis applies it by
+    (``linops``), so a band that left out more than rounding fails here.
+
     Returns a report listing each check; nothing is raised on failure.
     ``ValueError`` for an ``rtol`` that is not positive and finite, before
     any work.
@@ -658,6 +662,10 @@ def verify_morozov_solution(res: SelectionResult, lag: Lagrangian, rtol=1e-8):
         raise ValueError("verification needs a converged SelectionResult")
     f = np.asarray(res.f_star, dtype=np.float64)
     lam = res.lambda_star
+    if lag.op.is_dense:
+        M = lag.op.matrix
+        numpy_op = from_callables(M.shape[1], M.shape[0], M.__matmul__, M.T.__matmul__)
+        lag = Lagrangian(numpy_op, lag.data, lag.regularizer, lag.epsilon)
     A, g = lag.op, lag.data
     checks = []
 

@@ -424,7 +424,7 @@ class StandardForm:
                     r = self.op.apply(x) - self.data
                     if float(r @ r) + float(x @ x) / LAMBDA_MAX < epsilon:
                         return float(np.linalg.norm(r))
-                if basis.exhausted or self._gain * basis.tikhonov_residuals(LAMBDA_MAX)[-1] <= KRYLOV_TOL:
+                if basis.exhausted or self._gain * basis.tikhonov_residuals(LAMBDA_MAX, basis.k)[0] <= KRYLOV_TOL:
                     return None
                 basis.step()
 
@@ -499,8 +499,9 @@ class StandardForm:
         ``GolubKahan.discrepancy_slope``.
 
         1. Find the first column from j whose residual estimate passes, in
-           one search of ``GolubKahan.tikhonov_residuals``; the basis grows
-           only while no column passes.
+           ``GolubKahan.tikhonov_residuals`` read from column j on; the basis
+           grows only while no column passes, and each column it gains is
+           read once.
         2. Grow the basis once, to k = j + ``_LOOKAHEAD`` columns or to
            exhaustion.
         3. Unless the basis is exhausted (``exact``), whose solution is
@@ -510,7 +511,7 @@ class StandardForm:
         basis, gain = self.basis, self._gain
         while True:
             # the first column from j whose residual estimate passes
-            while not (ahead := np.flatnonzero(gain * basis.tikhonov_residuals(lam)[j:] <= KRYLOV_TOL)).size:
+            while not (ahead := np.flatnonzero(gain * basis.tikhonov_residuals(lam, j) <= KRYLOV_TOL)).size:
                 j = basis.k + 1
                 basis.step()
             j += int(ahead[0])

@@ -1183,8 +1183,10 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize("penalty", [identity_regularizer, first_difference_regularizer])
     def test_banded_selection_matches_its_gemv_twin(self, penalty):
-        # the width-2 blur is banded (kl = ku = 75), so from_matrix applies it
-        # by dgbmv; the callables twin runs numpy's dense products
+        # the width-2 blur's band, cut where its weights fall below eps / n
+        # of every row's largest, is kl = ku = 18, so from_matrix applies it
+        # by dgbmv; the callables twin runs numpy's dense products on every
+        # stored weight
         n = 512
         A = make_deconvolution(n, 2.0)
         prob = synthesize(A, _bump_profile(n, np.random.default_rng(n)), 0.02, seed=n)
@@ -1213,7 +1215,7 @@ class TestWorkCounts:
         lag = Lagrangian(linops.from_matrix(prob.op.matrix), prob.g, penalty(n), (1.02 * prob.tau) ** 2)
         evals = sweep_dual(lag, np.logspace(-2, 8, 20))
         assert all(e.error is None for e in evals)
-        assert [args[1:] for args in copies] == [(75, 75)]
+        assert [args[1:] for args in copies] == [(18, 18)]
 
     def test_custom_penalty_certificate_makes_no_eigh(self, monkeypatch):
         # a dense custom penalty certifies its regime by its spectral
@@ -1711,6 +1713,20 @@ class TestVerifyMorozov:
             discrepancy=float(np.sqrt(sol2.discrepancy_sq)),
         )
         report = verify_morozov_solution(bad, lag)
+        assert not report.passed
+        assert "discrepancy" in report.failed_items()
+
+    def test_dense_operator_is_checked_on_its_stored_matrix(self, monkeypatch):
+        # a band cut through significant weights changes the operator that
+        # the selection runs on; the verifier's products read every stored
+        # weight and refuse its answer
+        n = 512
+        prob = synthesize(make_deconvolution(n, 2.0), _bump_profile(n, np.random.default_rng(n)), 0.02, seed=n)
+        monkeypatch.setattr(linops, "_bandwidths", lambda mat: (2, 2))
+        lag = Lagrangian(linops.from_matrix(prob.op.matrix), prob.g, identity_regularizer(n), (1.02 * prob.tau) ** 2)
+        res = maximize_dual(lag)
+        assert res.converged
+        report = verify_morozov_solution(res, lag)
         assert not report.passed
         assert "discrepancy" in report.failed_items()
 

@@ -115,6 +115,19 @@ class TestGolubKahan:
             explicit = np.linalg.norm(f + 5.0 * mat.T @ (mat @ f) - rhs) / np.linalg.norm(rhs)
             assert residuals[j] == pytest.approx(explicit, rel=1e-9)
 
+    def test_residuals_from_a_start_column_are_the_tail(self, rng):
+        # a search reads only the columns past its last look: the tail of
+        # the whole array, bit for bit, as the basis grows a column at a time
+        mat = rng.standard_normal((12, 10)) @ np.diag(0.6 ** np.arange(10))
+        basis = bidiagonalize(mat, rng.standard_normal(12), 2)
+        for _ in range(5):
+            whole = basis.tikhonov_residuals(5.0)
+            for start in range(basis.k + 2):
+                assert basis.tikhonov_residuals(5.0, start).tobytes() == whole[start:].tobytes()
+            basis.step()
+        empty = bidiagonalize(np.eye(3), np.zeros(3), 2)
+        assert empty.tikhonov_residuals(1.0, 0).tolist() == [0.0] and empty.tikhonov_residuals(1.0, 1).size == 0
+
     def test_residual_estimates_do_not_depend_on_the_order_of_multipliers(self, rng):
         # the factors kept for one multiplier grow a column at a time as the
         # basis grows, and a new multiplier factors every column at once:

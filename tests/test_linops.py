@@ -1,4 +1,5 @@
 import gc
+import math
 import struct
 import sys
 import threading
@@ -20,6 +21,8 @@ from morozov.linops import (
 from morozov.problems import make_deconvolution, make_hilbert
 
 from conftest import assert_adjoint_consistent, random_dense_op
+
+EPS = np.finfo(np.float64).eps
 
 
 def test_dims_validation():
@@ -149,6 +152,19 @@ def assert_products_match(op, mat, rng):
             assert np.linalg.norm(got - ref) <= 1e-15 * np.linalg.norm(ref)
 
 
+def assert_within_the_cut(op, mat, rng):
+    """Each entry of the forward (adjoint) product is within
+    eps * max |row| * ||x||_inf (eps * max |column| * ||y||_inf) of its
+    exact value, plus the rounding of the band's own sum."""
+    width = op.dims.dim_f + op.dims.dim_g
+    for _ in range(5):
+        x, y = rng.standard_normal(mat.shape[1]), rng.standard_normal(mat.shape[0])
+        for got, a, v in ((op.apply(x), mat, x), (op.apply_adjoint(y), mat.T, y)):
+            exact = np.array([math.fsum(row * v) for row in a])
+            bound = EPS * np.abs(a).max(axis=1) * np.abs(v).max() + width * EPS * (np.abs(a) @ np.abs(v))
+            assert (np.abs(got - exact) <= bound).all()
+
+
 @pytest.fixture
 def band_copies(monkeypatch):
     """The (kl, ku) of every band copy built while the test runs."""
@@ -206,12 +222,68 @@ class TestBandStorage:
         assert np.array_equal(op.apply_adjoint(rng.standard_normal(10)), np.zeros(6))
         np.testing.assert_array_equal(op.materialize(), np.zeros((10, 6)))
 
-    def test_deconvolution_band_ends_at_the_flushed_weights(self, band_copies):
-        # at width 2 the weights past offset 75 underflow and are stored as 0
+    def test_deconvolution_band_ends_at_the_rounding_cut(self, band_copies):
+        # at width 2 the stored weights reach offset 75, where they
+        # underflow to 0; from offset 19 on they lie below eps / n of every
+        # row's and column's largest weight, and the band ends at 18
         op = make_deconvolution(512, 2.0)
         assert band_copies == []
         op.apply_adjoint(np.ones(512))
-        assert band_copies == [(75, 75)]
+        assert band_copies == [(18, 18)]
+
+    @pytest.mark.parametrize("tail", [1e-300, "below the cut"])
+    def test_tail_outside_the_band_is_cut(self, rng, band_copies, tail):
+        # band entries of magnitude 1 to 2 set every row and column maximum
+        # to at least 1, so tail entries below eps / n of it are dropped
+        m, n, kl, ku = 40, 40, 3, 2
+        mat = banded(rng, m, n, kl, ku)
+        mat += np.sign(mat)
+        level = 1e-300 if tail == 1e-300 else 0.99 * EPS / max(m, n)
+        mat[mat == 0] = level * rng.choice([-1.0, 1.0], size=m * n - np.count_nonzero(mat))
+        op = from_matrix(mat)
+        assert_within_the_cut(op, mat, rng)
+        assert band_copies == [(kl, ku)]
+
+    def test_small_row_keeps_its_entries(self, rng, band_copies):
+        # one row holds the outermost diagonals and is 1e-20 of the others:
+        # the cut follows its own maximum, so the band keeps its entries
+        mat = banded(rng, 24, 24, 1, 1)
+        mat[5, 2], mat[5, 9] = 0.7, -1.3
+        mat[5] *= 1e-20
+        op = from_matrix(mat)
+        assert_within_the_cut(op, mat, rng)
+        assert band_copies == [(3, 4)]
+
+    def test_deconvolution_band_holds_no_entry_below_the_cut(self, monkeypatch):
+        mat = make_deconvolution(512, 2.0).matrix
+        mag = np.abs(mat)
+        cut = EPS / 512 * min(mag.max(axis=1).min(), mag.max(axis=0).min())
+        copies = []
+        band_storage = linops._band_storage
+        monkeypatch.setattr(linops, "_band_storage", lambda *args: copies.append(band_storage(*args)) or copies[-1])
+        from_matrix(mat).apply(np.ones(512))
+        (ab,) = copies
+        assert ab.shape == (37, 512)
+        assert np.abs(ab[ab != 0]).min() > cut
+        # and the diagonals past it hold nothing above the cut
+        assert max(np.abs(mat.diagonal(d)).max() for d in (-19, 19)) <= cut
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_gives_numpy_products(self, rng, band_copies, bad):
+        # a NaN makes the cut NaN, which falls back to every stored nonzero;
+        # an infinity stays in the band; either way the products are numpy's,
+        # NaN and inf in the same places
+        mat = banded(rng, 12, 12, 0, 1)
+        mat[3, 4] = bad
+        op = from_matrix(mat)
+        x, y = rng.standard_normal(12), rng.standard_normal(12)
+        for got, ref in ((op.apply(x), mat @ x), (op.apply_adjoint(y), mat.T @ y)):
+            finite = np.isfinite(ref)
+            assert not finite.all()
+            # NaN and each signed inf in the same places, the rest as in
+            # assert_products_match
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-15 * np.linalg.norm(ref[finite]))
+        assert band_copies == [(0, 1)]
 
     def test_concurrent_first_products_agree(self, rng, band_copies):
         # every thread may build its own pair; each must give M @ x
