@@ -4,9 +4,9 @@
 Tikhonov's (Chung, Nagy & O'Leary, ETNA 2008), with its error estimates.
 It serves ``lagrange.solve_lagrange`` and the regime verdict of
 ``dual.diagnose_regime``, whose certificate is the projected solution at
-the largest multiplier the search accepts (``StandardForm.certify``). The
-problems of the identity and first-difference penalties, dense or
-matrix-free, run on it in the standard form of ``lagrange.StandardForm``.
+the largest multiplier the search accepts (``StandardForm.certify``).
+Every problem, whatever its penalty, dense or matrix-free, runs on it in
+the standard form of ``lagrange.StandardForm``.
 """
 
 import math

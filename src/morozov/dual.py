@@ -32,7 +32,7 @@ tau <= dist(g, range(A)) implies (D increases forever, or up to beyond
 LAMBDA_MAX, and no maximum is reached).
 
 D' is nonincreasing and every inner solve also returns D''(lam), the
-slope d||A f_lam - g||^2 / dlam, at O(k) or O(n) cost. The default
+slope d||A f_lam - g||^2 / dlam, at O(k) cost. The default
 maximization is a safeguarded Newton iteration on
 
     psi(lam) = 1/||A f_lam - g|| - 1/tau,
@@ -56,24 +56,21 @@ The regime verdict has one algorithm and one code path for every
 caller: it asks the engine of the problem's certificate
 (``Lagrangian.certificate``), the problem itself or, when its engine
 cannot be built, its identity twin on (A, g), for the sign of
-D'(LAMBDA_MAX). In the Golub-Kahan basis of a built-in penalty the
-projected solution at LAMBDA_MAX proves D'(LAMBDA_MAX) < 0 as soon as its
-residual plus its penalty over LAMBDA_MAX drops below epsilon
-(``StandardForm.certify``); otherwise, and for a custom penalty, the
-engine's own solve at LAMBDA_MAX decides. Its only thresholds are
-LAMBDA_MAX and ``KRYLOV_TOL``, which the search obeys too: no
-least-squares solve and no rank cutoff is used.
+D'(LAMBDA_MAX). In the engine's Golub-Kahan basis the projected solution
+at LAMBDA_MAX proves D'(LAMBDA_MAX) < 0 as soon as its residual plus its
+penalty over LAMBDA_MAX drops below epsilon (``StandardForm.certify``);
+otherwise the engine's own solve at LAMBDA_MAX decides. Its only
+thresholds are LAMBDA_MAX and ``KRYLOV_TOL``, which the search obeys too:
+no least-squares solve and no rank cutoff on A is used.
 
 This module only searches: the problem's engine (``Lagrangian.engine``),
 which the regime verdict builds, serves every evaluation and is the
-strict-convexity check. With a built-in penalty every evaluation is a
+strict-convexity check. Whatever the penalty, every evaluation is a
 projected solve in the verdict's basis, which grows only when a
-multiplier needs more columns; with a custom one the
-problem is factored once (``SpectralFactors``, materializing a
-matrix-free A or L), and every evaluation after that costs a few O(n^2)
-products. ``sweep_dual`` runs on the same engine, in blocks of
-multipliers whose size one rule bounds for every engine
-(``_BLOCK_FLOATS``).
+multiplier needs more columns; a custom L is materialized and factored
+once when the engine is built, and a matrix-free A stays an operator.
+``sweep_dual`` runs on the same engine, in blocks of multipliers whose
+size one rule bounds (``_BLOCK_FLOATS``).
 """
 
 import logging
@@ -83,7 +80,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BracketFailure, ConvergenceFailure, RegimeError
-from .lagrange import LAMBDA_MAX, Lagrangian, StandardForm, lagrangian_value, solve_lagrange
+from .lagrange import LAMBDA_MAX, Lagrangian, lagrangian_value, solve_lagrange
 from .linops import from_callables, residual_norm_sq
 
 __all__ = [
@@ -236,12 +233,12 @@ def diagnose_regime(lag: Lagrangian):
 
     ||gbar|| and its label are that engine's ``data_norm`` and
     ``data_label``; tau >= ||gbar|| is "noise_dominates" before any
-    further work. Otherwise a built-in penalty's basis grows until its
-    projected solution x at LAMBDA_MAX proves D'(LAMBDA_MAX) < 0
+    further work. Otherwise the engine's basis grows until its projected
+    solution x at LAMBDA_MAX proves D'(LAMBDA_MAX) < 0
     (``StandardForm.certify``), and ``dist_to_range`` is its residual.
-    Where no such proof comes, and for a custom penalty, the engine's
-    own solve at LAMBDA_MAX (``solve_lagrange``) decides by the sign of
-    its D', and ``dist_to_range`` is its residual. Either residual is an
+    Where no such proof comes, the engine's own solve at LAMBDA_MAX
+    (``solve_lagrange``) decides by the sign of its D', and
+    ``dist_to_range`` is its residual. Either residual is an
     upper bound on dist(g, range(A)) and, in exact arithmetic, at most
     ||gbar||, which f = 0 attains.
 
@@ -256,7 +253,7 @@ def diagnose_regime(lag: Lagrangian):
     regime, dist = "noise_dominates", engine.data_norm
     if tau < engine.data_norm:
         regime = "interior"
-        dist = engine.certify(lag.epsilon) if isinstance(engine, StandardForm) else None
+        dist = engine.certify(lag.epsilon)
         if dist is None:
             # certify has released the basis lock, which the solve takes
             disc_sq = solve_lagrange(cert, LAMBDA_MAX).discrepancy_sq
@@ -300,9 +297,8 @@ def maximize_dual(
     tolerance rtol.
 
     Before the search, ``diagnose_regime`` gives the regime verdict on
-    the problem's own engine, which the search then reuses: in a
-    built-in penalty's Golub-Kahan basis, or on a custom penalty's
-    spectral factors, whose one eigendecomposition comes before it.
+    the problem's own engine, whose Golub-Kahan basis the search then
+    reuses.
 
     Parameters
     ----------
@@ -562,11 +558,11 @@ def sweep_dual(lag: Lagrangian, lambdas):
     once, failure included, in blocks of one ``solve`` each. A block
     holds as many multipliers as keep each of its m-by-n arrays (F,
     A F - g and A^T (A F - g), n the larger dimension of A) within
-    ``_BLOCK_FLOATS`` entries, whichever the engine. In the Golub-Kahan basis each point
-    keeps its own search, and the block shares the products of its tail;
-    on the spectral factors the whole block is three matrix-matrix
-    products for a dense A. Every point is the same ``DualEvaluation``
-    that ``eval_dual`` returns, up to the rounding of the block products.
+    ``_BLOCK_FLOATS`` entries. In the Golub-Kahan basis each point keeps
+    its own search, and the block shares the products of its tail, two
+    matrix-matrix products for a dense A. Every point is the same
+    ``DualEvaluation`` that ``eval_dual`` returns, up to the rounding of
+    the block products.
     A block that raises a point's error is solved again point by point by
     ``eval_dual``, so a ``ConvergenceFailure`` fails its own point only,
     and an engine that cannot be built fails every point with the

@@ -15,63 +15,45 @@ multiplier are equivalent to Tikhonov solves at regularization weight
 alpha = 1/lam. Conditioning deteriorates as lam grows, so multipliers
 above ``LAMBDA_MAX`` are rejected outright.
 
-Problems with a built-in penalty, the identity or first differences,
-dense or matrix-free, are solved by one engine: ``StandardForm`` and the
-Golub-Kahan basis it owns. It brings the penalty to the identity: for first
-differences, Elden's transformation replaces (A, g) by
-Abar = (I - q q^T) A L^+ and gbar = (I - q q^T) g, with L^+ an O(n)
-cumulative sum and q the normalized image of the constants. The basis
-Abar V_k = U_{k+1} B_k is started from gbar. The standard-form solution
-at every lam lies in span V_k, so each solve is the k-by-k tridiagonal
-system (I + lam B_k^T B_k) z = lam ||Abar^T gbar|| e_1, mapped back to f
-in O(n); the basis grows only when a multiplier needs more columns than
-any before it. For first differences, A not annihilating the constants
-is the strict-convexity check. Its ``solve`` takes a block of m
-multipliers: each keeps its own search for its k, and the block shares
-its tail, F = Z V_k and, for a dense A, R = F A^T - g and A^T R, one
-matrix-matrix product each.
+Every problem, whatever its penalty and whether A and L are dense or
+matrix-free, is solved by one engine: ``StandardForm`` and the
+Golub-Kahan basis it owns. It brings the penalty to the identity by
+Elden's transformation (BIT 22, 1982; Hansen's ``std_form``, Numer.
+Algorithms 46, 2007): with W an orthonormal basis of ker L and the QR
+factorization A W = Q_W R_W, it replaces (A, g) by
+Abar = (I - Q_W Q_W^T) A L^+ and gbar = (I - Q_W Q_W^T) g. The identity
+penalty is the case W = 0, L^+ = I; first differences have W = 1/sqrt(n)
+and an O(n) cumulative sum for L^+; a custom L is materialized, at n
+applications, and one pivoted QR factorization of L^T gives its rank,
+W and L^+ through triangular solves (``_penalty``). A matrix-free A stays
+an operator. The basis Abar V_k = U_{k+1} B_k is started from gbar. The
+standard-form solution at every lam lies in span V_k, so each solve is the
+k-by-k tridiagonal system (I + lam B_k^T B_k) z = lam ||Abar^T gbar|| e_1,
+mapped back to f; the basis grows only when a multiplier needs more
+columns than any before it. A singular R_W, A not seeing some direction of
+ker L, is the strict-convexity check. Its ``solve`` takes a block of m
+multipliers: each keeps its own search for its k, and the block shares its
+tail, F = Z V_k and, for a dense A and m > 1, R = F A^T - g and A^T R, one
+matrix-matrix product each at BLAS-3 speed (``_solutions``), in place of
+two memory-bound matrix-vector products per multiplier; a single
+multiplier, every evaluation of a selection, applies A through its
+operator pair.
 
-Problems with a custom penalty are solved by ``SpectralFactors``,
-factored once whether A and L are dense or matrix-free; a matrix-free
-map is materialized for it. The generalized eigendecomposition
-
-    A^T A X = B X diag(mu),   X^T B X = I,   B = L^T L + A^T A,
-
-turns the system at every lam into the diagonal one
-(nu + lam mu) y = lam X^T A^T g with f = X y, nu = diag(X^T L^T L X),
-so each solve after the first costs a few O(n^2) products. nu is 1 - mu
-in exact arithmetic; where that is below sqrt(eps), along ker L or where
-L is small next to A, it is formed as ||L x_i||^2, since the rounding of
-1 - mu would swamp lam mu there. B is positive definite exactly when
-ker L and ker A intersect trivially, so building the factorization is
-also the strict-convexity check. It costs O(n^3) time and O(n^2)
-memory, which a matrix-free A with a custom penalty pays too. Its
-``solve`` takes a block of m multipliers too: F = Y X^T is one product,
-and so is the tail.
-
-Both engines end in ``_solutions``, one tail for a block of multipliers:
-for a dense A and m > 1, R = F A^T - g and A^T R are one matrix-matrix
-product each, O(m n^2) at BLAS-3 speed, in place of two memory-bound
-matrix-vector products per multiplier; a single multiplier, every
-evaluation of a selection, applies A through its operator pair.
-
-``Lagrangian`` picks each engine once, by the penalty's kind alone:
-``engine``, which ``solve_lagrange``, every sweep and the regime verdict
-run on. ``certificate`` is the Lagrangian whose engine gives the verdict:
-the problem itself, or, when its engine cannot be built, its twin with
-the identity penalty on (A, g). It keeps what each build returned, or the
-``AssumptionViolation`` it raised, so no build runs twice. An engine's
-``solve`` takes the ``Lagrangian`` it was built from: holding it would
-make a reference cycle, which frees the factors only when the cyclic
-garbage collector runs.
+``Lagrangian.engine`` builds the engine once, which ``solve_lagrange``,
+every sweep and the regime verdict run on. ``certificate`` is the
+Lagrangian whose engine gives the verdict: the problem itself, or, when
+its engine cannot be built, its twin with the identity penalty on (A, g).
+It keeps what each build returned, or the ``AssumptionViolation`` it
+raised, so no build runs twice. An engine's ``solve`` takes the
+``Lagrangian`` it was built from: holding it would make a reference
+cycle, which frees the basis only when the cyclic garbage collector runs.
 
 Every solve also returns the slope d||A f - g||^2 / dlam, the dual's
 D''(lam), which the Newton search over lam uses. With r = A f - g and
-M = L^T L + lam A^T A it is -2 (A^T r)^T M^{-1} (A^T r); each engine
-takes it from what it already holds: the projected tridiagonal in O(k),
-the spectral factors in O(n). Its right limit at 0, -2 ||Abar^T gbar||^2,
-which places the search's first multiplier, is each engine's
-``slope_at_zero``, read without an application.
+M = L^T L + lam A^T A it is -2 (A^T r)^T M^{-1} (A^T r), which the engine
+takes from the projected tridiagonal in O(k). Its right limit at 0,
+-2 ||Abar^T gbar||^2, which places the search's first multiplier, is the
+engine's ``slope_at_zero``, read without an application.
 """
 
 import logging
@@ -92,7 +74,6 @@ __all__ = [
     "LAMBDA_MAX",
     "Lagrangian",
     "LagrangeSolution",
-    "SpectralFactors",
     "StandardForm",
     "lagrangian_value",
     "solve_lagrange",
@@ -132,129 +113,11 @@ class LagrangeSolution:
     solver_stats: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class SpectralFactors:
-    """Generalized eigendecomposition of a problem, dense or matrix-free.
-
-    ``X`` holds the eigenvectors of the pencil (A^T A, L^T L + A^T A),
-    normalized so that X^T (L^T L + A^T A) X = I; ``mu`` the eigenvalues,
-    clipped to [0, 1]; ``nu`` the penalty's, X^T L^T L X = diag(nu), which
-    is 1 - mu but where that is below sqrt(eps), where ``build`` forms
-    ||L x_i||^2; ``c`` the data in these coordinates, X^T A^T g;
-    ``kernel`` the columns of ker L (see ``build``); and ``data_norm``
-    ||gbar||, the upper end of the regime window: g less its best fit from
-    A(ker L), whose columns A x_i are orthonormal, so that
-    ||gbar||^2 = ||g||^2 - sum of c_i^2 over ``kernel``.
-    """
-
-    X: np.ndarray
-    mu: np.ndarray
-    nu: np.ndarray
-    c: np.ndarray
-    kernel: np.ndarray
-    data_norm: float
-
-    @property
-    def data_label(self):
-        """How messages name ``data_norm``: ||gbar|| when L has a kernel."""
-        return "||gbar||" if self.kernel.any() else "||g||"
-
-    @property
-    def slope_at_zero(self):
-        """D''(0+) = -2 ||Abar^T gbar||^2 = -2 sum c_i^2 / nu_i over the
-        columns outside ``kernel``, in O(n): the limit of ``solve``'s slope,
-        in which a column of ker L carries no weight."""
-        live = ~self.kernel
-        return -2.0 * float(np.sum(self.c[live] ** 2 / self.nu[live]))
-
-    @classmethod
-    def build(cls, A: LinearOperator, L: LinearOperator, g):
-        """Factor the pencil; one O(n^3) eigendecomposition. A matrix-free A
-        or L is materialized first, at ``dim_f`` forward applications, and L
-        is applied once more per column whose 1 - mu is below sqrt(eps), for
-        ``nu``.
-
-        Raises
-        ------
-        AssumptionViolation
-            If L^T L + A^T A is singular or numerically singular, i.e. the
-            penalty is not strictly convex along ker(A).
-        """
-        # the materialized maps are dropped before the O(n^3) factorizations,
-        # so fewer n^2 blocks are held at the peak
-        Am, Lm = A.materialize(), L.materialize()
-        gram_a = Am.T @ Am
-        atg = Am.T @ g
-        B = Lm.T @ Lm
-        del Am, Lm
-        l_sq = float(np.trace(B))  # ||L||_F^2, a bound on ||L||^2
-        B += gram_a
-        try:
-            # rounding can let Cholesky succeed on a semidefinite matrix with
-            # a sqrt(eps)-scale pivot, which would yield garbage
-            pivots = np.abs(np.diagonal(scipy.linalg.cholesky(B, check_finite=False)))
-            singular = pivots.min() ** 2 <= B.shape[0] * np.finfo(np.float64).eps * pivots.max() ** 2
-        except scipy.linalg.LinAlgError:
-            singular = True
-        if singular:
-            raise AssumptionViolation(
-                "penalty is not strictly convex along ker(A): L^T L + A^T A is "
-                "singular or numerically singular, so the selected "
-                "reconstruction would not be unique"
-            )
-        mu, X = scipy.linalg.eigh(
-            gram_a, B, driver="gvd", overwrite_a=True, overwrite_b=True,
-            check_finite=False,
-        )
-        np.clip(mu, 0.0, 1.0, out=mu)
-        # 1 - mu = ||L x_i||^2 rounds at eps, which swamps lam mu where it is
-        # near 0: below sqrt(eps) it has lost half its digits, so there
-        # ||L x_i||^2 is formed, which rounds relative to itself, at one
-        # application of L per column. 1 - mu is L's share of ||x_i||_B^2,
-        # so it is small also where L is merely small next to A; a column of
-        # ker L is one whose formed ||L x_i||^2 is at most the rounding of
-        # applying L, n eps ||L||_F^2 ||x_i||^2, which compares L with
-        # itself alone. These are the columns lam -> 0 fits exactly: they
-        # leave gbar (``data_norm``) and D''(0+) (``slope_at_zero``).
-        eps = np.finfo(np.float64).eps
-        nu = 1.0 - mu
-        kernel = np.zeros_like(mu, dtype=bool)
-        for i in np.flatnonzero(nu <= math.sqrt(eps)):
-            x = X[:, i]
-            lx = L.apply(x)
-            nu[i] = lx @ lx
-            kernel[i] = nu[i] <= len(mu) * eps * l_sq * (x @ x)
-        c = X.T @ atg
-        for arr in (X, mu, nu, c, kernel):
-            arr.setflags(write=False)
-        gbar_sq = float(g @ g) - float(np.sum(c[kernel] ** 2))
-        return cls(X=X, mu=mu, nu=nu, c=c, kernel=kernel, data_norm=math.sqrt(max(gbar_sq, 0.0)))
-
-    def solve(self, lag, lams):
-        """The inner minimizers of ``lag``, the problem the factors were
-        built from, at every multiplier of ``lams`` at once, in order;
-        ``ValueError`` for one outside (0, LAMBDA_MAX], before any solve.
-
-        The rows f_lam = X y of F, with (nu + lam mu) y = lam c, are one
-        product Y X^T, and ``_solutions`` forms the residuals. Each slope
-        d||A f_lam - g||^2 / dlam = -2 sum c^2 nu^2 / d^3 with
-        d = nu + lam mu costs O(n): X^T A^T r = -c nu / d and
-        M^{-1} = X diag(1 / d) X^T.
-        """
-        for lam in lams:
-            _check_multiplier(lam)
-        col = np.asarray(lams, dtype=np.float64)[:, None]
-        d = self.nu + col * self.mu
-        slopes = -2.0 * np.sum((self.c * self.nu) ** 2 / d**3, axis=1)
-        F = (col * self.c / d) @ self.X.T
-        return _solutions(lag, lams, F, slopes, [{"method": "spectral"} for _ in lams])
-
-
-# ker L and ker A intersect trivially for first differences exactly when
-# A W != 0, W = 1/sqrt(n). ||A W|| at most this share of ||A^T q||, with
-# q = A W / ||A W|| (a lower bound on ||A||), counts as zero: a solution's
-# constant part, (q^T g - h^T z) / ||A W||, would then carry rounding of
-# order eps ||A^T q|| ||z|| / ||A W||, above 2e-6 ||z||.
+# ker L and ker A intersect trivially exactly when R_W, of A W = Q_W R_W with
+# W an orthonormal basis of ker L, is nonsingular. |R_W[j, j]| at most this
+# share of ||A^T q_j|| (a lower bound on ||A||) counts as zero: a solution's
+# kernel part, W R_W^{-1} (Q_W^T g - H^T z), would then carry rounding of
+# order eps ||A^T q_j|| ||z|| / |R_W[j, j]|, above 2e-6 ||z||.
 KERNEL_CUTOFF = 1e-10
 
 
@@ -270,10 +133,57 @@ def _difference_pinv_adjoint(y):
     return np.cumsum((y - y.mean())[:0:-1])[::-1]
 
 
+def _penalty(regularizer):
+    """(L^+, (L^+)^T, W, lt_norm) of a penalty: its pseudoinverse pair, None
+    for the identity, an orthonormal basis W of ker L (n-by-d) and a bound
+    on ||L||; the one place a penalty's ``kind`` is read.
+
+    First differences have d = 1 and an O(n) L^+. A custom L is
+    materialized, at n applications when it is matrix-free, and checked
+    finite; then one pivoted QR factorization L^T P = Q R gives its rank r,
+    the count of |r_ii|^2 > n eps ||L||_F^2, a test on L alone, and W, the
+    trailing n - r columns of Q; an L of rank 0 penalizes nothing and is
+    refused with ``ValueError``. With Q_1 its leading r columns,
+    ||L f|| = ||R_r^T Q_1^T f|| for the leading r rows R_r of R, so L may be
+    replaced by S Q_1^T for any r-by-r S with S^T S = R_r R_r^T: R_r^T itself
+    when r is the row count of L, and otherwise the triangle of one more
+    QR factorization, of R_r^T. L^+ = Q_1 S^{-1}, applied by triangular
+    solves. lt_norm is the Hoelder bound sqrt(||L||_1 ||L||_inf).
+    """
+    n = regularizer.dim_f
+    if regularizer.kind == "identity":
+        return None, None, np.empty((n, 0)), 1.0
+    if regularizer.kind == "first_difference":
+        return _difference_pinv, _difference_pinv_adjoint, np.full((n, 1), 1.0 / math.sqrt(n)), 2.0
+    op = regularizer.seminorm_operator
+    L = op.materialize()
+    if not op.is_dense:
+        _require_finite("L", L)
+    Q, R, _ = scipy.linalg.qr(L.T, pivoting=True, check_finite=False)
+    cut = n * np.finfo(np.float64).eps * float(np.vdot(L, L))
+    r = int(np.count_nonzero(np.abs(np.diagonal(R)) ** 2 > cut))
+    if not r:
+        raise ValueError("L is zero to rounding: a penalty of rank 0 regularizes nothing")
+    Q1, lt_norm = Q[:, :r], math.sqrt(np.abs(L).sum(axis=0).max() * np.abs(L).sum(axis=1).max())
+    if r == L.shape[0]:
+        S, lower = R[:r, :r].T, True
+    else:
+        S, lower = scipy.linalg.qr(R[:r].T, mode="r", check_finite=False)[0][:r], False
+    S = np.ascontiguousarray(S)  # a strided S would be copied at every solve
+
+    def pinv(z):
+        return scipy.linalg.solve_triangular(S, z.T, lower=lower, check_finite=False).T @ Q1.T
+
+    def pinv_adjoint(y):
+        return scipy.linalg.solve_triangular(S, Q1.T @ y, lower=lower, trans="T", check_finite=False)
+
+    return pinv, pinv_adjoint, Q[:, r:], lt_norm
+
+
 @dataclass
 class StandardForm:
-    """The inner problem of a built-in penalty in identity-penalty form,
-    and the Golub-Kahan basis of that form: the Krylov engine.
+    """The inner problem in identity-penalty form, and the Golub-Kahan
+    basis of that form: the one engine.
 
     ``op`` and ``data`` are Abar and gbar such that, at every lam, the
     inner minimizer is f = ``solution(z)`` for the minimizer z of
@@ -282,17 +192,16 @@ class StandardForm:
     and one ``basis`` of (Abar, gbar), grown on demand under ``lock``,
     serves the regime certificate (``certify``) and every solve.
 
-    For the identity penalty Abar = A, gbar = g and f = z. For first
-    differences (Elden's transformation, BIT 22, 1982) ker L is spanned by
-    W = 1/sqrt(n); with q = A W / ||A W||,
+    For the identity penalty Abar = A, gbar = g and f = z. Otherwise
+    (Elden's transformation, BIT 22, 1982), with W an orthonormal basis of
+    ker L (``_penalty``) and A W = Q_W R_W,
 
-        Abar = (I - q q^T) A L^+,   gbar = (I - q q^T) g,
-        f = x + W (A W)^T (g - A x) / ||A W||^2,   x = L^+ z,
+        Abar = (I - Q_W Q_W^T) A L^+,   gbar = (I - Q_W Q_W^T) g,
+        f = L^+ z + W R_W^{-1} (Q_W^T g - H^T z),   H = (L^+)^T A^T Q_W,
 
-    where L^+ is a cumulative sum followed by subtracting the mean, O(n).
-    The identity penalty's form (A, g) is also the engine of the identity
-    twin that judges the regime of a problem whose own engine cannot be
-    built (``Lagrangian.certificate``).
+    so that Q_W^T (A f - g) = 0. The identity penalty's form (A, g) is also
+    the engine of the identity twin that judges the regime of a problem
+    whose own engine cannot be built (``Lagrangian.certificate``).
 
     ``rhs_norm`` is ||A^T g||, the scale of the full system's residual,
     which is L^T times the standard form's; ``lt_norm`` bounds ||L^T||.
@@ -304,11 +213,12 @@ class StandardForm:
     data: np.ndarray
     rhs_norm: float = None
     lt_norm: float = 1.0
-    # first differences: ||A W||, q^T g, and (L^+)^T A^T q, which gives
-    # q^T A x = h^T z without an application
-    aw_norm: float = None
-    qg: float = None
+    # outside the identity: L^+, Q_W^T g, H, and the rows of (W R_W^{-1})^T,
+    # which give f from z without an application
+    pinv: object = None
+    qg: np.ndarray = None
     h: np.ndarray = None
+    lift: np.ndarray = None
 
     def __post_init__(self):
         self.basis = GolubKahan(self.op.apply, self.op.apply_adjoint, self.data, self.op.dims.dim_f)
@@ -317,60 +227,63 @@ class StandardForm:
             self.rhs_norm = self.abar_t_gbar
 
     @classmethod
-    def build(cls, A: LinearOperator, g, kind):
-        """Transform (A, g) for the penalty ``kind``; O(n) plus one forward
-        and two adjoint applications for first differences, none
-        otherwise, and the basis's first column at one adjoint more.
+    def build(cls, A: LinearOperator, g, regularizer: Regularizer):
+        """Transform (A, g) for the penalty of ``regularizer``: none for the
+        identity; otherwise what ``_penalty`` costs, d forward and d + 1
+        adjoint applications for a d-dimensional ker L, and the basis's first
+        column at one adjoint more.
 
         Raises
         ------
         AssumptionViolation
-            For first differences when ||A W|| <= KERNEL_CUTOFF ||A^T q||:
-            A does not see the constants, so the penalty is not strictly
-            convex along ker(A).
+            When |R_W[j, j]| <= KERNEL_CUTOFF ||A^T q_j|| for a column j:
+            A does not see ker L, so the penalty is not strictly convex
+            along ker(A).
         """
-        if kind != "first_difference":
+        pinv, pinv_adjoint, W, lt_norm = _penalty(regularizer)
+        if pinv is None:
             return cls(op=A, data=g)
-        n = A.dims.dim_f
-        AW = A.apply(np.full(n, 1.0 / math.sqrt(n)))
-        aw_norm = float(np.linalg.norm(AW))
-        q = AW / aw_norm if aw_norm else AW
-        Atq = A.apply_adjoint(q)
-        if not aw_norm > KERNEL_CUTOFF * float(np.linalg.norm(Atq)):
-            raise AssumptionViolation(
-                f"penalty is not strictly convex along ker(A): A maps the "
-                f"constants, the kernel of the first-difference penalty, to "
-                f"||A W|| = {aw_norm:.3e}, at most {KERNEL_CUTOFF:g} ||A^T q||, "
-                "so the selected reconstruction would not be unique"
-            )
+        n, d = W.shape
+        Q, R = np.linalg.qr(np.array([A.apply(w) for w in W.T]).reshape(d, A.dims.dim_g).T)
+        Qt = Q.T.copy()  # the rows q_j
+        Atq = [A.apply_adjoint(q) for q in Qt]
+        for j, atq in enumerate(Atq):
+            if not abs(R[j, j]) > KERNEL_CUTOFF * float(np.linalg.norm(atq)):
+                raise AssumptionViolation(
+                    f"penalty is not strictly convex along ker(A): A maps ker L, "
+                    f"the kernel of the {regularizer.kind.replace('_', '-')} penalty, to "
+                    f"|R_W[{j}, {j}]| = {abs(R[j, j]):.3e}, at most {KERNEL_CUTOFF:g} ||A^T q_{j}||, "
+                    "so the selected reconstruction would not be unique"
+                )
 
+        # ndarray.dot dispatches faster than @, as fast as a scalar q at d = 1
         def forward(z):
-            y = A.apply(_difference_pinv(z))
-            return y - (q @ y) * q
+            y = A.apply(pinv(z))
+            return y - Qt.dot(y).dot(Qt)
 
         def adjoint(y):
-            return _difference_pinv_adjoint(A.apply_adjoint(y - (q @ y) * q))
+            return pinv_adjoint(A.apply_adjoint(y - Qt.dot(y).dot(Qt)))
 
-        qg = float(q @ g)
-        gbar = g - qg * q
+        qg = Qt.dot(g)
+        gbar = g - qg.dot(Qt)
         gbar.setflags(write=False)
         return cls(
-            op=from_callables(n - 1, A.dims.dim_g, forward, adjoint),
+            op=from_callables(n - d, A.dims.dim_g, forward, adjoint),
             data=gbar,
             rhs_norm=float(np.linalg.norm(A.apply_adjoint(g))),
-            lt_norm=2.0,
-            aw_norm=aw_norm,
+            lt_norm=lt_norm,
+            pinv=pinv,
             qg=qg,
-            h=_difference_pinv_adjoint(Atq),
+            h=np.array([pinv_adjoint(atq) for atq in Atq]).reshape(d, n - d).T,
+            lift=np.linalg.inv(R).T @ W.T,
         )
 
     def solution(self, z):
         """The inner minimizer f for the standard-form minimizer z; row by
         row for a block of rows."""
-        if self.aw_norm is None:
+        if self.pinv is None:
             return z
-        t = (self.qg - z @ self.h) / self.aw_norm
-        return _difference_pinv(z) + t[..., None] / math.sqrt(z.shape[-1] + 1)
+        return self.pinv(z) + (self.qg - z.dot(self.h)).dot(self.lift)
 
     @property
     def data_norm(self):
@@ -379,8 +292,8 @@ class StandardForm:
 
     @property
     def data_label(self):
-        """How messages name ``data_norm``: ||gbar|| in Elden's form."""
-        return "||g||" if self.aw_norm is None else "||gbar||"
+        """How messages name ``data_norm``: ||gbar|| when L has a kernel."""
+        return "||gbar||" if self.qg is not None and self.qg.size else "||g||"
 
     @property
     def abar_t_gbar(self):
@@ -407,26 +320,32 @@ class StandardForm:
 
         f_lam minimizes ||z||^2 / lam + ||Abar z - gbar||^2, so every x has
         ||A f_lam - g||^2 <= ||Abar x - gbar||^2 + ||x||^2 / lam. Under
-        ``lock`` the basis grows one column at a time until, for
-        x = V_k z and z = ``GolubKahan.tikhonov(LAMBDA_MAX)``, the projected
-        bound (``GolubKahan.tikhonov_bound``) falls below epsilon; one
-        forward application then confirms the bound on x itself, and a
-        miss goes on growing. It returns None once the basis is exhausted
-        or its residual estimate at LAMBDA_MAX passes ``KRYLOV_TOL``: the
-        columns a solve there would take. No other threshold is read.
+        ``lock`` it reads k = 0, 1, ... columns, and grows the basis only
+        past the columns it has, until, for x = V_k z and
+        z = ``GolubKahan.tikhonov(LAMBDA_MAX, k)``, the projected bound
+        (``GolubKahan.tikhonov_bound``) falls below epsilon; one forward
+        application then confirms the bound on x itself, and a miss goes
+        on. It returns None once the basis is exhausted at k or the residual
+        estimate at LAMBDA_MAX on k columns passes ``KRYLOV_TOL``: the
+        columns a solve there would take. No other threshold is read. So,
+        as a solve's, its answer does not depend on how far earlier solves
+        grew the basis.
         """
         basis = self.basis
         with self.lock:
+            k = 0
             while True:
-                z = basis.tikhonov(LAMBDA_MAX)
+                z = basis.tikhonov(LAMBDA_MAX, k)
                 if basis.tikhonov_bound(LAMBDA_MAX, z) < epsilon:
                     x = basis.expand(z)
                     r = self.op.apply(x) - self.data
                     if float(r @ r) + float(x @ x) / LAMBDA_MAX < epsilon:
                         return float(np.linalg.norm(r))
-                if basis.exhausted or self._gain * basis.tikhonov_residuals(LAMBDA_MAX, basis.k)[0] <= KRYLOV_TOL:
+                if (k == basis.k and basis.exhausted) or self._gain * basis.tikhonov_residuals(LAMBDA_MAX, k)[0] <= KRYLOV_TOL:
                     return None
-                basis.step()
+                k += 1
+                if k > basis.k:
+                    basis.step()
 
     def solve(self, lag, lams):
         """Projected Tikhonov solves of ``lag``, the problem the form was
@@ -541,10 +460,12 @@ class Lagrangian:
     ``epsilon`` is the square of the effective noise tolerance. Callers
     applying a Morozov safety factor c >= 1 must fold it in beforehand
     (epsilon = (c * tau)^2); this class treats epsilon as final. ``data``
-    is a read-only copy of ``g``, so the engines built from it cannot go
-    stale. A NaN or an infinity in ``data`` or a dense ``op``, on which a
-    Krylov solve never returns, raises ``ValueError`` naming the first
-    such entry; a matrix-free ``op`` cannot be checked up front.
+    is a read-only copy of ``g``, so the engine built from it cannot go
+    stale. A NaN or an infinity in ``data``, a dense ``op`` or a dense
+    penalty map L, on which a Krylov solve never returns, raises
+    ``ValueError`` naming the first such entry; a matrix-free ``op``
+    cannot be checked up front, and a matrix-free custom L is checked once
+    the engine's build has materialized it.
 
     The engine and the certificate are built lazily, each at most once,
     under one lock: ``engine`` and ``certificate`` keep what each build
@@ -570,6 +491,8 @@ class Lagrangian:
         _require_finite("data", data)
         if op.is_dense:
             _require_finite("A", op.matrix)
+        if regularizer.seminorm_operator.is_dense:
+            _require_finite("L", regularizer.seminorm_operator.matrix)
         data.setflags(write=False)
         self.op = op
         self.data = data
@@ -591,15 +514,11 @@ class Lagrangian:
             return self._built[name]
 
     def engine(self):
-        """The problem's inner solver, built once: ``StandardForm`` for a
-        built-in penalty, ``SpectralFactors`` for a custom one. It is the
+        """The problem's inner solver, ``StandardForm``, built once. It is the
         problem's one strict-convexity check: a build that raised
         ``AssumptionViolation`` is kept, not tried again, and each call
         raises a fresh one with its message."""
-        if self.regularizer.kind == "custom":
-            built = self._once("engine", lambda: SpectralFactors.build(self.op, self.regularizer.seminorm_operator, self.data))
-        else:
-            built = self._once("engine", lambda: StandardForm.build(self.op, self.data, self.regularizer.kind))
+        built = self._once("engine", lambda: StandardForm.build(self.op, self.data, self.regularizer))
         if isinstance(built, str):
             raise AssumptionViolation(built)
         return built
@@ -638,7 +557,7 @@ def lagrangian_value(lag: Lagrangian, f, lam):
 
 def solve_lagrange(lag: Lagrangian, lam):
     """Minimize the inner problem at multiplier ``lam`` on the problem's
-    engine (``StandardForm.solve``, ``SpectralFactors.solve``).
+    engine (``StandardForm.solve``).
 
     Raises
     ------
@@ -667,7 +586,7 @@ def _check_multiplier(lam):
 
 def _solutions(lag, lams, F, slopes, stats):
     """The ``LagrangeSolution`` at each multiplier of ``lams`` from the rows
-    of F: the tail both engines share. For a dense A and more than one
+    of F, the tail of ``StandardForm.solve``. For a dense A and more than one
     multiplier, R = F A^T - g and A^T R are one matrix-matrix product each,
     at BLAS-3 speed, where one multiplier at a time costs two memory-bound
     matrix-vector products; otherwise A is applied row by row through its

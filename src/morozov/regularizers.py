@@ -33,7 +33,10 @@ class Regularizer:
         solution-space dimension; its output dimension may differ.
 
     ``kind`` is "custom" here; only the built-in factories set "identity"
-    or "first_difference", which select the Golub-Kahan engine.
+    or "first_difference". Every kind is served by the one Golub-Kahan
+    engine in Elden's standard form: the built-in kinds give it L^+ and
+    ker L in closed form, and a custom L is materialized and factored
+    once, by a pivoted QR factorization of L^T, when the engine is built.
     """
 
     kind = "custom"

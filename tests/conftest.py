@@ -61,10 +61,11 @@ def shares_kernel(A, L):
     return np.linalg.matrix_rank(stacked) < A.dims.dim_f
 
 
-def spectral_twin(lag):
+def custom_twin(lag):
     """The problem of ``lag`` with its penalty map stored as a custom
-    penalty, whose engine is the spectral factors: the same A, g, epsilon
-    and L, so the same inner minimizers by another solver."""
+    penalty: the same A, g, epsilon and L, so the same inner minimizers,
+    with L^+ and ker L from the pivoted QR factorization of the stored
+    map instead of a built-in penalty's closed forms."""
     L = linops.from_matrix(lag.regularizer.seminorm_operator.materialize())
     return Lagrangian(lag.op, lag.data, custom_regularizer(L), lag.epsilon)
 

@@ -24,7 +24,6 @@ from morozov.errors import (
 from morozov.lagrange import (
     LAMBDA_MAX,
     Lagrangian,
-    SpectralFactors,
     StandardForm,
     lagrangian_value,
     solve_lagrange,
@@ -39,12 +38,12 @@ from morozov.regularizers import (
 
 from conftest import (
     counting_free_op,
+    custom_twin,
     make_interior_problem,
     numpy_inner_solve,
     numpy_slope_at_zero,
     projection_distance,
     random_dense_op,
-    spectral_twin,
 )
 
 
@@ -94,11 +93,11 @@ class TestEvalDual:
         assert e.d_value == pytest.approx(e.solution.j_value + e.lam * e.d_prime, rel=1e-14)
 
     @pytest.mark.parametrize(
-        "penalty, engine",
+        "penalty, twin",
         [
-            ("identity", StandardForm), ("identity", SpectralFactors),
-            ("first_difference", StandardForm), ("first_difference", SpectralFactors),
-            ("custom", SpectralFactors),
+            ("identity", False), ("identity", True),
+            ("first_difference", False), ("first_difference", True),
+            ("custom", False),
         ],
         ids=[
             "identity-krylov", "identity-spectral",
@@ -106,8 +105,9 @@ class TestEvalDual:
             "custom-spectral",
         ],
     )
-    def test_d_second_matches_central_differences(self, penalty, engine):
-        # the spectral cases of the built-in penalties run on the twin
+    def test_d_second_matches_central_differences(self, penalty, twin):
+        # with twin set, a built-in penalty runs as its custom twin; those
+        # ids still read "spectral", the engine the twin once ran on
         n = 64
         A = make_deconvolution(n, 2.0)
         prob = synthesize(A, _bump_profile(n, np.random.default_rng(3)), 0.02, seed=3)
@@ -118,9 +118,9 @@ class TestEvalDual:
         else:
             J = custom_regularizer(linops.from_matrix(np.diff(np.eye(n), n=2, axis=0) + 0.1 * np.eye(n)[:-2]))
         lag = Lagrangian(A, prob.g, J, (1.02 * prob.tau) ** 2)
-        if not isinstance(lag.engine(), engine):
-            lag = spectral_twin(lag)
-        assert isinstance(lag.engine(), engine)
+        if twin:
+            lag = custom_twin(lag)
+        assert isinstance(lag.engine(), StandardForm)
         for lam in (1e-3, 0.1, 10.0, 1e3, 1e5):
             h = 1e-4 * lam
             central = (eval_dual(lag, lam + h).d_prime - eval_dual(lag, lam - h).d_prime) / (2.0 * h)
@@ -132,17 +132,19 @@ class TestEvalDual:
         assert eval_dual(lag, 0.0).d_second == pytest.approx(numpy_slope_at_zero(lag), rel=1e-10)
 
     def test_d_second_at_zero_agrees_between_the_twins(self):
-        # first differences at n = 64: alpha_1 beta_1 of Elden's form, and
-        # the spectral factors' sum over the columns outside ker L
+        # first differences at n = 64: alpha_1 beta_1 of Elden's form with
+        # the closed-form L^+, with the L^+ of the stored map's pivoted QR,
+        # and numpy's oracle
         n = 64
         A = make_deconvolution(n, 2.0)
         prob = synthesize(A, _bump_profile(n, np.random.default_rng(n)), 0.02, seed=n)
         lag = Lagrangian(A, prob.g, first_difference_regularizer(n), (1.02 * prob.tau) ** 2)
-        krylov, spectral = eval_dual(lag, 0.0), eval_dual(spectral_twin(lag), 0.0)
+        krylov, custom = eval_dual(lag, 0.0), eval_dual(custom_twin(lag), 0.0)
         assert isinstance(lag.engine(), StandardForm)
         assert krylov.d_second == pytest.approx(-2323.012267, rel=1e-9)
-        assert spectral.d_second == pytest.approx(krylov.d_second, rel=1e-10)
-        assert spectral.d_prime == pytest.approx(krylov.d_prime, rel=1e-10)
+        assert krylov.d_second == pytest.approx(numpy_slope_at_zero(lag), rel=1e-10)
+        assert custom.d_second == pytest.approx(krylov.d_second, rel=1e-10)
+        assert custom.d_prime == pytest.approx(krylov.d_prime, rel=1e-10)
 
     @pytest.mark.parametrize("matrix_free", [False, True])
     def test_lambda_zero_reads_the_verdicts_data_norm(self, rng, matrix_free):
@@ -171,7 +173,7 @@ class TestEvalDual:
 
     def test_rejects_negative(self):
         # a NaN multiplier would never end the Krylov solve's loop
-        for lag in (scalar_lagrangian(), spectral_twin(scalar_lagrangian())):
+        for lag in (scalar_lagrangian(), custom_twin(scalar_lagrangian())):
             for lam in (-0.1, math.nan):
                 with pytest.raises(ValueError, match="nonnegative"):
                     eval_dual(lag, lam)
@@ -387,7 +389,8 @@ class TestMaximizeDual:
         lag = Lagrangian(A, g, first_difference_regularizer(n), epsilon=1.0)
         with pytest.raises(AssumptionViolation, match="unique"):
             maximize_dual(lag)
-        # the same pair as a custom penalty, on its spectral factors
+        # the same pair as a custom penalty, whose kernel comes from its
+        # pivoted QR factorization
         lag = Lagrangian(A, g, custom_regularizer(A), epsilon=1.0)
         with pytest.raises(AssumptionViolation):
             maximize_dual(lag)
@@ -402,8 +405,8 @@ class TestMaximizeDual:
         lag = Lagrangian(free, g, first_difference_regularizer(n), epsilon=1.0)
         with pytest.raises(AssumptionViolation, match="unique"):
             maximize_dual(lag)
-        # as a custom penalty too, on the spectral factors of the
-        # materialized A
+        # as a custom penalty too, from the pivoted QR factorization of the
+        # materialized penalty map
         lag = Lagrangian(free, g, custom_regularizer(free), epsilon=1.0)
         with pytest.raises(AssumptionViolation, match="unique"):
             maximize_dual(lag)
@@ -428,17 +431,17 @@ class TestMaximizeDual:
         best = min(abs(dp) for _, _, dp in trace)
         assert err.value.best == best > rtol * epsilon
         assert f"{best:.3e}" in str(err.value)
-        # Newton at the default rtol resolves it, on the Golub-Kahan basis and
-        # on the spectral factors
+        # Newton at the default rtol resolves it, with the identity penalty
+        # built in and stored as a custom one
         fresh = Lagrangian(prob.op, prob.g, prob.regularizer, epsilon)
-        for problem in (fresh, spectral_twin(fresh)):
+        for problem in (fresh, custom_twin(fresh)):
             res = maximize_dual(problem)
             assert abs(res.discrepancy**2 - epsilon) <= 1e-8 * epsilon
 
     def test_matrix_free_custom_penalty_resolves_low_noise(self):
         # the case above with a custom first-difference penalty and a
-        # matrix-free A: the spectral factors of the materialized A give
-        # the dense selection
+        # matrix-free A: the same standard form as a dense A gives the dense
+        # selection
         prob = synthesize(
             make_deconvolution(128, 4.0),
             _bump_profile(128, np.random.default_rng(0)), 1e-7, seed=0,
@@ -576,7 +579,7 @@ class TestFirstMultiplier:
         lags = [lagrangian_of(make_interior_problem(seed)) for seed in (11, 21, 31)]
         lags.append(self.problems()["first_difference-512"]())
         for lag in lags:
-            for problem in (lag, spectral_twin(lag)):
+            for problem in (lag, custom_twin(lag)):
                 start = eval_dual(problem, 0.0)
                 s = problem.engine().data_norm ** 2
                 lam_0 = 2.0 * s * (1.0 - math.sqrt(s) / problem.tau) / start.d_second
@@ -646,16 +649,17 @@ class TestFirstDifferenceWindow:
 
     @pytest.mark.parametrize("matrix_free", [False, True])
     def test_custom_penalty_reads_gbar_from_its_factors(self, matrix_free):
-        # the same map as a custom penalty: ||gbar||^2 is ||g||^2 less c_i^2
-        # over the one column of ker L. Read as ||g||, tau = 28.40 was
-        # interior, and the search selected lam = 2.3e-29, which verified
+        # the same map as a custom penalty: ||gbar|| is g less its best fit
+        # from A(ker L), whose one column the pivoted QR factorization of L
+        # finds. Read as ||g||, tau = 28.40 was interior, and the search
+        # selected lam = 2.3e-29, which verified
         op, g, gbar_norm = self.problem(matrix_free)
         tau = 0.5 * (gbar_norm + np.linalg.norm(g))
         assert tau == pytest.approx(28.40, abs=0.01)
         J = custom_regularizer(linops.from_matrix(np.diff(np.eye(128), axis=0)))
         lag = Lagrangian(op, g, J, tau**2)
         d = diagnose_regime(lag)
-        assert isinstance(lag.engine(), SpectralFactors) and lag.engine().kernel.sum() == 1
+        assert lag.engine().qg.size == 1
         assert d.regime == "noise_dominates" and d.data_label == "||gbar||"
         assert d.data_norm == pytest.approx(0.81095132407, rel=1e-10)
         assert d.data_norm == pytest.approx(gbar_norm, rel=1e-10)
@@ -679,9 +683,12 @@ class TestFirstDifferenceWindow:
         lag = self.lagrangian(op, g, 0.9 * gbar_norm)
         res = maximize_dual(lag)
         assert res.diagnosis.regime == "interior"
-        ref = maximize_dual(spectral_twin(self.lagrangian(op, g, 0.9 * gbar_norm)))
+        ref = maximize_dual(custom_twin(self.lagrangian(op, g, 0.9 * gbar_norm)))
         assert ref.lambda_star == pytest.approx(8.85908e-05, rel=1e-6)
         assert res.lambda_star == pytest.approx(ref.lambda_star, rel=1e-6)
+        # the discrepancy equation holds at lambda_star by a dense direct solve
+        f = numpy_inner_solve(lag, res.lambda_star)
+        assert linops.residual_norm_sq(op, f, g) == pytest.approx(lag.epsilon, rel=1e-6)
 
 
     @pytest.mark.parametrize("matrix_free", [False, True])
@@ -692,9 +699,11 @@ class TestFirstDifferenceWindow:
         op, g, gbar_norm = self.problem(matrix_free)
         lag = self.lagrangian(op, g, 0.999 * gbar_norm)
         res = maximize_dual(lag)
-        ref = maximize_dual(spectral_twin(self.lagrangian(op, g, 0.999 * gbar_norm)))
+        ref = maximize_dual(custom_twin(self.lagrangian(op, g, 0.999 * gbar_norm)))
         assert ref.lambda_star == pytest.approx(7.72139e-07, rel=1e-5)
         assert res.lambda_star == pytest.approx(ref.lambda_star, rel=1e-6)
+        f = numpy_inner_solve(lag, res.lambda_star)
+        assert linops.residual_norm_sq(op, f, g) == pytest.approx(lag.epsilon, rel=1e-6)
         assert verify_morozov_solution(res, lag).passed
         sol = solve_lagrange(lag, 9.53674e-07)
         assert 1e-10 < sol.solver_stats["relative_residual"] < 1e-9
@@ -709,64 +718,123 @@ class TestFirstDifferenceWindow:
         assert eval_dual(lag, 1e-18).d_prime == pytest.approx(eval_dual(lag, 0.0).d_prime, rel=1e-9)
 
     def test_sweep_resolves_tiny_multipliers_along_ker_l(self):
-        # the spectral factors of the same map as a custom penalty: their
-        # 1 - mu rounds at eps along ker L and would swamp lam mu there, so
-        # nu is formed as ||L x_i||^2. Read with 1 - mu, D' at 1e-18 was
-        # 3115 where the Krylov engine reads 0.00131. D'' agrees above
-        # 1e-18; at 1e-18 nu's own rounding (6.5e-29, 0 in exact
-        # arithmetic) still moves it by 1.5%. The built-in penalty sweeps
-        # in its basis, where D'' holds at 1e-18 too
+        # the same map as a custom penalty, in the standard form of its
+        # pivoted QR factorization. Where a generalized eigendecomposition
+        # served it, its 1 - mu rounded at eps along ker L: D' at 1e-18 read
+        # 3115 where the basis reads 0.00131, and D'' was 1.5% off there.
+        # In the basis D' and D'' hold at 1e-18 on both
         op, g, gbar_norm = self.problem(False)
         lag = self.lagrangian(op, g, 0.999 * gbar_norm)
         lams = [1e-18, 1e-16, 1e-14, 1e-12, 1e-10, 1e-8]
-        for e, twin, lam in zip(sweep_dual(lag, lams), sweep_dual(spectral_twin(lag), lams), lams):
+        for e, twin, lam in zip(sweep_dual(lag, lams), sweep_dual(custom_twin(lag), lams), lams):
             krylov = eval_dual(lag, lam)
             assert e.d_prime == pytest.approx(krylov.d_prime, rel=1e-10), lam
             assert e.d_second == pytest.approx(krylov.d_second, rel=1e-10), lam
-            assert twin.d_prime == pytest.approx(krylov.d_prime, rel=1e-6), lam
-            if lam > 1e-18:
-                assert twin.d_second == pytest.approx(krylov.d_second, rel=1e-6), lam
+            assert twin.d_prime == pytest.approx(krylov.d_prime, rel=1e-10), lam
+            assert twin.d_second == pytest.approx(krylov.d_second, rel=1e-10), lam
 
 
 class TestKernelColumns:
-    """A column of the spectral factors is in ker L by a test on L alone,
-    ||L x_i||^2 against the rounding of applying L: 1 - mu, L's share of
-    ||x_i||_B^2, is small also where L is merely small next to A."""
+    """ker L is found by a test on L alone: the pivoted QR factorization of
+    L^T counts r_ii as 0 where |r_ii|^2 <= n eps ||L||_F^2, the rounding of
+    applying L, so a penalty merely small next to A keeps its rank."""
 
     def test_small_injective_penalty_has_no_kernel(self):
-        # L = 1e-5 I puts 1 - mu below sqrt(eps) on every column with
-        # s_i^2 >= 0.0067. Counted as ker L, those columns left a window
-        # ending at 0.978 < tau, and the problem raised RegimeError. The
-        # spectral factors' nu above sqrt(eps) is 1 - mu, which keeps about
-        # n eps / nu of relative accuracy: so 1e-6 on lambda_star
+        # L = 1e-5 I is 1e-5 times the identity penalty, whose lambda_star
+        # it takes 1e-10 times. Judged against A, as 1 - mu of a generalized
+        # eigendecomposition below sqrt(eps), its columns with
+        # s_i^2 >= 0.0067 counted as ker L, left a window ending at
+        # 0.978 < tau, and the problem raised RegimeError. Its standard form
+        # is A L^+ = 1e5 A, with no kernel, so lambda_star and D''(0+) are
+        # resolved to rounding
         n = 128
         A = make_deconvolution(n, 2.0)
         prob = synthesize(A, 5.0 + 0.1 * np.sin(6.0 * np.linspace(0.0, 1.0, n)), 0.02, seed=1)
         lag = Lagrangian(A, prob.g, custom_regularizer(linops.from_matrix(1e-5 * np.eye(n))), prob.tau**2)
         res = maximize_dual(lag)
         ref = maximize_dual(Lagrangian(A, prob.g, identity_regularizer(n), prob.tau**2))
-        assert not lag.engine().kernel.any()
+        assert lag.engine().qg.size == 0
         assert res.diagnosis.regime == ref.diagnosis.regime == "interior"
         assert res.diagnosis.data_label == "||g||"
         assert res.diagnosis.data_norm == pytest.approx(np.linalg.norm(prob.g), rel=1e-15)
         assert ref.lambda_star == pytest.approx(100.715163, rel=1e-8)
-        assert res.lambda_star == pytest.approx(1e-10 * ref.lambda_star, rel=1e-6)
-        assert eval_dual(lag, 0.0).d_second == pytest.approx(numpy_slope_at_zero(lag), rel=1e-6)
+        assert res.lambda_star == pytest.approx(1e-10 * ref.lambda_star, rel=1e-12)
+        assert eval_dual(lag, 0.0).d_second == pytest.approx(numpy_slope_at_zero(lag), rel=1e-12)
+
+    def test_graded_injective_penalty_has_no_kernel(self):
+        # singular values from 1 down to 1e-5: |r_ii|^2 >= 1e-10, far above
+        # n eps ||L||_F^2 = 1.4e-13, so the rank is full however small the
+        # last directions are next to the first
+        n = 128
+        A = make_deconvolution(n, 2.0)
+        prob = synthesize(A, np.sin(np.linspace(0.0, np.pi, n)), 0.02, seed=1)
+        L = np.diag(np.geomspace(1.0, 1e-5, n))
+        lag = Lagrangian(A, prob.g, custom_regularizer(linops.from_matrix(L)), prob.tau**2)
+        d = diagnose_regime(lag)
+        assert lag.engine().qg.size == 0 and lag.engine().op.dims.dim_f == n
+        assert d.data_label == "||g||"
+        assert d.data_norm == pytest.approx(np.linalg.norm(prob.g), rel=1e-15)
+        assert eval_dual(lag, 0.0).d_second == pytest.approx(numpy_slope_at_zero(lag), rel=1e-10)
 
     @pytest.mark.parametrize("scale", [1e3, 1e-3])
     def test_window_is_free_of_the_scale_of_the_data(self, scale):
-        # the window case in other units: A and g scaled alike. At 1e3,
-        # 1 - mu is below sqrt(eps) on the columns of low frequency too,
-        # and counted as ker L they took all but the noise out of ||gbar||.
-        # eigh resolves the kernel column there to eps over the gap between
-        # mu = 1 and the next, about 6e-7 in angle: so 1e-4
+        # the window case in other units: A and g scaled alike. At 1e3, a
+        # test of 1 - mu against sqrt(eps) counted the columns of low
+        # frequency as ker L too, which took all but the noise out of
+        # ||gbar||. The pivoted QR factorization of L finds the one kernel
+        # column from L alone, whatever the scale of A, and ||gbar|| is the
+        # basis's beta_1, resolved to rounding
         op, g, gbar_norm = TestFirstDifferenceWindow.problem(False)
         J = custom_regularizer(linops.from_matrix(np.diff(np.eye(128), axis=0)))
         lag = Lagrangian(linops.from_matrix(scale * op.matrix), scale * g, J, (scale * 28.4) ** 2)
         d = diagnose_regime(lag)
-        assert lag.engine().kernel.sum() == 1
+        assert lag.engine().qg.size == 1
         assert d.regime == "noise_dominates" and d.data_label == "||gbar||"
-        assert d.data_norm == pytest.approx(scale * gbar_norm, rel=1e-4)
+        assert d.data_norm == pytest.approx(scale * gbar_norm, rel=1e-10)
+
+
+class TestCustomStandardForm:
+    """A custom L in Elden's standard form: its rank and kernel from one
+    pivoted QR factorization of L^T, and A kept an operator."""
+
+    @staticmethod
+    def problem(n=128):
+        A = make_deconvolution(n, 2.0)
+        prob = synthesize(A, np.sin(np.linspace(0, np.pi, n)), 0.02, seed=1)
+        return prob, (1.02 * prob.tau) ** 2
+
+    @pytest.mark.parametrize("matrix_free", [False, True])
+    def test_stacked_differences_double_the_multiplier(self, matrix_free):
+        # [D; D] has 2(n - 1) rows and rank n - 1, and ||[D; D] f||^2 is
+        # twice the first-difference penalty, so lambda_star doubles
+        prob, epsilon = self.problem()
+        n = prob.op.dims.dim_f
+        D = np.diff(np.eye(n), axis=0)
+        op = counting_free_op(prob.op.matrix)[0] if matrix_free else prob.op
+        lag = Lagrangian(op, prob.g, custom_regularizer(linops.from_matrix(np.vstack([D, D]))), epsilon)
+        res = maximize_dual(lag)
+        ref = maximize_dual(Lagrangian(prob.op, prob.g, first_difference_regularizer(n), epsilon))
+        assert lag.engine().op.dims.dim_f == n - 1 and lag.engine().qg.size == 1
+        assert len(res.iterations) == len(ref.iterations)
+        assert res.lambda_star == pytest.approx(2.0 * ref.lambda_star, rel=1e-10)
+        assert verify_morozov_solution(res, lag).passed
+
+    def test_matrix_free_a_is_never_materialized(self):
+        # custom first differences with a matrix-free A at n = 128: A W,
+        # A^T q, A^T g and the basis's first column, one forward and one
+        # adjoint per step of the basis, the verdict's one look, and one of
+        # each per evaluation; materializing A alone took 128 forwards
+        prob, epsilon = self.problem()
+        n = prob.op.dims.dim_f
+        op, counts = counting_free_op(prob.op.matrix)
+        lag = Lagrangian(op, prob.g, custom_regularizer(linops.from_matrix(np.diff(np.eye(n), axis=0))), epsilon)
+        res = maximize_dual(lag)
+        evals, k = len(res.iterations), lag.engine().basis.k
+        assert (evals, k) == (8, 28)
+        assert counts == {"fwd": 1 + k + 1 + evals, "adj": 3 + k + evals}
+        assert counts["fwd"] < n
+        ref = maximize_dual(Lagrangian(prob.op, prob.g, first_difference_regularizer(n), epsilon))
+        assert res.lambda_star == pytest.approx(ref.lambda_star, rel=1e-10)
 
 
 class TestRegimeCertificate:
@@ -816,8 +884,8 @@ class TestRegimeCertificate:
     def test_uncertified_interior_between_distance_and_bound(self, monkeypatch):
         # tau between dist(g, range A) and the residual at LAMBDA_MAX: D'
         # stays positive up to LAMBDA_MAX, so the search cannot reach a
-        # root, and the spectral factors' solve at LAMBDA_MAX refuses it
-        # before any evaluation
+        # root, and the solve at LAMBDA_MAX refuses it before any
+        # evaluation, with the penalty stored as a custom one too
         import morozov.dual
 
         prob = synthesize(
@@ -825,26 +893,31 @@ class TestRegimeCertificate:
             _bump_profile(24, np.random.default_rng(3)), noise_level=0.05, seed=3,
         )
         probe = lagrangian_of(prob)
-        bound = math.sqrt(solve_lagrange(spectral_twin(probe), LAMBDA_MAX).discrepancy_sq)
+        bound = math.sqrt(linops.residual_norm_sq(prob.op, numpy_inner_solve(probe, LAMBDA_MAX), prob.g))
         dist = projection_distance(prob.op, prob.g)
         assert 1e3 * dist < bound < prob.tau
         tau = 0.5 * bound
         expected = diagnose_regime(lagrangian_of(prob, tau=tau))
         assert expected.regime == "too_optimistic"
-        # the Krylov engine's residual there; the spectral factors resolve
-        # lam mu only to eps lam at lam = LAMBDA_MAX
+        # the Krylov engine's residual there; numpy's dense solve of a
+        # system of condition about LAMBDA_MAX resolves it to about 3e-6
         assert expected.dist_to_range == pytest.approx(bound, rel=1e-5)
 
         op, counts = counting_free_op(prob.op.matrix)
         evals = []
         evaluate = morozov.dual.eval_dual
         monkeypatch.setattr(morozov.dual, "eval_dual", lambda *a: evals.append(a) or evaluate(*a))
+        twin = custom_twin(Lagrangian(op, prob.g, prob.regularizer, tau**2))
         with pytest.raises(RegimeError, match="LAMBDA_MAX") as err:
-            maximize_dual(spectral_twin(Lagrangian(op, prob.g, prob.regularizer, tau**2)))
+            maximize_dual(twin)
         assert err.value.regime == "too_optimistic" and evals == []
-        # dim_f forward applications to materialize A, and the solve's one
-        # forward and one adjoint for its residual
-        assert counts == {"fwd": 25, "adj": 1}
+        # A stays an operator. The identity stored as a custom penalty has
+        # no kernel, so the build applies A^T to g and for the basis's first
+        # column only; the certificate grows the basis until it spans all 24
+        # dimensions, at one forward per step and one adjoint per step but
+        # the last; and the solve applies each once for its residual
+        assert twin.engine().basis.k == 24
+        assert counts == {"fwd": 24 + 1, "adj": 2 + 23 + 1}
 
     @pytest.mark.parametrize("target", ["interior", "noise_dominates", "too_optimistic"])
     def test_verdict_matches_diagnose_regime(self, target):
@@ -859,7 +932,7 @@ class TestRegimeCertificate:
 
     def test_regime_error_precedes_assumption_violation(self, rng):
         # the shared-kernel pair of test_assumption_gate_refuses_shared_kernel
-        # with tau above ||g||; a custom penalty is checked by its first solve
+        # with tau above ||g||, the penalty built in and stored as a custom one
         n = 6
         A = linops.from_matrix(first_difference_regularizer(n).seminorm_operator.materialize())
         g = rng.standard_normal(n - 1)
@@ -1000,17 +1073,17 @@ def test_unusable_sizes_and_grids_are_refused(call, name):
 
 
 class TestEngineTable:
-    """Which engine ``Lagrangian`` picks, for every kind of A and penalty:
-    the penalty's kind alone decides, and selections and sweeps share it."""
+    """The engine ``Lagrangian`` builds, for every kind of A and penalty:
+    one ``StandardForm``, which selections and sweeps share."""
 
     # (A, penalty): the engine
     TABLE = {
         ("dense", "identity"): StandardForm,
         ("dense", "first_difference"): StandardForm,
-        ("dense", "custom"): SpectralFactors,
+        ("dense", "custom"): StandardForm,
         ("matrix_free", "identity"): StandardForm,
         ("matrix_free", "first_difference"): StandardForm,
-        ("matrix_free", "custom"): SpectralFactors,
+        ("matrix_free", "custom"): StandardForm,
     }
 
     @pytest.mark.parametrize("storage, penalty", list(TABLE))
@@ -1033,17 +1106,17 @@ class TestEngineTable:
         res = maximize_dual(lag)
         assert lag.engine() is lag.engine()
         # a sweep after the selection runs on the selection's engine, and
-        # for a built-in penalty grows the verdict's and selection's basis
-        grown = (lambda: lag.engine().basis.k) if engine is StandardForm else (lambda: 0)
-        k = grown()
+        # grows the verdict's and selection's basis
+        k = lag.engine().basis.k
         evals = sweep_dual(lag, np.geomspace(res.lambda_star, 1e6 * res.lambda_star, 10))
-        method = "krylov" if engine is StandardForm else "spectral"
-        assert all(e.error is None and e.solution.solver_stats["method"] == method for e in evals)
-        assert (grown() > k) == (engine is StandardForm)
+        assert all(e.error is None and e.solution.solver_stats["method"] == "krylov" for e in evals)
+        assert lag.engine().basis.k > k
 
 
 class TestWorkCounts:
-    """Deterministic work of the dense selector, counted at scipy.linalg."""
+    """Deterministic work of the dense selector, counted at scipy.linalg:
+    no generalized eigendecomposition for any penalty, and one pivoted QR
+    factorization for a custom one."""
 
     @staticmethod
     def count_calls(monkeypatch, *names):
@@ -1062,37 +1135,38 @@ class TestWorkCounts:
 
     def test_selection_factors_once(self, monkeypatch):
         prob = regime_fixture("interior", seed=1)
-        counts = self.count_calls(monkeypatch, "eigh")
+        counts = self.count_calls(monkeypatch, "eigh", "qr")
         # the engine of the identity: one Golub-Kahan basis, no factorization
         res = maximize_dual(lagrangian_of(prob), method="bisection")
-        assert counts == {"eigh": 0}
+        assert counts == {"eigh": 0, "qr": 0}
         assert len(res.iterations) == 22
         assert res.lambda_star == pytest.approx(33.93659387458379, rel=1e-9)
-        spectral = maximize_dual(spectral_twin(lagrangian_of(prob)), method="bisection")
-        assert counts == {"eigh": 1}
-        assert len(spectral.iterations) == 22
-        assert spectral.lambda_star == pytest.approx(33.93659387458379, rel=1e-9)
-        assert res.lambda_star == pytest.approx(spectral.lambda_star, rel=1e-9)
+        # stored as a custom penalty: one pivoted QR factorization
+        custom = maximize_dual(custom_twin(lagrangian_of(prob)), method="bisection")
+        assert counts == {"eigh": 0, "qr": 1}
+        assert len(custom.iterations) == 22
+        assert custom.lambda_star == pytest.approx(33.93659387458379, rel=1e-9)
+        assert res.lambda_star == pytest.approx(custom.lambda_star, rel=1e-9)
 
     def test_newton_selection_makes_no_factorization(self, monkeypatch):
         prob = regime_fixture("interior", seed=1)
-        counts = self.count_calls(monkeypatch, "eigh")
+        counts = self.count_calls(monkeypatch, "eigh", "qr")
         res = maximize_dual(lagrangian_of(prob))
         assert res.method == "newton"
-        assert counts == {"eigh": 0}
+        assert counts == {"eigh": 0, "qr": 0}
         assert len(res.iterations) == 5
         # bisection's multiplier, 22 evaluations
         assert res.lambda_star == pytest.approx(33.93659387458379, rel=1e-7)
-        # the spectral factors take the same Newton steps
-        spectral = maximize_dual(spectral_twin(lagrangian_of(prob)))
-        assert counts == {"eigh": 1}
-        assert len(spectral.iterations) == 5
-        assert spectral.lambda_star == pytest.approx(res.lambda_star, rel=1e-12)
+        # stored as a custom penalty, the same Newton steps
+        custom = maximize_dual(custom_twin(lagrangian_of(prob)))
+        assert counts == {"eigh": 0, "qr": 1}
+        assert len(custom.iterations) == 5
+        assert custom.lambda_star == pytest.approx(res.lambda_star, rel=1e-12)
         # matrix-free, the same evaluations
         free = maximize_dual(self.counting_free_lagrangian(prob)[0])
         assert len(free.iterations) == 5
         assert free.lambda_star == pytest.approx(res.lambda_star, rel=1e-12)
-        assert counts == {"eigh": 1}
+        assert counts == {"eigh": 0, "qr": 1}
 
     def test_newton_low_noise_in_few_evaluations(self, monkeypatch):
         # the case where bisection at rtol = 1e-12 collapses its bracket
@@ -1106,8 +1180,8 @@ class TestWorkCounts:
         assert counts == {"eigh": 0}
         assert len(res.iterations) <= 10
         assert abs(res.discrepancy**2 - epsilon) <= 1e-8 * epsilon
-        spectral = maximize_dual(spectral_twin(Lagrangian(prob.op, prob.g, prob.regularizer, epsilon)))
-        assert res.lambda_star == pytest.approx(spectral.lambda_star, rel=1e-6)
+        custom = maximize_dual(custom_twin(Lagrangian(prob.op, prob.g, prob.regularizer, epsilon)))
+        assert res.lambda_star == pytest.approx(custom.lambda_star, rel=1e-6)
 
     def test_krylov_evaluation_factors_its_tridiagonal_once(self, monkeypatch):
         # a new multiplier factors the projected tridiagonal at most once;
@@ -1138,7 +1212,7 @@ class TestWorkCounts:
         res = maximize_dual(lag, method="bisection")
         assert counts == {"eigh": 0}
         assert res.diagnosis.regime == "interior"
-        # the same evaluations and multiplier as the dense spectral path
+        # the same evaluations and multiplier as the dense path
         assert len(res.iterations) == 22
         assert res.lambda_star == pytest.approx(33.93659387458379, rel=1e-9)
         # 20 steps, the basis's first column (an adjoint), the verdict's one
@@ -1147,9 +1221,9 @@ class TestWorkCounts:
         assert lag.engine().basis.k == 20
         assert applies == {"fwd": 1 + 20 + 22, "adj": 1 + 20 + 22}
 
-        # the spectral factors materialize A themselves
+        # the same with the identity stored as a custom penalty
         checker_lag, _ = self.counting_free_lagrangian(prob)
-        checker = maximize_dual(spectral_twin(checker_lag), method="bisection")
+        checker = maximize_dual(custom_twin(checker_lag), method="bisection")
         assert checker.lambda_star == pytest.approx(res.lambda_star, rel=1e-9)
 
     def test_matrix_free_too_optimistic_falls_back_to_distance(self):
@@ -1165,8 +1239,9 @@ class TestWorkCounts:
     @pytest.mark.parametrize("matrix_free", [False, True])
     @pytest.mark.parametrize("n", [64, 256])
     def test_first_difference_selection_in_one_basis(self, monkeypatch, n, matrix_free):
-        # Elden's standard form: the same selection as the spectral factors
-        # of the materialized maps, from the problem's one basis
+        # Elden's standard form: the same selection as the materialized maps
+        # with the penalty stored as a custom one, from the problem's one
+        # basis
         counts = self.count_calls(monkeypatch, "eigh")
         A = make_deconvolution(n, 2.0)
         prob = synthesize(A, _bump_profile(n, np.random.default_rng(n)), 0.02, seed=n)
@@ -1176,7 +1251,7 @@ class TestWorkCounts:
         res = maximize_dual(lag)
         assert counts == {"eigh": 0}
         dense = linops.from_matrix(op.materialize())
-        ref = maximize_dual(spectral_twin(Lagrangian(dense, prob.g, first_difference_regularizer(n), epsilon)))
+        ref = maximize_dual(custom_twin(Lagrangian(dense, prob.g, first_difference_regularizer(n), epsilon)))
         assert len(res.iterations) == len(ref.iterations)
         assert res.lambda_star == pytest.approx(ref.lambda_star, rel=1e-9)
         np.testing.assert_allclose(res.f_star, ref.f_star, rtol=0, atol=1e-12 * np.abs(ref.f_star).max())
@@ -1218,49 +1293,52 @@ class TestWorkCounts:
         assert [args[1:] for args in copies] == [(18, 18)]
 
     def test_custom_penalty_certificate_makes_no_eigh(self, monkeypatch):
-        # a dense custom penalty certifies its regime by its spectral
-        # factors' solve at LAMBDA_MAX: their one eigh comes before the
-        # verdict, and the selection and a second verdict reuse it
+        # a dense custom penalty certifies its regime in its own basis: its
+        # one pivoted QR factorization comes before the verdict, and the
+        # selection and a second verdict reuse it
         prob = regime_fixture("interior", seed=1)
         J = custom_regularizer(linops.from_matrix(np.diff(np.eye(24), axis=0)))
         lag = Lagrangian(prob.op, prob.g, J, prob.tau**2)
-        counts = self.count_calls(monkeypatch, "eigh")
+        counts = self.count_calls(monkeypatch, "eigh", "qr")
         assert diagnose_regime(lag).regime == "interior"
-        assert counts == {"eigh": 1}
+        assert counts == {"eigh": 0, "qr": 1}
         res = maximize_dual(lag)
-        assert counts == {"eigh": 1}
+        assert counts == {"eigh": 0, "qr": 1}
         assert res.diagnosis.regime == "interior"
-        assert lag.certificate() is lag and isinstance(lag.engine(), SpectralFactors)
-        assert diagnose_regime(lag) == res.diagnosis and counts == {"eigh": 1}
-        # the same map as built-in first differences, in a Golub-Kahan basis
+        assert lag.certificate() is lag and isinstance(lag.engine(), StandardForm)
+        assert diagnose_regime(lag) == res.diagnosis and counts == {"eigh": 0, "qr": 1}
+        # the same map as built-in first differences, with no factorization
         ref = maximize_dual(Lagrangian(prob.op, prob.g, first_difference_regularizer(24), prob.tau**2))
-        assert counts == {"eigh": 1}
+        assert counts == {"eigh": 0, "qr": 1}
         assert res.lambda_star == pytest.approx(ref.lambda_star, rel=1e-9)
 
     def test_matrix_free_custom_penalty_with_dense_a_is_factored(self, monkeypatch):
-        # a matrix-free L is materialized for the spectral factors
+        # a matrix-free L is materialized for its pivoted QR factorization
         prob = regime_fixture("interior", seed=1)
         mat = np.diff(np.eye(24), axis=0)
-        counts = self.count_calls(monkeypatch, "eigh")
+        counts = self.count_calls(monkeypatch, "eigh", "qr")
         free = maximize_dual(Lagrangian(prob.op, prob.g, custom_regularizer(counting_free_op(mat)[0]), prob.tau**2))
-        assert counts == {"eigh": 1}
+        assert counts == {"eigh": 0, "qr": 1}
         dense = maximize_dual(Lagrangian(prob.op, prob.g, custom_regularizer(linops.from_matrix(mat)), prob.tau**2))
         assert free.lambda_star == pytest.approx(dense.lambda_star, rel=1e-9)
 
     def test_matrix_free_custom_selection_is_factored_once(self, monkeypatch):
-        # a matrix-free A with a custom penalty runs on the spectral factors:
-        # one eigh, dim_f forward applications to materialize A, and per
-        # solve the residual's one forward and one adjoint: the verdict's at
-        # LAMBDA_MAX, then one per evaluation
+        # a matrix-free A with a custom penalty stays an operator: one
+        # pivoted QR factorization of L, the build's A W, and A^T q, A^T g
+        # and the basis's first column, one forward and one adjoint per
+        # step of the basis, the verdict's one look, and per evaluation the
+        # residual's one forward and one adjoint
         prob = regime_fixture("interior", seed=1)
         n = prob.op.dims.dim_f
         J = custom_regularizer(linops.from_matrix(np.diff(np.eye(n), axis=0)))
         op, counts = counting_free_op(prob.op.matrix)
-        calls = self.count_calls(monkeypatch, "eigh")
-        res = maximize_dual(Lagrangian(op, prob.g, J, prob.tau**2))
-        evals = len(res.iterations)
-        assert calls == {"eigh": 1}
-        assert counts == {"fwd": n + 1 + evals, "adj": 1 + evals}
+        calls = self.count_calls(monkeypatch, "eigh", "qr")
+        lag = Lagrangian(op, prob.g, J, prob.tau**2)
+        res = maximize_dual(lag)
+        evals, k = len(res.iterations), lag.engine().basis.k
+        assert calls == {"eigh": 0, "qr": 1}
+        assert (evals, k) == (7, 17)
+        assert counts == {"fwd": 1 + k + 1 + evals, "adj": 3 + k + evals}
         dense = maximize_dual(Lagrangian(prob.op, prob.g, J, prob.tau**2))
         assert len(dense.iterations) == evals
         assert res.lambda_star == pytest.approx(dense.lambda_star, rel=1e-9)
@@ -1280,25 +1358,27 @@ class TestWorkCounts:
         import morozov.dual
 
         prob = regime_fixture("interior", seed=1)
-        counts = self.count_calls(monkeypatch, "eigh")
+        counts = self.count_calls(monkeypatch, "eigh", "qr")
         # the grid is solved in blocks, not through eval_dual point by point
         points = []
         per_point = morozov.dual.eval_dual
         monkeypatch.setattr(morozov.dual, "eval_dual", lambda *a, **k: points.append(a) or per_point(*a, **k))
         grid = np.geomspace(1e-2, 1e8, 200)
-        # a built-in penalty sweeps in its Golub-Kahan basis, with no eigh
+        # a built-in penalty sweeps in its Golub-Kahan basis, with no
+        # factorization
         evals = sweep_dual(lagrangian_of(prob), grid)
-        assert counts == {"eigh": 0}
-        # a custom one factors once
-        twin = sweep_dual(spectral_twin(lagrangian_of(prob)), grid)
-        assert counts == {"eigh": 1}
+        assert counts == {"eigh": 0, "qr": 0}
+        # a custom one factors L once
+        twin = sweep_dual(custom_twin(lagrangian_of(prob)), grid)
+        assert counts == {"eigh": 0, "qr": 1}
         assert points == []
         assert all(e.error is None for e in evals + twin)
 
     def test_matrix_free_custom_sweep_applications(self, monkeypatch):
-        # materializing A for the spectral factors costs dim_f forward
-        # applications; each point then costs one forward and one adjoint,
-        # in blocks as one at a time
+        # A is never materialized: the build's A W, and A^T q, A^T g and the
+        # basis's first column, one forward and one adjoint per step of the
+        # basis, and each point's residual, one forward and one adjoint, in
+        # blocks as one at a time
         import morozov.dual
 
         n, m = 64, 50
@@ -1306,15 +1386,18 @@ class TestWorkCounts:
         prob = synthesize(A, _bump_profile(n, np.random.default_rng(3)), 0.02, seed=3)
         op, counts = counting_free_op(A.matrix)
         J = custom_regularizer(linops.from_matrix(np.diff(np.eye(n), axis=0)))
-        # a custom penalty keeps the spectral blocks with a matrix-free A too
+        # a custom penalty keeps the blocks with a matrix-free A too
         points = []
         per_point = morozov.dual.eval_dual
         monkeypatch.setattr(morozov.dual, "eval_dual", lambda *a, **k: points.append(a) or per_point(*a, **k))
-        evals = sweep_dual(Lagrangian(op, prob.g, J, prob.tau**2), np.geomspace(1e-2, 1e8, m))
+        lag = Lagrangian(op, prob.g, J, prob.tau**2)
+        evals = sweep_dual(lag, np.geomspace(1e-2, 1e8, m))
+        k = lag.engine().basis.k
         assert points == []
         assert all(e.error is None for e in evals)
-        assert counts == {"fwd": n + m, "adj": m}
-        assert counts == {"fwd": 114, "adj": 50}
+        assert k == 51
+        assert counts == {"fwd": 1 + k + m, "adj": 3 + k + m}
+        assert counts == {"fwd": 102, "adj": 104}
 
     @pytest.mark.parametrize("penalty", ["custom", "first_difference"])
     def test_failed_build_is_kept(self, rng, monkeypatch, penalty):
@@ -1328,11 +1411,10 @@ class TestWorkCounts:
         J = custom_regularizer(A) if penalty == "custom" else first_difference_regularizer(n)
         lag = Lagrangian(A, rng.standard_normal(n - 1), J, epsilon=1.0)
         builds = []
-        for cls, label in ((SpectralFactors, lambda a: "spectral"), (StandardForm, lambda a: a[-1])):
-            build = cls.build.__func__
-            monkeypatch.setattr(cls, "build", classmethod(
-                lambda cls, *a, _build=build, _label=label: builds.append(_label(a)) or _build(cls, *a)
-            ))
+        build = StandardForm.build.__func__
+        monkeypatch.setattr(StandardForm, "build", classmethod(
+            lambda cls, *a: builds.append(a[-1].kind) or build(cls, *a)
+        ))
         errors = []
         for _ in range(3):
             for call in (
@@ -1346,7 +1428,7 @@ class TestWorkCounts:
         assert len({str(e) for e in errors}) == 1
         assert len({id(e) for e in errors}) == len(errors)
         # the engine's one build, and the form (A, g) of the regime verdict
-        assert builds == ["spectral" if penalty == "custom" else "first_difference", "identity"]
+        assert builds == [penalty, "identity"]
 
 
 class TestSweepDual:
@@ -1354,7 +1436,7 @@ class TestSweepDual:
         # a NaN point is refused, not swept as a NaN evaluation with no
         # error, nor left to the Krylov solve's loop, which it never ends
         prob = regime_fixture("interior", seed=1)
-        # spectral blocks, and Krylov solves point by point
+        # dense blocks, and matrix-free solves point by point
         for lag in (lagrangian_of(prob), TestWorkCounts.counting_free_lagrangian(prob)[0]):
             with pytest.raises(ValueError, match="positive"):
                 sweep_dual(lag, [1.0, math.nan])
@@ -1445,9 +1527,17 @@ class TestSweepDual:
         grid = np.geomspace(1e-4, 1e8, 70)
         evals = sweep_dual(lag, grid)
         assert blocks == [24, 24, 22]
-        twin = spectral_twin(lag)
+        twin = custom_twin(lag)
         scale = float(lag.data @ lag.data)
         for e, lam in zip(evals, grid):
+            # numpy's dense solve resolves D and D' to these tolerances, and
+            # D'' to 5e-10 only; the custom twin, whose L^+ comes from a
+            # pivoted QR factorization, to all three
+            f = numpy_inner_solve(lag, lam)
+            d_prime = linops.residual_norm_sq(lag.op, f, lag.data) - lag.epsilon
+            d_value = lag.regularizer.evaluate(f) + lam * d_prime
+            assert e.d_value == pytest.approx(d_value, rel=1e-10, abs=1e-12 * scale)
+            assert e.d_prime == pytest.approx(d_prime, rel=1e-10, abs=1e-12 * scale)
             ref = eval_dual(twin, lam)
             assert e.error is None and e.lam == ref.lam
             assert e.d_value == pytest.approx(ref.d_value, rel=1e-10, abs=1e-12 * scale)
@@ -1456,20 +1546,16 @@ class TestSweepDual:
             sol = e.solution
             assert sol.optimality_residual <= 1e-10 * (1.0 + 2.0 * lam * math.sqrt(scale))
             # the block's answer is its engine's own, one multiplier at a
-            # time, up to the rounding of the block products. The twin's f
-            # and penalty differ from the basis's by up to 3e-9 above
-            # lam = 1e6, where both leave relative residuals near 1e-14:
-            # that is the system's conditioning, not either engine
+            # time, up to the rounding of the block products. numpy's f
+            # differs from the basis's by up to 2e-9 above lam = 1e6: that
+            # is the system's conditioning, not either solver
             own = eval_dual(lag, lam).solution
             assert sol.discrepancy_sq == pytest.approx(own.discrepancy_sq, rel=1e-12)
             assert sol.j_value == pytest.approx(own.j_value, rel=1e-12)
-            if isinstance(engine, StandardForm):
-                # each point keeps its own k and explicit residual check
-                assert sol.solver_stats["iterations"] == own.solver_stats["iterations"]
-                target = max(lagrange.KRYLOV_TOL, lagrange._rounding_level(engine, sol.f_lambda, lam))
-                assert sol.solver_stats["relative_residual"] <= target
-            else:
-                assert sol.solver_stats == {"method": "spectral"}
+            # each point keeps its own k and explicit residual check
+            assert sol.solver_stats["iterations"] == own.solver_stats["iterations"]
+            target = max(lagrange.KRYLOV_TOL, lagrange._rounding_level(engine, sol.f_lambda, lam))
+            assert sol.solver_stats["relative_residual"] <= target
             np.testing.assert_allclose(
                 sol.f_lambda, own.f_lambda, rtol=1e-12,
                 atol=1e-12 * np.abs(own.f_lambda).max(),
@@ -1481,14 +1567,14 @@ class TestSweepDual:
     @pytest.mark.parametrize("penalty", [identity_regularizer, first_difference_regularizer])
     def test_dense_sweep_matches_its_twin(self, penalty):
         # a benchmark-sized sweep: 200 points at n = 512 in one block of the
-        # basis, against the spectral factors of the same map
+        # basis, against the same map stored as a custom penalty
         n = 512
         prob = synthesize(make_deconvolution(n, 2.0), _bump_profile(n, np.random.default_rng(n)), 0.02, seed=n)
         lag = Lagrangian(prob.op, prob.g, penalty(n), (1.02 * prob.tau) ** 2)
         grid = np.logspace(-2, 8, 200)
         evals = sweep_dual(lag, grid)
         scale = float(prob.g @ prob.g)
-        for e, ref, lam in zip(evals, sweep_dual(spectral_twin(lag), grid), grid):
+        for e, ref, lam in zip(evals, sweep_dual(custom_twin(lag), grid), grid):
             assert e.error is None and ref.error is None
             assert e.d_value == pytest.approx(ref.d_value, rel=1e-10, abs=1e-10 * scale)
             assert e.d_prime == pytest.approx(ref.d_prime, rel=1e-10, abs=1e-10 * scale)
@@ -1504,7 +1590,7 @@ class TestSweepDual:
         evals = sweep_dual(lag, grid)
         over = grid > LAMBDA_MAX
         assert over.sum() == 7 and not over[:48].any()
-        twin = spectral_twin(lag)
+        twin = custom_twin(lag)
         scale = float(lag.data @ lag.data)
         for e, lam in zip(evals, grid):
             if lam <= LAMBDA_MAX:
@@ -1529,8 +1615,8 @@ class TestSweepDual:
         # blocks of two points, yet one attempt to build the engine
         monkeypatch.setattr(morozov.dual, "_BLOCK_FLOATS", 2 * n)
         builds = []
-        build = SpectralFactors.build.__func__
-        monkeypatch.setattr(SpectralFactors, "build", classmethod(lambda cls, *a: builds.append(a) or build(cls, *a)))
+        build = StandardForm.build.__func__
+        monkeypatch.setattr(StandardForm, "build", classmethod(lambda cls, *a: builds.append(a) or build(cls, *a)))
         evals = sweep_dual(lag, grid)
         assert len(builds) == 1
         with pytest.raises(AssumptionViolation) as singular:

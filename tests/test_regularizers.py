@@ -10,7 +10,7 @@ from morozov.regularizers import (
     identity_regularizer,
 )
 
-from conftest import assert_adjoint_consistent, counting_free_op, random_dense_op, shares_kernel, spectral_twin
+from conftest import assert_adjoint_consistent, counting_free_op, random_dense_op, shares_kernel, custom_twin
 
 
 def _consistency_cases(rng):
@@ -169,8 +169,8 @@ class TestCheckAssumptions:
     # numpy's rank of [A; L] (conftest.shares_kernel) is the oracle for it
 
     def test_factorization_agrees_with_oracle(self, rng):
-        # every penalty here is stored as a custom one, whose engine is the
-        # spectral factors
+        # every penalty here is stored as a custom one, whose kernel comes
+        # from the pivoted QR factorization of its stored map
         n = 8
         shared = first_difference_regularizer(n)
         cases = _consistency_cases(rng) + [
@@ -183,7 +183,7 @@ class TestCheckAssumptions:
         outcomes = []
         for J, A in cases:
             g = rng.standard_normal(A.dims.dim_g)
-            refused = _refused(spectral_twin(Lagrangian(A, g, J, epsilon=1.0)).engine)
+            refused = _refused(custom_twin(Lagrangian(A, g, J, epsilon=1.0)).engine)
             assert refused == shares_kernel(A, J.seminorm_operator), (J.kind, A)
             outcomes.append(refused)
         assert outcomes == [False] * 4 + [True] + [False] * 4  # only the shared-kernel pair
@@ -208,17 +208,19 @@ class TestCheckAssumptions:
         assert outcomes == [False, False, False, True, False]
 
     def test_engine_decides_matrix_free_maps_as_dense_ones(self, rng):
-        # a custom penalty's engine materializes a matrix-free A or L for its
-        # spectral factors, at dim_f forward applications each, and applies
-        # L once more per direction of ker L once the pencil is factored:
-        # the decision for a pair whose kernels meet only in 0 and for a
-        # shared-kernel pair
+        # a custom penalty's engine materializes a matrix-free L, at dim_f
+        # forward applications, and never A: it applies A once to each of
+        # the d columns of ker L and its adjoint once to each of their
+        # orthonormalized images, and, once the check passes, once to g and
+        # once for the basis's first column. The decision for a pair whose
+        # kernels meet only in 0 and for a shared-kernel pair
         diff = np.diff(np.eye(6), axis=0)
         g = rng.standard_normal(5)
         outcomes = []
         for mat in (rng.standard_normal((4, 6)), diff):
             oracle = shares_kernel(linops.from_matrix(diff), linops.from_matrix(mat))
-            ker_l = 0 if oracle else 6 - np.linalg.matrix_rank(mat)
+            ker_l = 6 - np.linalg.matrix_rank(mat)
+            expected = {"A": {"fwd": ker_l, "adj": ker_l + (0 if oracle else 2)}, "L": {"fwd": 6, "adj": 0}}
             for free in ((), ("A",), ("L",), ("A", "L")):
                 maps, counts = {}, {}
                 for name, m in (("A", diff), ("L", mat)):
@@ -228,6 +230,6 @@ class TestCheckAssumptions:
                         maps[name] = linops.from_matrix(m)
                 lag = Lagrangian(maps["A"], g, custom_regularizer(maps["L"]), epsilon=1.0)
                 assert _refused(lag.engine) == oracle, free
-                assert counts == {name: {"fwd": 6 + (ker_l if name == "L" else 0), "adj": 0} for name in free}
+                assert counts == {name: expected[name] for name in free}
             outcomes.append(oracle)
         assert outcomes == [False, True]
