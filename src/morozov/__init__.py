@@ -31,7 +31,6 @@ from .dual import (
 )
 from .errors import (
     AssumptionViolation,
-    BracketFailure,
     ConvergenceFailure,
     DimensionMismatch,
     MorozovError,
@@ -46,7 +45,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssumptionViolation",
-    "BracketFailure",
     "ConvergenceFailure",
     "DimensionMismatch",
     "DualEvaluation",

@@ -90,11 +90,6 @@ def _build_parser():
     solve.add_argument("--rtol", type=float, default=1e-8, help="relative tolerance on the discrepancy equation")
     solve.add_argument("--max-iter", type=int, default=None, help="iteration cap (default depends on the method)")
     solve.add_argument("--out", default="solution.json", help="result JSON path; the reconstruction goes next to it")
-    solve.add_argument(
-        "--override-regime",
-        action="store_true",
-        help="expert: attempt the maximization even outside the interior regime",
-    )
 
     sweep = sub.add_parser("sweep", parents=[common], help="tabulate D, D' on a log grid")
     sweep.add_argument("--lambda-min", type=float, required=True)
@@ -173,13 +168,7 @@ def _cmd_solve(args):
     tau, tau_eff = _effective_tau(args, problem)
     lag = _lagrangian(problem, tau_eff)
     method = args.method.replace("-", "_")
-    result = dual.maximize_dual(
-        lag,
-        method=method,
-        rtol=args.rtol,
-        max_iter=args.max_iter,
-        override_regime=args.override_regime,
-    )
+    result = dual.maximize_dual(lag, method=method, rtol=args.rtol, max_iter=args.max_iter)
     out_path = Path(args.out)
     f_star_path = out_path.with_suffix(".f_star.csv")
     payload = {

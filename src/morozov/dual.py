@@ -79,7 +79,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BracketFailure, ConvergenceFailure, RegimeError
+from .errors import ConvergenceFailure, RegimeError
 from .lagrange import LAMBDA_MAX, Lagrangian, lagrangian_value, solve_lagrange
 from .linops import from_callables, residual_norm_sq
 
@@ -99,13 +99,13 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-_BRACKET_FLOOR = 1e-300
 # Newton's step from above divides lam by at most this much: far above the
 # root D'' is nearly flat, and an unlimited step in log lam can land where
 # the inner system is singular to working precision
 _MAX_DROP = 1.0 / 16.0
 # Newton's and bisection's first multiplier where Newton's step from 0 is
-# not a positive float: D''(0+) = 0, or D'(0) <= 0 under override_regime
+# not a positive float, as where D''(0+) = -2 ||Abar^T gbar||^2 underflows
+# to 0 on data near the smallest normal floats
 _LAMBDA_INIT = 1.0
 # verify_morozov_solution: the stationarity tolerance, relative to
 # 1 + ||2 lam A^T g||, and the random perturbations of the minimality check
@@ -288,7 +288,6 @@ def maximize_dual(
     max_iter=None,
     step_rule="inv_n",
     step_constant=2.0,
-    override_regime=False,
 ):
     """Find the multiplier maximizing D, i.e. solve D'(lam) = 0.
 
@@ -307,18 +306,22 @@ def maximize_dual(
         lam_0 = 2 s (1 - sqrt(s) / tau) / D''(0+) with s = ||gbar||^2,
         which psi's concavity keeps below the root. Both are read from
         the engine, as ``eval_dual`` at 0 reads them, and that read is
-        not a trace entry. lam_0 is capped at LAMBDA_MAX, and is 1 where
-        it is not a positive float: D''(0+) = 0, or D'(0) <= 0 under
-        ``override_regime``. Both searches keep a bracket (lo, hi), first
-        (0, inf), that each evaluation tightens by the
-        sign of D'; both are globally convergent since D' is
-        nonincreasing. Newton steps on psi(lam) = 1/||A f_lam - g|| - 1/tau
+        not a trace entry. lam_0 is capped at LAMBDA_MAX, which its
+        rounding can pass when the root lies within an ulp of it, and is
+        1 where it is not a positive float, as where D''(0+) has
+        underflowed to 0. Both searches keep a
+        bracket (lo, hi), first (0, inf), that each evaluation tightens
+        by the sign of D'; both are globally convergent since D' is
+        nonincreasing, and the regime verdict has proved
+        D'(0+) > 0 > D'(LAMBDA_MAX), so the root lies in (0, LAMBDA_MAX).
+        Newton steps on psi(lam) = 1/||A f_lam - g|| - 1/tau
         with D'' = ``DualEvaluation.d_second``: in lam from below, where
         psi's concavity rules out an overshoot, and in log lam from above
-        (``_next_multiplier``). A step that leaves the bracket falls back
-        to doubling while hi = inf, halving while lo = 0, and the
-        bracket's geometric mean otherwise. Bisection always falls back,
-        with the arithmetic mean: it doubles or halves until D' changes
+        (``_next_multiplier``). A step that leaves the bracket or passes
+        LAMBDA_MAX falls back to doubling, capped at LAMBDA_MAX, while
+        hi = inf, and otherwise to the bracket's geometric mean, or its
+        arithmetic mean while lo = 0. Bisection always falls back, with
+        the arithmetic mean: it doubles or halves until D' changes
         sign, then bisects. Gradient
         ascent iterates lam <- max(lam + rho_n D'(lam), 0) from lam = 0
         with rho_n given by ``step_rule``.
@@ -332,33 +335,25 @@ def maximize_dual(
         steps for the same tolerance).
     step_rule : {"inv_n", "constant"}
         rho_n = step_constant / n, or rho_n = step_constant.
-    override_regime : bool
-        Skip the interior-regime gate (for experimentation; outside the
-        interior regime the iteration cannot converge).
 
     Raises
     ------
     ValueError
         For an option out of its range or NaN, before any work.
     RegimeError
-        If the problem is not in the interior regime (unless overridden):
-        D'(LAMBDA_MAX) >= 0, or D'(0) <= 0, before any evaluation. This
-        takes precedence over an ``AssumptionViolation``.
+        If the problem is not in the interior regime: tau >= ||gbar||, or
+        D'(LAMBDA_MAX) >= 0, before any evaluation. This takes precedence
+        over an ``AssumptionViolation``. It is the search's only regime
+        test: every later failure is a ``ConvergenceFailure``.
     AssumptionViolation
         If the penalty is not strictly convex along ker(A): the problem's
         engine, whose build failed, is asked for after the regime gate.
-    BracketFailure
-        For Newton and bisection, if D'(0) = ||gbar||^2 - epsilon is
-        below -rtol * epsilon, before any evaluation (only with
-        ``override_regime``); if D' is still positive where the next
-        multiplier would exceed LAMBDA_MAX (for Newton, where its step
-        lands beyond it, so the root does too), still negative where it
-        would drop below 1e-300, or of one sign after ``max_iter`` evaluations.
     ConvergenceFailure
         If ``max_iter`` is exhausted, or the bracket shrinks to adjacent
         floats (the inner solves cannot resolve |D'| <= rtol * epsilon);
+        the message states the bracket and the smallest |D'| reached, and
         the trace so far is attached. For Newton and bisection
-        ``err.best`` is the smallest |D'| reached. Also if an inner solve
+        ``err.best`` is that smallest |D'|. Also if an inner solve
         misses its precision (``solve_lagrange``).
     """
     # comparisons that NaN fails, so a NaN option is refused too
@@ -379,12 +374,10 @@ def maximize_dual(
 
     diag = diagnose_regime(lag)
     if diag.regime != "interior":
-        if not override_regime:
-            raise RegimeError(
-                f"regime is {diag.regime!r}, not interior: {failed_inequality(diag)}",
-                regime=diag.regime,
-            )
-        log.warning("regime gate overridden: %s", diag.regime)
+        raise RegimeError(
+            f"regime is {diag.regime!r}, not interior: {failed_inequality(diag)}",
+            regime=diag.regime,
+        )
     # the strict-convexity check, behind the regime gate
     engine = lag.engine()
 
@@ -414,14 +407,6 @@ def maximize_dual(
             evaluate, finish, d_tol, max_iter, step_rule, step_constant, trace
         )
 
-    # D' is nonincreasing, so D'(0) < -d_tol rules out every lam > 0
-    d0 = diag.data_norm**2 - lag.epsilon
-    if d0 < -d_tol:
-        raise BracketFailure(
-            f"D'(0) = {diag.data_label}^2 - epsilon = {d0:.6e} is below "
-            f"-rtol*epsilon = {-d_tol:.6e}; D' is nonincreasing, so no "
-            "lam > 0 reaches the tolerance (data dominated by noise)", trace=trace,
-        )
     lo, hi = 0.0, math.inf
     lam = _first_multiplier(engine.data_norm**2, engine.slope_at_zero, lag.tau)
     for _ in range(max_iter + 1):
@@ -433,16 +418,6 @@ def maximize_dual(
         else:
             hi = lam
         lam = _next_multiplier(method, e, lo, hi, lag.tau, trace, d_tol)
-    if lo == 0.0 or hi == math.inf:
-        sign, cause = (
-            ("positive", "noise estimate too optimistic") if lo
-            else ("negative", "data dominated by noise")
-        )
-        raise BracketFailure(
-            f"D' still {sign} at lam={e.lam:g} after {len(trace)} bracketing "
-            f"evaluations (max_iter={max_iter}); no sign change found ({cause})",
-            trace=trace,
-        )
     best = min(abs(dp) for _, _, dp in trace)
     raise ConvergenceFailure(
         f"{method} did not reach |D'| <= {d_tol:g} in {max_iter} iterations "
@@ -461,8 +436,8 @@ def _newton_increment(s, slope, tau):
 def _first_multiplier(s, slope, tau):
     """Newton's step on psi from lam = 0, where ||r||^2 = s = ||gbar||^2 and
     D''(0+) = slope: below the root, since psi is concave and increasing,
-    and capped at LAMBDA_MAX; ``_LAMBDA_INIT`` where it is not a positive
-    float."""
+    and capped at LAMBDA_MAX, which rounding can pass; ``_LAMBDA_INIT``
+    where it is not a positive float, as where slope has underflowed to 0."""
     lam = _newton_increment(s, slope, tau) if slope else math.nan
     return min(lam, LAMBDA_MAX) if lam > 0 else _LAMBDA_INIT
 
@@ -476,16 +451,15 @@ def _next_multiplier(method, e, lo, hi, tau, trace, d_tol):
     From above, where a step in lam undershoots and often lands below 0,
     it is the same Newton step in log lam, lam exp(delta / lam), which
     stays positive; it shrinks lam by at most ``_MAX_DROP``. A step outside
-    the bracket or below 1e-300, and every bisection step, falls back to
-    doubling lo while hi = inf, halving hi while lo = 0, and otherwise to
-    the middle of the bracket: geometric for Newton while the bracket
-    spans more than a factor 2, arithmetic otherwise, which finds a float
-    between any two that are not adjacent.
+    the bracket or above LAMBDA_MAX, and every bisection step, falls back
+    to doubling lo while hi = inf, capped at LAMBDA_MAX, where the regime
+    verdict has proved D' < 0, and otherwise to the middle of the
+    bracket: geometric for Newton while the bracket spans more than a
+    factor 2 and lo > 0, arithmetic otherwise, which halves hi while
+    lo = 0 and finds a float between any two that are not adjacent.
 
-    Raises ``BracketFailure`` when the next multiplier would exceed
-    LAMBDA_MAX (for Newton from below, the root lies beyond its step) or
-    fall below 1e-300, and ``ConvergenceFailure`` when the bracket holds
-    no float between its ends.
+    Raises ``ConvergenceFailure`` when the bracket holds no float between
+    its ends.
     """
     lam = math.nan
     if method == "newton" and e.d_second < 0:
@@ -494,27 +468,13 @@ def _next_multiplier(method, e, lo, hi, tau, trace, d_tol):
             lam = e.lam + delta
         else:
             lam = e.lam * max(math.exp(delta / e.lam), _MAX_DROP)
-    if not (lo < lam < hi and lam >= _BRACKET_FLOOR):
+    if not (lo < lam < hi and lam <= LAMBDA_MAX):
         if hi == math.inf:
-            lam = 2.0 * lo
-        elif lo == 0.0:
-            lam = 0.5 * hi
-        elif method == "newton" and hi > 2.0 * lo:
+            lam = min(2.0 * lo, LAMBDA_MAX)
+        elif method == "newton" and 0.0 < 2.0 * lo < hi:
             lam = math.sqrt(lo) * math.sqrt(hi)
         else:
             lam = 0.5 * (lo + hi)
-    if lam > LAMBDA_MAX:
-        raise BracketFailure(
-            f"D' still positive at lam={lo:g}; no maximizer below "
-            f"LAMBDA_MAX={LAMBDA_MAX:g} (noise estimate too optimistic)",
-            trace=trace,
-        )
-    if lam < _BRACKET_FLOOR:
-        raise BracketFailure(
-            f"D' still negative at lam={hi:g} down to {lam:g}; the "
-            "dual is nonincreasing (data dominated by noise)",
-            trace=trace,
-        )
     if not lo < lam < hi:
         best = min(abs(dp) for _, _, dp in trace)
         raise ConvergenceFailure(

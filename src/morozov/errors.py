@@ -1,10 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+``DimensionMismatch`` and ``AssumptionViolation`` refuse a problem as
+posed. Otherwise a selection fails in one of two ways: ``RegimeError``
+before any evaluation of the dual, when the regime verdict finds no
+maximizer below LAMBDA_MAX, or ``ConvergenceFailure`` from the search or
+an inner solve on a problem the verdict admitted, which states the
+precision it reached.
+"""
 
 __all__ = [
     "MorozovError",
     "DimensionMismatch",
     "ConvergenceFailure",
-    "BracketFailure",
     "AssumptionViolation",
     "RegimeError",
 ]
@@ -31,14 +38,6 @@ class ConvergenceFailure(MorozovError, RuntimeError):
         super().__init__(message)
         self.best = best
         self.trace = trace
-
-
-class BracketFailure(ConvergenceFailure):
-    """No sign change of the dual derivative was found below the lambda cap.
-
-    Numerically this signals that the dual function increases all the way
-    out, i.e. the noise estimate is too optimistic.
-    """
 
 
 class AssumptionViolation(MorozovError, ValueError):

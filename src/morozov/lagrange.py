@@ -43,10 +43,11 @@ operator pair.
 every sweep and the regime verdict run on. ``certificate`` is the
 Lagrangian whose engine gives the verdict: the problem itself, or, when
 its engine cannot be built, its twin with the identity penalty on (A, g).
-It keeps what each build returned, or the ``AssumptionViolation`` it
-raised, so no build runs twice. An engine's ``solve`` takes the
-``Lagrangian`` it was built from: holding it would make a reference
-cycle, which frees the basis only when the cyclic garbage collector runs.
+It keeps what each build returned, or the ``ValueError`` it raised, an
+``AssumptionViolation`` included, so no build runs twice. An engine's
+``solve`` takes the ``Lagrangian`` it was built from: holding it would
+make a reference cycle, which frees the basis only when the cyclic
+garbage collector runs.
 
 Every solve also returns the slope d||A f - g||^2 / dlam, the dual's
 D''(lam), which the Newton search over lam uses. With r = A f - g and
@@ -469,10 +470,10 @@ class Lagrangian:
 
     The engine and the certificate are built lazily, each at most once,
     under one lock: ``engine`` and ``certificate`` keep what each build
-    returned, or the message of the ``AssumptionViolation`` it raised, by
-    one rule for every penalty, so a problem that fails the
-    strict-convexity check is checked once and raises the same message on
-    every later call.
+    returned, or the ``ValueError`` it raised, by one rule for every
+    penalty, so a problem that fails the strict-convexity check, or whose
+    custom L is not finite, is checked once and raises the same message
+    on every later call.
     """
 
     def __init__(self, op: LinearOperator, data, regularizer: Regularizer, epsilon):
@@ -498,30 +499,35 @@ class Lagrangian:
         self.data = data
         self.regularizer = regularizer
         self.epsilon = float(epsilon)
-        self._built = {}  # each lazy build: what it returned, or the message it raised
+        self._built = {}  # each lazy build: what it returned, or a copy of what it raised
         self._lock = threading.Lock()
 
     def _once(self, name, build):
-        """What ``build()`` returned, or the message of the
-        ``AssumptionViolation`` it raised, kept under ``name``: built once
-        under the one lock, whichever thread asks first."""
+        """What ``build()`` returned, kept under ``name``: built once under
+        the one lock, whichever thread asks first. A build that raised a
+        ``ValueError`` is kept too, not tried again: each call raises a
+        fresh exception of its type with its message."""
         with self._lock:
             if name not in self._built:
                 try:
                     self._built[name] = build()
-                except AssumptionViolation as exc:
-                    self._built[name] = str(exc)
-            return self._built[name]
+                except ValueError as exc:
+                    # kept as a copy that was never raised, which holds no
+                    # traceback's frames
+                    self._built[name] = type(exc)(*exc.args)
+                    raise
+            built = self._built[name]
+        if isinstance(built, ValueError):
+            raise type(built)(*built.args)
+        return built
 
     def engine(self):
         """The problem's inner solver, ``StandardForm``, built once. It is the
-        problem's one strict-convexity check: a build that raised
-        ``AssumptionViolation`` is kept, not tried again, and each call
+        problem's one strict-convexity check: a build that raised, an
+        ``AssumptionViolation`` or a ``ValueError`` for a custom L that is
+        not finite or of rank 0, is kept, not tried again, and each call
         raises a fresh one with its message."""
-        built = self._once("engine", lambda: StandardForm.build(self.op, self.data, self.regularizer))
-        if isinstance(built, str):
-            raise AssumptionViolation(built)
-        return built
+        return self._once("engine", lambda: StandardForm.build(self.op, self.data, self.regularizer))
 
     def certificate(self):
         """The ``Lagrangian`` whose engine gives the regime verdict: this

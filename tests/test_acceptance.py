@@ -276,10 +276,12 @@ def test_criterion_09_adjoint_and_assumption_gates():
     A = linops.from_matrix(first_difference_regularizer(n).seminorm_operator.materialize())
     flags_ok = shares_kernel(A, first_difference_regularizer(n).seminorm_operator)
     g = rng.standard_normal(n - 1)
-    lag = Lagrangian(A, g, first_difference_regularizer(n), epsilon=1.0)
+    # ||g|| = 2 puts tau = 1 inside the identity twin's window, so the
+    # regime gate passes and the strict-convexity check refuses
+    lag = Lagrangian(A, 2.0 * g / np.linalg.norm(g), first_difference_regularizer(n), epsilon=1.0)
     refused = False
     try:
-        maximize_dual(lag, override_regime=True)
+        maximize_dual(lag)
     except AssumptionViolation:
         refused = True
     _report(

@@ -187,12 +187,17 @@ class TestSolve:
         assert rc == 2
         assert len(calls) == 1
 
-    def test_override_regime_exits_3_on_bracket_failure(self, fixture_dirs, tmp_path):
+    def test_search_out_of_budget_exits_3(self, fixture_dirs, tmp_path, capsys):
+        # an interior problem's search that runs out of evaluations fails
+        # with its bracket and best |D'|, not as a regime
         rc = run([
-            "solve", "--problem", fixture_dirs["too_optimistic"],
-            "--override-regime", "--out", tmp_path / "r.json",
+            "solve", "--problem", fixture_dirs["interior"],
+            "--max-iter", 1, "--out", tmp_path / "r.json",
         ])
         assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: newton did not reach") and "bracket [" in err, err
+        assert "smallest |D'|" in err and err.count("\n") == 1, err
 
     def test_missing_problem_exits_1(self, tmp_path):
         assert run(["solve", "--problem", tmp_path / "nope", "--out", tmp_path / "r.json"]) == 1

@@ -15,12 +15,7 @@ from morozov.dual import (
     sweep_dual,
     verify_morozov_solution,
 )
-from morozov.errors import (
-    AssumptionViolation,
-    BracketFailure,
-    ConvergenceFailure,
-    RegimeError,
-)
+from morozov.errors import AssumptionViolation, ConvergenceFailure, RegimeError
 from morozov.lagrange import (
     LAMBDA_MAX,
     Lagrangian,
@@ -361,25 +356,6 @@ class TestMaximizeDual:
             maximize_dual(lag)
         assert err.value.regime == "too_optimistic"
 
-    def test_override_too_optimistic_hits_bracket_failure(self):
-        prob = regime_fixture("too_optimistic", seed=5)
-        lag = lagrangian_of(prob)
-        with pytest.raises(BracketFailure):
-            maximize_dual(lag, override_regime=True)
-
-    def test_override_noise_dominates_hits_bracket_failure(self):
-        # D'(0) < 0 proves D' has no positive root: stop before any
-        # evaluation instead of halving toward the floor
-        prob = regime_fixture("noise_dominates", seed=5)
-        lag = lagrangian_of(prob)
-        d0 = eval_dual(lag, 0.0).d_prime
-        assert d0 < -1e-8 * lag.epsilon
-        for method in ("newton", "bisection"):
-            with pytest.raises(BracketFailure) as err:
-                maximize_dual(lag, method=method, override_regime=True)
-            assert len(err.value.trace) == 0
-            assert f"D'(0) = ||g||^2 - epsilon = {d0:.6e}" in str(err.value)
-
     def test_assumption_gate_refuses_shared_kernel(self, rng):
         # forward and penalty both kill constants: selection must refuse
         n = 6
@@ -467,18 +443,51 @@ class TestMaximizeDual:
         lo, hi = max(t[0] for t in trace if t[2] > 0), min(t[0] for t in trace if t[2] < 0)
         assert np.nextafter(lo, np.inf) == hi
 
-    def test_newton_stops_where_its_step_passes_lambda_max(self):
-        # from below Newton never overshoots, so a step beyond LAMBDA_MAX
-        # puts the root there too; bisection doubles up to it
-        prob = regime_fixture("too_optimistic", seed=5)
-        errors = {}
-        for method in ("newton", "bisection"):
-            with pytest.raises(BracketFailure, match="no maximizer below LAMBDA_MAX") as err:
-                maximize_dual(lagrangian_of(prob), method=method, override_regime=True)
-            errors[method] = err.value
-            assert all(dp > 0 for _, _, dp in err.value.trace)
-        assert len(errors["newton"].trace) == 4
-        assert len(errors["bisection"].trace) == 36
+    def test_a_root_near_lambda_max_is_bracketed_there(self):
+        # A = diag(1, s), g = (1, 1) and the identity penalty put the root
+        # at lam*, inside the window. At s = 1e-3 and lam* = 9e11,
+        # bisection's doubling from 6.7e11 stops at LAMBDA_MAX, where the
+        # verdict proved D' < 0, and bisects below it. At s = 1e-2 and
+        # lam* = 1e12 - 10, three of Newton's steps from below round past
+        # LAMBDA_MAX: each falls back to doubling, the last capped there
+        def problem(s, lam_star):
+            s, g = np.array([1.0, s]), np.array([1.0, 1.0])
+            epsilon = float(np.sum(g**2 / (1.0 + lam_star * s**2) ** 2))
+            return Lagrangian(linops.from_matrix(np.diag(s)), g, identity_regularizer(2), epsilon)
+
+        counts = {}
+        for s, lam_star in ((1e-3, 9e11), (1e-2, 1e12 - 10.0)):
+            lag = problem(s, lam_star)
+            assert diagnose_regime(lag).regime == "interior"
+            for method in ("newton", "bisection"):
+                res = maximize_dual(lag, method=method)
+                assert res.lambda_star == pytest.approx(lam_star, rel=1e-8)
+                assert verify_morozov_solution(res, lag).passed
+                lams = [lam for lam, _, _ in res.iterations]
+                assert max(lams) <= LAMBDA_MAX
+                counts[s, method] = (len(lams), lams.count(LAMBDA_MAX))
+        assert counts == {
+            (1e-3, "newton"): (2, 0), (1e-3, "bisection"): (43, 1),
+            (1e-2, "newton"): (6, 1), (1e-2, "bisection"): (40, 1),
+        }
+
+    def test_an_interior_search_out_of_budget_states_its_bracket(self):
+        # one Newton step from below leaves D' > 0: the verdict has already
+        # placed the root below LAMBDA_MAX, so this is a search that ran out
+        # of evaluations, with its bracket and its best |D'|
+        n = 128
+        prob = synthesize(make_deconvolution(n, 2.0), np.sin(np.linspace(0, np.pi, n)), 0.02, seed=1)
+        lag = lagrangian_of(prob, tau=1.02 * prob.tau)
+        with pytest.raises(ConvergenceFailure) as err:
+            maximize_dual(lag, max_iter=1)
+        trace = err.value.trace
+        assert len(trace) == 2 and all(dp > 0 for _, _, dp in trace)
+        best = min(abs(dp) for _, _, dp in trace)
+        assert err.value.best == best
+        message = str(err.value)
+        assert f"bracket [{trace[-1][0]:g}, inf]" in message
+        assert f"smallest |D'| {best:.3e}" in message
+        assert "too optimistic" not in message
 
     def test_max_iter_exhaustion_carries_trace(self):
         prob = make_interior_problem(seed=41)
@@ -589,26 +598,28 @@ class TestFirstMultiplier:
                 assert res.iterations[0][2] > 0
 
     def test_a_step_out_of_range_is_capped_or_replaced(self):
-        # tau = 1e-13 puts the scalar problem's root at 2e13 - 1, where the
-        # step from 0 lands: it is capped at LAMBDA_MAX, the one evaluation
-        lag = scalar_lagrangian(epsilon=1e-26)
-        with pytest.raises(BracketFailure, match="no maximizer below LAMBDA_MAX") as err:
-            maximize_dual(lag, override_regime=True)
-        assert [t[0] for t in err.value.trace] == [LAMBDA_MAX]
-        # D''(0+) = 0 where A^T g = 0: Newton's step from 0 is no float, and
-        # the search starts at lam = 1. Under override_regime, D'(0) <= 0
-        # within rtol gives a step that is not positive, and so lam = 1 too
-        op = linops.from_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
-        lag = Lagrangian(op, np.array([0.0, 1.0]), identity_regularizer(2), 0.25)
+        # the scalar problem's root 2/tau - 1 lies an ulp below LAMBDA_MAX,
+        # and Newton's step from 0, which is exact there, rounds above it:
+        # it is capped at LAMBDA_MAX, the one evaluation at rtol = 1e-3
+        lag = scalar_lagrangian(epsilon=1.999999999998e-12**2)
+        assert diagnose_regime(lag).regime == "interior"
+        s = lag.engine().data_norm ** 2
+        assert 2.0 * s * (1.0 - math.sqrt(s) / lag.tau) / eval_dual(lag, 0.0).d_second > LAMBDA_MAX
+        for method in ("newton", "bisection"):
+            res = maximize_dual(lag, method=method, rtol=1e-3)
+            assert [t[0] for t in res.iterations] == [LAMBDA_MAX]
+        # on data near the smallest normal floats D''(0+) = -2 a^2 g^2
+        # underflows to 0: Newton's step from 0 is no float, so the search
+        # starts at lam = 1, and doubles, since every D'' it reads is 0 too
+        a, g, lam_star = math.sqrt(1e-19), 1e-153, 5e11
+        epsilon = g**2 / (1.0 + lam_star * a * a) ** 2
+        lag = Lagrangian(linops.from_matrix(np.array([[a]])), np.array([g]), identity_regularizer(1), epsilon)
+        assert diagnose_regime(lag).regime == "interior"
         assert eval_dual(lag, 0.0).d_second == 0.0
-        with pytest.raises(BracketFailure) as err:
-            maximize_dual(lag, override_regime=True, max_iter=0)
-        assert [t[0] for t in err.value.trace] == [1.0]
-        lag = scalar_lagrangian(epsilon=4.0 * (1.0 + 1e-10))
-        assert -1e-8 * lag.epsilon < eval_dual(lag, 0.0).d_prime < 0
-        with pytest.raises(BracketFailure) as err:
-            maximize_dual(lag, override_regime=True, max_iter=0)
-        assert [t[0] for t in err.value.trace] == [1.0]
+        for method in ("newton", "bisection"):
+            res = maximize_dual(lag, method=method)
+            assert [t[0] for t in res.iterations] == [2.0**j for j in range(40)]
+            assert verify_morozov_solution(res, lag).passed
 
 
 class TestFirstDifferenceWindow:
@@ -945,8 +956,11 @@ class TestRegimeCertificate:
             with pytest.raises(RegimeError) as err:
                 maximize_dual(lag)
             assert err.value.regime == "noise_dominates"
+            # inside the twin's window the strict-convexity check refuses it
+            lag = Lagrangian(A, g, J, epsilon=1.0)
+            assert diagnose_regime(lag).regime == "interior"
             with pytest.raises(AssumptionViolation, match="unique"):
-                maximize_dual(lag, override_regime=True)
+                maximize_dual(lag)
 
 def half_distance_case(seed, n=128):
     """A width-2 blur of a bump-plus-box profile, 2% noise, the identity
@@ -1409,7 +1423,9 @@ class TestWorkCounts:
         n = 6
         A = linops.from_matrix(first_difference_regularizer(n).seminorm_operator.materialize())
         J = custom_regularizer(A) if penalty == "custom" else first_difference_regularizer(n)
-        lag = Lagrangian(A, rng.standard_normal(n - 1), J, epsilon=1.0)
+        g = rng.standard_normal(n - 1)
+        # ||g|| = 2 puts tau = 1 inside the identity twin's window
+        lag = Lagrangian(A, 2.0 * g / np.linalg.norm(g), J, epsilon=1.0)
         builds = []
         build = StandardForm.build.__func__
         monkeypatch.setattr(StandardForm, "build", classmethod(
@@ -1420,7 +1436,7 @@ class TestWorkCounts:
             for call in (
                 lambda: eval_dual(lag, 1.0),
                 lambda: solve_lagrange(lag, 2.0),
-                lambda: maximize_dual(lag, override_regime=True),
+                lambda: maximize_dual(lag),
             ):
                 with pytest.raises(AssumptionViolation, match="unique") as err:
                     call()

@@ -563,13 +563,22 @@ class TestStandardForm:
             np.testing.assert_allclose(A.matrix @ f - g, form.op.apply(z) - form.data, atol=1e-12)
             np.testing.assert_allclose(kernel.T @ (A.matrix.T @ (A.matrix @ f - g)), 0.0, atol=1e-12)
 
-    def test_zero_custom_penalty_refused(self, rng):
+    def test_zero_custom_penalty_refused(self, rng, monkeypatch):
         # a penalty of rank 0 has no standard form; the pivoted QR
-        # factorization finds it from L alone
+        # factorization finds it from L alone, once: the failed build is
+        # kept, and each call raises a fresh error with the same message
         A = random_dense_op(rng, 9, 6)
         lag = Lagrangian(A, rng.standard_normal(9), custom_regularizer(linops.from_matrix(np.zeros((3, 6)))), 1.0)
-        with pytest.raises(ValueError, match="rank 0"):
-            lag.engine()
+        calls = []
+        penalty = lagrange._penalty
+        monkeypatch.setattr(lagrange, "_penalty", lambda J: calls.append(J) or penalty(J))
+        errors = []
+        for _ in range(2):
+            with pytest.raises(ValueError, match="rank 0") as err:
+                lag.engine()
+            errors.append(err.value)
+        assert len(calls) == 1
+        assert errors[0] is not errors[1] and str(errors[0]) == str(errors[1])
 
 
 class TestLagrangianValidation:
@@ -605,7 +614,8 @@ class TestLagrangianValidation:
         # not judged by a regime verdict that reads residual=nan: dense up
         # front, matrix-free once the engine's build has materialized the
         # map. Applied to e_0, the callback's row 3 is NaN * 0 = NaN, so
-        # that is the first entry its materialized matrix shows
+        # that is the first entry its materialized matrix shows. The failed
+        # build is kept: a second call raises it again without a new one
         from morozov.dual import maximize_dual
         from morozov.problems import make_deconvolution, synthesize
 
@@ -618,8 +628,9 @@ class TestLagrangianValidation:
         op, counts = counting_free_op(mat)
         lag = Lagrangian(prob.op, prob.g, custom_regularizer(op), prob.tau**2)
         assert counts == {"fwd": 0, "adj": 0}
-        with pytest.raises(ValueError, match=r"L\[3, 0\] = nan"):
-            maximize_dual(lag)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"L\[3, 0\] = nan"):
+                maximize_dual(lag)
         assert counts == {"fwd": n, "adj": 0}
 
     def test_data_dims(self):
