@@ -31,10 +31,10 @@ def _norm(w):
     return math.sqrt(w @ w)
 
 
-def _orthogonalize(w, Q):
-    """w minus its projection on the orthonormal rows of Q, and its norm:
-    one pass, and a second only when the first cancels below ``_TWICE``."""
-    before = _norm(w)
+def _orthogonalize(w, Q, before):
+    """w, whose norm is ``before``, minus its projection on the orthonormal
+    rows of Q, and its norm: one pass, and a second only when the first
+    cancels below ``_TWICE``."""
     w = w - (Q @ w) @ Q
     norm = _norm(w)
     if norm < _TWICE * before:
@@ -97,10 +97,11 @@ class GolubKahan:
     O(k dim_f) for V.
 
     ``g`` is the start vector. ``step`` adds one column at one forward and
-    one adjoint application. The basis is exhausted when the Krylov space
-    K(A^T A, A^T g) is invariant (a new alpha or beta vanishes to
-    rounding) or a basis spans its whole space; every projected solution
-    is then exact. Not thread-safe: callers that share a basis serialize
+    one adjoint application; an application whose norm is not finite
+    raises ``ValueError`` before it changes the basis. The basis is
+    exhausted when the Krylov space K(A^T A, A^T g) is invariant (a new
+    alpha or beta vanishes to rounding) or a basis spans its whole space;
+    every projected solution is then exact. Not thread-safe: callers that share a basis serialize
     on their own lock.
     """
 
@@ -124,47 +125,50 @@ class GolubKahan:
             self.alpha.append(0.0)
         else:
             self._u = g / beta1
-            self._append_v(self._adjoint(self._u))
+            self._append_v(*self._normalize(self._adjoint(self._u), self._V.full, self._V, "adjoint"))
 
     @property
     def exhausted(self):
         return self.alpha[self.k] == 0.0
 
-    def _normalize(self, w, full, Q=None):
+    def _normalize(self, w, full, Q=None, side="forward"):
         """w orthogonalized against the rows of Q, if given, and normalized,
         and its norm; the norm is 0 when w is rounding noise or ``full``
-        says the vectors so far already span w's space."""
+        says the vectors so far already span w's space. ``ValueError``,
+        before w enters the basis, when the norm is not finite: the ``side``
+        application returned a NaN or an infinity, or overflowed."""
+        norm = _norm(w)
+        if not math.isfinite(norm):
+            raise ValueError(f"the {side} application returned a vector whose norm is {norm}, not finite")
         if Q is not None and Q.n:
-            w, norm = _orthogonalize(w, Q[:])
-        else:
-            norm = _norm(w)
+            w, norm = _orthogonalize(w, Q[:], norm)
         self.norm_estimate = max(self.norm_estimate, norm)
         tiny = max(self.g.shape[0], self._V.width) * _EPS * self.norm_estimate
         if full or norm <= tiny:
             return w, 0.0
         return w / norm, norm
 
-    def _append_v(self, w):
-        v, a = self._normalize(w, self._V.full, self._V)
+    def _append_v(self, v, a):
         self.alpha.append(a)
         if a:
             self._V.append(v)
 
     def step(self):
-        """Add one column to B_k; a no-op once the basis is exhausted."""
+        """Add one column to B_k; a no-op once the basis is exhausted. Both
+        applications are checked before the basis changes, so a step that
+        raised raises again when it is asked for again."""
         if self.exhausted:
             return
         k = self.k
         w = self._forward(self._V[k]) - self.alpha[k] * self._u
         u, b = self._normalize(w, k + 1 == self.g.shape[0])
+        # with b = 0, A V_k lies in span(U_k): the Krylov space is invariant
+        v, a = self._normalize(self._adjoint(u) - b * self._V[k], self._V.full, self._V, "adjoint") if b else (None, 0.0)
         self.beta.append(b)
         self.k = k + 1
         if b:
             self._u = u
-            self._append_v(self._adjoint(u) - b * self._V[k])
-        else:
-            # A V_k lies in span(U_k): the Krylov space is invariant
-            self.alpha.append(0.0)
+        self._append_v(v, a)
 
     # -- projected problems --------------------------------------------------
 

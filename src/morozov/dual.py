@@ -49,8 +49,10 @@ root needs. The steps stay inside a bracket that every evaluation
 tightens by the sign of D', which makes the iteration globally
 convergent; about 6 evaluations reach rtol = 1e-8 where bisection, kept
 as the checker, needs about 27.
-Plain gradient ascent, lam <- lam + rho_n D'(lam) started from 0, is
-the paper's iteration and stays available.
+Plain projected gradient ascent, lam <- max(lam + rho_n D'(lam), 0)
+started from 0, is the paper's iteration and stays available. All three
+methods run in one search loop, which evaluates, keeps the bracket and
+fails in one way; only the choice of the next multiplier differs.
 
 The regime verdict has one algorithm and one code path for every
 caller: it asks the engine of the problem's certificate
@@ -159,10 +161,10 @@ class SelectionResult:
 
     ``iterations`` records every multiplier visited, in order, as
     (lam, D, D') triples: the first at Newton's step from lam = 0, below
-    the root (at 0 for gradient ascent), then every step, fallbacks
-    included, the last at ``lambda_star``. At rtol = 1e-8 Newton makes
-    about 6 evaluations and bisection about 27. ``alpha`` is defined as
-    ``1.0 / lambda_star``.
+    the root (at 0 for gradient ascent), then every step, fallbacks and
+    steps capped at LAMBDA_MAX included, the last at ``lambda_star``. At
+    rtol = 1e-8 Newton makes about 6 evaluations and bisection about 27.
+    ``alpha`` is defined as ``1.0 / lambda_star``.
     ``diagnosis`` is the regime diagnosis the selection ran under; None
     when the result was rebuilt from storage.
     """
@@ -297,7 +299,10 @@ def maximize_dual(
 
     Before the search, ``diagnose_regime`` gives the regime verdict on
     the problem's own engine, whose Golub-Kahan basis the search then
-    reuses.
+    reuses. Every method then runs the same loop: evaluate, stop when the
+    test passes at lam > 0, tighten the bracket (lo, hi), first (0, inf),
+    by the sign of D', and pick the next multiplier by the method. No
+    method evaluates above LAMBDA_MAX.
 
     Parameters
     ----------
@@ -309,10 +314,9 @@ def maximize_dual(
         not a trace entry. lam_0 is capped at LAMBDA_MAX, which its
         rounding can pass when the root lies within an ulp of it, and is
         1 where it is not a positive float, as where D''(0+) has
-        underflowed to 0. Both searches keep a
-        bracket (lo, hi), first (0, inf), that each evaluation tightens
-        by the sign of D'; both are globally convergent since D' is
-        nonincreasing, and the regime verdict has proved
+        underflowed to 0. Both step strictly inside the bracket, so
+        each evaluation tightens it; both are globally convergent since
+        D' is nonincreasing, and the regime verdict has proved
         D'(0+) > 0 > D'(LAMBDA_MAX), so the root lies in (0, LAMBDA_MAX).
         Newton steps on psi(lam) = 1/||A f_lam - g|| - 1/tau
         with D'' = ``DualEvaluation.d_second``: in lam from below, where
@@ -322,9 +326,11 @@ def maximize_dual(
         hi = inf, and otherwise to the bracket's geometric mean, or its
         arithmetic mean while lo = 0. Bisection always falls back, with
         the arithmetic mean: it doubles or halves until D' changes
-        sign, then bisects. Gradient
-        ascent iterates lam <- max(lam + rho_n D'(lam), 0) from lam = 0
-        with rho_n given by ``step_rule``.
+        sign, then bisects. Gradient ascent iterates
+        lam <- min(max(lam + rho_n D'(lam), 0), LAMBDA_MAX) from lam = 0,
+        with rho_n given by ``step_rule``: its steps ignore the bracket,
+        which only records them, and the cap stands where the verdict
+        proved D' < 0.
     rtol : float in (0, 1)
         At rtol >= 1 the test accepts every lam whose discrepancy is at
         most sqrt(1 + rtol) tau, however far below tau.
@@ -352,9 +358,10 @@ def maximize_dual(
         If ``max_iter`` is exhausted, or the bracket shrinks to adjacent
         floats (the inner solves cannot resolve |D'| <= rtol * epsilon);
         the message states the bracket and the smallest |D'| reached, and
-        the trace so far is attached. For Newton and bisection
-        ``err.best`` is that smallest |D'|. Also if an inner solve
-        misses its precision (``solve_lagrange``).
+        the trace so far is attached, and ``err.best`` is that smallest
+        |D'|, for every method. Only Newton and bisection can run out of
+        floats. Also if an inner solve misses its precision
+        (``solve_lagrange``).
     """
     # comparisons that NaN fails, so a NaN option is refused too
     if method not in ("newton", "bisection", "gradient_ascent"):
@@ -383,41 +390,31 @@ def maximize_dual(
 
     trace = []
     d_tol = rtol * lag.epsilon
-
-    def evaluate(lam):
+    lo, hi = 0.0, math.inf
+    if method == "gradient_ascent":
+        lam = 0.0
+    else:
+        lam = _first_multiplier(engine.data_norm**2, engine.slope_at_zero, lag.tau)
+    for n in range(1, max_iter + 2):
         e = eval_dual(lag, lam)
         trace.append((e.lam, e.d_value, e.d_prime))
-        return e
-
-    def finish(e):
-        sol = e.solution
-        return SelectionResult(
-            lambda_star=e.lam,
-            alpha=1.0 / e.lam,
-            f_star=sol.f_lambda,
-            discrepancy=float(math.sqrt(sol.discrepancy_sq)),
-            iterations=trace,
-            method=method,
-            converged=True,
-            diagnosis=diag,
-        )
-
-    if method == "gradient_ascent":
-        return _gradient_ascent(
-            evaluate, finish, d_tol, max_iter, step_rule, step_constant, trace
-        )
-
-    lo, hi = 0.0, math.inf
-    lam = _first_multiplier(engine.data_norm**2, engine.slope_at_zero, lag.tau)
-    for _ in range(max_iter + 1):
-        e = evaluate(lam)
-        if abs(e.d_prime) <= d_tol:
-            return finish(e)
+        # at lam = 0 there is no solution to return
+        if lam > 0 and abs(e.d_prime) <= d_tol:
+            return SelectionResult(
+                lambda_star=e.lam, alpha=1.0 / e.lam, f_star=e.solution.f_lambda,
+                discrepancy=float(math.sqrt(e.solution.discrepancy_sq)), iterations=trace,
+                method=method, converged=True, diagnosis=diag,
+            )
+        # gradient ascent may step outside the bracket, which only tightens
         if e.d_prime > 0:
-            lo = lam
+            lo = max(lo, lam)
         else:
-            hi = lam
-        lam = _next_multiplier(method, e, lo, hi, lag.tau, trace, d_tol)
+            hi = min(hi, lam)
+        if method == "gradient_ascent":
+            rho = step_constant / n if step_rule == "inv_n" else step_constant
+            lam = min(max(lam + rho * e.d_prime, 0.0), LAMBDA_MAX)
+        else:
+            lam = _next_multiplier(method, e, lo, hi, lag.tau, trace, d_tol)
     best = min(abs(dp) for _, _, dp in trace)
     raise ConvergenceFailure(
         f"{method} did not reach |D'| <= {d_tol:g} in {max_iter} iterations "
@@ -485,27 +482,6 @@ def _next_multiplier(method, e, lo, hi, tau, trace, d_tol):
             trace=trace,
         )
     return lam
-
-
-def _gradient_ascent(evaluate, finish, d_tol, max_iter, step_rule, step_constant, trace):
-    lam = 0.0
-    e = evaluate(0.0)
-    for n in range(1, max_iter + 1):
-        rho = step_constant / n if step_rule == "inv_n" else step_constant
-        lam = max(lam + rho * e.d_prime, 0.0)
-        if lam > LAMBDA_MAX:
-            raise ConvergenceFailure(
-                f"gradient ascent escaped past LAMBDA_MAX={LAMBDA_MAX:g}",
-                trace=trace,
-            )
-        e = evaluate(lam)
-        if lam > 0 and abs(e.d_prime) <= d_tol:
-            return finish(e)
-    raise ConvergenceFailure(
-        f"gradient ascent did not reach |D'| <= {d_tol:g} in {max_iter} "
-        f"iterations (last lam={lam:g})",
-        trace=trace,
-    )
 
 
 def sweep_dual(lag: Lagrangian, lambdas):

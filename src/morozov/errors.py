@@ -30,7 +30,9 @@ class ConvergenceFailure(MorozovError, RuntimeError):
 
     Attributes
     ----------
-    best : the best value found so far (solver dependent), or None.
+    best : the best value found so far, or None: for every method of
+        ``dual.maximize_dual``, the smallest |D'| it evaluated; for an
+        inner solve, its solution.
     trace : iteration history when the failing loop keeps one, or None.
     """
 

@@ -464,8 +464,10 @@ class Lagrangian:
     is a read-only copy of ``g``, so the engine built from it cannot go
     stale. A NaN or an infinity in ``data``, a dense ``op`` or a dense
     penalty map L, on which a Krylov solve never returns, raises
-    ``ValueError`` naming the first such entry; a matrix-free ``op``
-    cannot be checked up front, and a matrix-free custom L is checked once
+    ``ValueError`` naming the first such entry. A matrix-free ``op``
+    cannot be checked up front: the engine's Golub-Kahan basis raises
+    ``ValueError`` for an application whose norm is not finite, before
+    the vector enters the basis. A matrix-free custom L is checked once
     the engine's build has materialized it.
 
     The engine and the certificate are built lazily, each at most once,

@@ -6,7 +6,8 @@ are supported: a dense float64 matrix, and a matrix-free pair of callbacks
 (forward and adjoint action). Either way an operator keeps exactly one
 (forward, adjoint) pair of vector products, and ``apply`` and
 ``apply_adjoint`` check the input vector and call it. A matrix-free
-operator's pair is its callbacks, with a check of their output.
+operator's pair is its callbacks, with a check of their output. A
+complex vector, in or out, is refused rather than cast to its real part.
 
 A dense operator picks its pair at its first matrix-vector product. When
 its numerically significant entries lie within ``kl`` subdiagonals and
@@ -86,6 +87,10 @@ class VectorSpaceDims:
 
 
 def _as_vector(x, n, name):
+    """``x`` as a float64 vector of length n; ``ValueError`` naming it when
+    it is complex, whose imaginary part a cast would drop."""
+    if np.iscomplexobj(x):
+        raise ValueError(f"{name} must be real, got a complex vector")
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 1 or v.shape[0] != n:
         raise DimensionMismatch(

@@ -489,6 +489,39 @@ class TestMaximizeDual:
         assert f"smallest |D'| {best:.3e}" in message
         assert "too optimistic" not in message
 
+    def test_gradient_ascent_out_of_budget_states_its_bracket(self):
+        # the paper's iteration runs in the one search loop, so its failure
+        # is the same one: its bracket, its smallest |D'| and its trace
+        n = 128
+        prob = synthesize(make_deconvolution(n, 2.0), np.sin(np.linspace(0, np.pi, n)), 0.02, seed=1)
+        lag = lagrangian_of(prob, tau=1.02 * prob.tau)
+        with pytest.raises(ConvergenceFailure, match="in 5 iterations") as err:
+            maximize_dual(lag, method="gradient_ascent", max_iter=5)
+        trace = err.value.trace
+        assert len(trace) == 6 and trace[0][0] == 0.0
+        best = min(abs(dp) for _, _, dp in trace)
+        assert err.value.best == best
+        lo = max([lam for lam, _, dp in trace if dp > 0])
+        hi = min([lam for lam, _, dp in trace if dp < 0], default=math.inf)
+        message = str(err.value)
+        assert f"bracket [{lo:g}, {hi:g}]" in message
+        assert f"smallest |D'| {best:.3e}" in message
+
+    def test_gradient_ascent_stops_at_lambda_max(self):
+        # A = 1, g = 1e6, epsilon = 1: D'(0) = 1e12 - 1, so the first step
+        # lands at 2e12 - 2 and is capped at LAMBDA_MAX, where the verdict
+        # proved D' < 0; the steps of rho_n = 2/n back down from there are
+        # far too short to reach the root, lam* = 1e6 - 1
+        lag = Lagrangian(linops.identity(1), np.array([1e6]), identity_regularizer(1), 1.0)
+        with pytest.raises(ConvergenceFailure) as err:
+            maximize_dual(lag, method="gradient_ascent", max_iter=5)
+        trace = err.value.trace
+        assert len(trace) == 6
+        assert trace[1][0] == LAMBDA_MAX and trace[1][2] < 0
+        assert all(lam <= LAMBDA_MAX for lam, _, _ in trace)
+        assert "bracket [0, 1e+12]" in str(err.value)
+        assert err.value.best == min(abs(dp) for _, _, dp in trace)
+
     def test_max_iter_exhaustion_carries_trace(self):
         prob = make_interior_problem(seed=41)
         lag = lagrangian_of(prob)
@@ -503,6 +536,33 @@ class TestMaximizeDual:
             step_rule="constant", step_constant=0.5,
         )
         assert res.lambda_star == pytest.approx(1.0, abs=1e-7)
+
+    def test_gradient_ascent_bracket_only_tightens(self):
+        # a constant step of 2.5 overshoots the root, lam* = 1, by more
+        # each time: the late iterates fall outside the bracket that the
+        # earlier ones had closed, which they must not widen
+        with pytest.raises(ConvergenceFailure) as err:
+            maximize_dual(
+                scalar_lagrangian(), method="gradient_ascent", max_iter=8,
+                step_rule="constant", step_constant=2.5,
+            )
+        trace = err.value.trace
+        lo = max(lam for lam, _, dp in trace if dp > 0)
+        hi = min(lam for lam, _, dp in trace if dp < 0)
+        assert trace[-2][0] < lo < 1.0 < hi < trace[-1][0]
+        assert f"bracket [{lo:g}, {hi:g}]" in str(err.value)
+
+    def test_gradient_ascent_returns_a_positive_multiplier(self):
+        # D'(0) = 4 - epsilon passes the test at rtol = 1e-3, but lam = 0
+        # has no inner solution: the iteration goes on, its projection onto
+        # lam >= 0 returns it to 0 three times, and it stops at lam > 0
+        rtol = 1e-3
+        lag = scalar_lagrangian(epsilon=4.0 / (1.0 + rtol / 2))
+        res = maximize_dual(lag, method="gradient_ascent", rtol=rtol)
+        lams = [lam for lam, _, _ in res.iterations]
+        assert lams[::2] == [0.0] * 4 and all(lam > 0 for lam in lams[1::2])
+        assert res.lambda_star == lams[-1] > 0
+        assert abs(res.discrepancy**2 - lag.epsilon) <= rtol * lag.epsilon
 
     def test_rejects_bad_options(self):
         lag = scalar_lagrangian()

@@ -633,6 +633,55 @@ class TestLagrangianValidation:
                 maximize_dual(lag)
         assert counts == {"fwd": n, "adj": 0}
 
+    @pytest.mark.parametrize("side, bad", [("fwd", math.nan), ("adj", math.inf)])
+    @pytest.mark.parametrize("after", [0, 5])
+    def test_non_finite_matrix_free_application_refused(self, side, bad, after):
+        # a matrix-free A that puts a NaN or an infinity in one entry, from
+        # its first application on or from its sixth: the Golub-Kahan basis
+        # refuses the vector before it changes, so two selections raise the
+        # same ValueError and a sweep records it on every point. An exhausted
+        # basis once read NaN residual estimates here and grew without end
+        import signal
+
+        from morozov.dual import maximize_dual, sweep_dual
+        from morozov.problems import make_deconvolution
+
+        n = 64
+        mat = make_deconvolution(n, 2.0).matrix
+        calls = {"fwd": 0, "adj": 0}
+
+        def apply(name, m):
+            def product(x):
+                calls[name] += 1
+                y = m @ x
+                if name == side and calls[name] > after:
+                    y[3] = bad
+                return y
+
+            return product
+
+        op = linops.from_callables(n, n, apply("fwd", mat), apply("adj", mat.T))
+        lag = Lagrangian(op, mat @ np.sin(np.linspace(0, np.pi, n)), identity_regularizer(n), 0.01)
+
+        def hung(signum, frame):
+            raise TimeoutError("the selection did not end")
+
+        handler = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        try:
+            messages = []
+            for _ in range(2):
+                with pytest.raises(ValueError, match="application returned a vector whose norm is") as err:
+                    maximize_dual(lag)
+                messages.append(str(err.value))
+            points = sweep_dual(lag, [0.1, 1.0, 10.0])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, handler)
+        side_name = "forward" if side == "fwd" else "adjoint"
+        assert messages[0] == messages[1] and f"the {side_name} application" in messages[0]
+        assert [p.error for p in points] == messages[:1] * 3
+
     def test_data_dims(self):
         with pytest.raises(Exception):
             Lagrangian(

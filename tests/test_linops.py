@@ -73,6 +73,26 @@ class TestApply:
             op.apply_adjoint(np.ones(3))
 
 
+    def test_complex_vectors_are_refused(self):
+        # an FFT product without .real carries an imaginary part of rounding
+        # size: the cast to float64 would drop it, and any larger one, with
+        # only a ComplexWarning
+        n = 8
+
+        def circulant(x):
+            return np.fft.ifft(np.fft.fft(x))
+
+        op = from_callables(n, n, circulant, circulant)
+        with pytest.raises(ValueError, match="forward callback output must be real"):
+            op.apply(np.ones(n))
+        with pytest.raises(ValueError, match="adjoint callback output must be real"):
+            op.apply_adjoint(np.ones(n))
+        with pytest.raises(ValueError, match="f must be real"):
+            identity(n).apply(np.ones(n) + 1j)
+        with pytest.raises(ValueError, match="y must be real"):
+            identity(n).apply_adjoint(np.ones(n, dtype=complex))
+
+
 class TestApplyAdjoint:
     def test_identity(self):
         assert np.array_equal(identity(2).apply_adjoint([5.0, 6.0]), [5.0, 6.0])
