@@ -84,8 +84,8 @@ def _build_parser():
         "--method",
         choices=["newton", "bisection", "gradient-ascent"],
         default="newton",
-        help="search over the multiplier: Newton (about 7 dual evaluations at "
-        "the default rtol), bisection (about 30), or plain gradient ascent",
+        help="search over the multiplier: Newton (about 6 dual evaluations at "
+        "the default rtol), bisection (about 27), or plain gradient ascent",
     )
     solve.add_argument("--rtol", type=float, default=1e-8, help="relative tolerance on the discrepancy equation")
     solve.add_argument("--max-iter", type=int, default=None, help="iteration cap (default depends on the method)")

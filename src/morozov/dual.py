@@ -40,19 +40,23 @@ maximization is a safeguarded Newton iteration on
 the secular-equation device of Reinsch (1967) and More (1977) that Engl,
 Hanke & Neubauer (1996, sec. 4.3) use for the discrepancy principle.
 ||A f_lam - g||^2 = dist^2 + sum_i (c_i/s_i)^2 / (lam + 1/s_i)^2 has the
-trust-region form, so psi is concave and increasing, and from any lam
-with D' > 0 Newton climbs to the root without overshooting. That holds at
+trust-region form, so psi is concave and increasing, and Newton's step
+lam + delta lands at or below the root from either side: from any lam
+with D' > 0 it climbs to the root without overshooting. That holds at
 lam = 0 too, where ||r|| = ||gbar|| and D''(0+) are read from the engine
 without a solve: the search starts at Newton's step from 0, below the
 root, so Newton's iterates grow a Krylov basis only to the columns the
 root needs. The steps stay inside a bracket that every evaluation
-tightens by the sign of D', which makes the iteration globally
-convergent; about 6 evaluations reach rtol = 1e-8 where bisection, kept
-as the checker, needs about 27.
+tightens by the sign of D'; a step that leaves it, and every step of
+bisection, kept as the checker, takes the one fallback, doubling the
+bracket's lower end while it is open above and its arithmetic mean
+once it is closed, which makes the iteration globally convergent.
+About 6 evaluations reach rtol = 1e-8 where bisection needs about 27.
 Plain projected gradient ascent, lam <- max(lam + rho_n D'(lam), 0)
-started from 0, is the paper's iteration and stays available. All three
-methods run in one search loop, which evaluates, keeps the bracket and
-fails in one way; only the choice of the next multiplier differs.
+with rho_n = 2/n, started from 0, is the paper's iteration and stays
+available. All three methods run in one search loop, which evaluates,
+keeps the bracket and fails in one way; only the choice of the next
+multiplier differs.
 
 The regime verdict has one algorithm and one code path for every
 caller: it asks the engine of the problem's certificate
@@ -83,7 +87,7 @@ import numpy as np
 
 from .errors import ConvergenceFailure, RegimeError
 from .lagrange import LAMBDA_MAX, Lagrangian, lagrangian_value, solve_lagrange
-from .linops import from_callables, residual_norm_sq
+from .linops import _as_real, from_callables, residual_norm_sq
 
 __all__ = [
     "DualEvaluation",
@@ -101,14 +105,12 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# Newton's step from above divides lam by at most this much: far above the
-# root D'' is nearly flat, and an unlimited step in log lam can land where
-# the inner system is singular to working precision
-_MAX_DROP = 1.0 / 16.0
 # Newton's and bisection's first multiplier where Newton's step from 0 is
 # not a positive float, as where D''(0+) = -2 ||Abar^T gbar||^2 underflows
 # to 0 on data near the smallest normal floats
 _LAMBDA_INIT = 1.0
+# gradient ascent's step rule rho_n = c / n, with this c
+_ASCENT_STEP = 2.0
 # verify_morozov_solution: the stationarity tolerance, relative to
 # 1 + ||2 lam A^T g||, and the random perturbations of the minimality check
 _OPT_TOL = 1e-8
@@ -283,14 +285,7 @@ def failed_inequality(diag: RegimeDiagnosis):
     return None
 
 
-def maximize_dual(
-    lag: Lagrangian,
-    method="newton",
-    rtol=1e-8,
-    max_iter=None,
-    step_rule="inv_n",
-    step_constant=2.0,
-):
+def maximize_dual(lag: Lagrangian, method="newton", rtol=1e-8, max_iter=None):
     """Find the multiplier maximizing D, i.e. solve D'(lam) = 0.
 
     Convergence is declared when |D'(lam)| <= rtol * epsilon, which is
@@ -318,17 +313,17 @@ def maximize_dual(
         each evaluation tightens it; both are globally convergent since
         D' is nonincreasing, and the regime verdict has proved
         D'(0+) > 0 > D'(LAMBDA_MAX), so the root lies in (0, LAMBDA_MAX).
-        Newton steps on psi(lam) = 1/||A f_lam - g|| - 1/tau
-        with D'' = ``DualEvaluation.d_second``: in lam from below, where
-        psi's concavity rules out an overshoot, and in log lam from above
+        Newton steps to lam + delta, Newton's increment on
+        psi(lam) = 1/||A f_lam - g|| - 1/tau with
+        D'' = ``DualEvaluation.d_second``, from either side: psi's
+        concavity puts the step at or below the root
         (``_next_multiplier``). A step that leaves the bracket or passes
-        LAMBDA_MAX falls back to doubling, capped at LAMBDA_MAX, while
-        hi = inf, and otherwise to the bracket's geometric mean, or its
-        arithmetic mean while lo = 0. Bisection always falls back, with
-        the arithmetic mean: it doubles or halves until D' changes
+        LAMBDA_MAX, and every bisection step, falls back to doubling lo,
+        capped at LAMBDA_MAX, while hi = inf, and otherwise to the
+        bracket's mean: bisection doubles or halves until D' changes
         sign, then bisects. Gradient ascent iterates
         lam <- min(max(lam + rho_n D'(lam), 0), LAMBDA_MAX) from lam = 0,
-        with rho_n given by ``step_rule``: its steps ignore the bracket,
+        with rho_n = 2 / n at step n: its steps ignore the bracket,
         which only records them, and the cap stands where the verdict
         proved D' < 0.
     rtol : float in (0, 1)
@@ -339,8 +334,6 @@ def maximize_dual(
         picks a per-method default: 200 for Newton and bisection, 10000
         for gradient ascent (the unaccelerated iteration needs far more
         steps for the same tolerance).
-    step_rule : {"inv_n", "constant"}
-        rho_n = step_constant / n, or rho_n = step_constant.
 
     Raises
     ------
@@ -373,11 +366,6 @@ def maximize_dual(
     # True is an int, and would run as max_iter=1
     if isinstance(max_iter, bool) or not (isinstance(max_iter, (int, np.integer)) and max_iter >= 0):
         raise ValueError(f"max_iter must be a nonnegative integer, got {max_iter!r}")
-    if method == "gradient_ascent":
-        if step_rule not in ("inv_n", "constant"):
-            raise ValueError(f"unknown step_rule {step_rule!r}")
-        if not step_constant > 0:
-            raise ValueError(f"step_constant must be positive, got {step_constant}")
 
     diag = diagnose_regime(lag)
     if diag.regime != "interior":
@@ -411,17 +399,25 @@ def maximize_dual(
         else:
             hi = min(hi, lam)
         if method == "gradient_ascent":
-            rho = step_constant / n if step_rule == "inv_n" else step_constant
+            rho = _ASCENT_STEP / n
             lam = min(max(lam + rho * e.d_prime, 0.0), LAMBDA_MAX)
         else:
-            lam = _next_multiplier(method, e, lo, hi, lag.tau, trace, d_tol)
+            lam = _next_multiplier(method, e, lo, hi, lag.tau)
+            if lam is None:
+                break
     best = min(abs(dp) for _, _, dp in trace)
-    raise ConvergenceFailure(
-        f"{method} did not reach |D'| <= {d_tol:g} in {max_iter} iterations "
-        f"(bracket [{lo:g}, {hi:g}], smallest |D'| {best:.3e})",
-        best=best,
-        trace=trace,
-    )
+    if lam is None:
+        message = (
+            f"{method} bracket [{lo!r}, {hi!r}] holds no float between its "
+            f"ends: smallest |D'| reached is {best:.3e}, requested "
+            f"{d_tol:.3e} is below what the inner solves resolve"
+        )
+    else:
+        message = (
+            f"{method} did not reach |D'| <= {d_tol:g} in {max_iter} iterations "
+            f"(bracket [{lo:g}, {hi:g}], smallest |D'| {best:.3e})"
+        )
+    raise ConvergenceFailure(message, best=best, trace=trace)
 
 
 def _newton_increment(s, slope, tau):
@@ -439,54 +435,30 @@ def _first_multiplier(s, slope, tau):
     return min(lam, LAMBDA_MAX) if lam > 0 else _LAMBDA_INIT
 
 
-def _next_multiplier(method, e, lo, hi, tau, trace, d_tol):
-    """The multiplier to evaluate after ``e``, strictly inside (lo, hi).
+def _next_multiplier(method, e, lo, hi, tau):
+    """The multiplier to evaluate after ``e``, strictly inside (lo, hi), or
+    None when the bracket holds no float between its ends.
 
-    Newton's increment on psi(lam) = 1/||r|| - 1/tau
-    (``_newton_increment``). From below
-    (D' > 0) the step is lam + delta, which never overshoots the root.
-    From above, where a step in lam undershoots and often lands below 0,
-    it is the same Newton step in log lam, lam exp(delta / lam), which
-    stays positive; it shrinks lam by at most ``_MAX_DROP``. A step outside
-    the bracket or above LAMBDA_MAX, and every bisection step, falls back
-    to doubling lo while hi = inf, capped at LAMBDA_MAX, where the regime
-    verdict has proved D' < 0, and otherwise to the middle of the
-    bracket: geometric for Newton while the bracket spans more than a
-    factor 2 and lo > 0, arithmetic otherwise, which halves hi while
-    lo = 0 and finds a float between any two that are not adjacent.
-
-    Raises ``ConvergenceFailure`` when the bracket holds no float between
-    its ends.
+    Newton's step is lam + delta, with delta Newton's increment on
+    psi(lam) = 1/||r|| - 1/tau (``_newton_increment``), from either side:
+    psi is concave and increasing, so the step lands at or below the root.
+    A step outside the bracket or above LAMBDA_MAX, and every bisection
+    step, falls back to doubling lo while hi = inf, capped at LAMBDA_MAX,
+    where the regime verdict has proved D' < 0, and otherwise to the
+    bracket's mean, which halves hi while lo = 0 and finds a float between
+    any two that are not adjacent.
     """
     lam = math.nan
     if method == "newton" and e.d_second < 0:
-        delta = _newton_increment(e.solution.discrepancy_sq, e.d_second, tau)
-        if e.d_prime > 0:
-            lam = e.lam + delta
-        else:
-            lam = e.lam * max(math.exp(delta / e.lam), _MAX_DROP)
+        lam = e.lam + _newton_increment(e.solution.discrepancy_sq, e.d_second, tau)
     if not (lo < lam < hi and lam <= LAMBDA_MAX):
-        if hi == math.inf:
-            lam = min(2.0 * lo, LAMBDA_MAX)
-        elif method == "newton" and 0.0 < 2.0 * lo < hi:
-            lam = math.sqrt(lo) * math.sqrt(hi)
-        else:
-            lam = 0.5 * (lo + hi)
-    if not lo < lam < hi:
-        best = min(abs(dp) for _, _, dp in trace)
-        raise ConvergenceFailure(
-            f"{method} bracket [{lo!r}, {hi!r}] holds no float between its "
-            f"ends: smallest |D'| reached is {best:.3e}, requested "
-            f"{d_tol:.3e} is below what the inner solves resolve",
-            best=best,
-            trace=trace,
-        )
-    return lam
+        lam = min(2.0 * lo, LAMBDA_MAX) if hi == math.inf else 0.5 * (lo + hi)
+    return lam if lo < lam < hi else None
 
 
 def sweep_dual(lag: Lagrangian, lambdas):
-    """Evaluate the dual on an ascending positive 1-d grid ``lambdas``;
-    ``ValueError`` for any other, before any work.
+    """Evaluate the dual on a real, ascending, positive 1-d grid
+    ``lambdas``; ``ValueError`` for any other, before any work.
 
     Inner failures at single points are recorded on the returned
     evaluations (``error`` set, values NaN) and the sweep continues.
@@ -506,7 +478,7 @@ def sweep_dual(lag: Lagrangian, lambdas):
     LAMBDA_MAX are left out of the blocks and fail one by one with
     ``solve_lagrange``'s message.
     """
-    lambdas = np.asarray(lambdas, dtype=np.float64)
+    lambdas = _as_real(lambdas, "lambdas")
     if lambdas.ndim != 1 or lambdas.size == 0:
         raise ValueError(f"lambdas must be a nonempty 1-d grid, got shape {lambdas.shape}")
     # comparisons that NaN fails, and inf - inf is NaN

@@ -67,7 +67,7 @@ import scipy.linalg
 
 from ._kernels import GolubKahan
 from .errors import AssumptionViolation, ConvergenceFailure, DimensionMismatch
-from .linops import LinearOperator, from_callables, residual_norm_sq
+from .linops import LinearOperator, _as_real, from_callables, residual_norm_sq
 from .regularizers import Regularizer, identity_regularizer
 
 __all__ = [
@@ -462,13 +462,15 @@ class Lagrangian:
     applying a Morozov safety factor c >= 1 must fold it in beforehand
     (epsilon = (c * tau)^2); this class treats epsilon as final. ``data``
     is a read-only copy of ``g``, so the engine built from it cannot go
-    stale. A NaN or an infinity in ``data``, a dense ``op`` or a dense
-    penalty map L, on which a Krylov solve never returns, raises
-    ``ValueError`` naming the first such entry. A matrix-free ``op``
-    cannot be checked up front: the engine's Golub-Kahan basis raises
-    ``ValueError`` for an application whose norm is not finite, before
-    the vector enters the basis. A matrix-free custom L is checked once
-    the engine's build has materialized it.
+    stale; complex ``data``, whose imaginary part the copy would drop,
+    raises ``ValueError``. A NaN or an infinity in ``data``, a dense
+    ``op`` or a dense penalty map L, on which a Krylov solve never
+    returns, raises ``ValueError`` naming the first such entry. A
+    matrix-free ``op`` cannot be checked up front: the engine's
+    Golub-Kahan basis raises ``ValueError`` for an application whose
+    norm is not finite, before the vector enters the basis. A
+    matrix-free custom L is checked once the engine's build has
+    materialized it.
 
     The engine and the certificate are built lazily, each at most once,
     under one lock: ``engine`` and ``certificate`` keep what each build
@@ -479,7 +481,7 @@ class Lagrangian:
     """
 
     def __init__(self, op: LinearOperator, data, regularizer: Regularizer, epsilon):
-        data = np.array(data, dtype=np.float64)
+        data = np.array(_as_real(data, "data"))
         if data.ndim != 1 or data.shape[0] != op.dims.dim_g:
             raise DimensionMismatch(
                 f"data must have length {op.dims.dim_g}, got shape {data.shape}"

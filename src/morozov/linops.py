@@ -7,7 +7,8 @@ are supported: a dense float64 matrix, and a matrix-free pair of callbacks
 (forward, adjoint) pair of vector products, and ``apply`` and
 ``apply_adjoint`` check the input vector and call it. A matrix-free
 operator's pair is its callbacks, with a check of their output. A
-complex vector, in or out, is refused rather than cast to its real part.
+complex vector, in or out, or complex matrix is refused rather than cast
+to its real part.
 
 A dense operator picks its pair at its first matrix-vector product. When
 its numerically significant entries lie within ``kl`` subdiagonals and
@@ -86,12 +87,18 @@ class VectorSpaceDims:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
-def _as_vector(x, n, name):
-    """``x`` as a float64 vector of length n; ``ValueError`` naming it when
-    it is complex, whose imaginary part a cast would drop."""
+def _as_real(x, name):
+    """``x`` as a float64 array; ``ValueError`` naming it when it is
+    complex, whose imaginary part a cast would drop."""
     if np.iscomplexobj(x):
-        raise ValueError(f"{name} must be real, got a complex vector")
-    v = np.asarray(x, dtype=np.float64)
+        raise ValueError(f"{name} must be real, got a complex array")
+    return np.asarray(x, dtype=np.float64)
+
+
+def _as_vector(x, n, name):
+    """``x`` as a float64 vector of length n, refused when complex
+    (``_as_real``)."""
+    v = _as_real(x, name)
     if v.ndim != 1 or v.shape[0] != n:
         raise DimensionMismatch(
             f"{name} must be a vector of length {n}, got shape {v.shape}"
@@ -176,7 +183,7 @@ class LinearOperator:
     def __init__(self, dims, matrix=None, forward=None, adjoint=None):
         self.dims = dims
         if matrix is not None:
-            mat = np.array(matrix, dtype=np.float64, order="C", copy=True)
+            mat = np.array(_as_real(matrix, "matrix"), order="C", copy=True)
             if mat.shape != (dims.dim_g, dims.dim_f):
                 raise DimensionMismatch(
                     f"matrix shape {mat.shape} does not match dims "
@@ -252,8 +259,8 @@ def identity(n):
 
 
 def from_matrix(mat):
-    """Dense operator from a 2-d array (rows map the data space)."""
-    mat = np.asarray(mat, dtype=np.float64)
+    """Dense operator from a real 2-d array (rows map the data space)."""
+    mat = _as_real(mat, "matrix")
     if mat.ndim != 2:
         raise DimensionMismatch("matrix must be 2-dimensional")
     return LinearOperator(
@@ -279,8 +286,8 @@ def residual_norm_sq(op, f, g):
 
 
 def save_matrix_mdop(mat, path):
-    """Write a dense matrix in the binary MDOP format."""
-    mat = np.asarray(mat, dtype=np.float64)
+    """Write a real dense matrix in the binary MDOP format."""
+    mat = _as_real(mat, "matrix")
     if mat.ndim != 2:
         raise DimensionMismatch("MDOP stores 2-d matrices")
     rows, cols = mat.shape
@@ -313,8 +320,8 @@ def load_matrix_mdop(path):
 
 
 def save_vector_csv(vec, path):
-    """Write a vector as one value per line."""
-    vec = np.asarray(vec, dtype=np.float64)
+    """Write a real vector as one value per line."""
+    vec = _as_real(vec, "vector")
     if vec.ndim != 1:
         raise DimensionMismatch("expected a 1-d vector")
     np.savetxt(path, vec, fmt="%.17g")

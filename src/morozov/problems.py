@@ -108,15 +108,15 @@ def synthesize(A, f0, noise_level, tau_accuracy=1.0, seed=None, regularizer=None
     expectation, and ``tau = tau_accuracy * ||noise||``;
     ``tau_accuracy = 1`` therefore means an oracle-exact estimate.
     Deterministic under ``seed``. ``ValueError`` for a ``noise_level``
-    that is not nonnegative and finite, or a ``tau_accuracy`` that is not
-    positive and finite.
+    that is not nonnegative and finite, a ``tau_accuracy`` that is not
+    positive and finite, or a complex ``f0``.
     """
     # comparisons that NaN fails, so NaN is refused too
     if not 0 <= noise_level < np.inf:
         raise ValueError(f"noise_level must be nonnegative and finite, got {noise_level}")
     if not 0 < tau_accuracy < np.inf:
         raise ValueError(f"tau_accuracy must be positive and finite, got {tau_accuracy}")
-    f0 = np.asarray(f0, dtype=np.float64)
+    f0 = linops._as_real(f0, "f0")
     if f0.ndim != 1 or f0.shape[0] != A.dims.dim_f:
         raise DimensionMismatch(
             f"f0 must have length {A.dims.dim_f}, got shape {f0.shape}"

@@ -298,7 +298,6 @@ def test_criterion_10_gradient_ascent_fidelity():
     res = maximize_dual(
         lag,
         method="gradient_ascent",
-        step_rule="inv_n",
         rtol=1e-3,
         max_iter=10_000,
     )

@@ -1,12 +1,15 @@
 import dataclasses
 import functools
 import math
+import types
 
 import numpy as np
 import pytest
 
 from morozov import lagrange, linops
 from morozov.dual import (
+    DualEvaluation,
+    _next_multiplier,
     concavity_defects,
     diagnose_regime,
     eval_dual,
@@ -390,7 +393,7 @@ class TestMaximizeDual:
     def test_bisection_collapse_stops_with_best_d_prime(self):
         # at noise 1e-7 the inner solves resolve D' to about 4e-11 epsilon,
         # on one BLAS thread as on two, so rtol = 1e-12 asks for less than
-        # they resolve: the bracket shrinks to two adjacent floats after 78
+        # they resolve: the bracket shrinks to two adjacent floats after 53
         # evaluations, where bisection used to spin on to its 200-iteration
         # cap (226 evaluations)
         prob = synthesize(
@@ -529,28 +532,22 @@ class TestMaximizeDual:
             maximize_dual(lag, rtol=1e-14, max_iter=3)
         assert err.value.trace is not None and len(err.value.trace) > 3
 
-    def test_gradient_ascent_constant_step(self):
-        lag = scalar_lagrangian()
-        res = maximize_dual(
-            lag, method="gradient_ascent", rtol=1e-8, max_iter=10_000,
-            step_rule="constant", step_constant=0.5,
-        )
-        assert res.lambda_star == pytest.approx(1.0, abs=1e-7)
-
     def test_gradient_ascent_bracket_only_tightens(self):
-        # a constant step of 2.5 overshoots the root, lam* = 1, by more
-        # each time: the late iterates fall outside the bracket that the
-        # earlier ones had closed, which they must not widen
+        # A = 1, g = 5, epsilon = 16 put the root at lam* = 1/4, and the
+        # steps of rho_n = 2/n overshoot it: the third iterate, 2.069,
+        # closes the bracket from above, and the later ones at 4.5, 3 and
+        # 2.25, between returns to 0, land above it, which they must not
+        # widen. The budget ends on the last of them
+        lag = Lagrangian(linops.identity(1), np.array([5.0]), identity_regularizer(1), 16.0)
         with pytest.raises(ConvergenceFailure) as err:
-            maximize_dual(
-                scalar_lagrangian(), method="gradient_ascent", max_iter=8,
-                step_rule="constant", step_constant=2.5,
-            )
+            maximize_dual(lag, method="gradient_ascent", max_iter=8)
         trace = err.value.trace
-        lo = max(lam for lam, _, dp in trace if dp > 0)
+        lams = [lam for lam, _, _ in trace]
+        # D'(0) = 9, so the first step is 2 * 9
+        assert lams[:2] == [0.0, 18.0] and lams[3::2] == [0.0] * 3 and lams[4::2] == [4.5, 3.0, 2.25]
         hi = min(lam for lam, _, dp in trace if dp < 0)
-        assert trace[-2][0] < lo < 1.0 < hi < trace[-1][0]
-        assert f"bracket [{lo:g}, {hi:g}]" in str(err.value)
+        assert hi == lams[2] and 0.25 < hi < 2.25
+        assert f"bracket [0, {hi:g}]" in str(err.value)
 
     def test_gradient_ascent_returns_a_positive_multiplier(self):
         # D'(0) = 4 - epsilon passes the test at rtol = 1e-3, but lam = 0
@@ -570,10 +567,6 @@ class TestMaximizeDual:
             maximize_dual(lag, method="secant")
         with pytest.raises(ValueError):
             maximize_dual(lag, rtol=0.0)
-        with pytest.raises(ValueError):
-            maximize_dual(lag, method="gradient_ascent", step_rule="magic")
-        with pytest.raises(ValueError):
-            maximize_dual(lag, method="gradient_ascent", step_constant=0.0)
         # refused before any work: a negative budget, and NaN, which fails
         # every comparison
         for bad in (
@@ -582,7 +575,6 @@ class TestMaximizeDual:
             # at rtol >= 1 any lam overfitting the data would pass
             {"rtol": 1.0},
             {"rtol": math.inf},
-            {"method": "gradient_ascent", "step_constant": math.nan},
             {"method": "gradient_ascent", "max_iter": -1},
             # a budget that is not a whole number of evaluations
             {"max_iter": 2.5},
@@ -607,6 +599,46 @@ def fft_blur(n, width):
         return np.fft.irfft(np.conj(symbol) * np.fft.rfft(y, m), m)[:n]
 
     return linops.from_callables(n, n, forward, adjoint), A
+
+
+class TestNextMultiplier:
+    """The one rule for the next multiplier: Newton's lam + delta from
+    either side, else doubling lo while hi = inf, capped at LAMBDA_MAX,
+    else the bracket's arithmetic mean; None when no float lies between
+    the bracket's ends."""
+
+    @staticmethod
+    def at(lam, s, slope, tau=1.0):
+        """A hand-built evaluation at ``lam`` with ||r||^2 = s and D'' = slope."""
+        solution = types.SimpleNamespace(discrepancy_sq=s)
+        return DualEvaluation(lam=lam, d_value=0.0, d_prime=s - tau**2, d_second=slope, solution=solution)
+
+    def test_newton_steps_by_lam_plus_delta_from_both_sides(self):
+        # ||r|| = 0.9 < tau = 1 from above, 1.1 > tau from below:
+        # delta = 2 s (1 - sqrt(s) / tau) / D''
+        above = self.at(2.0, 0.81, -1.0)
+        assert _next_multiplier("newton", above, 1.0, 2.0, 1.0) == 2.0 + 2.0 * 0.81 * (1.0 - 0.9) / -1.0
+        below = self.at(0.5, 1.21, -1.0)
+        assert _next_multiplier("newton", below, 0.5, 2.0, 1.0) == 0.5 + 2.0 * 1.21 * (1.0 - 1.1) / -1.0
+
+    @pytest.mark.parametrize("method", ["newton", "bisection"])
+    def test_finite_bracket_falls_back_to_its_arithmetic_mean(self, method):
+        # D'' near 0 sends Newton's step from above far below lo; the
+        # bracket's geometric mean would be 4
+        e = self.at(16.0, 0.81, -1e-6)
+        assert _next_multiplier(method, e, 1.0, 16.0, 1.0) == 8.5
+
+    @pytest.mark.parametrize("method", ["newton", "bisection"])
+    def test_open_bracket_doubles_lo_up_to_lambda_max(self, method):
+        # from below, with D'' near 0 Newton's step passes LAMBDA_MAX
+        assert _next_multiplier(method, self.at(3.0, 1.21, -1e-30), 3.0, math.inf, 1.0) == 6.0
+        lo = 0.75 * LAMBDA_MAX
+        assert _next_multiplier(method, self.at(lo, 1.21, -1e-30), lo, math.inf, 1.0) == LAMBDA_MAX
+
+    @pytest.mark.parametrize("method", ["newton", "bisection"])
+    def test_adjacent_floats_leave_no_multiplier(self, method):
+        hi = np.nextafter(1.0, 2.0)
+        assert _next_multiplier(method, self.at(hi, 0.81, -1.0), 1.0, hi, 1.0) is None
 
 
 class TestFirstMultiplier:
@@ -1751,6 +1783,9 @@ class TestSweepDual:
         for grid in ([1.0, math.inf], [1.0, math.inf, math.inf]):
             with pytest.raises(ValueError):
                 sweep_dual(lag, grid)
+        # a cast to float64 would drop the imaginary part
+        with pytest.raises(ValueError, match="lambdas must be real"):
+            sweep_dual(lag, [1.0, 2.0 + 1j])
 
     def test_weak_duality_against_ground_truth(self):
         # the ground truth is feasible when tau is oracle-exact, so every

@@ -599,6 +599,11 @@ class TestLagrangianValidation:
         with pytest.raises(ValueError, match=rf"data\[3\] = {bad}"):
             Lagrangian(prob.op, g, prob.regularizer, prob.tau**2)
 
+    def test_complex_data_refused(self):
+        # the cast to float64 kept data = [1, 2] with only a ComplexWarning
+        with pytest.raises(ValueError, match="data must be real"):
+            Lagrangian(linops.identity(2), [1 + 5j, 2], identity_regularizer(2), 1.0)
+
     def test_non_finite_dense_operator_refused(self):
         mat = np.eye(3)
         mat[1, 2] = math.nan

@@ -92,6 +92,14 @@ class TestApply:
         with pytest.raises(ValueError, match="y must be real"):
             identity(n).apply_adjoint(np.ones(n, dtype=complex))
 
+    def test_complex_matrices_are_refused(self):
+        # the cast to float64 kept the identity of eye(2) + 1j with only a
+        # ComplexWarning
+        with pytest.raises(ValueError, match="matrix must be real"):
+            from_matrix(np.eye(2) + 1j)
+        with pytest.raises(ValueError, match="matrix must be real"):
+            linops.LinearOperator(VectorSpaceDims(2, 2), matrix=np.eye(2, dtype=complex))
+
 
 class TestApplyAdjoint:
     def test_identity(self):
@@ -428,3 +436,11 @@ class TestMatrixFiles:
         path = tmp_path / "v.csv"
         linops.save_vector_csv(v, path)
         np.testing.assert_array_equal(linops.load_vector_csv(path), v)
+
+    def test_complex_arrays_are_not_written(self, tmp_path):
+        # the cast to float64 wrote the real part with only a ComplexWarning
+        with pytest.raises(ValueError, match="matrix must be real"):
+            linops.save_matrix_mdop(np.eye(2) + 1j, tmp_path / "m.bin")
+        with pytest.raises(ValueError, match="vector must be real"):
+            linops.save_vector_csv(np.array([1 + 2j, 3]), tmp_path / "v.csv")
+        assert not any(tmp_path.iterdir())

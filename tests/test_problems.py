@@ -145,6 +145,9 @@ class TestSynthesize:
             synthesize(A, f0, noise_level=-0.1)
         with pytest.raises(ValueError):
             synthesize(A, f0, noise_level=0.1, tau_accuracy=0.0)
+        # a cast to float64 would drop the imaginary part
+        with pytest.raises(ValueError, match="f0 must be real"):
+            synthesize(A, f0 + 1j, noise_level=0.1)
 
 
 # each used to return a problem of NaN or infinite data, tau or matrix
