@@ -101,7 +101,7 @@ def _build_parser():
     # the saved tau_eff is checked, so no tolerance flags
     verify = sub.add_parser("verify", parents=[problem], help="re-check a solve result")
     verify.add_argument("--result", required=True, help="JSON written by solve")
-    verify.add_argument("--rtol", type=float, default=1e-8)
+    verify.add_argument("--rtol", type=float, default=1e-8, help="relative tolerance of both checks")
     verify.add_argument("--out", default=None, help="write the report as JSON")
 
     return parser
@@ -247,7 +247,10 @@ def _cmd_verify(args):
         method=field("method", str),
         converged=field("converged", bool),
     )
-    lag = _lagrangian(problem, field("tau_eff", float))
+    tau_eff = field("tau_eff", float)
+    if not 0 < tau_eff < math.inf:  # NaN fails it too
+        raise ValueError(f"tau_eff must be positive and finite, got {tau_eff}")
+    lag = _lagrangian(problem, tau_eff)
     report = dual.verify_morozov_solution(result, lag, rtol=args.rtol)
     payload = {
         "passed": report.passed,

@@ -544,6 +544,53 @@ class TestVerify:
         assert err.value.code == 0
         assert "--result" in capsys.readouterr().out
 
+    @staticmethod
+    def kernel_constant_result(tmp_path, **change):
+        """The window fixture, first differences as a custom penalty on a
+        smooth profile over a large constant (||gbar|| = 0.81), with a
+        hand-made result at lam = 1e-12 and tau_eff = 28.4: the constant f,
+        in ker L, with ||A f - g|| = tau_eff, which minimizes the
+        Lagrangian at no lam > 0. ``change`` overrides stored fields."""
+        n = 128
+        fx = tmp_path / "fx_window"
+        prob = synthesize(
+            make_deconvolution(n, 2.0), 5.0 + 0.1 * np.sin(6.0 * np.linspace(0.0, 1.0, n)), 0.001, seed=1,
+            regularizer=custom_regularizer(linops.from_matrix(np.diff(np.eye(n), axis=0))),
+        )
+        save_problem(prob, fx)
+        a1, g, tau = prob.op.matrix.sum(axis=1), prob.g, 28.4
+        b, c = a1 @ g, g @ g - tau**2
+        linops.save_vector_csv(np.full(n, (b + np.sqrt(b * b - (a1 @ a1) * c)) / (a1 @ a1)), tmp_path / "bad.f_star.csv")
+        result = tmp_path / "bad.json"
+        payload = {
+            "lambda_star": 1e-12, "alpha": 1e12, "discrepancy": tau, "tau": tau, "tau_eff": tau,
+            "method": "newton", "iterations": [], "converged": True, "f_star_path": "bad.f_star.csv",
+        }
+        result.write_text(json.dumps({**payload, **change}))
+        return fx, result
+
+    def test_kernel_constant_fails_optimality(self, tmp_path, capsys):
+        fx, result = self.kernel_constant_result(tmp_path)
+        assert run(["verify", "--problem", fx, "--result", result]) == 3
+        out, err = capsys.readouterr()
+        assert "pass  discrepancy" in out and "FAIL  optimality" in out
+        assert err == "verification failed: optimality\n"
+
+    @pytest.mark.parametrize("field, value", [
+        ("lambda_star", 0.0), ("lambda_star", -1.0), ("lambda_star", float("nan")),
+        ("lambda_star", float("inf")), ("lambda_star", 2e12),
+        ("tau_eff", -28.4), ("tau_eff", 0.0), ("tau_eff", float("nan")), ("tau_eff", float("inf")),
+    ])
+    def test_stored_value_out_of_range_exits_1(self, tmp_path, capsys, field, value):
+        # a negative tau_eff would square into epsilon, and an infinite
+        # lambda_star would print value=inf threshold=inf and pass
+        fx, result = self.kernel_constant_result(tmp_path, **{field: value})
+        capsys.readouterr()
+        assert run(["verify", "--problem", fx, "--result", result]) == 1
+        err = capsys.readouterr().err
+        expected = "lambda_star must lie in (0, 1e+12]" if field == "lambda_star" else "tau_eff must be positive and finite"
+        assert err.startswith(f"error: {expected}, got {value}") and err.count("\n") == 1, err
+
     def test_verify_fails_on_corrupted_result(self, fixture_dirs, tmp_path):
         out = tmp_path / "result.json"
         assert run(["solve", "--problem", fixture_dirs["interior"], "--out", out]) == 0

@@ -9,6 +9,7 @@ import pytest
 from morozov import lagrange, linops
 from morozov.dual import (
     DualEvaluation,
+    SelectionResult,
     _next_multiplier,
     concavity_defects,
     diagnose_regime,
@@ -1876,15 +1877,102 @@ class TestPrimalUniqueness:
             assert delta <= 1e-6 * (1 + np.linalg.norm(res.f_star))
 
 
+def _kernel_constant_result(lam):
+    """The window case at tau = 28.40 with a hand-made answer: the constant
+    f = t 1, in ker L, with ||A f - g|| = tau. It minimizes the Lagrangian
+    at no lam > 0: as lam drops to 0 the minimizer's residual tends to
+    ||gbar|| = 0.81, not to tau."""
+    op, g, gbar_norm = TestFirstDifferenceWindow.problem(False)
+    tau = 0.5 * (gbar_norm + np.linalg.norm(g))
+    a1 = op.matrix.sum(axis=1)
+    b, c = a1 @ g, g @ g - tau**2
+    f = np.full(g.shape[0], (b + math.sqrt(b * b - (a1 @ a1) * c)) / (a1 @ a1))
+    res = SelectionResult(lam, 1.0 / lam, f, tau, [], "newton", True)
+    return res, TestFirstDifferenceWindow.lagrangian(op, g, tau)
+
+
+def _grid_selection(width, noise, penalty, matrix_free):
+    n = 128
+    A = make_deconvolution(n, width)
+    prob = synthesize(A, _bump_profile(n, np.random.default_rng(1)), noise, seed=1)
+    J = {
+        "identity": identity_regularizer(n),
+        "first_difference": first_difference_regularizer(n),
+        "custom": custom_regularizer(linops.from_matrix(np.diff(np.eye(n), axis=0))),
+    }[penalty]
+    op = counting_free_op(A.matrix)[0] if matrix_free else A
+    return Lagrangian(op, prob.g, J, (1.02 * prob.tau) ** 2)
+
+
+def _window_selection(matrix_free):
+    # lambda_star = 7.72e-7, where the full system's relative residual
+    # stops at its rounding level
+    op, g, gbar_norm = TestFirstDifferenceWindow.problem(matrix_free)
+    return TestFirstDifferenceWindow.lagrangian(op, g, 0.999 * gbar_norm)
+
+
+_VERIFY_CASES = [
+    pytest.param(
+        functools.partial(_grid_selection, width, noise, penalty, matrix_free),
+        id=f"w{width}-noise{noise:g}-{penalty}-{'free' if matrix_free else 'dense'}",
+    )
+    for width in (1.2, 2.0, 4.0)
+    for noise in (0.02, 1e-4, 1e-7)
+    for penalty in ("identity", "first_difference", "custom")
+    for matrix_free in (False, True)
+] + [
+    pytest.param(functools.partial(_window_selection, matrix_free), id=f"window-{'free' if matrix_free else 'dense'}")
+    for matrix_free in (False, True)
+]
+
+
 class TestVerifyMorozov:
     def test_closed_form_instance_passes(self):
+        # the Lagrangian is a convex quadratic in f for lam >= 0, so
+        # stationarity is minimality: the report has these two checks only
         lag = scalar_lagrangian()
         res = maximize_dual(lag)
         report = verify_morozov_solution(res, lag)
         assert report.passed
-        assert [c["name"] for c in report.checks] == [
-            "discrepancy", "optimality", "lagrangian_minimality",
-        ]
+        assert [c["name"] for c in report.checks] == ["discrepancy", "optimality"]
+        assert report.checks[1]["threshold"] == 1e-8
+
+    @pytest.mark.parametrize("make_lag", _VERIFY_CASES)
+    def test_every_selection_verifies(self, make_lag):
+        # the backward error of a selected f sits at its rounding level,
+        # 3e-12 at worst on this grid and 9e-11 on the window, far below rtol
+        lag = make_lag()
+        report = verify_morozov_solution(maximize_dual(lag), lag)
+        assert report.passed, report.checks
+        assert report.checks[1]["value"] < 1e-9
+
+    @pytest.mark.parametrize("lam", [2.3e-29, 1e-16, 1e-12])
+    def test_kernel_constant_fails_optimality(self, lam):
+        # f meets the discrepancy and grad J(f) = 0, but lam A^T (A f - g)
+        # is not 0: the backward error reads order 1 at every lam
+        res, lag = _kernel_constant_result(lam)
+        report = verify_morozov_solution(res, lag)
+        assert report.failed_items() == ["optimality"]
+        assert report.checks[1]["value"] > 0.1
+
+    def test_exact_zero_system_reads_zero(self):
+        # g = 0 and f = 0: every term of the inner system is exactly 0, so f
+        # solves it; the discrepancy, 0 against epsilon = 1, is what fails
+        lag = Lagrangian(linops.identity(1), np.array([0.0]), identity_regularizer(1), 1.0)
+        res = SelectionResult(1.0, 1.0, np.array([0.0]), 0.0, [], "newton", True)
+        report = verify_morozov_solution(res, lag)
+        assert report.failed_items() == ["discrepancy"]
+        assert report.checks[1]["value"] == 0.0
+
+    # at lam = 0 the kernel constant above would pass, and NaN and infinity
+    # are invalid input, not failed checks; LAMBDA_MAX itself is the
+    # search's last multiplier
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf, 2 * LAMBDA_MAX])
+    def test_rejects_lambda_star_out_of_range(self, lam):
+        res, lag = _kernel_constant_result(1e-12)
+        with pytest.raises(ValueError, match=r"lambda_star must lie in \(0, 1e\+12\]"):
+            verify_morozov_solution(dataclasses.replace(res, lambda_star=lam), lag)
+        assert verify_morozov_solution(dataclasses.replace(res, lambda_star=LAMBDA_MAX), lag).checks
 
     def test_corrupted_f_star_fails_optimality(self, rng):
         prob = make_interior_problem(seed=91)
