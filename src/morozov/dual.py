@@ -73,8 +73,10 @@ This module only searches: the problem's engine (``Lagrangian.engine``),
 which the regime verdict builds, serves every evaluation and is the
 strict-convexity check. Whatever the penalty, every evaluation is a
 projected solve in the verdict's basis, which grows only when a
-multiplier needs more columns; a custom L is materialized and factored
-once when the engine is built, and a matrix-free A stays an operator.
+multiplier needs more columns; the penalty's standard-form factors
+(``Regularizer.factors``), for a custom L one materialization and one
+factorization, are formed once when the engine is built, and a
+matrix-free A stays an operator.
 ``sweep_dual`` runs on the same engine, in blocks of multipliers whose
 size one rule bounds (``_BLOCK_FLOATS``).
 """

@@ -21,12 +21,13 @@ Golub-Kahan basis it owns. It brings the penalty to the identity by
 Elden's transformation (BIT 22, 1982; Hansen's ``std_form``, Numer.
 Algorithms 46, 2007): with W an orthonormal basis of ker L and the QR
 factorization A W = Q_W R_W, it replaces (A, g) by
-Abar = (I - Q_W Q_W^T) A L^+ and gbar = (I - Q_W Q_W^T) g. The identity
-penalty is the case W = 0, L^+ = I; first differences have W = 1/sqrt(n)
-and an O(n) cumulative sum for L^+; a custom L is materialized, at n
+Abar = (I - Q_W Q_W^T) A L^+ and gbar = (I - Q_W Q_W^T) g. The penalty
+brings L^+ and W itself (``Regularizer.factors``): the identity penalty
+is the case W = 0, L^+ = I; first differences have W = 1/sqrt(n) and an
+O(n) cumulative sum for L^+; any other L is materialized, at n
 applications, and one pivoted QR factorization of L^T gives its rank,
-W and L^+ through triangular solves (``_penalty``). A matrix-free A stays
-an operator. The basis Abar V_k = U_{k+1} B_k is started from gbar. The
+W and L^+ through triangular solves. A matrix-free A stays an operator.
+The basis Abar V_k = U_{k+1} B_k is started from gbar. The
 standard-form solution at every lam lies in span V_k, so each solve is the
 k-by-k tridiagonal system (I + lam B_k^T B_k) z = lam ||Abar^T gbar|| e_1,
 mapped back to f; the basis grows only when a multiplier needs more
@@ -63,11 +64,10 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from ._kernels import GolubKahan
 from .errors import AssumptionViolation, ConvergenceFailure, DimensionMismatch
-from .linops import LinearOperator, _as_real, from_callables, residual_norm_sq
+from .linops import LinearOperator, _as_real, _require_finite, from_callables, residual_norm_sq
 from .regularizers import Regularizer, identity_regularizer
 
 __all__ = [
@@ -122,65 +122,6 @@ class LagrangeSolution:
 KERNEL_CUTOFF = 1e-10
 
 
-def _difference_pinv(z):
-    """L^+ z for the first-difference map L: the vector with successive
-    differences z and mean zero; row by row for a block of rows."""
-    x = np.cumsum(np.concatenate((np.zeros(z.shape[:-1] + (1,)), z), axis=-1), axis=-1)
-    return x - x.sum(axis=-1, keepdims=True) / x.shape[-1]
-
-
-def _difference_pinv_adjoint(y):
-    """(L^+)^T y: the suffix sums of y - mean(y), from the second entry on."""
-    return np.cumsum((y - y.mean())[:0:-1])[::-1]
-
-
-def _penalty(regularizer):
-    """(L^+, (L^+)^T, W, lt_norm) of a penalty: its pseudoinverse pair, None
-    for the identity, an orthonormal basis W of ker L (n-by-d) and a bound
-    on ||L||; the one place a penalty's ``kind`` is read.
-
-    First differences have d = 1 and an O(n) L^+. A custom L is
-    materialized, at n applications when it is matrix-free, and checked
-    finite; then one pivoted QR factorization L^T P = Q R gives its rank r,
-    the count of |r_ii|^2 > n eps ||L||_F^2, a test on L alone, and W, the
-    trailing n - r columns of Q; an L of rank 0 penalizes nothing and is
-    refused with ``ValueError``. With Q_1 its leading r columns,
-    ||L f|| = ||R_r^T Q_1^T f|| for the leading r rows R_r of R, so L may be
-    replaced by S Q_1^T for any r-by-r S with S^T S = R_r R_r^T: R_r^T itself
-    when r is the row count of L, and otherwise the triangle of one more
-    QR factorization, of R_r^T. L^+ = Q_1 S^{-1}, applied by triangular
-    solves. lt_norm is the Hoelder bound sqrt(||L||_1 ||L||_inf).
-    """
-    n = regularizer.dim_f
-    if regularizer.kind == "identity":
-        return None, None, np.empty((n, 0)), 1.0
-    if regularizer.kind == "first_difference":
-        return _difference_pinv, _difference_pinv_adjoint, np.full((n, 1), 1.0 / math.sqrt(n)), 2.0
-    op = regularizer.seminorm_operator
-    L = op.materialize()
-    if not op.is_dense:
-        _require_finite("L", L)
-    Q, R, _ = scipy.linalg.qr(L.T, pivoting=True, check_finite=False)
-    cut = n * np.finfo(np.float64).eps * float(np.vdot(L, L))
-    r = int(np.count_nonzero(np.abs(np.diagonal(R)) ** 2 > cut))
-    if not r:
-        raise ValueError("L is zero to rounding: a penalty of rank 0 regularizes nothing")
-    Q1, lt_norm = Q[:, :r], math.sqrt(np.abs(L).sum(axis=0).max() * np.abs(L).sum(axis=1).max())
-    if r == L.shape[0]:
-        S, lower = R[:r, :r].T, True
-    else:
-        S, lower = scipy.linalg.qr(R[:r].T, mode="r", check_finite=False)[0][:r], False
-    S = np.ascontiguousarray(S)  # a strided S would be copied at every solve
-
-    def pinv(z):
-        return scipy.linalg.solve_triangular(S, z.T, lower=lower, check_finite=False).T @ Q1.T
-
-    def pinv_adjoint(y):
-        return scipy.linalg.solve_triangular(S, Q1.T @ y, lower=lower, trans="T", check_finite=False)
-
-    return pinv, pinv_adjoint, Q[:, r:], lt_norm
-
-
 @dataclass
 class StandardForm:
     """The inner problem in identity-penalty form, and the Golub-Kahan
@@ -195,7 +136,7 @@ class StandardForm:
 
     For the identity penalty Abar = A, gbar = g and f = z. Otherwise
     (Elden's transformation, BIT 22, 1982), with W an orthonormal basis of
-    ker L (``_penalty``) and A W = Q_W R_W,
+    ker L (``Regularizer.factors``) and A W = Q_W R_W,
 
         Abar = (I - Q_W Q_W^T) A L^+,   gbar = (I - Q_W Q_W^T) g,
         f = L^+ z + W R_W^{-1} (Q_W^T g - H^T z),   H = (L^+)^T A^T Q_W,
@@ -229,10 +170,11 @@ class StandardForm:
 
     @classmethod
     def build(cls, A: LinearOperator, g, regularizer: Regularizer):
-        """Transform (A, g) for the penalty of ``regularizer``: none for the
-        identity; otherwise what ``_penalty`` costs, d forward and d + 1
-        adjoint applications for a d-dimensional ker L, and the basis's first
-        column at one adjoint more.
+        """Transform (A, g) for the penalty of ``regularizer``, read only
+        through its ``factors()``: none for the identity; otherwise what
+        ``factors()`` costs, d forward and d + 1 adjoint applications for a
+        d-dimensional ker L, and the basis's first column at one adjoint
+        more.
 
         Raises
         ------
@@ -241,7 +183,7 @@ class StandardForm:
             A does not see ker L, so the penalty is not strictly convex
             along ker(A).
         """
-        pinv, pinv_adjoint, W, lt_norm = _penalty(regularizer)
+        pinv, pinv_adjoint, W, lt_norm = regularizer.factors()
         if pinv is None:
             return cls(op=A, data=g)
         n, d = W.shape
@@ -446,13 +388,6 @@ class StandardForm:
             if exact or basis.discrepancy_error(lam, basis.tikhonov(lam, j), w) <= KRYLOV_TOL * lag.epsilon:
                 return j, exact, z, basis.discrepancy_slope(lam, z, w)
             j += 1
-
-
-def _require_finite(name, arr):
-    """Raise ValueError naming the first NaN or infinite entry of ``arr``."""
-    if not np.isfinite(arr).all():
-        index = np.argwhere(~np.isfinite(arr))[0]
-        raise ValueError(f"{name} must be finite, but {name}{index.tolist()} = {arr[tuple(index)]}")
 
 
 class Lagrangian:

@@ -95,6 +95,13 @@ def _as_real(x, name):
     return np.asarray(x, dtype=np.float64)
 
 
+def _require_finite(name, arr):
+    """Raise ValueError naming the first NaN or infinite entry of ``arr``."""
+    if not np.isfinite(arr).all():
+        index = np.argwhere(~np.isfinite(arr))[0]
+        raise ValueError(f"{name} must be finite, but {name}{index.tolist()} = {arr[tuple(index)]}")
+
+
 def _as_vector(x, n, name):
     """``x`` as a float64 vector of length n, refused when complex
     (``_as_real``)."""

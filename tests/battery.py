@@ -1,0 +1,113 @@
+"""The answer battery: one fixed grid of selections and one record for each.
+
+The grid is dense Gaussian blurs of width 1.2, 2 and 4 at n = 128 and 512,
+with noise 2%, 1e-4 and 1e-7 on two bump profiles (seeds 1 and 2), safety
+factor c = 1.02, and Newton and bisection at rtol = 1e-8, each with the
+identity penalty and with first differences, and at n = 128 also with
+first differences stored as a custom penalty. Every selection runs on a
+problem of its own, so its record does not depend on the order of the grid.
+
+A record holds the outcome ("converged" or the exception's type), the
+evaluation count, the final column count k of the engine's basis and
+lambda_star as ``float.hex``, or a failure's message and ``best``.
+``test_battery.py`` re-runs the grid and compares it with the committed
+records. A change that moves a record writes the file again:
+
+    PYTHONPATH=src python tests/battery.py
+"""
+
+import itertools
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from morozov import linops, problems
+from morozov.dual import maximize_dual
+from morozov.errors import MorozovError
+from morozov.lagrange import Lagrangian
+from morozov.regularizers import custom_regularizer, first_difference_regularizer, identity_regularizer
+
+PATH = Path(__file__).parent / "data" / "battery.json"
+
+SIZES = (128, 512)
+WIDTHS = (1.2, 2.0, 4.0)
+NOISES = (0.02, 1e-4, 1e-7)
+SEEDS = (1, 2)
+METHODS = ("newton", "bisection")
+SAFETY = 1.02
+RTOL = 1e-8
+KEY = ("n", "width", "noise", "seed", "penalty", "method")
+
+PENALTIES = {
+    "identity": identity_regularizer,
+    "first_difference": first_difference_regularizer,
+    "custom_first_difference": lambda n: custom_regularizer(linops.from_matrix(np.diff(np.eye(n), axis=0))),
+}
+
+
+def _penalties(n):
+    # custom first differences at n = 512 spend most of the grid's time in
+    # one pivoted QR each, so they run at n = 128 only
+    return [name for name in PENALTIES if n == 128 or not name.startswith("custom")]
+
+
+def _record(lag, method):
+    """The record of one selection on ``lag`` by ``method``."""
+    try:
+        res = maximize_dual(lag, method=method, rtol=RTOL)
+    except MorozovError as err:
+        trace, best = getattr(err, "trace", None), getattr(err, "best", None)
+        return {
+            "outcome": type(err).__name__,
+            "evaluations": None if trace is None else len(trace),
+            "k": lag.engine().basis.k,
+            "lambda_star": None,
+            "message": str(err),
+            # the search's best is its smallest |D'|, an inner solve's its
+            # solution: the norm records either
+            "best": None if best is None else float(np.linalg.norm(best)).hex(),
+        }
+    return {
+        "outcome": "converged",
+        "evaluations": len(res.iterations),
+        "k": lag.engine().basis.k,
+        "lambda_star": res.lambda_star.hex(),
+        "message": None,
+        "best": None,
+    }
+
+
+def run():
+    """Every record of the grid, in grid order."""
+    records = []
+    for n, width in itertools.product(SIZES, WIDTHS):
+        A = problems.make_deconvolution(n, width)
+        for seed, noise in itertools.product(SEEDS, NOISES):
+            f0 = problems._bump_profile(n, np.random.default_rng(seed))
+            prob = problems.synthesize(A, f0, noise, seed=seed)
+            for penalty, method in itertools.product(_penalties(n), METHODS):
+                lag = Lagrangian(A, prob.g, PENALTIES[penalty](n), (SAFETY * prob.tau) ** 2)
+                key = dict(zip(KEY, (n, width, noise, seed, penalty, method)))
+                records.append({**key, **_record(lag, method)})
+    return records
+
+
+def dump(records, path=PATH):
+    """Write ``records`` as a JSON list, one record a line."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as fh:
+        fh.write("[\n" + ",\n".join(json.dumps(r) for r in records) + "\n]\n")
+
+
+def load(path=PATH):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+if __name__ == "__main__":
+    out = Path(sys.argv[1]) if len(sys.argv) > 1 else PATH
+    records = run()
+    dump(records, out)
+    print(f"{len(records)} records to {out}")

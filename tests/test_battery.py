@@ -1,0 +1,38 @@
+"""The answer battery (``battery.py``) re-run against its committed records.
+
+The outcome must match everywhere. At noise >= 1e-4 the evaluation count
+and k must match exactly and lambda_star to 1e-10 relative: the BLAS
+thread count alone moves it by up to 6.6e-12 there. At noise 1e-7
+lambda_star must match to the selection's rtol; the thread count alone
+moves it by up to 1.4e-9 there.
+"""
+
+import battery
+
+# noise at or above which counts must match exactly
+_EXACT_NOISE = 1e-4
+_LAMBDA_RTOL = 1e-10
+
+
+def _moved(old, new):
+    """Whether ``new`` moved from ``old`` beyond the battery's rule."""
+    if old["outcome"] != new["outcome"]:
+        return True
+    exact = old["noise"] >= _EXACT_NOISE
+    if exact and (old["evaluations"], old["k"]) != (new["evaluations"], new["k"]):
+        return True
+    if old["lambda_star"] is None or new["lambda_star"] is None:
+        return old["lambda_star"] != new["lambda_star"]
+    a, b = float.fromhex(old["lambda_star"]), float.fromhex(new["lambda_star"])
+    return not abs(a - b) <= (_LAMBDA_RTOL if exact else battery.RTOL) * abs(a)
+
+
+def test_battery_answers_unchanged():
+    key = lambda r: tuple(r[name] for name in battery.KEY)
+    old = {key(r): r for r in battery.load()}
+    new = {key(r): r for r in battery.run()}
+    assert sorted(old) == sorted(new), "the grid differs from the committed records"
+    moved = [(old[k], new[k]) for k in old if _moved(old[k], new[k])]
+    assert not moved, f"{len(moved)} of {len(old)} records moved:\n" + "\n".join(
+        f"{dict(zip(battery.KEY, key(a)))}\n  old {a}\n  new {b}" for a, b in moved
+    )

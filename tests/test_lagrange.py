@@ -15,6 +15,7 @@ from morozov.lagrange import (
 )
 from morozov.problems import regime_fixture
 from morozov.regularizers import (
+    Regularizer,
     custom_regularizer,
     first_difference_regularizer,
     identity_regularizer,
@@ -570,8 +571,8 @@ class TestStandardForm:
         A = random_dense_op(rng, 9, 6)
         lag = Lagrangian(A, rng.standard_normal(9), custom_regularizer(linops.from_matrix(np.zeros((3, 6)))), 1.0)
         calls = []
-        penalty = lagrange._penalty
-        monkeypatch.setattr(lagrange, "_penalty", lambda J: calls.append(J) or penalty(J))
+        factors = Regularizer.factors
+        monkeypatch.setattr(Regularizer, "factors", lambda J: calls.append(J) or factors(J))
         errors = []
         for _ in range(2):
             with pytest.raises(ValueError, match="rank 0") as err:

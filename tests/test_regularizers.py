@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.fft
 
-from morozov import Lagrangian, linops, problems
+from morozov import Lagrangian, linops, maximize_dual, problems
 from morozov.errors import AssumptionViolation, DimensionMismatch
 from morozov.regularizers import (
     Regularizer,
@@ -141,6 +144,127 @@ class TestBuiltinMaps:
         assert Regularizer(L).kind == custom_regularizer(L).kind == "custom"
         assert identity_regularizer(4).kind == "identity"
         assert first_difference_regularizer(4).kind == "first_difference"
+
+
+class _Gradient2D(Regularizer):
+    """L = [D_x; D_y], Neumann forward differences on an N-by-N image
+    stored row by row, whose standard-form factors are closed forms.
+
+    L^T L = C^T diag(sigma^2) C for the orthonormal 2-D DCT-II C, with
+    sigma_ij = sqrt(lam_i + lam_j) and lam_i = 4 sin^2(pi i / 2N). So
+    Lr = diag(sigma) C less the constant coefficient, where sigma_00 = 0,
+    and L^+ and (L^+)^T are one inverse DCT and one DCT; ker L is the
+    constants, W = 1/N, and ||L||^2 = max sigma^2 < 8.
+    """
+
+    def __init__(self, N):
+        def forward(f):
+            x = f.reshape(N, N)
+            return np.concatenate((np.diff(x, axis=1).ravel(), np.diff(x, axis=0).ravel()))
+
+        def adjoint(y):
+            dx, dy = y[: N * (N - 1)].reshape(N, N - 1), y[N * (N - 1) :].reshape(N - 1, N)
+            ends = {"prepend": 0.0, "append": 0.0}
+            return -(np.diff(dx, axis=1, **ends) + np.diff(dy, axis=0, **ends)).ravel()
+
+        super().__init__(linops.from_callables(N * N, 2 * N * (N - 1), forward, adjoint))
+        self.N = N
+
+    def factors(self):
+        N = self.N
+        lam = 4.0 * np.sin(np.pi * np.arange(N) / (2 * N)) ** 2
+        sigma = np.sqrt(lam[:, None] + lam).ravel()[1:]
+
+        def pinv(z):
+            c = np.zeros(z.shape[:-1] + (N * N,))
+            c[..., 1:] = z / sigma
+            return scipy.fft.idctn(c.reshape(z.shape[:-1] + (N, N)), norm="ortho", axes=(-2, -1)).reshape(c.shape)
+
+        def pinv_adjoint(y):
+            c = scipy.fft.dctn(y.reshape(y.shape[:-1] + (N, N)), norm="ortho", axes=(-2, -1))
+            return c.reshape(y.shape)[..., 1:] / sigma
+
+        return pinv, pinv_adjoint, np.full((N * N, 1), 1.0 / N), math.sqrt(8.0)
+
+
+class TestFactors:
+    # the standard-form factors a penalty brings: the engine reads a
+    # penalty only through them
+
+    @pytest.mark.parametrize("penalty", ["identity", "first_difference", "injective", "stacked", "gradient_2d"])
+    def test_contract(self, rng, penalty):
+        # Lr L^+ = I for a map Lr with ||Lr f|| = ||L f||, L^+ applied row
+        # by row to a block, (L^+)^T its adjoint, W an orthonormal basis of
+        # ker L, and the bound at least ||L||
+        D = np.diff(np.eye(7), axis=0)
+        J = {
+            "identity": lambda: identity_regularizer(7),
+            "first_difference": lambda: first_difference_regularizer(7),
+            "injective": lambda: custom_regularizer(random_dense_op(rng, 9, 7)),
+            "stacked": lambda: custom_regularizer(linops.from_matrix(np.vstack([D, 2.0 * D]))),
+            "gradient_2d": lambda: _Gradient2D(5),
+        }[penalty]()
+        pinv, pinv_adjoint, W, bound = J.factors()
+        L = J.seminorm_operator.materialize()
+        n = J.dim_f
+        assert bound >= np.linalg.norm(L, 2) * (1.0 - 1e-12)
+        if pinv is None:
+            assert W.shape == (n, 0) and np.array_equal(L, np.eye(n))
+            return
+        r = n - W.shape[1]
+        np.testing.assert_allclose(W.T @ W, np.eye(n - r), atol=1e-14)
+        assert np.abs(L @ W).max(initial=0.0) <= 1e-13
+        Z = rng.standard_normal((3, r))
+        F = pinv(Z)
+        assert F.shape == (3, n)
+        for z, f in zip(Z, F):
+            np.testing.assert_allclose(pinv(z), f, rtol=0, atol=1e-14 * np.abs(f).max())
+            assert np.linalg.norm(L @ f) == pytest.approx(np.linalg.norm(z), rel=1e-12)
+            assert np.abs(W.T @ f).max(initial=0.0) <= 1e-13 * np.linalg.norm(f)
+        y = rng.standard_normal(n)
+        assert pinv_adjoint(y).shape == (r,)
+        assert pinv_adjoint(y) @ Z[0] == pytest.approx(y @ F[0], rel=1e-12)
+
+    def test_relabelled_penalty_keeps_its_factors(self):
+        # kind names a penalty and picks nothing: L = 2 I labelled
+        # "identity" is still factored as L = 2 I. When the label picked
+        # the identity's closed form, this selection exhausted its basis
+        n = 64
+        prob = problems.synthesize(problems.make_deconvolution(n, 2.0), np.sin(np.linspace(0, np.pi, n)), 0.02, seed=1)
+        stars = []
+        for label in (None, "identity"):
+            J = custom_regularizer(linops.from_matrix(2.0 * np.eye(n)))
+            if label:
+                J.kind = label
+            stars.append(maximize_dual(Lagrangian(prob.op, prob.g, J, (1.02 * prob.tau) ** 2)).lambda_star)
+        assert stars[1] == stars[0]
+
+    def test_gradient_2d_selects_as_materialized(self, monkeypatch):
+        # ROADMAP's 2-D image under the Kronecker product of two width-2
+        # blurs at N = 32: the 2-D gradient's DCT factors select what its
+        # materialized map selects through the pivoted QR factorization,
+        # which the structured penalty never calls
+        N = 32
+        B = problems.make_deconvolution(N, 2.0).matrix
+        A = linops.from_matrix(np.kron(B, B))
+        x = (np.arange(N) + 0.5) / N
+        X, Y = np.meshgrid(x, x)
+        f0 = np.exp(-((X - 0.4) ** 2 + (Y - 0.5) ** 2) / 0.02) + ((abs(X - 0.65) < 0.15) & (abs(Y - 0.4) < 0.2))
+        prob = problems.synthesize(A, f0.ravel(), 0.02, seed=0)
+        calls = []
+        factors = Regularizer.factors
+        monkeypatch.setattr(Regularizer, "factors", lambda J: calls.append(J) or factors(J))
+        structured = _Gradient2D(N)
+        materialized = custom_regularizer(linops.from_matrix(structured.seminorm_operator.materialize()))
+        answers = []
+        for J in (structured, materialized):
+            lag = Lagrangian(A, prob.g, J, (1.02 * prob.tau) ** 2)
+            res = maximize_dual(lag)
+            answers.append((res.lambda_star, len(res.iterations), lag.engine().basis.k))
+            assert calls == ([] if J is structured else [materialized])
+        (star, evals, k), (ref_star, ref_evals, ref_k) = answers
+        assert star == pytest.approx(ref_star, rel=1e-10)
+        assert (evals, k) == (ref_evals, ref_k)
 
 
 def test_midpoint_convexity(rng):
