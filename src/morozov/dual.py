@@ -461,13 +461,12 @@ def sweep_dual(lag: Lagrangian, lambdas):
     evaluations (``error`` set, values NaN) and the sweep continues.
     The grid runs on the problem's engine (``Lagrangian.engine``), built
     once, failure included, in blocks of one ``solve`` each. A block
-    holds as many multipliers as keep each of its m-by-n arrays (F,
-    A F - g and A^T (A F - g), n the larger dimension of A) within
-    ``_BLOCK_FLOATS`` entries. In the Golub-Kahan basis each point keeps
-    its own search, and the block shares the products of its tail, two
-    matrix-matrix products for a dense A. Every point is the same
-    ``DualEvaluation`` that ``eval_dual`` returns, up to the rounding of
-    the block products.
+    holds as many multipliers as keep each of its arrays, Z and
+    F = Z V_k, of at most n entries a row, n the larger dimension of A,
+    within ``_BLOCK_FLOATS`` entries. In the Golub-Kahan basis each point
+    keeps its own search, and the block shares only the expansion
+    F = Z V_k. Every point is the same ``DualEvaluation`` that
+    ``eval_dual`` returns, up to the rounding of that expansion.
     A block that raises a point's error is solved again point by point by
     ``eval_dual``, so a ``ConvergenceFailure`` fails its own point only,
     and an engine that cannot be built fails every point with the
@@ -498,9 +497,9 @@ def sweep_dual(lag: Lagrangian, lambdas):
     return out
 
 
-# the most entries of each m-by-n array of a sweep's block, 8 MiB of float64:
-# 2048 multipliers at n = 512, 16 at n = 65536, where 200 in one block would
-# hold three arrays of 105 MB each
+# the most entries of each array a sweep's block holds, Z and F = Z V_k, of at
+# most n entries a row, 8 MiB of float64: 2048 multipliers at n = 512, 16 at
+# n = 65536, where 200 in one block would hold an F of 105 MB
 _BLOCK_FLOATS = 1 << 20
 
 # failures a sweep records on its points instead of raising; an

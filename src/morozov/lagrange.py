@@ -33,12 +33,10 @@ k-by-k tridiagonal system (I + lam B_k^T B_k) z = lam ||Abar^T gbar|| e_1,
 mapped back to f; the basis grows only when a multiplier needs more
 columns than any before it. A singular R_W, A not seeing some direction of
 ker L, is the strict-convexity check. Its ``solve`` takes a block of m
-multipliers: each keeps its own search for its k, and the block shares its
-tail, F = Z V_k and, for a dense A and m > 1, R = F A^T - g and A^T R, one
-matrix-matrix product each at BLAS-3 speed (``_solutions``), in place of
-two memory-bound matrix-vector products per multiplier; a single
-multiplier, every evaluation of a selection, applies A through its
-operator pair.
+multipliers: each keeps its own search for its k, and the block shares only
+the expansion F = Z V_k and its map back to f. Each multiplier's A f - g
+and A^T (A f - g) are formed through the operator's pair (``_solution``),
+as every product with A is.
 
 ``Lagrangian.engine`` builds the engine once, which ``solve_lagrange``,
 every sweep and the regime verdict run on. ``certificate`` is the
@@ -297,15 +295,16 @@ class StandardForm:
 
         Each multiplier runs its own search (``_column``) from j = 0 and
         takes the solution on k = j + ``_LOOKAHEAD`` columns, or on all of
-        an exhausted basis. The block then shares its tail: the rows of
-        F = Z V_k are one product, mapped back to f row by row, and
-        ``_solutions`` forms the residuals. A point is accepted when its
+        an exhausted basis. The block shares only its expansion: the rows
+        of F = Z V_k are one product, mapped back to f row by row, and
+        ``_solution`` forms each row's residuals through the operator's
+        pair. A point is accepted when its
         own explicit residual passes; otherwise its search goes on from
         j + 1, and a new block holds the points that did not pass.
 
         k depends on lam alone, not on how far earlier solves grew the
         basis nor on the other multipliers of the block, and so does the
-        answer, up to the rounding of the block products.
+        answer, up to the rounding of the basis expansion.
 
         - The full system's relative residual
           ||lam A^T g - (L^T L + lam A^T A) f|| / ||lam A^T g|| is at most
@@ -334,8 +333,10 @@ class StandardForm:
                 for row, z in zip(Z, zs):
                     row[: len(z)] = z
                 F = self.solution(self.basis.expand(Z))
-            stats = [{"method": "krylov", "iterations": len(z)} for z in zs]
-            sols = _solutions(lag, [lams[i] for i in picks], F, slopes, stats)
+            sols = [
+                _solution(lag, lams[i], f.copy(), float(slope), {"method": "krylov", "iterations": len(z)})
+                for i, f, slope, z in zip(picks, F, slopes, zs)
+            ]
             starts = {}
             for i, j, exact, sol in zip(picks, js, exacts, sols):
                 scale = 2.0 * sol.lam * self.rhs_norm  # ||grad|| = 2 ||full residual||
@@ -529,36 +530,16 @@ def _check_multiplier(lam):
         )
 
 
-def _solutions(lag, lams, F, slopes, stats):
-    """The ``LagrangeSolution`` at each multiplier of ``lams`` from the rows
-    of F, the tail of ``StandardForm.solve``. For a dense A and more than one
-    multiplier, R = F A^T - g and A^T R are one matrix-matrix product each,
-    at BLAS-3 speed, where one multiplier at a time costs two memory-bound
-    matrix-vector products; otherwise A is applied row by row through its
-    operator pair. Every ``f_lambda`` is its own array."""
-    A, g = lag.op, lag.data
-    if A.is_dense and len(F) > 1:
-        R = F @ A.matrix.T
-        R -= g
-        AtR = R @ A.matrix
-    else:
-        R = np.array([A.apply(f) for f in F]) - g
-        AtR = np.array([A.apply_adjoint(r) for r in R])
-    return [
-        _solution(lag, lam, f.copy(), r, atr, float(slope), s)
-        for lam, f, r, atr, slope, s in zip(lams, F, R, AtR, slopes, stats)
-    ]
-
-
-def _solution(lag, lam, f, r, atr, slope, stats):
-    """The ``LagrangeSolution`` at f from its data residual r = A f - g and
-    A^T r. The discrepancy is
+def _solution(lag, lam, f, slope, stats):
+    """The ``LagrangeSolution`` at f. Its data residual r = A f - g and
+    A^T r are formed through the operator's pair. The discrepancy is
     ||r||^2 of the explicit residual, never an expanded form that cancels,
     and the optimality residual is the norm of the inner objective's
     gradient, grad J(f) + 2 lam A^T r."""
+    r = lag.op.apply(f) - lag.data
     disc_sq = float(r @ r)
     j_val = lag.regularizer.evaluate(f)
-    opt_res = float(np.linalg.norm(lag.regularizer.gradient(f) + 2.0 * lam * atr))
+    opt_res = float(np.linalg.norm(lag.regularizer.gradient(f) + 2.0 * lam * lag.op.apply_adjoint(r)))
     log.debug(
         "solve_lagrange lam=%.6g disc_sq=%.6g j=%.6g opt_res=%.3e (%s)",
         lam, disc_sq, j_val, opt_res, stats["method"],

@@ -25,9 +25,7 @@ below the cut before it underflows to 0: at n=512 and width 2 its stored
 nonzeros reach 75 diagonals each side, its band 18. The tail's weights,
 down to 1e-300, would multiply a vector's entries into subnormal
 products, which are slow. A diagonal or a difference matrix qualifies
-as well, without any option. Products of whole blocks always read the
-stored matrix, so a problem that never applies a dense operator to a
-single vector never builds the band copy.
+as well, without any option.
 
 Operators are safe to share between concurrent evaluations. Concurrent
 first products of a dense operator may each build a pair; the pairs are

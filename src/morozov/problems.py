@@ -30,6 +30,8 @@ from .errors import DimensionMismatch
 from .lagrange import Lagrangian
 from .linops import LinearOperator
 from .regularizers import (
+    _FirstDifference,
+    _Identity,
     Regularizer,
     custom_regularizer,
     first_difference_regularizer,
@@ -223,6 +225,10 @@ def save_problem(problem: InverseProblem, directory):
     linops.save_matrix_mdop(problem.op.materialize(), directory / "A.bin")
     linops.save_vector_csv(problem.f0, directory / "f0.csv")
     linops.save_vector_csv(problem.g, directory / "g.csv")
+    # only a built-in penalty's class is rebuilt from its label alone; any
+    # other penalty, whatever its ``kind`` reads, is saved as its map L
+    reg = problem.regularizer
+    kind = type(reg).kind if type(reg) in (_Identity, _FirstDifference) else "custom"
     regime = problem.regime
     if regime is None and problem.tau > 0:
         regime = diagnose_regime(_lagrangian(problem)).regime
@@ -232,12 +238,10 @@ def save_problem(problem: InverseProblem, directory):
         "seed": problem.seed,
         "regime": regime,
         "delta_g_norm": problem.delta_g_norm,
-        "regularizer": problem.regularizer.kind,
+        "regularizer": kind,
     }
-    if problem.regularizer.kind == "custom":
-        linops.save_matrix_mdop(
-            problem.regularizer.seminorm_operator.materialize(), directory / "L.bin"
-        )
+    if kind == "custom":
+        linops.save_matrix_mdop(reg.seminorm_operator.materialize(), directory / "L.bin")
     with open(directory / "meta.json", "w") as fh:
         json.dump(meta, fh, indent=2)
         fh.write("\n")

@@ -10,10 +10,19 @@ problem of its own, so its record does not depend on the order of the grid.
 A record holds the outcome ("converged" or the exception's type), the
 evaluation count, the final column count k of the engine's basis and
 lambda_star as ``float.hex``, or a failure's message and ``best``.
-``test_battery.py`` re-runs the grid and compares it with the committed
-records. A change that moves a record writes the file again:
+Apart from those, the sweep grid runs ``sweep_dual`` over the 40
+multipliers ``np.logspace(-2, 8, 40)`` on the width-2 blur at n = 128 and
+512, noise 2% and 1e-4, seed 1, with the identity and first differences,
+and at n = 128 also custom first differences: 10 sweeps. A sweep record
+holds ||g||^2 as ``float.hex`` and, for each point, its error, or its
+column count k, D' and D'' as ``float.hex``. A sweep at n = 128 or 512
+holds all 40 points in one block of the engine's ``solve``.
 
-    PYTHONPATH=src python tests/battery.py
+``test_battery.py`` re-runs both grids and compares them with the
+committed records. A change that moves a record writes its file again:
+
+    PYTHONPATH=src python tests/battery.py            # selections
+    PYTHONPATH=src python tests/battery.py --sweeps   # sweeps
 """
 
 import itertools
@@ -24,12 +33,13 @@ from pathlib import Path
 import numpy as np
 
 from morozov import linops, problems
-from morozov.dual import maximize_dual
+from morozov.dual import maximize_dual, sweep_dual
 from morozov.errors import MorozovError
 from morozov.lagrange import Lagrangian
 from morozov.regularizers import custom_regularizer, first_difference_regularizer, identity_regularizer
 
 PATH = Path(__file__).parent / "data" / "battery.json"
+SWEEP_PATH = Path(__file__).parent / "data" / "battery_sweeps.json"
 
 SIZES = (128, 512)
 WIDTHS = (1.2, 2.0, 4.0)
@@ -39,6 +49,12 @@ METHODS = ("newton", "bisection")
 SAFETY = 1.02
 RTOL = 1e-8
 KEY = ("n", "width", "noise", "seed", "penalty", "method")
+
+SWEEP_WIDTH = 2.0
+SWEEP_NOISES = (0.02, 1e-4)
+SWEEP_SEED = 1
+SWEEP_GRID = np.logspace(-2, 8, 40)
+SWEEP_KEY = ("n", "width", "noise", "seed", "penalty")
 
 PENALTIES = {
     "identity": identity_regularizer,
@@ -94,6 +110,34 @@ def run():
     return records
 
 
+def _point(e):
+    """The record of one sweep point, the ``DualEvaluation`` e."""
+    if e.error is not None:
+        return {"error": e.error, "k": None, "d_prime": None, "d_second": None}
+    return {
+        "error": None,
+        "k": e.solution.solver_stats["iterations"],
+        "d_prime": e.d_prime.hex(),
+        "d_second": e.d_second.hex(),
+    }
+
+
+def run_sweeps():
+    """Every record of the sweep grid, in grid order."""
+    records = []
+    for n in SIZES:
+        A = problems.make_deconvolution(n, SWEEP_WIDTH)
+        f0 = problems._bump_profile(n, np.random.default_rng(SWEEP_SEED))
+        for noise in SWEEP_NOISES:
+            prob = problems.synthesize(A, f0, noise, seed=SWEEP_SEED)
+            for penalty in _penalties(n):
+                lag = Lagrangian(A, prob.g, PENALTIES[penalty](n), (SAFETY * prob.tau) ** 2)
+                key = dict(zip(SWEEP_KEY, (n, SWEEP_WIDTH, noise, SWEEP_SEED, penalty)))
+                points = [_point(e) for e in sweep_dual(lag, SWEEP_GRID)]
+                records.append({**key, "g_norm_sq": float(prob.g @ prob.g).hex(), "points": points})
+    return records
+
+
 def dump(records, path=PATH):
     """Write ``records`` as a JSON list, one record a line."""
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -107,7 +151,10 @@ def load(path=PATH):
 
 
 if __name__ == "__main__":
-    out = Path(sys.argv[1]) if len(sys.argv) > 1 else PATH
-    records = run()
+    args = sys.argv[1:]
+    sweeps = "--sweeps" in args
+    args = [a for a in args if a != "--sweeps"]
+    out = Path(args[0]) if args else SWEEP_PATH if sweeps else PATH
+    records = run_sweeps() if sweeps else run()
     dump(records, out)
     print(f"{len(records)} records to {out}")

@@ -1386,18 +1386,27 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize("penalty", [identity_regularizer, first_difference_regularizer])
     def test_dense_sweep_builds_one_band_copy(self, monkeypatch, penalty):
-        # a dense sweep's basis applies A through its operator pair, whose
-        # band copy is built once, at the first product; the block
-        # products of the sweep's tail read the stored matrix and add none
+        # every product with A in a dense sweep, the basis's and each
+        # point's residuals alike, goes through the operator's one pair,
+        # whose band copy is built once, at the first product; once the
+        # Lagrangian's finiteness check is done, no product reads the
+        # stored matrix
         n = 512
         prob = synthesize(make_deconvolution(n, 2.0), _bump_profile(n, np.random.default_rng(n)), 0.02, seed=n)
         copies = []
         band_storage = linops._band_storage
         monkeypatch.setattr(linops, "_band_storage", lambda *args: copies.append(args) or band_storage(*args))
         lag = Lagrangian(linops.from_matrix(prob.op.matrix), prob.g, penalty(n), (1.02 * prob.tau) ** 2)
-        evals = sweep_dual(lag, np.logspace(-2, 8, 20))
+        reads = []
+        matrix = linops.LinearOperator.matrix
+        monkeypatch.setattr(linops.LinearOperator, "matrix", property(lambda op: reads.append(op) or matrix.fget(op)))
+        grid = np.logspace(-2, 8, 20)
+        evals = sweep_dual(lag, grid)
+        assert len(reads) == 0
         assert all(e.error is None for e in evals)
         assert [args[1:] for args in copies] == [(18, 18)]
+        for e, lam in zip(evals, grid):
+            assert e.d_prime == pytest.approx(eval_dual(lag, lam).d_prime, rel=1e-12, abs=0)
 
     def test_custom_penalty_certificate_makes_no_eigh(self, monkeypatch):
         # a dense custom penalty certifies its regime in its own basis: its
@@ -1752,8 +1761,8 @@ class TestSweepDual:
         monkeypatch.setattr(StandardForm, "solve", lambda *a: blocks.append(len(a[2])) or solve(*a))
         solution = lagrange._solution
 
-        def failing(lag, lam, f, r, atr, slope, stats):
-            sol = solution(lag, lam, f, r, atr, slope, stats)
+        def failing(lag, lam, f, slope, stats):
+            sol = solution(lag, lam, f, slope, stats)
             return dataclasses.replace(sol, optimality_residual=math.inf) if lam == bad else sol
 
         monkeypatch.setattr(lagrange, "_solution", failing)

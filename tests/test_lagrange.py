@@ -419,9 +419,9 @@ class TestKrylovSolver:
         candidates = []
         solution = lagrange._solution
 
-        def rejecting(lag, lam, f, r, atr, slope, stats):
+        def rejecting(lag, lam, f, slope, stats):
             # the first candidate at lam = 3 fails its explicit check
-            sol = solution(lag, lam, f, r, atr, slope, stats)
+            sol = solution(lag, lam, f, slope, stats)
             if lam == 3.0:
                 candidates.append(stats["iterations"])
                 if len(candidates) == 1:

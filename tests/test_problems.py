@@ -255,6 +255,22 @@ class TestFixtureIO:
             back.regularizer.seminorm_operator.matrix, L.matrix
         )
 
+    def test_relabelled_penalty_is_saved_as_its_map(self, tmp_path, rng):
+        # a custom penalty whose instance reads kind = "identity" is saved
+        # by its class, as "custom" with its L.bin, and loads back as L = 2I
+        from morozov.regularizers import custom_regularizer
+
+        n = 8
+        J = custom_regularizer(linops.from_matrix(2.0 * np.eye(n)))
+        J.kind = "identity"
+        prob = synthesize(make_hilbert(n), rng.standard_normal(n), noise_level=0.05, seed=2, regularizer=J)
+        save_problem(prob, tmp_path / "fx")
+        assert (tmp_path / "fx" / "L.bin").exists()
+        assert json.loads((tmp_path / "fx" / "meta.json").read_text())["regularizer"] == "custom"
+        back = load_problem(tmp_path / "fx")
+        assert back.regularizer.kind == "custom"
+        assert back.regularizer.evaluate(np.ones(n)) == 32.0
+
     def test_first_difference_roundtrip(self, tmp_path, rng):
         from morozov.regularizers import first_difference_regularizer
 
