@@ -228,24 +228,61 @@ class GolubKahan:
         D, l, _, rel = self._ldl[:, : self._ldl_k]
         return D, l, rel
 
-    def tikhonov(self, lam, k=None):
+    def factor_block(self, lams):
+        """The factors of ``_factors`` at every multiplier of ``lams`` on the
+        k >= 1 columns so far, from one ``dpttrf``: (D, l, rel), where row i
+        of the m-by-k arrays D and l is what ``projected_solve`` reads at
+        lams[i] on up to k columns, and row i of the m-by-(k + 1) array rel
+        is ``tikhonov_residuals(lams[i])``.
+
+        The m tridiagonals are factored as one of order m k, with e = 0 at
+        each seam. dpttrf's recurrence then starts each of them at
+        D_0 = d_0 - (0 / D) 0 = d_0 exactly, so every row holds, bit for
+        bit, the factors that ``_factors`` forms for its multiplier alone.
+        """
+        k = self.k
+        lams = np.asarray(lams, dtype=np.float64)[:, None]
+        alpha = np.asarray(self.alpha[: k + 1])
+        beta = np.asarray(self.beta[1 : k + 1])
+        D = lams * (alpha[:k] ** 2 + beta**2)
+        D += 1.0
+        rel = np.empty((lams.shape[0], k + 1))
+        rel[:, 0] = 1.0  # j = 0: f = 0 leaves the whole right-hand side
+        e = rel[:, 1:]
+        np.multiply(lams, alpha[1:], out=e)
+        e *= beta
+        l = e.copy()
+        l[:, -1] = 0.0
+        scipy.linalg.lapack.dpttrf(D.reshape(-1), l.reshape(-1)[:-1], overwrite_d=1, overwrite_e=1)
+        # rel_j = e_j |y_j / D_j|, with y_j = prod_{i<j} (-l_i)
+        y = np.empty_like(D)
+        y[:, 0] = 1.0
+        np.negative(l[:, :-1], out=y[:, 1:])
+        np.cumprod(y, axis=1, out=y)
+        y /= D
+        e *= np.abs(y, out=y)
+        return D, l, rel
+
+    def tikhonov(self, lam, k=None, factors=None):
         """Projected solution of (I + lam A^T A) f = lam A^T g in V_k.
 
         Solves (I + lam B_k^T B_k) z = lam alpha_1 beta_1 e_1 on the first
         ``k`` columns (default all) and returns z, with f = V_k z; its
         relative residual is ``tikhonov_residuals(lam, k)[0]``. The result
         depends on the first k columns only, not on how far the basis has
-        grown.
+        grown. ``factors`` as in ``projected_solve``.
         """
         x = np.zeros(self.k if k is None else k)
         # x stays empty at k = 0, where alpha_1 = 0 exhausts the basis
         x[:1] = lam * self.alpha[0] * self.beta[0]
-        return self.projected_solve(lam, x)
+        return self.projected_solve(lam, x, factors)
 
-    def projected_solve(self, lam, x):
-        """(I + lam B_k^T B_k)^{-1} x on the first k = len(x) columns."""
+    def projected_solve(self, lam, x, factors=None):
+        """(I + lam B_k^T B_k)^{-1} x on the first k = len(x) columns: from
+        ``factors``, lam's row (D, l) of a ``factor_block``, when given,
+        and otherwise from the factors kept at lam."""
         k = x.shape[0]
-        D, l, _ = self._factors(lam, k)
+        D, l = factors or self._factors(lam, k)[:2]
         return x / D[:k] if k <= 1 else scipy.linalg.lapack.dpttrs(D[:k], l[: k - 1], x)[0]
 
     def tikhonov_residuals(self, lam, start=0):
@@ -268,6 +305,12 @@ class GolubKahan:
         rel = self._factors(lam, k)[2][max(start - 1, 0) : k]
         # j = 0: f = 0 leaves the whole right-hand side
         return rel if start else np.concatenate(([1.0], rel))
+
+    def tikhonov_residual(self, lam, j):
+        """``tikhonov_residuals(lam, j)[0]`` for 1 <= j <= k, as a float:
+        one entry of the kept factors, which reach column j first."""
+        self._factors(lam, j)
+        return float(self._ldl[3, j - 1])
 
     def tikhonov_bound(self, lam, z):
         """||B_k z - beta_1 e_1||^2 + ||z||^2 / lam for z on the first

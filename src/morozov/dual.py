@@ -463,10 +463,12 @@ def sweep_dual(lag: Lagrangian, lambdas):
     once, failure included, in blocks of one ``solve`` each. A block
     holds as many multipliers as keep each of its arrays, Z and
     F = Z V_k, of at most n entries a row, n the larger dimension of A,
-    within ``_BLOCK_FLOATS`` entries. In the Golub-Kahan basis each point
-    keeps its own search, and the block shares only the expansion
-    F = Z V_k. Every point is the same ``DualEvaluation`` that
-    ``eval_dual`` returns, up to the rounding of that expansion.
+    within ``_BLOCK_FLOATS`` entries. In the Golub-Kahan basis the block's
+    largest multiplier grows the basis, one factorization serves the
+    searches of all the others (``StandardForm.solve``), and the block
+    shares the expansion F = Z V_k. Every point is the same
+    ``DualEvaluation`` that ``eval_dual`` returns, its k and D'' bit for
+    bit, up to the rounding of that expansion.
     A block that raises a point's error is solved again point by point by
     ``eval_dual``, so a ``ConvergenceFailure`` fails its own point only,
     and an engine that cannot be built fails every point with the
@@ -499,7 +501,9 @@ def sweep_dual(lag: Lagrangian, lambdas):
 
 # the most entries of each array a sweep's block holds, Z and F = Z V_k, of at
 # most n entries a row, 8 MiB of float64: 2048 multipliers at n = 512, 16 at
-# n = 65536, where 200 in one block would hold an F of 105 MB
+# n = 65536, where 200 in one block would hold an F of 105 MB. The factors of
+# the block's tridiagonals (``GolubKahan.factor_block``) have k or k + 1
+# entries a row, with k <= n, so the same rule bounds them
 _BLOCK_FLOATS = 1 << 20
 
 # failures a sweep records on its points instead of raising; an

@@ -33,10 +33,13 @@ k-by-k tridiagonal system (I + lam B_k^T B_k) z = lam ||Abar^T gbar|| e_1,
 mapped back to f; the basis grows only when a multiplier needs more
 columns than any before it. A singular R_W, A not seeing some direction of
 ker L, is the strict-convexity check. Its ``solve`` takes a block of m
-multipliers: each keeps its own search for its k, and the block shares only
-the expansion F = Z V_k and its map back to f. Each multiplier's A f - g
-and A^T (A f - g) are formed through the operator's pair (``_solution``),
-as every product with A is.
+multipliers: the largest searches for its k first, growing the basis, and
+one ``dpttrf`` then factors the tridiagonals of all the others on its k
+columns, whose residual estimates are read at once. Each multiplier's k
+follows one rule, whichever factors it reads, and the block shares the
+expansion F = Z V_k and its map back to f. Each multiplier's A f - g and
+A^T (A f - g) are formed through the operator's pair (``_solution``), as
+every product with A is.
 
 ``Lagrangian.engine`` builds the engine once, which ``solve_lagrange``,
 every sweep and the regime verdict run on. ``certificate`` is the
@@ -293,13 +296,15 @@ class StandardForm:
         built from, at every multiplier of ``lams`` at once, in order;
         ``ValueError`` for one outside (0, LAMBDA_MAX], before any solve.
 
-        Each multiplier runs its own search (``_column``) from j = 0 and
-        takes the solution on k = j + ``_LOOKAHEAD`` columns, or on all of
-        an exhausted basis. The block shares only its expansion: the rows
-        of F = Z V_k are one product, mapped back to f row by row, and
-        ``_solution`` forms each row's residuals through the operator's
-        pair. A point is accepted when its
-        own explicit residual passes; otherwise its search goes on from
+        Each multiplier's search (``_column``) runs from j = 0 and takes
+        the solution on k = j + ``_LOOKAHEAD`` columns, or on all of an
+        exhausted basis. The block's largest multiplier searches first and
+        grows the basis; the others read their columns from one
+        ``GolubKahan.factor_block`` on it (``_columns``), whose factors are
+        bitwise their own. The rows of F = Z V_k are one product, mapped
+        back to f row by row, and ``_solution`` forms each row's residuals
+        through the operator's pair. A point is accepted when its own
+        explicit residual passes; otherwise its search goes on from
         j + 1, and a new block holds the points that did not pass.
 
         k depends on lam alone, not on how far earlier solves grew the
@@ -327,7 +332,7 @@ class StandardForm:
         starts = dict.fromkeys(range(len(lams)), 0)  # point: its search's first column
         while starts:
             with self.lock:
-                picks = {i: self._column(lag, float(lams[i]), j) for i, j in starts.items()}
+                picks = self._columns(lag, lams, starts)
                 js, exacts, zs, slopes = zip(*picks.values())
                 Z = np.zeros((len(zs), max(map(len, zs))))
                 for row, z in zip(Z, zs):
@@ -354,18 +359,45 @@ class StandardForm:
                     starts[i] = j + 1
         return out
 
-    def _column(self, lag, lam, j):
+    def _columns(self, lag, lams, starts):
+        """``_column`` of every point of ``starts``, which maps a point of
+        ``lams`` to the column its search starts from, under ``lock``, in
+        the order of ``starts``.
+
+        The largest multiplier searches first, and only it grows the basis.
+        One ``GolubKahan.factor_block`` then factors the tridiagonals of all
+        the others on the basis's k columns, bitwise as their own searches
+        would, and one vectorized read of their residual estimates tells
+        which of their columns pass.
+        """
+        top = max(starts, key=lambda i: lams[i])
+        picks = {top: self._column(lag, float(lams[top]), starts[top])}
+        rest = [i for i in starts if i != top]
+        if rest and self.basis.k:
+            D, l, rel = self.basis.factor_block([lams[i] for i in rest])
+            passing = self._gain * rel <= KRYLOV_TOL
+            for i, D_i, l_i, row in zip(rest, D, l, passing):
+                picks[i] = self._column(lag, float(lams[i]), starts[i], row, (D_i, l_i))
+        else:
+            picks.update((i, self._column(lag, float(lams[i]), starts[i])) for i in rest)
+        return {i: picks[i] for i in starts}
+
+    def _column(self, lag, lam, j, passing=None, factors=None):
         """The search of one multiplier from column j, under ``lock``:
         (j, exact, z, slope) for the first column j whose projected solution
         passes the residual estimate and whose discrepancy error, against
         the solution z on k columns, passes too; slope is z's
         ``GolubKahan.discrepancy_slope``.
 
-        1. Find the first column from j whose residual estimate passes, in
-           ``GolubKahan.tikhonov_residuals`` read from column j on; the basis
-           grows only while no column passes, and each column it gains is
-           read once.
-        2. Grow the basis once, to k = j + ``_LOOKAHEAD`` columns or to
+        1. Find the first column from j whose residual estimate passes:
+           in ``passing``, whether each column of a ``factor_block``
+           passes at lam, whose rows (D, l) at lam are ``factors``. Where
+           that column's lookahead lies past the block's columns, or no
+           column there passes, the search goes on in the basis itself:
+           ``GolubKahan.tikhonov_residuals`` read from column j on, while
+           the basis grows only until a column passes, each new column's
+           estimate read once, as a float.
+        2. Grow the basis to k = j + ``_LOOKAHEAD`` columns or to
            exhaustion.
         3. Unless the basis is exhausted (``exact``), whose solution is
            exact, estimate the discrepancy error of column j against the
@@ -373,20 +405,31 @@ class StandardForm:
         """
         basis, gain = self.basis, self._gain
         while True:
-            # the first column from j whose residual estimate passes
-            while not (ahead := np.flatnonzero(gain * basis.tikhonov_residuals(lam, j) <= KRYLOV_TOL)).size:
-                j = basis.k + 1
-                basis.step()
-            j += int(ahead[0])
-            # its lookahead columns, or all there are
-            while basis.k < j + _LOOKAHEAD and not basis.exhausted:
-                basis.step()
+            if passing is not None:
+                ahead, kb = np.flatnonzero(passing[j:]), passing.size - 1
+                # a column whose lookahead the block holds, or the last of
+                # an exhausted basis the block holds whole
+                if ahead.size and (j + ahead[0] + _LOOKAHEAD <= kb or basis.exhausted and basis.k == kb):
+                    j += int(ahead[0])
+                else:
+                    passing = factors = None
+            if passing is None:
+                if (ahead := np.flatnonzero(gain * basis.tikhonov_residuals(lam, j) <= KRYLOV_TOL)).size:
+                    j += int(ahead[0])
+                else:
+                    basis.step()
+                    while not gain * basis.tikhonov_residual(lam, basis.k) <= KRYLOV_TOL:
+                        basis.step()
+                    j = basis.k
+                # its lookahead columns, or all there are
+                while basis.k < j + _LOOKAHEAD and not basis.exhausted:
+                    basis.step()
             k = min(j + _LOOKAHEAD, basis.k)
             # an exhausted basis holds the exact solution
             exact = k == basis.k and basis.exhausted
-            z = basis.tikhonov(lam, k)
-            w = basis.projected_solve(lam, z)
-            if exact or basis.discrepancy_error(lam, basis.tikhonov(lam, j), w) <= KRYLOV_TOL * lag.epsilon:
+            z = basis.tikhonov(lam, k, factors)
+            w = basis.projected_solve(lam, z, factors)
+            if exact or basis.discrepancy_error(lam, basis.tikhonov(lam, j, factors), w) <= KRYLOV_TOL * lag.epsilon:
                 return j, exact, z, basis.discrepancy_slope(lam, z, w)
             j += 1
 
@@ -431,7 +474,7 @@ class Lagrangian:
             raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
         _require_finite("data", data)
         if op.is_dense:
-            _require_finite("A", op.matrix)
+            op.require_finite("A")
         if regularizer.seminorm_operator.is_dense:
             _require_finite("L", regularizer.seminorm_operator.matrix)
         data.setflags(write=False)

@@ -10,7 +10,8 @@ operator's pair is its callbacks, with a check of their output. A
 complex vector, in or out, or complex matrix is refused rather than cast
 to its real part.
 
-A dense operator picks its pair at its first matrix-vector product. When
+A dense operator picks its pair at its first matrix-vector product, or
+at ``require_finite``, which reads its finiteness off the pick. When
 its numerically significant entries lie within ``kl`` subdiagonals and
 ``ku`` superdiagonals, with ``kl + ku + 1 <= min(rows, cols) / 2``, the
 pair runs BLAS ``dgbmv`` on a LAPACK band copy in O((kl + ku + 1) cols)
@@ -112,8 +113,8 @@ def _as_vector(x, n, name):
 
 
 def _bandwidths(mat):
-    """(kl, ku): the fewest sub- and superdiagonals holding every entry
-    with ``|a_ij| > cut``, where
+    """(kl, ku, finite): the fewest sub- and superdiagonals holding every
+    entry with ``|a_ij| > cut``, where
 
         cut = eps / max(m, n) * min(smallest row max |a|, smallest column max |a|).
 
@@ -128,15 +129,18 @@ def _bandwidths(mat):
 
     Row-wise ``argmax`` on a boolean mask finds each row's first and last
     kept entry in O(mn) without the index arrays of ``np.nonzero``.
+    ``finite`` says whether every entry is finite: a row's maximum of |A|
+    is not finite exactly when the row holds a NaN or an infinity.
     """
     mag = np.abs(mat)
-    cut = _EPS / max(mat.shape) * min(mag.max(axis=1).min(), mag.max(axis=0).min())
+    row_max = mag.max(axis=1)
+    cut = _EPS / max(mat.shape) * min(row_max.min(), mag.max(axis=0).min())
     mask = mag > cut if np.isfinite(cut) else mat != 0
     hit = mask.any(axis=1)
     rows = np.arange(mat.shape[0])[hit]
     first = mask.argmax(axis=1)[hit]
     last = mat.shape[1] - 1 - mask[:, ::-1].argmax(axis=1)[hit]
-    return int((rows - first).max(initial=0)), int((last - rows).max(initial=0))
+    return int((rows - first).max(initial=0)), int((last - rows).max(initial=0)), bool(np.isfinite(row_max).all())
 
 
 def _band_storage(mat, kl, ku):
@@ -153,7 +157,8 @@ def _band_storage(mat, kl, ku):
 def _dense_pair(mat):
     """The (forward, adjoint) products of a dense matrix: ``dgbmv`` on a
     band copy when the band of its significant entries (``_bandwidths``)
-    fits half its size, else numpy's product of the stored matrix."""
+    fits half its size, else numpy's product of the stored matrix; and
+    whether every entry is finite."""
     # up to half width the band copy costs at most half the matrix, and
     # dgbmv measured 1.6x to 2.2x faster than the dense product at half
     # width, and 6x at n = 512 on the width-2 blur's 37 diagonals
@@ -161,15 +166,15 @@ def _dense_pair(mat):
     # less, at n = 256 they lose, and their copy grows toward the matrix's
     # size. The cutoff also meets scipy's requirement m >= kl + ku + 1 on
     # dgbmv.
-    kl, ku = _bandwidths(mat)
+    kl, ku, finite = _bandwidths(mat)
     if kl + ku + 1 > min(mat.shape) / 2:
-        return mat.__matmul__, mat.T.__matmul__
+        return (mat.__matmul__, mat.T.__matmul__), finite
     m, n = mat.shape
     ab = _band_storage(mat, kl, ku)
     return (
         lambda f: dgbmv(m, n, kl, ku, 1.0, ab, f),
         lambda y: dgbmv(m, n, kl, ku, 1.0, ab, y, trans=1),
-    )
+    ), finite
 
 
 class LinearOperator:
@@ -242,8 +247,19 @@ class LinearOperator:
     @cached_property
     def _pair(self):
         """A dense operator's (forward, adjoint) pair, picked at its first
-        matrix-vector product; a matrix-free one sets it when built."""
-        return _dense_pair(self._matrix)
+        matrix-vector product or its ``require_finite``, which reads the
+        pick's ``_finite``; a matrix-free one sets it when built."""
+        pair, self._finite = _dense_pair(self._matrix)
+        return pair
+
+    def require_finite(self, name):
+        """``ValueError`` naming the first NaN or infinite entry of a dense
+        operator's matrix, called ``name``. It picks the pair now and reads
+        the row maxima of |A| that the pick takes (``_bandwidths``), so it
+        scans the matrix only when an entry is not finite."""
+        self._pair  # the pick sets _finite
+        if not self._finite:
+            _require_finite(name, self._matrix)
 
     def apply(self, f):
         """Forward action on a vector of length ``dim_f``."""

@@ -16,13 +16,18 @@ multipliers ``np.logspace(-2, 8, 40)`` on the width-2 blur at n = 128 and
 and at n = 128 also custom first differences: 10 sweeps. A sweep record
 holds ||g||^2 as ``float.hex`` and, for each point, its error, or its
 column count k, D' and D'' as ``float.hex``. A sweep at n = 128 or 512
-holds all 40 points in one block of the engine's ``solve``.
+holds all 40 points in one block of the engine's ``solve``. The benchmark's
+grid, the 200 multipliers ``np.logspace(-2, 8, 200)`` of perfbench's
+``dense_sweep``, runs on the width-2 blur at n = 512, noise 2%, seed 1,
+with the identity and first differences: 2 sweeps, recorded the same way
+in a file of their own.
 
 ``test_battery.py`` re-runs both grids and compares them with the
 committed records. A change that moves a record writes its file again:
 
-    PYTHONPATH=src python tests/battery.py            # selections
-    PYTHONPATH=src python tests/battery.py --sweeps   # sweeps
+    PYTHONPATH=src python tests/battery.py                  # selections
+    PYTHONPATH=src python tests/battery.py --sweeps         # sweeps
+    PYTHONPATH=src python tests/battery.py --bench-sweeps   # the benchmark's grid
 """
 
 import itertools
@@ -40,6 +45,7 @@ from morozov.regularizers import custom_regularizer, first_difference_regularize
 
 PATH = Path(__file__).parent / "data" / "battery.json"
 SWEEP_PATH = Path(__file__).parent / "data" / "battery_sweeps.json"
+BENCH_SWEEP_PATH = Path(__file__).parent / "data" / "battery_bench_sweeps.json"
 
 SIZES = (128, 512)
 WIDTHS = (1.2, 2.0, 4.0)
@@ -55,6 +61,7 @@ SWEEP_NOISES = (0.02, 1e-4)
 SWEEP_SEED = 1
 SWEEP_GRID = np.logspace(-2, 8, 40)
 SWEEP_KEY = ("n", "width", "noise", "seed", "penalty")
+BENCH_SWEEP_GRID = np.logspace(-2, 8, 200)
 
 PENALTIES = {
     "identity": identity_regularizer,
@@ -122,20 +129,30 @@ def _point(e):
     }
 
 
-def run_sweeps():
-    """Every record of the sweep grid, in grid order."""
+def _sweeps(sizes, noises, penalties, grid):
+    """The sweep records of every size, noise and penalty, in that order."""
     records = []
-    for n in SIZES:
+    for n in sizes:
         A = problems.make_deconvolution(n, SWEEP_WIDTH)
         f0 = problems._bump_profile(n, np.random.default_rng(SWEEP_SEED))
-        for noise in SWEEP_NOISES:
+        for noise in noises:
             prob = problems.synthesize(A, f0, noise, seed=SWEEP_SEED)
-            for penalty in _penalties(n):
+            for penalty in penalties(n):
                 lag = Lagrangian(A, prob.g, PENALTIES[penalty](n), (SAFETY * prob.tau) ** 2)
                 key = dict(zip(SWEEP_KEY, (n, SWEEP_WIDTH, noise, SWEEP_SEED, penalty)))
-                points = [_point(e) for e in sweep_dual(lag, SWEEP_GRID)]
+                points = [_point(e) for e in sweep_dual(lag, grid)]
                 records.append({**key, "g_norm_sq": float(prob.g @ prob.g).hex(), "points": points})
     return records
+
+
+def run_sweeps():
+    """Every record of the sweep grid, in grid order."""
+    return _sweeps(SIZES, SWEEP_NOISES, _penalties, SWEEP_GRID)
+
+
+def run_bench_sweeps():
+    """The records of the benchmark's grid, identity first."""
+    return _sweeps((512,), (0.02,), lambda n: ["identity", "first_difference"], BENCH_SWEEP_GRID)
 
 
 def dump(records, path=PATH):
@@ -152,9 +169,10 @@ def load(path=PATH):
 
 if __name__ == "__main__":
     args = sys.argv[1:]
-    sweeps = "--sweeps" in args
-    args = [a for a in args if a != "--sweeps"]
-    out = Path(args[0]) if args else SWEEP_PATH if sweeps else PATH
-    records = run_sweeps() if sweeps else run()
+    flags = {"--sweeps": (run_sweeps, SWEEP_PATH), "--bench-sweeps": (run_bench_sweeps, BENCH_SWEEP_PATH)}
+    make, path = next((flags[a] for a in args if a in flags), (run, PATH))
+    args = [a for a in args if a not in flags]
+    out = Path(args[0]) if args else path
+    records = make()
     dump(records, out)
     print(f"{len(records)} records to {out}")

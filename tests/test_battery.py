@@ -9,7 +9,8 @@ moves it by up to 1.4e-9 there.
 The sweep records (``battery.run_sweeps``) keep to their own rule: each
 point's error and k must match exactly, D' to 1e-10 ||g||^2, the scale of
 its rounding when the discrepancy nears epsilon, and D'' to 1e-10
-relative.
+relative. The records of the benchmark's grid (``battery.run_bench_sweeps``)
+keep to the same rule.
 """
 
 import battery
@@ -56,18 +57,30 @@ def _point_moved(old, new, g_norm_sq):
     return not (abs(d1 - e1) <= _SWEEP_TOL * g_norm_sq and abs(d2 - e2) <= _SWEEP_TOL * abs(d2))
 
 
-def test_sweep_answers_unchanged():
+def _sweeps_moved(path, records, grid):
+    """The points of ``records`` that moved from those committed at ``path``."""
     key = lambda r: tuple(r[name] for name in battery.SWEEP_KEY)
-    old = {key(r): r for r in battery.load(battery.SWEEP_PATH)}
-    new = {key(r): r for r in battery.run_sweeps()}
+    old = {key(r): r for r in battery.load(path)}
+    new = {key(r): r for r in records}
     assert sorted(old) == sorted(new), "the sweep grid differs from the committed records"
-    assert all(len(old[k]["points"]) == len(new[k]["points"]) == len(battery.SWEEP_GRID) for k in old)
-    moved = [
+    assert all(len(old[k]["points"]) == len(new[k]["points"]) == len(grid) for k in old)
+    return [
         (k, lam, a, b)
         for k in old
-        for lam, a, b in zip(battery.SWEEP_GRID, old[k]["points"], new[k]["points"])
+        for lam, a, b in zip(grid, old[k]["points"], new[k]["points"])
         if _point_moved(a, b, float.fromhex(old[k]["g_norm_sq"]))
     ]
+
+
+def _assert_unmoved(moved):
     assert not moved, f"{len(moved)} sweep points moved:\n" + "\n".join(
         f"{dict(zip(battery.SWEEP_KEY, k))} lam={lam:g}\n  old {a}\n  new {b}" for k, lam, a, b in moved
     )
+
+
+def test_sweep_answers_unchanged():
+    _assert_unmoved(_sweeps_moved(battery.SWEEP_PATH, battery.run_sweeps(), battery.SWEEP_GRID))
+
+
+def test_bench_sweep_answers_unchanged():
+    _assert_unmoved(_sweeps_moved(battery.BENCH_SWEEP_PATH, battery.run_bench_sweeps(), battery.BENCH_SWEEP_GRID))

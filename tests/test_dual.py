@@ -1490,6 +1490,30 @@ class TestWorkCounts:
         assert points == []
         assert all(e.error is None for e in evals + twin)
 
+    @pytest.mark.parametrize("penalty", [identity_regularizer, first_difference_regularizer])
+    def test_sweep_block_factors_once(self, monkeypatch, penalty):
+        # the block's largest multiplier grows the basis, and one dpttrf
+        # factors every other multiplier's tridiagonal on its columns, where
+        # each multiplier used to factor its own: 199 calls on this grid.
+        # Each point's k and D'' are bitwise its own search's
+        import scipy.linalg.lapack
+
+        n = 128
+        prob = synthesize(make_deconvolution(n, 2.0), _bump_profile(n, np.random.default_rng(n)), 0.02, seed=n)
+        lag = Lagrangian(prob.op, prob.g, penalty(n), (1.02 * prob.tau) ** 2)
+        calls = []
+        dpttrf = scipy.linalg.lapack.dpttrf
+        monkeypatch.setattr(scipy.linalg.lapack, "dpttrf", lambda *a, **k: calls.append(a) or dpttrf(*a, **k))
+        grid = np.geomspace(1e-2, 1e8, 200)
+        evals = sweep_dual(lag, grid)
+        assert len(calls) <= 2
+        for e, lam in zip(evals, grid):
+            ref = eval_dual(lag, lam)
+            assert e.error is None
+            assert e.solution.solver_stats["iterations"] == ref.solution.solver_stats["iterations"]
+            assert e.d_second == ref.d_second
+            assert e.d_prime == pytest.approx(ref.d_prime, rel=1e-12, abs=0)
+
     def test_matrix_free_custom_sweep_applications(self, monkeypatch):
         # A is never materialized: the build's A W, and A^T q, A^T g and the
         # basis's first column, one forward and one adjoint per step of the
@@ -1748,6 +1772,36 @@ class TestSweepDual:
             else:
                 assert "exceeds LAMBDA_MAX" in e.error
             assert e.solution is None and np.isnan(e.d_prime)
+
+    def test_points_past_the_block_factors_search_alone(self, monkeypatch):
+        # block factors cut to the basis's first 12 columns: a point whose
+        # column or lookahead lies past them searches the basis itself, and
+        # every point's answer is bitwise the same as from the whole block
+        import scipy.linalg.lapack
+
+        lag = self.blocked_cases()["first_difference"]
+        grid = np.geomspace(1e-2, 1e8, 40)
+        ref = sweep_dual(lag, grid)
+        factor_block = lagrange.GolubKahan.factor_block
+
+        def cut(basis, lams):
+            D, l, rel = factor_block(basis, lams)
+            return D[:, :12], l[:, :12], rel[:, :13]
+
+        monkeypatch.setattr(lagrange.GolubKahan, "factor_block", cut)
+        calls = []
+        dpttrf = scipy.linalg.lapack.dpttrf
+        monkeypatch.setattr(scipy.linalg.lapack, "dpttrf", lambda *a, **k: calls.append(a) or dpttrf(*a, **k))
+        twin = self.blocked_cases()["first_difference"]
+        evals = sweep_dual(twin, grid)
+        ks = [e.solution.solver_stats["iterations"] for e in evals]
+        # some points read the cut factors, the others factor their own
+        assert min(ks) <= 12 < max(ks)
+        assert 2 < len(calls) < len(grid)
+        assert twin.engine().basis.k == lag.engine().basis.k
+        for e, r in zip(evals, ref):
+            assert e.solution.solver_stats == r.solution.solver_stats
+            assert (e.d_value, e.d_prime, e.d_second) == (r.d_value, r.d_prime, r.d_second)
 
     def test_failed_point_in_a_krylov_block_fails_alone(self, monkeypatch):
         # the explicit check fails every candidate at one multiplier, so its
@@ -2016,7 +2070,7 @@ class TestVerifyMorozov:
         # weight and refuse its answer
         n = 512
         prob = synthesize(make_deconvolution(n, 2.0), _bump_profile(n, np.random.default_rng(n)), 0.02, seed=n)
-        monkeypatch.setattr(linops, "_bandwidths", lambda mat: (2, 2))
+        monkeypatch.setattr(linops, "_bandwidths", lambda mat: (2, 2, True))
         lag = Lagrangian(linops.from_matrix(prob.op.matrix), prob.g, identity_regularizer(n), (1.02 * prob.tau) ** 2)
         res = maximize_dual(lag)
         assert res.converged
