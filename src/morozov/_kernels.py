@@ -114,8 +114,9 @@ class GolubKahan:
         self._u = None  # u_{k+1}, the last left vector
         self._V = _Rows(dim_f)
         # the LDL^T factors of I + lam B^T B at the last lam asked for
-        # (``_factors``): that lam, how many columns, and their buffer
-        self._ldl_lam, self._ldl_k, self._ldl = None, 0, None
+        # (``_factors``, ``keep``): that lam, how many columns, their buffer
+        # and its rows
+        self._ldl_lam, self._ldl_k, self._ldl, self._rows = None, 0, None, None
         beta1 = float(np.linalg.norm(g))
         self.alpha = []
         self.beta = [beta1]
@@ -177,40 +178,40 @@ class GolubKahan:
         each for the rows of a block z."""
         return z @ self._V[: z.shape[-1]]
 
+    def keep(self, lam, row):
+        """Adopt ``row``, lam's rows (D, l, y, rel) of a ``factor_block``,
+        as the factors kept at lam, without a copy: ``_factors`` extends
+        them from there as the basis grows."""
+        self._ldl_lam, self._ldl_k, self._ldl = lam, row.shape[1], row
+        self._rows = row[0], row[1], row[2], row[3]
+
     def _factors(self, lam, k):
-        """Arrays of D_j, l_j and the relative residual of
-        ``tikhonov(lam, j + 1)`` for j = 0..k-1 at least: the LDL^T
-        factorization of I + lam B_k^T B_k.
+        """The rows D, l, y and rel of the LDL^T factorization of
+        I + lam B^T B kept at lam, on k columns at least: views of the whole
+        buffer, which callers slice to the columns they read.
 
         I + lam B^T B is tridiagonal, with d_j = 1 + lam (alpha_j^2 +
         beta_{j+1}^2) on its diagonal and e_j = lam alpha_{j+1} beta_{j+1}
         beside it (alpha_j is ``alpha[j]``). Its L has l_j = e_j / D_j below
-        the unit diagonal, and y = L^{-1} e_1 has y_j = prod_{i<j} (-l_i).
-        The factors of a leading block are the leading entries, so they
-        are kept for the last lam asked for and grow with the basis: a new
-        lam factors every column so far at once (``dpttrf``), and each
-        column gained since costs one step of dpttrf's own recurrence,
+        the unit diagonal, y = L^{-1} e_1 has y_j = prod_{i<j} (-l_i), and
+        rel_j = e_j |y_j / D_j| is the relative residual of
+        ``tikhonov(lam, j + 1)``. The factors of a leading block are the
+        leading entries, so they are kept for the last lam asked for and
+        grow with the basis: a new lam starts from its ``factor_block`` row
+        on every column so far (``keep``), and each column gained since
+        costs one step of dpttrf's own recurrence,
         D_j = d_j - l_{j-1} e_{j-1}, in the same floating-point operations.
-        So an entry does not depend on when it was formed. The factors sit
-        in the rows of one buffer, a new one per lam, that grows by doubling
-        and whose entries are never rewritten, so the slices handed out stay
-        valid.
+        So an entry does not depend on when it was formed. The buffer grows
+        by doubling, and its entries are never rewritten, so the views
+        handed out stay valid.
         """
         if lam != self._ldl_lam:
-            n = self.k
-            alpha = np.asarray(self.alpha[: n + 1])
-            beta = np.asarray(self.beta[: n + 1])
-            d = 1.0 + lam * (alpha[:n] ** 2 + beta[1:] ** 2)
-            e = lam * alpha[1:] * beta[1:]
-            D = d if n <= 1 else scipy.linalg.lapack.dpttrf(d, e[:-1])[0]
-            l = e / D
-            y = np.cumprod(np.concatenate(([1.0], -l[:-1])))[:n]
-            self._ldl_lam, self._ldl_k, self._ldl = lam, n, np.empty((4, max(16, 2 * n)))
-            self._ldl[:, :n] = D, l, y, e * np.abs(y / D)
+            self.keep(lam, self.factor_block([lam])[:, 0])
         n = self._ldl_k
         if n < k:
             if k > self._ldl.shape[1]:
-                self._ldl = np.concatenate((self._ldl, np.empty((4, max(k, self._ldl.shape[1])))), axis=1)
+                # the kept columns and as many more at least; ``_ldl_k`` is set below
+                self.keep(lam, np.concatenate((self._ldl, np.empty((4, max(k, self._ldl.shape[1])))), axis=1))
             buf = self._ldl
             if n:
                 l_j, y_j = float(buf[1, n - 1]), float(buf[2, n - 1])
@@ -225,64 +226,61 @@ class GolubKahan:
                 l_j = e / D_j
                 buf[:, j] = D_j, l_j, y_j, e * abs(y_j / D_j)
             self._ldl_k = k
-        D, l, _, rel = self._ldl[:, : self._ldl_k]
-        return D, l, rel
+        return self._rows
 
     def factor_block(self, lams):
-        """The factors of ``_factors`` at every multiplier of ``lams`` on the
-        k >= 1 columns so far, from one ``dpttrf``: (D, l, rel), where row i
-        of the m-by-k arrays D and l is what ``projected_solve`` reads at
-        lams[i] on up to k columns, and row i of the m-by-(k + 1) array rel
-        is ``tikhonov_residuals(lams[i])``.
+        """The factors that ``_factors`` keeps, at every multiplier of
+        ``lams`` on the k columns so far: a 4-by-m-by-k array whose [:, i]
+        holds lams[i]'s rows D, l, y and rel, bit for bit those of that
+        multiplier alone, for ``keep``.
 
-        The m tridiagonals are factored as one of order m k, with e = 0 at
-        each seam. dpttrf's recurrence then starts each of them at
-        D_0 = d_0 - (0 / D) 0 = d_0 exactly, so every row holds, bit for
-        bit, the factors that ``_factors`` forms for its multiplier alone.
+        The m tridiagonals are factored by one ``dpttrf``, as one of order
+        m k with e = 0 at each seam. Its recurrence then starts each of them
+        at D_0 = d_0 - (0 / D) 0 = d_0 exactly. l = e / D is formed after,
+        so each row's last entry is e_k / D_k, not the seam's 0. At k <= 1
+        there is no recurrence, and D = d without a ``dpttrf``.
         """
         k = self.k
         lams = np.asarray(lams, dtype=np.float64)[:, None]
         alpha = np.asarray(self.alpha[: k + 1])
         beta = np.asarray(self.beta[1 : k + 1])
-        D = lams * (alpha[:k] ** 2 + beta**2)
+        out = np.empty((4, lams.shape[0], k))
+        D, l, y, rel = out
+        np.multiply(lams, alpha[:k] ** 2 + beta**2, out=D)
         D += 1.0
-        rel = np.empty((lams.shape[0], k + 1))
-        rel[:, 0] = 1.0  # j = 0: f = 0 leaves the whole right-hand side
-        e = rel[:, 1:]
-        np.multiply(lams, alpha[1:], out=e)
+        e = np.multiply(lams, alpha[1:], out=rel)  # e_j, until rel_j = e_j |y_j / D_j|
         e *= beta
-        l = e.copy()
-        l[:, -1] = 0.0
-        scipy.linalg.lapack.dpttrf(D.reshape(-1), l.reshape(-1)[:-1], overwrite_d=1, overwrite_e=1)
-        # rel_j = e_j |y_j / D_j|, with y_j = prod_{i<j} (-l_i)
-        y = np.empty_like(D)
-        y[:, 0] = 1.0
+        if k > 1:
+            l[:] = e
+            l[:, -1] = 0.0
+            scipy.linalg.lapack.dpttrf(D.reshape(-1), l.reshape(-1)[:-1], overwrite_d=1, overwrite_e=1)
+        np.divide(e, D, out=l)
+        y[:, :1] = 1.0  # y_0, where there is a column
         np.negative(l[:, :-1], out=y[:, 1:])
         np.cumprod(y, axis=1, out=y)
-        y /= D
-        e *= np.abs(y, out=y)
-        return D, l, rel
+        y_D = y / D
+        rel *= np.abs(y_D, out=y_D)
+        return out
 
-    def tikhonov(self, lam, k=None, factors=None):
+    def tikhonov(self, lam, k=None):
         """Projected solution of (I + lam A^T A) f = lam A^T g in V_k.
 
         Solves (I + lam B_k^T B_k) z = lam alpha_1 beta_1 e_1 on the first
         ``k`` columns (default all) and returns z, with f = V_k z; its
         relative residual is ``tikhonov_residuals(lam, k)[0]``. The result
         depends on the first k columns only, not on how far the basis has
-        grown. ``factors`` as in ``projected_solve``.
+        grown.
         """
         x = np.zeros(self.k if k is None else k)
         # x stays empty at k = 0, where alpha_1 = 0 exhausts the basis
         x[:1] = lam * self.alpha[0] * self.beta[0]
-        return self.projected_solve(lam, x, factors)
+        return self.projected_solve(lam, x)
 
-    def projected_solve(self, lam, x, factors=None):
-        """(I + lam B_k^T B_k)^{-1} x on the first k = len(x) columns: from
-        ``factors``, lam's row (D, l) of a ``factor_block``, when given,
-        and otherwise from the factors kept at lam."""
+    def projected_solve(self, lam, x):
+        """(I + lam B_k^T B_k)^{-1} x on the first k = len(x) columns, from
+        the factors kept at lam."""
         k = x.shape[0]
-        D, l = factors or self._factors(lam, k)[:2]
+        D, l = self._factors(lam, k)[:2]
         return x / D[:k] if k <= 1 else scipy.linalg.lapack.dpttrs(D[:k], l[: k - 1], x)[0]
 
     def tikhonov_residuals(self, lam, start=0):
@@ -297,20 +295,14 @@ class GolubKahan:
         j, and a column the basis gained since the last call at this lam
         costs O(1). From ``start`` >= 1 the result is a view of the kept
         factors, so a search that reads only the columns past its last
-        look costs O(1) a column too.
+        look, or only the last column, costs O(1) a column too.
         """
         k = self.k
         if self.alpha[0] == 0.0:
             return np.zeros(k + 1 - start)
-        rel = self._factors(lam, k)[2][max(start - 1, 0) : k]
+        rel = self._factors(lam, k)[3][max(start - 1, 0) : k]
         # j = 0: f = 0 leaves the whole right-hand side
         return rel if start else np.concatenate(([1.0], rel))
-
-    def tikhonov_residual(self, lam, j):
-        """``tikhonov_residuals(lam, j)[0]`` for 1 <= j <= k, as a float:
-        one entry of the kept factors, which reach column j first."""
-        self._factors(lam, j)
-        return float(self._ldl[3, j - 1])
 
     def tikhonov_bound(self, lam, z):
         """||B_k z - beta_1 e_1||^2 + ||z||^2 / lam for z on the first

@@ -502,8 +502,9 @@ def sweep_dual(lag: Lagrangian, lambdas):
 # the most entries of each array a sweep's block holds, Z and F = Z V_k, of at
 # most n entries a row, 8 MiB of float64: 2048 multipliers at n = 512, 16 at
 # n = 65536, where 200 in one block would hold an F of 105 MB. The factors of
-# the block's tridiagonals (``GolubKahan.factor_block``) have k or k + 1
-# entries a row, with k <= n, so the same rule bounds them
+# the block's tridiagonals (``GolubKahan.factor_block``) are one 4-by-m-by-k
+# array, with k <= n, so the same rule bounds them by 4 times as many
+# entries, 32 MiB; the basis keeps them alive while it keeps one of their rows
 _BLOCK_FLOATS = 1 << 20
 
 # failures a sweep records on its points instead of raising; an

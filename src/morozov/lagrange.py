@@ -34,9 +34,11 @@ mapped back to f; the basis grows only when a multiplier needs more
 columns than any before it. A singular R_W, A not seeing some direction of
 ker L, is the strict-convexity check. Its ``solve`` takes a block of m
 multipliers: the largest searches for its k first, growing the basis, and
-one ``dpttrf`` then factors the tridiagonals of all the others on its k
-columns, whose residual estimates are read at once. Each multiplier's k
-follows one rule, whichever factors it reads, and the block shares the
+one ``dpttrf`` (``GolubKahan.factor_block``) then factors the tridiagonals
+of all the others on its k columns. Every search reads one kind of
+factors, those the basis keeps at its lam, and a block's row is where the
+kept factors of each of the others start, bitwise those it would form
+alone. So each multiplier's k follows one rule, and the block shares the
 expansion F = Z V_k and its map back to f. Each multiplier's A f - g and
 A^T (A f - g) are formed through the operator's pair (``_solution``), as
 every product with A is.
@@ -299,13 +301,13 @@ class StandardForm:
         Each multiplier's search (``_column``) runs from j = 0 and takes
         the solution on k = j + ``_LOOKAHEAD`` columns, or on all of an
         exhausted basis. The block's largest multiplier searches first and
-        grows the basis; the others read their columns from one
-        ``GolubKahan.factor_block`` on it (``_columns``), whose factors are
-        bitwise their own. The rows of F = Z V_k are one product, mapped
-        back to f row by row, and ``_solution`` forms each row's residuals
-        through the operator's pair. A point is accepted when its own
-        explicit residual passes; otherwise its search goes on from
-        j + 1, and a new block holds the points that did not pass.
+        grows the basis; each of the others starts its search from its row
+        of one ``GolubKahan.factor_block`` on it (``_columns``), bitwise
+        the factors it would form alone. The rows of F = Z V_k are one
+        product, mapped back to f row by row, and ``_solution`` forms each
+        row's residuals through the operator's pair. A point is accepted
+        when its own explicit residual passes; otherwise its search goes on
+        from j + 1, and a new block holds the points that did not pass.
 
         k depends on lam alone, not on how far earlier solves grew the
         basis nor on the other multipliers of the block, and so does the
@@ -364,25 +366,23 @@ class StandardForm:
         ``lams`` to the column its search starts from, under ``lock``, in
         the order of ``starts``.
 
-        The largest multiplier searches first, and only it grows the basis.
-        One ``GolubKahan.factor_block`` then factors the tridiagonals of all
-        the others on the basis's k columns, bitwise as their own searches
-        would, and one vectorized read of their residual estimates tells
-        which of their columns pass.
+        The largest multiplier searches first, and grows the basis. One
+        ``GolubKahan.factor_block`` then factors the tridiagonals of all
+        the others on the basis's k columns, and each of them starts its
+        search from its own row, which ``GolubKahan.keep`` adopts as its
+        kept factors: bitwise those its search would form alone.
         """
         top = max(starts, key=lambda i: lams[i])
         picks = {top: self._column(lag, float(lams[top]), starts[top])}
         rest = [i for i in starts if i != top]
-        if rest and self.basis.k:
-            D, l, rel = self.basis.factor_block([lams[i] for i in rest])
-            passing = self._gain * rel <= KRYLOV_TOL
-            for i, D_i, l_i, row in zip(rest, D, l, passing):
-                picks[i] = self._column(lag, float(lams[i]), starts[i], row, (D_i, l_i))
-        else:
-            picks.update((i, self._column(lag, float(lams[i]), starts[i])) for i in rest)
+        if rest:
+            block = self.basis.factor_block([lams[i] for i in rest])
+            for row, i in enumerate(rest):
+                self.basis.keep(float(lams[i]), block[:, row])
+                picks[i] = self._column(lag, float(lams[i]), starts[i])
         return {i: picks[i] for i in starts}
 
-    def _column(self, lag, lam, j, passing=None, factors=None):
+    def _column(self, lag, lam, j):
         """The search of one multiplier from column j, under ``lock``:
         (j, exact, z, slope) for the first column j whose projected solution
         passes the residual estimate and whose discrepancy error, against
@@ -390,13 +390,9 @@ class StandardForm:
         ``GolubKahan.discrepancy_slope``.
 
         1. Find the first column from j whose residual estimate passes:
-           in ``passing``, whether each column of a ``factor_block``
-           passes at lam, whose rows (D, l) at lam are ``factors``. Where
-           that column's lookahead lies past the block's columns, or no
-           column there passes, the search goes on in the basis itself:
-           ``GolubKahan.tikhonov_residuals`` read from column j on, while
-           the basis grows only until a column passes, each new column's
-           estimate read once, as a float.
+           ``GolubKahan.tikhonov_residuals`` read from column j on, from
+           the factors kept at lam, while the basis grows only until a
+           column passes, each new column's estimate read once.
         2. Grow the basis to k = j + ``_LOOKAHEAD`` columns or to
            exhaustion.
         3. Unless the basis is exhausted (``exact``), whose solution is
@@ -405,31 +401,22 @@ class StandardForm:
         """
         basis, gain = self.basis, self._gain
         while True:
-            if passing is not None:
-                ahead, kb = np.flatnonzero(passing[j:]), passing.size - 1
-                # a column whose lookahead the block holds, or the last of
-                # an exhausted basis the block holds whole
-                if ahead.size and (j + ahead[0] + _LOOKAHEAD <= kb or basis.exhausted and basis.k == kb):
-                    j += int(ahead[0])
-                else:
-                    passing = factors = None
-            if passing is None:
-                if (ahead := np.flatnonzero(gain * basis.tikhonov_residuals(lam, j) <= KRYLOV_TOL)).size:
-                    j += int(ahead[0])
-                else:
+            if (ahead := (gain * basis.tikhonov_residuals(lam, j) <= KRYLOV_TOL).nonzero()[0]).size:
+                j += int(ahead[0])
+            else:
+                basis.step()
+                while not gain * basis.tikhonov_residuals(lam, basis.k)[0] <= KRYLOV_TOL:
                     basis.step()
-                    while not gain * basis.tikhonov_residual(lam, basis.k) <= KRYLOV_TOL:
-                        basis.step()
-                    j = basis.k
-                # its lookahead columns, or all there are
-                while basis.k < j + _LOOKAHEAD and not basis.exhausted:
-                    basis.step()
+                j = basis.k
+            # its lookahead columns, or all there are
+            while basis.k < j + _LOOKAHEAD and not basis.exhausted:
+                basis.step()
             k = min(j + _LOOKAHEAD, basis.k)
             # an exhausted basis holds the exact solution
             exact = k == basis.k and basis.exhausted
-            z = basis.tikhonov(lam, k, factors)
-            w = basis.projected_solve(lam, z, factors)
-            if exact or basis.discrepancy_error(lam, basis.tikhonov(lam, j, factors), w) <= KRYLOV_TOL * lag.epsilon:
+            z = basis.tikhonov(lam, k)
+            w = basis.projected_solve(lam, z)
+            if exact or basis.discrepancy_error(lam, basis.tikhonov(lam, j), w) <= KRYLOV_TOL * lag.epsilon:
                 return j, exact, z, basis.discrepancy_slope(lam, z, w)
             j += 1
 

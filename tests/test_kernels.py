@@ -1,5 +1,8 @@
+import copy
+
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 
 from morozov._kernels import GolubKahan
 from morozov.dual import diagnose_regime
@@ -26,6 +29,14 @@ def bidiagonalize(mat, g, steps, calls=None):
     for _ in range(steps):
         basis.step()
     return basis
+
+
+def truncated(basis, k):
+    """``basis`` as it stood at k columns, with no factors kept: a basis's
+    factors read its alpha and beta up to its k alone."""
+    view = copy.copy(basis)
+    view.k, view._ldl_lam = k, None
+    return view
 
 
 class TestGolubKahan:
@@ -141,6 +152,42 @@ class TestGolubKahan:
             fresh = bidiagonalize(mat, g, grown.k)
             assert grown.tikhonov_residuals(lam).tobytes() == fresh.tikhonov_residuals(lam).tobytes()
             assert grown.tikhonov(lam).tobytes() == fresh.tikhonov(lam).tobytes()
+
+    def test_block_rows_grow_into_the_factors_of_one_multiplier(self, monkeypatch):
+        # every row of a factor_block, kept and then extended column by
+        # column as the basis grows, holds the bits of the factors grown
+        # from k = 1 at its multiplier alone, l's last entry e_k / D_k
+        # included; at k = 0 and k = 1 there is no dpttrf to run
+        calls = []
+        dpttrf = scipy.linalg.lapack.dpttrf
+        monkeypatch.setattr(scipy.linalg.lapack, "dpttrf", lambda *a, **k: calls.append(a) or dpttrf(*a, **k))
+        A = make_deconvolution(256, 2.0)
+        g = synthesize(A, _bump_profile(256, np.random.default_rng(256)), 0.02, seed=256).g
+        full = bidiagonalize(A.matrix, g, 80)
+        assert full.k == 80 and not full.exhausted
+        lams = np.geomspace(1e-3, 1e9, 37)
+        ref = []
+        for lam in lams:
+            view = truncated(full, 1)
+            view._factors(lam, 1)
+            for k in range(2, 81):
+                view.k = k
+                view._factors(lam, k)
+            ref.append(np.array(view._factors(lam, 80))[:, :80])
+        assert calls == []
+        for k0, dpttrfs in [(0, 0), (1, 0), (40, 1), (80, 1)]:
+            block = truncated(full, k0).factor_block(lams)
+            assert block.shape == (4, 37, k0) and len(calls) == dpttrfs
+            calls.clear()
+            for row, lam, want in zip(block.transpose(1, 0, 2), lams, ref):
+                assert row.tobytes() == want[:, :k0].tobytes()
+                view = truncated(full, k0)
+                view.keep(lam, row)
+                for k in range(k0 + 1, 81):
+                    view.k = k
+                    view._factors(lam, k)
+                assert np.array(view._factors(lam, 80))[:, :80].tobytes() == want.tobytes()
+            assert calls == []
 
     def test_discrepancy_error_estimates_the_true_error(self):
         mat = make_deconvolution(48, 2.0).matrix
