@@ -27,7 +27,10 @@ _TWICE = math.sqrt(0.5)
 
 
 def _norm(w):
-    """||w||: np.linalg.norm's own sqrt(w . w), without its dispatch."""
+    """||w||: np.linalg.norm's own sqrt(w . w), without its dispatch. The
+    two agree bit for bit on a contiguous w. On a reversed view, such as
+    first differences' (L^+)^T returns, np.linalg.norm sums in memory
+    order, and the last bit can differ."""
     return math.sqrt(w @ w)
 
 
@@ -110,66 +113,71 @@ class GolubKahan:
         self.g = g
         self._forward = forward
         self._adjoint = adjoint
-        self.k = 0
+        # a new alpha or beta at most this share of norm_estimate is rounding
+        self._tiny = max(g.shape[0], dim_f) * _EPS
         self._u = None  # u_{k+1}, the last left vector
         self._V = _Rows(dim_f)
         # the LDL^T factors of I + lam B^T B at the last lam asked for
         # (``_factors``, ``keep``): that lam, how many columns, their buffer
         # and its rows
         self._ldl_lam, self._ldl_k, self._ldl, self._rows = None, 0, None, None
-        beta1 = float(np.linalg.norm(g))
-        self.alpha = []
-        self.beta = [beta1]
-        # a lower bound on ||A||: the largest alpha or beta so far
+        # a lower bound on ||A||: the largest alpha or beta so far, beta_1 aside
         self.norm_estimate = 0.0
-        if beta1 == 0.0:
-            self.alpha.append(0.0)
-        else:
-            self._u = g / beta1
-            self._append_v(*self._normalize(self._adjoint(self._u), self._V.full, self._V, "adjoint"))
+        # the first step forms beta_1 = ||g||, u_1 and v_1, and leaves k = 0
+        self.k, self.alpha, self.beta = -1, [], []
+        self.step()
 
     @property
     def exhausted(self):
         return self.alpha[self.k] == 0.0
 
-    def _normalize(self, w, full, Q=None, side="forward"):
-        """w orthogonalized against the rows of Q, if given, and normalized,
-        and its norm; the norm is 0 when w is rounding noise or ``full``
-        says the vectors so far already span w's space. ``ValueError``,
-        before w enters the basis, when the norm is not finite: the ``side``
-        application returned a NaN or an infinity, or overflowed."""
-        norm = _norm(w)
-        if not math.isfinite(norm):
-            raise ValueError(f"the {side} application returned a vector whose norm is {norm}, not finite")
-        if Q is not None and Q.n:
-            w, norm = _orthogonalize(w, Q[:], norm)
-        self.norm_estimate = max(self.norm_estimate, norm)
-        tiny = max(self.g.shape[0], self._V.width) * _EPS * self.norm_estimate
-        if full or norm <= tiny:
-            return w, 0.0
-        return w / norm, norm
+    def step(self):
+        """Add one column to B_k; a no-op once the basis is exhausted.
 
-    def _append_v(self, v, a):
+        The new u is w / beta, with w = A v_k - alpha_k u_k, or g at the
+        constructor's first step; the new v is A^T u - beta v_k
+        orthogonalized against V, over its norm alpha. A beta or an alpha
+        is 0 when it is rounding against ``norm_estimate``, or when the
+        vectors so far span its whole space. Both applications are checked
+        before the basis changes, so a step that raised raises again when
+        it is asked for again.
+        """
+        k, V = self.k, self._V
+        estimate = self.norm_estimate
+        if k < 0:
+            # beta_1 = ||g|| bounds no ||A||, and only g = 0 makes it 0; v_1
+            # is A^T u_1 as it comes, with no v before it
+            v, w, b = None, self.g, _norm(self.g)
+        else:
+            if self.exhausted:
+                return
+            v = V[k]
+            w = self._forward(v) - self.alpha[k] * self._u
+            b = _norm(w)
+            if not math.isfinite(b):
+                raise ValueError(f"the forward application returned a vector whose norm is {b}, not finite")
+            estimate = max(estimate, b)
+            # with b = 0, A V_k lies in span(U_k): the Krylov space is invariant
+            if k + 1 == self.g.shape[0] or b <= self._tiny * estimate:
+                b = 0.0
+        a = 0.0
+        if b:
+            u = w / b
+            w = self._adjoint(u) if v is None else self._adjoint(u) - b * v
+            a = _norm(w)
+            if not math.isfinite(a):
+                raise ValueError(f"the adjoint application returned a vector whose norm is {a}, not finite")
+            if v is not None:
+                w, a = _orthogonalize(w, V[:], a)
+            estimate = max(estimate, a)
+            if V.full or a <= self._tiny * estimate:
+                a = 0.0
+            self._u = u
+        self.norm_estimate, self.k = estimate, k + 1
+        self.beta.append(b)
         self.alpha.append(a)
         if a:
-            self._V.append(v)
-
-    def step(self):
-        """Add one column to B_k; a no-op once the basis is exhausted. Both
-        applications are checked before the basis changes, so a step that
-        raised raises again when it is asked for again."""
-        if self.exhausted:
-            return
-        k = self.k
-        w = self._forward(self._V[k]) - self.alpha[k] * self._u
-        u, b = self._normalize(w, k + 1 == self.g.shape[0])
-        # with b = 0, A V_k lies in span(U_k): the Krylov space is invariant
-        v, a = self._normalize(self._adjoint(u) - b * self._V[k], self._V.full, self._V, "adjoint") if b else (None, 0.0)
-        self.beta.append(b)
-        self.k = k + 1
-        if b:
-            self._u = u
-        self._append_v(v, a)
+            V.append(w / a)
 
     # -- projected problems --------------------------------------------------
 

@@ -504,7 +504,7 @@ def sweep_dual(lag: Lagrangian, lambdas):
 # n = 65536, where 200 in one block would hold an F of 105 MB. The factors of
 # the block's tridiagonals (``GolubKahan.factor_block``) are one 4-by-m-by-k
 # array, with k <= n, so the same rule bounds them by 4 times as many
-# entries, 32 MiB; the basis keeps them alive while it keeps one of their rows
+# entries, 32 MiB, held only while the block's searches run
 _BLOCK_FLOATS = 1 << 20
 
 # failures a sweep records on its points instead of raising; an

@@ -68,7 +68,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import GolubKahan
+from ._kernels import _EPS, GolubKahan, _norm
 from .errors import AssumptionViolation, ConvergenceFailure, DimensionMismatch
 from .linops import LinearOperator, _as_real, _require_finite, from_callables, residual_norm_sq
 from .regularizers import Regularizer, identity_regularizer
@@ -152,6 +152,13 @@ class StandardForm:
     which is L^T times the standard form's; ``lt_norm`` bounds ||L^T||.
     When the form is (A, g), the basis's first column gives ||A^T g|| as
     alpha_1 beta_1, so ``rhs_norm`` is left out and read from there.
+
+    The basis applies ``pair``, Abar's (forward, adjoint) without a check
+    of the vectors it makes itself: ``op``'s own pair when the form is
+    (A, g), and otherwise the closures of ``build`` on A's pair, which
+    ``op`` wraps with the output check that ``certify`` and callers of
+    ``op`` get. A matrix-free A's callbacks are checked inside A's pair
+    either way.
     """
 
     op: LinearOperator
@@ -164,9 +171,10 @@ class StandardForm:
     qg: np.ndarray = None
     h: np.ndarray = None
     lift: np.ndarray = None
+    pair: tuple = None
 
     def __post_init__(self):
-        self.basis = GolubKahan(self.op.apply, self.op.apply_adjoint, self.data, self.op.dims.dim_f)
+        self.basis = GolubKahan(*(self.pair or self.op._pair), self.data, self.op.dims.dim_f)
         self.lock = threading.Lock()
         if self.rhs_norm is None:
             self.rhs_norm = self.abar_t_gbar
@@ -202,13 +210,15 @@ class StandardForm:
                     "so the selected reconstruction would not be unique"
                 )
 
+        apply, apply_adjoint = A._pair
+
         # ndarray.dot dispatches faster than @, as fast as a scalar q at d = 1
         def forward(z):
-            y = A.apply(pinv(z))
+            y = apply(pinv(z))
             return y - Qt.dot(y).dot(Qt)
 
         def adjoint(y):
-            return pinv_adjoint(A.apply_adjoint(y - Qt.dot(y).dot(Qt)))
+            return pinv_adjoint(apply_adjoint(y - Qt.dot(y).dot(Qt)))
 
         qg = Qt.dot(g)
         gbar = g - qg.dot(Qt)
@@ -222,6 +232,7 @@ class StandardForm:
             qg=qg,
             h=np.array([pinv_adjoint(atq) for atq in Atq]).reshape(d, n - d).T,
             lift=np.linalg.inv(R).T @ W.T,
+            pair=(forward, adjoint),
         )
 
     def solution(self, z):
@@ -370,7 +381,9 @@ class StandardForm:
         ``GolubKahan.factor_block`` then factors the tridiagonals of all
         the others on the basis's k columns, and each of them starts its
         search from its own row, which ``GolubKahan.keep`` adopts as its
-        kept factors: bitwise those its search would form alone.
+        kept factors: bitwise those its search would form alone. The basis
+        keeps the last of them past this call, so that row is adopted as a
+        copy, and the block is freed when the call returns.
         """
         top = max(starts, key=lambda i: lams[i])
         picks = {top: self._column(lag, float(lams[top]), starts[top])}
@@ -378,7 +391,7 @@ class StandardForm:
         if rest:
             block = self.basis.factor_block([lams[i] for i in rest])
             for row, i in enumerate(rest):
-                self.basis.keep(float(lams[i]), block[:, row])
+                self.basis.keep(float(lams[i]), block[:, row] if i != rest[-1] else block[:, row].copy())
                 picks[i] = self._column(lag, float(lams[i]), starts[i])
         return {i: picks[i] for i in starts}
 
@@ -561,15 +574,16 @@ def _check_multiplier(lam):
 
 
 def _solution(lag, lam, f, slope, stats):
-    """The ``LagrangeSolution`` at f. Its data residual r = A f - g and
-    A^T r are formed through the operator's pair. The discrepancy is
-    ||r||^2 of the explicit residual, never an expanded form that cancels,
-    and the optimality residual is the norm of the inner objective's
-    gradient, grad J(f) + 2 lam A^T r."""
-    r = lag.op.apply(f) - lag.data
-    disc_sq = float(r @ r)
-    j_val = lag.regularizer.evaluate(f)
-    opt_res = float(np.linalg.norm(lag.regularizer.gradient(f) + 2.0 * lam * lag.op.apply_adjoint(r)))
+    """The ``LagrangeSolution`` at f, which the engine made. Its data
+    residual r = A f - g and A^T r are formed through A's pair, and L f
+    once through L's, for J = ||L f||^2 and grad J = 2 L^T (L f). The
+    discrepancy is ||r||^2 of the explicit residual, never an expanded form
+    that cancels, and the optimality residual is the norm of the inner
+    objective's gradient, grad J(f) + 2 lam A^T r."""
+    (apply, apply_adjoint), (penalty, penalty_adjoint) = lag.op._pair, lag.regularizer.seminorm_operator._pair
+    r, Lf = apply(f) - lag.data, penalty(f)
+    disc_sq, j_val = float(r @ r), float(Lf @ Lf)
+    opt_res = _norm(2.0 * penalty_adjoint(Lf) + 2.0 * lam * apply_adjoint(r))
     log.debug(
         "solve_lagrange lam=%.6g disc_sq=%.6g j=%.6g opt_res=%.3e (%s)",
         lam, disc_sq, j_val, opt_res, stats["method"],
@@ -590,5 +604,4 @@ def _rounding_level(form, f, lam):
     ||lam A^T g - (L^T L + lam A^T A) f|| / ||lam A^T g||: forming L^T L f
     rounds at eps ||L||^2 ||f||, which is eps ||L||^2 ||f|| / (lam ||A^T g||)
     of the right-hand side and so grows as 1 / lam."""
-    eps = np.finfo(np.float64).eps
-    return eps * form.lt_norm**2 * float(np.linalg.norm(f)) / (lam * form.rhs_norm)
+    return _EPS * form.lt_norm**2 * _norm(f) / (lam * form.rhs_norm)

@@ -6,9 +6,10 @@ are supported: a dense float64 matrix, and a matrix-free pair of callbacks
 (forward and adjoint action). Either way an operator keeps exactly one
 (forward, adjoint) pair of vector products, and ``apply`` and
 ``apply_adjoint`` check the input vector and call it. A matrix-free
-operator's pair is its callbacks, with a check of their output. A
-complex vector, in or out, or complex matrix is refused rather than cast
-to its real part.
+operator's pair is its callbacks, with a check of their output. The
+package's engine calls the pair itself on the vectors it makes, so each
+vector is checked once, where it enters. A complex vector, in or out, or
+complex matrix is refused rather than cast to its real part.
 
 A dense operator picks its pair at its first matrix-vector product, or
 at ``require_finite``, which reads its finiteness off the pick. When

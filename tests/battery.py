@@ -28,6 +28,16 @@ committed records. A change that moves a record writes its file again:
     PYTHONPATH=src python tests/battery.py                  # selections
     PYTHONPATH=src python tests/battery.py --sweeps         # sweeps
     PYTHONPATH=src python tests/battery.py --bench-sweeps   # the benchmark's grid
+
+The records are not byte-reproducible from one host to another. A sweep
+point's D' reads its expansion F = Z V_k, a matrix product whose last bits
+depend on the CPU's BLAS kernel: on a host other than the one that wrote
+them, 104 of the 400 points of the committed sweep records differed in the
+last bits of D', while their k and D'' agreed, with one BLAS thread and
+with the default. ``test_battery.py`` compares by its rule, not by bits. A
+change shows its answers unchanged by ``cmp`` of the three files written
+by the parent tree and by the changed tree, on one host, both with
+``OPENBLAS_NUM_THREADS=1``.
 """
 
 import itertools

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from morozov import lagrange, linops
-from morozov.errors import AssumptionViolation, ConvergenceFailure
+from morozov.errors import AssumptionViolation, ConvergenceFailure, DimensionMismatch
 from morozov.lagrange import (
     LAMBDA_MAX,
     Lagrangian,
@@ -686,6 +686,45 @@ class TestLagrangianValidation:
             signal.signal(signal.SIGALRM, handler)
         side_name = "forward" if side == "fwd" else "adjoint"
         assert messages[0] == messages[1] and f"the {side_name} application" in messages[0]
+        assert [p.error for p in points] == messages[:1] * 3
+
+    @pytest.mark.parametrize("side", ["fwd", "adj"])
+    @pytest.mark.parametrize("bad, error", [("short", DimensionMismatch), ("complex", ValueError)])
+    @pytest.mark.parametrize("penalty", [identity_regularizer, first_difference_regularizer])
+    def test_malformed_matrix_free_output_refused(self, side, bad, error, penalty):
+        # a matrix-free A whose callback returns, from its sixth call on, a
+        # vector one entry short or a complex one. The engine applies A
+        # through its pair, unchecked on the way in, but the pair checks what
+        # the callback returns: two selections raise the same error, naming
+        # the callback's output, and a sweep records it on every point
+        from morozov.dual import maximize_dual, sweep_dual
+        from morozov.problems import make_deconvolution
+
+        n = 64
+        mat = make_deconvolution(n, 2.0).matrix
+        calls = {"fwd": 0, "adj": 0}
+
+        def apply(name, m):
+            def product(x):
+                calls[name] += 1
+                y = m @ x
+                if name == side and calls[name] > 5:
+                    return y[:-1] if bad == "short" else y + 0j
+                return y
+
+            return product
+
+        op = linops.from_callables(n, n, apply("fwd", mat), apply("adj", mat.T))
+        lag = Lagrangian(op, mat @ np.sin(np.linspace(0, np.pi, n)), penalty(n), 0.01)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(error, match="callback output") as err:
+                maximize_dual(lag)
+            assert type(err.value) is error
+            messages.append(str(err.value))
+        points = sweep_dual(lag, [0.1, 1.0, 10.0])
+        side_name = "forward" if side == "fwd" else "adjoint"
+        assert messages[0] == messages[1] and messages[0].startswith(f"{side_name} callback output")
         assert [p.error for p in points] == messages[:1] * 3
 
     def test_data_dims(self):

@@ -116,6 +116,37 @@ class TestBuiltinMaps:
             first_difference_regularizer(n).seminorm_operator.materialize(), np.diff(np.eye(n), axis=0)
         )
 
+    @pytest.mark.parametrize("n", [2, 3, 512])
+    def test_first_difference_maps_pinned_to_numpy_bits(self, n, rng):
+        # L^+, (L^+)^T and L^T of first differences call numpy's ufuncs
+        # without np.cumsum's, np.mean's and np.diff's dispatch; their bytes
+        # are those of the numpy expressions, signed zeros included, on
+        # vectors with repeated entries and on L^+'s blocks of rows
+        def pinv_ref(z):
+            x = np.cumsum(np.concatenate((np.zeros(z.shape[:-1] + (1,)), z), axis=-1), axis=-1)
+            return x - x.sum(axis=-1, keepdims=True) / x.shape[-1]
+
+        J = first_difference_regularizer(n)
+        pinv, pinv_adjoint = J.factors()[:2]
+
+        def vectors(m):
+            return [
+                rng.standard_normal(m),
+                np.zeros(m),
+                -np.zeros(m),
+                np.full(m, 0.3),
+                rng.choice([-0.0, 0.0, 1.0, -1.0, 0.1], m),
+                np.repeat(rng.standard_normal((m + 1) // 2), 2)[:m],
+            ]
+
+        for z in vectors(n - 1):
+            assert pinv(z).tobytes() == pinv_ref(z).tobytes()
+            assert J.seminorm_operator.apply_adjoint(z).tobytes() == (-np.diff(z, prepend=0.0, append=0.0)).tobytes()
+        block = np.array(vectors(n - 1))
+        assert pinv(block).tobytes() == pinv_ref(block).tobytes()
+        for y in vectors(n):
+            assert pinv_adjoint(y).tobytes() == np.cumsum((y - y.mean())[:0:-1])[::-1].tobytes()
+
     def test_adjoint_consistent(self):
         for J in (identity_regularizer(9), first_difference_regularizer(9)):
             assert not J.seminorm_operator.is_dense
