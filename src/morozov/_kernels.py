@@ -118,9 +118,10 @@ class GolubKahan:
         self._u = None  # u_{k+1}, the last left vector
         self._V = _Rows(dim_f)
         # the LDL^T factors of I + lam B^T B at the last lam asked for
-        # (``_factors``, ``keep``): that lam, how many columns, their buffer
-        # and its rows
-        self._ldl_lam, self._ldl_k, self._ldl, self._rows = None, 0, None, None
+        # (``_factors``, ``keep``): that lam, on how many columns, and their
+        # buffer, whose columns are as many as k can reach: min(dim_g, dim_f)
+        self._ldl_lam, self._ldl_k = None, 0
+        self._ldl = np.empty((4, min(g.shape[0], dim_f)))
         # a lower bound on ||A||: the largest alpha or beta so far, beta_1 aside
         self.norm_estimate = 0.0
         # the first step forms beta_1 = ||g||, u_1 and v_1, and leaves k = 0
@@ -187,16 +188,18 @@ class GolubKahan:
         return z @ self._V[: z.shape[-1]]
 
     def keep(self, lam, row):
-        """Adopt ``row``, lam's rows (D, l, y, rel) of a ``factor_block``,
-        as the factors kept at lam, without a copy: ``_factors`` extends
+        """Copy ``row``, lam's rows (D, l, y, rel) of a ``factor_block``,
+        into the buffer of the factors kept at lam: ``_factors`` extends
         them from there as the basis grows."""
-        self._ldl_lam, self._ldl_k, self._ldl = lam, row.shape[1], row
-        self._rows = row[0], row[1], row[2], row[3]
+        self._ldl_lam, self._ldl_k = lam, row.shape[1]
+        self._ldl[:, : row.shape[1]] = row
 
     def _factors(self, lam, k):
         """The rows D, l, y and rel of the LDL^T factorization of
-        I + lam B^T B kept at lam, on k columns at least: views of the whole
-        buffer, which callers slice to the columns they read.
+        I + lam B^T B kept at lam, on k columns at least: the whole buffer,
+        which callers slice to the columns they read. It is a view that
+        holds only until the next multiplier's factors are kept, which
+        rewrites it, so callers read it at once.
 
         I + lam B^T B is tridiagonal, with d_j = 1 + lam (alpha_j^2 +
         beta_{j+1}^2) on its diagonal and e_j = lam alpha_{j+1} beta_{j+1}
@@ -209,17 +212,14 @@ class GolubKahan:
         on every column so far (``keep``), and each column gained since
         costs one step of dpttrf's own recurrence,
         D_j = d_j - l_{j-1} e_{j-1}, in the same floating-point operations.
-        So an entry does not depend on when it was formed. The buffer grows
-        by doubling, and its entries are never rewritten, so the views
-        handed out stay valid.
+        So an entry does not depend on when it was formed. The buffer holds
+        min(dim_g, dim_f) columns, the most a basis reaches, so it never
+        grows.
         """
         if lam != self._ldl_lam:
             self.keep(lam, self.factor_block([lam])[:, 0])
         n = self._ldl_k
         if n < k:
-            if k > self._ldl.shape[1]:
-                # the kept columns and as many more at least; ``_ldl_k`` is set below
-                self.keep(lam, np.concatenate((self._ldl, np.empty((4, max(k, self._ldl.shape[1])))), axis=1))
             buf = self._ldl
             if n:
                 l_j, y_j = float(buf[1, n - 1]), float(buf[2, n - 1])
@@ -234,7 +234,7 @@ class GolubKahan:
                 l_j = e / D_j
                 buf[:, j] = D_j, l_j, y_j, e * abs(y_j / D_j)
             self._ldl_k = k
-        return self._rows
+        return self._ldl
 
     def factor_block(self, lams):
         """The factors that ``_factors`` keeps, at every multiplier of
@@ -303,7 +303,8 @@ class GolubKahan:
         j, and a column the basis gained since the last call at this lam
         costs O(1). From ``start`` >= 1 the result is a view of the kept
         factors, so a search that reads only the columns past its last
-        look, or only the last column, costs O(1) a column too.
+        look, or only the last column, costs O(1) a column too; the view
+        holds only until the next multiplier's factors are kept.
         """
         k = self.k
         if self.alpha[0] == 0.0:

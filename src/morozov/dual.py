@@ -532,10 +532,12 @@ def concavity_defects(lambdas, d_values):
     For each interior point the value is how far D sits *below* the chord
     of its neighbors (concavity puts it above), normalized for arbitrary
     grid spacing. On a uniform grid this is half the usual second
-    difference.
+    difference. ``ValueError`` for a complex input, which a cast would cut
+    to its real part, or for arrays that are not matching, 1-d and of at
+    least 3 points.
     """
-    lam = np.asarray(lambdas, dtype=np.float64)
-    d = np.asarray(d_values, dtype=np.float64)
+    lam = _as_real(lambdas, "lambdas")
+    d = _as_real(d_values, "d_values")
     if lam.shape != d.shape or lam.ndim != 1 or lam.size < 3:
         raise ValueError("need matching 1-d arrays with at least 3 points")
     l1, l2, l3 = lam[:-2], lam[1:-1], lam[2:]
@@ -568,7 +570,8 @@ def verify_morozov_solution(res: SelectionResult, lag: Lagrangian, rtol=1e-8):
 
     Returns a report listing each check; nothing is raised on failure.
     ``ValueError``, before any work, for an ``rtol`` that is not positive
-    and finite or a ``lambda_star`` outside (0, LAMBDA_MAX].
+    and finite, a ``lambda_star`` outside (0, LAMBDA_MAX] or a complex
+    ``f_star``, whose imaginary part a cast would drop.
     """
     if not 0 < rtol < math.inf:
         raise ValueError(f"rtol must be positive and finite, got {rtol}")
@@ -577,7 +580,7 @@ def verify_morozov_solution(res: SelectionResult, lag: Lagrangian, rtol=1e-8):
         raise ValueError(f"lambda_star must lie in (0, {LAMBDA_MAX:g}], got {lam}")
     if not res.converged:
         raise ValueError("verification needs a converged SelectionResult")
-    f = np.asarray(res.f_star, dtype=np.float64)
+    f = _as_real(res.f_star, "f_star")
     A, g = lag.op, lag.data
     if A.is_dense:
         M = A.matrix

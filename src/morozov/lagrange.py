@@ -380,10 +380,9 @@ class StandardForm:
         The largest multiplier searches first, and grows the basis. One
         ``GolubKahan.factor_block`` then factors the tridiagonals of all
         the others on the basis's k columns, and each of them starts its
-        search from its own row, which ``GolubKahan.keep`` adopts as its
-        kept factors: bitwise those its search would form alone. The basis
-        keeps the last of them past this call, so that row is adopted as a
-        copy, and the block is freed when the call returns.
+        search from its own row, which ``GolubKahan.keep`` copies into its
+        kept factors: bitwise those its search would form alone. So the
+        block is freed when the call returns.
         """
         top = max(starts, key=lambda i: lams[i])
         picks = {top: self._column(lag, float(lams[top]), starts[top])}
@@ -391,7 +390,7 @@ class StandardForm:
         if rest:
             block = self.basis.factor_block([lams[i] for i in rest])
             for row, i in enumerate(rest):
-                self.basis.keep(float(lams[i]), block[:, row] if i != rest[-1] else block[:, row].copy())
+                self.basis.keep(float(lams[i]), block[:, row])
                 picks[i] = self._column(lag, float(lams[i]), starts[i])
         return {i: picks[i] for i in starts}
 
@@ -476,7 +475,7 @@ class Lagrangian:
         if op.is_dense:
             op.require_finite("A")
         if regularizer.seminorm_operator.is_dense:
-            _require_finite("L", regularizer.seminorm_operator.matrix)
+            regularizer.seminorm_operator.require_finite("L")
         data.setflags(write=False)
         self.op = op
         self.data = data

@@ -11,9 +11,9 @@ package's engine calls the pair itself on the vectors it makes, so each
 vector is checked once, where it enters. A complex vector, in or out, or
 complex matrix is refused rather than cast to its real part.
 
-A dense operator picks its pair at its first matrix-vector product, or
-at ``require_finite``, which reads its finiteness off the pick. When
-its numerically significant entries lie within ``kl`` subdiagonals and
+A dense operator picks its pair when it is built, and notes whether
+every entry is finite, which ``require_finite`` reads. When its
+numerically significant entries lie within ``kl`` subdiagonals and
 ``ku`` superdiagonals, with ``kl + ku + 1 <= min(rows, cols) / 2``, the
 pair runs BLAS ``dgbmv`` on a LAPACK band copy in O((kl + ku + 1) cols)
 work; wider matrices use the dense product of the stored matrix. An
@@ -29,11 +29,10 @@ down to 1e-300, would multiply a vector's entries into subnormal
 products, which are slow. A diagonal or a difference matrix qualifies
 as well, without any option.
 
-Operators are safe to share between concurrent evaluations. Concurrent
-first products of a dense operator may each build a pair; the pairs are
-equal and read-only, so every product gives the same answer whichever is
-kept. A pair holds the matrix or its band copy, never the operator, so an
-operator is in no reference cycle and is freed once unreachable.
+Operators are safe to share between concurrent evaluations: the pair is
+fixed when the operator is built and reads only read-only arrays. A pair
+holds the matrix or its band copy, never the operator, so an operator is
+in no reference cycle and is freed once unreachable.
 
 Dense matrices can be read from and written to a binary format
 ("MDOP"): a 16-byte header consisting of the magic bytes ``MDOP``, the
@@ -47,7 +46,6 @@ reads the payload.
 import os
 import struct
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg.blas import dgbmv
@@ -184,8 +182,8 @@ class LinearOperator:
     A dense operator stores its matrix, and ``matrix`` and ``materialize()``
     return it unchanged. ``apply`` and ``apply_adjoint`` call the
     operator's one (forward, adjoint) pair: a matrix-free operator's
-    checked callbacks, or, for a dense one, the products picked at its
-    first matrix-vector product by the band rule of the module docstring.
+    checked callbacks, or, for a dense one, the products picked when it is
+    built by the band rule of the module docstring.
 
     Use the module-level constructors ``identity``, ``from_matrix`` and
     ``from_callables`` rather than calling this class directly.
@@ -202,6 +200,7 @@ class LinearOperator:
                 )
             mat.setflags(write=False)
             self._matrix = mat
+            self._pair, self._finite = _dense_pair(mat)
         else:
             if forward is None or adjoint is None:
                 raise ValueError(
@@ -245,20 +244,11 @@ class LinearOperator:
 
     # -- action ------------------------------------------------------------
 
-    @cached_property
-    def _pair(self):
-        """A dense operator's (forward, adjoint) pair, picked at its first
-        matrix-vector product or its ``require_finite``, which reads the
-        pick's ``_finite``; a matrix-free one sets it when built."""
-        pair, self._finite = _dense_pair(self._matrix)
-        return pair
-
     def require_finite(self, name):
         """``ValueError`` naming the first NaN or infinite entry of a dense
-        operator's matrix, called ``name``. It picks the pair now and reads
-        the row maxima of |A| that the pick takes (``_bandwidths``), so it
+        operator's matrix, called ``name``. It reads the flag that the
+        pair's pick took from the row maxima of |A| (``_bandwidths``), so it
         scans the matrix only when an entry is not finite."""
-        self._pair  # the pick sets _finite
         if not self._finite:
             _require_finite(name, self._matrix)
 

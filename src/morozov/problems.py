@@ -91,8 +91,9 @@ def make_deconvolution(n, kernel_width):
     weights /= weights.sum()
     # subnormal weights make every product with A several times slower
     weights[weights < np.finfo(float).tiny] = 0.0
-    idx = np.subtract.outer(np.arange(n), np.arange(n)) + (n - 1)
-    return linops.from_matrix(weights[idx])
+    # the n-by-n index array is a temporary, freed before the operator is
+    # built and picks its products
+    return linops.from_matrix(weights[np.subtract.outer(np.arange(n), np.arange(n)) + (n - 1)])
 
 
 def make_hilbert(n):

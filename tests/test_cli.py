@@ -283,10 +283,14 @@ class TestMalformedFiles:
             ("diagnose", "meta.json", [1, 2]),
             ("verify", "result.json", {"lambda_star": "x"}),
             ("verify", "result.json", {"iterations": 5}),
+            ("verify", "result.json", {"iterations": [[1.0, 2.0]]}),
             ("verify", "result.json", {"f_star_path": None}),
             ("verify", "result.json", {"tau_eff": None}),
         ],
-        ids=["null_tau", "list_meta", "string_lambda_star", "number_iterations", "null_f_star_path", "null_tau_eff"],
+        ids=[
+            "null_tau", "list_meta", "string_lambda_star", "number_iterations", "pair_iterations",
+            "null_f_star_path", "null_tau_eff",
+        ],
     )
     def test_bad_json_field_exits_1(self, fixture_dirs, tmp_path, capsys, command, file, change):
         d = tmp_path / "fx"
@@ -466,15 +470,22 @@ class TestSweep:
         assert all(isinstance(v, float) for row in rows[:2] for v in row.values())
         assert [rows[2][k] for k in ("D", "Dprime", "discrepancy_sq", "j_value")] == [None] * 4
 
-    def test_bad_grid_exits_1(self, fixture_dirs, tmp_path):
-        # a descending grid, and an infinite end, whose grid repeats inf
-        for lo, hi in ((10, 1), (1e-4, "inf")):
+    def test_bad_grid_exits_1(self, fixture_dirs, tmp_path, capsys):
+        # a descending grid, an infinite end, whose grid repeats inf, and a
+        # grid of one point
+        for lo, hi, points, message in (
+            (10, 1, 5, "need 0 < lambda-min < lambda-max < inf"),
+            (1e-4, "inf", 5, "need 0 < lambda-min < lambda-max < inf"),
+            (0.1, 10, 1, "need at least 2 points"),
+        ):
             rc = run([
                 "sweep", "--problem", fixture_dirs["interior"],
-                "--lambda-min", lo, "--lambda-max", hi, "--points", 5,
+                "--lambda-min", lo, "--lambda-max", hi, "--points", points,
                 "--out", tmp_path / "s.csv",
             ])
-            assert rc == 1, (lo, hi)
+            assert rc == 1, (lo, hi, points)
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "s.csv").exists()
 
 
 class TestLogging:

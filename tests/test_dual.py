@@ -1168,13 +1168,15 @@ class TestVerdictAtLambdaMax:
         (lambda: linops.VectorSpaceDims(3, np.float64(4.0)), "dim_g"),
         (lambda: maximize_dual(scalar_lagrangian(), max_iter=True), "max_iter"),
         (lambda: sweep_dual(scalar_lagrangian(), [[1.0, 2.0], [3.0, 4.0]]), "lambdas"),
+        (lambda: concavity_defects([1.0, 2.0, 3.0j], [0.0, 1.0, 0.0]), "lambdas"),
+        (lambda: concavity_defects([1.0, 2.0, 3.0], [0.0, 1.0, 5j]), "d_values"),
     ],
-    ids=["float-dim", "bool-dim", "numpy-float-dim", "bool-max-iter", "2d-grid"],
+    ids=["float-dim", "bool-dim", "numpy-float-dim", "bool-max-iter", "2d-grid", "complex-lambdas", "complex-d-values"],
 )
 def test_unusable_sizes_and_grids_are_refused(call, name):
     # refused before any work; otherwise they build an operator whose every
-    # apply raises, take a bool as a size or as max_iter=1, or fail in numpy
-    # with "object too deep"
+    # apply raises, take a bool as a size or as max_iter=1, fail in numpy
+    # with "object too deep", or drop an imaginary part
     with pytest.raises(ValueError, match=f"^{name} must be"):
         call()
 
@@ -1388,7 +1390,7 @@ class TestWorkCounts:
     def test_dense_sweep_builds_one_band_copy(self, monkeypatch, penalty):
         # every product with A in a dense sweep, the basis's and each
         # point's residuals alike, goes through the operator's one pair,
-        # whose band copy is built once, at the first product; once the
+        # whose band copy is built once, with the operator; once the
         # Lagrangian's finiteness check is done, no product reads the
         # stored matrix
         n = 512
@@ -1602,6 +1604,15 @@ class TestSweepDual:
         assert all(e.d_prime < 0 for e in evals)
         ds = [e.d_value for e in evals]
         assert all(a >= b - 1e-12 for a, b in zip(ds, ds[1:]))  # nonincreasing
+
+    @pytest.mark.parametrize(
+        "lambdas, d_values",
+        [([1.0, 2.0, 3.0], [0.0, 1.0]), ([1.0, 2.0], [0.0, 1.0]), ([[1.0, 2.0, 3.0]], [[0.0, 1.0, 0.0]])],
+        ids=["mismatched", "two-points", "2d"],
+    )
+    def test_concavity_defects_refuses_unmatched_or_short_arrays(self, lambdas, d_values):
+        with pytest.raises(ValueError, match="need matching 1-d arrays with at least 3 points"):
+            concavity_defects(lambdas, d_values)
 
     def test_too_optimistic_shape(self):
         prob = regime_fixture("too_optimistic", seed=2)
@@ -2099,6 +2110,14 @@ class TestVerifyMorozov:
         report = verify_morozov_solution(res, lag)
         assert not report.passed
         assert "discrepancy" in report.failed_items()
+
+    def test_complex_f_star_refused(self):
+        # a cast would verify the real part alone, and pass
+        lag = scalar_lagrangian()
+        res = maximize_dual(lag)
+        assert verify_morozov_solution(res, lag).passed
+        with pytest.raises(ValueError, match="^f_star must be real"):
+            verify_morozov_solution(dataclasses.replace(res, f_star=res.f_star + 5j), lag)
 
     def test_requires_converged(self):
         lag = scalar_lagrangian()

@@ -189,6 +189,23 @@ class TestGolubKahan:
                 assert np.array(view._factors(lam, 80))[:, :80].tobytes() == want.tobytes()
             assert calls == []
 
+    @pytest.mark.parametrize("m, n", [(15, 10), (8, 14), (12, 12), (1, 5), (5, 1)], ids=["tall", "wide", "square", "row", "column"])
+    def test_kept_factors_fill_their_buffer_at_exhaustion(self, rng, m, n):
+        # k never exceeds min(dim_g, dim_f), the columns of the kept
+        # factors' buffer: grown a column at a time to exhaustion at one
+        # multiplier, they fill it, bitwise the factor_block row of all k
+        # columns
+        mat = rng.standard_normal((m, n))
+        basis = bidiagonalize(mat, rng.standard_normal(m), 0)
+        lam = 3.0
+        basis._factors(lam, basis.k)
+        while not basis.exhausted:
+            basis.step()
+            basis._factors(lam, basis.k)
+        k = basis.k
+        assert k == min(m, n) and basis._ldl.shape == (4, k)
+        assert basis._factors(lam, k).tobytes() == basis.factor_block([lam])[:, 0].tobytes()
+
     def test_discrepancy_error_estimates_the_true_error(self):
         mat = make_deconvolution(48, 2.0).matrix
         g = mat @ np.sin(np.linspace(0.0, 3.0, 48)) + 1e-3 * np.cos(np.arange(48))

@@ -6,6 +6,7 @@ import pytest
 
 from morozov import linops
 from morozov.dual import diagnose_regime, maximize_dual
+from morozov.errors import DimensionMismatch
 from morozov.lagrange import Lagrangian
 from morozov.problems import (
     load_problem,
@@ -148,6 +149,8 @@ class TestSynthesize:
         # a cast to float64 would drop the imaginary part
         with pytest.raises(ValueError, match="f0 must be real"):
             synthesize(A, f0 + 1j, noise_level=0.1)
+        with pytest.raises(DimensionMismatch, match=r"f0 must have length 4, got shape \(3,\)"):
+            synthesize(A, f0[:3], noise_level=0.1)
 
 
 # each used to return a problem of NaN or infinite data, tau or matrix
@@ -270,6 +273,30 @@ class TestFixtureIO:
         back = load_problem(tmp_path / "fx")
         assert back.regularizer.kind == "custom"
         assert back.regularizer.evaluate(np.ones(n)) == 32.0
+
+    @staticmethod
+    def saved_with_meta(directory, **change):
+        """The interior fixture saved to ``directory``, its meta.json then
+        updated by ``change``; a key given None is removed."""
+        prob = regime_fixture("interior", seed=17)
+        save_problem(prob, directory)
+        path = directory / "meta.json"
+        meta = {**json.loads(path.read_text()), **change}
+        path.write_text(json.dumps({k: v for k, v in meta.items() if v is not None}))
+        return prob
+
+    def test_unknown_regularizer_kind_is_refused(self, tmp_path):
+        self.saved_with_meta(tmp_path / "fx", regularizer="total_variation")
+        with pytest.raises(ValueError, match="unknown regularizer kind 'total_variation' in meta.json"):
+            load_problem(tmp_path / "fx")
+
+    def test_missing_noise_norm_is_read_off_the_data(self, tmp_path):
+        # without delta_g_norm, the noise norm is ||g - A f0|| of the files
+        prob = self.saved_with_meta(tmp_path / "fx", delta_g_norm=None)
+        assert "delta_g_norm" not in json.loads((tmp_path / "fx" / "meta.json").read_text())
+        back = load_problem(tmp_path / "fx")
+        assert back.delta_g_norm == float(np.linalg.norm(back.g - back.g0))
+        assert back.delta_g_norm == pytest.approx(prob.delta_g_norm, rel=1e-12)
 
     def test_first_difference_roundtrip(self, tmp_path, rng):
         from morozov.regularizers import first_difference_regularizer

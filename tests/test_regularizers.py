@@ -168,6 +168,10 @@ class TestBuiltinMaps:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
+    def test_first_difference_needs_two_entries(self):
+        with pytest.raises(ValueError, match="first differences need n >= 2"):
+            first_difference_regularizer(1)
+
     def test_kind_is_set_by_factories_only(self):
         L = linops.from_matrix(2.0 * np.eye(4))
         with pytest.raises(TypeError):
