@@ -2,9 +2,10 @@
 
 ``GolubKahan`` is started from the data and holds one projected problem:
 Tikhonov's (Chung, Nagy & O'Leary, ETNA 2008), with its error estimates.
-It serves ``lagrange.solve_lagrange`` and the regime verdict of
-``dual.diagnose_regime``, whose certificate is the projected solution at
-the largest multiplier the search accepts (``StandardForm.certify``).
+It serves ``lagrange.solve_lagrange`` and the regime verdict, which the
+engine gives whole (``StandardForm.certify``): its certificate is the
+projected solution at the largest multiplier the search accepts, and
+where that proves nothing, the solve there.
 Every problem, whatever its penalty, dense or matrix-free, runs on it in
 the standard form of ``lagrange.StandardForm``.
 """

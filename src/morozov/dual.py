@@ -59,15 +59,16 @@ keeps the bracket and fails in one way; only the choice of the next
 multiplier differs.
 
 The regime verdict has one algorithm and one code path for every
-caller: it asks the engine of the problem's certificate
+caller: one method of the engine of the problem's certificate
 (``Lagrangian.certificate``), the problem itself or, when its engine
-cannot be built, its identity twin on (A, g), for the sign of
-D'(LAMBDA_MAX). In the engine's Golub-Kahan basis the projected solution
-at LAMBDA_MAX proves D'(LAMBDA_MAX) < 0 as soon as its residual plus its
-penalty over LAMBDA_MAX drops below epsilon (``StandardForm.certify``);
-otherwise the engine's own solve at LAMBDA_MAX decides. Its only
-thresholds are LAMBDA_MAX and ``KRYLOV_TOL``, which the search obeys too:
-no least-squares solve and no rank cutoff on A is used.
+cannot be built, its identity twin on (A, g), gives it whole
+(``StandardForm.certify``), and ``diagnose_regime`` packs its answer.
+In the engine's Golub-Kahan basis the projected solution at LAMBDA_MAX
+proves D'(LAMBDA_MAX) < 0 as soon as its residual plus its penalty over
+LAMBDA_MAX drops below epsilon; otherwise the engine's own solve at
+LAMBDA_MAX decides. Its only thresholds are LAMBDA_MAX and
+``KRYLOV_TOL``, which the search obeys too: no least-squares solve and
+no rank cutoff on A is used.
 
 This module only searches: the problem's engine (``Lagrangian.engine``),
 which the regime verdict builds, serves every evaluation and is the
@@ -232,15 +233,15 @@ def diagnose_regime(lag: Lagrangian):
     tau < ||gbar|| and D'(LAMBDA_MAX) < 0 on the engine of the problem's
     certificate (``Lagrangian.certificate``).
 
-    ||gbar|| and its label are that engine's ``data_norm`` and
-    ``data_label``; tau >= ||gbar|| is "noise_dominates" before any
-    further work. Otherwise the engine's basis grows until its projected
-    solution x at LAMBDA_MAX proves D'(LAMBDA_MAX) < 0
-    (``StandardForm.certify``), and ``dist_to_range`` is its residual.
-    Where no such proof comes, the engine's own solve at LAMBDA_MAX
-    (``solve_lagrange``) decides by the sign of its D', and
-    ``dist_to_range`` is its residual. Either residual is an
-    upper bound on dist(g, range(A)) and, in exact arithmetic, at most
+    The engine gives the whole verdict (``StandardForm.certify``), and
+    this function only packs it: the regime, and as ``dist_to_range`` the
+    residual it read. ||gbar|| and its label are the engine's
+    ``data_norm`` and ``data_label``; tau >= ||gbar|| is
+    "noise_dominates" before any further work. Otherwise the engine's
+    basis grows until its projected solution x at LAMBDA_MAX proves
+    D'(LAMBDA_MAX) < 0, or, where no such proof comes, the engine's own
+    solve at LAMBDA_MAX decides by the sign of its D'. Either residual is
+    an upper bound on dist(g, range(A)) and, in exact arithmetic, at most
     ||gbar||, which f = 0 attains.
 
     Equalities are classified into the failing regime, since the
@@ -248,20 +249,10 @@ def diagnose_regime(lag: Lagrangian):
     "too_optimistic". tau = ||gbar|| is "noise_dominates" whatever the
     residual.
     """
-    tau = lag.tau
     cert = lag.certificate()
     engine = cert.engine()
-    regime, dist = "noise_dominates", engine.data_norm
-    if tau < engine.data_norm:
-        regime = "interior"
-        dist = engine.certify(lag.epsilon)
-        if dist is None:
-            # certify has released the basis lock, which the solve takes
-            disc_sq = solve_lagrange(cert, LAMBDA_MAX).discrepancy_sq
-            dist = math.sqrt(disc_sq)
-            if not disc_sq < lag.epsilon:
-                regime = "too_optimistic"
-    return RegimeDiagnosis(dist_to_range=dist, data_norm=engine.data_norm, tau=tau,
+    regime, dist = engine.certify(cert)
+    return RegimeDiagnosis(dist_to_range=dist, data_norm=engine.data_norm, tau=lag.tau,
                            regime=regime, data_label=engine.data_label)
 
 

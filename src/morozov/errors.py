@@ -1,11 +1,18 @@
 """Exception types shared across the package.
 
-``DimensionMismatch`` and ``AssumptionViolation`` refuse a problem as
-posed. Otherwise a selection fails in one of two ways: ``RegimeError``
-before any evaluation of the dual, when the regime verdict finds no
-maximizer below LAMBDA_MAX, or ``ConvergenceFailure`` from the search or
-an inner solve on a problem the verdict admitted, which states the
-precision it reached.
+``DimensionMismatch`` refuses a problem as posed, when its
+``Lagrangian`` is built. A selection (``dual.maximize_dual``) then fails
+in one of three ways, in this order. ``RegimeError`` comes first, before
+any evaluation of the dual, when the regime verdict finds no maximizer
+below LAMBDA_MAX; a problem whose engine cannot be built is judged by
+the engine of its identity twin (``Lagrangian.certificate``), so the
+verdict needs no strict convexity. ``AssumptionViolation`` comes next,
+from the build of the problem's own engine behind that gate: the penalty
+is not strictly convex along ker(A). ``ConvergenceFailure`` comes last,
+from the search or an inner solve on a problem the verdict admitted, and
+states the precision it reached. Outside a selection, an inner solve
+(``lagrange.solve_lagrange``) raises ``AssumptionViolation`` where it
+builds the engine, and a sweep records it on every point.
 """
 
 __all__ = [

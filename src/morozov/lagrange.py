@@ -135,7 +135,8 @@ class StandardForm:
     ||z||^2 + lam ||Abar z - gbar||^2, with the same data residual
     A f - g = Abar z - gbar. So dist(gbar, range Abar) = dist(g, range A),
     and one ``basis`` of (Abar, gbar), grown on demand under ``lock``,
-    serves the regime certificate (``certify``) and every solve.
+    serves every solve and the whole regime verdict (``certify``): its
+    projected proof, and the solve that decides where it proves nothing.
 
     For the identity penalty Abar = A, gbar = g and f = z. Otherwise
     (Elden's transformation, BIT 22, 1982), with W an orthonormal basis of
@@ -156,9 +157,9 @@ class StandardForm:
     The basis applies ``pair``, Abar's (forward, adjoint) without a check
     of the vectors it makes itself: ``op``'s own pair when the form is
     (A, g), and otherwise the closures of ``build`` on A's pair, which
-    ``op`` wraps with the output check that ``certify`` and callers of
-    ``op`` get. A matrix-free A's callbacks are checked inside A's pair
-    either way.
+    ``op`` wraps with the output check that ``certify``'s proof and
+    callers of ``op`` get. A matrix-free A's callbacks are checked inside
+    A's pair either way.
     """
 
     op: LinearOperator
@@ -269,40 +270,49 @@ class StandardForm:
         ||A^T g|| in place of ||Abar^T gbar||."""
         return self.lt_norm * self.abar_t_gbar / self.rhs_norm if self.rhs_norm else 0.0
 
-    def certify(self, epsilon):
-        """The data residual ||Abar x - gbar|| = ||A f - g|| of a projected
-        solution x that proves D'(LAMBDA_MAX) < 0 at this epsilon, or None
-        where the basis gives no such proof before the solve at LAMBDA_MAX
-        would stop growing it.
+    def certify(self, lag):
+        """The regime verdict of ``lag``, the problem the form was built
+        from, and the residual it read: (regime, dist), regime "interior"
+        exactly when tau < ||gbar|| and D'(LAMBDA_MAX) < 0.
 
-        f_lam minimizes ||z||^2 / lam + ||Abar z - gbar||^2, so every x has
+        tau >= ||gbar|| is "noise_dominates", with dist = ``data_norm``, the
+        residual of f = 0, before any further work. Otherwise, since f_lam
+        minimizes ||z||^2 / lam + ||Abar z - gbar||^2, every x has
         ||A f_lam - g||^2 <= ||Abar x - gbar||^2 + ||x||^2 / lam. Under
         ``lock`` it reads k = 0, 1, ... columns, and grows the basis only
         past the columns it has, until, for x = V_k z and
         z = ``GolubKahan.tikhonov(LAMBDA_MAX, k)``, the projected bound
         (``GolubKahan.tikhonov_bound``) falls below epsilon; one forward
         application then confirms the bound on x itself, and a miss goes
-        on. It returns None once the basis is exhausted at k or the residual
-        estimate at LAMBDA_MAX on k columns passes ``KRYLOV_TOL``: the
-        columns a solve there would take. No other threshold is read. So,
-        as a solve's, its answer does not depend on how far earlier solves
-        grew the basis.
+        on. That proof is "interior", with dist = ||Abar x - gbar||. The
+        search for it stops once the basis is exhausted at k or the
+        residual estimate at LAMBDA_MAX on k columns passes ``KRYLOV_TOL``:
+        the columns a solve there would take. Then the form's own ``solve``
+        at LAMBDA_MAX decides, after ``lock`` is left, which it takes:
+        "interior" when its D' < 0 and "too_optimistic" otherwise, with
+        dist its residual. No other threshold is read. So, as a solve's,
+        the verdict does not depend on how far earlier solves grew the
+        basis. Either residual is an upper bound on dist(g, range(A)).
         """
+        if not lag.tau < self.data_norm:
+            return "noise_dominates", self.data_norm
         basis = self.basis
         with self.lock:
             k = 0
             while True:
                 z = basis.tikhonov(LAMBDA_MAX, k)
-                if basis.tikhonov_bound(LAMBDA_MAX, z) < epsilon:
+                if basis.tikhonov_bound(LAMBDA_MAX, z) < lag.epsilon:
                     x = basis.expand(z)
                     r = self.op.apply(x) - self.data
-                    if float(r @ r) + float(x @ x) / LAMBDA_MAX < epsilon:
-                        return float(np.linalg.norm(r))
+                    if float(r @ r) + float(x @ x) / LAMBDA_MAX < lag.epsilon:
+                        return "interior", float(np.linalg.norm(r))
                 if (k == basis.k and basis.exhausted) or self._gain * basis.tikhonov_residuals(LAMBDA_MAX, k)[0] <= KRYLOV_TOL:
-                    return None
+                    break
                 k += 1
                 if k > basis.k:
                     basis.step()
+        disc_sq = self.solve(lag, [LAMBDA_MAX])[0].discrepancy_sq
+        return "interior" if disc_sq < lag.epsilon else "too_optimistic", math.sqrt(disc_sq)
 
     def solve(self, lag, lams):
         """Projected Tikhonov solves of ``lag``, the problem the form was
@@ -472,10 +482,8 @@ class Lagrangian:
         if not 0 < epsilon < math.inf:  # NaN fails it too
             raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
         _require_finite("data", data)
-        if op.is_dense:
-            op.require_finite("A")
-        if regularizer.seminorm_operator.is_dense:
-            regularizer.seminorm_operator.require_finite("L")
+        op.require_finite("A")
+        regularizer.seminorm_operator.require_finite("L")
         data.setflags(write=False)
         self.op = op
         self.data = data

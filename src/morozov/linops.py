@@ -206,7 +206,8 @@ class LinearOperator:
                 raise ValueError(
                     "matrix-free operator needs both forward and adjoint callbacks"
                 )
-            self._matrix = None
+            # no entries to check: the engine checks each product where it enters
+            self._matrix, self._finite = None, True
             # the callbacks with their output checked; the lambdas close
             # over the callbacks and dims, not over the operator
             self._pair = (
@@ -248,7 +249,9 @@ class LinearOperator:
         """``ValueError`` naming the first NaN or infinite entry of a dense
         operator's matrix, called ``name``. It reads the flag that the
         pair's pick took from the row maxima of |A| (``_bandwidths``), so it
-        scans the matrix only when an entry is not finite."""
+        scans the matrix only when an entry is not finite. A matrix-free
+        operator stores no entries and returns: its products are checked
+        where they enter the engine's Golub-Kahan basis."""
         if not self._finite:
             _require_finite(name, self._matrix)
 

@@ -1,7 +1,10 @@
 import dataclasses
 import functools
 import math
+import sys
+import threading
 import types
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -1138,8 +1141,6 @@ class TestVerdictAtLambdaMax:
         # of any x is at least ||f||^2 / LAMBDA_MAX at the solution f there,
         # 9.4e-11 against epsilon = 9.3e-13. So the engine's own solve at
         # LAMBDA_MAX decides, and reads 6.62e-7 < tau
-        import morozov.dual
-
         prob = synthesize(
             make_deconvolution(128, 4.0),
             _bump_profile(128, np.random.default_rng(0)), 1e-7, seed=0,
@@ -1147,17 +1148,52 @@ class TestVerdictAtLambdaMax:
         epsilon = (1.02 * prob.tau) ** 2
         sol = solve_lagrange(Lagrangian(prob.op, prob.g, prob.regularizer, epsilon), LAMBDA_MAX)
         assert sol.j_value / LAMBDA_MAX > 50 * epsilon
+        # the engine's own solves, by their multipliers
         solves = []
-        solve = morozov.dual.solve_lagrange
-        monkeypatch.setattr(morozov.dual, "solve_lagrange", lambda *a: solves.append(a[1]) or solve(*a))
+        solve = lagrange.StandardForm.solve
+        monkeypatch.setattr(lagrange.StandardForm, "solve", lambda self, lag, lams: solves.append(list(lams)) or solve(self, lag, lams))
         lag = Lagrangian(prob.op, prob.g, prob.regularizer, epsilon)
         d = diagnose_regime(lag)
-        assert d.regime == "interior" and solves == [LAMBDA_MAX]
+        assert d.regime == "interior" and solves == [[LAMBDA_MAX]]
         assert d.dist_to_range == math.sqrt(sol.discrepancy_sq)
         assert d.dist_to_range == pytest.approx(6.62e-7, rel=1e-3)
         res = maximize_dual(lag)
         assert len(res.iterations) == 6
         assert res.lambda_star == pytest.approx(1.8787e7, rel=1e-4)
+
+    @pytest.mark.parametrize("case, k", [("proved", 3), ("fallback", 64)])
+    def test_concurrent_verdicts_match_the_sequential_one(self, case, k):
+        # the engine leaves its basis lock between the projected proof and
+        # the solve at LAMBDA_MAX, which takes it again: 8 threads that
+        # race through either on one shared problem each give the verdict
+        # of a fresh problem's sequential call, and grow the basis no
+        # further than it does
+        def problem():
+            if case == "proved":
+                return lagrangian_of(regime_fixture("interior", seed=1))
+            # the low-noise problem of the test above, decided by the solve
+            prob = synthesize(make_deconvolution(128, 4.0), _bump_profile(128, np.random.default_rng(0)), 1e-7, seed=0)
+            return Lagrangian(prob.op, prob.g, prob.regularizer, (1.02 * prob.tau) ** 2)
+
+        sequential = problem()
+        expected = diagnose_regime(sequential)
+        assert expected.regime == "interior" and sequential.engine().basis.k == k
+        lag = problem()
+        barrier = threading.Barrier(8, timeout=30)
+
+        def verdict():
+            barrier.wait()
+            return diagnose_regime(lag)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                results = [future.result(timeout=30) for future in [pool.submit(verdict) for _ in range(8)]]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected] * 8
+        assert lag.engine().basis.k == k
 
 
 @pytest.mark.parametrize(

@@ -33,9 +33,10 @@ def bidiagonalize(mat, g, steps, calls=None):
 
 def truncated(basis, k):
     """``basis`` as it stood at k columns, with no factors kept: a basis's
-    factors read its alpha and beta up to its k alone."""
+    factors read its alpha and beta up to its k alone. The view keeps its
+    factors in a copy of the buffer, so it never rewrites the basis's."""
     view = copy.copy(basis)
-    view.k, view._ldl_lam = k, None
+    view.k, view._ldl_lam, view._ldl = k, None, basis._ldl.copy()
     return view
 
 
@@ -165,6 +166,9 @@ class TestGolubKahan:
         g = synthesize(A, _bump_profile(256, np.random.default_rng(256)), 0.02, seed=256).g
         full = bidiagonalize(A.matrix, g, 80)
         assert full.k == 80 and not full.exhausted
+        # the factors the basis keeps, which no view may rewrite
+        kept = full._factors(0.5, 80).tobytes()
+        calls.clear()
         lams = np.geomspace(1e-3, 1e9, 37)
         ref = []
         for lam in lams:
@@ -188,6 +192,7 @@ class TestGolubKahan:
                     view._factors(lam, k)
                 assert np.array(view._factors(lam, 80))[:, :80].tobytes() == want.tobytes()
             assert calls == []
+        assert full._ldl_lam == 0.5 and full._ldl.tobytes() == kept
 
     @pytest.mark.parametrize("m, n", [(15, 10), (8, 14), (12, 12), (1, 5), (5, 1)], ids=["tall", "wide", "square", "row", "column"])
     def test_kept_factors_fill_their_buffer_at_exhaustion(self, rng, m, n):

@@ -163,6 +163,16 @@ class TestOperatorAlgebra:
         free = from_callables(3, 5, lambda f: mat @ f, lambda y: mat.T @ y)
         np.testing.assert_allclose(free.materialize(), mat, rtol=0, atol=0)
 
+    def test_require_finite(self):
+        # a matrix-free operator stores no entries: its products are checked
+        # where they enter the engine's basis
+        from_callables(3, 3, np.copy, np.copy).require_finite("A")
+        mat = np.arange(6.0).reshape(2, 3)
+        from_matrix(mat).require_finite("A")
+        mat[1, 2] = np.nan
+        with pytest.raises(ValueError, match=r"A must be finite, but A\[1, 2\] = nan"):
+            from_matrix(mat).require_finite("A")
+
     def test_materialize_dense_is_not_a_copy(self, rng):
         op = random_dense_op(rng, 5, 3)
         assert op.materialize() is op.matrix
