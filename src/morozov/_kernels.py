@@ -344,8 +344,6 @@ class GolubKahan:
         """
         j = z.shape[0]
         e = self.alpha[j] * self.beta[j] * (abs(z[-1]) if j else 1.0)  # ||s_j|| / lam
-        if e == 0.0:
-            return 0.0
         gamma = min(0.5 / math.sqrt(lam), math.hypot(self.alpha[j], self.beta[j + 1]))
         return 2.0 * e * abs(w[j]) + (gamma * lam * e) ** 2
 

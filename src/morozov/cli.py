@@ -28,7 +28,6 @@ import numpy as np
 
 from . import dual, problems
 from .errors import ConvergenceFailure, MorozovError, RegimeError
-from .lagrange import Lagrangian
 from .linops import save_vector_csv, load_vector_csv
 
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
@@ -123,14 +122,12 @@ def _effective_tau(args, problem):
     return tau, c * tau
 
 
-def _lagrangian(problem, tau_eff):
-    return Lagrangian(problem.op, problem.g, problem.regularizer, tau_eff**2)
-
-
-def _write_json(payload, path):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+def _load(args):
+    """The fixture of ``args``: its tau, its effective tau and its
+    ``Lagrangian``."""
+    problem = problems.load_problem(args.problem)
+    tau, tau_eff = _effective_tau(args, problem)
+    return tau, tau_eff, problems.lagrangian(problem, tau_eff)
 
 
 def _cmd_generate(args):
@@ -141,9 +138,8 @@ def _cmd_generate(args):
 
 
 def _cmd_diagnose(args):
-    problem = problems.load_problem(args.problem)
-    tau, tau_eff = _effective_tau(args, problem)
-    diagnosis = dual.diagnose_regime(_lagrangian(problem, tau_eff))
+    tau, tau_eff, lag = _load(args)
+    diagnosis = dual.diagnose_regime(lag)
     payload = {
         "dist_to_range": diagnosis.dist_to_range,
         "data_norm": diagnosis.data_norm,
@@ -159,14 +155,12 @@ def _cmd_diagnose(args):
     }
     print(json.dumps(payload, indent=2))
     if args.out:
-        _write_json(payload, args.out)
+        problems.write_json(payload, args.out)
     return EXIT_OK
 
 
 def _cmd_solve(args):
-    problem = problems.load_problem(args.problem)
-    tau, tau_eff = _effective_tau(args, problem)
-    lag = _lagrangian(problem, tau_eff)
+    tau, tau_eff, lag = _load(args)
     method = args.method.replace("-", "_")
     result = dual.maximize_dual(lag, method=method, rtol=args.rtol, max_iter=args.max_iter)
     out_path = Path(args.out)
@@ -185,7 +179,7 @@ def _cmd_solve(args):
         "rtol": args.rtol,
         "f_star_path": f_star_path.name,
     }
-    _write_json(payload, out_path)
+    problems.write_json(payload, out_path)
     save_vector_csv(result.f_star, f_star_path)
     print(
         f"lambda_star={result.lambda_star:.12g} alpha={result.alpha:.12g} "
@@ -200,9 +194,7 @@ def _cmd_sweep(args):
         raise ValueError("need 0 < lambda-min < lambda-max < inf")
     if args.points < 2:
         raise ValueError("need at least 2 points")
-    problem = problems.load_problem(args.problem)
-    _, tau_eff = _effective_tau(args, problem)
-    lag = _lagrangian(problem, tau_eff)
+    _, _, lag = _load(args)
     grid = np.geomspace(args.lambda_min, args.lambda_max, args.points)
     evals = dual.sweep_dual(lag, grid)
     rows = []
@@ -221,7 +213,7 @@ def _cmd_sweep(args):
     else:
         # strict JSON: a failed point's values are null, not the bare NaN token
         keys = ("lambda", "D", "Dprime", "discrepancy_sq", "j_value")
-        _write_json([{k: v if math.isfinite(v) else None for k, v in zip(keys, row)} for row in rows], args.out)
+        problems.write_json([{k: v if math.isfinite(v) else None for k, v in zip(keys, row)} for row in rows], args.out)
     n_failed = sum(e.solution is None for e in evals)
     print(f"wrote {len(rows)} sweep points to {args.out}"
           + (f" ({n_failed} failed)" if n_failed else ""))
@@ -250,7 +242,7 @@ def _cmd_verify(args):
     tau_eff = field("tau_eff", float)
     if not 0 < tau_eff < math.inf:  # NaN fails it too
         raise ValueError(f"tau_eff must be positive and finite, got {tau_eff}")
-    lag = _lagrangian(problem, tau_eff)
+    lag = problems.lagrangian(problem, tau_eff)
     report = dual.verify_morozov_solution(result, lag, rtol=args.rtol)
     payload = {
         "passed": report.passed,
@@ -261,7 +253,7 @@ def _cmd_verify(args):
         print(f"{status}  {check['name']}: value={check['value']:.3e} "
               f"threshold={check['threshold']:.3e}")
     if args.out:
-        _write_json(payload, args.out)
+        problems.write_json(payload, args.out)
     if not report.passed:
         print(f"verification failed: {', '.join(report.failed_items())}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE

@@ -78,8 +78,8 @@ multiplier needs more columns; the penalty's standard-form factors
 (``Regularizer.factors``), for a custom L one materialization and one
 factorization, are formed once when the engine is built, and a
 matrix-free A stays an operator.
-``sweep_dual`` runs on the same engine, in blocks of multipliers whose
-size one rule bounds (``_BLOCK_FLOATS``).
+``sweep_dual`` runs its grid on the same engine in one ``solve``, whose
+rounds the block rule of ``StandardForm.solve`` bounds.
 """
 
 import logging
@@ -450,22 +450,18 @@ def sweep_dual(lag: Lagrangian, lambdas):
 
     Inner failures at single points are recorded on the returned
     evaluations (``error`` set, values NaN) and the sweep continues.
-    The grid runs on the problem's engine (``Lagrangian.engine``), built
-    once, failure included, in blocks of one ``solve`` each. A block
-    holds as many multipliers as keep each of its arrays, Z and
-    F = Z V_k, of at most n entries a row, n the larger dimension of A,
-    within ``_BLOCK_FLOATS`` entries. In the Golub-Kahan basis the block's
-    largest multiplier grows the basis, one factorization serves the
-    searches of all the others (``StandardForm.solve``), and the block
-    shares the expansion F = Z V_k. Every point is the same
-    ``DualEvaluation`` that ``eval_dual`` returns, its k and D'' bit for
-    bit, up to the rounding of that expansion.
-    A block that raises a point's error is solved again point by point by
+    The grid up to LAMBDA_MAX runs on the problem's engine
+    (``Lagrangian.engine``), built once, failure included, in one
+    ``StandardForm.solve``, whose block rule bounds the arrays of each of
+    its rounds. Every point is the same ``DualEvaluation`` that
+    ``eval_dual`` returns, its k and D'' bit for bit, up to the rounding
+    of a round's expansion F = Z V_k.
+    A solve that raises a point's error is run again point by point by
     ``eval_dual``, so a ``ConvergenceFailure`` fails its own point only,
     and an engine that cannot be built fails every point with the
     ``AssumptionViolation`` its one build raised. Multipliers above
-    LAMBDA_MAX are left out of the blocks and fail one by one with
-    ``solve_lagrange``'s message.
+    LAMBDA_MAX are left out of the solve, and fail one by one with
+    ``solve_lagrange``'s message; a grid with none below builds no engine.
     """
     lambdas = _as_real(lambdas, "lambdas")
     if lambdas.ndim != 1 or lambdas.size == 0:
@@ -476,27 +472,16 @@ def sweep_dual(lag: Lagrangian, lambdas):
     if not np.all(np.diff(lambdas) > 0):
         raise ValueError("grid must be strictly ascending")
     # the grid ascends, so the multipliers an engine accepts come first
-    blocked = int(np.searchsorted(lambdas, LAMBDA_MAX, side="right"))
-    rows = max(1, _BLOCK_FLOATS // max(lag.op.dims.dim_f, lag.op.dims.dim_g))
+    lams, over = np.split(lambdas, [int(np.searchsorted(lambdas, LAMBDA_MAX, side="right"))])
     out = []
-    for start in range(0, blocked, rows):
-        lams = lambdas[start:blocked][:rows]
+    if lams.size:
         try:
-            out.extend(_evaluation(lag, sol) for sol in lag.engine().solve(lag, lams))
+            out = [_evaluation(lag, sol) for sol in lag.engine().solve(lag, lams)]
         except _POINT_ERRORS:
-            # a point that fails fails alone: the block again, point by point
-            out.extend(_point(lag, lam) for lam in lams)
-    out.extend(_point(lag, lam) for lam in lambdas[blocked:])
-    return out
+            # a point that fails fails alone: the grid again, point by point
+            out = [_point(lag, lam) for lam in lams]
+    return out + [_point(lag, lam) for lam in over]
 
-
-# the most entries of each array a sweep's block holds, Z and F = Z V_k, of at
-# most n entries a row, 8 MiB of float64: 2048 multipliers at n = 512, 16 at
-# n = 65536, where 200 in one block would hold an F of 105 MB. The factors of
-# the block's tridiagonals (``GolubKahan.factor_block``) are one 4-by-m-by-k
-# array, with k <= n, so the same rule bounds them by 4 times as many
-# entries, 32 MiB, held only while the block's searches run
-_BLOCK_FLOATS = 1 << 20
 
 # failures a sweep records on its points instead of raising; an
 # AssumptionViolation is a ValueError
@@ -524,13 +509,16 @@ def concavity_defects(lambdas, d_values):
     of its neighbors (concavity puts it above), normalized for arbitrary
     grid spacing. On a uniform grid this is half the usual second
     difference. ``ValueError`` for a complex input, which a cast would cut
-    to its real part, or for arrays that are not matching, 1-d and of at
-    least 3 points.
+    to its real part, for arrays that are not matching, 1-d and of at
+    least 3 points, or for ``lambdas`` that are not finite and strictly
+    ascending, as ``sweep_dual`` refuses its grid. NaN ``d_values``, which
+    a failed sweep point holds, give NaN defects beside it.
     """
     lam = _as_real(lambdas, "lambdas")
     d = _as_real(d_values, "d_values")
-    if lam.shape != d.shape or lam.ndim != 1 or lam.size < 3:
-        raise ValueError("need matching 1-d arrays with at least 3 points")
+    ascending = lam.ndim == 1 and np.isfinite(lam).all() and (np.diff(lam) > 0).all()
+    if lam.shape != d.shape or lam.size < 3 or not ascending:
+        raise ValueError("need matching 1-d arrays with at least 3 points, lambdas finite and strictly ascending")
     l1, l2, l3 = lam[:-2], lam[1:-1], lam[2:]
     d1, d2, d3 = d[:-2], d[1:-1], d[2:]
     chord = ((l3 - l2) * d1 + (l2 - l1) * d3) / (l3 - l1)

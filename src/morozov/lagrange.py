@@ -32,16 +32,17 @@ standard-form solution at every lam lies in span V_k, so each solve is the
 k-by-k tridiagonal system (I + lam B_k^T B_k) z = lam ||Abar^T gbar|| e_1,
 mapped back to f; the basis grows only when a multiplier needs more
 columns than any before it. A singular R_W, A not seeing some direction of
-ker L, is the strict-convexity check. Its ``solve`` takes a block of m
-multipliers: the largest searches for its k first, growing the basis, and
-one ``dpttrf`` (``GolubKahan.factor_block``) then factors the tridiagonals
-of all the others on its k columns. Every search reads one kind of
-factors, those the basis keeps at its lam, and a block's row is where the
-kept factors of each of the others start, bitwise those it would form
-alone. So each multiplier's k follows one rule, and the block shares the
-expansion F = Z V_k and its map back to f. Each multiplier's A f - g and
-A^T (A f - g) are formed through the operator's pair (``_solution``), as
-every product with A is.
+ker L, is the strict-convexity check. Its ``solve`` takes a grid of
+multipliers in rounds, whose size the block rule of ``StandardForm.solve``
+bounds. In a round of m multipliers the largest searches for its k first,
+growing the basis, and one ``dpttrf`` (``GolubKahan.factor_block``) then
+factors the tridiagonals of all the others on its k columns. Every search
+reads one kind of factors, those the basis keeps at its lam, and a round's
+row is where the kept factors of each of the others start, bitwise those
+it would form alone. So each multiplier's k follows one rule, and the
+round shares the expansion F = Z V_k and its map back to f. Each
+multiplier's A f - g and A^T (A f - g) are formed through the operator's
+pair (``_solution``), as every product with A is.
 
 ``Lagrangian.engine`` builds the engine once, which ``solve_lagrange``,
 every sweep and the regime verdict run on. ``certificate`` is the
@@ -61,6 +62,7 @@ takes from the projected tridiagonal in O(k). Its right limit at 0,
 engine's ``slope_at_zero``, read without an application.
 """
 
+import itertools
 import logging
 import math
 import threading
@@ -97,6 +99,16 @@ KRYLOV_TOL = 1e-10
 # columns beyond a Krylov solve's own whose solution stands in for the exact
 # one when its discrepancy error is estimated
 _LOOKAHEAD = 4
+
+# the block rule: a round of ``StandardForm.solve`` takes at most
+# max(1, _BLOCK_FLOATS // n) of its pending points, n the larger dimension
+# of A, so each of its arrays, Z and F = Z V_k, of at most n entries a row,
+# holds at most this many entries, 8 MiB of float64: 2048 points at n = 512,
+# 16 at n = 65536, where 200 in one round would hold an F of 105 MB. The
+# factors of the round's tridiagonals (``GolubKahan.factor_block``) are one
+# 4-by-m-by-k array, with k <= n, so the same rule bounds them by 4 times as
+# many entries, 32 MiB, held only while the round's searches run
+_BLOCK_FLOATS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -321,17 +333,21 @@ class StandardForm:
 
         Each multiplier's search (``_column``) runs from j = 0 and takes
         the solution on k = j + ``_LOOKAHEAD`` columns, or on all of an
-        exhausted basis. The block's largest multiplier searches first and
-        grows the basis; each of the others starts its search from its row
-        of one ``GolubKahan.factor_block`` on it (``_columns``), bitwise
-        the factors it would form alone. The rows of F = Z V_k are one
+        exhausted basis. One loop runs the points in rounds, each of at
+        most max(1, ``_BLOCK_FLOATS`` // n) pending points in order, n the
+        larger dimension of A: the block rule, which bounds every array a
+        round holds. A round's largest multiplier searches first and grows
+        the basis; each of the others starts its search from its row of one
+        ``GolubKahan.factor_block`` on it (``_columns``), bitwise the
+        factors it would form alone. The rows of F = Z V_k are one
         product, mapped back to f row by row, and ``_solution`` forms each
         row's residuals through the operator's pair. A point is accepted
         when its own explicit residual passes; otherwise its search goes on
-        from j + 1, and a new block holds the points that did not pass.
+        from j + 1, and the point stays pending, behind the points not yet
+        searched, so the same loop bounds the retries.
 
         k depends on lam alone, not on how far earlier solves grew the
-        basis nor on the other multipliers of the block, and so does the
+        basis nor on the other multipliers of the round, and so does the
         answer, up to the rounding of the basis expansion.
 
         - The full system's relative residual
@@ -352,8 +368,10 @@ class StandardForm:
         for lam in lams:
             _check_multiplier(lam)
         out = [None] * len(lams)
-        starts = dict.fromkeys(range(len(lams)), 0)  # point: its search's first column
-        while starts:
+        rows = max(1, _BLOCK_FLOATS // max(lag.op.dims.dim_f, lag.op.dims.dim_g))
+        pending = dict.fromkeys(range(len(lams)), 0)  # point: its search's first column
+        while pending:
+            starts = {i: pending.pop(i) for i in list(itertools.islice(pending, rows))}
             with self.lock:
                 picks = self._columns(lag, lams, starts)
                 js, exacts, zs, slopes = zip(*picks.values())
@@ -365,7 +383,6 @@ class StandardForm:
                 _solution(lag, lams[i], f.copy(), float(slope), {"method": "krylov", "iterations": len(z)})
                 for i, f, slope, z in zip(picks, F, slopes, zs)
             ]
-            starts = {}
             for i, j, exact, sol in zip(picks, js, exacts, sols):
                 scale = 2.0 * sol.lam * self.rhs_norm  # ||grad|| = 2 ||full residual||
                 rel = sol.solver_stats["relative_residual"] = sol.optimality_residual / scale if scale else 0.0
@@ -379,7 +396,7 @@ class StandardForm:
                         best=sol.f_lambda,
                     )
                 else:
-                    starts[i] = j + 1
+                    pending[i] = j + 1
         return out
 
     def _columns(self, lag, lams, starts):

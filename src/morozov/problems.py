@@ -207,7 +207,7 @@ def regime_fixture(target, seed=0):
     else:
         raise ValueError(f"unknown regime target {target!r}")
 
-    diag = diagnose_regime(_lagrangian(problem))
+    diag = diagnose_regime(lagrangian(problem, problem.tau))
     if diag.regime != target:
         raise RuntimeError(
             f"internal error: fixture for {target!r} diagnosed as {diag.regime!r}"
@@ -215,8 +215,16 @@ def regime_fixture(target, seed=0):
     return problem
 
 
-def _lagrangian(problem):
-    return Lagrangian(problem.op, problem.g, problem.regularizer, problem.tau**2)
+def lagrangian(problem, tau):
+    """The ``Lagrangian`` of ``problem`` with the effective tolerance ``tau``."""
+    return Lagrangian(problem.op, problem.g, problem.regularizer, tau**2)
+
+
+def write_json(payload, path):
+    """Write ``payload`` to ``path`` as indented JSON, ending in a newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
 
 
 def save_problem(problem: InverseProblem, directory):
@@ -232,7 +240,7 @@ def save_problem(problem: InverseProblem, directory):
     kind = type(reg).kind if type(reg) in (_Identity, _FirstDifference) else "custom"
     regime = problem.regime
     if regime is None and problem.tau > 0:
-        regime = diagnose_regime(_lagrangian(problem)).regime
+        regime = diagnose_regime(lagrangian(problem, problem.tau)).regime
     meta = {
         "tau": problem.tau,
         "noise_level": problem.noise_level,
@@ -243,9 +251,7 @@ def save_problem(problem: InverseProblem, directory):
     }
     if kind == "custom":
         linops.save_matrix_mdop(reg.seminorm_operator.materialize(), directory / "L.bin")
-    with open(directory / "meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+    write_json(meta, directory / "meta.json")
 
 
 def load_problem(directory):
@@ -304,9 +310,13 @@ def json_field(record, key, kind, source, default=None):
     checked to be of ``kind``: float (any JSON number, returned as a
     float; true and false are not numbers), str, bool or list.
     ``ValueError`` naming ``source`` and the key for a value of another
-    type, ``KeyError`` for a missing key without a default."""
+    type or an integer beyond float range, ``KeyError`` for a missing key
+    without a default."""
     value = record[key] if default is None else record.get(key, default)
     number = kind is float and isinstance(value, (int, float)) and not isinstance(value, bool)
     if not (number or (kind is not float and isinstance(value, kind))):
         raise ValueError(f"{source}: {key} must be {_JSON_KINDS[kind]}, got {value!r}")
-    return float(value) if number else value
+    try:
+        return float(value) if number else value
+    except OverflowError:
+        raise ValueError(f"{source}: {key} is an integer beyond float range") from None

@@ -16,7 +16,7 @@ multipliers ``np.logspace(-2, 8, 40)`` on the width-2 blur at n = 128 and
 and at n = 128 also custom first differences: 10 sweeps. A sweep record
 holds ||g||^2 as ``float.hex`` and, for each point, its error, or its
 column count k, D' and D'' as ``float.hex``. A sweep at n = 128 or 512
-holds all 40 points in one block of the engine's ``solve``. The benchmark's
+holds all 40 points in one round of the engine's ``solve``. The benchmark's
 grid, the 200 multipliers ``np.logspace(-2, 8, 200)`` of perfbench's
 ``dense_sweep``, runs on the width-2 blur at n = 512, noise 2%, seed 1,
 with the identity and first differences: 2 sweeps, recorded the same way

@@ -286,10 +286,13 @@ class TestMalformedFiles:
             ("verify", "result.json", {"iterations": [[1.0, 2.0]]}),
             ("verify", "result.json", {"f_star_path": None}),
             ("verify", "result.json", {"tau_eff": None}),
+            # integers beyond float range
+            ("diagnose", "meta.json", {"tau": 10**400}),
+            ("verify", "result.json", {"tau_eff": 10**400}),
         ],
         ids=[
             "null_tau", "list_meta", "string_lambda_star", "number_iterations", "pair_iterations",
-            "null_f_star_path", "null_tau_eff",
+            "null_f_star_path", "null_tau_eff", "huge_tau", "huge_tau_eff",
         ],
     )
     def test_bad_json_field_exits_1(self, fixture_dirs, tmp_path, capsys, command, file, change):

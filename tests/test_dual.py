@@ -1643,12 +1643,22 @@ class TestSweepDual:
 
     @pytest.mark.parametrize(
         "lambdas, d_values",
-        [([1.0, 2.0, 3.0], [0.0, 1.0]), ([1.0, 2.0], [0.0, 1.0]), ([[1.0, 2.0, 3.0]], [[0.0, 1.0, 0.0]])],
-        ids=["mismatched", "two-points", "2d"],
+        [
+            ([1.0, 2.0, 3.0], [0.0, 1.0]), ([1.0, 2.0], [0.0, 1.0]), ([[1.0, 2.0, 3.0]], [[0.0, 1.0, 0.0]]),
+            ([1.0, 2.0, 1.0], [0.0, 1.0, 0.0]), ([1.0, 2.0, 2.0], [0.0, 1.0, 0.0]),
+            ([1.0, math.nan, 3.0], [0.0, 1.0, 0.0]), ([1.0, 2.0, math.inf], [0.0, 1.0, 0.0]),
+        ],
+        ids=["mismatched", "two-points", "2d", "descending", "repeated", "nan-lambda", "inf-lambda"],
     )
     def test_concavity_defects_refuses_unmatched_or_short_arrays(self, lambdas, d_values):
         with pytest.raises(ValueError, match="need matching 1-d arrays with at least 3 points"):
             concavity_defects(lambdas, d_values)
+
+    def test_concavity_defects_keep_failed_points(self):
+        # a failed sweep point's NaN D gives NaN defects beside it, and the
+        # others are still read
+        defects = concavity_defects([1.0, 2.0, 3.0, 4.0, 5.0], [0.0, 1.0, 1.5, math.nan, 1.0])
+        assert defects[0] == pytest.approx(-0.25) and np.isnan(defects[1:]).all()
 
     def test_too_optimistic_shape(self):
         prob = regime_fixture("too_optimistic", seed=2)
@@ -1703,16 +1713,14 @@ class TestSweepDual:
 
     @pytest.mark.parametrize("case", ["identity", "first_difference", "custom", "custom_matrix_free"])
     def test_blocks_match_pointwise_spectral_solves(self, case, monkeypatch):
-        import morozov.dual
-
         lag = self.blocked_cases()[case]
         engine = lag.engine()
         blocks = []
-        solve = type(engine).solve
-        monkeypatch.setattr(type(engine), "solve", lambda *a: blocks.append(len(a[2])) or solve(*a))
-        # blocks of 24 rows on dim_f = 24: 70 points make three blocks, the
+        columns = type(engine)._columns
+        monkeypatch.setattr(type(engine), "_columns", lambda *a: blocks.append(len(a[3])) or columns(*a))
+        # rounds of 24 rows on dim_f = 24: 70 points make three rounds, the
         # last one short
-        monkeypatch.setattr(morozov.dual, "_BLOCK_FLOATS", 24 * 24)
+        monkeypatch.setattr(lagrange, "_BLOCK_FLOATS", 24 * 24)
         grid = np.geomspace(1e-4, 1e8, 70)
         evals = sweep_dual(lag, grid)
         assert blocks == [24, 24, 22]
@@ -1774,7 +1782,7 @@ class TestSweepDual:
     def test_blocks_keep_lambda_max_failures(self):
         lag = self.blocked_cases()["first_difference"]
         # 60 points up to 1e14: the last seven exceed LAMBDA_MAX, and the
-        # third block would reach into them
+        # solve, one round at n = 24, stops short of them
         grid = np.geomspace(1e-4, 1e14, 60)
         evals = sweep_dual(lag, grid)
         over = grid > LAMBDA_MAX
@@ -1793,8 +1801,6 @@ class TestSweepDual:
             assert np.isnan(e.d_value) and np.isnan(e.d_prime) and np.isnan(e.d_second)
 
     def test_singular_pencil_fails_every_point(self, rng, monkeypatch):
-        import morozov.dual
-
         # the shared-kernel pair of test_assumption_gate_refuses_shared_kernel
         n = 6
         A = linops.from_matrix(first_difference_regularizer(n).seminorm_operator.materialize())
@@ -1802,7 +1808,7 @@ class TestSweepDual:
         lag = Lagrangian(A, g, custom_regularizer(A), epsilon=1.0)
         grid = np.geomspace(1e-2, 1e14, 20)
         # blocks of two points, yet one attempt to build the engine
-        monkeypatch.setattr(morozov.dual, "_BLOCK_FLOATS", 2 * n)
+        monkeypatch.setattr(lagrange, "_BLOCK_FLOATS", 2 * n)
         builds = []
         build = StandardForm.build.__func__
         monkeypatch.setattr(StandardForm, "build", classmethod(lambda cls, *a: builds.append(a) or build(cls, *a)))
@@ -1819,6 +1825,54 @@ class TestSweepDual:
             else:
                 assert "exceeds LAMBDA_MAX" in e.error
             assert e.solution is None and np.isnan(e.d_prime)
+
+    def test_rounds_bound_the_retries(self, monkeypatch):
+        # rounds of at most 5 points on dim_f = 24: a point whose first
+        # candidate fails its explicit check goes on from the next column in
+        # a later round, which the same bound holds
+        lag = self.blocked_cases()["identity"]
+        grid = np.geomspace(1e-2, 1e6, 17)
+        bad = set(grid[[1, 6, 8]])
+        monkeypatch.setattr(lagrange, "_BLOCK_FLOATS", 5 * 24)
+        rounds, blocks, rejected = [], [], set()
+        columns = StandardForm._columns
+        monkeypatch.setattr(StandardForm, "_columns", lambda *a: rounds.append(len(a[3])) or columns(*a))
+        factor_block = lagrange.GolubKahan.factor_block
+        monkeypatch.setattr(lagrange.GolubKahan, "factor_block", lambda basis, lams: blocks.append(len(lams)) or factor_block(basis, lams))
+        solution = lagrange._solution
+
+        def rejecting(lag, lam, f, slope, stats):
+            # the first candidate at each bad multiplier fails its explicit check
+            sol = solution(lag, lam, f, slope, stats)
+            if lam in bad and lam not in rejected:
+                rejected.add(lam)
+                return dataclasses.replace(sol, optimality_residual=math.inf)
+            return sol
+
+        monkeypatch.setattr(lagrange, "_solution", rejecting)
+        evals = sweep_dual(lag, grid)
+        assert rejected == bad
+        # every point searched once, and each bad one once more
+        assert max(rounds) <= 5 and sum(rounds) == len(grid) + len(bad)
+        assert max(blocks) <= 4
+        twin = self.blocked_cases()["identity"]
+        scale = float(lag.data @ lag.data)
+        for e, lam in zip(evals, grid):
+            rejected.clear()
+            ref = eval_dual(twin, lam)
+            assert e.error is None
+            assert e.solution.solver_stats["iterations"] == ref.solution.solver_stats["iterations"]
+            assert e.d_prime == pytest.approx(ref.d_prime, rel=0, abs=1e-10 * scale)
+            assert e.d_second == pytest.approx(ref.d_second, rel=1e-10)
+
+    def test_grid_above_lambda_max_builds_no_engine(self, monkeypatch):
+        lag = self.blocked_cases()["first_difference"]
+        builds = []
+        build = StandardForm.build.__func__
+        monkeypatch.setattr(StandardForm, "build", classmethod(lambda cls, *a: builds.append(a) or build(cls, *a)))
+        evals = sweep_dual(lag, [2e12, 5e12])
+        assert builds == []
+        assert all("exceeds LAMBDA_MAX" in e.error for e in evals)
 
     def test_points_past_the_block_factors_search_alone(self, monkeypatch):
         # block factors cut to the basis's first 12 columns: a point whose
